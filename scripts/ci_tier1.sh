@@ -5,7 +5,8 @@
 # runtime smoke (batched-chain determinism and pickling, skipping the
 # slow-marked process-pool tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
-# the unified run_chains path), a cluster smoke (a coordinator driving
+# the unified run_chains path, on one instance within the blanket-table
+# caps and one past them), a cluster smoke (a coordinator driving
 # two real localhost worker subprocesses over the TCP transport, asserting
 # bit-identity with the serial loop), a chaos smoke (one of the two
 # workers is armed with a deterministic FaultPlan and hard-crashes
@@ -46,12 +47,20 @@ python -m pytest -x -q -m "not slow" tests/test_runtime.py tests/test_analysis_c
 echo "== tier-1: kernel smoke =="
 python - <<'PY'
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph
-from repro.models import hardcore_model
+from repro.graphs import cycle_graph, star_graph
+from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime
 from repro.sampling import registered_kernels
 
-instance = SamplingInstance(hardcore_model(cycle_graph(8), fugacity=1.2), {0: 1})
+# One instance on the blanket-table lookup, one past BLANKET_MAX_ROWS (the
+# 3**9-row hub of a 9-leaf star), which keeps the per-step gather.
+instances = {
+    "blanket": SamplingInstance(hardcore_model(cycle_graph(8), fugacity=1.2), {0: 1}),
+    "gather": SamplingInstance(coloring_model(star_graph(9), num_colors=3), {1: 0}),
+}
+for mode, instance in instances.items():
+    tables = instance.distribution.compiled_engine().batched_tables
+    assert (tables.rows is not None) == (mode == "blanket"), f"{mode} instance in the wrong mode"
 kernels = registered_kernels()
 expected = {"glauber", "luby-glauber", "jvv", "sequential"}
 missing = expected - set(kernels)
@@ -59,11 +68,15 @@ assert not missing, f"kernels missing from the registry: {missing}"
 serial = Runtime("serial", n_chains=4)
 batched = Runtime("batched", n_chains=4)
 for name in sorted(kernels):
-    reference = serial.run_chains(name, instance, 12, seed=3)
-    assert batched.run_chains(name, instance, 12, seed=3) == reference, (
-        f"kernel {name} diverges between the serial and batched backends"
-    )
-print(f"kernel smoke OK: {len(kernels)} kernels, serial == batched per chain")
+    for mode, instance in instances.items():
+        reference = serial.run_chains(name, instance, 12, seed=3)
+        assert batched.run_chains(name, instance, 12, seed=3) == reference, (
+            f"kernel {name} diverges between the serial and batched backends ({mode})"
+        )
+print(
+    f"kernel smoke OK: {len(kernels)} kernels x blanket/gather tables, "
+    "serial == batched per chain"
+)
 PY
 
 echo "== tier-1: cluster smoke =="

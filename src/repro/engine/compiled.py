@@ -90,6 +90,7 @@ class CompiledGibbs:
         "_schedule_cache",
         "_marginal_memo",
         "_conditionals",
+        "_batched_tables",
     )
 
     def __init__(
@@ -118,6 +119,7 @@ class CompiledGibbs:
         self._schedule_cache: Dict[tuple, tuple] = {}
         self._marginal_memo: Dict[tuple, Dict[Value, float]] = {}
         self._conditionals = None
+        self._batched_tables = None
 
     # ------------------------------------------------------------------
     # construction
@@ -170,7 +172,8 @@ class CompiledGibbs:
         schedules depend solely on the scope structure and the pinned domain,
         so the twin *shares* those caches by reference (both sides keep
         warming the same dicts), while the value-dependent state -- fused
-        tables, marginal memo, gathered conditionals -- is rebuilt fresh.
+        tables, marginal memo, gathered conditionals, batched blanket
+        tables -- is rebuilt fresh.
         """
         if len(arrays) != len(self.scopes):
             raise ValueError(
@@ -280,9 +283,10 @@ class CompiledGibbs:
     def __getstate__(self):
         """Ship only the immutable compiled form.
 
-        The memo caches, fused tables and gathered conditionals are all
-        derived state: dropping them keeps worker payloads small and the
-        receiving side rebuilds them lazily on first use.
+        The memo caches, fused tables, gathered conditionals and batched
+        blanket tables are all derived state: dropping them keeps worker
+        payloads small and the receiving side rebuilds them lazily on
+        first use.
         """
         return (self.nodes, self.alphabet, self.scopes, self.arrays)
 
@@ -563,6 +567,20 @@ class CompiledGibbs:
 
             self._conditionals = CompiledConditionals(self)
         return self._conditionals
+
+    @property
+    def batched_tables(self):
+        """Blanket-indexed conditional tables of the batched chain kernels.
+
+        Built once on first use and shared by every chain batch, packed
+        batch and pseudo-likelihood evaluation of this engine (see
+        :class:`repro.runtime.chains._BatchedTables`).
+        """
+        if self._batched_tables is None:
+            from repro.runtime.chains import _BatchedTables
+
+            self._batched_tables = _BatchedTables(self)
+        return self._batched_tables
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

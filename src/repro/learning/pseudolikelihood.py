@@ -14,11 +14,11 @@ a consistent, partition-function-free surrogate for the likelihood
 (Besag 1975; pracmln's ``bpll.py`` is the reference design).  Both the
 objective and its gradient are *exact* here:
 
-* the conditionals come from the compiled engine's per-node factor tables,
-  evaluated for all samples of one node at once through the same
-  :class:`~repro.runtime.chains._BatchedTables` gather the batched sampler
-  uses (zeros in the tables encode hard constraints, so constrained
-  families need no special casing);
+* the conditionals come from the compiled engine's cached conditional
+  tables (:attr:`~repro.engine.compiled.CompiledGibbs.batched_tables`),
+  evaluated for all samples of one node at once through the same lookup
+  the batched sampler uses (zeros in the tables encode hard constraints,
+  so constrained families need no special casing);
 * the gradient per (sample, node) is
   ``phi_v(sigma_v) - sum_a p(a | rest) phi_v(a)`` with ``phi_v`` the
   family's local features -- the theta-independent parts of ``phi`` cancel
@@ -33,8 +33,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-from repro.runtime.chains import _BatchedTables
 
 
 def pl_value_and_grad(
@@ -76,7 +74,7 @@ def pl_value_and_grad(
         raise ValueError(
             f"dataset has {n} columns but the family has {len(compiled.nodes)} nodes"
         )
-    tables = _BatchedTables(compiled)
+    tables = compiled.batched_tables
     rows = np.arange(m)
     value = 0.0
     grad = np.zeros(family.n_parameters)

@@ -2,17 +2,19 @@
 
 A :class:`ChainBatch` holds ``n_chains`` independent chains of the same
 instance as a ``(chains, n)`` integer code matrix and advances *all* of
-them per step with a handful of vectorised NumPy gathers into the
-precompiled per-node factor tables -- one batched conditional computation
-instead of a Python loop per chain.  This amortises the interpreter
-overhead of the serial chain across the batch, which is where
+them per step with one vectorised conditional lookup: each resampled
+node's weights are a row of its precomputed blanket table
+(:class:`_BatchedTables`, built once per compiled engine), selected by a
+strided index sum over the codes of its Markov blanket -- one batched
+computation instead of a Python loop per chain.  This amortises the
+interpreter overhead of the serial chain across the batch, which is where
 E6/E7/E12-style experiments spend their time.
 
 The *dynamics* advanced by a batch is a :class:`~repro.sampling.kernels.ChainKernel`
 (Glauber, LubyGlauber, JVV rejection, sequential scan, or any registered
 kernel): the batch owns the shared execution state (code matrix, per-chain
-generators and buffered streams, padded gather tables, kernel scratch
-space) and :meth:`ChainBatch.advance` hands it to the kernel's
+generators and buffered streams, the model's conditional tables, kernel
+scratch space) and :meth:`ChainBatch.advance` hands it to the kernel's
 ``batched_advance``.  The historical :meth:`ChainBatch.glauber_steps` /
 :meth:`ChainBatch.luby_rounds` methods are thin wrappers over the
 corresponding kernels.
@@ -122,56 +124,292 @@ class _Stream:
         return out
 
 
-class _BatchedTables:
-    """Padded per-node gather tables for whole-batch conditional updates.
+#: Rows one node's blanket table may have (``q ** |blanket|``).  A wider
+#: blanket anywhere sends the whole instance to the per-step gather.
+BLANKET_MAX_ROWS = 4096
+#: Cells (distinct rows x ``q``) all blanket tables of one instance may
+#: hold -- 8 MiB of float64.  Past it the whole instance keeps the gather.
+BLANKET_MAX_CELLS = 1 << 20
 
-    Flattens the per-node factor entries of
-    :class:`~repro.engine.conditionals.CompiledConditionals` into rectangular
-    arrays: entry ``j`` of node ``v`` contributes the weight table at
-    ``pool[base[v, j] + a * stride0[v, j]]`` for alphabet code ``a``, with the
-    offset determined by the neighbour codes at ``other[v, j, :]`` (strides
-    ``ostride[v, j, :]``).  Missing entries point at an all-ones table (pool
-    offset 0, stride 1, zero neighbour strides), so a single
-    ``multiply.reduce`` over the entry axis reproduces the serial per-factor
-    product exactly -- the padding multiplies by 1.0 *after* the real
-    entries, which leaves the float result bit-identical.
+
+class _BatchedTables:
+    """Per-node conditional tables for whole-batch conditional updates.
+
+    Built once per compiled engine (:attr:`CompiledGibbs.batched_tables`)
+    and shared by every :class:`ChainBatch`, :class:`PackedBatch` and the
+    pseudo-likelihood of that model.  Two forms of the same weights:
+
+    * the **gather** form flattens each node's factor entries into padded
+      rectangular arrays: entry ``j`` of node ``v`` contributes the weight
+      slab at ``pool[base[v, j] + a * stride0[v, j]]`` for alphabet code
+      ``a``, offset by the neighbour codes at ``other[v, j, :]`` (strides
+      ``ostride[v, j, :]``).  Missing entries point at an all-ones slab
+      (pool offset 0, stride 1, zero neighbour strides), so one
+      ``multiply.reduce`` over the entry axis (:meth:`_gather`) reproduces
+      the serial per-factor product exactly -- the padding multiplies by
+      1.0 *after* the real entries, which leaves the float result
+      bit-identical.
+    * the **blanket** form: a node's conditional depends only on the codes
+      of its Markov blanket (the union of its entries' neighbours, in
+      first-appearance order), so it is one table of ``q ** |blanket|``
+      rows.  Node ``v``'s weights are
+      ``rows[row_base[v] + sum_i codes[blanket[v, i]] * bstride[v, i]]``
+      -- one strided index sum and one row gather per step (the three
+      per-node arrays are column views of one ``lookup`` record).  Every row is
+      computed by :meth:`_gather` on the enumerated blanket assignment, so
+      it is bit-identical by construction.  Nodes with the same structural
+      key (interned entry slabs and the blanket positions of their
+      neighbours) share one table.
+
+    The blanket form is used when every node fits :data:`BLANKET_MAX_ROWS`
+    and the distinct tables fit :data:`BLANKET_MAX_CELLS`, both decided
+    before any row is computed; otherwise ``rows`` is ``None`` and
+    :meth:`weights` gathers per step.
     """
 
-    __slots__ = ("q", "pool", "base", "stride0", "other", "ostride", "factorless", "aq")
+    __slots__ = (
+        "q",
+        "aq",
+        "pool",
+        "base",
+        "stride0",
+        "other",
+        "ostride",
+        "factorless",
+        "rows",
+        "lookup",
+        "row_base",
+        "blanket",
+        "bstride",
+    )
 
     def __init__(self, compiled) -> None:
-        tables = compiled.conditionals.tables
         q = compiled.q
-        self.q = q
         n = len(compiled.nodes)
-        max_entries = max((len(entries) for entries in tables), default=0) or 1
-        max_others = (
-            max(
-                (len(entry[2]) for entries in tables for entry in entries),
-                default=0,
-            )
-            or 1
-        )
-        pool: List[float] = [1.0] * q  # the all-ones padding table at offset 0
-        base = np.zeros((n, max_entries), dtype=np.int64)
-        stride0 = np.ones((n, max_entries), dtype=np.int64)
-        other = np.zeros((n, max_entries, max_others), dtype=np.int64)
-        ostride = np.zeros((n, max_entries, max_others), dtype=np.int64)
-        for variable, entries in enumerate(tables):
-            for j, (flat, entry_stride0, others, strides) in enumerate(entries):
-                base[variable, j] = len(pool)
-                pool.extend(flat)
-                stride0[variable, j] = entry_stride0
-                for k, (other_node, stride) in enumerate(zip(others, strides)):
-                    other[variable, j, k] = other_node
-                    ostride[variable, j, k] = stride
-        self.pool = np.asarray(pool, dtype=np.float64)
-        self.base = base
-        self.stride0 = stride0
-        self.other = other
-        self.ostride = ostride
-        self.factorless = np.array([len(entries) == 0 for entries in tables], dtype=bool)
+        self.q = q
         self.aq = np.arange(q)
+        # Each node's (pool offset, neighbour ids) entries, in the
+        # CompiledConditionals order (factor id, then scope position).  Slabs
+        # are interned by content, so equal factors share one pool offset --
+        # which is what lets the blanket keys below dedupe nodes.
+        entries: List[List[tuple]] = [[] for _ in range(n)]
+        heads: List[tuple] = []  # (variable, entry, pool offset, stride0)
+        links: List[tuple] = []  # (variable, entry, k, neighbour, stride)
+        pieces = [np.ones(q)]  # the all-ones padding slab at offset 0
+        offset_of_slab: Dict[bytes, int] = {}
+        offset_of_entry: Dict[tuple, int] = {}
+        factor_ids: Dict[bytes, int] = {}
+        size = q
+        for scope, array in zip(compiled.scopes, compiled.arrays):
+            array = np.asarray(array, dtype=np.float64)
+            factor = factor_ids.setdefault(array.tobytes(), len(factor_ids))
+            strides = [q ** (len(scope) - 2 - k) for k in range(len(scope) - 1)]
+            for position, variable in enumerate(scope):
+                offset = offset_of_entry.get((factor, position))
+                if offset is None:
+                    slab = np.moveaxis(array, position, 0).ravel()
+                    offset = offset_of_slab.setdefault(slab.tobytes(), size)
+                    if offset == size:
+                        pieces.append(slab)
+                        size += len(slab)
+                    offset_of_entry[(factor, position)] = offset
+                others = scope[:position] + scope[position + 1 :]
+                j = len(entries[variable])
+                entries[variable].append((offset, others))
+                heads.append((variable, j, offset, q ** len(others)))
+                for k, other in enumerate(others):
+                    links.append((variable, j, k, other, strides[k]))
+        width = max(map(len, entries), default=0) or 1
+        arity = max([len(scope) - 1 for scope in compiled.scopes] + [1])
+        self.pool = np.concatenate(pieces)
+        self.base = np.zeros((n, width), dtype=np.int64)
+        self.stride0 = np.ones((n, width), dtype=np.int64)
+        self.other = np.zeros((n, width, arity), dtype=np.int64)
+        self.ostride = np.zeros((n, width, arity), dtype=np.int64)
+        if heads:
+            variable, j, offset, stride0 = np.array(heads, dtype=np.int64).T
+            self.base[variable, j] = offset
+            self.stride0[variable, j] = stride0
+        if links:
+            variable, j, k, other, stride = np.array(links, dtype=np.int64).T
+            self.other[variable, j, k] = other
+            self.ostride[variable, j, k] = stride
+        self.factorless = np.array([not e for e in entries], dtype=bool)
+        # Blanket keys: the entry slabs plus the blanket position of every
+        # neighbour.  Distinct neighbours sit at positions 0, 1, 2, ... in
+        # first-appearance order, so only repeated ones need spelling out.
+        blankets: List[List[int]] = []
+        key_ids: Dict[tuple, int] = {}
+        node_table: List[int] = []
+        representatives: List[tuple] = []  # (node, blanket width)
+        for variable, node_entries in enumerate(entries):
+            neighbours = [o for _, others in node_entries for o in others]
+            blanket = list(dict.fromkeys(neighbours))
+            repeats = None
+            if len(blanket) != len(neighbours):
+                repeats = tuple(map({o: i for i, o in enumerate(blanket)}.get, neighbours))
+            key = (tuple(offset for offset, _ in node_entries), repeats)
+            table = key_ids.setdefault(key, len(key_ids))
+            if table == len(representatives):
+                representatives.append((variable, len(blanket)))
+            node_table.append(table)
+            blankets.append(blanket)
+        counts = [q**b for _, b in representatives]
+        self.rows = self.lookup = self.row_base = self.blanket = self.bstride = None
+        if counts and max(counts) <= BLANKET_MAX_ROWS and sum(counts) * q <= BLANKET_MAX_CELLS:
+            self._build_blanket(blankets, node_table, representatives, counts)
+        if self.rows is None:
+            mode, tables, rows = "gather", 0, 0
+            arrays = (self.pool, self.base, self.stride0, self.other, self.ostride)
+        else:
+            mode, tables, rows = "blanket", len(representatives), len(self.rows)
+            arrays = (self.rows, self.lookup)
+        obs.instant(
+            "runtime.tables.built",
+            mode=mode,
+            tables=tables,
+            rows=rows,
+            bytes=sum(array.nbytes for array in arrays),
+        )
+
+    def _build_blanket(self, blankets, node_table, representatives, counts) -> None:
+        """Enumerate one table per distinct blanket key via :meth:`_gather`."""
+        q = self.q
+        n, width, arity = self.other.shape
+        span = max(len(blanket) for blanket in blankets) or 1
+        tables = []
+        position = np.zeros(n, dtype=np.int64)
+        for (variable, b), count in zip(representatives, counts):
+            # One enumeration column per blanket position (C order: position
+            # 0 is the most significant digit), with the representative's
+            # neighbour columns remapped onto it (padding neighbours land on
+            # some column but have stride 0).
+            assignments = np.zeros((count, max(b, 1)), dtype=np.int64)
+            if b:
+                assignments[:, :b] = np.indices((q,) * b).reshape(b, count).T
+            position[:] = 0
+            position[blankets[variable]] = np.arange(b)
+            columns = position[self.other[variable]]
+            tables.append(
+                self._gather(
+                    assignments,
+                    np.arange(count),
+                    np.full(count, variable, dtype=np.int64),
+                    columns=np.broadcast_to(columns, (count, width, arity)),
+                )
+            )
+        starts = np.cumsum([0] + counts[:-1]).astype(np.int64)
+        blanket = np.zeros((n, span), dtype=np.int64)
+        bstride = np.zeros((n, span), dtype=np.int64)
+        cells = [
+            (variable, i, node, q ** (len(nodes) - 1 - i))
+            for variable, nodes in enumerate(blankets)
+            for i, node in enumerate(nodes)
+        ]
+        if cells:
+            variable, i, node, stride = np.array(cells, dtype=np.int64).T
+            blanket[variable, i] = node
+            bstride[variable, i] = stride
+        self._set_blanket(np.concatenate(tables), blanket, bstride, starts[node_table])
+
+    def _set_blanket(self, rows, blanket, bstride, row_base) -> None:
+        """Install the blanket form.  ``blanket``, ``bstride`` and
+        ``row_base`` are column views of one ``lookup`` array, so a step
+        fetches a node's whole record with a single gather."""
+        span = blanket.shape[1]
+        self.rows = rows
+        self.lookup = np.concatenate([blanket, bstride, row_base[:, None]], axis=1)
+        self.blanket = self.lookup[:, :span]
+        self.bstride = self.lookup[:, span : 2 * span]
+        self.row_base = self.lookup[:, -1]
+
+    @classmethod
+    def merged(cls, parts: Sequence["_BatchedTables"]) -> "_BatchedTables":
+        """Stack several models' tables along the node axis (one ``q``).
+
+        Global variable ``node_offset[g] + local`` selects part ``g``'s node.
+        Neighbour columns (``other``, ``blanket``) stay **column-local**:
+        each packed code-matrix row belongs to one part whose variables
+        occupy columns ``[0, n_g)``.  Gather pools are concatenated with
+        rebased offsets and padded with all-ones entries (bit-identical, as
+        for one model); blanket rows are concatenated with rebased
+        ``row_base`` and blankets padded to the widest part with stride 0.
+        The blanket form survives only when every part has it.
+        """
+        qs = {part.q for part in parts}
+        if len(qs) != 1:
+            raise ValueError("merged tables require one alphabet size")
+        merged = cls.__new__(cls)
+        merged.q = q = qs.pop()
+        merged.aq = np.arange(q)
+        width = max(part.base.shape[1] for part in parts)
+        arity = max(part.other.shape[2] for part in parts)
+        pool_starts = np.cumsum([0] + [len(part.pool) for part in parts[:-1]])
+        bases, stride0s, others, ostrides = [], [], [], []
+        for part, start in zip(parts, pool_starts):
+            n, entries, part_arity = part.other.shape
+            base = np.full((n, width), start, dtype=np.int64)
+            base[:, :entries] = part.base + start
+            stride0 = np.ones((n, width), dtype=np.int64)
+            stride0[:, :entries] = part.stride0
+            other = np.zeros((n, width, arity), dtype=np.int64)
+            other[:, :entries, :part_arity] = part.other
+            ostride = np.zeros((n, width, arity), dtype=np.int64)
+            ostride[:, :entries, :part_arity] = part.ostride
+            bases.append(base)
+            stride0s.append(stride0)
+            others.append(other)
+            ostrides.append(ostride)
+        merged.pool = np.concatenate([part.pool for part in parts])
+        merged.base = np.concatenate(bases)
+        merged.stride0 = np.concatenate(stride0s)
+        merged.other = np.concatenate(others)
+        merged.ostride = np.concatenate(ostrides)
+        merged.factorless = np.concatenate([part.factorless for part in parts])
+        merged.rows = merged.lookup = merged.row_base = merged.blanket = merged.bstride = None
+        if all(part.rows is not None for part in parts):
+            span = max(part.blanket.shape[1] for part in parts)
+            row_starts = np.cumsum([0] + [len(part.rows) for part in parts[:-1]])
+            blanket = np.zeros((len(merged.factorless), span), dtype=np.int64)
+            bstride = np.zeros_like(blanket)
+            start = 0
+            for part in parts:
+                n, part_span = part.blanket.shape
+                blanket[start : start + n, :part_span] = part.blanket
+                bstride[start : start + n, :part_span] = part.bstride
+                start += n
+            merged._set_blanket(
+                np.concatenate([part.rows for part in parts]),
+                blanket,
+                bstride,
+                np.concatenate(
+                    [part.row_base + start for part, start in zip(parts, row_starts)]
+                ),
+            )
+        return merged
+
+    def _gather(
+        self,
+        codes: np.ndarray,
+        rows: np.ndarray,
+        variables: np.ndarray,
+        columns: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The per-pair factor gather: the blanket-row generator, and the
+        per-step path of instances past a blanket cap.
+
+        ``columns`` overrides where each neighbour's code is read in
+        ``codes`` (default: the neighbour's own node id).
+        """
+        base = self.base[variables]  # (M, F)
+        stride0 = self.stride0[variables]  # (M, F)
+        if columns is None:
+            columns = self.other[variables]  # (M, F, K)
+        ostride = self.ostride[variables]  # (M, F, K)
+        neighbour_codes = codes[rows[:, None, None], columns]
+        offsets = base + (neighbour_codes * ostride).sum(axis=2)
+        indices = offsets[:, :, None] + self.aq * stride0[:, :, None]
+        return np.multiply.reduce(self.pool[indices], axis=1)
 
     def weights(
         self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
@@ -182,14 +420,13 @@ class _BatchedTables:
         ``variables[i]`` the node being resampled; the result row ``i`` equals
         the serial ``weights_by_codes(variables[i], codes[rows[i]])``.
         """
-        base = self.base[variables]  # (M, F)
-        stride0 = self.stride0[variables]  # (M, F)
-        other = self.other[variables]  # (M, F, K)
-        ostride = self.ostride[variables]  # (M, F, K)
-        neighbour_codes = codes[rows[:, None, None], other]
-        offsets = base + (neighbour_codes * ostride).sum(axis=2)
-        indices = offsets[:, :, None] + self.aq * stride0[:, :, None]
-        return np.multiply.reduce(self.pool[indices], axis=1)
+        if self.rows is None:
+            return self._gather(codes, rows, variables)
+        record = self.lookup[variables]  # blanket | bstride | row_base
+        span = self.blanket.shape[1]
+        blanket_codes = codes[rows[:, None], record[:, :span]]
+        offsets = np.einsum("ij,ij->i", blanket_codes, record[:, span:-1])
+        return self.rows[record[:, -1] + offsets]
 
     def sample_codes(
         self,
@@ -285,7 +522,7 @@ class ChainBatch:
         self.n_chains = len(seeds)
         compiled = instance.distribution.compiled_engine()
         self.compiled = compiled
-        self.tables = _BatchedTables(compiled)
+        self.tables: _BatchedTables = compiled.batched_tables
         if initial_codes is not None:
             if initial is not None:
                 raise ValueError("pass initial or initial_codes, not both")
@@ -422,7 +659,8 @@ class ChainBatch:
         while the model's factor *weights* move every gradient step.  The
         structure (nodes, alphabet, free set) is fixed, so the live chain
         state transfers verbatim: the returned batch targets ``instance``,
-        rebuilds the weight-dependent gather tables, and *adopts* this
+        reads the twin engine's own conditional tables
+        (:attr:`CompiledGibbs.batched_tables`), and *adopts* this
         batch's code matrix, per-chain generators, buffered streams and
         kernel scratch by reference -- continuing the exact RNG streams, so
         resuming on the twin is bit-identical to having run on it all along.
@@ -472,14 +710,13 @@ class _PackedLayout:
     Precomputes everything a mask-aware kernel step needs to advance all
     groups' chains as one padded ``(total_chains, n_max)`` code matrix:
 
-    * merged gather tables -- the per-group :class:`_BatchedTables` pools
-      concatenated with rebased offsets, node axes stacked so the *global*
-      variable id ``node_offset[g] + local_id`` selects group ``g``'s
-      table row.  Neighbour columns (``other``) stay **column-local**:
-      each packed row belongs to exactly one group whose variables occupy
-      columns ``[0, n_g)``, so a row's gathers never cross into padding.
-      Per-group padding entries multiply by 1.0 after the real entries,
-      exactly like solo padding, keeping float products bit-identical.
+    * merged conditional tables (:meth:`_BatchedTables.merged`) -- node
+      axes stacked so the *global* variable id ``node_offset[g] +
+      local_id`` selects group ``g``'s table row, neighbour columns kept
+      **column-local** (each packed row belongs to exactly one group whose
+      variables occupy columns ``[0, n_g)``, so a row's reads never cross
+      into padding).  The fused step uses the merged blanket rows, or the
+      merged gather when some group is over a blanket cap.
     * per-chain group ids, node offsets, free counts and a padded
       ``free_lookup`` (the local column of each group's ``j``-th free
       node), so per-chain draws replicate each solo batch's RNG calls.
@@ -506,47 +743,7 @@ class _PackedLayout:
     )
 
     def __init__(self, groups: Sequence["ChainBatch"]) -> None:
-        qs = {group.tables.q for group in groups}
-        if len(qs) != 1:
-            raise ValueError("a fused packed layout requires one alphabet size")
-        q = qs.pop()
-        tables_list = [group.tables for group in groups]
-        max_entries = max(t.base.shape[1] for t in tables_list)
-        max_others = max(t.other.shape[2] for t in tables_list)
-        pools: List[np.ndarray] = []
-        bases: List[np.ndarray] = []
-        stride0s: List[np.ndarray] = []
-        others: List[np.ndarray] = []
-        ostrides: List[np.ndarray] = []
-        factorless: List[np.ndarray] = []
-        pool_offset = 0
-        for t in tables_list:
-            n, entries = t.base.shape
-            base = np.full((n, max_entries), pool_offset, dtype=np.int64)
-            base[:, :entries] = t.base + pool_offset
-            stride0 = np.ones((n, max_entries), dtype=np.int64)
-            stride0[:, :entries] = t.stride0
-            other = np.zeros((n, max_entries, max_others), dtype=np.int64)
-            other[:, :entries, : t.other.shape[2]] = t.other
-            ostride = np.zeros((n, max_entries, max_others), dtype=np.int64)
-            ostride[:, :entries, : t.ostride.shape[2]] = t.ostride
-            pools.append(t.pool)
-            bases.append(base)
-            stride0s.append(stride0)
-            others.append(other)
-            ostrides.append(ostride)
-            factorless.append(t.factorless)
-            pool_offset += len(t.pool)
-        merged = _BatchedTables.__new__(_BatchedTables)
-        merged.q = q
-        merged.pool = np.concatenate(pools)
-        merged.base = np.concatenate(bases, axis=0)
-        merged.stride0 = np.concatenate(stride0s, axis=0)
-        merged.other = np.concatenate(others, axis=0)
-        merged.ostride = np.concatenate(ostrides, axis=0)
-        merged.factorless = np.concatenate(factorless)
-        merged.aq = np.arange(q)
-        self.tables = merged
+        self.tables = _BatchedTables.merged([group.tables for group in groups])
         self.nodes = tuple(
             node for group in groups for node in group.compiled.nodes
         )

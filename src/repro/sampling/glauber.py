@@ -516,10 +516,11 @@ class GlauberKernel(ChainKernel):
         group.  Bit-identity with solo groups holds because each chain
         replays its exact solo draw pattern (``integers(0, group_free,
         chunk)`` then ``random(chunk)`` per chunk, per chain) and the
-        merged tables' padding multiplies by 1.0 after the real factor
-        entries; the *write* column is the chain's group-local variable,
-        while the *table* row is its global id (group node offset +
-        local).  Falls back to the groupwise loop when the pack is not
+        merged tables hold each group's own blanket rows (or, past a
+        blanket cap, the padded gather, whose padding multiplies by 1.0
+        after the real factor entries); the *write* column is the chain's
+        group-local variable, while the *table* row is its global id
+        (group node offset + local).  Falls back to the groupwise loop when the pack is not
         fusable (mixed alphabet sizes or a group with no free nodes).
         """
         if count < 0:

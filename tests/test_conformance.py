@@ -25,14 +25,16 @@ from __future__ import annotations
 import pytest
 
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, path_graph
+from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.models import coloring_model, hardcore_model
 from repro.sampling import registered_kernels
 
 KERNELS = sorted(registered_kernels())
 
-#: Two shapes: a pinned binary-alphabet model and a pinned 3-colour model
-#: (alphabet size > 2 exercises the code-matrix gathers differently).
+#: Three shapes: a pinned binary-alphabet model, a pinned 3-colour model
+#: (alphabet size > 2 exercises the code-matrix lookups differently), and a
+#: 3-colouring of an 8-leaf star, whose hub blanket (3**8 rows) is over
+#: BLANKET_MAX_ROWS -- so the whole instance runs the per-step gather.
 CONFORMANCE_INSTANCES = [
     (
         "hardcore-cycle",
@@ -41,6 +43,10 @@ CONFORMANCE_INSTANCES = [
     (
         "coloring-path",
         SamplingInstance(coloring_model(path_graph(6), num_colors=3), {0: 2}),
+    ),
+    (
+        "coloring-star-over-cap",
+        SamplingInstance(coloring_model(star_graph(8), num_colors=3), {1: 0}),
     ),
 ]
 
@@ -51,6 +57,19 @@ CONFORMANCE_SEED = 3
 
 def test_the_registry_holds_the_expected_builtins():
     assert {"glauber", "luby-glauber", "jvv", "sequential"} <= set(KERNELS)
+
+
+def test_the_instances_cover_both_table_forms():
+    """The matrix runs the blanket lookup and the per-step gather alike."""
+    blanket = {
+        label: instance.distribution.compiled_engine().batched_tables.rows is not None
+        for label, instance in CONFORMANCE_INSTANCES
+    }
+    assert blanket == {
+        "hardcore-cycle": True,
+        "coloring-path": True,
+        "coloring-star-over-cap": False,
+    }
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS)
@@ -76,10 +95,12 @@ def test_packed_multi_instance_matches_solo(kernel_name, conformance_chains):
     """The PackedBatch row: many instances in one padded code matrix,
     each group bit-identical per chain to its solo run.
 
-    Two pack shapes: the mixed-alphabet pair (q=2 hardcore + q=3
-    coloring) exercises the groupwise fallback of kernels whose fused
-    step cannot span alphabets, and a same-alphabet hardcore pair
-    exercises the fused mask-aware step where the kernel defines one.
+    Three pack shapes: the mixed-alphabet pack (q=2 hardcore + q=3
+    colourings) exercises the groupwise fallback of kernels whose fused
+    step cannot span alphabets, a same-alphabet hardcore pair exercises
+    the fused mask-aware step over merged blanket tables where the kernel
+    defines one, and a same-alphabet pack with the over-cap star
+    exercises the fused step over the merged per-step gather.
     """
     from repro.runtime import Runtime, chain_seed_sequences
 
@@ -92,6 +113,10 @@ def test_packed_multi_instance_matches_solo(kernel_name, conformance_chains):
                 CONFORMANCE_INSTANCES[0][1],
                 SamplingInstance(hardcore_model(path_graph(7), fugacity=1.1)),
             ],
+        ),
+        (
+            "fused-over-cap",
+            [CONFORMANCE_INSTANCES[1][1], CONFORMANCE_INSTANCES[2][1]],
         ),
     ]
     for label, instances in packs:

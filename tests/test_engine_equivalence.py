@@ -14,8 +14,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import CompiledGibbs
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, grid_graph, path_graph, random_tree, star_graph
+from repro.graphs import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_tree,
+    star_graph,
+    torus_graph,
+)
 from repro.models import (
     coloring_model,
     hardcore_model,
@@ -198,6 +206,66 @@ class TestPinnedSubInstances:
         distribution = hardcore_model(path_graph(3), fugacity=1.0)
         with pytest.raises(ValueError):
             distribution.partition_function({}, engine="quantum")
+
+
+class TestBlanketTables:
+    """The batched kernels' blanket-indexed tables vs the per-step gather."""
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_blanket_weights_equal_the_gather_bit_for_bit(self, q):
+        rng = np.random.default_rng(4100 + q)
+        for _ in range(8):
+            n = int(rng.integers(4, 7))
+            # Two weight tables per arity (zeros are hard constraints), drawn
+            # with replacement, so equal factors exercise the table dedupe.
+            palette = {
+                arity: [
+                    rng.random((q,) * arity) * (rng.random((q,) * arity) > 0.25)
+                    for _ in range(2)
+                ]
+                for arity in (1, 2, 3)
+            }
+            scopes, arrays = [], []
+            for _ in range(int(rng.integers(n, 2 * n))):
+                arity = int(rng.integers(1, 4))
+                # Node n - 1 is in no scope: a factorless free node.
+                scope = rng.choice(n - 1, size=arity, replace=False)
+                scopes.append(tuple(int(node) for node in scope))
+                arrays.append(palette[arity][int(rng.integers(2))])
+            compiled = CompiledGibbs(range(n), range(q), scopes, arrays)
+            tables = compiled.batched_tables
+            assert tables.rows is not None and tables.factorless[n - 1]
+            codes = rng.integers(0, q, size=(32, n))
+            # Pinned blanket nodes hold one code in every chain.
+            for node in rng.choice(n - 1, size=2, replace=False):
+                codes[:, node] = int(rng.integers(q))
+            rows = rng.integers(0, 32, size=200)
+            variables = rng.integers(0, n, size=200)
+            blanket = tables.weights(codes, rows, variables)
+            gathered = tables._gather(codes, rows, variables)
+            assert blanket.tobytes() == gathered.tobytes()
+            serial = [
+                compiled.conditionals.weights_by_codes(int(v), codes[r].tolist())
+                for r, v in zip(rows, variables)
+            ]
+            assert blanket.tobytes() == np.array(serial).tobytes()
+
+    def test_torus_colouring_tables_stay_small(self):
+        distribution = coloring_model(torus_graph(12, 12), num_colors=6)
+        tables = distribution.compiled_engine().batched_tables
+        assert tables.rows is not None
+        assert tables.rows.nbytes < 512 * 1024
+
+    def test_either_cap_keeps_the_whole_instance_on_the_gather(self, monkeypatch):
+        from repro.runtime import chains
+
+        # The hub of an 8-leaf star has 3**8 blanket rows: over the row cap.
+        hub = coloring_model(star_graph(8), num_colors=3).compiled_engine()
+        assert hub.batched_tables.rows is None
+        small = coloring_model(path_graph(5), num_colors=3).compiled_engine()
+        assert small.batched_tables.rows is not None
+        monkeypatch.setattr(chains, "BLANKET_MAX_CELLS", 8)
+        assert chains._BatchedTables(small).rows is None
 
 
 class TestChainEquivalence:

@@ -311,6 +311,29 @@ class TestBitIdentity:
             runtime.shutdown()
 
 
+    def test_table_build_instant_names_the_mode(self):
+        from repro.graphs import star_graph
+
+        in_cap = SamplingInstance(coloring_model(cycle_graph(8), 3), {0: 0})
+        over_cap = SamplingInstance(coloring_model(star_graph(8), 3), {1: 0})
+        runtime = Runtime(backend="batched", n_chains=2, obs=True)
+        try:
+            for instance in (in_cap, over_cap, in_cap):
+                runtime.run_chains("glauber", instance, 10, seeds=range(2))
+            events = obs.events()
+        finally:
+            runtime.shutdown()
+        built = [
+            event["attrs"] for event in events if event["name"] == "runtime.tables.built"
+        ]
+        # One build per model: the third call reuses the engine's tables.
+        assert [attrs["mode"] for attrs in built] == ["blanket", "gather"]
+        assert built[0]["tables"] == 1 and built[0]["rows"] == 9
+        assert built[1]["tables"] == 0 and built[1]["rows"] == 0
+        assert all(attrs["bytes"] > 0 for attrs in built)
+        validate_events(events)
+
+
 # ----------------------------------------------------------------------
 # cluster stitching
 # ----------------------------------------------------------------------

@@ -150,8 +150,10 @@ class TestPickling:
         distribution = coloring_model(cycle_graph(6), 3)
         compiled = distribution.compiled_engine()
         _ = compiled.conditionals  # populate derived state before pickling
+        _ = compiled.batched_tables
         compiled.marginal(1, {0: 2})  # populate the memo caches too
         clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._batched_tables is None
         assert clone.nodes == compiled.nodes
         assert clone.alphabet == compiled.alphabet
         assert clone.scopes == compiled.scopes
@@ -164,6 +166,7 @@ class TestPickling:
                 clone.conditionals.tables[variable]
                 == compiled.conditionals.tables[variable]
             )
+        assert clone.batched_tables.rows.tobytes() == compiled.batched_tables.rows.tobytes()
 
     def test_compiled_ball_roundtrip(self):
         distribution = hardcore_model(random_tree(14, seed=4), 1.2)
@@ -990,6 +993,10 @@ class TestRunChainsState:
         assert len(resumed) == 2
         for configuration in resumed:
             assert configuration[0] == 1
+        # The retargeted batch reads the twin engine's own cached tables.
+        (batch,) = state.batches
+        assert batch.tables is hot.distribution.compiled_engine().batched_tables
+        assert batch.tables is not cold.distribution.compiled_engine().batched_tables
 
     def test_state_rejects_kernel_change_and_seed_overrides(self):
         instance = self._instance()
