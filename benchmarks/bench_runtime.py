@@ -81,10 +81,6 @@ Run directly to (re)record the JSON baseline::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py  # writes BENCH_runtime.json
 
-or refresh only some rows, keeping the others as recorded::
-
-    PYTHONPATH=src python benchmarks/bench_runtime.py --only glauber_chains luby_chains
-
 or under pytest (with the other benchmarks) for a quick regression check.
 """
 
@@ -93,7 +89,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -736,27 +732,15 @@ def _cluster_auth_workload(n_workers: int = 2, size: int = 40, radius: int = 3):
 
 
 def run(
-    repeats: int = 3,
-    cluster: bool = True,
-    serve: bool = True,
-    only: Optional[Sequence[str]] = None,
+    repeats: int = 3, cluster: bool = True, serve: bool = True
 ) -> List[Dict[str, object]]:
-    """Time the backends; report the best of ``repeats`` per side.
-
-    ``only`` restricts the run to the named workloads (row names).
-    """
-
-    def wanted(name: str) -> bool:
-        return only is None or name in only
-
+    """Time the backends; report the best of ``repeats`` per side."""
     rows: List[Dict[str, object]] = []
     for name, factory in (
         ("luby_chains", _luby_chain_workload),
         ("glauber_chains", _glauber_chain_workload),
         ("jvv_chains", _jvv_chain_workload),
     ):
-        if not wanted(name):
-            continue
         shape, serial, batched = factory()
         serial_seconds = _best_of(serial, repeats)
         batched_seconds = _best_of(batched, repeats)
@@ -771,37 +755,35 @@ def run(
                 "bit_identical_to_serial": True,
             }
         )
-    if wanted("cd_negative_phase"):
-        shape, cd_serial, cd_batched = _cd_negative_phase_workload()
-        cd_serial_seconds = _best_of(cd_serial, repeats)
-        cd_batched_seconds = _best_of(cd_batched, repeats)
-        rows.append(
-            {
-                "workload": "cd_negative_phase",
-                "backend_pair": "cd-serial-vs-batched",
-                "shape": shape,
-                "serial_seconds": cd_serial_seconds,
-                "batched_seconds": cd_batched_seconds,
-                "speedup": cd_serial_seconds / cd_batched_seconds,
-                "bit_identical_across_backends": True,
-            }
-        )
-    if wanted("obs_overhead_batched"):
-        shape, obs_off, obs_on = _obs_overhead_workload()
-        off_seconds = _best_of(obs_off, repeats)
-        on_seconds = _best_of(obs_on, repeats)
-        rows.append(
-            {
-                "workload": "obs_overhead_batched",
-                "backend_pair": "obs-off-vs-on",
-                "shape": shape,
-                "off_seconds": off_seconds,
-                "on_seconds": on_seconds,
-                "overhead": on_seconds / off_seconds,
-                "bit_identical_to_serial": True,
-            }
-        )
-    if serve and wanted("serve_coalescing"):
+    shape, cd_serial, cd_batched = _cd_negative_phase_workload()
+    cd_serial_seconds = _best_of(cd_serial, repeats)
+    cd_batched_seconds = _best_of(cd_batched, repeats)
+    rows.append(
+        {
+            "workload": "cd_negative_phase",
+            "backend_pair": "cd-serial-vs-batched",
+            "shape": shape,
+            "serial_seconds": cd_serial_seconds,
+            "batched_seconds": cd_batched_seconds,
+            "speedup": cd_serial_seconds / cd_batched_seconds,
+            "bit_identical_across_backends": True,
+        }
+    )
+    shape, obs_off, obs_on = _obs_overhead_workload()
+    off_seconds = _best_of(obs_off, repeats)
+    on_seconds = _best_of(obs_on, repeats)
+    rows.append(
+        {
+            "workload": "obs_overhead_batched",
+            "backend_pair": "obs-off-vs-on",
+            "shape": shape,
+            "off_seconds": off_seconds,
+            "on_seconds": on_seconds,
+            "overhead": on_seconds / off_seconds,
+            "bit_identical_to_serial": True,
+        }
+    )
+    if serve:
         shape, solo_serving, coalesced_serving = _serve_coalescing_workload()
         solo_seconds = min(solo_serving() for _ in range(repeats))
         coalesced_seconds = min(coalesced_serving() for _ in range(repeats))
@@ -816,32 +798,30 @@ def run(
                 "bit_identical_to_solo": True,
             }
         )
-    if wanted("packed_multi_instance"):
-        shape, loop, packed_run = _packed_multi_instance_workload()
-        loop_seconds = _best_of(loop, repeats)
-        packed_seconds = _best_of(packed_run, repeats)
-        rows.append(
-            {
-                "workload": "packed_multi_instance",
-                "backend_pair": "loop-vs-packed",
-                "shape": shape,
-                "loop_seconds": loop_seconds,
-                "packed_seconds": packed_seconds,
-                "speedup": loop_seconds / packed_seconds,
-                "bit_identical_to_serial": True,
-            }
-        )
-    for transport, name in (
-        ("pickle", "process_ball_shards"),
-        ("shm", "process_ball_shards_shm"),
-    ):
-        if not wanted(name):
-            continue
+    shape, loop, packed_run = _packed_multi_instance_workload()
+    loop_seconds = _best_of(loop, repeats)
+    packed_seconds = _best_of(packed_run, repeats)
+    rows.append(
+        {
+            "workload": "packed_multi_instance",
+            "backend_pair": "loop-vs-packed",
+            "shape": shape,
+            "loop_seconds": loop_seconds,
+            "packed_seconds": packed_seconds,
+            "speedup": loop_seconds / packed_seconds,
+            "bit_identical_to_serial": True,
+        }
+    )
+    for transport in ("pickle", "shm"):
         shape, serial, sharded = _process_shard_workload(transport=transport)
         serial_seconds = _best_of(serial, repeats)
         process_seconds = _best_of(sharded, repeats)
         row = {
-            "workload": name,
+            "workload": (
+                "process_ball_shards"
+                if transport == "pickle"
+                else "process_ball_shards_shm"
+            ),
             "backend_pair": "serial-vs-process",
             "shape": shape,
             "serial_seconds": serial_seconds,
@@ -851,63 +831,59 @@ def run(
         if transport != "pickle":
             row["bit_identical_to_serial"] = True
         rows.append(row)
-    if wanted("process_shard_phase_residual"):
-        shape, phases = _shard_phase_residual()
-        residual: Dict[str, Dict[str, float]] = {}
-        for transport in ("pickle", "shm"):
-            best = None
-            for _ in range(repeats):
-                sample = phases(transport)
-                if best is None or sample["total_seconds"] < best["total_seconds"]:
-                    best = sample
-            residual[transport] = best
-        rows.append(
-            {
-                "workload": "process_shard_phase_residual",
-                "backend_pair": "phase-residual",
-                "shape": shape,
-                "phases": residual,
-                "bit_identical_to_serial": True,
-                "note": (
-                    "why the 2-worker shard stays below 1x vs serial on a "
-                    "single-core container: spawn is pool creation + the "
-                    "per-worker initializer round trip (where the InstanceSpec "
-                    "crosses -- by value under pickle, as shared-memory "
-                    "descriptors under shm), map is chunk-payload enqueueing, "
-                    "compute is waiting for the workers' chunk results (cold "
-                    "workers recompile their chunks' balls and ship them back, "
-                    "which time-sliced on one core costs more than the whole "
-                    "serial loop), merge adopts the shipped balls/memos into "
-                    "the parent cache -- so compute + spawn together exceed "
-                    "the serial wall regardless of transport"
-                ),
-            }
-        )
-    if wanted("streaming_ball_shards"):
-        shape, barrier, streaming = _streaming_shard_workload()
-        barrier_seconds = _best_of(barrier, repeats)
-        first_result_seconds = np.inf
-        streaming_seconds = np.inf
+    shape, phases = _shard_phase_residual()
+    residual: Dict[str, Dict[str, float]] = {}
+    for transport in ("pickle", "shm"):
+        best = None
         for _ in range(repeats):
-            first, wall = streaming()
-            first_result_seconds = min(first_result_seconds, first)
-            streaming_seconds = min(streaming_seconds, wall)
-        rows.append(
-            {
-                "workload": "streaming_ball_shards",
-                "backend_pair": "barrier-vs-streaming",
-                "shape": shape,
-                "barrier_wall_seconds": barrier_seconds,
-                "time_to_first_result_seconds": first_result_seconds,
-                "streaming_wall_seconds": streaming_seconds,
-                "first_result_speedup": barrier_seconds / first_result_seconds,
-                "bit_identical_to_serial": True,
-            }
-        )
+            sample = phases(transport)
+            if best is None or sample["total_seconds"] < best["total_seconds"]:
+                best = sample
+        residual[transport] = best
+    rows.append(
+        {
+            "workload": "process_shard_phase_residual",
+            "backend_pair": "phase-residual",
+            "shape": shape,
+            "phases": residual,
+            "bit_identical_to_serial": True,
+            "note": (
+                "why the 2-worker shard stays below 1x vs serial on a "
+                "single-core container: spawn is pool creation + the "
+                "per-worker initializer round trip (where the InstanceSpec "
+                "crosses -- by value under pickle, as shared-memory "
+                "descriptors under shm), map is chunk-payload enqueueing, "
+                "compute is waiting for the workers' chunk results (cold "
+                "workers recompile their chunks' balls and ship them back, "
+                "which time-sliced on one core costs more than the whole "
+                "serial loop), merge adopts the shipped balls/memos into "
+                "the parent cache -- so compute + spawn together exceed "
+                "the serial wall regardless of transport"
+            ),
+        }
+    )
+    shape, barrier, streaming = _streaming_shard_workload()
+    barrier_seconds = _best_of(barrier, repeats)
+    first_result_seconds = np.inf
+    streaming_seconds = np.inf
+    for _ in range(repeats):
+        first, wall = streaming()
+        first_result_seconds = min(first_result_seconds, first)
+        streaming_seconds = min(streaming_seconds, wall)
+    rows.append(
+        {
+            "workload": "streaming_ball_shards",
+            "backend_pair": "barrier-vs-streaming",
+            "shape": shape,
+            "barrier_wall_seconds": barrier_seconds,
+            "time_to_first_result_seconds": first_result_seconds,
+            "streaming_wall_seconds": streaming_seconds,
+            "first_result_speedup": barrier_seconds / first_result_seconds,
+            "bit_identical_to_serial": True,
+        }
+    )
     if cluster:
         for n_workers in (2, 4):
-            if not wanted(f"cluster_ball_shards_{n_workers}w"):
-                continue
             shape, process, clustered, teardown = _cluster_shard_workload(n_workers)
             try:
                 process_seconds = _best_of(process, repeats)
@@ -936,41 +912,30 @@ def run(
                     "chunks_after": 8,
                 }
             rows.append(row)
-        if wanted("cluster_auth_overhead_2w"):
-            shape, plain_run, hmac_run, teardown = _cluster_auth_workload()
-            try:
-                plain_seconds = _best_of(plain_run, repeats)
-                hmac_seconds = _best_of(hmac_run, repeats)
-            finally:
-                teardown()
-            rows.append(
-                {
-                    "workload": "cluster_auth_overhead_2w",
-                    "backend_pair": "plain-vs-hmac",
-                    "shape": shape,
-                    "plain_seconds": plain_seconds,
-                    "hmac_seconds": hmac_seconds,
-                    "overhead": hmac_seconds / plain_seconds,
-                    "bit_identical_to_serial": True,
-                }
-            )
+        shape, plain_run, hmac_run, teardown = _cluster_auth_workload()
+        try:
+            plain_seconds = _best_of(plain_run, repeats)
+            hmac_seconds = _best_of(hmac_run, repeats)
+        finally:
+            teardown()
+        rows.append(
+            {
+                "workload": "cluster_auth_overhead_2w",
+                "backend_pair": "plain-vs-hmac",
+                "shape": shape,
+                "plain_seconds": plain_seconds,
+                "hmac_seconds": hmac_seconds,
+                "overhead": hmac_seconds / plain_seconds,
+                "bit_identical_to_serial": True,
+            }
+        )
     return rows
 
 
-def record_baseline(
-    path: Path = BASELINE_PATH, repeats: int = 3, only: Optional[Sequence[str]] = None
-) -> Dict[str, object]:
-    """Run the benchmark and write the JSON baseline next to the repo root.
-
-    With ``only``, just those workloads run and their rows replace the
-    same-named rows of the existing baseline; every other row is kept.
-    """
-    rows = run(repeats=repeats, only=only)
-    if only is not None:
-        fresh = {row["workload"]: row for row in rows}
-        recorded = json.loads(path.read_text())["workloads"]
-        rows = [fresh.pop(row["workload"], row) for row in recorded] + list(fresh.values())
-    batched =[row for row in rows if row["backend_pair"] == "serial-vs-batched"]
+def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, object]:
+    """Run the benchmark and write the JSON baseline next to the repo root."""
+    rows = run(repeats=repeats)
+    batched = [row for row in rows if row["backend_pair"] == "serial-vs-batched"]
     streaming = [row for row in rows if row["backend_pair"] == "barrier-vs-streaming"]
     clustered = [row for row in rows if row["backend_pair"] == "process-vs-cluster"]
     payload = {
@@ -1172,16 +1137,7 @@ def test_batched_runner_amortises_the_python_loop(once=None) -> None:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--only",
-        nargs="+",
-        metavar="WORKLOAD",
-        help="refresh only these rows of the recorded baseline",
-    )
-    result = record_baseline(only=parser.parse_args().only)
+    result = record_baseline()
     _print_rows(result["workloads"])
     print(f"min batched speedup: {result['min_batched_speedup']:.2f}x")
     print(f"baseline written to {BASELINE_PATH}")

@@ -9,11 +9,16 @@ an elementwise product of length-``q`` lists.  No dict construction, no
 per-value ``Factor.evaluate`` calls, and (deliberately) no NumPy in the
 per-step path: for the tiny ``q`` of the paper's models plain Python floats
 beat ndarray scalar overhead by a wide margin.
+
+This module owns the entry layout: the batched chain tables
+(:class:`repro.runtime.chains._BatchedTables`) are built from ``tables``,
+``offsets`` and ``pool`` rather than from the factor arrays, so the serial
+and batched conditionals cannot disagree on strides or entry order.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -35,25 +40,49 @@ class CompiledConditionals:
         through :attr:`CompiledGibbs.conditionals` in normal use.
     """
 
-    __slots__ = ("compiled", "q", "tables", "_uniform")
+    __slots__ = ("compiled", "q", "tables", "offsets", "pool", "_uniform")
 
     def __init__(self, compiled) -> None:
         self.compiled = compiled
         q = compiled.q
         self.q = q
+        # Flat slabs are interned by content: equal factors share one list
+        # and one offset into ``pool``, the float64 concatenation of the
+        # distinct slabs that the batched tables gather from (offset 0 is an
+        # all-ones padding slab).
         tables: List[List[_Entry]] = [[] for _ in compiled.nodes]
+        offsets: List[List[int]] = [[] for _ in compiled.nodes]
+        pieces = [np.ones(q)]
+        flats: Dict[int, List[float]] = {}
+        offset_of_slab: Dict[bytes, int] = {}
+        offset_of_entry: Dict[Tuple[bytes, int], int] = {}
+        size = q
         for scope, array in zip(compiled.scopes, compiled.arrays):
+            array = np.asarray(array, dtype=np.float64)
+            content = array.tobytes()
+            # C-order strides of the trailing axes, in units of items.
+            strides = tuple(q ** (len(scope) - 2 - i) for i in range(len(scope) - 1))
+            stride0 = q ** (len(scope) - 1)
             for position, variable in enumerate(scope):
-                moved = np.ascontiguousarray(np.moveaxis(array, position, 0))
-                flat = moved.ravel().tolist()
+                offset = offset_of_entry.get((content, position))
+                if offset is None:
+                    slab = np.moveaxis(array, position, 0).ravel()
+                    offset = offset_of_slab.setdefault(slab.tobytes(), size)
+                    if offset == size:
+                        pieces.append(slab)
+                        flats[offset] = slab.tolist()
+                        size += len(slab)
+                    offset_of_entry[(content, position)] = offset
                 others = scope[:position] + scope[position + 1 :]
-                # C-order strides of the trailing axes, in units of items.
-                strides = tuple(q ** (len(others) - 1 - i) for i in range(len(others)))
-                stride0 = q ** len(others)
-                tables[variable].append((flat, stride0, others, strides))
+                tables[variable].append((flats[offset], stride0, others, strides))
+                offsets[variable].append(offset)
         self.tables: Tuple[Tuple[_Entry, ...], ...] = tuple(
             tuple(entries) for entries in tables
         )
+        #: Per node, the ``pool`` offset of each entry's slab (same order
+        #: as ``tables``).
+        self.offsets: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, offsets))
+        self.pool = np.concatenate(pieces)
         self._uniform = [1.0] * q
 
     # ------------------------------------------------------------------

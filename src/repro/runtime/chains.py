@@ -184,44 +184,29 @@ class _BatchedTables:
     )
 
     def __init__(self, compiled) -> None:
+        # The entry layout (slab pool, offsets, strides, entry order) is the
+        # serial one of CompiledConditionals; this only rearranges it into
+        # padded arrays.  Slabs there are interned by content, so equal
+        # factors share one pool offset -- which is what lets the blanket
+        # keys below dedupe nodes.
+        conditionals = compiled.conditionals
         q = compiled.q
         n = len(compiled.nodes)
         self.q = q
         self.aq = np.arange(q)
-        # Each node's (pool offset, neighbour ids) entries, in the
-        # CompiledConditionals order (factor id, then scope position).  Slabs
-        # are interned by content, so equal factors share one pool offset --
-        # which is what lets the blanket keys below dedupe nodes.
-        entries: List[List[tuple]] = [[] for _ in range(n)]
         heads: List[tuple] = []  # (variable, entry, pool offset, stride0)
         links: List[tuple] = []  # (variable, entry, k, neighbour, stride)
-        pieces = [np.ones(q)]  # the all-ones padding slab at offset 0
-        offset_of_slab: Dict[bytes, int] = {}
-        offset_of_entry: Dict[tuple, int] = {}
-        factor_ids: Dict[bytes, int] = {}
-        size = q
-        for scope, array in zip(compiled.scopes, compiled.arrays):
-            array = np.asarray(array, dtype=np.float64)
-            factor = factor_ids.setdefault(array.tobytes(), len(factor_ids))
-            strides = [q ** (len(scope) - 2 - k) for k in range(len(scope) - 1)]
-            for position, variable in enumerate(scope):
-                offset = offset_of_entry.get((factor, position))
-                if offset is None:
-                    slab = np.moveaxis(array, position, 0).ravel()
-                    offset = offset_of_slab.setdefault(slab.tobytes(), size)
-                    if offset == size:
-                        pieces.append(slab)
-                        size += len(slab)
-                    offset_of_entry[(factor, position)] = offset
-                others = scope[:position] + scope[position + 1 :]
-                j = len(entries[variable])
-                entries[variable].append((offset, others))
-                heads.append((variable, j, offset, q ** len(others)))
-                for k, other in enumerate(others):
-                    links.append((variable, j, k, other, strides[k]))
-        width = max(map(len, entries), default=0) or 1
+        for variable, node_offsets in enumerate(conditionals.offsets):
+            node_entries = conditionals.tables[variable]
+            for j, (offset, (_, stride0, others, strides)) in enumerate(
+                zip(node_offsets, node_entries)
+            ):
+                heads.append((variable, j, offset, stride0))
+                for k, (other, stride) in enumerate(zip(others, strides)):
+                    links.append((variable, j, k, other, stride))
+        width = max(map(len, conditionals.tables), default=0) or 1
         arity = max([len(scope) - 1 for scope in compiled.scopes] + [1])
-        self.pool = np.concatenate(pieces)
+        self.pool = conditionals.pool
         self.base = np.zeros((n, width), dtype=np.int64)
         self.stride0 = np.ones((n, width), dtype=np.int64)
         self.other = np.zeros((n, width, arity), dtype=np.int64)
@@ -234,7 +219,7 @@ class _BatchedTables:
             variable, j, k, other, stride = np.array(links, dtype=np.int64).T
             self.other[variable, j, k] = other
             self.ostride[variable, j, k] = stride
-        self.factorless = np.array([not e for e in entries], dtype=bool)
+        self.factorless = np.array([not e for e in conditionals.tables], dtype=bool)
         # Blanket keys: the entry slabs plus the blanket position of every
         # neighbour.  Distinct neighbours sit at positions 0, 1, 2, ... in
         # first-appearance order, so only repeated ones need spelling out.
@@ -242,13 +227,13 @@ class _BatchedTables:
         key_ids: Dict[tuple, int] = {}
         node_table: List[int] = []
         representatives: List[tuple] = []  # (node, blanket width)
-        for variable, node_entries in enumerate(entries):
-            neighbours = [o for _, others in node_entries for o in others]
+        for variable, node_offsets in enumerate(conditionals.offsets):
+            neighbours = [o for _, _, others, _ in conditionals.tables[variable] for o in others]
             blanket = list(dict.fromkeys(neighbours))
             repeats = None
             if len(blanket) != len(neighbours):
                 repeats = tuple(map({o: i for i, o in enumerate(blanket)}.get, neighbours))
-            key = (tuple(offset for offset, _ in node_entries), repeats)
+            key = (node_offsets, repeats)
             table = key_ids.setdefault(key, len(key_ids))
             if table == len(representatives):
                 representatives.append((variable, len(blanket)))

@@ -249,6 +249,19 @@ class TestBlanketTables:
                 for r, v in zip(rows, variables)
             ]
             assert blanket.tobytes() == np.array(serial).tobytes()
+            # All three read CompiledConditionals' entry layout, so check it
+            # against the dense arrays indexed directly, in the same factor
+            # order (one IEEE product per factor, hence exact equality).
+            direct = []
+            for r, v in zip(rows, variables):
+                weights = np.ones(q)
+                for scope, array in zip(scopes, arrays):
+                    if v in scope:
+                        index = [codes[r, node] for node in scope]
+                        index[scope.index(v)] = slice(None)
+                        weights = weights * array[tuple(index)]
+                direct.append(weights)
+            np.testing.assert_array_equal(np.array(serial), np.array(direct))
 
     def test_torus_colouring_tables_stay_small(self):
         distribution = coloring_model(torus_graph(12, 12), num_colors=6)
