@@ -40,8 +40,8 @@ chains of a hardcore instance, one sample per chain):
   (``Runtime.run_packed``) vs looping one batched ``run_chains`` call per
   model (the pre-packing serving path).  Every packed group is asserted
   bit-identical to the kernel's serial chains before any timing; the
-  recorded speedup is the cross-model batching win the serving layer's
-  ``PackedCoalescer`` rides.
+  recorded speedup is the cross-model batching win a ``repro-serve
+  --cross-model`` batch rides.
 * ``streaming_ball_shards`` -- the same E5-style workload on the barrier
   API (``shard_padded_ball_marginals``, which returns nothing until every
   shard lands) vs the streaming API (``stream_padded_ball_marginals``,
@@ -98,8 +98,7 @@ from repro.graphs import cycle_graph, random_tree
 from repro.models import hardcore_model
 from repro.runtime import (
     Runtime,
-    batched_glauber_sample,
-    batched_luby_glauber_sample,
+    batched_kernel_sample,
     chain_seed_sequences,
     shard_padded_ball_marginals,
     stream_padded_ball_marginals,
@@ -124,7 +123,7 @@ def _luby_chain_workload(chains: int = 64, rounds: int = 60, size: int = 48):
     # Correctness gate before any timing (this also pays the one-time
     # compilation and table build): every batched chain equals the serial
     # chain of its seed.
-    assert batched_luby_glauber_sample(instance, rounds, seeds=seeds) == [
+    assert batched_kernel_sample("luby-glauber", instance, rounds, seeds=seeds) == [
         luby_glauber_sample(instance, rounds, seed=seed) for seed in seeds
     ], "batched LubyGlauber chains diverge from the serial chain"
 
@@ -133,7 +132,7 @@ def _luby_chain_workload(chains: int = 64, rounds: int = 60, size: int = 48):
             luby_glauber_sample(instance, rounds, seed=seed)
 
     def batched() -> None:
-        batched_luby_glauber_sample(instance, rounds, seeds=seeds)
+        batched_kernel_sample("luby-glauber", instance, rounds, seeds=seeds)
 
     return {"chains": chains, "rounds": rounds, "n": size}, serial, batched
 
@@ -143,7 +142,7 @@ def _glauber_chain_workload(chains: int = 256, steps: int = 1200, size: int = 64
     seeds = chain_seed_sequences(5, chains)
     # Correctness gate before any timing: every batched chain equals the
     # serial chain of its seed.
-    assert batched_glauber_sample(instance, steps, seeds=seeds) == [
+    assert batched_kernel_sample("glauber", instance, steps, seeds=seeds) == [
         glauber_sample(instance, steps, seed=seed) for seed in seeds
     ], "batched Glauber chains diverge from the serial chain"
 
@@ -152,7 +151,7 @@ def _glauber_chain_workload(chains: int = 256, steps: int = 1200, size: int = 64
             glauber_sample(instance, steps, seed=seed)
 
     def batched() -> None:
-        batched_glauber_sample(instance, steps, seeds=seeds)
+        batched_kernel_sample("glauber", instance, steps, seeds=seeds)
 
     return {"chains": chains, "steps": steps, "n": size}, serial, batched
 

@@ -81,7 +81,9 @@ def main() -> None:
     # matching-size traces feed the split R-hat mixing diagnostic.
     instance = SamplingInstance(model)
     batch = ChainBatch(instance, n_chains=32, seed=11)
-    traces = batch.luby_rounds(40, statistic=lambda codes: codes.sum(axis=1))
+    traces = batch.advance(
+        "luby-glauber", 40, statistic=lambda codes: codes.sum(axis=1)
+    )
     matchings = [
         configuration_to_matching(model, configuration)
         for configuration in batch.configurations()

@@ -16,9 +16,10 @@
 # trace JSON that repro-trace validates against the event schema), a
 # serving smoke (a real `repro-serve` subprocess on a free port takes 8
 # concurrent HTTP sample requests, which must coalesce into at most two
-# run_chains batches -- observable from the JSON responses alone -- with
-# every response bit-identical to a solo run, then drains cleanly on
-# SIGTERM), a learning smoke (seeded pseudo-likelihood and contrastive
+# batches -- observable from the JSON responses alone -- with every
+# response bit-identical to a solo run, then drains cleanly on SIGTERM;
+# once for one model, and once with --cross-model for two same-alphabet
+# models sharing a packed batch), a learning smoke (seeded pseudo-likelihood and contrastive
 # divergence fits on a small Ising dataset must recover the generating
 # weights within the documented tolerances, with the CD negative phase
 # bit-identical between the serial and batched runtimes), an shm smoke
@@ -186,71 +187,80 @@ from repro.runtime import Runtime
 from repro.serve.client import http_request, sample_payload
 from repro.serve.registry import build_instance, encode_state
 
-MODEL = {
+HC = {
     "family": "hardcore",
     "graph": {"kind": "cycle", "n": 16},
     "fugacity": 1.2,
     "pinning": {"0": 1},
 }
-# max_wait_ms is generous so all 8 requests land inside one window: the
-# coalescing assertion below is then deterministic, not racy.
-server = subprocess.Popen(
-    [
+HC_PATH = {"family": "hardcore", "graph": {"kind": "path", "n": 12}, "fugacity": 1.1}
+
+
+def leg(models, extra_args):
+    """8 concurrent requests spread over ``models`` against one server."""
+    command = [
         sys.executable, "-m", "repro.serve",
         "--host", "127.0.0.1", "--port", "0",
-        "--model", "hc=" + json.dumps(MODEL),
         "--max-batch", "8", "--max-wait-ms", "250",
-    ],
-    stdout=subprocess.PIPE,
-    text=True,
+    ]
+    for name, model in models.items():
+        command += ["--model", f"{name}={json.dumps(model)}"]
+    # max_wait_ms is generous so all 8 requests land inside one window: the
+    # coalescing assertion below is then deterministic, not racy.
+    server = subprocess.Popen(command + extra_args, stdout=subprocess.PIPE, text=True)
+    try:
+        banner = server.stdout.readline().strip()
+        assert banner.startswith("repro-serve listening on "), f"bad banner: {banner!r}"
+        host, _, port = banner.rsplit(" ", 1)[-1].rpartition(":")
+        port = int(port)
+
+        names = sorted(models)
+        count, seed_base, n_requests = 20, 100, 8
+        responses = [None] * n_requests
+
+        def one(i):
+            payload = sample_payload(
+                names[i % len(names)], kernel="glauber", count=count, seed=seed_base + i
+            )
+            responses[i] = http_request(host, port, "POST", "/v1/sample", payload)
+
+        threads = [threading.Thread(target=one, args=(i,)) for i in range(n_requests)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+
+        # Solo baseline: the same seeds through a local Runtime, one at a time.
+        with Runtime("batched") as runtime:
+            for i, (status, body) in enumerate(responses):
+                assert status == 200, f"request {i}: HTTP {status}: {body}"
+                instance, _ = build_instance(models[names[i % len(names)]])
+                nodes = list(instance.distribution.graph)
+                solo = runtime.run_chains("glauber", instance, count, seed=seed_base + i)
+                expected = json.loads(json.dumps([encode_state(nodes, s) for s in solo]))
+                assert body["states"] == expected, f"request {i} not bit-identical to solo"
+
+        batches = {body["batch_id"] for _, body in responses}
+        sizes = sum(body["batch_size"] for _, body in responses)
+        assert len(batches) <= 2, f"8 concurrent requests ran {len(batches)} batches"
+        assert sizes >= n_requests, f"batch sizes do not cover the requests: {sizes}"
+
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0, "server did not drain cleanly on SIGTERM"
+        return len(batches)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+
+
+per_model = leg({"hc": HC}, [])
+cross_model = leg({"hc": HC, "hc-path": HC_PATH}, ["--cross-model"])
+print(
+    f"serving smoke OK: 8 concurrent requests coalesced into {per_model} "
+    f"batch(es) for one model and {cross_model} across two models "
+    "(--cross-model), bit-identical to solo runs, clean drains"
 )
-try:
-    banner = server.stdout.readline().strip()
-    assert banner.startswith("repro-serve listening on "), f"bad banner: {banner!r}"
-    host, _, port = banner.rsplit(" ", 1)[-1].rpartition(":")
-    port = int(port)
-
-    count, seed_base, n_requests = 20, 100, 8
-    responses = [None] * n_requests
-
-    def one(i):
-        status, body = http_request(
-            host, port, "POST", "/v1/sample",
-            sample_payload("hc", kernel="glauber", count=count, seed=seed_base + i),
-        )
-        responses[i] = (status, body)
-
-    threads = [threading.Thread(target=one, args=(i,)) for i in range(n_requests)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-
-    # Solo baseline: the same seeds through a local Runtime, one at a time.
-    instance, _ = build_instance(MODEL)
-    nodes = list(instance.distribution.graph)
-    with Runtime("batched") as runtime:
-        for i, (status, body) in enumerate(responses):
-            assert status == 200, f"request {i}: HTTP {status}: {body}"
-            solo = runtime.run_chains("glauber", instance, count, seed=seed_base + i)
-            expected = json.loads(json.dumps([encode_state(nodes, s) for s in solo]))
-            assert body["states"] == expected, f"request {i} not bit-identical to solo"
-
-    batches = {body["batch_id"] for _, body in responses}
-    sizes = sum(body["batch_size"] for _, body in responses)
-    assert len(batches) <= 2, f"8 concurrent requests ran {len(batches)} batches"
-    assert sizes >= n_requests, f"batch sizes do not cover the requests: {sizes}"
-
-    server.send_signal(signal.SIGTERM)
-    assert server.wait(timeout=30) == 0, "server did not drain cleanly on SIGTERM"
-    print(
-        f"serving smoke OK: {n_requests} concurrent requests coalesced into "
-        f"{len(batches)} batch(es), bit-identical to solo runs, clean drain"
-    )
-finally:
-    if server.poll() is None:
-        server.kill()
-        server.wait()
 PY
 
 echo "== tier-1: learning smoke =="

@@ -70,8 +70,6 @@ _log = obs.get_logger("cluster.coordinator")
 from repro.runtime.shards import (
     MEMO_DELTA_CAP,
     InstanceSpec,
-    _LEGACY_ALIAS_BY_KERNEL,
-    _LEGACY_CHAIN_KINDS,
     _chunk_tasks,
 )
 
@@ -455,11 +453,10 @@ class ClusterCoordinator:
     def _handle_frame(self, worker: _Worker, kind: int, payload) -> bool:
         """Process one received frame; ``False`` once the worker is dead."""
         if kind == protocol.RESULT:
-            # Workers that were handed a trace context append their span
-            # events as a third element; legacy workers send the 2-tuple.
-            task_id, result = payload[0], payload[1]
-            if len(payload) > 2:
-                obs.absorb_events(payload[2])
+            # ``events`` is None unless the task carried a trace context.
+            task_id, result, events = payload
+            if events is not None:
+                obs.absorb_events(events)
             task = self._take_inflight(worker, task_id)
             if task is not None:
                 self._resolve(task, result=result)
@@ -1185,8 +1182,7 @@ class ClusterCoordinator:
         """Final states of independent chains, run as blocks on the workers.
 
         ``kernel`` names any registered
-        :class:`~repro.sampling.kernels.ChainKernel` (the legacy block
-        kinds ``"glauber"``/``"luby"`` are accepted as aliases).  The seed
+        :class:`~repro.sampling.kernels.ChainKernel`.  The seed
         list is split into one contiguous block per live worker; each
         worker advances its block as a batched code matrix on the instance
         reconstructed from the spec -- the registered ``chain_block`` task
@@ -1203,8 +1199,7 @@ class ClusterCoordinator:
         """
         from repro.sampling.kernels import get_kernel
 
-        kernel_name = _LEGACY_CHAIN_KINDS.get(kernel, kernel)
-        get_kernel(kernel_name)  # fail fast on unknown kernels, caller-side
+        get_kernel(kernel)  # fail fast on unknown kernels, caller-side
         seeds = list(seeds)
         if not seeds:
             return ([], []) if stats else []
@@ -1212,27 +1207,18 @@ class ClusterCoordinator:
         blocks = _chunk_tasks(
             seeds, 1, chunk_size=-(-len(seeds) // max(1, self.live_worker_count))
         )
-        legacy_kind = _LEGACY_ALIAS_BY_KERNEL.get(kernel_name)
         futures = []
         try:
             for block in blocks:
                 payload = {
                     "spec_id": spec[0],
-                    "kernel": kernel_name,
+                    "kernel": kernel,
                     "count": count,
                     "seeds": block,
                     "initial": dict(initial) if initial is not None else None,
                 }
                 if stats:
-                    # Behind a flag (not a new message type): an old worker
-                    # would ignore it and return bare configurations, which
-                    # the merge below rejects loudly instead of mis-zipping.
                     payload["stats"] = True
-                elif legacy_kind is not None:
-                    # Wire compat within PROTOCOL_VERSION 1: a previous-release
-                    # worker reads args["kind"] for the two pre-kernel
-                    # dynamics; newer workers prefer "kernel" and ignore this.
-                    payload["kind"] = legacy_kind
                 futures.append(self.submit_task("chain_block", payload, spec=spec))
         except BaseException:
             self._discard(futures)
@@ -1243,15 +1229,6 @@ class ClusterCoordinator:
             for future in futures:  # block order == seed order
                 block_result = future.result()
                 if stats:
-                    if (
-                        not isinstance(block_result, tuple)
-                        or len(block_result) != 2
-                    ):
-                        raise ClusterError(
-                            "worker returned a bare chain_block payload to a "
-                            "stats=True request (worker predates the stats "
-                            "wire flag?)"
-                        )
                     block_configs, block_counts = block_result
                     results.extend(block_configs)
                     counts.extend(block_counts)

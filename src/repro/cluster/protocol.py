@@ -13,8 +13,8 @@ a frame whose magic bytes, message type or length field is wrong raises
 stray client speaking the wrong protocol (or a corrupted stream) is
 rejected instead of interpreted.  Length limits are enforced *per message
 kind* on both sides (see :func:`frame_limit`): control frames (HELLO,
-HEARTBEAT) are capped at :data:`MAX_CONTROL_FRAME_BYTES`, data frames
-(SPEC, TASK, RESULT, ERROR) at :data:`MAX_FRAME_BYTES`, and an oversize
+HEARTBEAT, ERROR) are capped at :data:`MAX_CONTROL_FRAME_BYTES`, data
+frames (SPEC, TASK, RESULT) at :data:`MAX_FRAME_BYTES`, and an oversize
 length field is rejected on the header alone -- no payload byte is read,
 buffered or unpickled.  A clean EOF raises the :class:`ConnectionClosed`
 subclass, which the coordinator treats as worker death and the worker
@@ -68,7 +68,9 @@ Message types
     shard bodies of :mod:`repro.runtime.shards` plus generic calls; see
     :mod:`repro.cluster.worker`.
 ``RESULT``
-    Worker -> coordinator: ``(task_id, result)``.
+    Worker -> coordinator: ``(task_id, result, events)``, where
+    ``events`` carries the worker's trace events for a task that shipped
+    a trace context and is ``None`` otherwise.
 ``HEARTBEAT``
     Coordinator -> worker, echoed back verbatim.  The coordinator uses
     the echo (or any other traffic) as liveness; a silent worker past the
@@ -113,7 +115,7 @@ MAGIC = b"RCW1"
 #: Magic of *authenticated* frames (a 32-byte HMAC tag follows the payload).
 MAGIC_AUTH = b"RCA1"
 #: Bumped on incompatible wire changes; checked during the HELLO handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 #: Bytes of the HMAC-SHA256 tag appended to authenticated frames.
 TAG_BYTES = 32
 #: Environment variable both sides read for a default shared auth key.
@@ -121,16 +123,15 @@ AUTH_KEY_ENV = "REPRO_CLUSTER_AUTH_KEY"
 #: Refuse frames above this payload size (a corrupt length field would
 #: otherwise make the receiver try to allocate petabytes).
 MAX_FRAME_BYTES = 1 << 30
-#: Tighter ceiling for *control* frames (HELLO, HEARTBEAT): their payloads
-#: are a role dict or a timestamp -- never remotely megabytes.  Enforcing
-#: the small limit per kind means a stray or malicious peer cannot make the
+#: Tighter ceiling for *control* frames (HELLO, HEARTBEAT, ERROR): their
+#: payloads are a role dict, a timestamp or an error report -- never
+#: remotely megabytes (workers cap their reports well below this constant,
+#: see :data:`repro.cluster.worker._ERROR_TEXT_LIMIT`).  Enforcing the
+#: small limit per kind means a stray or malicious peer cannot make the
 #: receiver buffer a giant allocation *during the handshake*, before it has
 #: proven it speaks the protocol at all.  Data frames (SPEC/TASK/RESULT)
 #: keep the large limit, since they legitimately carry compiled balls and
-#: chain blocks -- and so does ERROR, for wire compatibility within
-#: PROTOCOL_VERSION 1: previous-release workers send untruncated traceback
-#: reports (current workers cap theirs well below this constant, see
-#: :data:`repro.cluster.worker._ERROR_TEXT_LIMIT`).
+#: chain blocks.
 MAX_CONTROL_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">4sBQ")
@@ -206,15 +207,14 @@ def _tag(key: bytes, header: bytes, data: bytes) -> bytes:
 def frame_limit(kind: int) -> int:
     """The maximum payload size accepted for a message kind.
 
-    Control frames (HELLO, HEARTBEAT) are capped at
-    :data:`MAX_CONTROL_FRAME_BYTES`; data frames -- ERROR included, for
-    version-1 wire compatibility with workers that predate report
-    truncation -- at :data:`MAX_FRAME_BYTES`.  Both sides enforce the
+    Control frames (HELLO, HEARTBEAT, ERROR) are capped at
+    :data:`MAX_CONTROL_FRAME_BYTES`; data frames (SPEC, TASK, RESULT) at
+    :data:`MAX_FRAME_BYTES`.  Both sides enforce the
     limit: the sender before the first byte touches the socket, the
     receiver after reading the fixed header and *before* reading (let
     alone unpickling) any payload bytes.
     """
-    if kind in (HELLO, HEARTBEAT):
+    if kind in (HELLO, HEARTBEAT, ERROR):
         return MAX_CONTROL_FRAME_BYTES
     return MAX_FRAME_BYTES
 

@@ -36,8 +36,7 @@ Task kinds
     configurations of a batched block of chains of any registered
     :class:`~repro.sampling.kernels.ChainKernel` (``count`` units each),
     run on the instance reconstructed from the spec
-    (:meth:`~repro.runtime.shards.InstanceSpec.to_instance`).  The legacy
-    ``{"kind": "glauber"|"luby"}`` payload shape is still accepted.
+    (:meth:`~repro.runtime.shards.InstanceSpec.to_instance`).
 ``call``
     ``(function, args, kwargs)`` -> ``function(*args, **kwargs)`` for any
     picklable (module-level) callable; backs ``Runtime.submit`` and
@@ -413,11 +412,10 @@ class ClusterWorker:
         a reply -- the coordinator dropped their bookkeeping when it sent
         the cancel, so nothing is waiting for a RESULT.
 
-        A task whose args carry a valid ``_obs`` trace context runs under
-        a span continuing the coordinator's trace, and its RESULT grows a
-        third element with the recorded events.  Tasks without the field
-        (or with a foreign-version one) keep the legacy 2-tuple RESULT,
-        so an old coordinator never sees the new shape.
+        Every RESULT is ``(task_id, result, events)``.  A task whose args
+        carry a valid ``_obs`` trace context runs under a span continuing
+        the coordinator's trace, and ``events`` holds the recorded events;
+        without the field (or with a foreign-version one) it is ``None``.
         """
         while True:
             item = tasks.get()
@@ -453,11 +451,8 @@ class ClusterWorker:
                 except OSError:
                     return
                 continue
-            payload = (
-                (task_id, result) if events is None else (task_id, result, events)
-            )
             try:
-                send(protocol.RESULT, payload)
+                send(protocol.RESULT, (task_id, result, events))
             except OSError:
                 return
             if faults is not None and faults.task_completed():

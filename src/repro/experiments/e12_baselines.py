@@ -80,8 +80,8 @@ def run(
             # serial loop below, and the per-round occupancy traces feed the
             # convergence diagnostics for free.
             batch = ChainBatch(instance, seeds=range(samples))
-            traces = batch.luby_rounds(
-                rounds, statistic=lambda codes: codes.mean(axis=1)
+            traces = batch.advance(
+                "luby-glauber", rounds, statistic=lambda codes: codes.mean(axis=1)
             )
             keys = [
                 configuration_key(configuration)

@@ -256,8 +256,8 @@ def record_remote(
     """Run ``thunk`` under a span continuing ``wire_ctx``; ship the events.
 
     Returns ``(result, events)`` where ``events`` is ``None`` when the
-    context is absent/unknown (legacy peer — caller must then keep the
-    legacy result shape).  The temporary handle is installed as the
+    context is absent/unknown (the thunk then runs untraced).  The
+    temporary handle is installed as the
     process-wide one for the duration, so nested instrumentation (ball
     compiles, chain advances) lands in the shipped events too.
     """

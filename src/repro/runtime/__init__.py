@@ -44,9 +44,7 @@ from repro.runtime.chains import (
     ChainBatch,
     ChainState,
     PackedBatch,
-    batched_glauber_sample,
     batched_kernel_sample,
-    batched_luby_glauber_sample,
     chain_seed_sequences,
     make_chain_state,
 )
@@ -87,9 +85,7 @@ __all__ = [
     "ChainState",
     "PackedBatch",
     "make_chain_state",
-    "batched_glauber_sample",
     "batched_kernel_sample",
-    "batched_luby_glauber_sample",
     "chain_seed_sequences",
     "TASK_REGISTRY",
     "register_task",

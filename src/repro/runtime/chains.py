@@ -15,9 +15,7 @@ The *dynamics* advanced by a batch is a :class:`~repro.sampling.kernels.ChainKer
 kernel): the batch owns the shared execution state (code matrix, per-chain
 generators and buffered streams, the model's conditional tables, kernel
 scratch space) and :meth:`ChainBatch.advance` hands it to the kernel's
-``batched_advance``.  The historical :meth:`ChainBatch.glauber_steps` /
-:meth:`ChainBatch.luby_rounds` methods are thin wrappers over the
-corresponding kernels.
+``batched_advance``.
 
 Determinism contract
 --------------------
@@ -623,19 +621,6 @@ class ChainBatch:
             return trace
         return self
 
-    def glauber_steps(self, steps: int) -> "ChainBatch":
-        """Advance every chain by ``steps`` single-site Glauber updates."""
-        return self.advance("glauber", steps)
-
-    def luby_rounds(self, rounds: int, statistic=None):
-        """Advance every chain by ``rounds`` LubyGlauber rounds.
-
-        With ``statistic`` the per-round traces come back as a
-        ``(chains, rounds)`` array; without it the batch itself (for
-        chaining).
-        """
-        return self.advance("luby-glauber", rounds, statistic=statistic)
-
     # ------------------------------------------------------------------
     def retarget(self, instance: SamplingInstance) -> "ChainBatch":
         """Rebind these chains to a reweighted twin of their instance.
@@ -1084,57 +1069,3 @@ def batched_kernel_sample(
     )
     batch.advance(kernel, count)
     return batch.configurations()
-
-
-def batched_glauber_sample(
-    instance: SamplingInstance,
-    steps: int,
-    n_chains: Optional[int] = None,
-    seed: Seed = 0,
-    seeds: Optional[Sequence] = None,
-    initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
-) -> List[Dict[Node, Value]]:
-    """Run a batch of Glauber chains and return the per-chain final states.
-
-    Entry ``c`` is bit-identical to
-    ``glauber_sample(instance, steps, seed=seeds[c], initial=initial)``.
-    Equivalent to ``batched_kernel_sample("glauber", ...)``.
-    """
-    return batched_kernel_sample(
-        "glauber",
-        instance,
-        steps,
-        n_chains=n_chains,
-        seed=seed,
-        seeds=seeds,
-        initial=initial,
-        engine=engine,
-    )
-
-
-def batched_luby_glauber_sample(
-    instance: SamplingInstance,
-    rounds: int,
-    n_chains: Optional[int] = None,
-    seed: Seed = 0,
-    seeds: Optional[Sequence] = None,
-    initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
-) -> List[Dict[Node, Value]]:
-    """Run a batch of LubyGlauber chains and return the per-chain final states.
-
-    Entry ``c`` is bit-identical to
-    ``luby_glauber_sample(instance, rounds, seed=seeds[c], initial=initial)``.
-    Equivalent to ``batched_kernel_sample("luby-glauber", ...)``.
-    """
-    return batched_kernel_sample(
-        "luby-glauber",
-        instance,
-        rounds,
-        n_chains=n_chains,
-        seed=seed,
-        seeds=seeds,
-        initial=initial,
-        engine=engine,
-    )

@@ -51,7 +51,6 @@ import asyncio
 import multiprocessing
 import os
 import threading
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     Callable,
@@ -625,15 +624,9 @@ class Runtime:
         ----------
         kernel : str or ChainKernel
             The dynamics to advance (registered name or instance).
-        instance : SamplingInstance or sequence of SamplingInstance
-            The instance every chain targets.  A *sequence* of instances
-            (possibly different models) delegates to :meth:`run_packed`:
-            all groups advance as one packed code matrix, each group
-            bit-identical to its solo run, and the return value is a list
-            of per-instance configuration lists.  ``seeds`` must then be a
-            per-instance sequence of seed sequences (or ``seed`` a scalar
-            root / per-instance roots); ``initial``/``init``/``state`` do
-            not apply.
+        instance : SamplingInstance
+            The instance every chain targets (several instances advance
+            together through :meth:`run_packed`).
         count : int
             Units of the dynamics per chain (steps, rounds, ... -- see the
             kernel's ``unit``).
@@ -671,44 +664,6 @@ class Runtime:
             ``return_state=True``, the resumable state rides along.
         """
         resolved = resolve_kernel(kernel)
-        if not isinstance(instance, SamplingInstance) and isinstance(
-            instance, (list, tuple)
-        ):
-            # Multi-instance form: pack the groups into one code matrix.
-            if state is not None or return_state:
-                raise ValueError(
-                    "resumable chain state does not apply to packed "
-                    "multi-instance runs"
-                )
-            if initial is not None or init is not None:
-                raise ValueError(
-                    "initial/init do not apply to packed multi-instance "
-                    "runs (pass per-group initials to run_packed)"
-                )
-            instances = list(instance)
-            if seeds is not None:
-                per_group = [list(group_seeds) for group_seeds in seeds]
-                if len(per_group) != len(instances):
-                    raise ValueError(
-                        "seeds must hold one seed sequence per instance"
-                    )
-            else:
-                roots = (
-                    list(seed)
-                    if isinstance(seed, (list, tuple))
-                    else [seed] * len(instances)
-                )
-                if len(roots) != len(instances):
-                    raise ValueError("seed must be a scalar or one root per instance")
-                per_group = [
-                    chain_seed_sequences(root, self.n_chains) for root in roots
-                ]
-            return self.run_packed(
-                resolved,
-                list(zip(instances, per_group)),
-                count,
-                engine=engine,
-            )
         stateful = state is not None or return_state
         if stateful:
             if not (self.is_serial or self.is_batched):
@@ -839,8 +794,8 @@ class Runtime:
     ) -> List[List[Dict[Node, Value]]]:
         """Advance many instances' chains as ONE packed code matrix.
 
-        The multi-instance sibling of :meth:`run_chains` (which delegates
-        here for a sequence of instances): every request group -- possibly
+        The multi-instance sibling of :meth:`run_chains`: every request
+        group -- possibly
         a *different* registered model -- packs into a single padded
         ``(total_chains, n_max)`` matrix
         (:class:`~repro.runtime.chains.PackedBatch`) so mask-aware kernels
@@ -884,60 +839,6 @@ class Runtime:
         ):
             packed.advance(resolved, count)
         return packed.configurations()
-
-    def glauber_sample(
-        self,
-        instance: SamplingInstance,
-        steps: int,
-        seed=0,
-        seeds: Optional[Sequence] = None,
-        initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
-    ) -> List[Dict[Node, Value]]:
-        """Deprecated: ``run_chains("glauber", ...)`` with ``steps`` updates.
-
-        .. deprecated::
-            Use :meth:`run_chains` -- the single kernel-driven execution
-            path.  This wrapper delegates and returns identical results.
-        """
-        warnings.warn(
-            'Runtime.glauber_sample is deprecated; use Runtime.run_chains("glauber", ...)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run_chains(
-            "glauber", instance, steps, seed=seed, seeds=seeds, initial=initial, engine=engine
-        )
-
-    def luby_glauber_sample(
-        self,
-        instance: SamplingInstance,
-        rounds: int,
-        seed=0,
-        seeds: Optional[Sequence] = None,
-        initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
-    ) -> List[Dict[Node, Value]]:
-        """Deprecated: ``run_chains("luby-glauber", ...)`` with ``rounds`` rounds.
-
-        .. deprecated::
-            Use :meth:`run_chains` -- the single kernel-driven execution
-            path.  This wrapper delegates and returns identical results.
-        """
-        warnings.warn(
-            'Runtime.luby_glauber_sample is deprecated; use Runtime.run_chains("luby-glauber", ...)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run_chains(
-            "luby-glauber",
-            instance,
-            rounds,
-            seed=seed,
-            seeds=seeds,
-            initial=initial,
-            engine=engine,
-        )
 
     @staticmethod
     def _spec_transportable(engine: Optional[str]) -> bool:

@@ -544,23 +544,6 @@ def _compile_balls_task(args: Dict, spec: Optional[InstanceSpec] = None):
     return _compile_ball_chunk(args["tasks"], spec=spec)
 
 
-#: Legacy chain-block kind names (the pre-kernel wire format) -> kernel names.
-_LEGACY_CHAIN_KINDS = {"glauber": "glauber", "luby": "luby-glauber"}
-#: Reverse view: kernel name -> the legacy alias a previous-release worker
-#: understands (the coordinator ships both fields for these kernels).
-_LEGACY_ALIAS_BY_KERNEL = {name: alias for alias, name in _LEGACY_CHAIN_KINDS.items()}
-
-
-def _chain_block_kernel(args: Dict) -> str:
-    """The kernel name of a chain-block payload (legacy ``kind`` accepted)."""
-    kernel = args.get("kernel")
-    if kernel is None:
-        kernel = _LEGACY_CHAIN_KINDS.get(args.get("kind"))
-    if kernel is None:
-        raise ValueError(f"chain block names no kernel: {args!r}")
-    return kernel
-
-
 @register_task("chain_block")
 def _chain_block_task(args: Dict, spec: Optional[InstanceSpec] = None):
     """Registered body: advance one block of chains of one kernel.
@@ -594,7 +577,7 @@ def _chain_block_task(args: Dict, spec: Optional[InstanceSpec] = None):
     from repro.sampling.kernels import get_kernel
 
     spec = _WORKER_SPEC if spec is None else spec
-    kernel = get_kernel(_chain_block_kernel(args))
+    kernel = get_kernel(args["kernel"])
     out = args.get("out")
     if out is None and not args.get("stats"):
         return batched_kernel_sample(

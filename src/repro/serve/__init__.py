@@ -3,10 +3,11 @@
 The front end that turns the FengY18 reproduction from a library into a
 system with users: named models (picklable
 :class:`~repro.runtime.shards.InstanceSpec` snapshots) served over a
-small asyncio HTTP/1.1 server, with concurrent sample requests against
-one model *coalesced* into shared :meth:`Runtime.run_chains` batches --
-bit-identical per request to a solo run, by the per-chain seed contract
-(see :mod:`repro.serve.coalesce`).
+small asyncio HTTP/1.1 server, with concurrent sample requests
+*coalesced* into shared chain batches -- one :meth:`Runtime.run_chains`
+call per model, or one packed :meth:`Runtime.run_packed` step across
+models -- bit-identical per request to a solo run, by the per-chain seed
+contract (see :mod:`repro.serve.coalesce`).
 
 Layout: :mod:`~repro.serve.registry` (named models),
 :mod:`~repro.serve.coalesce` (the batching core),
@@ -19,7 +20,6 @@ Layout: :mod:`~repro.serve.registry` (named models),
 from repro.serve.coalesce import (
     Backpressure,
     CoalescerClosed,
-    PackedCoalescer,
     RequestCoalescer,
 )
 from repro.serve.registry import (
@@ -35,7 +35,6 @@ from repro.serve.server import SamplingServer
 __all__ = [
     "Backpressure",
     "CoalescerClosed",
-    "PackedCoalescer",
     "RequestCoalescer",
     "ModelEntry",
     "ModelRegistry",

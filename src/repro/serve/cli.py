@@ -75,8 +75,8 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         "--cross-model",
         action="store_true",
         help=(
-            "coalesce concurrent requests for different models into one "
-            "packed kernel step (PackedCoalescer)"
+            "serve every model from one shared coalescer, so concurrent "
+            "requests for different models fold into one packed kernel step"
         ),
     )
     parser.add_argument(

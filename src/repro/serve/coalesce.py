@@ -2,33 +2,36 @@
 
 The production-scale move of the serving layer (the continuous-batching
 shape of modern inference servers): concurrent ``POST /v1/sample``
-requests against the same model are held for a bounded window
-(``max_wait`` seconds, or until ``max_batch`` requests are queued) and
-merged into a *single* :meth:`Runtime.run_chains` call.
+requests are held for a bounded window (``max_wait`` seconds, or until
+``max_batch`` requests are queued) and merged into a *single* chain
+execution per ``(kernel, count)`` bucket.
+
+Every request carries its model ``(name, instance)``.  When a bucket
+flushes, its live requests are grouped by ``(model, initial)`` and each
+group's per-request seeds are concatenated.  A batch with one group is
+one :meth:`Runtime.run_chains` call -- solo execution by definition; a
+batch with several groups (different models, or one model under
+different initial configurations) is one :meth:`Runtime.run_packed`
+call, which advances every group inside a single packed code matrix
+(:class:`~repro.runtime.chains.PackedBatch`) where the kernel and the
+pack allow it, group by group otherwise.
 
 Bit-identity is free, not a trade-off.  The chain contract
 (:func:`~repro.runtime.chains.chain_seed_sequences` + per-chain RNG
 streams) makes chain ``c`` of any multi-chain execution depend only on
 its own spawned ``SeedSequence`` -- never on how many other chains share
-the code matrix.  So the coalescer spawns each request's per-chain seeds
-from *its own* root seed, concatenates the seed lists into one
-``run_chains(kernel, instance, count, seeds=concat)`` call, and splits
-the resulting states back by offset: every response is bit-identical to
-the same request served alone.
+the code matrix, nor on which other groups share a packed step.  So the
+coalescer spawns each request's per-chain seeds from *its own* root
+seed and splits the resulting states back by offset: every response is
+bit-identical to the same request served alone.
 
-Each coalescer owns one model's execution: one shared
-:class:`~repro.runtime.Runtime`, one warmed ball cache, and one
-dedicated single-thread executor -- so batches for a model are
-serialised (no cache races between threads) while the event loop stays
-free to accept and queue more requests.
-
-:class:`PackedCoalescer` extends the same move *across* models: requests
-for different registered models (same kernel and count) merge into one
-:meth:`Runtime.run_packed` call, advancing every group inside a single
-packed code matrix (:class:`~repro.runtime.chains.PackedBatch`) -- the
-per-step Python overhead is paid once per step, not once per model, and
-the per-request seed contract keeps every response bit-identical to a
-solo run.  Enable it with ``SamplingServer(cross_model=True)``.
+A coalescer owns its execution: one shared
+:class:`~repro.runtime.Runtime` and one dedicated single-thread executor
+(:attr:`RequestCoalescer.executor`) -- so batches are serialised and
+every instance it serves is only ever touched by one thread, while the
+event loop stays free to accept and queue more requests.  The server runs
+one coalescer per model by default, and one shared coalescer for every
+model with ``SamplingServer(cross_model=True)``.
 
 Backpressure and deadlines live here too: admitting a request beyond
 ``max_queue`` outstanding raises :class:`Backpressure` (HTTP 429), and a
@@ -43,6 +46,7 @@ import asyncio
 import functools
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -70,10 +74,39 @@ def new_request_id() -> str:
 class _Pending:
     """One admitted request waiting for its slice of a batch."""
 
-    __slots__ = ("request_id", "seeds", "future", "admitted", "settled")
+    __slots__ = (
+        "request_id",
+        "model",
+        "instance",
+        "initial",
+        "group",
+        "seeds",
+        "future",
+        "admitted",
+        "settled",
+    )
 
-    def __init__(self, request_id: str, seeds: Sequence, future: asyncio.Future) -> None:
+    def __init__(
+        self,
+        request_id: str,
+        model: str,
+        instance: SamplingInstance,
+        initial: Optional[Dict[Node, Value]],
+        seeds: Sequence,
+        future: asyncio.Future,
+    ) -> None:
         self.request_id = request_id
+        self.model = model
+        self.instance = instance
+        self.initial = initial
+        # Requests with equal groups share one chain execution.  The
+        # instance is keyed by identity: a re-registered model is a new
+        # instance under the same name.
+        self.group = (
+            model,
+            id(instance),
+            None if initial is None else frozenset(initial.items()),
+        )
         self.seeds = list(seeds)
         self.future = future
         self.admitted = time.monotonic()
@@ -81,7 +114,7 @@ class _Pending:
 
 
 class _Bucket:
-    """Requests merged into one ``run_chains`` call: same kernel/count/initial."""
+    """Requests merged into one batch: same kernel and count."""
 
     __slots__ = ("key", "requests", "timer")
 
@@ -92,14 +125,14 @@ class _Bucket:
 
 
 class RequestCoalescer:
-    """Per-model request coalescer over one shared runtime.
+    """Request coalescer over one shared runtime and one executor thread.
 
     Parameters
     ----------
     name : str
-        Model name (metric labels and span attributes).
-    instance : SamplingInstance
-        The model every batch samples from (shared ball cache included).
+        Label of the models this coalescer serves (metric labels, span
+        attributes, the executor thread name): the model name for a
+        per-model coalescer.
     runtime : Runtime
         The shared execution policy for merged batches (typically
         ``Runtime("batched")``).
@@ -116,7 +149,6 @@ class RequestCoalescer:
     def __init__(
         self,
         name: str,
-        instance: SamplingInstance,
         runtime: Runtime,
         max_batch: int = 8,
         max_wait: float = 0.002,
@@ -129,7 +161,6 @@ class RequestCoalescer:
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         self.name = name
-        self.instance = instance
         self.runtime = runtime
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
@@ -138,18 +169,26 @@ class RequestCoalescer:
         self._inflight: set = set()
         self._outstanding = 0
         self._closing = False
-        # One executor thread per model: batches are serialised, so the
-        # shared instance/ball cache is only ever touched by one thread,
-        # and the event loop never blocks on a running batch.
-        from concurrent.futures import ThreadPoolExecutor
-
+        # One executor thread per coalescer: batches are serialised, so
+        # the instances it serves (and their ball caches) are only ever
+        # touched by one thread, and the event loop never blocks on a
+        # running batch.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"serve-{name}"
         )
         self._batches = 0
-        self._served = 0
+        self._served_by_model: Dict[str, int] = {}
 
     # -- accounting ----------------------------------------------------
+    @property
+    def executor(self) -> ThreadPoolExecutor:
+        """The single thread that runs this coalescer's batches.
+
+        Other work on the same instances (the server's marginal streams)
+        runs here too, so no instance is touched by two threads.
+        """
+        return self._executor
+
     @property
     def outstanding(self) -> int:
         """Requests admitted but not yet answered (the queue depth)."""
@@ -157,16 +196,17 @@ class RequestCoalescer:
 
     @property
     def batches(self) -> int:
-        """Batches dispatched to ``run_chains`` so far."""
+        """Batches dispatched so far."""
         return self._batches
 
     def stats(self) -> Dict[str, object]:
-        """The serving block this model contributes to ``Runtime.snapshot()``."""
+        """The serving block this coalescer contributes to ``Runtime.snapshot()``."""
         return {
             "model": self.name,
             "outstanding": self._outstanding,
             "batches": self._batches,
-            "served": self._served,
+            "served": sum(self._served_by_model.values()),
+            "served_by_model": dict(sorted(self._served_by_model.items())),
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait * 1000.0,
             "max_queue": self.max_queue,
@@ -187,6 +227,8 @@ class RequestCoalescer:
     # -- admission -----------------------------------------------------
     async def sample(
         self,
+        model: str,
+        instance: SamplingInstance,
         kernel: str,
         count: int,
         seed=0,
@@ -198,19 +240,19 @@ class RequestCoalescer:
 
         ``states`` is bit-identical to ``Runtime.run_chains(kernel,
         instance, count, seeds=chain_seed_sequences(seed, n_chains))``
-        served alone -- regardless of which other requests share the
-        batch.  ``batch_id``/``batch_size`` identify the coalesced batch
-        the request rode in, so clients can observe coalescing from
-        responses alone.
+        served alone -- regardless of which other requests, for this or
+        another model, share the batch.  ``batch_id``/``batch_size``
+        identify the coalesced batch the request rode in, so clients can
+        observe coalescing from responses alone.
         """
         if self._closing:
-            raise CoalescerClosed(f"model {self.name!r} is draining")
+            raise CoalescerClosed(f"coalescer {self.name!r} is draining")
         if self._outstanding >= self.max_queue:
             handle = obs.active()
             if handle is not None:
                 handle.metrics.counter("serve.rejected.backpressure").inc()
             raise Backpressure(
-                f"model {self.name!r} has {self._outstanding} outstanding "
+                f"coalescer {self.name!r} has {self._outstanding} outstanding "
                 f"requests (cap {self.max_queue})"
             )
         if count < 1:
@@ -218,18 +260,17 @@ class RequestCoalescer:
         if n_chains < 1:
             raise ValueError("n_chains must be at least 1")
         loop = asyncio.get_running_loop()
-        seeds = chain_seed_sequences(seed, n_chains)
         pending = _Pending(
-            request_id or new_request_id(), seeds, loop.create_future()
+            request_id or new_request_id(),
+            model,
+            instance,
+            initial,
+            chain_seed_sequences(seed, n_chains),
+            loop.create_future(),
         )
         self._outstanding += 1
         self._gauge()
-        initial_token = (
-            None
-            if initial is None
-            else tuple(sorted(initial.items(), key=repr))
-        )
-        key = (str(kernel), int(count), initial_token)
+        key = (str(kernel), int(count))
         bucket = self._open.get(key)
         if bucket is None:
             bucket = self._open[key] = _Bucket(key)
@@ -280,307 +321,61 @@ class RequestCoalescer:
         task.add_done_callback(self._inflight.discard)
 
     async def _run_batch(self, key: Tuple, requests: List[_Pending]) -> None:
-        kernel, count, initial_token = key
-        initial = None if initial_token is None else dict(initial_token)
-        seeds: List = []
-        offsets = [0]
+        kernel, count = key
+        groups: Dict[Tuple, List[_Pending]] = {}
         for request in requests:
-            seeds.extend(request.seeds)
-            offsets.append(len(seeds))
+            groups.setdefault(request.group, []).append(request)
+        members = list(groups.values())
+        group_seeds = [
+            [seed for request in member for seed in request.seeds]
+            for member in members
+        ]
         self._batches += 1
         batch_id = new_request_id()
+        models = sorted({request.model for request in requests})
         handle = obs.active()
         if handle is not None:
             handle.metrics.counter("serve.batches").inc()
             handle.metrics.counter("serve.coalesced_requests").inc(len(requests))
-        call = functools.partial(
-            self.runtime.run_chains,
-            kernel,
-            self.instance,
-            count,
-            seeds=seeds,
-        )
-        if initial is not None:
-            call = functools.partial(call, initial=initial)
+        single = len(members) == 1
+        if single:
+            first = members[0][0]
+            call = functools.partial(
+                self.runtime.run_chains,
+                kernel,
+                first.instance,
+                count,
+                seeds=group_seeds[0],
+            )
+            if first.initial is not None:
+                call = functools.partial(call, initial=first.initial)
+        else:
+            if handle is not None:
+                handle.metrics.counter("serve.packed_batches").inc()
+            call = functools.partial(
+                self.runtime.run_packed,
+                kernel,
+                [
+                    (member[0].instance, seeds, member[0].initial)
+                    for member, seeds in zip(members, group_seeds)
+                ],
+                count,
+            )
         loop = asyncio.get_running_loop()
         try:
             # One span per coalesced batch, carrying every request id it
             # serves -- the stitch between per-request traces and the
-            # single run_chains execution.
+            # single chain execution.
             with obs.span(
                 "serve.batch",
-                model=self.name,
+                model=",".join(models),
                 kernel=kernel,
                 count=count,
                 batch_id=batch_id,
                 requests=",".join(request.request_id for request in requests),
                 size=len(requests),
-                chains=len(seeds),
-            ):
-                states = await loop.run_in_executor(self._executor, call)
-        except Exception as error:
-            for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(error)
-                self._settle(request)
-            return
-        now = time.monotonic()
-        for index, request in enumerate(requests):
-            slice_ = states[offsets[index] : offsets[index + 1]]
-            if not request.future.done():
-                request.future.set_result((slice_, batch_id, len(requests)))
-                self._served += 1
-                if handle is not None:
-                    handle.metrics.histogram("serve.ttfr_seconds").observe(
-                        now - request.admitted
-                    )
-            self._settle(request)
-
-    # -- lifecycle -----------------------------------------------------
-    async def drain(self) -> None:
-        """Flush every queued bucket and wait for in-flight batches.
-
-        Admissions after this point raise :class:`CoalescerClosed`;
-        requests already admitted complete normally (graceful drain).
-        """
-        self._closing = True
-        for key in list(self._open):
-            self._flush(key)
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        self._executor.shutdown(wait=True)
-
-
-class _PackedPending(_Pending):
-    """One admitted cross-model request: carries its own model group."""
-
-    __slots__ = ("name", "instance", "initial")
-
-    def __init__(
-        self,
-        request_id: str,
-        seeds: Sequence,
-        future: asyncio.Future,
-        name: str,
-        instance: SamplingInstance,
-        initial: Optional[Dict[Node, Value]],
-    ) -> None:
-        super().__init__(request_id, seeds, future)
-        self.name = name
-        self.instance = instance
-        self.initial = initial
-
-
-class PackedCoalescer:
-    """Cross-model request coalescer: one packed kernel step per batch.
-
-    The multi-tenant sibling of :class:`RequestCoalescer`: concurrent
-    requests for *different* registered models -- same kernel and count,
-    any mix of instances -- are held for the same bounded window and
-    merged into a single :meth:`Runtime.run_packed` call.  All groups
-    advance inside one padded :class:`~repro.runtime.chains.PackedBatch`
-    code matrix, so the per-step Python overhead is paid once across every
-    model instead of once per model (and non-fusable mixes fall back to
-    group-by-group execution transparently).
-
-    Bit-identity is the same free property as the per-model coalescer's:
-    each request is its own pack group with per-chain seeds spawned from
-    *its own* root seed, and a pack group's chains are bit-identical to
-    the solo batch (the :class:`~repro.runtime.chains.PackedBatch`
-    determinism contract) -- so every response equals the same request
-    served alone, regardless of which models share the step.
-
-    One coalescer serves every model: one shared runtime and one
-    dedicated single-thread executor, so batches across all models are
-    serialised and no instance is ever touched by two threads.
-    """
-
-    def __init__(
-        self,
-        runtime: Runtime,
-        max_batch: int = 8,
-        max_wait: float = 0.002,
-        max_queue: int = 128,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
-        if max_queue < 1:
-            raise ValueError("max_queue must be at least 1")
-        self.runtime = runtime
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
-        self.max_queue = int(max_queue)
-        self._open: Dict[Tuple, _Bucket] = {}
-        self._inflight: set = set()
-        self._outstanding = 0
-        self._closing = False
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-packed"
-        )
-        self._batches = 0
-        self._served = 0
-        self._served_by_model: Dict[str, int] = {}
-
-    # -- accounting ----------------------------------------------------
-    @property
-    def outstanding(self) -> int:
-        """Requests admitted but not yet answered (across all models)."""
-        return self._outstanding
-
-    @property
-    def batches(self) -> int:
-        """Packed batches dispatched to ``run_packed`` so far."""
-        return self._batches
-
-    def stats(self) -> Dict[str, object]:
-        """The cross-model serving block (``/v1/healthz`` and snapshots)."""
-        return {
-            "mode": "packed",
-            "outstanding": self._outstanding,
-            "batches": self._batches,
-            "served": self._served,
-            "served_by_model": dict(sorted(self._served_by_model.items())),
-            "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait * 1000.0,
-            "max_queue": self.max_queue,
-            "draining": self._closing,
-        }
-
-    def _gauge(self) -> None:
-        handle = obs.active()
-        if handle is not None:
-            handle.metrics.gauge("serve.queue_depth").set(self._outstanding)
-
-    def _settle(self, pending: _Pending) -> None:
-        if not pending.settled:
-            pending.settled = True
-            self._outstanding -= 1
-            self._gauge()
-
-    # -- admission -----------------------------------------------------
-    async def sample(
-        self,
-        name: str,
-        instance: SamplingInstance,
-        kernel: str,
-        count: int,
-        seed=0,
-        n_chains: int = 1,
-        initial: Optional[Dict[Node, Value]] = None,
-        request_id: Optional[str] = None,
-    ) -> Tuple[List[Dict[Node, Value]], str, int]:
-        """Admit one request for ``name``; resolves like the per-model path.
-
-        ``states`` is bit-identical to ``Runtime.run_chains(kernel,
-        instance, count, seeds=chain_seed_sequences(seed, n_chains))``
-        served alone, even when the batch packs other models' requests.
-        """
-        if self._closing:
-            raise CoalescerClosed("the packed coalescer is draining")
-        if self._outstanding >= self.max_queue:
-            handle = obs.active()
-            if handle is not None:
-                handle.metrics.counter("serve.rejected.backpressure").inc()
-            raise Backpressure(
-                f"packed coalescer has {self._outstanding} outstanding "
-                f"requests (cap {self.max_queue})"
-            )
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if n_chains < 1:
-            raise ValueError("n_chains must be at least 1")
-        loop = asyncio.get_running_loop()
-        pending = _PackedPending(
-            request_id or new_request_id(),
-            chain_seed_sequences(seed, n_chains),
-            loop.create_future(),
-            name,
-            instance,
-            initial,
-        )
-        self._outstanding += 1
-        self._gauge()
-        # Unlike the per-model key, the model name is NOT part of the
-        # bucket key -- folding different models into one step is the
-        # whole point.  Per-request initials ride in the pending instead.
-        key = (str(kernel), int(count))
-        bucket = self._open.get(key)
-        if bucket is None:
-            bucket = self._open[key] = _Bucket(key)
-            bucket.timer = loop.call_later(
-                self.max_wait, functools.partial(self._flush, key)
-            )
-        bucket.requests.append(pending)
-        if len(bucket.requests) >= self.max_batch:
-            self._flush(key)
-        try:
-            return await pending.future
-        except asyncio.CancelledError:
-            self._discard(key, pending)
-            raise
-
-    def _discard(self, key: Tuple, pending: _Pending) -> None:
-        self._settle(pending)
-        bucket = self._open.get(key)
-        if bucket is None:
-            return
-        bucket.requests = [
-            request for request in bucket.requests if request is not pending
-        ]
-        if not bucket.requests:
-            if bucket.timer is not None:
-                bucket.timer.cancel()
-            del self._open[key]
-
-    # -- flushing ------------------------------------------------------
-    def _flush(self, key: Tuple) -> None:
-        bucket = self._open.pop(key, None)
-        if bucket is None:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        live = [
-            request
-            for request in bucket.requests
-            if not request.future.cancelled() and not request.settled
-        ]
-        if not live:
-            return
-        task = asyncio.get_running_loop().create_task(self._run_batch(key, live))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _run_batch(self, key: Tuple, requests: List[_PackedPending]) -> None:
-        kernel, count = key
-        self._batches += 1
-        batch_id = new_request_id()
-        models = sorted({request.name for request in requests})
-        handle = obs.active()
-        if handle is not None:
-            handle.metrics.counter("serve.batches").inc()
-            handle.metrics.counter("serve.coalesced_requests").inc(len(requests))
-            handle.metrics.counter("serve.packed_batches").inc()
-            handle.metrics.counter("serve.packed_models").inc(len(models))
-        groups = [
-            (request.instance, request.seeds, request.initial)
-            for request in requests
-        ]
-        call = functools.partial(self.runtime.run_packed, kernel, groups, count)
-        loop = asyncio.get_running_loop()
-        try:
-            with obs.span(
-                "serve.packed_batch",
-                kernel=kernel,
-                count=count,
-                batch_id=batch_id,
-                models=",".join(models),
-                requests=",".join(request.request_id for request in requests),
-                size=len(requests),
-                chains=sum(len(request.seeds) for request in requests),
+                groups=len(members),
+                chains=sum(len(seeds) for seeds in group_seeds),
             ):
                 results = await loop.run_in_executor(self._executor, call)
         except Exception as error:
@@ -589,24 +384,32 @@ class PackedCoalescer:
                     request.future.set_exception(error)
                 self._settle(request)
             return
+        if single:
+            results = [results]
         now = time.monotonic()
-        for index, request in enumerate(requests):
-            states = results[index]
-            if not request.future.done():
-                request.future.set_result((states, batch_id, len(requests)))
-                self._served += 1
-                self._served_by_model[request.name] = (
-                    self._served_by_model.get(request.name, 0) + 1
-                )
-                if handle is not None:
-                    handle.metrics.histogram("serve.ttfr_seconds").observe(
-                        now - request.admitted
+        for member, states in zip(members, results):
+            offset = 0
+            for request in member:
+                slice_ = states[offset : offset + len(request.seeds)]
+                offset += len(request.seeds)
+                if not request.future.done():
+                    request.future.set_result((slice_, batch_id, len(requests)))
+                    self._served_by_model[request.model] = (
+                        self._served_by_model.get(request.model, 0) + 1
                     )
-            self._settle(request)
+                    if handle is not None:
+                        handle.metrics.histogram("serve.ttfr_seconds").observe(
+                            now - request.admitted
+                        )
+                self._settle(request)
 
     # -- lifecycle -----------------------------------------------------
     async def drain(self) -> None:
-        """Flush every queued bucket and wait for in-flight packed batches."""
+        """Flush every queued bucket and wait for in-flight batches.
+
+        Admissions after this point raise :class:`CoalescerClosed`;
+        requests already admitted complete normally (graceful drain).
+        """
         self._closing = True
         for key in list(self._open):
             self._flush(key)

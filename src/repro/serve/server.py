@@ -1,9 +1,11 @@
 """Sampling-as-a-service: the asyncio HTTP/JSON front end.
 
 ``SamplingServer`` binds the pieces together: the model registry
-(:mod:`repro.serve.registry`), one shared :class:`~repro.runtime.Runtime`
-plus :class:`~repro.serve.coalesce.RequestCoalescer` per model, and the
-thin HTTP/1.1 framing of :mod:`repro.serve.http`.
+(:mod:`repro.serve.registry`), the
+:class:`~repro.serve.coalesce.RequestCoalescer` each model maps to (one
+per model, or one shared by every model with ``cross_model=True``), each
+with its own :class:`~repro.runtime.Runtime`, and the thin HTTP/1.1
+framing of :mod:`repro.serve.http`.
 
 Endpoints
 ---------
@@ -11,10 +13,10 @@ Endpoints
 ``POST /v1/sample``
     ``{"model", "kernel", "count", "seed", "n_chains", "initial"?,
     "deadline_ms"?}`` -> ``{"states": [...], "request_id", "batch_id",
-    "batch_size", ...}``.  Concurrent requests against one model coalesce
-    into shared ``run_chains`` batches; with ``cross_model=True`` requests
-    against *different* models additionally fold into one packed kernel
-    step (``Runtime.run_packed``).  Either way every response is
+    "batch_size", ...}``.  Concurrent requests served by one coalescer
+    merge into shared batches: one ``run_chains`` call per model, or one
+    packed ``run_packed`` step when a batch spans several models (only
+    with ``cross_model=True``).  Either way every response is
     bit-identical to the same request served alone (see
     :mod:`repro.serve.coalesce`).
 ``POST /v1/marginal``
@@ -24,7 +26,7 @@ Endpoints
 ``GET /v1/models`` / ``PUT /v1/models/<name>``
     List / declaratively register models.
 ``GET /v1/healthz``
-    Liveness plus the per-model serving stats.
+    Liveness plus the serving stats of each model's coalescer.
 
 Error mapping: unknown model -> 404, malformed payloads -> 400,
 queue-cap backpressure -> 429, per-request deadline -> 504 (the queued
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.runtime import Runtime
@@ -43,7 +45,6 @@ from repro.sampling.kernels import get_kernel
 from repro.serve.coalesce import (
     Backpressure,
     CoalescerClosed,
-    PackedCoalescer,
     RequestCoalescer,
     new_request_id,
 )
@@ -57,7 +58,6 @@ from repro.serve.http import (
     write_chunk,
 )
 from repro.serve.registry import (
-    ModelEntry,
     ModelRegistry,
     RegistryError,
     UnknownModelError,
@@ -65,34 +65,6 @@ from repro.serve.registry import (
     jsonable_node,
     parse_node,
 )
-
-
-class _ModelState:
-    """One model's serving machinery: shared runtime + coalescer."""
-
-    __slots__ = ("entry", "runtime", "coalescer")
-
-    def __init__(
-        self,
-        entry: ModelEntry,
-        runtime: Runtime,
-        max_batch: int,
-        max_wait: float,
-        max_queue: int,
-    ) -> None:
-        self.entry = entry
-        self.runtime = runtime
-        self.coalescer = RequestCoalescer(
-            entry.name,
-            entry.instance,
-            runtime,
-            max_batch=max_batch,
-            max_wait=max_wait,
-            max_queue=max_queue,
-        )
-        # The serving layer contributes its block to the shared runtime's
-        # snapshot, next to "obs" and "cluster".
-        self.runtime.register_snapshot_section("serve", self.coalescer.stats)
 
 
 class SamplingServer:
@@ -106,24 +78,22 @@ class SamplingServer:
     host, port : str, int
         Bind address; port 0 picks a free port (read :attr:`address`).
     max_batch, max_wait_ms, max_queue
-        Coalescer shape per model (see
+        Shape of each coalescer (see
         :class:`~repro.serve.coalesce.RequestCoalescer`).
     default_deadline_ms : float, optional
         Deadline applied to requests that do not carry their own
         ``deadline_ms``; ``None`` means no deadline.
     runtime_factory : callable, optional
-        Builds the per-model shared runtime (default:
-        ``Runtime("batched")`` -- merged requests advance as one code
-        matrix).
+        Builds each coalescer's runtime (default: ``Runtime("batched")``
+        -- merged requests advance as one code matrix).
     allow_register : bool
         Whether ``PUT /v1/models/<name>`` is accepted.
     cross_model : bool
-        Route ``POST /v1/sample`` through one shared
-        :class:`~repro.serve.coalesce.PackedCoalescer`: concurrent
-        requests for *different* registered models (same kernel and
-        count) fold into a single packed kernel step
-        (:meth:`Runtime.run_packed`) instead of one batch per model.
-        Responses stay bit-identical to solo runs either way.
+        Map every model to one shared coalescer instead of one coalescer
+        per model: concurrent requests for *different* registered models
+        (same kernel and count) then fold into a single packed kernel
+        step (:meth:`Runtime.run_packed`).  Responses stay bit-identical
+        to solo runs either way.
     """
 
     def __init__(
@@ -150,17 +120,15 @@ class SamplingServer:
         )
         self.runtime_factory = runtime_factory or (lambda: Runtime("batched"))
         self.allow_register = bool(allow_register)
-        self._packed: Optional[PackedCoalescer] = (
-            PackedCoalescer(
-                self.runtime_factory(),
-                max_batch=self.max_batch,
-                max_wait=self.max_wait,
-                max_queue=self.max_queue,
-            )
-            if cross_model
-            else None
-        )
-        self._models: Dict[str, _ModelState] = {}
+        #: Model name -> the coalescer serving it (created on first use).
+        self._coalescers: Dict[str, RequestCoalescer] = {}
+        #: Every coalescer this server created, drained on close.
+        self._owned: List[RequestCoalescer] = []
+        if cross_model:
+            shared = self._new_coalescer("*")
+            self._assign = lambda name: shared
+        else:
+            self._assign = self._new_coalescer
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._draining = False
@@ -192,31 +160,40 @@ class SamplingServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._packed is not None:
-            await self._packed.drain()
-        for state in list(self._models.values()):
-            await state.coalescer.drain()
+        for coalescer in self._owned:
+            await coalescer.drain()
         if self._connections:
             await asyncio.gather(*list(self._connections), return_exceptions=True)
-        if self._packed is not None:
-            self._packed.runtime.shutdown()
-        for state in list(self._models.values()):
-            state.runtime.unregister_snapshot_section("serve")
-            state.runtime.shutdown()
-        self._models.clear()
+        for coalescer in self._owned:
+            coalescer.runtime.unregister_snapshot_section("serve")
+            coalescer.runtime.shutdown()
+        self._owned.clear()
+        self._coalescers.clear()
 
-    def _model_state(self, name: str) -> _ModelState:
-        state = self._models.get(name)
-        if state is None:
+    def _new_coalescer(self, name: str) -> RequestCoalescer:
+        coalescer = RequestCoalescer(
+            name,
+            self.runtime_factory(),
+            max_batch=self.max_batch,
+            max_wait=self.max_wait,
+            max_queue=self.max_queue,
+        )
+        # The serving layer contributes its block to the runtime's
+        # snapshot, next to "obs" and "cluster".
+        coalescer.runtime.register_snapshot_section("serve", coalescer.stats)
+        self._owned.append(coalescer)
+        return coalescer
+
+    def _model(self, name: str):
+        """``(entry, coalescer)`` of a registered model (404 if unknown)."""
+        try:
             entry = self.registry.get(name)
-            state = self._models[name] = _ModelState(
-                entry,
-                self.runtime_factory(),
-                self.max_batch,
-                self.max_wait,
-                self.max_queue,
-            )
-        return state
+        except UnknownModelError as error:
+            raise HttpError(404, str(error))
+        coalescer = self._coalescers.get(name)
+        if coalescer is None:
+            coalescer = self._coalescers[name] = self._assign(name)
+        return entry, coalescer
 
     # -- connection handling -------------------------------------------
     async def _on_connection(
@@ -296,12 +273,10 @@ class SamplingServer:
                 "status": "draining" if self._draining else "ok",
                 "models": self.registry.names(),
                 "serving": {
-                    name: state.coalescer.stats()
-                    for name, state in self._models.items()
+                    name: coalescer.stats()
+                    for name, coalescer in self._coalescers.items()
                 },
             }
-            if self._packed is not None:
-                payload["packed"] = self._packed.stats()
             writer.write(json_response(200, payload, keep_alive))
             await writer.drain()
             return True
@@ -335,13 +310,6 @@ class SamplingServer:
             entry = self.registry.register_payload(name, request.json())
         except RegistryError as error:
             raise HttpError(400, str(error))
-        # A re-registration replaces the model; drop any cached serving
-        # state so the next request sees the new spec.
-        stale = self._models.pop(name, None)
-        if stale is not None:
-            await stale.coalescer.drain()
-            stale.runtime.unregister_snapshot_section("serve")
-            stale.runtime.shutdown()
         writer.write(json_response(200, {"registered": entry.describe()}, keep_alive))
         await writer.drain()
 
@@ -366,10 +334,7 @@ class SamplingServer:
         name = payload.get("model")
         if not isinstance(name, str):
             raise HttpError(400, 'sample request needs a string "model"')
-        try:
-            state = self._model_state(name)
-        except UnknownModelError as error:
-            raise HttpError(404, str(error))
+        entry, coalescer = self._model(name)
         kernel = payload.get("kernel", "glauber")
         try:
             get_kernel(str(kernel))
@@ -402,28 +367,16 @@ class SamplingServer:
             kernel=str(kernel),
             request_id=request_id,
         ):
-            if self._packed is not None:
-                # Cross-model mode: different models' requests fold into
-                # one packed kernel step (same bit-identity contract).
-                call = self._packed.sample(
-                    name,
-                    state.entry.instance,
-                    str(kernel),
-                    count,
-                    seed=seed,
-                    n_chains=n_chains,
-                    initial=initial,
-                    request_id=request_id,
-                )
-            else:
-                call = state.coalescer.sample(
-                    str(kernel),
-                    count,
-                    seed=seed,
-                    n_chains=n_chains,
-                    initial=initial,
-                    request_id=request_id,
-                )
+            call = coalescer.sample(
+                name,
+                entry.instance,
+                str(kernel),
+                count,
+                seed=seed,
+                n_chains=n_chains,
+                initial=initial,
+                request_id=request_id,
+            )
             try:
                 if deadline is None:
                     states, batch_id, batch_size = await call
@@ -443,7 +396,7 @@ class SamplingServer:
                 raise HttpError(503, str(error))
             except ValueError as error:
                 raise HttpError(400, str(error))
-        nodes = state.entry.nodes
+        nodes = entry.nodes
         body = {
             "model": name,
             "kernel": str(kernel),
@@ -470,17 +423,14 @@ class SamplingServer:
         name = payload.get("model")
         if not isinstance(name, str):
             raise HttpError(400, 'marginal request needs a string "model"')
-        try:
-            state = self._model_state(name)
-        except UnknownModelError as error:
-            raise HttpError(404, str(error))
+        entry, coalescer = self._model(name)
         try:
             radius = int(payload.get("radius", 0))
         except (TypeError, ValueError) as error:
             raise HttpError(400, f"malformed radius: {error}")
         if radius < 0:
             raise HttpError(400, '"radius" must be a non-negative integer')
-        instance = state.entry.instance
+        instance = entry.instance
         if payload.get("nodes") is None:
             nodes = list(instance.free_nodes)
         else:
@@ -499,7 +449,7 @@ class SamplingServer:
 
         def pump() -> None:
             try:
-                for node, marginal in state.runtime.stream_ball_marginals(
+                for node, marginal in coalescer.runtime.stream_ball_marginals(
                     instance, nodes, radius
                 ):
                     loop.call_soon_threadsafe(queue.put_nowait, (node, marginal))
@@ -518,7 +468,9 @@ class SamplingServer:
 
             started = _time.monotonic()
             first = True
-            future = loop.run_in_executor(state.coalescer._executor, pump)
+            # On the thread that runs this model's samples: one thread
+            # per instance.
+            future = loop.run_in_executor(coalescer.executor, pump)
             await start_chunked(writer)
             try:
                 while True:

@@ -82,7 +82,9 @@ class TestOnChainTraces:
 
         instance = SamplingInstance(hardcore_model(cycle_graph(8), fugacity=1.0))
         batch = ChainBatch(instance, n_chains=24, seed=5)
-        traces = batch.luby_rounds(80, statistic=lambda codes: codes.mean(axis=1))
+        traces = batch.advance(
+            "luby-glauber", 80, statistic=lambda codes: codes.mean(axis=1)
+        )
         value = split_r_hat(traces)
         assert np.isfinite(value)
         # 80 rounds on an 8-cycle is far past mixing for this model.

@@ -102,14 +102,14 @@ class TestProtocol:
                 right.close()
 
     def test_control_frames_have_a_tighter_limit(self):
-        # A HELLO/HEARTBEAT frame claiming a giant payload must be rejected
+        # A HELLO/HEARTBEAT/ERROR frame claiming a giant payload must be rejected
         # on the header alone -- before any payload byte is read, let alone
         # unpickled (a stray peer cannot force a big allocation during the
         # handshake).  The oversize length here is far below the data-frame
         # limit, so only the per-kind control limit catches it.
         oversize = protocol.MAX_CONTROL_FRAME_BYTES + 1
         assert oversize < protocol.MAX_FRAME_BYTES
-        for kind in (protocol.HELLO, protocol.HEARTBEAT):
+        for kind in (protocol.HELLO, protocol.HEARTBEAT, protocol.ERROR):
             left, right = socket.socketpair()
             try:
                 left.sendall(struct.pack(">4sBQ", protocol.MAGIC, kind, oversize))
@@ -140,11 +140,9 @@ class TestProtocol:
             right.close()
 
     def test_frame_limit_per_kind(self):
-        for kind in (protocol.HELLO, protocol.HEARTBEAT):
+        for kind in (protocol.HELLO, protocol.HEARTBEAT, protocol.ERROR):
             assert protocol.frame_limit(kind) == protocol.MAX_CONTROL_FRAME_BYTES
-        # ERROR stays a data frame within PROTOCOL_VERSION 1: previous
-        # releases send untruncated traceback reports.
-        for kind in (protocol.SPEC, protocol.TASK, protocol.RESULT, protocol.ERROR):
+        for kind in (protocol.SPEC, protocol.TASK, protocol.RESULT):
             assert protocol.frame_limit(kind) == protocol.MAX_FRAME_BYTES
 
     def test_worker_error_reports_are_truncated(self):
@@ -286,7 +284,7 @@ class TestCoordinator:
                 # Reply strictly in reverse arrival order.
                 for task_id, kind_, args in reversed(received):
                     protocol.send_message(
-                        connection, protocol.RESULT, (task_id, f"answer-{args}")
+                        connection, protocol.RESULT, (task_id, f"answer-{args}", None)
                     )
                 # Hold the socket open until the coordinator hangs up.
                 try:
@@ -425,9 +423,8 @@ class TestClusterStreams:
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 1})
         seeds = chain_seed_sequences(3, 5)
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            # Legacy block-kind aliases keep working on the kernel path.
             glauber = coordinator.chain_samples(instance, "glauber", 60, seeds)
-            luby = coordinator.chain_samples(instance, "luby", 12, seeds)
+            luby = coordinator.chain_samples(instance, "luby-glauber", 12, seeds)
         assert glauber == [glauber_sample(instance, 60, seed=seed) for seed in seeds]
         assert luby == [luby_glauber_sample(instance, 12, seed=seed) for seed in seeds]
 
@@ -583,11 +580,14 @@ class TestClusterRuntimeFacade:
                 instance, 0.05
             )
             # Chains under engine="dict" likewise stay in-process.
-            serial = Runtime("serial", n_chains=2).glauber_sample(
-                instance, 20, seed=1, engine="dict"
+            serial = Runtime("serial", n_chains=2).run_chains(
+                "glauber", instance, 20, seed=1, engine="dict"
             )
             runtime.n_chains = 2
-            assert runtime.glauber_sample(instance, 20, seed=1, engine="dict") == serial
+            assert (
+                runtime.run_chains("glauber", instance, 20, seed=1, engine="dict")
+                == serial
+            )
 
     # The every-kernel run_chains sweep on the cluster backend lives in
     # the conformance harness (tests/test_conformance.py).

@@ -11,8 +11,7 @@ The contract of :mod:`repro.obs` is threefold:
 * **spans stitch across processes** -- pool workers and cluster workers
   continue the coordinator's trace context (pool initargs / the ``_obs``
   field inside the TASK payload), so one run yields one trace id across
-  every participating pid, while peers without the field keep the legacy
-  frame shapes.
+  every participating pid; a task without the field runs untraced.
 """
 
 from __future__ import annotations
@@ -367,11 +366,11 @@ class TestClusterTracing:
                 assert "worker.task" in names  # worker-side span shipped back
                 validate_events(events)
 
-                # A no-context frame while tracing is on: the worker must
-                # answer with the legacy 2-tuple RESULT (events is None on
-                # the worker side), and the echo resolves normally.
-                future = traced._cluster.submit_task("ping", ("legacy",))
-                assert future.result(timeout=30) == ("legacy",)
+                # A no-context frame while tracing is on: the worker
+                # answers (task_id, result, None), and the echo resolves
+                # normally.
+                future = traced._cluster.submit_task("ping", ("untraced",))
+                assert future.result(timeout=30) == ("untraced",)
 
                 snap = traced.snapshot()
                 assert snap["cluster"]["live_workers"] == 2

@@ -178,7 +178,9 @@ class TestLimitBoundaries:
         kind, received = _roundtrip(HEARTBEAT, payload)
         assert kind == HEARTBEAT and received == payload
 
-    @pytest.mark.parametrize("kind", [HELLO, HEARTBEAT], ids=["HELLO", "HEARTBEAT"])
+    @pytest.mark.parametrize(
+        "kind", [HELLO, HEARTBEAT, ERROR], ids=["HELLO", "HEARTBEAT", "ERROR"]
+    )
     def test_control_frame_one_byte_over_is_refused_by_the_sender(self, kind):
         payload = _pickled_bytes_of_size(MAX_CONTROL_FRAME_BYTES + 1)
         left, right = socket.socketpair()
@@ -214,7 +216,9 @@ class TestLimitBoundaries:
     def test_per_kind_limits_are_what_the_docs_promise(self):
         for kind in ALL_KINDS:
             expected = (
-                MAX_CONTROL_FRAME_BYTES if kind in (HELLO, HEARTBEAT) else MAX_FRAME_BYTES
+                MAX_CONTROL_FRAME_BYTES
+                if kind in (HELLO, HEARTBEAT, ERROR)
+                else MAX_FRAME_BYTES
             )
             assert frame_limit(kind) == expected
 

@@ -27,8 +27,7 @@ from repro.runtime import (
     ChainBatch,
     InstanceSpec,
     Runtime,
-    batched_glauber_sample,
-    batched_luby_glauber_sample,
+    batched_kernel_sample,
     chain_seed_sequences,
     resolve_runtime,
     shard_compiled_balls,
@@ -64,20 +63,20 @@ class TestBatchedChainDeterminism:
     def test_glauber_bit_identical(self, label, instance):
         seeds = chain_seed_sequences(7, 5)
         serial = [glauber_sample(instance, 137, seed=seed) for seed in seeds]
-        batched = batched_glauber_sample(instance, 137, seeds=seeds)
+        batched = batched_kernel_sample("glauber", instance, 137, seeds=seeds)
         assert batched == serial
 
     def test_luby_glauber_bit_identical(self, label, instance):
         seeds = chain_seed_sequences(11, 5)
         serial = [luby_glauber_sample(instance, 23, seed=seed) for seed in seeds]
-        batched = batched_luby_glauber_sample(instance, 23, seeds=seeds)
+        batched = batched_kernel_sample("luby-glauber", instance, 23, seeds=seeds)
         assert batched == serial
 
     def test_integer_seeds_match_serial(self, label, instance):
         # E12 seeds its serial chains with plain integers; explicit seeds
         # reproduce that exactly.
         serial = [luby_glauber_sample(instance, 12, seed=seed) for seed in range(4)]
-        batched = batched_luby_glauber_sample(instance, 12, seeds=range(4))
+        batched = batched_kernel_sample("luby-glauber", instance, 12, seeds=range(4))
         assert batched == serial
 
 
@@ -87,20 +86,22 @@ class TestBatchedChainEdges:
         seeds = chain_seed_sequences(0, 3)
         steps = _RNG_CHUNK + 37
         serial = [glauber_sample(instance, steps, seed=seed) for seed in seeds]
-        assert batched_glauber_sample(instance, steps, seeds=seeds) == serial
+        assert batched_kernel_sample("glauber", instance, steps, seeds=seeds) == serial
 
     def test_spawned_seed_convention(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        from_root = batched_glauber_sample(instance, 50, n_chains=4, seed=9)
-        explicit = batched_glauber_sample(
-            instance, 50, seeds=chain_seed_sequences(9, 4)
+        from_root = batched_kernel_sample("glauber", instance, 50, n_chains=4, seed=9)
+        explicit = batched_kernel_sample(
+            "glauber", instance, 50, seeds=chain_seed_sequences(9, 4)
         )
         assert from_root == explicit
 
     def test_zero_steps_returns_initial(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         initial = glauber_sample(instance, 0, seed=0)
-        batch = batched_glauber_sample(instance, 0, n_chains=3, seed=1, initial=initial)
+        batch = batched_kernel_sample(
+            "glauber", instance, 0, n_chains=3, seed=1, initial=initial
+        )
         assert batch == [initial] * 3
 
     def test_dict_engine_rejected(self):
@@ -121,24 +122,26 @@ class TestBatchedChainEdges:
         distribution = hardcore_model(path_graph(3), 1.0)
         instance = SamplingInstance(distribution, {0: 0, 1: 1, 2: 0})
         batch = ChainBatch(instance, n_chains=2, seed=0)
-        batch.glauber_steps(10)
+        batch.advance("glauber", 10)
         assert batch.configurations() == [{0: 0, 1: 1, 2: 0}] * 2
 
     def test_chain_kinds_cannot_be_mixed_on_one_batch(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         batch = ChainBatch(instance, n_chains=2, seed=0)
-        batch.luby_rounds(3)
+        batch.advance("luby-glauber", 3)
         with pytest.raises(RuntimeError):
-            batch.glauber_steps(3)
+            batch.advance("glauber", 3)
         other = ChainBatch(instance, n_chains=2, seed=0)
-        other.glauber_steps(3)
+        other.advance("glauber", 3)
         with pytest.raises(RuntimeError):
-            other.luby_rounds(3)
+            other.advance("luby-glauber", 3)
 
     def test_luby_trace_shape(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
         batch = ChainBatch(instance, n_chains=6, seed=2)
-        traces = batch.luby_rounds(15, statistic=lambda codes: codes.mean(axis=1))
+        traces = batch.advance(
+            "luby-glauber", 15, statistic=lambda codes: codes.mean(axis=1)
+        )
         assert traces.shape == (6, 15)
         assert np.all(traces >= 0.0) and np.all(traces <= 1.0)
 
@@ -230,8 +233,10 @@ class TestRuntimeFacade:
 
     def test_serial_and_batched_runtimes_agree(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
-        serial = Runtime("serial", n_chains=3).glauber_sample(instance, 60, seed=5)
-        batched = Runtime("batched", n_chains=3).glauber_sample(instance, 60, seed=5)
+        serial = Runtime("serial", n_chains=3).run_chains("glauber", instance, 60, seed=5)
+        batched = Runtime("batched", n_chains=3).run_chains(
+            "glauber", instance, 60, seed=5
+        )
         assert serial == batched
 
     def test_sampler_runtime_parameter(self):
@@ -465,9 +470,11 @@ class TestProcessPool:
 
     def test_process_runtime_chain_sampling_matches_serial(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
-        serial = Runtime("serial", n_chains=3).luby_glauber_sample(instance, 10, seed=4)
-        process = Runtime("process", n_chains=3, n_workers=2).luby_glauber_sample(
-            instance, 10, seed=4
+        serial = Runtime("serial", n_chains=3).run_chains(
+            "luby-glauber", instance, 10, seed=4
+        )
+        process = Runtime("process", n_chains=3, n_workers=2).run_chains(
+            "luby-glauber", instance, 10, seed=4
         )
         assert process == serial
 
@@ -891,16 +898,6 @@ class TestKernelRunChains:
             == reference
         )
 
-    def test_backcompat_wrappers_deprecate_but_delegate(self):
-        instance = self._instance()
-        runtime = Runtime("batched", n_chains=3)
-        with pytest.deprecated_call():
-            old_glauber = runtime.glauber_sample(instance, 20, seed=5)
-        assert old_glauber == runtime.run_chains("glauber", instance, 20, seed=5)
-        with pytest.deprecated_call():
-            old_luby = runtime.luby_glauber_sample(instance, 6, seed=5)
-        assert old_luby == runtime.run_chains("luby-glauber", instance, 6, seed=5)
-
     def test_chain_batch_advance_claims_one_kernel(self):
         instance = self._instance()
         batch = ChainBatch(instance, n_chains=2, seed=0)
@@ -932,17 +929,6 @@ class TestKernelRunChains:
         kernel = get_kernel("jvv")
         assert _chain_block_task(payload, spec=spec) == [
             kernel.serial_run(instance, 13, seed=seed) for seed in seeds
-        ]
-
-    def test_chain_block_accepts_legacy_kind_payloads(self):
-        from repro.runtime.shards import _chain_block_task
-
-        instance = self._instance()
-        seeds = chain_seed_sequences(8, 2)
-        spec = InstanceSpec.from_instance(instance)
-        legacy = {"kind": "luby", "count": 5, "seeds": seeds, "initial": None}
-        assert _chain_block_task(legacy, spec=spec) == [
-            luby_glauber_sample(instance, 5, seed=seed) for seed in seeds
         ]
 
 

@@ -7,8 +7,10 @@ through the bundled client (``asyncio.run`` inside plain test functions
 * a served sample is *bit-identical* to the same ``Runtime.run_chains``
   call made directly with the same seed -- solo and coalesced alike;
 * N concurrent requests coalesce into at most ``ceil(N / max_batch)``
-  ``run_chains`` batches (asserted via the obs counters AND the
-  batch ids the responses carry);
+  batches (asserted via the obs counters AND the batch ids the
+  responses carry), with one coalescer per model and with one shared
+  coalescer for every model (``cross_model=True``), where requests for
+  different models share one packed batch;
 * operational behaviour: deadline -> 504 with the queued work cancelled,
   queue cap -> 429, graceful drain completes in-flight requests,
   registry errors -> 404/400.
@@ -17,15 +19,16 @@ through the bundled client (``asyncio.run`` inside plain test functions
 import asyncio
 import json
 import math
+import threading
 
 import pytest
 
 from repro import obs
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph
+from repro.graphs import cycle_graph, path_graph
 from repro.inference.ssm_inference import padded_ball_marginal
-from repro.models import hardcore_model
-from repro.runtime import Runtime
+from repro.models import coloring_model, hardcore_model
+from repro.runtime import PackedBatch, Runtime, chain_seed_sequences
 from repro.serve import ModelRegistry, SamplingServer, encode_state
 from repro.serve.client import (
     request_json,
@@ -65,6 +68,11 @@ def _serve(test_body, **server_kwargs):
             await server.close()
 
     return asyncio.run(main())
+
+
+CROSS_MODEL = pytest.mark.parametrize(
+    "cross_model", [False, True], ids=["per-model", "cross-model"]
+)
 
 
 class TestSampleEndpoint:
@@ -110,8 +118,9 @@ class TestSampleEndpoint:
 
         _serve(body, registry=registry)
 
-    def test_concurrent_requests_coalesce_and_stay_bit_identical(self):
-        """16 concurrent requests, max_batch=4: <= 4 run_chains batches
+    @CROSS_MODEL
+    def test_concurrent_requests_coalesce_and_stay_bit_identical(self, cross_model):
+        """16 concurrent requests, max_batch=4: <= 4 batches
         (obs counters AND response batch ids agree), every response
         bit-identical to its solo baseline."""
         registry = _registry()
@@ -139,7 +148,11 @@ class TestSampleEndpoint:
                 return await asyncio.gather(*tasks)
 
             results = _serve(
-                body, registry=registry, max_batch=max_batch, max_wait_ms=250
+                body,
+                registry=registry,
+                max_batch=max_batch,
+                max_wait_ms=250,
+                cross_model=cross_model,
             )
             batches = (
                 handle.metrics.counter("serve.batches").value - batches_before
@@ -161,7 +174,8 @@ class TestSampleEndpoint:
                 entry, "glauber", 20, 100 + i, 1
             ), f"request {i} lost bit-identity inside its coalesced batch"
 
-    def test_deadline_returns_504_and_cancels_queued_work(self):
+    @CROSS_MODEL
+    def test_deadline_returns_504_and_cancels_queued_work(self, cross_model):
         """A lone request in a never-filling bucket times out -> 504, and
         the all-cancelled bucket is dropped without running a batch."""
 
@@ -177,16 +191,17 @@ class TestSampleEndpoint:
             # Give the (cancelled) bucket's timer a chance to fire, then
             # confirm no batch ever ran for the abandoned request.
             await asyncio.sleep(0.1)
-            state = server._models["hc"]
-            assert state.coalescer.batches == 0
-            assert state.coalescer.outstanding == 0
+            coalescer = server._coalescers["hc"]
+            assert coalescer.batches == 0
+            assert coalescer.outstanding == 0
 
         # max_batch larger than the request count and a long window: the
         # request can only be answered by the timer, which outlives the
         # deadline.
-        _serve(body, max_batch=64, max_wait_ms=10_000)
+        _serve(body, max_batch=64, max_wait_ms=10_000, cross_model=cross_model)
 
-    def test_queue_cap_returns_429(self):
+    @CROSS_MODEL
+    def test_queue_cap_returns_429(self, cross_model):
         async def body(host, port, server):
             first = [
                 asyncio.ensure_future(
@@ -203,8 +218,8 @@ class TestSampleEndpoint:
             # Wait until both are admitted (queued in the coalescer).
             for _ in range(200):
                 await asyncio.sleep(0.01)
-                state = server._models.get("hc")
-                if state is not None and state.coalescer.outstanding >= 2:
+                coalescer = server._coalescers.get("hc")
+                if coalescer is not None and coalescer.outstanding >= 2:
                     break
             status, response = await request_json(
                 host,
@@ -219,9 +234,16 @@ class TestSampleEndpoint:
             results = await asyncio.gather(*first)
             assert all(status == 200 for status, _ in results)
 
-        _serve(body, max_batch=64, max_wait_ms=3_000, max_queue=2)
+        _serve(
+            body,
+            max_batch=64,
+            max_wait_ms=3_000,
+            max_queue=2,
+            cross_model=cross_model,
+        )
 
-    def test_graceful_drain_completes_in_flight_requests(self):
+    @CROSS_MODEL
+    def test_graceful_drain_completes_in_flight_requests(self, cross_model):
         """Requests queued when close() is called still get 200 + correct
         states: the drain flushes them as one final batch."""
         registry = _registry()
@@ -242,8 +264,8 @@ class TestSampleEndpoint:
             ]
             for _ in range(200):
                 await asyncio.sleep(0.01)
-                state = server._models.get("hc")
-                if state is not None and state.coalescer.outstanding >= 3:
+                coalescer = server._coalescers.get("hc")
+                if coalescer is not None and coalescer.outstanding >= 3:
                     break
             await server.close()  # idempotent with the fixture's close
             results = await asyncio.gather(*tasks)
@@ -265,7 +287,112 @@ class TestSampleEndpoint:
             except OSError:
                 pass
 
-        _serve(wrapped, registry=registry, max_batch=64, max_wait_ms=5_000)
+        _serve(
+            wrapped,
+            registry=registry,
+            max_batch=64,
+            max_wait_ms=5_000,
+            cross_model=cross_model,
+        )
+
+
+class TestPackedBatches:
+    """Requests for several pack groups (models, or one model under
+    several initials) in one window ride one batch, and every response
+    equals its solo ``run_chains``."""
+
+    def _two_model_batch(self, other_name, other_instance, fused):
+        registry = _registry()
+        registry.register_instance(other_name, other_instance)
+        entries = [registry.get("hc"), registry.get(other_name)]
+        # The pack shape this pair takes inside run_packed.
+        pack = PackedBatch(
+            [(entry.instance, chain_seed_sequences(1, 2)) for entry in entries]
+        )
+        assert pack.fusable() is fused
+        obs.enable()
+        try:
+            handle = obs.active()
+            packed_before = handle.metrics.counter("serve.packed_batches").value
+
+            async def body(host, port, server):
+                return await asyncio.gather(
+                    *(
+                        request_json(
+                            host,
+                            port,
+                            "POST",
+                            "/v1/sample",
+                            sample_payload(
+                                entry.name, "glauber", 30, seed=60 + i, n_chains=3
+                            ),
+                        )
+                        for i, entry in enumerate(entries)
+                    )
+                )
+
+            results = _serve(
+                body,
+                registry=registry,
+                max_batch=2,
+                max_wait_ms=5_000,
+                cross_model=True,
+            )
+            packed = (
+                handle.metrics.counter("serve.packed_batches").value - packed_before
+            )
+        finally:
+            obs.disable()
+        assert packed == 1
+        assert len({response["batch_id"] for _, response in results}) == 1
+        for i, (entry, (status, response)) in enumerate(zip(entries, results)):
+            assert status == 200, response
+            assert response["batch_size"] == 2
+            assert response["states"] == _expected_states(
+                entry, "glauber", 30, 60 + i, 3
+            ), f"{entry.name} lost bit-identity inside the packed batch"
+
+    @pytest.mark.parametrize("kernel", ["glauber", "luby-glauber", "jvv"])
+    def test_one_model_under_two_initials_shares_one_batch(self, kernel):
+        """Same model, different ``initial``: one batch of two pack groups
+        (per-model server), each equal to its solo run."""
+        registry = _registry()
+        entry = registry.get("hc")
+        initial = {node: 0 for node in entry.nodes}
+        initial[0] = 1
+        payloads = [
+            sample_payload("hc", kernel, 9, seed=5, n_chains=2),
+            {**sample_payload("hc", kernel, 9, seed=6, n_chains=2), "initial": initial},
+        ]
+
+        async def body(host, port, server):
+            return await asyncio.gather(
+                *(
+                    request_json(host, port, "POST", "/v1/sample", payload)
+                    for payload in payloads
+                )
+            )
+
+        results = _serve(body, registry=registry, max_batch=2, max_wait_ms=5_000)
+        assert len({response["batch_id"] for _, response in results}) == 1
+        with Runtime("batched", n_chains=2) as runtime:
+            solo = [
+                runtime.run_chains(kernel, entry.instance, 9, seed=5),
+                runtime.run_chains(kernel, entry.instance, 9, seed=6, initial=initial),
+            ]
+        for (status, response), states in zip(results, solo):
+            assert status == 200, response
+            assert response["states"] == json.loads(
+                json.dumps([encode_state(entry.nodes, state) for state in states])
+            )
+
+    def test_two_hardcore_models_share_one_fused_batch(self):
+        other = SamplingInstance(hardcore_model(path_graph(9), fugacity=1.1))
+        self._two_model_batch("hc2", other, fused=True)
+
+    def test_hardcore_and_colouring_take_the_groupwise_fallback(self):
+        other = SamplingInstance(coloring_model(cycle_graph(6), num_colors=3), {0: 0})
+        self._two_model_batch("col", other, fused=False)
 
 
 class TestRegistryEndpoints:
@@ -401,6 +528,39 @@ class TestMarginalEndpoint:
 
         _serve(body, registry=registry)
 
+    @CROSS_MODEL
+    def test_marginals_run_on_the_thread_that_samples_the_model(
+        self, cross_model, monkeypatch
+    ):
+        """One thread per instance: the marginal stream of a model runs on
+        the executor of the coalescer that serves its samples."""
+        threads = {}
+        for method, work in [
+            ("run_chains", "sample"),
+            ("run_packed", "sample"),
+            ("stream_ball_marginals", "marginal"),
+        ]:
+
+            def traced(*args, _original=getattr(Runtime, method), _work=work, **kwargs):
+                threads.setdefault(_work, set()).add(threading.current_thread().name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Runtime, method, traced)
+
+        async def body(host, port, server):
+            status, _ = await request_json(
+                host, port, "POST", "/v1/sample", sample_payload("hc", count=5)
+            )
+            assert status == 200
+            status, lines = await request_ndjson(
+                host, port, "/v1/marginal", {"model": "hc", "radius": 1}
+            )
+            assert status == 200 and lines
+
+        _serve(body, cross_model=cross_model)
+        assert len(threads["sample"]) == 1
+        assert threads["marginal"] == threads["sample"]
+
     def test_marginal_validation_errors(self):
         async def body(host, port, server):
             status, _ = await request_json(
@@ -424,7 +584,8 @@ class TestMarginalEndpoint:
 
 
 class TestOperational:
-    def test_healthz_and_snapshot_serving_block(self):
+    @CROSS_MODEL
+    def test_healthz_and_snapshot_serving_block(self, cross_model):
         async def body(host, port, server):
             status, before = await request_json(host, port, "GET", "/v1/healthz")
             assert status == 200 and before["status"] == "ok"
@@ -436,15 +597,17 @@ class TestOperational:
                 sample_payload("hc", "glauber", 5, seed=1),
             )
             status, after = await request_json(host, port, "GET", "/v1/healthz")
-            assert after["serving"]["hc"]["batches"] == 1
-            assert after["serving"]["hc"]["served"] == 1
-            assert after["serving"]["hc"]["outstanding"] == 0
-            # The shared runtime's snapshot carries the serving block.
-            snapshot = server._models["hc"].runtime.snapshot()
-            assert snapshot["serve"]["model"] == "hc"
-            assert snapshot["serve"]["batches"] == 1
+            serving = after["serving"]["hc"]
+            assert serving["batches"] == 1
+            assert serving["served"] == 1
+            assert serving["served_by_model"] == {"hc": 1}
+            assert serving["outstanding"] == 0
+            assert serving["model"] == ("*" if cross_model else "hc")
+            # The coalescer's runtime snapshot carries the serving block.
+            snapshot = server._coalescers["hc"].runtime.snapshot()
+            assert snapshot["serve"] == serving
 
-        _serve(body)
+        _serve(body, cross_model=cross_model)
 
     def test_unknown_route_is_404_and_bad_json_is_400(self):
         async def body(host, port, server):
