@@ -14,7 +14,11 @@ batch with several groups (different models, or one model under
 different initial configurations) is one :meth:`Runtime.run_packed`
 call, which advances every group inside a single packed code matrix
 (:class:`~repro.runtime.chains.PackedBatch`) where the kernel and the
-pack allow it, group by group otherwise.
+pack allow it, group by group otherwise.  ``run_packed`` runs in-process
+whatever the runtime's backend, so only single-group batches reach a
+``process`` or ``cluster`` runtime.  If the packed call fails, every
+group is rerun alone, so a request only ever fails together with the
+requests of its own group.
 
 Bit-identity is free, not a trade-off.  The chain contract
 (:func:`~repro.runtime.chains.chain_seed_sequences` + per-chain RNG
@@ -135,7 +139,9 @@ class RequestCoalescer:
         per-model coalescer.
     runtime : Runtime
         The shared execution policy for merged batches (typically
-        ``Runtime("batched")``).
+        ``Runtime("batched")``).  Batches with several groups run
+        in-process through :meth:`Runtime.run_packed`, whatever the
+        runtime's backend.
     max_batch : int
         Requests merged per batch; the ``max_batch``-th admission flushes
         immediately.
@@ -337,57 +343,56 @@ class RequestCoalescer:
         if handle is not None:
             handle.metrics.counter("serve.batches").inc()
             handle.metrics.counter("serve.coalesced_requests").inc(len(requests))
-        single = len(members) == 1
-        if single:
-            first = members[0][0]
-            call = functools.partial(
-                self.runtime.run_chains,
-                kernel,
-                first.instance,
-                count,
-                seeds=group_seeds[0],
-            )
-            if first.initial is not None:
-                call = functools.partial(call, initial=first.initial)
-        else:
-            if handle is not None:
-                handle.metrics.counter("serve.packed_batches").inc()
-            call = functools.partial(
-                self.runtime.run_packed,
-                kernel,
-                [
-                    (member[0].instance, seeds, member[0].initial)
-                    for member, seeds in zip(members, group_seeds)
-                ],
-                count,
-            )
         loop = asyncio.get_running_loop()
-        try:
-            # One span per coalesced batch, carrying every request id it
-            # serves -- the stitch between per-request traces and the
-            # single chain execution.
-            with obs.span(
-                "serve.batch",
-                model=",".join(models),
-                kernel=kernel,
-                count=count,
-                batch_id=batch_id,
-                requests=",".join(request.request_id for request in requests),
-                size=len(requests),
-                groups=len(members),
-                chains=sum(len(seeds) for seeds in group_seeds),
-            ):
-                results = await loop.run_in_executor(self._executor, call)
-        except Exception as error:
-            for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(error)
-                self._settle(request)
-            return
-        if single:
-            results = [results]
+        # One span per coalesced batch, carrying every request id it
+        # serves -- the stitch between per-request traces and the single
+        # chain execution.
+        with obs.span(
+            "serve.batch",
+            model=",".join(models),
+            kernel=kernel,
+            count=count,
+            batch_id=batch_id,
+            requests=",".join(request.request_id for request in requests),
+            size=len(requests),
+            groups=len(members),
+            chains=sum(len(seeds) for seeds in group_seeds),
+        ):
+            if len(members) == 1:
+                outcomes = [
+                    await self._run_group(kernel, count, members[0], group_seeds[0])
+                ]
+            else:
+                if handle is not None:
+                    handle.metrics.counter("serve.packed_batches").inc()
+                call = functools.partial(
+                    self.runtime.run_packed,
+                    kernel,
+                    [
+                        (member[0].instance, seeds, member[0].initial)
+                        for member, seeds in zip(members, group_seeds)
+                    ],
+                    count,
+                )
+                try:
+                    outcomes = await loop.run_in_executor(self._executor, call)
+                except Exception:
+                    # One group's failure (say, an initial configuration
+                    # the kernel cannot move from) must not fail the
+                    # others: rerun every group alone, so a request only
+                    # ever fails with the requests of its own group.
+                    outcomes = [
+                        await self._run_group(kernel, count, member, seeds)
+                        for member, seeds in zip(members, group_seeds)
+                    ]
         now = time.monotonic()
-        for member, states in zip(members, results):
+        for member, states in zip(members, outcomes):
+            if isinstance(states, Exception):
+                for request in member:
+                    if not request.future.done():
+                        request.future.set_exception(states)
+                    self._settle(request)
+                continue
             offset = 0
             for request in member:
                 slice_ = states[offset : offset + len(request.seeds)]
@@ -402,6 +407,21 @@ class RequestCoalescer:
                             now - request.admitted
                         )
                 self._settle(request)
+
+    async def _run_group(self, kernel, count, member, seeds):
+        """One group alone -- one ``run_chains`` call; its states or its error."""
+        first = member[0]
+        call = functools.partial(
+            self.runtime.run_chains, kernel, first.instance, count, seeds=seeds
+        )
+        if first.initial is not None:
+            call = functools.partial(call, initial=first.initial)
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, call
+            )
+        except Exception as error:
+            return error
 
     # -- lifecycle -----------------------------------------------------
     async def drain(self) -> None:

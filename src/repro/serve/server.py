@@ -26,7 +26,8 @@ Endpoints
 ``GET /v1/models`` / ``PUT /v1/models/<name>``
     List / declaratively register models.
 ``GET /v1/healthz``
-    Liveness plus the serving stats of each model's coalescer.
+    Liveness plus the serving stats of each coalescer, keyed by its name
+    (the model name, or ``"*"`` for the shared cross-model coalescer).
 
 Error mapping: unknown model -> 404, malformed payloads -> 400,
 queue-cap backpressure -> 429, per-request deadline -> 504 (the queued
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import obs
 from repro.runtime import Runtime
@@ -85,7 +86,10 @@ class SamplingServer:
         ``deadline_ms``; ``None`` means no deadline.
     runtime_factory : callable, optional
         Builds each coalescer's runtime (default: ``Runtime("batched")``
-        -- merged requests advance as one code matrix).
+        -- merged requests advance as one code matrix).  Batches with
+        several groups (several models, or one model under several
+        ``initial`` configurations) run in-process through
+        :meth:`Runtime.run_packed`, whatever the runtime's backend.
     allow_register : bool
         Whether ``PUT /v1/models/<name>`` is accepted.
     cross_model : bool
@@ -273,8 +277,7 @@ class SamplingServer:
                 "status": "draining" if self._draining else "ok",
                 "models": self.registry.names(),
                 "serving": {
-                    name: coalescer.stats()
-                    for name, coalescer in self._coalescers.items()
+                    coalescer.name: coalescer.stats() for coalescer in self._owned
                 },
             }
             writer.write(json_response(200, payload, keep_alive))
@@ -325,6 +328,41 @@ class SamplingServer:
             raise HttpError(400, "deadline_ms must be positive")
         return deadline
 
+    @staticmethod
+    def _initial(entry, raw) -> Dict:
+        """A request's ``initial`` as a full configuration of the model (400 if not).
+
+        Checked before admission: a malformed initial configuration fails
+        its own request, never the batch it would have shared.
+        """
+        if not isinstance(raw, dict):
+            raise HttpError(400, '"initial" must be an object of node -> value')
+        initial = {parse_node(str(key)): value for key, value in raw.items()}
+        nodes = entry.nodes
+        known = set(nodes)
+        missing = [node for node in nodes if node not in initial]
+        unknown = [node for node in initial if node not in known]
+        if missing or unknown:
+            raise HttpError(
+                400,
+                f'"initial" must assign exactly the nodes of {entry.name!r}: '
+                f"{len(missing)} missing (e.g. {missing[:3]!r}), "
+                f"{len(unknown)} unknown (e.g. {unknown[:3]!r})",
+            )
+        symbols = set(entry.spec.alphabet)
+        invalid = [
+            [jsonable_node(node), value]
+            for node, value in initial.items()
+            if not isinstance(value, Hashable) or value not in symbols
+        ]
+        if invalid:
+            raise HttpError(
+                400,
+                f'"initial" values outside the alphabet '
+                f"{list(entry.spec.alphabet)!r} of {entry.name!r}: {invalid[:3]!r}",
+            )
+        return initial
+
     async def _handle_sample(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> None:
@@ -352,12 +390,7 @@ class SamplingServer:
             raise HttpError(400, '"n_chains" must be a positive integer')
         initial = None
         if payload.get("initial") is not None:
-            if not isinstance(payload["initial"], dict):
-                raise HttpError(400, '"initial" must be an object of node -> value')
-            initial = {
-                parse_node(str(key)): value
-                for key, value in payload["initial"].items()
-            }
+            initial = self._initial(entry, payload["initial"])
         deadline = self._deadline(payload)
         request_id = new_request_id()
         with obs.span(

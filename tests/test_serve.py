@@ -25,7 +25,7 @@ import pytest
 
 from repro import obs
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, path_graph
+from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import PackedBatch, Runtime, chain_seed_sequences
@@ -386,6 +386,101 @@ class TestPackedBatches:
                 json.dumps([encode_state(entry.nodes, state) for state in states])
             )
 
+    @CROSS_MODEL
+    def test_malformed_initial_is_400_and_never_joins_a_batch(self, cross_model):
+        """A partial, over-full or out-of-alphabet ``initial`` is refused at
+        admission; a valid request in the same window still matches its
+        solo run."""
+        registry = _registry()
+        entry = registry.get("hc")
+        full = {str(node): 0 for node in entry.nodes}
+        bad_initials = [
+            {"0": 99},
+            {node: 0 for node in list(full)[1:]},
+            {**full, "0": 99},
+            {**full, "0": [1]},
+            {**full, "77": 0},
+        ]
+
+        async def body(host, port, server):
+            valid = sample_payload("hc", "glauber", 9, seed=4, n_chains=2)
+            return await asyncio.gather(
+                request_json(host, port, "POST", "/v1/sample", valid),
+                *(
+                    request_json(
+                        host,
+                        port,
+                        "POST",
+                        "/v1/sample",
+                        {**sample_payload("hc", "glauber", 9, seed=i), "initial": bad},
+                    )
+                    for i, bad in enumerate(bad_initials)
+                ),
+            )
+
+        (status, response), *rejected = _serve(
+            body,
+            registry=registry,
+            max_batch=len(bad_initials) + 1,
+            max_wait_ms=50,
+            cross_model=cross_model,
+        )
+        assert status == 200, response
+        assert response["batch_size"] == 1
+        assert response["states"] == _expected_states(entry, "glauber", 9, 4, 2)
+        for (status, error), bad in zip(rejected, bad_initials):
+            assert status == 400, (bad, error)
+            assert "initial" in error["error"]
+
+    @CROSS_MODEL
+    def test_a_failing_group_fails_alone(self, cross_model):
+        """An initial colouring luby-glauber cannot move from fails its own
+        request; the request it shared a packed batch with (same model, or
+        another model under ``cross_model``) still matches its solo run."""
+        registry = _registry()
+        grid = SamplingInstance(coloring_model(grid_graph(3, 3), num_colors=3))
+        registry.register_instance("grid", grid)
+        # Node (1, 1) sees all three colours among its neighbours.
+        stuck = {node: 0 for node in registry.get("grid").nodes}
+        stuck[(1, 0)], stuck[(1, 2)] = 1, 2
+        with Runtime("batched", n_chains=2) as runtime:
+            with pytest.raises(ValueError, match="no feasible value"):
+                runtime.run_chains("luby-glauber", grid, 6, seed=1, initial=stuck)
+        other = registry.get("hc" if cross_model else "grid")
+
+        async def body(host, port, server):
+            return await asyncio.gather(
+                request_json(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/sample",
+                    sample_payload(other.name, "luby-glauber", 6, seed=8, n_chains=2),
+                ),
+                request_json(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/sample",
+                    {
+                        **sample_payload("grid", "luby-glauber", 6, seed=1, n_chains=2),
+                        "initial": {f"{r},{c}": v for (r, c), v in stuck.items()},
+                    },
+                ),
+            )
+
+        (status, response), (failed, error) = _serve(
+            body,
+            registry=registry,
+            max_batch=2,
+            max_wait_ms=5_000,
+            cross_model=cross_model,
+        )
+        assert failed == 400 and "no feasible value" in error["error"], error
+        assert status == 200, response
+        assert response["batch_size"] == 2
+        assert response["states"] == _expected_states(other, "luby-glauber", 6, 8, 2)
+
     def test_two_hardcore_models_share_one_fused_batch(self):
         other = SamplingInstance(hardcore_model(path_graph(9), fugacity=1.1))
         self._two_model_batch("hc2", other, fused=True)
@@ -597,12 +692,16 @@ class TestOperational:
                 sample_payload("hc", "glauber", 5, seed=1),
             )
             status, after = await request_json(host, port, "GET", "/v1/healthz")
-            serving = after["serving"]["hc"]
+            # One block per coalescer, keyed by its name: a shared
+            # coalescer's totals are reported once, not once per model.
+            name = "*" if cross_model else "hc"
+            assert list(after["serving"]) == [name]
+            serving = after["serving"][name]
             assert serving["batches"] == 1
             assert serving["served"] == 1
             assert serving["served_by_model"] == {"hc": 1}
             assert serving["outstanding"] == 0
-            assert serving["model"] == ("*" if cross_model else "hc")
+            assert serving["model"] == name
             # The coalescer's runtime snapshot carries the serving block.
             snapshot = server._coalescers["hc"].runtime.snapshot()
             assert snapshot["serve"] == serving
