@@ -6,7 +6,8 @@
 # slow-marked process-pool tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
-# caps and one past them), a cluster smoke (a coordinator driving
+# caps, one past them and one whose blanket rows may total zero; jvv on
+# the first must advance in fewer dependency waves than steps), a cluster smoke (a coordinator driving
 # two real localhost worker subprocesses over the TCP transport, asserting
 # bit-identity with the serial loop), a chaos smoke (one of the two
 # workers is armed with a deterministic FaultPlan and hard-crashes
@@ -47,21 +48,26 @@ python -m pytest -x -q -m "not slow" tests/test_runtime.py tests/test_analysis_c
 
 echo "== tier-1: kernel smoke =="
 python - <<'PY'
+from repro import obs
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, star_graph
+from repro.graphs import cycle_graph, star_graph, torus_graph
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime
 from repro.sampling import registered_kernels
 
 # One instance on the blanket-table lookup, one past BLANKET_MAX_ROWS (the
-# 3**9-row hub of a 9-leaf star), which keeps the per-step gather.
+# 3**9-row hub of a 9-leaf star), which keeps the per-step gather, and a
+# 3-colouring of a degree-4 torus, whose blanket rows may total zero
+# (may_stick: the scan kernels then take one step per wave).
 instances = {
     "blanket": SamplingInstance(hardcore_model(cycle_graph(8), fugacity=1.2), {0: 1}),
     "gather": SamplingInstance(coloring_model(star_graph(9), num_colors=3), {1: 0}),
+    "may_stick": SamplingInstance(coloring_model(torus_graph(4, 4), num_colors=3)),
 }
 for mode, instance in instances.items():
     tables = instance.distribution.compiled_engine().batched_tables
-    assert (tables.rows is not None) == (mode == "blanket"), f"{mode} instance in the wrong mode"
+    assert (tables.rows is not None) == (mode != "gather"), f"{mode} instance in the wrong mode"
+    assert tables.may_stick == (mode != "blanket"), f"{mode} instance: may_stick is {tables.may_stick}"
 kernels = registered_kernels()
 expected = {"glauber", "luby-glauber", "jvv", "sequential"}
 missing = expected - set(kernels)
@@ -74,9 +80,20 @@ for name in sorted(kernels):
         assert batched.run_chains(name, instance, 12, seed=3) == reference, (
             f"kernel {name} diverges between the serial and batched backends ({mode})"
         )
+# A silent fall back to one step per wave must fail here.
+with Runtime("batched", n_chains=4, obs=True) as traced:
+    assert traced.run_chains("jvv", instances["blanket"], 12, seed=3) == serial.run_chains(
+        "jvv", instances["blanket"], 12, seed=3
+    ), "tracing changed the jvv states"
+    schedules = [
+        event["attrs"] for event in obs.events() if event["name"] == "runtime.scan.schedule"
+    ]
+assert [attrs["steps"] for attrs in schedules] == [12], schedules
+assert schedules[0]["per_step"] is None, schedules
+assert schedules[0]["waves"] < 12, f"jvv ran {schedules[0]['waves']} waves for 12 steps"
 print(
-    f"kernel smoke OK: {len(kernels)} kernels x blanket/gather tables, "
-    "serial == batched per chain"
+    f"kernel smoke OK: {len(kernels)} kernels x blanket/gather/may_stick tables, "
+    f"serial == batched per chain; jvv ran 12 steps in {schedules[0]['waves']} waves"
 )
 PY
 

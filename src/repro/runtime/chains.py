@@ -126,7 +126,9 @@ class _Stream:
 #: blanket anywhere sends the whole instance to the per-step gather.
 BLANKET_MAX_ROWS = 4096
 #: Cells (distinct rows x ``q``) all blanket tables of one instance may
-#: hold -- 8 MiB of float64.  Past it the whole instance keeps the gather.
+#: hold.  Each cell is stored twice -- as a weight and as a cumulative
+#: weight -- so that is up to 16 MiB of float64.  Past it the whole
+#: instance keeps the gather.
 BLANKET_MAX_CELLS = 1 << 20
 
 
@@ -157,7 +159,13 @@ class _BatchedTables:
       computed by :meth:`_gather` on the enumerated blanket assignment, so
       it is bit-identical by construction.  Nodes with the same structural
       key (interned entry slabs and the blanket positions of their
-      neighbours) share one table.
+      neighbours) share one table.  The table is held twice: as ``rows``
+      (for :meth:`weights`) and as ``cumulative``, the running sums along
+      each row that :meth:`sample_codes` selects from, so a step never
+      re-runs the ``cumsum`` (a sequential sum, so the precomputed rows are
+      bit-identical to summing the gathered ones).  ``may_stick`` records
+      whether any row totals zero -- only then can a step hit the
+      stuck-node error, so only then is the totals check run.
 
     The blanket form is used when every node fits :data:`BLANKET_MAX_ROWS`
     and the distinct tables fit :data:`BLANKET_MAX_CELLS`, both decided
@@ -179,6 +187,9 @@ class _BatchedTables:
         "row_base",
         "blanket",
         "bstride",
+        "cumulative",
+        "may_stick",
+        "_scopes",
     )
 
     def __init__(self, compiled) -> None:
@@ -238,7 +249,7 @@ class _BatchedTables:
             node_table.append(table)
             blankets.append(blanket)
         counts = [q**b for _, b in representatives]
-        self.rows = self.lookup = self.row_base = self.blanket = self.bstride = None
+        self._clear_blanket()
         if counts and max(counts) <= BLANKET_MAX_ROWS and sum(counts) * q <= BLANKET_MAX_CELLS:
             self._build_blanket(blankets, node_table, representatives, counts)
         if self.rows is None:
@@ -246,7 +257,7 @@ class _BatchedTables:
             arrays = (self.pool, self.base, self.stride0, self.other, self.ostride)
         else:
             mode, tables, rows = "blanket", len(representatives), len(self.rows)
-            arrays = (self.rows, self.lookup)
+            arrays = (self.rows, self.cumulative, self.lookup)
         obs.instant(
             "runtime.tables.built",
             mode=mode,
@@ -295,12 +306,20 @@ class _BatchedTables:
             bstride[variable, i] = stride
         self._set_blanket(np.concatenate(tables), blanket, bstride, starts[node_table])
 
+    def _clear_blanket(self) -> None:
+        """The gather form: no blanket tables, and any step may stick."""
+        self.rows = self.lookup = self.row_base = self.blanket = self.bstride = None
+        self.cumulative = self._scopes = None
+        self.may_stick = True
+
     def _set_blanket(self, rows, blanket, bstride, row_base) -> None:
         """Install the blanket form.  ``blanket``, ``bstride`` and
         ``row_base`` are column views of one ``lookup`` array, so a step
         fetches a node's whole record with a single gather."""
         span = blanket.shape[1]
         self.rows = rows
+        self.cumulative = np.cumsum(rows, axis=1)
+        self.may_stick = not bool(np.all(self.cumulative[:, -1] > 0.0))
         self.lookup = np.concatenate([blanket, bstride, row_base[:, None]], axis=1)
         self.blanket = self.lookup[:, :span]
         self.bstride = self.lookup[:, span : 2 * span]
@@ -349,7 +368,7 @@ class _BatchedTables:
         merged.other = np.concatenate(others)
         merged.ostride = np.concatenate(ostrides)
         merged.factorless = np.concatenate([part.factorless for part in parts])
-        merged.rows = merged.lookup = merged.row_base = merged.blanket = merged.bstride = None
+        merged._clear_blanket()
         if all(part.rows is not None for part in parts):
             span = max(part.blanket.shape[1] for part in parts)
             row_starts = np.cumsum([0] + [len(part.rows) for part in parts[:-1]])
@@ -394,6 +413,15 @@ class _BatchedTables:
         indices = offsets[:, :, None] + self.aq * stride0[:, :, None]
         return np.multiply.reduce(self.pool[indices], axis=1)
 
+    def _row_index(
+        self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
+    ) -> np.ndarray:
+        """Blanket-table row of each (row, variable) pair."""
+        record = self.lookup[variables]  # blanket | bstride | row_base
+        span = self.blanket.shape[1]
+        blanket_codes = codes[rows[:, None], record[:, :span]]
+        return record[:, -1] + np.einsum("ij,ij->i", blanket_codes, record[:, span:-1])
+
     def weights(
         self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
     ) -> np.ndarray:
@@ -405,11 +433,7 @@ class _BatchedTables:
         """
         if self.rows is None:
             return self._gather(codes, rows, variables)
-        record = self.lookup[variables]  # blanket | bstride | row_base
-        span = self.blanket.shape[1]
-        blanket_codes = codes[rows[:, None], record[:, :span]]
-        offsets = np.einsum("ij,ij->i", blanket_codes, record[:, span:-1])
-        return self.rows[record[:, -1] + offsets]
+        return self.rows[self._row_index(codes, rows, variables)]
 
     def sample_codes(
         self,
@@ -423,24 +447,80 @@ class _BatchedTables:
 
         THE bit-identity-critical inner loop, shared by every kernel's
         batched step (Glauber, LubyGlauber rounds, the scan kernels):
-        gather the conditional weights, cumulative-sum them in serial
-        order, and pick the first code whose cumulative weight covers
-        ``points[i] * total`` -- the strict ``<`` comparison and the
-        ``q - 1`` clamp reproduce the serial :func:`sample_code` exactly.
-        A non-positive total raises the shared stuck-node error (padded
-        factorless rows total exactly ``q``, so they can never trip it;
-        callers that need the serial factorless *fast path* -- uniform
-        resample via truncation -- handle it before or after this call).
+        take the cumulative conditional weights (the precomputed
+        ``cumulative`` rows, or a ``cumsum`` of the gathered weights past a
+        blanket cap -- both in serial order), and pick the first code whose
+        cumulative weight covers ``points[i] * total`` -- the strict ``<``
+        comparison and the ``q - 1`` clamp reproduce the serial
+        :func:`sample_code` exactly.  A non-positive total raises the
+        shared stuck-node error (padded factorless rows total exactly
+        ``q``, so they can never trip it; callers that need the serial
+        factorless *fast path* -- uniform resample via truncation -- handle
+        it before or after this call).
         """
-        weights = self.weights(codes, rows, variables)
-        cumulative = np.cumsum(weights, axis=1)
-        totals = cumulative[:, -1]
-        if not np.all(totals > 0.0):
-            stuck = int(np.flatnonzero(totals <= 0.0)[0])
-            raise stuck_node_error(compiled, variables[stuck])
+        if self.rows is None:
+            cumulative = np.cumsum(self._gather(codes, rows, variables), axis=1)
+        else:
+            cumulative = self.cumulative[self._row_index(codes, rows, variables)]
+        return self._select(cumulative, points, variables, compiled)
+
+    def sample_columns(
+        self,
+        codes: np.ndarray,
+        variables: np.ndarray,
+        points: np.ndarray,
+        compiled,
+    ) -> np.ndarray:
+        """Resample ``k`` nodes in every chain at once: ``(chains, k)`` codes.
+
+        The wave step of the scan kernels: column ``j`` is
+        :meth:`sample_codes` of node ``variables[j]`` in every row of
+        ``codes`` at ``points[:, j]``.  All reads see ``codes`` as given,
+        so the nodes of one call must not read each other.  The blanket
+        form does one record gather for the ``k`` nodes and one column
+        gather of their blanket codes; past a blanket cap the pairs are
+        flattened step-major through :meth:`sample_codes`.
+        """
+        chains, k = points.shape
+        if self.rows is None:
+            rows = np.tile(np.arange(chains), k)
+            flat = self.sample_codes(
+                codes, rows, np.repeat(variables, chains), points.T.ravel(), compiled
+            )
+            return flat.reshape(k, chains).T
+        record = self.lookup[variables]  # blanket | bstride | row_base
+        span = self.blanket.shape[1]
+        blanket_codes = codes[:, record[:, :span]]  # (chains, k, span)
+        index = record[:, -1] + np.einsum("ckj,kj->ck", blanket_codes, record[:, span:-1])
+        return self._select(self.cumulative[index], points, variables, compiled)
+
+    def _select(self, cumulative, points, variables, compiled) -> np.ndarray:
+        """The heat-bath pick on cumulative rows (last axis ``q``)."""
+        totals = cumulative[..., -1]
+        if self.may_stick and not np.all(totals > 0.0):
+            # The earliest step (column) holding a stuck pair names the node.
+            stuck = ~(totals > 0.0).reshape(-1, len(variables))
+            raise stuck_node_error(compiled, variables[np.flatnonzero(stuck.any(axis=0))[0]])
         return np.minimum(
-            np.sum(cumulative < (points * totals)[:, None], axis=1), self.q - 1
+            np.sum(cumulative < (points * totals)[..., None], axis=-1), self.q - 1
         )
+
+    def scan_scopes(self) -> List[List[int]]:
+        """Per node, the node itself followed by its blanket (cached).
+
+        The dependency neighbourhood of a scan step: the step reads the
+        codes of its blanket and writes its own.  Blankets are symmetric
+        (they come from shared factor scopes), so two steps depend on each
+        other exactly when one's node lies in the other's scope.  Blanket
+        form only.
+        """
+        if self._scopes is None:
+            nodes = np.where(self.bstride != 0, self.blanket, -1).tolist()
+            self._scopes = [
+                [variable] + [node for node in row if node >= 0]
+                for variable, row in enumerate(nodes)
+            ]
+        return self._scopes
 
 
 class ChainBatch:

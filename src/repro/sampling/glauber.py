@@ -243,12 +243,6 @@ def _decode_state(compiled, codes) -> Dict[Node, Value]:
     }
 
 
-#: Backwards-compatible aliases: the canonical definitions moved to
-#: :mod:`repro.sampling.kernels` with the kernel layer.
-_sample_code = sample_code
-_RNG_CHUNK = RNG_CHUNK
-
-
 def glauber_sample(
     instance: SamplingInstance,
     steps: int,
@@ -298,7 +292,7 @@ def glauber_sample(
     tables = conditionals.tables
     remaining = steps
     while remaining > 0:
-        chunk = min(remaining, _RNG_CHUNK)
+        chunk = min(remaining, RNG_CHUNK)
         remaining -= chunk
         choices = rng.integers(0, free_count, size=chunk)
         points = rng.random(chunk)
@@ -327,7 +321,7 @@ def glauber_sample(
                     f"node {node!r} has no feasible value given its neighbourhood; "
                     "the single-site dynamics is not ergodic here"
                 )
-            codes[variable] = _sample_code(weights, points[step] * total)
+            codes[variable] = sample_code(weights, points[step] * total)
     return _decode_state(compiled, codes)
 
 
@@ -435,7 +429,7 @@ def luby_glauber_sample(
                     f"node {node!r} has no feasible value given its neighbourhood; "
                     "the single-site dynamics is not ergodic here"
                 )
-            updates.append((variable, _sample_code(weights, points[index] * total)))
+            updates.append((variable, sample_code(weights, points[index] * total)))
         for variable, code in updates:
             codes[variable] = code
     return _decode_state(compiled, codes)

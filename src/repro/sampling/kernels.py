@@ -43,6 +43,7 @@ from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
 
@@ -65,6 +66,29 @@ def sample_code(weights, point: float) -> int:
         if point <= cumulative:
             return code
     return len(weights) - 1
+
+
+def scan_waves(scopes: List[List[int]], variables: List[int]) -> List[np.ndarray]:
+    """Group a run of scan steps into dependency waves.
+
+    ``variables[s]`` is the node step ``s`` resamples and ``scopes[v]``
+    lists ``v`` and its Markov blanket.  The greedy level rule puts step
+    ``s`` at ``1 + max(level of earlier steps whose node is in
+    scopes[variables[s]])``; a node's steps get increasing levels, so the
+    latest one per node is all the rule needs.  Returns the step indices of
+    each level in order: a wave's nodes are pairwise distinct and outside
+    each other's blankets, and every step it depends on sits in an earlier
+    wave.
+    """
+    last = [0] * len(scopes)
+    levels = []
+    for variable in variables:
+        level = max(map(last.__getitem__, scopes[variable])) + 1
+        last[variable] = level
+        levels.append(level)
+    levels = np.array(levels)
+    order = np.argsort(levels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(levels[order])) + 1)
 
 
 def stuck_node_error(compiled, variable: int) -> ValueError:
@@ -349,6 +373,18 @@ class ScanKernel(ChainKernel):
 
     # -- batched --------------------------------------------------------
     def batched_advance(self, batch, count: int, statistic=None):
+        """Advance every chain of ``batch`` by ``count`` scan steps.
+
+        Each RNG chunk's steps run in dependency waves
+        (:func:`scan_waves`): steps whose nodes neither coincide nor lie in
+        each other's Markov blanket read disjoint state, so one
+        :meth:`~repro.runtime.chains._BatchedTables.sample_columns` call
+        resamples a whole wave in every chain, bit-identical to stepping
+        one node at a time.  Each step is its own wave when ``statistic``
+        is given (the trace samples after every step) or when the tables
+        ``may_stick`` (the stuck-node error then names the same node, with
+        the same partial state, as a step-by-step scan).
+        """
         if count < 0:
             raise ValueError(f"{self.unit} must be non-negative")
         state = batch.scratch(self.name)
@@ -369,9 +405,14 @@ class ScanKernel(ChainKernel):
         tables = batch.tables
         q = tables.q
         factorless = tables.factorless
-        chain_ids = batch.chain_ids
         failures = state["failures"]
         position = state["position"]
+        if statistic is not None:
+            per_step = "statistic"
+        elif tables.may_stick:
+            per_step = "may_stick"
+        else:
+            per_step = None
         remaining = count
         while remaining > 0:
             chunk = min(remaining, RNG_CHUNK)
@@ -382,31 +423,38 @@ class ScanKernel(ChainKernel):
                 points[chain] = rng.random(chunk)
                 if self.gated:
                     gates[chain] = rng.random(chunk)
-            for step in range(chunk):
-                variable = free_index[position]
-                position += 1
-                if position == len(free_index):
-                    position = 0
-                point = points[:, step]
-                if factorless[variable]:
+            variables = free_index[(position + np.arange(chunk)) % len(free_index)]
+            position = (position + chunk) % len(free_index)
+            if per_step:
+                waves = [slice(step, step + 1) for step in range(chunk)]
+            else:
+                waves = scan_waves(tables.scan_scopes(), variables.tolist())
+            obs.instant(
+                "runtime.scan.schedule",
+                kernel=self.name,
+                steps=chunk,
+                waves=len(waves),
+                per_step=per_step,
+            )
+            for steps in waves:
+                wave = variables[steps]
+                new_codes = tables.sample_columns(
+                    codes, wave, points[:, steps], batch.compiled
+                )
+                if batch.any_factorless:
                     # Serial fast path: a factorless node resamples
                     # uniformly via truncation.
-                    new_codes = np.minimum((point * q).astype(np.int64), q - 1)
-                else:
-                    new_codes = tables.sample_codes(
-                        codes,
-                        chain_ids,
-                        np.full(chains, variable, dtype=np.int64),
-                        point,
-                        batch.compiled,
+                    uniform = factorless[wave]
+                    new_codes[:, uniform] = np.minimum(
+                        (points[:, steps][:, uniform] * q).astype(np.int64), q - 1
                     )
-                codes[:, variable] = new_codes
-                if self.gated:
-                    # The per-chain acceptance mask: rejected chains raise
-                    # their failure count; the proposal applies either way.
-                    failures += ~(gates[:, step] < acceptance)
+                codes[:, wave] = new_codes
                 if trace is not None:
                     trace.append(np.asarray(statistic(codes), dtype=float))
+            if self.gated:
+                # The per-chain acceptance masks: rejected steps raise the
+                # chain's failure count; the proposal applies either way.
+                failures += np.count_nonzero(~(gates < acceptance), axis=1)
         state["position"] = position
         if trace is not None:
             return batch.stack_trace(trace)

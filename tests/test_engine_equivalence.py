@@ -213,7 +213,10 @@ class TestBlanketTables:
 
     @pytest.mark.parametrize("q", [2, 3, 6])
     def test_blanket_weights_equal_the_gather_bit_for_bit(self, q):
+        from repro.runtime.chains import _BatchedTables
+
         rng = np.random.default_rng(4100 + q)
+        parts = []
         for _ in range(8):
             n = int(rng.integers(4, 7))
             # Two weight tables per arity (zeros are hard constraints), drawn
@@ -249,6 +252,12 @@ class TestBlanketTables:
                 for r, v in zip(rows, variables)
             ]
             assert blanket.tobytes() == np.array(serial).tobytes()
+            # The cumulative rows the samplers select from are the running
+            # sums of exactly these weight rows.
+            cumulative = tables.cumulative[tables._row_index(codes, rows, variables)]
+            assert cumulative.tobytes() == np.cumsum(blanket, axis=1).tobytes()
+            assert tables.may_stick == bool(np.any(tables.rows.sum(axis=1) <= 0.0))
+            parts.append(tables)
             # All three read CompiledConditionals' entry layout, so check it
             # against the dense arrays indexed directly, in the same factor
             # order (one IEEE product per factor, hence exact equality).
@@ -262,12 +271,56 @@ class TestBlanketTables:
                         weights = weights * array[tuple(index)]
                 direct.append(weights)
             np.testing.assert_array_equal(np.array(serial), np.array(direct))
+        merged = _BatchedTables.merged(parts)
+        assert merged.cumulative.tobytes() == np.cumsum(merged.rows, axis=1).tobytes()
+        assert merged.cumulative.tobytes() == np.concatenate(
+            [part.cumulative for part in parts]
+        ).tobytes()
+        assert merged.may_stick == any(part.may_stick for part in parts)
 
     def test_torus_colouring_tables_stay_small(self):
         distribution = coloring_model(torus_graph(12, 12), num_colors=6)
         tables = distribution.compiled_engine().batched_tables
         assert tables.rows is not None
         assert tables.rows.nbytes < 512 * 1024
+
+    def test_may_stick_flags_rows_that_total_zero(self):
+        # On a degree-4 graph, 3 colours can all be taken by the neighbours.
+        stuck = coloring_model(torus_graph(4, 4), num_colors=3).compiled_engine()
+        assert stuck.batched_tables.may_stick
+        roomy = coloring_model(torus_graph(4, 4), num_colors=6).compiled_engine()
+        assert not roomy.batched_tables.may_stick
+        # The gather form has no rows to check, so any step may stick.
+        hub = coloring_model(star_graph(8), num_colors=6).compiled_engine()
+        assert hub.batched_tables.rows is None and hub.batched_tables.may_stick
+
+    def test_stuck_colouring_raises_the_step_by_step_error(self):
+        from repro.runtime import Runtime
+
+        instance = SamplingInstance(coloring_model(torus_graph(4, 4), num_colors=3))
+        rng = np.random.default_rng(5)
+        # An improper start in which some node sees all three colours.
+        initial = {node: int(rng.integers(3)) for node in instance.free_nodes}
+        # The nodes named before the wave schedule and the cumulative rows:
+        # the scan kernels stop at the same step whatever the layout; the
+        # batched Glauber names the first stuck step over all chains, the
+        # serial loop the first stuck chain's.
+        expected = {
+            ("jvv", "serial"): (0, 2),
+            ("jvv", "batched"): (0, 2),
+            ("sequential", "serial"): (0, 2),
+            ("sequential", "batched"): (0, 2),
+            ("glauber", "serial"): (2, 1),
+            ("glauber", "batched"): (1, 0),
+        }
+        for (kernel, backend), node in expected.items():
+            runtime = Runtime(backend, n_chains=4)
+            with pytest.raises(ValueError) as raised:
+                runtime.run_chains(kernel, instance, 40, seed=2, initial=initial)
+            assert str(raised.value) == (
+                f"node {node!r} has no feasible value given its neighbourhood; "
+                "the single-site dynamics is not ergodic here"
+            ), (kernel, backend)
 
     def test_either_cap_keeps_the_whole_instance_on_the_gather(self, monkeypatch):
         from repro.runtime import chains

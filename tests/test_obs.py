@@ -29,7 +29,7 @@ from repro.models import coloring_model, hardcore_model
 from repro.obs import logs as obs_logs
 from repro.obs.cli import main as trace_cli
 from repro.obs.trace import TraceContext, validate_event, validate_events
-from repro.runtime import Runtime
+from repro.runtime import ChainBatch, Runtime
 
 
 @pytest.fixture(autouse=True)
@@ -291,6 +291,37 @@ class TestBitIdentity:
         assert observed == expected
         assert obs.active() is None  # shutdown released the owned handle
 
+    def test_jvv_waves_identical_with_tracing_and_reported(self):
+        from repro.graphs import torus_graph
+        from repro.sampling.jvv import jvv_chain_stats
+
+        instance = SamplingInstance(hardcore_model(cycle_graph(12), 1.2), {0: 1})
+        stuck = SamplingInstance(coloring_model(torus_graph(4, 4), 3))
+        expected = jvv_chain_stats(instance, 40, seed=5, runtime="batched")
+        obs.enable()
+        try:
+            observed = jvv_chain_stats(instance, 40, seed=5, runtime="batched")
+            batch = ChainBatch(instance, n_chains=2, seed=1)
+            batch.advance("jvv", 11, statistic=lambda codes: codes.sum(axis=1))
+            ChainBatch(stuck, n_chains=2, seed=1).advance("jvv", 20)
+            events = obs.events()
+        finally:
+            obs.disable()
+        # States and failure counts are unchanged by tracing.
+        assert observed == expected
+        schedules = [
+            event["attrs"] for event in events if event["name"] == "runtime.scan.schedule"
+        ]
+        assert [(attrs["steps"], attrs["per_step"]) for attrs in schedules] == [
+            (40, None),
+            (11, "statistic"),
+            (20, "may_stick"),
+        ]
+        assert all(attrs["kernel"] == "jvv" for attrs in schedules)
+        assert schedules[0]["waves"] < 40
+        assert [attrs["waves"] for attrs in schedules[1:]] == [11, 20]
+        validate_events(events)
+
     def test_process_backend_stitches_pool_worker_spans(self):
         instance = SamplingInstance(coloring_model(cycle_graph(8), 3), {0: 0})
         # inline_threshold=0: this small workload must reach the real pool
@@ -330,6 +361,9 @@ class TestBitIdentity:
         assert built[0]["tables"] == 1 and built[0]["rows"] == 9
         assert built[1]["tables"] == 0 and built[1]["rows"] == 0
         assert all(attrs["bytes"] > 0 for attrs in built)
+        tables = in_cap.distribution.compiled_engine().batched_tables
+        # The weight rows, their cumulative sums and the lookup records.
+        assert built[0]["bytes"] == 2 * tables.rows.nbytes + tables.lookup.nbytes
         validate_events(events)
 
 

@@ -37,7 +37,8 @@ from repro.runtime import (
     stream_padded_ball_marginals,
 )
 from repro.runtime.shards import _ball_marginal_chunk, _chunk_tasks
-from repro.sampling.glauber import _RNG_CHUNK, glauber_sample, luby_glauber_sample
+from repro.sampling.glauber import glauber_sample, luby_glauber_sample
+from repro.sampling.kernels import RNG_CHUNK
 
 
 def _instances():
@@ -84,7 +85,7 @@ class TestBatchedChainEdges:
     def test_rng_chunk_boundary_is_respected(self):
         instance = SamplingInstance(hardcore_model(path_graph(5), 1.0))
         seeds = chain_seed_sequences(0, 3)
-        steps = _RNG_CHUNK + 37
+        steps = RNG_CHUNK + 37
         serial = [glauber_sample(instance, steps, seed=seed) for seed in seeds]
         assert batched_kernel_sample("glauber", instance, steps, seeds=seeds) == serial
 
@@ -1050,3 +1051,212 @@ class TestGreedyInit:
             )
         with pytest.raises(ValueError, match="init"):
             runtime.run_chains("glauber", instance, 5, init="no-such-init")
+
+
+# ----------------------------------------------------------------------
+# scan kernels: the dependency-wave schedule
+# ----------------------------------------------------------------------
+def _scope_adjacency(compiled):
+    """Per node id, the other node ids it shares a factor scope with."""
+    adjacent = [set() for _ in compiled.nodes]
+    for scope in compiled.scopes:
+        for node in scope:
+            adjacent[node].update(other for other in scope if other != node)
+    return adjacent
+
+
+def _assert_valid_schedule(variables, waves, adjacent):
+    """Every step once; waves conflict-free; dependencies in earlier waves."""
+    steps = np.concatenate(waves).tolist()
+    assert sorted(steps) == list(range(len(variables)))
+    wave_of = np.empty(len(variables), dtype=np.int64)
+    for index, wave in enumerate(waves):
+        wave_of[wave] = index
+        nodes = [variables[step] for step in wave]
+        assert len(set(nodes)) == len(nodes), "a wave resamples one node twice"
+        members = set(nodes)
+        for node in nodes:
+            assert not adjacent[node] & members, "a wave holds two adjacent nodes"
+    latest = {}  # node -> the largest wave of its steps so far
+    for step, node in enumerate(variables):
+        for other in adjacent[node] | {node}:
+            if other in latest:
+                assert latest[other] < wave_of[step], (
+                    f"step {step} runs no later than an earlier step it depends on"
+                )
+        latest[node] = max(latest.get(node, -1), int(wave_of[step]))
+
+
+def _schedule_instances():
+    """Seeded random graphs with pinned nodes, plus one factorless node."""
+    from repro.graphs import erdos_renyi_graph, random_regular_graph
+
+    rng = np.random.default_rng(1414)
+    instances = []
+    for trial in range(3):
+        graph = erdos_renyi_graph(14, 0.25, seed=trial)
+        pinned = rng.choice(14, size=3, replace=False)
+        instances.append(
+            SamplingInstance(
+                hardcore_model(graph, float(rng.uniform(0.5, 2.0))),
+                {int(node): 0 for node in pinned},
+            )
+        )
+    graph = random_regular_graph(3, 12, seed=5)
+    graph.add_node(12)  # in no factor of the colouring: a factorless free node
+    instances.append(SamplingInstance(coloring_model(graph, 5), {0: 1, 7: 2}))
+    return instances
+
+
+class TestScanWaveSchedule:
+    """Scan kernels advance in dependency waves, bit-identical to one step
+    at a time (the schedule is recorded from real kernel runs)."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        from repro.sampling import kernels
+
+        calls = []
+        schedule = kernels.scan_waves
+
+        def recording(scopes, variables):
+            waves = schedule(scopes, variables)
+            calls.append((list(variables), waves))
+            return waves
+
+        monkeypatch.setattr(kernels, "scan_waves", recording)
+        return calls
+
+    @staticmethod
+    def _one_step_waves(monkeypatch):
+        """Replace the schedule by one wave per step: the step-by-step scan."""
+        from repro.sampling import kernels
+
+        monkeypatch.setattr(
+            kernels,
+            "scan_waves",
+            lambda scopes, variables: [np.array([step]) for step in range(len(variables))],
+        )
+
+    @pytest.mark.parametrize("kernel", ["jvv", "sequential"])
+    def test_recorded_schedules_are_valid(self, recorded, kernel):
+        instances = _schedule_instances()
+        for instance in instances:
+            tables = instance.distribution.compiled_engine().batched_tables
+            assert tables.rows is not None and not tables.may_stick
+            free = len(instance.free_nodes)
+            adjacent = _scope_adjacency(instance.distribution.compiled_engine())
+            recorded.clear()
+            # Nodes repeat: the scan wraps the free order three times.
+            ChainBatch(instance, n_chains=3, seed=4).advance(kernel, 3 * free + 5)
+            # A ChainState split into segments: the position carries over.
+            runtime = Runtime("batched", n_chains=3)
+            _, state = runtime.run_chains(kernel, instance, 7, seed=5, return_state=True)
+            for segment in (11, free + 2, 19):
+                runtime.run_chains(kernel, instance, segment, state=state)
+            assert len(recorded) == 5
+            for variables, waves in recorded:
+                _assert_valid_schedule(variables, waves, adjacent)
+            assert any(len(waves) < len(variables) for _, waves in recorded)
+        assert instances[-1].distribution.compiled_engine().batched_tables.factorless[12]
+        # Past RNG_CHUNK the scan position wraps mid-chunk.
+        recorded.clear()
+        instance = instances[0]
+        ChainBatch(instance, n_chains=2, seed=6).advance(kernel, RNG_CHUNK + 37)
+        assert [len(variables) for variables, _ in recorded] == [RNG_CHUNK, 37]
+        adjacent = _scope_adjacency(instance.distribution.compiled_engine())
+        for variables, waves in recorded:
+            _assert_valid_schedule(variables, waves, adjacent)
+
+    @pytest.mark.parametrize("kernel", ["jvv", "sequential"])
+    def test_waves_equal_the_step_by_step_scan(self, monkeypatch, kernel):
+        from repro.sampling import get_kernel
+
+        instances = _schedule_instances()
+        resolved = get_kernel(kernel)
+
+        def run(instance):
+            batch = ChainBatch(instance, n_chains=16, seed=8)
+            batch.advance(kernel, RNG_CHUNK + 37)
+            runtime = Runtime("batched", n_chains=16)
+            _, state = runtime.run_chains(kernel, instance, 9, seed=9, return_state=True)
+            for segment in (13, 40):
+                runtime.run_chains(kernel, instance, segment, state=state)
+            failures = [
+                resolved.failure_counts(member).tolist()
+                for member in (batch, *state.batches)
+            ]
+            return batch.codes.copy(), state.codes, failures
+
+        waved = [run(instance) for instance in instances]
+        self._one_step_waves(monkeypatch)
+        stepped = [run(instance) for instance in instances]
+        for (codes, resumed, failures), (ref_codes, ref_resumed, ref_failures) in zip(
+            waved, stepped
+        ):
+            np.testing.assert_array_equal(codes, ref_codes)
+            np.testing.assert_array_equal(resumed, ref_resumed)
+            assert failures == ref_failures
+
+    @pytest.mark.parametrize("kernel", ["jvv", "sequential"])
+    def test_batched_equals_serial_on_every_table_form(self, kernel):
+        from repro.graphs import star_graph, torus_graph
+        from repro.sampling import get_kernel
+
+        instances = {
+            "blanket": SamplingInstance(hardcore_model(cycle_graph(9), 1.3), {0: 1}),
+            "gather": SamplingInstance(coloring_model(star_graph(9), 3), {1: 0}),
+            # A 3-colouring of a degree-4 graph: some blanket rows total 0.
+            "may_stick": SamplingInstance(coloring_model(torus_graph(4, 4), 3)),
+        }
+        resolved = get_kernel(kernel)
+        seeds = chain_seed_sequences(12, 5)
+        for mode, instance in instances.items():
+            tables = instance.distribution.compiled_engine().batched_tables
+            assert (tables.rows is not None) == (mode != "gather")
+            assert tables.may_stick == (mode != "blanket")
+            count = 3 * len(instance.free_nodes) + 4
+            reference = [resolved.serial_scan(instance, count, seed=seed) for seed in seeds]
+            batch = ChainBatch(instance, seeds=seeds)
+            batch.advance(resolved, count)
+            assert batch.configurations() == [state for state, _ in reference], mode
+            assert resolved.failure_counts(batch).tolist() == [
+                failures for _, failures in reference
+            ], mode
+
+    @pytest.mark.parametrize("kernel", ["jvv", "sequential"])
+    def test_statistic_traces_step_by_step(self, kernel):
+        from repro.learning import encode_configurations
+        from repro.sampling import get_kernel
+
+        instance = _schedule_instances()[0]
+        compiled = instance.distribution.compiled_engine()
+        resolved = get_kernel(kernel)
+        seeds = chain_seed_sequences(21, 3)
+        count = 2 * len(instance.free_nodes) + 3
+        # Integer weights keep the statistic exact whatever the matrix shape.
+        weights = np.arange(1, len(compiled.nodes) + 1)
+
+        def statistic(codes):
+            return codes @ weights
+
+        batch = ChainBatch(instance, seeds=seeds)
+        trace = batch.advance(resolved, count, statistic=statistic)
+        # Proposal points are a prefix-consistent stream, so the serial scan
+        # run for t steps passes through the state after step t of a longer run.
+        expected = [
+            statistic(
+                encode_configurations(
+                    compiled,
+                    [
+                        resolved.serial_run(instance, steps, seed=seed)
+                        for steps in range(1, count + 1)
+                    ],
+                )
+            )
+            for seed in seeds
+        ]
+        assert trace.tobytes() == np.array(expected, dtype=float).tobytes()
+        waved = ChainBatch(instance, seeds=seeds)
+        waved.advance(resolved, count)
+        np.testing.assert_array_equal(waved.codes, batch.codes)
