@@ -25,16 +25,19 @@ chains of a hardcore instance, one sample per chain):
   overhead typically makes both *slower*, which is exactly what the JSON
   should document.  Only the batched chain workloads feed
   ``min_batched_speedup``.
-* ``process_shard_phase_residual`` -- the same workload instrumented per
-  phase (spawn / map / compute / merge) for both transports: *why* the
-  2-worker shard cannot reach 1x vs serial on this box.  Spawn is pool
-  creation plus the per-worker initializer round trip (where the spec
-  crosses the pipe -- by value under pickle, as descriptors under shm),
-  map is serializing and enqueueing the chunk payloads, compute is
-  waiting for the workers' chunk results, merge is adopting the shipped
-  balls/memos into the parent cache and building the result dict.  Each
-  instrumented run is asserted bit-identical to the serial loop before
-  its timings are recorded.
+* ``process_shard_phase_residual`` -- the same workload split per phase
+  (spawn / compute / tail) for both transports: *why* the 2-worker shard
+  cannot reach 1x vs serial on this box.  One real
+  ``stream_ball_marginal_tasks`` run is traced with :mod:`repro.obs` and
+  cut at the workers' chunk spans: spawn runs from the call to the first
+  chunk starting on a worker (pool creation, the per-worker initializer
+  where the spec crosses the pipe -- by value under pickle, as
+  descriptors under shm -- and the first submissions), compute from
+  there to the last chunk ending (the parent adopts landed chunks
+  meanwhile), tail from there to the end of the stream (the last
+  result's trip back and adoption, pool shutdown, segment unlink).  Each
+  traced run is asserted bit-identical to the serial loop before its
+  timings are recorded.
 * ``packed_multi_instance`` -- many small same-alphabet models advanced
   as ONE padded ``(total_chains, n_max)`` code matrix
   (``Runtime.run_packed``) vs looping one batched ``run_chains`` call per
@@ -43,7 +46,7 @@ chains of a hardcore instance, one sample per chain):
   recorded speedup is the cross-model batching win a ``repro-serve
   --cross-model`` batch rides.
 * ``streaming_ball_shards`` -- the same E5-style workload on the barrier
-  API (``shard_padded_ball_marginals``, which returns nothing until every
+  API (``Runtime.ball_marginals``, which returns nothing until every
   shard lands) vs the streaming API (``stream_padded_ball_marginals``,
   which yields each shard as its future completes).  The headline number is
   *time to first shard result*: the streaming consumer starts measuring
@@ -100,7 +103,7 @@ from repro.runtime import (
     Runtime,
     batched_kernel_sample,
     chain_seed_sequences,
-    shard_padded_ball_marginals,
+    stream_ball_marginal_tasks,
     stream_padded_ball_marginals,
 )
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
@@ -411,8 +414,10 @@ def _process_shard_workload(
             node: padded_ball_marginal(instance, node, radius) for node in nodes
         }
         distribution.ball_cache().clear()
-        sharded_result = shard_padded_ball_marginals(
-            instance, nodes, radius, n_workers=n_workers, transport=transport
+        sharded_result = dict(
+            stream_padded_ball_marginals(
+                instance, nodes, radius, n_workers=n_workers, transport=transport
+            )
         )
         assert sharded_result == serial_reference, (
             f"transport={transport!r} shard diverges from the serial loop"
@@ -425,8 +430,10 @@ def _process_shard_workload(
 
     def sharded() -> None:
         distribution.ball_cache().clear()
-        shard_padded_ball_marginals(
-            instance, nodes, radius, n_workers=n_workers, transport=transport
+        dict(
+            stream_padded_ball_marginals(
+                instance, nodes, radius, n_workers=n_workers, transport=transport
+            )
         )
 
     shape = {
@@ -442,28 +449,21 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
     """Per-phase residual of the sharded ball workload, per transport.
 
     On a single-core container the process shard of the E5 workload cannot
-    reach 1x vs serial; this measures *why* by splitting one real sharded
-    run into spawn (pool creation + per-worker initializer round trip --
-    the phase where the :class:`InstanceSpec` crosses the pipe, by value
-    under pickle, as shared-memory descriptors under shm), map
-    (serializing and enqueueing the chunk payloads), compute (waiting for
-    the workers' chunk results) and merge (adopting the shipped
-    balls/extras/memos into the parent cache and building the result
-    dict).  The instrumented pipeline is the same machinery
-    ``shard_padded_ball_marginals`` drives, and every instrumented run is
-    asserted bit-identical to the serial loop before its timings count.
+    reach 1x vs serial; this measures *why* by tracing one real
+    ``stream_ball_marginal_tasks`` run with :mod:`repro.obs` and cutting it
+    at the workers' ``shards.chunk`` spans (wall-clock stamps, comparable
+    across processes on one host): spawn (call start to the first chunk
+    starting on a worker -- pool creation, the per-worker initializer
+    where the :class:`InstanceSpec` crosses the pipe, by value under
+    pickle, as shared-memory descriptors under shm, and the first
+    submissions), compute (first chunk start to last chunk end, with the
+    parent adopting landed chunks meanwhile) and tail (last chunk end to
+    the end of the stream: the last result's trip back and adoption, pool
+    shutdown, segment unlink).  Every traced run is asserted bit-identical
+    to the serial loop before its timings count.
     """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
+    from repro import obs
     from repro.inference.ssm_inference import padded_ball_marginal
-    from repro.runtime.shards import (
-        MEMO_DELTA_CAP,
-        InstanceSpec,
-        _ball_marginal_chunk,
-        _chunk_tasks,
-        _install_worker_spec,
-        _spec_wire,
-    )
 
     distribution = hardcore_model(random_tree(size, seed=2), fugacity=1.0)
     instance = SamplingInstance(distribution, {0: 0})
@@ -475,51 +475,31 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
 
     def phases(transport: str) -> Dict[str, float]:
         distribution.ball_cache().clear()
-        spec = InstanceSpec.from_instance(instance)
-        chunks = _chunk_tasks(tasks, n_workers, None)
-        start = time.perf_counter()
-        wire_spec, pack = _spec_wire(spec, transport)
+        obs.enable()
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(chunks)),
-                initializer=_install_worker_spec,
-                initargs=(wire_spec, None),
-            ) as pool:
-                # Per-worker warm-up round trip (best effort): forces the
-                # worker processes to start and run the initializer before
-                # any real work, so spec transfer lands in this phase.
-                for future in [
-                    pool.submit(_ball_marginal_chunk, [], MEMO_DELTA_CAP)
-                    for _ in range(n_workers)
-                ]:
-                    future.result()
-                spawned = time.perf_counter()
-                futures = [
-                    pool.submit(_ball_marginal_chunk, chunk, MEMO_DELTA_CAP)
-                    for chunk in chunks
-                ]
-                mapped = time.perf_counter()
-                payloads = [future.result() for future in as_completed(futures)]
-                computed = time.perf_counter()
-                cache = instance.distribution.ball_cache()
-                results: Dict[object, Dict[object, float]] = {}
-                for marginals, balls, extras, memos in payloads:
-                    cache.adopt(balls=balls, extras=extras, memos=memos)
-                    for (center, _), marginal in marginals.items():
-                        results[center] = marginal
-                merged = time.perf_counter()
+            start = time.time()
+            results = {
+                center: marginal
+                for (center, _), marginal in stream_ball_marginal_tasks(
+                    instance, tasks, n_workers=n_workers, transport=transport
+                )
+            }
+            end = time.time()
+            chunks = [
+                event for event in obs.events() if event["name"] == "shards.chunk"
+            ]
         finally:
-            if pack is not None:
-                pack.release()
+            obs.disable()
         assert results == serial_reference, (
-            f"instrumented {transport!r} shard diverges from the serial loop"
+            f"traced {transport!r} shard diverges from the serial loop"
         )
+        first = min(event["ts"] for event in chunks)
+        last = max(event["ts"] + event["dur"] for event in chunks)
         return {
-            "spawn_seconds": spawned - start,
-            "map_seconds": mapped - spawned,
-            "compute_seconds": computed - mapped,
-            "merge_seconds": merged - computed,
-            "total_seconds": merged - start,
+            "spawn_seconds": first - start,
+            "compute_seconds": last - first,
+            "tail_seconds": end - last,
+            "total_seconds": end - start,
         }
 
     shape = {"nodes": len(nodes), "radius": radius, "workers": n_workers}
@@ -595,9 +575,11 @@ def _streaming_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 
     )
     assert streamed == serial_reference, "streamed results diverge from serial"
 
+    runtime = Runtime("process", n_workers=n_workers)
+
     def barrier() -> None:
         distribution.ball_cache().clear()
-        shard_padded_ball_marginals(instance, nodes, radius, n_workers=n_workers)
+        runtime.ball_marginals(instance, nodes, radius)
 
     def streaming() -> tuple:
         distribution.ball_cache().clear()
@@ -636,7 +618,9 @@ def _cluster_shard_workload(
         }
         distribution.ball_cache().clear()
         clustered = dict(
-            coordinator.stream_padded_ball_marginals(instance, nodes, radius)
+            stream_padded_ball_marginals(
+                instance, nodes, radius, transport=coordinator
+            )
         )
         assert clustered == serial_reference, "cluster results diverge from serial"
     except BaseException:
@@ -651,12 +635,15 @@ def _cluster_shard_workload(
 
     def process() -> None:
         distribution.ball_cache().clear()
-        shard_padded_ball_marginals(instance, nodes, radius, n_workers=process_workers)
+        dict(
+            stream_padded_ball_marginals(
+                instance, nodes, radius, n_workers=process_workers
+            )
+        )
 
     def cluster() -> None:
         distribution.ball_cache().clear()
-        for _ in coordinator.stream_padded_ball_marginals(instance, nodes, radius):
-            pass
+        dict(stream_padded_ball_marginals(instance, nodes, radius, transport=coordinator))
 
     def teardown() -> None:
         coordinator.shutdown()
@@ -702,7 +689,9 @@ def _cluster_auth_workload(n_workers: int = 2, size: int = 40, radius: int = 3):
         for coordinator in (plain, keyed):
             distribution.ball_cache().clear()
             result = dict(
-                coordinator.stream_padded_ball_marginals(instance, nodes, radius)
+                stream_padded_ball_marginals(
+                    instance, nodes, radius, transport=coordinator
+                )
             )
             assert result == serial_reference, (
                 "cluster results diverge from serial"
@@ -714,13 +703,11 @@ def _cluster_auth_workload(n_workers: int = 2, size: int = 40, radius: int = 3):
 
     def plain_run() -> None:
         distribution.ball_cache().clear()
-        for _ in plain.stream_padded_ball_marginals(instance, nodes, radius):
-            pass
+        dict(stream_padded_ball_marginals(instance, nodes, radius, transport=plain))
 
     def hmac_run() -> None:
         distribution.ball_cache().clear()
-        for _ in keyed.stream_padded_ball_marginals(instance, nodes, radius):
-            pass
+        dict(stream_padded_ball_marginals(instance, nodes, radius, transport=keyed))
 
     def teardown() -> None:
         for release in reversed(stack):
@@ -848,16 +835,17 @@ def run(
             "bit_identical_to_serial": True,
             "note": (
                 "why the 2-worker shard stays below 1x vs serial on a "
-                "single-core container: spawn is pool creation + the "
-                "per-worker initializer round trip (where the InstanceSpec "
-                "crosses -- by value under pickle, as shared-memory "
-                "descriptors under shm), map is chunk-payload enqueueing, "
-                "compute is waiting for the workers' chunk results (cold "
-                "workers recompile their chunks' balls and ship them back, "
-                "which time-sliced on one core costs more than the whole "
-                "serial loop), merge adopts the shipped balls/memos into "
-                "the parent cache -- so compute + spawn together exceed "
-                "the serial wall regardless of transport"
+                "small host: one traced stream_ball_marginal_tasks run cut "
+                "at the workers' chunk spans. spawn runs to the first "
+                "worker chunk (pool creation, the per-worker initializer "
+                "where the InstanceSpec crosses -- by value under pickle, "
+                "as shared-memory descriptors under shm -- and the first "
+                "submissions), compute to the last chunk end (cold workers "
+                "recompile their chunks' balls and ship them back while "
+                "the parent adopts landed chunks), tail to the end of the "
+                "stream (last adoption, pool shutdown, segment unlink) -- "
+                "so compute + spawn together exceed the serial wall "
+                "regardless of transport"
             ),
         }
     )
@@ -970,7 +958,7 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "2-worker ball shard over the pickle vs shared-memory "
             "transport (InstanceSpec dense arrays crossing as segment "
             "descriptors; bit-identity asserted pre-timing), the same "
-            "workload's per-phase residual (spawn/map/compute/merge, both "
+            "workload's per-phase residual (spawn/compute/tail, both "
             "transports -- documenting why the shard stays below 1x vs "
             "serial on a single-core container), and packed multi-"
             "instance batching: many small same-alphabet models advanced "
@@ -1069,9 +1057,8 @@ def _print_rows(rows: List[Dict[str, object]]) -> None:
                 print(
                     f"{row['workload']:>22}: [{transport:>6}] "
                     f"spawn {timings['spawn_seconds'] * 1e3:7.1f} ms   "
-                    f"map {timings['map_seconds'] * 1e3:6.1f} ms   "
                     f"compute {timings['compute_seconds'] * 1e3:7.1f} ms   "
-                    f"merge {timings['merge_seconds'] * 1e3:6.1f} ms"
+                    f"tail {timings['tail_seconds'] * 1e3:6.1f} ms"
                 )
             continue
         if row["backend_pair"] == "barrier-vs-streaming":

@@ -8,8 +8,9 @@
 # the unified run_chains path, on one instance within the blanket-table
 # caps, one past them and one whose blanket rows may total zero; jvv on
 # the first must advance in fewer dependency waves than steps), a cluster smoke (a coordinator driving
-# two real localhost worker subprocesses over the TCP transport, asserting
-# bit-identity with the serial loop), a chaos smoke (one of the two
+# two real localhost worker subprocesses over the TCP transport: ball
+# marginals bit-identical to the serial loop, glauber chains and
+# jvv_chain_stats bit-identical to the batched backend), a chaos smoke (one of the two
 # workers is armed with a deterministic FaultPlan and hard-crashes
 # mid-stream; the requeued merge must still be bit-identical), a traced
 # cluster smoke (the same run with obs=True must stay bit-identical,
@@ -105,16 +106,24 @@ from repro.graphs import cycle_graph
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import hardcore_model
 from repro.runtime import Runtime
+from repro.sampling.jvv import jvv_chain_stats
 
 distribution = hardcore_model(cycle_graph(8), fugacity=1.2)
 instance = SamplingInstance(distribution, {0: 0})
 serial = {node: padded_ball_marginal(instance, node, 1) for node in instance.free_nodes}
 distribution.ball_cache().clear()
+batched = Runtime("batched", n_chains=4)
+glauber = batched.run_chains("glauber", instance, 40, seed=5)
+jvv = jvv_chain_stats(instance, 40, seed=5, runtime=batched)
 with spawn_workers(2) as pool:
-    with Runtime("cluster", addresses=pool.addresses) as runtime:
+    with Runtime("cluster", n_chains=4, addresses=pool.addresses) as runtime:
         clustered = runtime.ball_marginals(instance, instance.free_nodes, 1)
+        clustered_glauber = runtime.run_chains("glauber", instance, 40, seed=5)
+        clustered_jvv = jvv_chain_stats(instance, 40, seed=5, runtime=runtime)
 assert clustered == serial, "cluster marginals diverge from the serial loop"
-print("cluster smoke OK: 2 workers, bit-identical marginals")
+assert clustered_glauber == glauber, "cluster glauber chains diverge from batched"
+assert clustered_jvv == jvv, "cluster jvv_chain_stats diverge from batched"
+print("cluster smoke OK: 2 workers, bit-identical marginals, chains and jvv stats")
 PY
 
 echo "== tier-1: chaos smoke =="
@@ -126,6 +135,7 @@ from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import hardcore_model
+from repro.runtime import stream_ball_marginal_tasks
 
 distribution = hardcore_model(cycle_graph(10), fugacity=1.2)
 instance = SamplingInstance(distribution, {0: 0})
@@ -138,8 +148,11 @@ with spawn_workers(2, fault_plans=plans) as pool:
     with ClusterCoordinator(pool.addresses, reconnect=False) as coordinator:
         merged = {
             key[0]: marginal
-            for key, marginal in coordinator.stream_ball_marginal_tasks(
-                instance, [(node, 2) for node in instance.free_nodes], chunk_size=1
+            for key, marginal in stream_ball_marginal_tasks(
+                instance,
+                [(node, 2) for node in instance.free_nodes],
+                chunk_size=1,
+                transport=coordinator,
             )
         }
         survivors = coordinator.live_worker_count

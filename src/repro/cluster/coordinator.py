@@ -37,14 +37,15 @@ completion.  A coordinator dropped without :meth:`shutdown` stays
 garbage-collectable (its service threads hold only weak references) and a
 finalizer closes its sockets.
 
-The streaming API mirrors :mod:`repro.runtime.shards`:
-:meth:`ClusterCoordinator.stream_ball_marginal_tasks` chunks the tasks,
-fans the chunks out, and merges each arriving payload into the parent's
-:class:`~repro.engine.cache.BallCache` (``adopt``) before yielding, so
-the cluster backend drops into every consumer the process backend
-already has (SSM engines, the E5 radius sweep, ``warm_ball_cache``).
-Abandoning a stream cancels its pending tasks; shutting the coordinator
-down cancels everything and closes the sockets, idempotently.
+The coordinator is a transport, not a scheduler: the front ends of
+:mod:`repro.runtime.shards` (``stream_ball_marginal_tasks``,
+``stream_compiled_balls``, ``run_chain_blocks``) take it as their
+``transport=`` and do the chunking, the merge into the parent's
+:class:`~repro.engine.cache.BallCache` and the failure naming exactly as
+for the process pool, submitting each chunk through :meth:`submit_task`
+(spec from :meth:`_spec_for`) and cancelling abandoned ones through
+:meth:`_discard`.  Shutting the coordinator down cancels everything and
+closes the sockets, idempotently.
 """
 
 from __future__ import annotations
@@ -60,22 +61,15 @@ import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import CancelledError, Future, InvalidStateError, as_completed
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cluster import protocol
 from repro.gibbs.instance import SamplingInstance
 
 _log = obs.get_logger("cluster.coordinator")
-from repro.runtime.shards import (
-    MEMO_DELTA_CAP,
-    InstanceSpec,
-    _chunk_tasks,
-)
+from repro.runtime.shards import InstanceSpec
 
-Node = Hashable
-Value = Hashable
-BallKey = Tuple[Node, int]
 Address = Tuple[str, int]
 
 
@@ -1004,7 +998,7 @@ class ClusterCoordinator:
         self.shutdown()
 
     # ------------------------------------------------------------------
-    # high-level API (mirrors the process backend)
+    # generic calls
     # ------------------------------------------------------------------
     def submit(self, function, *args, **kwargs) -> Future:
         """Run ``function(*args, **kwargs)`` on some worker.
@@ -1030,210 +1024,5 @@ class ClusterCoordinator:
         try:
             for future in as_completed(futures):
                 yield futures[future], future.result()
-        finally:
-            self._discard(futures)
-
-    # -- spec-bound streaming (the Theorem 5.1 workloads) ---------------
-    def _stream_chunked_shards(
-        self,
-        instance: SamplingInstance,
-        tasks: Sequence,
-        chunk_size: Optional[int],
-        kind: str,
-        make_payload,
-        adopt,
-    ) -> Iterator:
-        """The shared streaming skeleton of the spec-bound task kinds.
-
-        Chunks the tasks, fans the chunks out (spec shipped once per
-        connection), and -- as each payload completes -- merges it into the
-        instance's ball cache via ``adopt(cache, payload)`` (which returns
-        the items to yield).  A failed chunk raises a chained
-        ``RuntimeError`` naming it; abandoning the generator cancels the
-        pending chunks coordinator- and worker-side.
-        """
-        spec = self._spec_for(instance)
-        cache = instance.distribution.ball_cache()
-        workers = max(1, self.live_worker_count)
-        if chunk_size is None and tasks:
-            # Scale chunk granularity with the fleet, but cap the chunk
-            # COUNT: the pool default (4 chunks per worker) shrinks chunks
-            # linearly with worker count, and over TCP the fixed per-chunk
-            # dispatch cost (frame + payload round-trip) then dominates --
-            # the measured 4-worker regression in BENCH_runtime.json.  A
-            # few chunks per worker is plenty of load-balancing slack;
-            # beyond ~2x the fleet (floor 8, so small fleets keep today's
-            # granularity) more chunks only buy more round-trips.
-            target_chunks = min(4 * workers, max(2 * workers, 8))
-            chunk_size = -(-len(tasks) // target_chunks)
-        chunks = _chunk_tasks(tasks, workers, chunk_size)
-        futures = {}
-        try:
-            for chunk in chunks:
-                payload = make_payload(spec[0], list(chunk))
-                futures[self.submit_task(kind, payload, spec=spec)] = chunk
-        except BaseException:
-            self._discard(futures)  # a failed submission abandons its batch
-            raise
-        try:
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except (ClusterError, CancelledError) as error:
-                    raise RuntimeError(
-                        f"cluster ball shard failed on chunk {futures[future]!r}: "
-                        f"{error}"
-                    ) from error
-                yield from adopt(cache, result)
-        finally:
-            self._discard(futures)
-
-    def stream_ball_marginal_tasks(
-        self,
-        instance: SamplingInstance,
-        tasks: Sequence[BallKey],
-        chunk_size: Optional[int] = None,
-        memo_cap: Optional[int] = MEMO_DELTA_CAP,
-    ) -> Iterator[Tuple[BallKey, Dict[Value, float]]]:
-        """Stream Theorem 5.1 marginals for ``(center, radius)`` tasks.
-
-        The cluster counterpart of
-        :func:`repro.runtime.shards.stream_ball_marginal_tasks`: tasks are
-        chunked, the chunks fan out over the workers (spec shipped once
-        per connection), and each arriving payload's compiled balls,
-        boundary extensions and capped marginal-memo deltas are merged
-        into the parent's ball cache before its marginals are yielded in
-        completion order.  Worker death mid-stream requeues transparently;
-        per-ball values are bit-identical to the serial loop.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return
-
-        def adopt(cache, payload):
-            marginals, balls, extras, memos = payload
-            cache.adopt(balls=balls, extras=extras, memos=memos)
-            return marginals.items()
-
-        yield from self._stream_chunked_shards(
-            instance,
-            tasks,
-            chunk_size,
-            "ball_marginals",
-            lambda spec_id, chunk: {
-                "spec_id": spec_id,
-                "tasks": chunk,
-                "memo_cap": memo_cap,
-            },
-            adopt,
-        )
-
-    def stream_padded_ball_marginals(
-        self,
-        instance: SamplingInstance,
-        centers: Sequence[Node],
-        radius: int,
-        chunk_size: Optional[int] = None,
-        memo_cap: Optional[int] = MEMO_DELTA_CAP,
-    ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
-        """Single-radius wrapper over :meth:`stream_ball_marginal_tasks`."""
-        for (center, _), marginal in self.stream_ball_marginal_tasks(
-            instance,
-            [(center, radius) for center in centers],
-            chunk_size=chunk_size,
-            memo_cap=memo_cap,
-        ):
-            yield center, marginal
-
-    def stream_compiled_balls(
-        self,
-        instance: SamplingInstance,
-        tasks: Sequence[BallKey],
-        chunk_size: Optional[int] = None,
-    ) -> Iterator[Tuple[BallKey, object]]:
-        """Stream ball compilations from the workers into the parent cache."""
-        tasks = list(dict.fromkeys(tasks))
-        if not tasks:
-            return
-
-        def adopt(cache, compiled):
-            cache.adopt(balls=compiled)
-            return compiled.items()
-
-        yield from self._stream_chunked_shards(
-            instance,
-            tasks,
-            chunk_size,
-            "compile_balls",
-            lambda spec_id, chunk: {"spec_id": spec_id, "tasks": chunk},
-            adopt,
-        )
-
-    # -- batched chain blocks -------------------------------------------
-    def chain_samples(
-        self,
-        instance: SamplingInstance,
-        kernel: str,
-        count: int,
-        seeds: Sequence,
-        initial=None,
-        stats: bool = False,
-    ) -> List[Dict[Node, Value]]:
-        """Final states of independent chains, run as blocks on the workers.
-
-        ``kernel`` names any registered
-        :class:`~repro.sampling.kernels.ChainKernel`.  The seed
-        list is split into one contiguous block per live worker; each
-        worker advances its block as a batched code matrix on the instance
-        reconstructed from the spec -- the registered ``chain_block`` task
-        body of :data:`~repro.runtime.shards.TASK_REGISTRY`, shared with
-        the process backend -- so chain ``c`` of the result is
-        bit-identical to the kernel's serial chain run with
-        ``seed=seeds[c]``.
-
-        With ``stats=True`` the return value is ``(configurations,
-        counts)`` where ``counts[c]`` is chain ``c``'s per-chain failure
-        count (gated kernels: rejected proposals; others: zeros) --
-        the payload flag rides the existing ``chain_block`` wire format,
-        so JVV rejection statistics distribute like any other block work.
-        """
-        from repro.sampling.kernels import get_kernel
-
-        get_kernel(kernel)  # fail fast on unknown kernels, caller-side
-        seeds = list(seeds)
-        if not seeds:
-            return ([], []) if stats else []
-        spec = self._spec_for(instance)
-        blocks = _chunk_tasks(
-            seeds, 1, chunk_size=-(-len(seeds) // max(1, self.live_worker_count))
-        )
-        futures = []
-        try:
-            for block in blocks:
-                payload = {
-                    "spec_id": spec[0],
-                    "kernel": kernel,
-                    "count": count,
-                    "seeds": block,
-                    "initial": dict(initial) if initial is not None else None,
-                }
-                if stats:
-                    payload["stats"] = True
-                futures.append(self.submit_task("chain_block", payload, spec=spec))
-        except BaseException:
-            self._discard(futures)
-            raise
-        try:
-            results: List[Dict[Node, Value]] = []
-            counts: List[int] = []
-            for future in futures:  # block order == seed order
-                block_result = future.result()
-                if stats:
-                    block_configs, block_counts = block_result
-                    results.extend(block_configs)
-                    counts.extend(block_counts)
-                else:
-                    results.extend(block_result)
-            return (results, counts) if stats else results
         finally:
             self._discard(futures)

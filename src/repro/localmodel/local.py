@@ -104,13 +104,12 @@ def run_local_algorithm(
 
         resolved = resolve_runtime(runtime)
         if resolved.is_process and len(targets) > 1:
-            from repro.runtime.shards import process_map
 
             def compute_at(node):
                 output, failed = algorithm.compute(network.view(node, radius))
                 return output, bool(failed)
 
-            results = process_map(compute_at, targets, n_workers=resolved.n_workers)
+            results = resolved.map(compute_at, targets)
             for node, (output, failed) in zip(targets, results):
                 outputs[node] = output
                 failures[node] = failed

@@ -14,12 +14,13 @@ This package owns *how* work executes, separate from *what* is computed
     :class:`InstanceSpec`, the :data:`~repro.runtime.shards.TASK_REGISTRY`
     of spec-bound task bodies (ball marginals, ball compilation, chain
     blocks -- executed identically by the process pool, the cluster
-    workers and the in-process fallbacks), and the *streaming*
-    process-pool sharding of the per-node LOCAL computations: futures
-    instead of ``pool.map`` barriers, the spec shipped once per worker,
-    and every shard's results -- compiled balls, boundary extensions,
-    capped marginal-memo deltas -- merged back into the parent
-    :class:`~repro.engine.cache.BallCache` the moment the shard completes.
+    workers and the in-process path), and the one parent-side scheduler
+    of the process and cluster backends: front ends that chunk the work,
+    submit each chunk to a fork pool or a cluster coordinator (the spec
+    shipped once per worker), and merge every chunk's results --
+    compiled balls, boundary extensions, capped marginal-memo deltas --
+    into the parent :class:`~repro.engine.cache.BallCache` the moment the
+    chunk completes.
 ``shm``
     The zero-copy data plane of the process backend: bulk ndarray
     payloads (the spec's dense factor tables, chain-result code matrices)
@@ -67,8 +68,6 @@ from repro.runtime.shards import (
     process_map_unordered,
     register_task,
     run_chain_blocks,
-    shard_compiled_balls,
-    shard_padded_ball_marginals,
     stream_ball_marginal_tasks,
     stream_compiled_balls,
     stream_padded_ball_marginals,
@@ -107,8 +106,6 @@ __all__ = [
     "shm_available",
     "process_map",
     "process_map_unordered",
-    "shard_compiled_balls",
-    "shard_padded_ball_marginals",
     "stream_ball_marginal_tasks",
     "stream_compiled_balls",
     "stream_padded_ball_marginals",

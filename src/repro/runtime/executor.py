@@ -70,13 +70,12 @@ from repro.gibbs.instance import SamplingInstance
 from repro.runtime.chains import (
     ChainState,
     PackedBatch,
-    batched_kernel_sample,
     chain_seed_sequences,
     make_chain_state,
 )
 from repro.runtime.shards import (
     TRANSPORTS,
-    process_map,
+    advance_block,
     process_map_unordered,
     run_chain_blocks,
     stream_ball_marginal_tasks,
@@ -316,6 +315,16 @@ class Runtime:
         """Whether work is dispatched to TCP workers via a coordinator."""
         return self.backend == CLUSTER_BACKEND
 
+    @property
+    def _distributed(self) -> bool:
+        return self.backend in (PROCESS_BACKEND, CLUSTER_BACKEND)
+
+    def _transport(self):
+        """What the shard front ends submit to (the ``transport=`` argument
+        of :mod:`repro.runtime.shards`): the process backend's fork-pool
+        channel name, or the cluster backend's coordinator."""
+        return self.cluster_client() if self.is_cluster else self.transport
+
     # ------------------------------------------------------------------
     def cluster_client(self):
         """The coordinator behind the cluster backend (lazy, runtime-owned).
@@ -381,15 +390,8 @@ class Runtime:
         list
             ``[function(item) for item in items]``, in item order.
         """
-        if self.is_process:
-            return process_map(function, items, n_workers=self.n_workers)
-        if self.is_cluster and _picklable(function):
-            items = list(items)
-            results: List = [None] * len(items)
-            for index, result in self.cluster_client().map_unordered(function, items):
-                results[index] = result
-            return results
-        return [function(item) for item in items]
+        pairs = sorted(self.map_unordered(function, items), key=lambda pair: pair[0])
+        return [result for _, result in pairs]
 
     def map_unordered(
         self, function: Callable, items: Iterable
@@ -608,13 +610,13 @@ class Runtime:
 
         * ``serial`` loops the kernel's reference ``serial_run`` per seed;
         * ``batched`` advances all chains as one ``(chains, n)`` code
-          matrix (:func:`~repro.runtime.chains.batched_kernel_sample`);
-        * ``process`` splits the seeds into contiguous blocks and runs the
-          registered ``chain_block`` task body
-          (:data:`~repro.runtime.shards.TASK_REGISTRY`) on a pool, one
-          batched block per worker;
-        * ``cluster`` dispatches the same ``chain_block`` bodies to its
-          TCP workers against the shipped :class:`InstanceSpec`.
+          matrix (:class:`~repro.runtime.chains.ChainBatch`);
+        * ``process`` and ``cluster`` split the seeds into contiguous
+          blocks, one per worker, and run the registered ``chain_block``
+          task body (:data:`~repro.runtime.shards.TASK_REGISTRY`) on each
+          through :func:`~repro.runtime.shards.run_chain_blocks` -- over a
+          fork pool or the coordinator's TCP workers.  The process backend
+          runs workloads under :attr:`inline_threshold` updates in-process.
 
         An explicit ``engine="dict"`` request is not spec-transportable;
         it degrades to the per-seed serial reference loop (fanned out via
@@ -730,60 +732,18 @@ class Runtime:
             chains=len(seeds),
             count=count,
         ):
-            if not self._spec_transportable(engine):
-                # The reference backend stays the reference: per-seed serial
-                # chains (the process backend still fans them out via fork).
-                return self.map(
-                    lambda chain_seed: resolved.serial_run(
-                        instance, count, seed=chain_seed, initial=initial, engine=engine
-                    ),
-                    seeds,
-                )
-            if self.is_batched:
-                return batched_kernel_sample(
-                    resolved, instance, count, seeds=seeds, initial=initial, engine=engine
-                )
-            if self.is_process:
-                if len(seeds) * count <= self.inline_threshold:
-                    # Adaptive dispatch guard: this workload is smaller than
-                    # the measured pool spin-up cost, so run the same task
-                    # body (batched code matrix, same per-chain streams)
-                    # in-process -- bit-identical, just without the fork tax.
-                    obs.instant(
-                        "runtime.dispatch.inline",
-                        backend=self.backend,
-                        kernel=resolved.name,
-                        chains=len(seeds),
-                        count=count,
-                        threshold=self.inline_threshold,
-                    )
-                    return batched_kernel_sample(
-                        resolved,
-                        instance,
-                        count,
-                        seeds=seeds,
-                        initial=initial,
-                        engine=engine,
-                    )
-                return run_chain_blocks(
-                    instance,
-                    resolved.name,
-                    count,
-                    seeds,
-                    initial=initial,
-                    n_workers=self.n_workers,
-                    transport=self.transport,
-                )
-            if self.is_cluster:
-                return self.cluster_client().chain_samples(
-                    instance, resolved.name, count, seeds, initial=initial
-                )
-            return [
-                resolved.serial_run(
+            if not self.is_serial and self._spec_transportable(engine):
+                return self._chain_blocks(resolved, instance, count, seeds, initial, engine)
+            # The reference backend stays the reference: per-seed serial
+            # chains -- also for the dict engine, which is not
+            # spec-transportable (the process backend still fans them out
+            # via fork).
+            return self.map(
+                lambda chain_seed: resolved.serial_run(
                     instance, count, seed=chain_seed, initial=initial, engine=engine
-                )
-                for chain_seed in seeds
-            ]
+                ),
+                seeds,
+            )
 
     def run_packed(
         self,
@@ -840,6 +800,48 @@ class Runtime:
             packed.advance(resolved, count)
         return packed.configurations()
 
+    def _chain_blocks(
+        self, kernel, instance, count, seeds, initial=None, engine=None, stats=False
+    ):
+        """The batched and distributed chain leg of :meth:`run_chains` (and of
+        :func:`~repro.sampling.jvv.jvv_chain_stats`, with ``stats``).
+
+        The batched backend, and the process backend below
+        :attr:`inline_threshold` chain updates, advance one in-process
+        block; otherwise the seeds go out as ``chain_block`` tasks through
+        :func:`~repro.runtime.shards.run_chain_blocks`.  Returns what
+        ``run_chain_blocks`` returns.
+        """
+        if self._distributed:
+            if not (self.is_process and len(seeds) * count <= self.inline_threshold):
+                return run_chain_blocks(
+                    instance,
+                    kernel.name,
+                    count,
+                    seeds,
+                    initial=initial,
+                    n_workers=self.n_workers,
+                    stats=stats,
+                    transport=self._transport(),
+                )
+            # Adaptive dispatch guard: this workload is smaller than the
+            # measured pool spin-up cost, so run the same batched block
+            # (same per-chain streams) in-process -- bit-identical, just
+            # without the fork tax.
+            obs.instant(
+                "runtime.dispatch.inline",
+                backend=self.backend,
+                kernel=kernel.name,
+                chains=len(seeds),
+                count=count,
+                threshold=self.inline_threshold,
+            )
+        batch, counts = advance_block(
+            kernel, instance, count, seeds, initial=initial, stats=stats, engine=engine
+        )
+        configurations = batch.configurations()
+        return (configurations, counts) if stats else configurations
+
     @staticmethod
     def _spec_transportable(engine: Optional[str]) -> bool:
         """Whether a workload may travel as an ``InstanceSpec`` (compiled-only)."""
@@ -888,21 +890,15 @@ class Runtime:
             bit-identical across backends.
         """
         nodes = list(nodes)
-        if len(nodes) > 1 and self._spec_transportable(engine):
-            if self.is_process:
-                yield from stream_padded_ball_marginals(
-                    instance,
-                    nodes,
-                    radius,
-                    n_workers=self.n_workers,
-                    transport=self.transport,
-                )
-                return
-            if self.is_cluster:
-                yield from self.cluster_client().stream_padded_ball_marginals(
-                    instance, nodes, radius
-                )
-                return
+        if len(nodes) > 1 and self._distributed and self._spec_transportable(engine):
+            yield from stream_padded_ball_marginals(
+                instance,
+                nodes,
+                radius,
+                n_workers=self.n_workers,
+                transport=self._transport(),
+            )
+            return
         from repro.inference.ssm_inference import padded_ball_marginal
 
         for node in nodes:
@@ -940,18 +936,13 @@ class Runtime:
             ``((center, radius), marginal)`` pairs.
         """
         tasks = list(tasks)
-        if tasks and self.is_process:
+        if tasks and self._distributed:
             yield from stream_ball_marginal_tasks(
                 instance,
                 tasks,
                 n_workers=self.n_workers,
                 chunk_size=chunk_size,
-                transport=self.transport,
-            )
-            return
-        if tasks and self.is_cluster:
-            yield from self.cluster_client().stream_ball_marginal_tasks(
-                instance, tasks, chunk_size=chunk_size
+                transport=self._transport(),
             )
             return
         from repro.inference.ssm_inference import padded_ball_marginal
@@ -988,19 +979,15 @@ class Runtime:
         int
             Number of distinct balls compiled.
         """
-        if self.is_process and len(tasks) > 1:
+        if self._distributed and len(tasks) > 1:
             return sum(
                 1
                 for _ in stream_compiled_balls(
                     instance,
                     tasks,
                     n_workers=self.n_workers,
-                    transport=self.transport,
+                    transport=self._transport(),
                 )
-            )
-        if self.is_cluster and len(tasks) > 1:
-            return sum(
-                1 for _ in self.cluster_client().stream_compiled_balls(instance, tasks)
             )
         unique = list(dict.fromkeys(tasks))
         cache = instance.distribution.ball_cache()

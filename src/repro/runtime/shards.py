@@ -1,9 +1,10 @@
-"""Process-sharded execution of per-node LOCAL computations.
+"""The parent-side scheduler of the distributed backends.
 
 The paper's Theorem 5.1 inference algorithm is embarrassingly parallel
 across nodes: each node compiles a ball around itself, greedily extends the
-pinning onto the boundary shell, and eliminates the ball restriction.  This
-module fans that per-node work out across OS processes:
+pinning onto the boundary shell, and eliminates the ball restriction; the
+chain kernels are embarrassingly parallel across chains.  This module fans
+that work out to workers:
 
 * :class:`InstanceSpec` -- a picklable snapshot of a sampling instance
   (integer adjacency, dense factor arrays, pinning, locality).  The model
@@ -11,18 +12,21 @@ module fans that per-node work out across OS processes:
   closures, which do not pickle; the spec instead carries the
   already-materialised dense tables of the compiled engine, which is exactly
   the data the ball computations run on.
+* :data:`TASK_REGISTRY` -- one ``(args, spec)`` body per task kind
+  (``ball_marginals``, ``compile_balls``, ``chain_block``), run unchanged
+  by pool workers, cluster workers and the in-process path.
 * :func:`stream_ball_marginal_tasks` / :func:`stream_padded_ball_marginals`
-  / :func:`stream_compiled_balls` -- the *streaming* executor: tasks are
-  chunked onto a ``ProcessPoolExecutor`` (``submit`` + ``as_completed``, no
-  barrier), the :class:`InstanceSpec` crosses the pipe exactly once per
-  worker via the pool initializer, and every chunk's results -- compiled
-  balls, memoised boundary extensions and capped per-pinning marginal-memo
-  deltas -- are merged into the parent's
-  :class:`~repro.engine.cache.BallCache` (:meth:`~repro.engine.cache.BallCache.adopt`)
-  and yielded the moment the chunk lands.  Consumers overlap parent-side
-  work with in-flight shards, mirroring the barrier-free LOCAL model.
-* :func:`shard_compiled_balls` / :func:`shard_padded_ball_marginals` --
-  barrier wrappers that drain the streams into dicts (the historical API).
+  / :func:`stream_compiled_balls` / :func:`run_chain_blocks` -- the front
+  ends, each written once: chunk the work, submit every chunk as
+  ``(kind, payload)`` to a transport, and adopt each landed chunk's
+  compiled balls, boundary extensions and capped marginal-memo deltas into
+  the parent's :class:`~repro.engine.cache.BallCache` (or concatenate chain
+  blocks in seed order).  Streams yield in completion order, so consumers
+  overlap parent-side work with in-flight chunks, mirroring the
+  barrier-free LOCAL model.  Two transports sit behind them, selected by
+  the ``transport=`` argument: a per-call fork pool (``"pickle"`` or
+  ``"shm"``; the spec crosses the pipe once per worker via the pool
+  initializer) and a :class:`~repro.cluster.coordinator.ClusterCoordinator`.
 * :func:`process_map` / :func:`process_map_unordered` -- generic fork-based
   maps used by the :class:`~repro.runtime.executor.Runtime` facade for
   coarse-grained task parallelism.  The fork start method lets workers
@@ -30,14 +34,16 @@ module fans that per-node work out across OS processes:
   pickling; only items and results cross the pipe.
 
 Worker computations replay the exact serial code paths on equal compiled
-inputs, so sharded results are bit-identical to the serial ones and merging
-them into the parent cache is transparent regardless of arrival order.
+inputs, so distributed results are bit-identical to the serial ones and
+merging them into the parent cache is transparent regardless of arrival
+order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
@@ -420,7 +426,7 @@ def _spec_wire(spec: InstanceSpec, transport: str):
 
 
 # ----------------------------------------------------------------------
-# worker entry points (must be importable at module top level)
+# task bodies (must be importable at module top level)
 # ----------------------------------------------------------------------
 #: The spec installed once per worker process by the pool initializer, so a
 #: worker that serves many chunks deserialises the instance exactly once and
@@ -429,12 +435,11 @@ _WORKER_SPEC: Optional[InstanceSpec] = None
 
 #: The task registry: every spec-bound task body that a distributed backend
 #: can execute, by kind.  One body per kind, shared by *all* backends: the
-#: process pool submits these functions directly, the cluster worker looks
-#: them up by the kind carried in the ``TASK`` frame, and the in-process
-#: fallbacks call them with an explicit spec -- so a result is bit-identical
-#: no matter where it ran.  Bodies take ``(args, spec)`` where ``args`` is
-#: the picklable task payload and ``spec`` the connection/pool-level
-#: :class:`InstanceSpec`.
+#: process pool, the cluster worker (which looks the body up by the kind
+#: carried in the ``TASK`` frame) and the in-process path all call
+#: ``body(args, spec)`` -- so a result is bit-identical no matter where it
+#: ran.  ``args`` is the picklable task payload and ``spec`` the
+#: connection/pool-level :class:`InstanceSpec`.
 TASK_REGISTRY: Dict[str, Callable] = {}
 
 
@@ -451,6 +456,119 @@ def register_task(kind: str) -> Callable:
 MEMO_DELTA_CAP = 64
 
 
+@register_task("ball_marginals")
+def _ball_marginals_task(args: Dict, spec: InstanceSpec):
+    """Registered body: Theorem 5.1 marginals for one chunk of ball tasks.
+
+    Returns ``(marginals, balls, extras, memos)``.  Only the artefacts of
+    *this* chunk are shipped: the padded balls the parent's serial replay
+    queries (``compiled_ball(center, radius + locality)``; the context balls
+    the greedy extension used stay worker-local), the chunk's boundary
+    extensions, and an ``args["memo_cap"]``-capped export of each shipped
+    ball's per-pinning marginal memo.  A worker's spec persists across
+    chunks, so nothing already shipped by an earlier chunk is resent.
+    """
+    tasks = args["tasks"]
+    marginals = {key: spec.padded_ball_marginal(*key) for key in tasks}
+    wanted = {(center, radius + spec.locality) for center, radius in tasks}
+    balls = {key: ball for key, ball in spec._ball_memo.items() if key in wanted}
+    memos = {
+        key: memo
+        for key, ball in balls.items()
+        if (memo := ball.export_marginal_memo(cap=args["memo_cap"]))
+    }
+    chunk_keys = {(center, radius) for center, radius in tasks}
+    extras = {
+        key: value
+        for key, value in spec._extras.items()
+        if (key[1], key[2]) in chunk_keys
+    }
+    return marginals, balls, extras, memos
+
+
+@register_task("compile_balls")
+def _compile_balls_task(args: Dict, spec: InstanceSpec):
+    """Registered body: compile one chunk of ``(center, radius)`` balls."""
+    return {key: spec.compile_ball(*key) for key in args["tasks"]}
+
+
+def advance_block(
+    kernel,
+    instance: SamplingInstance,
+    count: int,
+    seeds: Sequence,
+    initial=None,
+    stats: bool = False,
+    engine: Optional[str] = None,
+):
+    """Advance one batched block of chains; return ``(batch, counts)``.
+
+    ``counts`` is None unless ``stats``; then ``counts[c]`` is chain
+    ``c``'s accumulated failure count (gated kernels report rejected
+    proposals via :meth:`~repro.sampling.kernels.ScanKernel.failure_counts`;
+    ungated kernels report zeros).
+    """
+    from repro.runtime.chains import ChainBatch
+
+    batch = ChainBatch(instance, seeds=seeds, initial=initial, engine=engine)
+    batch.advance(kernel, count)
+    if not stats:
+        return batch, None
+    counter = getattr(kernel, "failure_counts", None)
+    counts = counter(batch).tolist() if counter is not None else [0] * batch.n_chains
+    return batch, counts
+
+
+@register_task("chain_block")
+def _chain_block_task(args: Dict, spec: InstanceSpec):
+    """Registered body: advance one block of chains of one kernel.
+
+    ``args`` carries ``{"kernel", "count", "seeds", "initial"}`` (plus the
+    transport-level ``spec_id``); the block runs as a batched code matrix
+    on the instance reconstructed from the spec
+    (:meth:`InstanceSpec.to_instance`), so entry ``c`` of the result is
+    bit-identical to the kernel's serial chain run with ``seed=seeds[c]``
+    -- the contract that makes chain blocks freely movable between the
+    process pool, cluster workers and the in-process path.
+
+    An optional ``"stats": True`` flag switches the return value to
+    ``(configurations, counts)`` (see :func:`advance_block`).  This is how
+    JVV rejection statistics (the E4 rejection-law rows, E12's jvv-kernel
+    row) ride the block wire format across the process and cluster
+    backends.
+
+    An optional ``"out": (descriptor, row_offset)`` entry -- set by the
+    parent under ``transport="shm"`` -- switches the result channel: the
+    block's final ``(chains, n)`` code matrix is written straight into the
+    parent-owned shared segment at ``row_offset`` (no pickling of result
+    configurations), and the configurations in the return value shrink to
+    ``None``.  The codes written are exactly ``ChainBatch.codes``, so the
+    parent's decode replays
+    :meth:`~repro.runtime.chains.ChainBatch.configurations` bit for bit.
+    """
+    from repro.sampling.kernels import get_kernel
+
+    batch, counts = advance_block(
+        get_kernel(args["kernel"]),
+        spec.to_instance(),
+        args["count"],
+        args["seeds"],
+        initial=args.get("initial"),
+        stats=args.get("stats", False),
+    )
+    out = args.get("out")
+    if out is None:
+        configurations = batch.configurations()
+    else:
+        from repro.runtime import shm
+
+        descriptor, row_offset = out
+        matrix = shm.attach_array(descriptor, writable=True)
+        matrix[row_offset : row_offset + batch.n_chains] = batch.codes
+        configurations = None
+    return configurations if counts is None else (configurations, counts)
+
+
 def _install_worker_spec(spec: InstanceSpec, obs_ctx=None) -> None:
     """Pool initializer: pin the shared :class:`InstanceSpec` in this worker.
 
@@ -461,7 +579,7 @@ def _install_worker_spec(spec: InstanceSpec, obs_ctx=None) -> None:
 
     ``obs_ctx`` is the parent's trace context as a versioned wire dict
     (``None`` when tracing is off): when present, the worker process arms
-    a recorder continuing the parent's trace, so spans recorded by chunk
+    a recorder continuing the parent's trace, so spans recorded by task
     bodies stitch into the parent timeline (shipped back by
     :func:`_traced_chunk`).  Unknown/foreign contexts are ignored.
     """
@@ -473,287 +591,166 @@ def _install_worker_spec(spec: InstanceSpec, obs_ctx=None) -> None:
         obs.arm_remote(obs_ctx, proc="pool-worker")
 
 
-def _traced_chunk(body: Callable, chunk, extra_args: tuple):
-    """Pool-worker wrapper shipping trace events alongside a chunk result.
+def _pool_task(kind: str, args: Dict):
+    """Pool-worker entry: the registered body on the worker-global spec."""
+    return TASK_REGISTRY[kind](args, _WORKER_SPEC)
 
-    Only submitted when the parent is tracing (so untraced runs keep the
-    exact legacy submission path); returns ``(payload, events)`` with the
-    worker's buffered events drained per chunk.
+
+def _traced_chunk(kind: str, args: Dict, size: int):
+    """Pool-worker entry when the parent traces: ``(result, events)``.
+
+    The worker's buffered trace events are drained per chunk and ride back
+    with its result; untraced runs submit :func:`_pool_task` instead.
     """
-    with obs.span("shards.chunk", kind=getattr(body, "__name__", str(body)), tasks=len(chunk)):
-        payload = body(chunk, *extra_args)
+    with obs.span("shards.chunk", kind=kind, tasks=size):
+        payload = _pool_task(kind, args)
     return payload, obs.drain_events()
 
 
-def _compile_ball_chunk(
-    tasks: Sequence[BallKey], spec: Optional[InstanceSpec] = None
-) -> Dict[BallKey, CompiledGibbs]:
-    """Worker body: compile one chunk of ``(center, radius)`` balls.
+# ----------------------------------------------------------------------
+# transports: where a chunk's (kind, payload) runs
+# ----------------------------------------------------------------------
+class _Session:
+    """One front-end call's handle on a transport (defaults: futures)."""
 
-    ``spec`` defaults to the worker-global installed by the pool
-    initializer; the in-process fallback path passes it explicitly.
+    code_matrix = None
+
+    def landed(self, futures, ordered: bool):
+        return iter(futures) if ordered else as_completed(futures)
+
+    def result(self, future: Future):
+        return future.result()
+
+    def share_codes(self, rows: int):
+        """A parent-owned ``(rows, n)`` shared code matrix, or None."""
+        return None
+
+
+class _InProcess(_Session):
+    """One chunk or one pool worker: run the registered bodies here.
+
+    Each chunk runs lazily when the scheduler asks for its result, so a
+    consumer that abandons the stream early skips the rest.
     """
-    spec = _WORKER_SPEC if spec is None else spec
-    return {key: spec.compile_ball(*key) for key in tasks}
+
+    def __init__(self, spec: InstanceSpec) -> None:
+        self.spec = spec
+
+    def submit(self, kind: str, args: Dict, size: int) -> Callable:
+        def run():
+            with obs.span("shards.chunk", kind=kind, tasks=size, mode="inprocess"):
+                return TASK_REGISTRY[kind](args, self.spec)
+
+        return run
+
+    def landed(self, handles, ordered: bool):
+        return iter(handles)
+
+    def result(self, handle):
+        return handle()
+
+    def cancel(self, handles) -> None:
+        pass
 
 
-def _ball_marginal_chunk(
-    tasks: Sequence[BallKey],
-    memo_cap: Optional[int],
-    spec: Optional[InstanceSpec] = None,
-):
-    """Worker body: padded-ball marginals for one chunk of tasks.
+class _PoolSession(_Session):
+    """The per-call fork pool (see :func:`_session`)."""
 
-    Returns ``(marginals, balls, extras, memos)``.  Only the artefacts of
-    *this* chunk are shipped: the padded balls the parent's serial replay
-    queries (``compiled_ball(center, radius + locality)``; the context balls
-    the greedy extension used stay worker-local), the chunk's boundary
-    extensions, and a ``memo_cap``-capped export of each shipped ball's
-    per-pinning marginal memo.  The spec defaults to the worker-global of
-    :func:`_install_worker_spec` and persists across chunks of the same
-    worker, so nothing already shipped by an earlier chunk is resent; the
-    in-process fallback path passes its spec explicitly.
+    def __init__(self, pool, spec: InstanceSpec, traced: bool, shared: bool) -> None:
+        self.pool = pool
+        self.spec = spec
+        self.traced = traced
+        self.shared = shared
+
+    def submit(self, kind: str, args: Dict, size: int) -> Future:
+        if self.traced:
+            return self.pool.submit(_traced_chunk, kind, args, size)
+        return self.pool.submit(_pool_task, kind, args)
+
+    def result(self, future: Future):
+        payload = future.result()
+        if self.traced:
+            payload, events = payload
+            obs.absorb_events(events)
+        return payload
+
+    def cancel(self, futures) -> None:
+        for future in futures:
+            future.cancel()
+
+    def share_codes(self, rows: int):
+        if self.shared:
+            from repro.runtime import shm
+
+            self.code_matrix = shm.pack_arrays(
+                [np.zeros((rows, len(self.spec.nodes)), dtype=np.int64)],
+                label="chain-codes",
+            )
+        return self.code_matrix
+
+
+class _ClusterSession(_Session):
+    """A :class:`~repro.cluster.coordinator.ClusterCoordinator` as transport.
+
+    Tasks carry the instance's memoised spec id; the coordinator ships the
+    spec to each worker connection once, requeues the tasks of dead
+    workers, and cancels abandoned ones worker-side.
     """
-    spec = _WORKER_SPEC if spec is None else spec
-    marginals = {key: spec.padded_ball_marginal(*key) for key in tasks}
-    wanted = {(center, radius + spec.locality) for center, radius in tasks}
-    balls = {key: ball for key, ball in spec._ball_memo.items() if key in wanted}
-    memos = {
-        key: memo
-        for key, ball in balls.items()
-        if (memo := ball.export_marginal_memo(cap=memo_cap))
-    }
-    chunk_keys = {(center, radius) for center, radius in tasks}
-    extras = {
-        key: value
-        for key, value in spec._extras.items()
-        if (key[1], key[2]) in chunk_keys
-    }
-    return marginals, balls, extras, memos
 
+    def __init__(self, coordinator, instance: SamplingInstance) -> None:
+        self.coordinator = coordinator
+        self.entry = coordinator._spec_for(instance)
+        self.spec = self.entry[1]
 
-@register_task("ball_marginals")
-def _ball_marginals_task(args: Dict, spec: Optional[InstanceSpec] = None):
-    """Registered body: Theorem 5.1 marginals for one chunk of ball tasks."""
-    return _ball_marginal_chunk(args["tasks"], args["memo_cap"], spec=spec)
-
-
-@register_task("compile_balls")
-def _compile_balls_task(args: Dict, spec: Optional[InstanceSpec] = None):
-    """Registered body: compile one chunk of ``(center, radius)`` balls."""
-    return _compile_ball_chunk(args["tasks"], spec=spec)
-
-
-@register_task("chain_block")
-def _chain_block_task(args: Dict, spec: Optional[InstanceSpec] = None):
-    """Registered body: advance one block of chains of one kernel.
-
-    ``args`` carries ``{"kernel", "count", "seeds", "initial"}`` (plus the
-    transport-level ``spec_id``); the block runs as a batched code matrix
-    on the instance reconstructed from the spec
-    (:meth:`InstanceSpec.to_instance`), so entry ``c`` of the result is
-    bit-identical to the kernel's serial chain run with ``seed=seeds[c]``
-    -- the contract that makes chain blocks freely movable between the
-    process pool, cluster workers and the in-process fallback.
-
-    An optional ``"stats": True`` flag switches the return value to
-    ``(configurations, counts)`` where ``counts[c]`` is chain ``c``'s
-    accumulated failure count (gated kernels report rejected proposals via
-    :meth:`~repro.sampling.kernels.ScanKernel.failure_counts`; ungated
-    kernels report zeros).  This is how JVV rejection statistics (the E4
-    rejection-law rows, E12's jvv-kernel row) ride the existing block wire
-    format across the process and cluster backends.
-
-    An optional ``"out": (descriptor, row_offset)`` entry -- set by the
-    parent under ``transport="shm"`` -- switches the result channel: the
-    block's final ``(chains, n)`` code matrix is written straight into the
-    parent-owned shared segment at ``row_offset`` (no pickling of result
-    configurations), and the return value shrinks to ``None`` (or
-    ``(None, counts)`` with stats).  The codes written are exactly
-    ``ChainBatch.codes``, so the parent's decode replays
-    :meth:`~repro.runtime.chains.ChainBatch.configurations` bit for bit.
-    """
-    from repro.runtime.chains import ChainBatch, batched_kernel_sample
-    from repro.sampling.kernels import get_kernel
-
-    spec = _WORKER_SPEC if spec is None else spec
-    kernel = get_kernel(args["kernel"])
-    out = args.get("out")
-    if out is None and not args.get("stats"):
-        return batched_kernel_sample(
-            kernel,
-            spec.to_instance(),
-            args["count"],
-            seeds=args["seeds"],
-            initial=args.get("initial"),
+    def submit(self, kind: str, args: Dict, size: int) -> Future:
+        return self.coordinator.submit_task(
+            kind, dict(args, spec_id=self.entry[0]), spec=self.entry
         )
-    batch = ChainBatch(
-        spec.to_instance(), seeds=args["seeds"], initial=args.get("initial")
-    )
-    batch.advance(kernel, args["count"])
-    counts: Optional[List[int]] = None
-    if args.get("stats"):
-        counter = getattr(kernel, "failure_counts", None)
-        counts = (
-            counter(batch).tolist()
-            if counter is not None
-            else [0] * batch.n_chains
-        )
-    if out is not None:
-        from repro.runtime import shm
 
-        descriptor, row_offset = out
-        matrix = shm.attach_array(descriptor, writable=True)
-        matrix[row_offset : row_offset + batch.n_chains] = batch.codes
-        return None if counts is None else (None, counts)
-    return batch.configurations(), counts
+    def cancel(self, futures) -> None:
+        self.coordinator._discard(futures)
 
 
-def run_chain_blocks(
-    instance: SamplingInstance,
-    kernel_name: str,
-    count: int,
-    seeds: Sequence,
-    initial=None,
-    n_workers: int = 2,
-    stats: bool = False,
-    transport: str = "pickle",
-) -> List[Dict[Node, Value]]:
-    """Run independent chains as batched blocks over a process pool.
+def _fleet(transport, n_workers: int) -> int:
+    """How many workers stand behind ``transport`` (at least one)."""
+    if isinstance(transport, str):
+        return max(1, n_workers)
+    return max(1, transport.live_worker_count)
 
-    The process-backend leg of the unified chain path
-    (:meth:`repro.runtime.executor.Runtime.run_chains`): the seed list is
-    split into one contiguous block per worker, each block executes the
-    registered ``chain_block`` task body on a pool worker (the
-    :class:`InstanceSpec` crosses the pipe once per worker via the pool
-    initializer), and the per-block results concatenate back in seed
-    order.  With one block or one worker the body runs in-process -- same
-    body, same results.
 
-    ``transport="shm"`` moves the two bulk payloads out of pickle: the
-    spec's dense factor arrays ship as shared-memory descriptors
-    (:class:`_ShmSpec`) and each block writes its final code matrix into
-    one parent-owned ``(len(seeds), n)`` shared segment, decoded here with
-    the exact :meth:`~repro.runtime.chains.ChainBatch.configurations` rule
-    -- results are bit-identical to the pickle transport.  When shared
-    memory is unavailable the call silently degrades to pickle; the parent
-    unlinks both segments before returning.
+@contextmanager
+def _session(transport, n_workers: int, instance: SamplingInstance, n_chunks: int):
+    """Open ``transport`` for one front-end call of ``n_chunks`` chunks.
 
-    Returns
-    -------
-    list of dict
-        Final configurations, one per seed, bit-identical to the kernel's
-        serial chains.  With ``stats=True``: ``(configurations, counts)``,
-        where ``counts`` are the per-chain failure counts of gated kernels
-        (zeros for ungated ones) -- the same payload flag the cluster
-        coordinator ships, so rejection statistics distribute identically
-        on both multi-host backends.
+    ``transport`` is ``"pickle"`` or ``"shm"`` -- a per-call fork pool
+    whose initializer installs the spec once per worker (as shared-memory
+    descriptors under ``"shm"``, falling back to pickle when shared memory
+    is unavailable), run in-process for one chunk or one worker -- or a
+    cluster coordinator.  Every segment the call created is unlinked when
+    the session closes.
     """
-    seeds = list(seeds)
-    if not seeds:
-        return ([], []) if stats else []
+    if not isinstance(transport, str):
+        yield _ClusterSession(transport, instance)
+        return
     spec = InstanceSpec.from_instance(instance)
-    # One contiguous block per worker (same split the cluster coordinator
-    # uses for its chain blocks).
-    blocks = _chunk_tasks(
-        seeds, 1, chunk_size=-(-len(seeds) // max(1, n_workers))
-    )
-
-    def payload(block: List, out=None) -> Dict:
-        body = {
-            "kernel": kernel_name,
-            "count": count,
-            "seeds": block,
-            "initial": dict(initial) if initial is not None else None,
-        }
-        if stats:
-            body["stats"] = True
-        if out is not None:
-            body["out"] = out
-        return body
-
-    def merge(results, counts, block_result) -> None:
-        if stats:
-            block_configs, block_counts = block_result
-            if block_configs is not None:
-                results.extend(block_configs)
-            counts.extend(block_counts)
-        elif block_result is not None:
-            results.extend(block_result)
-
-    results: List[Dict[Node, Value]] = []
-    counts: List[int] = []
-    if len(blocks) <= 1 or n_workers <= 1:
-        for block in blocks:
-            with obs.span(
-                "shards.chain_block", kernel=kernel_name, chains=len(block),
-                mode="inprocess",
-            ):
-                merge(results, counts, _chain_block_task(payload(block), spec=spec))
-        return (results, counts) if stats else results
+    if n_chunks <= 1 or n_workers <= 1:
+        yield _InProcess(spec)
+        return
     ctx = obs.wire_context()
     wire_spec, spec_pack = _spec_wire(spec, transport)
-    out_pack = None
-    if spec_pack is not None:
-        from repro.runtime import shm
-
-        out_pack = shm.pack_arrays(
-            [np.zeros((len(seeds), len(spec.nodes)), dtype=np.int64)],
-            label="chain-codes",
-        )
-    offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]]).tolist()
+    session = None
     try:
         with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(blocks)),
+            max_workers=min(n_workers, n_chunks),
             initializer=_install_worker_spec,
             initargs=(wire_spec, ctx),
         ) as pool:
-            payloads = [
-                payload(
-                    block,
-                    out=(
-                        (out_pack.descriptors[0], offset)
-                        if out_pack is not None
-                        else None
-                    ),
-                )
-                for block, offset in zip(blocks, offsets)
-            ]
-            if ctx is None:
-                futures = [
-                    pool.submit(_chain_block_task, body) for body in payloads
-                ]
-            else:
-                futures = [
-                    pool.submit(_traced_chunk, _chain_block_task, body, ())
-                    for body in payloads
-                ]
-            try:
-                for future in futures:  # block order == seed order
-                    block_result = future.result()
-                    if ctx is not None:
-                        block_result, events = block_result
-                        obs.absorb_events(events)
-                    merge(results, counts, block_result)
-            finally:
-                for future in futures:
-                    future.cancel()
-        if out_pack is not None:
-            # Decode the shared code matrix with the exact
-            # ChainBatch.configurations() rule (spec.nodes/alphabet are the
-            # compiled engine's, so this is bit-identical to pickled results).
-            alphabet = spec.alphabet
-            nodes = spec.nodes
-            results = [
-                {node: alphabet[code] for node, code in zip(nodes, row)}
-                for row in out_pack.view(0).tolist()
-            ]
-        return (results, counts) if stats else results
+            session = _PoolSession(pool, spec, ctx is not None, spec_pack is not None)
+            yield session
     finally:
-        if spec_pack is not None:
-            spec_pack.release()
-        if out_pack is not None:
-            out_pack.release()
+        for pack in (spec_pack, session.code_matrix if session else None):
+            if pack is not None:
+                pack.release()
 
 
 def _chunk_tasks(
@@ -761,101 +758,72 @@ def _chunk_tasks(
 ) -> List[List]:
     """Split tasks into contiguous chunks sized for streaming.
 
-    The default aims at roughly four chunks per worker -- small enough that
-    the first result lands early and stragglers stay balanced, large enough
-    to amortise the per-chunk submit/pickle round trip.
+    The default aims at ``min(4w, max(2w, 8))`` chunks for ``w`` workers:
+    about four per worker on small fleets -- small enough that the first
+    result lands early and stragglers stay balanced -- and a capped count
+    on large ones, where the fixed per-chunk round trip would otherwise
+    dominate (the measured 4-worker cluster regression in
+    ``BENCH_runtime.json``).
     """
     tasks = list(tasks)
     if not tasks:
         return []
     if chunk_size is None:
-        chunk_size = max(1, -(-len(tasks) // (4 * max(1, n_workers))))
+        workers = max(1, n_workers)
+        chunk_size = -(-len(tasks) // min(4 * workers, max(2 * workers, 8)))
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     return [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
 
 
-def _stream_chunks(spec, chunks, body, extra_args, n_workers, transport="pickle"):
-    """Drive chunks through a futures pool, yielding payloads as they land.
+def _scatter(session, kind: str, work: Sequence, what: str, ordered: bool = False):
+    """THE scheduler loop: submit, then yield results as they land.
 
-    ``body(chunk, *extra_args, spec=...)`` is a module-level chunk body
-    from this file; with a pool it is submitted directly (the worker-global
-    spec applies), in-process it is called with the explicit spec.  The
-    spec crosses the pipe exactly once per worker via the pool initializer
-    -- as descriptors into one shared-memory segment under
-    ``transport="shm"`` (falling back to pickle when shared memory is
-    unavailable; the segment is unlinked when the stream finishes).
-    A failed chunk -- worker exception, broken pool, or the in-process
-    fallback raising -- surfaces as a ``RuntimeError`` naming the chunk
+    ``work`` holds one ``(chunk, args)`` pair per chunk; each becomes one
+    ``(kind, args)`` submission to ``session``.  Results are yielded in
+    completion order (chunk order when ``ordered``).  A failed chunk --
+    worker exception, broken pool, lost cluster task, or the in-process
+    body raising -- surfaces as a ``RuntimeError`` naming the chunk
     instead of a hang; pending chunks are cancelled both on failure and
-    when the consumer abandons the generator early.
-
-    When tracing is on, the parent's trace context rides the initializer
-    and chunks are submitted through :func:`_traced_chunk`, so worker-side
-    spans come back with each payload and are absorbed here; queue depth
-    and chunk counts land in the metrics registry.  With obs off the
-    submission path is exactly the legacy one.
+    when the consumer abandons the generator early.  Queue depth and chunk
+    counts land in the metrics registry when obs is on.
     """
-    handle = obs.active()
-    if len(chunks) <= 1 or n_workers <= 1:
-        for chunk in chunks:
+    handles: Dict = {}
+    try:
+        for chunk, args in work:
+            handles[session.submit(kind, args, len(chunk))] = chunk
+    except BaseException:
+        session.cancel(handles)  # a failed submission abandons its batch
+        raise
+    observer = obs.active()
+    if observer is not None:
+        observer.metrics.gauge("runtime.shards.pending").set(len(handles))
+    try:
+        for landed in session.landed(handles, ordered):
             try:
-                with obs.span("shards.chunk", kind=getattr(body, "__name__", str(body)),
-                              tasks=len(chunk), mode="inprocess"):
-                    payload = body(chunk, *extra_args, spec=spec)
+                result = session.result(landed)
             except Exception as error:
                 raise RuntimeError(
-                    f"ball shard failed on chunk {chunk!r}: {error}"
+                    f"{what} failed on chunk {handles[landed]!r}: {error}"
                 ) from error
-            yield payload
-        return
-    ctx = obs.wire_context()
-    pending_gauge = (
-        handle.metrics.gauge("runtime.shards.pending") if handle is not None else None
-    )
-    wire_spec, spec_pack = _spec_wire(spec, transport)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(chunks)),
-            initializer=_install_worker_spec,
-            initargs=(wire_spec, ctx),
-        ) as pool:
-            if ctx is None:
-                futures = {pool.submit(body, chunk, *extra_args): chunk for chunk in chunks}
-            else:
-                futures = {
-                    pool.submit(_traced_chunk, body, chunk, extra_args): chunk
-                    for chunk in chunks
-                }
-            if pending_gauge is not None:
-                pending_gauge.set(len(futures))
-            try:
-                for future in as_completed(futures):
-                    try:
-                        payload = future.result()
-                    except Exception as error:
-                        chunk = futures[future]
-                        raise RuntimeError(
-                            f"ball shard failed on chunk {chunk!r}: {error}"
-                        ) from error
-                    if ctx is not None:
-                        payload, events = payload
-                        obs.absorb_events(events)
-                    if handle is not None:
-                        handle.metrics.counter("runtime.shards.chunks").inc()
-                        if pending_gauge is not None:
-                            pending_gauge.add(-1)
-                    yield payload
-            finally:
-                for future in futures:
-                    future.cancel()
+            if observer is not None:
+                observer.metrics.counter("runtime.shards.chunks").inc()
+                observer.metrics.gauge("runtime.shards.pending").add(-1)
+            yield result
     finally:
-        if spec_pack is not None:
-            spec_pack.release()
+        session.cancel(handles)
+
+
+def _stream(instance, kind, tasks, n_workers, chunk_size, transport, **args):
+    """Chunk ``tasks`` and stream the ``kind`` body's results as they land."""
+    chunks = _chunk_tasks(tasks, _fleet(transport, n_workers), chunk_size)
+    with _session(transport, n_workers, instance, len(chunks)) as session:
+        work = [(chunk, dict(args, tasks=chunk)) for chunk in chunks]
+        yield from _scatter(session, kind, work, "ball shard")
 
 
 # ----------------------------------------------------------------------
-# parent-side streaming API
+# parent-side front ends (one scheduler, either transport)
 # ----------------------------------------------------------------------
 def stream_ball_marginal_tasks(
     instance: SamplingInstance,
@@ -863,15 +831,15 @@ def stream_ball_marginal_tasks(
     n_workers: int = 2,
     chunk_size: Optional[int] = None,
     memo_cap: Optional[int] = MEMO_DELTA_CAP,
-    transport: str = "pickle",
+    transport="pickle",
 ) -> Iterator[Tuple[BallKey, Dict[Value, float]]]:
     """Stream Theorem 5.1 marginals for heterogeneous ``(center, radius)`` tasks.
 
-    The barrier-free core of the process backend: tasks are chunked, the
-    chunks run on a ``ProcessPoolExecutor`` (the picklable
-    :class:`InstanceSpec` is shipped once per worker via the pool
-    initializer), and each chunk's results are yielded -- and merged into the
-    parent's :class:`~repro.engine.cache.BallCache` via
+    The barrier-free core of the distributed backends: tasks are chunked,
+    each chunk runs the registered ``ball_marginals`` body on a worker (the
+    :class:`InstanceSpec` is shipped once per worker), and each chunk's
+    results are yielded -- and merged into the parent's
+    :class:`~repro.engine.cache.BallCache` via
     :meth:`~repro.engine.cache.BallCache.adopt` -- the moment the chunk
     completes, in *completion* order.  The parent can therefore consume
     radius-``r`` results while radius-``r + 1`` balls are still compiling in
@@ -886,16 +854,19 @@ def stream_ball_marginal_tasks(
         ``(center, radius)`` pairs; radii may differ between tasks.
     n_workers : int
         Process-pool width; with one worker (or one chunk) the stream runs
-        in-process with no pool, bit-identically.
+        in-process with no pool, bit-identically.  A coordinator transport
+        uses its live worker count instead.
     chunk_size : int, optional
-        Tasks per submitted chunk (default: about four chunks per worker).
+        Tasks per submitted chunk (default: see :func:`_chunk_tasks`).
     memo_cap : int, optional
         Per-ball cap on the marginal-memo delta shipped back (``None``
         ships every entry, ``0`` disables memo deltas).
-    transport : str
-        ``"pickle"`` (default) ships the spec by value; ``"shm"`` ships its
-        dense arrays as shared-memory descriptors (pickle fallback when
-        unavailable).
+    transport : str or ClusterCoordinator
+        ``"pickle"`` (default) ships the spec to a fork pool by value;
+        ``"shm"`` ships its dense arrays as shared-memory descriptors
+        (pickle fallback when unavailable); a
+        :class:`~repro.cluster.coordinator.ClusterCoordinator` runs the
+        chunks on its TCP workers, requeueing those of dead workers.
 
     Yields
     ------
@@ -905,28 +876,20 @@ def stream_ball_marginal_tasks(
     Raises
     ------
     RuntimeError
-        When a worker chunk fails, naming the chunk and chaining the worker
+        When a chunk fails, naming the chunk and chaining the worker
         exception; remaining chunks are cancelled.  Abandoning the generator
         early (``close()``) likewise cancels everything still pending.
     """
     tasks = list(tasks)
     if not tasks:
         return
-    spec = InstanceSpec.from_instance(instance)
     cache = instance.distribution.ball_cache()
-    chunks = _chunk_tasks(tasks, n_workers, chunk_size)
-    payloads = _stream_chunks(
-        spec,
-        chunks,
-        body=_ball_marginal_chunk,
-        extra_args=(memo_cap,),
-        n_workers=n_workers,
-        transport=transport,
-    )
-    for marginals, balls, extras, memos in payloads:
+    for marginals, balls, extras, memos in _stream(
+        instance, "ball_marginals", tasks, n_workers, chunk_size, transport,
+        memo_cap=memo_cap,
+    ):
         cache.adopt(balls=balls, extras=extras, memos=memos)
-        for key, marginal in marginals.items():
-            yield key, marginal
+        yield from marginals.items()
 
 
 def stream_padded_ball_marginals(
@@ -936,7 +899,7 @@ def stream_padded_ball_marginals(
     n_workers: int = 2,
     chunk_size: Optional[int] = None,
     memo_cap: Optional[int] = MEMO_DELTA_CAP,
-    transport: str = "pickle",
+    transport="pickle",
 ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
     """Stream Theorem 5.1 marginals at many centers of one radius.
 
@@ -963,76 +926,109 @@ def stream_compiled_balls(
     tasks: Sequence[BallKey],
     n_workers: int = 2,
     chunk_size: Optional[int] = None,
-    transport: str = "pickle",
+    transport="pickle",
 ) -> Iterator[Tuple[BallKey, CompiledGibbs]]:
-    """Stream ``(center, radius)`` ball compilations from a process pool.
+    """Stream ``(center, radius)`` ball compilations from the workers.
 
     Duplicate tasks are dropped; each chunk of compiled balls is adopted
     into the distribution's :class:`~repro.engine.cache.BallCache` and
     yielded the moment it completes, so the parent can start querying early
-    balls while later ones are still compiling.
+    balls while later ones are still compiling.  ``transport`` is as for
+    :func:`stream_ball_marginal_tasks`.
     """
     tasks = list(dict.fromkeys(tasks))
     if not tasks:
         return
-    spec = InstanceSpec.from_instance(instance)
     cache = instance.distribution.ball_cache()
-    chunks = _chunk_tasks(tasks, n_workers, chunk_size)
-    payloads = _stream_chunks(
-        spec,
-        chunks,
-        body=_compile_ball_chunk,
-        extra_args=(),
-        n_workers=n_workers,
-        transport=transport,
-    )
-    for compiled in payloads:
+    for compiled in _stream(
+        instance, "compile_balls", tasks, n_workers, chunk_size, transport
+    ):
         cache.adopt(balls=compiled)
         yield from compiled.items()
 
 
-# ----------------------------------------------------------------------
-# barrier wrappers (drain the stream; kept as the dict-returning API)
-# ----------------------------------------------------------------------
-def shard_compiled_balls(
+def run_chain_blocks(
     instance: SamplingInstance,
-    tasks: Sequence[BallKey],
+    kernel_name: str,
+    count: int,
+    seeds: Sequence,
+    initial=None,
     n_workers: int = 2,
-    transport: str = "pickle",
-) -> Dict[BallKey, CompiledGibbs]:
-    """Compile ``(center, radius)`` balls across a process pool (barrier).
+    stats: bool = False,
+    transport="pickle",
+) -> List[Dict[Node, Value]]:
+    """Run independent chains as batched blocks on the workers.
 
-    Drains :func:`stream_compiled_balls` into a dict: the compiled balls are
-    merged into the distribution's :class:`~repro.engine.cache.BallCache`
-    (so subsequent serial queries are cache hits) and returned together.
-    Callers that can make use of partial results should iterate the stream
-    instead.
+    The distributed leg of the unified chain path
+    (:meth:`repro.runtime.executor.Runtime.run_chains`): the seed list is
+    split into one contiguous block per worker, each block executes the
+    registered ``chain_block`` task body on a worker, and the per-block
+    results concatenate back in seed order.  With one block or one pool
+    worker the body runs in-process -- same body, same results.
+
+    ``transport`` is as for :func:`stream_ball_marginal_tasks`.  Under
+    ``"shm"`` each block also writes its final code matrix into one
+    parent-owned ``(len(seeds), n)`` shared segment, decoded here with the
+    exact :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
+    results are bit-identical to the pickle transport.
+
+    Returns
+    -------
+    list of dict
+        Final configurations, one per seed, bit-identical to the kernel's
+        serial chains.  With ``stats=True``: ``(configurations, counts)``,
+        where ``counts`` are the per-chain failure counts of gated kernels
+        (zeros for ungated ones).
+
+    Raises
+    ------
+    ValueError
+        For an unknown kernel, before anything is submitted.
+    RuntimeError
+        When a block fails, naming its range of seed indices and chaining
+        the error.
     """
-    return dict(
-        stream_compiled_balls(instance, tasks, n_workers=n_workers, transport=transport)
+    from repro.sampling.kernels import get_kernel
+
+    get_kernel(kernel_name)  # fail fast on unknown kernels, caller-side
+    seeds = list(seeds)
+    if not seeds:
+        return ([], []) if stats else []
+    blocks = _chunk_tasks(
+        seeds, 1, chunk_size=-(-len(seeds) // _fleet(transport, n_workers))
     )
-
-
-def shard_padded_ball_marginals(
-    instance: SamplingInstance,
-    centers: Sequence[Node],
-    radius: int,
-    n_workers: int = 2,
-    transport: str = "pickle",
-) -> Dict[Node, Dict[Value, float]]:
-    """Theorem 5.1 marginals at many centers, sharded across processes (barrier).
-
-    Drains :func:`stream_padded_ball_marginals` into a per-center dict; the
-    workers' compiled balls, boundary extensions and capped marginal-memo
-    deltas are merged back into the distribution's cache shard by shard.
-    Results are bit-identical to the serial
-    :func:`repro.inference.ssm_inference.padded_ball_marginal` loop.
-    """
-    return dict(
-        stream_padded_ball_marginals(
-            instance, centers, radius, n_workers=n_workers, transport=transport
-        )
-    )
+    base = {
+        "kernel": kernel_name,
+        "count": count,
+        "initial": dict(initial) if initial is not None else None,
+    }
+    if stats:
+        base["stats"] = True
+    results: List[Dict[Node, Value]] = []
+    counts: List[int] = []
+    with _session(transport, n_workers, instance, len(blocks)) as session:
+        codes = session.share_codes(len(seeds))
+        work = []  # each block is named by its range of seed indices
+        offset = 0
+        for block in blocks:
+            args = dict(base, seeds=block)
+            if codes is not None:
+                args["out"] = (codes.descriptors[0], offset)
+            work.append((range(offset, offset + len(block)), args))
+            offset += len(block)
+        for result in _scatter(session, "chain_block", work, "chain block", ordered=True):
+            configurations, block_counts = result if stats else (result, ())
+            results.extend(configurations or ())
+            counts.extend(block_counts)
+        if codes is not None:
+            # Decode with the exact ChainBatch.configurations() rule
+            # (spec.nodes/alphabet are the compiled engine's).
+            nodes, alphabet = session.spec.nodes, session.spec.alphabet
+            results = [
+                {node: alphabet[code] for node, code in zip(nodes, row)}
+                for row in codes.view(0).tolist()
+            ]
+    return (results, counts) if stats else results
 
 
 # ----------------------------------------------------------------------
@@ -1041,64 +1037,21 @@ def shard_padded_ball_marginals(
 _FORK_TASK: Optional[Callable] = None
 
 
-def _invoke_fork_task(item):
-    return _FORK_TASK(item)
-
-
 def _invoke_fork_task_indexed(pair):
     index, item = pair
     return index, _FORK_TASK(item)
 
 
-def process_map(
-    function: Callable,
-    items: Iterable,
-    n_workers: int = 2,
-    fallback_serial: bool = True,
-) -> List:
-    """Map ``function`` over ``items`` in a pool of forked processes.
+def process_map(function: Callable, items: Iterable, n_workers: int = 2) -> List:
+    """``[function(item) for item in items]`` over forked workers, in item order.
 
-    The fork start method lets workers inherit ``function`` -- including
-    closures over unpicklable model objects -- from the parent's address
-    space; only the items and results round-trip through pickle.  On
-    platforms without fork (or with a single item) the map degrades to a
-    serial loop when ``fallback_serial`` is set.
-
-    Parameters
-    ----------
-    function : callable
-        Applied to every item; inherited by forked workers.
-    items : iterable
-        Work items; each item and its result must pickle.
-    n_workers : int
-        Size of the forked pool.
-    fallback_serial : bool
-        Whether to degrade to a serial loop without fork support.
-
-    Returns
-    -------
-    list
-        ``[function(item) for item in items]``, in item order.
+    Collects :func:`process_map_unordered` by index.
     """
     items = list(items)
-    if not items:
-        return []
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        context = None
-    if context is None or len(items) == 1:
-        if context is None and not fallback_serial:
-            raise RuntimeError("process_map requires the fork start method")
-        return [function(item) for item in items]
-    global _FORK_TASK
-    previous = _FORK_TASK
-    _FORK_TASK = function
-    try:
-        with context.Pool(processes=max(1, n_workers)) as pool:
-            return pool.map(_invoke_fork_task, items)
-    finally:
-        _FORK_TASK = previous
+    results: List = [None] * len(items)
+    for index, result in process_map_unordered(function, items, n_workers=n_workers):
+        results[index] = result
+    return results
 
 
 def process_map_unordered(
@@ -1108,13 +1061,13 @@ def process_map_unordered(
 ) -> Iterator[Tuple[int, object]]:
     """Map ``function`` over ``items``, yielding results as they complete.
 
-    The streaming sibling of :func:`process_map`: results are yielded as
-    ``(index, result)`` pairs in *completion* order -- ``index`` is the
-    item's position in ``items``, so callers can reassociate out-of-order
-    results.  Like :func:`process_map`, the fork start method lets workers
-    inherit ``function`` (closures included) without pickling; on platforms
-    without fork, or with a single item, the map degrades to a lazy serial
-    loop yielding in order.
+    Results are yielded as ``(index, result)`` pairs in *completion* order
+    -- ``index`` is the item's position in ``items``, so callers can
+    reassociate out-of-order results.  The fork start method lets workers
+    inherit ``function`` (closures over unpicklable model objects
+    included) from the parent's address space; only the items and results
+    round-trip through pickle.  On platforms without fork, or with a
+    single item, the map degrades to a lazy serial loop yielding in order.
 
     Parameters
     ----------

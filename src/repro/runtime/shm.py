@@ -176,8 +176,9 @@ class SharedArrayPack:
         _LIVE_PACKS[self.name] = self
         handle = obs.active()
         if handle is not None:
-            handle.metrics.counter("runtime.shm.segments").add(1, label=label or "pack")
-            handle.metrics.counter("runtime.shm.bytes").add(self.nbytes)
+            handle.metrics.counter("runtime.shm.segments").inc()
+            handle.metrics.counter("runtime.shm.bytes").inc(self.nbytes)
+            obs.instant("runtime.shm.segment", label=label or "pack", bytes=self.nbytes)
 
     def view(self, index: int) -> np.ndarray:
         """Owner-side zero-copy view of packed array ``index``."""

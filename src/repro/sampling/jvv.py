@@ -145,13 +145,14 @@ def jvv_chain_stats(
     The failure-count sibling of ``Runtime.run_chains("jvv", ...)``, for
     consumers (E4's rejection-law rows, E12's jvv-kernel row) that need the
     acceptance masks alongside the states.  A serial runtime runs the
-    per-seed serial reference loop; the process and cluster runtimes
-    distribute batched blocks with the ``chain_block`` payload's
-    ``stats=True`` flag, which carries the per-chain failure counts back
-    over the pipe/socket alongside the configurations; any other runtime
-    advances one in-process :class:`~repro.runtime.chains.ChainBatch` and
-    reads the accumulated masks directly.  States and counts are identical
-    across runtimes under the spawned-seed convention.
+    per-seed serial reference loop; every other runtime takes the chain
+    dispatch of ``run_chains`` (its transport and inline threshold
+    included): one in-process :class:`~repro.runtime.chains.ChainBatch`
+    whose accumulated masks are read directly, or distributed blocks with
+    the ``chain_block`` payload's ``stats=True`` flag, which carries the
+    per-chain failure counts back over the pipe/socket alongside the
+    configurations.  States and counts are identical across runtimes under
+    the spawned-seed convention.
 
     Returns
     -------
@@ -160,8 +161,7 @@ def jvv_chain_stats(
         order.
     """
     from repro.runtime import resolve_runtime
-    from repro.runtime.chains import ChainBatch, chain_seed_sequences
-    from repro.runtime.shards import run_chain_blocks
+    from repro.runtime.chains import chain_seed_sequences
 
     resolved = resolve_runtime(runtime)
     if seeds is None:
@@ -178,25 +178,10 @@ def jvv_chain_stats(
             for chain_seed in seeds
         ]
         return [state for state, _ in pairs], [count for _, count in pairs]
-    if resolved.is_process:
-        states, counts = run_chain_blocks(
-            instance,
-            JVV_KERNEL.name,
-            steps,
-            seeds,
-            initial=initial,
-            n_workers=resolved.n_workers,
-            stats=True,
-        )
-        return states, list(counts)
-    if resolved.is_cluster:
-        states, counts = resolved.cluster_client().chain_samples(
-            instance, JVV_KERNEL.name, steps, seeds, initial=initial, stats=True
-        )
-        return states, list(counts)
-    batch = ChainBatch(instance, seeds=seeds, initial=initial)
-    batch.advance(JVV_KERNEL, steps)
-    return batch.configurations(), JVV_KERNEL.failure_counts(batch).tolist()
+    states, counts = resolved._chain_blocks(
+        JVV_KERNEL, instance, steps, seeds, initial=initial, stats=True
+    )
+    return states, list(counts)
 
 
 class LocalJVVSampler(SLocalAlgorithm):

@@ -36,7 +36,14 @@ from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_tree
 from repro.inference.ssm_inference import TruncatedBallInference, padded_ball_marginal
 from repro.models import coloring_model, hardcore_model
-from repro.runtime import Runtime, resolve_runtime
+from repro.runtime import (
+    Runtime,
+    resolve_runtime,
+    run_chain_blocks,
+    stream_ball_marginal_tasks,
+    stream_compiled_balls,
+    stream_padded_ball_marginals,
+)
 from repro.runtime.shards import InstanceSpec
 
 
@@ -382,8 +389,9 @@ class TestClusterStreams:
         distribution.ball_cache().clear()
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
             streamed = dict(
-                coordinator.stream_padded_ball_marginals(
-                    instance, instance.free_nodes, 2, chunk_size=2
+                stream_padded_ball_marginals(
+                    instance, instance.free_nodes, 2, chunk_size=2,
+                    transport=coordinator,
                 )
             )
         assert streamed == serial
@@ -394,7 +402,7 @@ class TestClusterStreams:
         instance = SamplingInstance(distribution)
         tasks = [(node, 2) for node in list(distribution.nodes)[:5]]
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            balls = dict(coordinator.stream_compiled_balls(instance, tasks))
+            balls = dict(stream_compiled_balls(instance, tasks, transport=coordinator))
         assert set(balls) == set(tasks)
         cache = distribution.ball_cache()
         for key, ball in balls.items():
@@ -403,16 +411,18 @@ class TestClusterStreams:
     def test_empty_streams(self, inprocess_workers):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            assert list(coordinator.stream_ball_marginal_tasks(instance, [])) == []
-            assert list(coordinator.stream_compiled_balls(instance, [])) == []
+            marginals = stream_ball_marginal_tasks(instance, [], transport=coordinator)
+            balls = stream_compiled_balls(instance, [], transport=coordinator)
+            assert list(marginals) == []
+            assert list(balls) == []
 
     def test_failed_shard_surfaces_clean_error(self, inprocess_workers):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
             with pytest.raises(RuntimeError, match="ball shard failed"):
                 list(
-                    coordinator.stream_ball_marginal_tasks(
-                        instance, [("no-such-node", 1)]
+                    stream_ball_marginal_tasks(
+                        instance, [("no-such-node", 1)], transport=coordinator
                     )
                 )
 
@@ -423,8 +433,12 @@ class TestClusterStreams:
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 1})
         seeds = chain_seed_sequences(3, 5)
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            glauber = coordinator.chain_samples(instance, "glauber", 60, seeds)
-            luby = coordinator.chain_samples(instance, "luby-glauber", 12, seeds)
+            glauber = run_chain_blocks(
+                instance, "glauber", 60, seeds, transport=coordinator
+            )
+            luby = run_chain_blocks(
+                instance, "luby-glauber", 12, seeds, transport=coordinator
+            )
         assert glauber == [glauber_sample(instance, 60, seed=seed) for seed in seeds]
         assert luby == [luby_glauber_sample(instance, 12, seed=seed) for seed in seeds]
 
@@ -436,7 +450,9 @@ class TestClusterStreams:
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
             with pytest.raises(ValueError, match="unknown chain kernel"):
-                coordinator.chain_samples(instance, "no-such-kernel", 3, [0, 1])
+                run_chain_blocks(
+                    instance, "no-such-kernel", 3, [0, 1], transport=coordinator
+                )
 
     def test_spec_reconstruction_is_bit_identical(self):
         instance = SamplingInstance(hardcore_model(random_tree(12, seed=6), 1.4), {0: 0})
@@ -455,13 +471,13 @@ class TestClusterStreams:
         instance = SamplingInstance(distribution, {0: 0})
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
             first = dict(
-                coordinator.stream_padded_ball_marginals(
-                    instance, instance.free_nodes, 1
+                stream_padded_ball_marginals(
+                    instance, instance.free_nodes, 1, transport=coordinator
                 )
             )
             second = dict(
-                coordinator.stream_padded_ball_marginals(
-                    instance, instance.free_nodes, 2
+                stream_padded_ball_marginals(
+                    instance, instance.free_nodes, 2, transport=coordinator
                 )
             )
             # One instance, one spec id, shipped to the connection once.
@@ -478,8 +494,8 @@ class TestClusterStreams:
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
             for instance in instances:
                 dict(
-                    coordinator.stream_padded_ball_marginals(
-                        instance, instance.free_nodes, 1
+                    stream_padded_ball_marginals(
+                        instance, instance.free_nodes, 1, transport=coordinator
                     )
                 )
             # The worker's FIFO cache evicted the early specs; the mirror
@@ -492,8 +508,8 @@ class TestClusterStreams:
                 for node in first.free_nodes
             }
             streamed = dict(
-                coordinator.stream_padded_ball_marginals(
-                    first, first.free_nodes, 1
+                stream_padded_ball_marginals(
+                    first, first.free_nodes, 1, transport=coordinator
                 )
             )
             assert streamed == serial
@@ -691,10 +707,11 @@ class TestLocalWorkerPool:
                     for index, worker in enumerate(coordinator.workers)
                     if worker.inflight
                 )
-                stream = coordinator.stream_ball_marginal_tasks(
+                stream = stream_ball_marginal_tasks(
                     instance,
                     [(node, 2) for node in instance.free_nodes],
                     chunk_size=1,
+                    transport=coordinator,
                 )
                 merged = {}
                 key, marginal = next(stream)  # from the unblocked worker
@@ -721,8 +738,9 @@ class TestLocalWorkerPool:
                 pool.kill(0)
                 with pytest.raises(RuntimeError, match="ball shard failed|no live"):
                     list(
-                        coordinator.stream_ball_marginal_tasks(
-                            instance, [(node, 1) for node in instance.free_nodes]
+                        stream_ball_marginal_tasks(
+                            instance, [(node, 1) for node in instance.free_nodes],
+                            transport=coordinator,
                         )
                     )
 

@@ -41,7 +41,7 @@ from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model, hardcore_model
-from repro.runtime import Runtime
+from repro.runtime import Runtime, run_chain_blocks, stream_ball_marginal_tasks
 
 KEY = "chaos-suite-secret"
 
@@ -294,8 +294,9 @@ class TestAuthHandshake:
             ) as coordinator:
                 merged = {
                     key[0]: marginal
-                    for key, marginal in coordinator.stream_ball_marginal_tasks(
-                        instance, [(node, 2) for node in instance.free_nodes]
+                    for key, marginal in stream_ball_marginal_tasks(
+                        instance, [(node, 2) for node in instance.free_nodes],
+                        transport=coordinator,
                     )
                 }
             assert merged == serial
@@ -372,10 +373,11 @@ class TestFrameFaults:
             ) as coordinator:
                 merged = {
                     key[0]: marginal
-                    for key, marginal in coordinator.stream_ball_marginal_tasks(
+                    for key, marginal in stream_ball_marginal_tasks(
                         instance,
                         [(node, 2) for node in instance.free_nodes],
                         chunk_size=1,
+                        transport=coordinator,
                     )
                 }
                 assert coordinator.requeued > 0
@@ -405,10 +407,11 @@ class TestFrameFaults:
             ) as coordinator:
                 merged = {
                     key[0]: marginal
-                    for key, marginal in coordinator.stream_ball_marginal_tasks(
+                    for key, marginal in stream_ball_marginal_tasks(
                         instance,
                         [(node, 2) for node in instance.free_nodes],
                         chunk_size=1,
+                        transport=coordinator,
                     )
                 }
                 assert coordinator.requeued > 0
@@ -494,8 +497,9 @@ class TestElasticMembership:
                 )
                 merged = {
                     key[0]: marginal
-                    for key, marginal in coordinator.stream_ball_marginal_tasks(
-                        instance, [(node, 2) for node in instance.free_nodes]
+                    for key, marginal in stream_ball_marginal_tasks(
+                        instance, [(node, 2) for node in instance.free_nodes],
+                        transport=coordinator,
                     )
                 }
             assert merged == serial
@@ -517,10 +521,11 @@ class TestElasticMembership:
                 # the first results arrive well before the sleeper
                 # unblocks at 2s.
                 coordinator.submit(time.sleep, 2.0)
-                stream = coordinator.stream_ball_marginal_tasks(
+                stream = stream_ball_marginal_tasks(
                     instance,
                     [(node, 2) for node in instance.free_nodes],
                     chunk_size=1,
+                    transport=coordinator,
                 )
                 joiner = threading.Timer(
                     0.4, coordinator.add_worker, args=[second.address]
@@ -555,12 +560,12 @@ class TestElasticMembership:
         addresses = [worker.address for worker in workers]
         try:
             with ClusterCoordinator(addresses) as coordinator:
-                before = coordinator.chain_samples(
-                    instance, "glauber", 30, seeds=list(range(4))
+                before = run_chain_blocks(
+                    instance, "glauber", 30, seeds=list(range(4)), transport=coordinator
                 )
             with ClusterCoordinator(addresses) as coordinator:
-                after = coordinator.chain_samples(
-                    instance, "glauber", 30, seeds=list(range(4))
+                after = run_chain_blocks(
+                    instance, "glauber", 30, seeds=list(range(4)), transport=coordinator
                 )
             assert after == before
             serial = Runtime().run_chains(
@@ -612,8 +617,9 @@ class TestElasticMembership:
             with pytest.warns(RuntimeWarning, match="degrade"):
                 merged = {
                     key[0]: marginal
-                    for key, marginal in coordinator.stream_ball_marginal_tasks(
-                        instance, [(node, 2) for node in instance.free_nodes]
+                    for key, marginal in stream_ball_marginal_tasks(
+                        instance, [(node, 2) for node in instance.free_nodes],
+                        transport=coordinator,
                     )
                 }
         assert merged == serial
@@ -725,8 +731,9 @@ class TestStatsWire:
         _serve(worker)
         try:
             with ClusterCoordinator([worker.address]) as coordinator:
-                states, counts = coordinator.chain_samples(
-                    instance, "jvv", 30, seeds=[0, 1, 2], stats=True
+                states, counts = run_chain_blocks(
+                    instance, "jvv", 30, seeds=[0, 1, 2], stats=True,
+                    transport=coordinator,
                 )
             assert len(states) == 3 and len(counts) == 3
             assert all(isinstance(count, int) for count in counts)
@@ -738,8 +745,6 @@ class TestStatsWire:
             worker.close()
 
     def test_ungated_kernels_report_zero_counts(self):
-        from repro.runtime.shards import run_chain_blocks
-
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 0})
         states, counts = run_chain_blocks(
             instance, "glauber", 20, seeds=[0, 1], n_workers=1, stats=True
@@ -764,10 +769,11 @@ class TestSubprocessChaos:
             with ClusterCoordinator(pool.addresses, reconnect=False) as coordinator:
                 merged = {
                     key[0]: marginal
-                    for key, marginal in coordinator.stream_ball_marginal_tasks(
+                    for key, marginal in stream_ball_marginal_tasks(
                         instance,
                         [(node, 2) for node in instance.free_nodes],
                         chunk_size=1,
+                        transport=coordinator,
                     )
                 }
                 assert coordinator.live_worker_count == 1
@@ -779,8 +785,8 @@ class TestSubprocessChaos:
         serial = Runtime().run_chains("glauber", instance, 20, seeds=[0, 1])
         with spawn_workers(2, auth_key=KEY) as pool:
             with ClusterCoordinator(pool.addresses, auth_key=KEY) as coordinator:
-                keyed = coordinator.chain_samples(
-                    instance, "glauber", 20, seeds=[0, 1]
+                keyed = run_chain_blocks(
+                    instance, "glauber", 20, seeds=[0, 1], transport=coordinator
                 )
         assert keyed == serial
 

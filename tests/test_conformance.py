@@ -12,7 +12,12 @@ checks) into one parametrized matrix:
 with the kernel's own ``serial_run`` per spawned seed as the reference,
 plus a PackedBatch row per kernel: many instances packed into one padded
 code matrix (fused and mixed-alphabet-fallback shapes alike) stay
-bit-identical per group to their solo runs.
+bit-identical per group to their solo runs.  The spec-bound task kinds
+get rows on every backend too: ``Runtime.ball_marginals``
+(``ball_marginals`` tasks), ``Runtime.warm_ball_cache`` followed by
+marginals that only hit the cache (``compile_balls``), and
+``jvv_chain_stats`` states and failure counts (``chain_block`` with
+``stats``), each against the serial backend.
 A new kernel registered via ``register_kernel`` -- or a new backend added
 to the ``conformance_runtime`` fixture in ``conftest.py`` -- gets the
 whole matrix with zero new test code.  Kernel-specific *statistics*
@@ -27,7 +32,9 @@ import pytest
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.models import coloring_model, hardcore_model
+from repro.inference.ssm_inference import padded_ball_marginal
 from repro.sampling import registered_kernels
+from repro.sampling.jvv import jvv_chain_stats
 
 KERNELS = sorted(registered_kernels())
 
@@ -158,3 +165,86 @@ def test_explicit_seed_lists_conform_too(
         f"kernel {kernel_name!r} diverges under explicit seeds on the "
         f"{conformance_runtime.backend!r} backend"
     )
+
+
+#: Inner radius of the Theorem 5.1 rows.
+BALL_RADIUS = 1
+
+
+def _ball_instances():
+    """Fresh instances per call: ball caches live on the distribution, so
+    one backend's cached balls must not serve another backend's row."""
+    return [
+        (
+            "hardcore-cycle",
+            SamplingInstance(hardcore_model(cycle_graph(9), fugacity=1.3), {0: 1}),
+        ),
+        (
+            "coloring-path",
+            SamplingInstance(coloring_model(path_graph(6), num_colors=3), {0: 2}),
+        ),
+    ]
+
+
+def _serial_ball_marginals():
+    return {
+        label: {
+            node: padded_ball_marginal(instance, node, BALL_RADIUS)
+            for node in instance.free_nodes
+        }
+        for label, instance in _ball_instances()
+    }
+
+
+def test_ball_marginals_conform(conformance_runtime):
+    """The ``ball_marginals`` kind: Theorem 5.1 marginals == serial."""
+    reference = _serial_ball_marginals()
+    for label, instance in _ball_instances():
+        observed = conformance_runtime.ball_marginals(
+            instance, instance.free_nodes, BALL_RADIUS
+        )
+        assert observed == reference[label], (
+            f"ball marginals diverge on the {conformance_runtime.backend!r} "
+            f"backend ({label})"
+        )
+
+
+def test_warmed_ball_cache_serves_marginals_as_hits(conformance_runtime):
+    """The ``compile_balls`` kind: warm_ball_cache adopts every padded ball,
+    so the serial marginals that follow compile nothing and stay equal."""
+    reference = _serial_ball_marginals()
+    for label, instance in _ball_instances():
+        locality = instance.distribution.locality()
+        tasks = [(node, BALL_RADIUS + locality) for node in instance.free_nodes]
+        assert conformance_runtime.warm_ball_cache(instance, tasks) == len(tasks)
+        cache = instance.distribution.ball_cache()
+        before = cache.stats()
+        observed = {
+            node: padded_ball_marginal(instance, node, BALL_RADIUS)
+            for node in instance.free_nodes
+        }
+        after = cache.stats()
+        assert observed == reference[label]
+        assert after["compiles"] == before["compiles"], label
+        assert after["hits"] - before["hits"] == len(tasks), label
+
+
+def test_jvv_chain_stats_conform(conformance_runtime, conformance_chains):
+    """The ``chain_block`` kind with ``stats``: states and failure counts."""
+    for label, instance in CONFORMANCE_INSTANCES:
+        reference = jvv_chain_stats(
+            instance,
+            CONFORMANCE_COUNT,
+            n_chains=conformance_chains,
+            seed=CONFORMANCE_SEED,
+        )
+        observed = jvv_chain_stats(
+            instance,
+            CONFORMANCE_COUNT,
+            seed=CONFORMANCE_SEED,
+            runtime=conformance_runtime,
+        )
+        assert observed == reference, (
+            f"jvv_chain_stats diverges on the {conformance_runtime.backend!r} "
+            f"backend ({label})"
+        )

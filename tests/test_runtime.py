@@ -30,13 +30,11 @@ from repro.runtime import (
     batched_kernel_sample,
     chain_seed_sequences,
     resolve_runtime,
-    shard_compiled_balls,
-    shard_padded_ball_marginals,
     stream_ball_marginal_tasks,
     stream_compiled_balls,
     stream_padded_ball_marginals,
 )
-from repro.runtime.shards import _ball_marginal_chunk, _chunk_tasks
+from repro.runtime.shards import TASK_REGISTRY, _chunk_tasks
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 from repro.sampling.kernels import RNG_CHUNK
 
@@ -279,7 +277,7 @@ class TestStreamingMerge:
         spec = InstanceSpec.from_instance(instance)
         tasks = [(center, radius) for center in instance.free_nodes]
         return [
-            _ball_marginal_chunk(chunk, 64, spec=spec)
+            TASK_REGISTRY["ball_marginals"]({"tasks": chunk, "memo_cap": 64}, spec)
             for chunk in _chunk_tasks(tasks, n_workers=2, chunk_size=2)
         ]
 
@@ -324,7 +322,9 @@ class TestStreamingMerge:
         instance = SamplingInstance(distribution, {0: 1})
         spec = InstanceSpec.from_instance(instance)
         tasks = [(node, 1) for node in instance.free_nodes]
-        _, _, _, capped = _ball_marginal_chunk(tasks, 0, spec=spec)
+        _, _, _, capped = TASK_REGISTRY["ball_marginals"](
+            {"tasks": tasks, "memo_cap": 0}, spec
+        )
         assert capped == {}
         compiled = distribution.compiled_engine()
         for node in list(distribution.nodes)[:4]:
@@ -420,11 +420,11 @@ class TestRuntimeStreamingFacade:
 class TestProcessPool:
     """Two-worker process-pool smoke tests (the sharding transport)."""
 
-    def test_shard_padded_ball_marginals_matches_serial(self):
+    def test_stream_padded_ball_marginals_matches_serial(self):
         distribution = coloring_model(cycle_graph(10), 3)
         instance = SamplingInstance(distribution, {0: 1})
-        sharded = shard_padded_ball_marginals(
-            instance, instance.free_nodes, 2, n_workers=2
+        sharded = dict(
+            stream_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2)
         )
         serial = {
             node: padded_ball_marginal(instance, node, 2)
@@ -434,11 +434,11 @@ class TestProcessPool:
         # Worker compilations were merged back into the parent cache.
         assert len(distribution.ball_cache()._compiled) > 0
 
-    def test_shard_compiled_balls_warms_cache(self):
+    def test_stream_compiled_balls_warms_cache(self):
         distribution = hardcore_model(random_tree(16, seed=1), 1.0)
         instance = SamplingInstance(distribution)
         tasks = [(node, 2) for node in list(distribution.nodes)[:6]]
-        balls = shard_compiled_balls(instance, tasks, n_workers=2)
+        balls = dict(stream_compiled_balls(instance, tasks, n_workers=2))
         assert set(balls) == set(tasks)
         cache = distribution.ball_cache()
         for center, radius in tasks:
@@ -485,7 +485,7 @@ class TestProcessPool:
         # only the latter should come back and be adopted.
         distribution = hardcore_model(cycle_graph(10), 1.0)
         instance = SamplingInstance(distribution)
-        shard_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2)
+        dict(stream_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2))
         locality = distribution.locality()
         adopted = set(distribution.ball_cache()._compiled)
         assert adopted == {(node, 2 + locality) for node in instance.free_nodes}
@@ -779,6 +779,55 @@ class TestAdaptiveDispatchGuard:
             assert instants and instants[-1]["attrs"]["chains"] == 2
         finally:
             obs.disable()
+
+    def test_jvv_chain_stats_takes_the_run_chains_dispatch(self):
+        # jvv_chain_stats rides the process runtime's transport and inline
+        # guard exactly like run_chains: shm code matrices above the
+        # threshold, the in-process block (with its instant) below it.
+        from repro import obs
+        from repro.runtime import shm
+        from repro.sampling.jvv import jvv_chain_stats
+
+        instance = SamplingInstance(hardcore_model(cycle_graph(9), 1.2), {0: 1})
+        batched = jvv_chain_stats(
+            instance, 30, seed=2, runtime=Runtime("batched", n_chains=4)
+        )
+        obs.enable()
+        try:
+            shared = jvv_chain_stats(
+                instance,
+                30,
+                seed=2,
+                runtime=Runtime(
+                    "process",
+                    n_chains=4,
+                    n_workers=2,
+                    transport="shm",
+                    inline_threshold=0,
+                ),
+            )
+            packs = [
+                event["attrs"]["label"]
+                for event in obs.events()
+                if event.get("name") == "runtime.shm.segment"
+            ]
+            segments = obs.snapshot()["metrics"]["runtime.shm.segments"]
+            inline = jvv_chain_stats(
+                instance, 30, seed=2, runtime=Runtime("process", n_chains=4, n_workers=2)
+            )
+            instants = [
+                event
+                for event in obs.events()
+                if event.get("name") == "runtime.dispatch.inline"
+            ]
+        finally:
+            obs.disable()
+        if shm.shm_available():
+            assert "chain-codes" in packs and segments == len(packs)
+        assert instants and instants[-1]["attrs"]["kernel"] == "jvv"
+        assert shared == batched
+        assert inline == batched
+        assert shm.live_segment_names() == []
 
 
 class TestRuntimeShutdownSafety:
