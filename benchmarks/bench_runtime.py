@@ -101,7 +101,6 @@ from repro.graphs import cycle_graph, random_tree
 from repro.models import hardcore_model
 from repro.runtime import (
     Runtime,
-    batched_kernel_sample,
     chain_seed_sequences,
     stream_ball_marginal_tasks,
     stream_padded_ball_marginals,
@@ -109,6 +108,9 @@ from repro.runtime import (
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
+
+#: The batched backend: one in-process code-matrix block per call.
+BATCHED = Runtime("batched")
 
 
 def _best_of(function, repeats: int) -> float:
@@ -126,7 +128,7 @@ def _luby_chain_workload(chains: int = 64, rounds: int = 60, size: int = 48):
     # Correctness gate before any timing (this also pays the one-time
     # compilation and table build): every batched chain equals the serial
     # chain of its seed.
-    assert batched_kernel_sample("luby-glauber", instance, rounds, seeds=seeds) == [
+    assert BATCHED.run_chains("luby-glauber", instance, rounds, seeds=seeds) == [
         luby_glauber_sample(instance, rounds, seed=seed) for seed in seeds
     ], "batched LubyGlauber chains diverge from the serial chain"
 
@@ -135,7 +137,7 @@ def _luby_chain_workload(chains: int = 64, rounds: int = 60, size: int = 48):
             luby_glauber_sample(instance, rounds, seed=seed)
 
     def batched() -> None:
-        batched_kernel_sample("luby-glauber", instance, rounds, seeds=seeds)
+        BATCHED.run_chains("luby-glauber", instance, rounds, seeds=seeds)
 
     return {"chains": chains, "rounds": rounds, "n": size}, serial, batched
 
@@ -145,7 +147,7 @@ def _glauber_chain_workload(chains: int = 256, steps: int = 1200, size: int = 64
     seeds = chain_seed_sequences(5, chains)
     # Correctness gate before any timing: every batched chain equals the
     # serial chain of its seed.
-    assert batched_kernel_sample("glauber", instance, steps, seeds=seeds) == [
+    assert BATCHED.run_chains("glauber", instance, steps, seeds=seeds) == [
         glauber_sample(instance, steps, seed=seed) for seed in seeds
     ], "batched Glauber chains diverge from the serial chain"
 
@@ -154,7 +156,7 @@ def _glauber_chain_workload(chains: int = 256, steps: int = 1200, size: int = 64
             glauber_sample(instance, steps, seed=seed)
 
     def batched() -> None:
-        batched_kernel_sample("glauber", instance, steps, seeds=seeds)
+        BATCHED.run_chains("glauber", instance, steps, seeds=seeds)
 
     return {"chains": chains, "steps": steps, "n": size}, serial, batched
 

@@ -93,30 +93,21 @@ def run_local_algorithm(
     and network are inherited, so only each node's output crosses the pipe
     and must pickle); the default serial runtime is today's in-process loop.
     """
+    from repro.runtime import resolve_runtime
+
     radius = algorithm.radius(network)
     if radius < 0:
         raise ValueError("algorithm declared a negative radius")
     targets = list(network.nodes) if nodes is None else list(nodes)
+
+    def compute_at(node):
+        output, failed = algorithm.compute(network.view(node, radius))
+        return output, bool(failed)
+
+    results = resolve_runtime(runtime).map(compute_at, targets)
     outputs: Dict[Node, object] = {}
     failures: Dict[Node, bool] = {}
-    if runtime is not None:
-        from repro.runtime import resolve_runtime
-
-        resolved = resolve_runtime(runtime)
-        if resolved.is_process and len(targets) > 1:
-
-            def compute_at(node):
-                output, failed = algorithm.compute(network.view(node, radius))
-                return output, bool(failed)
-
-            results = resolved.map(compute_at, targets)
-            for node, (output, failed) in zip(targets, results):
-                outputs[node] = output
-                failures[node] = failed
-            return LocalRunResult(outputs=outputs, failures=failures, rounds=radius)
-    for node in targets:
-        view = network.view(node, radius)
-        output, failed = algorithm.compute(view)
+    for node, (output, failed) in zip(targets, results):
         outputs[node] = output
-        failures[node] = bool(failed)
+        failures[node] = failed
     return LocalRunResult(outputs=outputs, failures=failures, rounds=radius)

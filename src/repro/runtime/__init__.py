@@ -45,7 +45,6 @@ from repro.runtime.chains import (
     ChainBatch,
     ChainState,
     PackedBatch,
-    batched_kernel_sample,
     chain_seed_sequences,
     make_chain_state,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ChainState",
     "PackedBatch",
     "make_chain_state",
-    "batched_kernel_sample",
     "chain_seed_sequences",
     "TASK_REGISTRY",
     "register_task",

@@ -1113,39 +1113,3 @@ def make_chain_state(
     else:
         raise ValueError(f"unknown ChainState layout {layout!r}")
     return ChainState(resolved.name, batches, layout=layout)
-
-
-def batched_kernel_sample(
-    kernel,
-    instance: SamplingInstance,
-    count: int,
-    n_chains: Optional[int] = None,
-    seed: Seed = 0,
-    seeds: Optional[Sequence] = None,
-    initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
-) -> List[Dict[Node, Value]]:
-    """Run a batch of chains of one kernel; return the per-chain final states.
-
-    The single batched entry point behind
-    :meth:`repro.runtime.executor.Runtime.run_chains` (and the cluster
-    workers' chain blocks): entry ``c`` is bit-identical to
-    ``kernel.serial_run(instance, count, seed=seeds[c], initial=initial)``.
-
-    Parameters
-    ----------
-    kernel : str or ChainKernel
-        The dynamics to advance.
-    instance, count, n_chains, seed, seeds, initial, engine
-        As for :class:`ChainBatch`; ``count`` is the per-chain unit count.
-
-    Returns
-    -------
-    list of dict
-        Final configurations, one per chain.
-    """
-    batch = ChainBatch(
-        instance, n_chains=n_chains, seed=seed, seeds=seeds, initial=initial, engine=engine
-    )
-    batch.advance(kernel, count)
-    return batch.configurations()

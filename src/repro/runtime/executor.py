@@ -76,6 +76,7 @@ from repro.runtime.chains import (
 from repro.runtime.shards import (
     TRANSPORTS,
     advance_block,
+    process_map,
     process_map_unordered,
     run_chain_blocks,
     stream_ball_marginal_tasks,
@@ -390,6 +391,8 @@ class Runtime:
         list
             ``[function(item) for item in items]``, in item order.
         """
+        if self.is_process:
+            return process_map(function, items, n_workers=self.n_workers)
         pairs = sorted(self.map_unordered(function, items), key=lambda pair: pair[0])
         return [result for _, result in pairs]
 

@@ -753,40 +753,52 @@ def _session(transport, n_workers: int, instance: SamplingInstance, n_chunks: in
                 pack.release()
 
 
-def _chunk_tasks(
-    tasks: Sequence, n_workers: int, chunk_size: Optional[int] = None
-) -> List[List]:
-    """Split tasks into contiguous chunks sized for streaming.
+def _chunk_target(transport, n_workers: int) -> int:
+    """How many chunks a stream over ``transport`` aims at by default.
 
-    The default aims at ``min(4w, max(2w, 8))`` chunks for ``w`` workers:
-    about four per worker on small fleets -- small enough that the first
-    result lands early and stragglers stay balanced -- and a capped count
-    on large ones, where the fixed per-chunk round trip would otherwise
-    dominate (the measured 4-worker cluster regression in
-    ``BENCH_runtime.json``).
+    The fork pool takes about four chunks per worker (``4w``): small
+    enough that the first result lands early and stragglers stay
+    balanced, large enough to amortise the per-chunk submit/pickle round
+    trip.  A coordinator caps the count at ``min(4w, max(2w, 8))`` for its
+    ``w`` live workers: over TCP the fixed per-chunk round trip dominates
+    once chunks shrink with the fleet (the measured 4-worker cluster
+    regression in ``BENCH_runtime.json``).  The two agree for ``w <= 2``.
     """
+    workers = _fleet(transport, n_workers)
+    if isinstance(transport, str):
+        return 4 * workers
+    return min(4 * workers, max(2 * workers, 8))
+
+
+def _chunk_tasks(
+    tasks: Sequence, n_chunks: int, chunk_size: Optional[int] = None
+) -> List[List]:
+    """Split tasks into contiguous chunks, about ``n_chunks`` of them unless
+    ``chunk_size`` fixes the tasks per chunk."""
     tasks = list(tasks)
     if not tasks:
         return []
     if chunk_size is None:
-        workers = max(1, n_workers)
-        chunk_size = -(-len(tasks) // min(4 * workers, max(2 * workers, 8)))
+        chunk_size = -(-len(tasks) // max(1, n_chunks))
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     return [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
 
 
-def _scatter(session, kind: str, work: Sequence, what: str, ordered: bool = False):
+def _scatter(
+    session, kind: str, work: Sequence, what: Optional[str] = None, ordered: bool = False
+):
     """THE scheduler loop: submit, then yield results as they land.
 
     ``work`` holds one ``(chunk, args)`` pair per chunk; each becomes one
     ``(kind, args)`` submission to ``session``.  Results are yielded in
     completion order (chunk order when ``ordered``).  A failed chunk --
     worker exception, broken pool, lost cluster task, or the in-process
-    body raising -- surfaces as a ``RuntimeError`` naming the chunk
-    instead of a hang; pending chunks are cancelled both on failure and
-    when the consumer abandons the generator early.  Queue depth and chunk
-    counts land in the metrics registry when obs is on.
+    body raising -- raises instead of hanging: as a ``RuntimeError``
+    naming the chunk when ``what`` names the work, otherwise as the
+    session's own exception.  Pending chunks are cancelled both on failure
+    and when the consumer abandons the generator early.  Queue depth and
+    chunk counts land in the metrics registry when obs is on.
     """
     handles: Dict = {}
     try:
@@ -803,6 +815,8 @@ def _scatter(session, kind: str, work: Sequence, what: str, ordered: bool = Fals
             try:
                 result = session.result(landed)
             except Exception as error:
+                if what is None:
+                    raise
                 raise RuntimeError(
                     f"{what} failed on chunk {handles[landed]!r}: {error}"
                 ) from error
@@ -816,7 +830,7 @@ def _scatter(session, kind: str, work: Sequence, what: str, ordered: bool = Fals
 
 def _stream(instance, kind, tasks, n_workers, chunk_size, transport, **args):
     """Chunk ``tasks`` and stream the ``kind`` body's results as they land."""
-    chunks = _chunk_tasks(tasks, _fleet(transport, n_workers), chunk_size)
+    chunks = _chunk_tasks(tasks, _chunk_target(transport, n_workers), chunk_size)
     with _session(transport, n_workers, instance, len(chunks)) as session:
         work = [(chunk, dict(args, tasks=chunk)) for chunk in chunks]
         yield from _scatter(session, kind, work, "ball shard")
@@ -857,7 +871,7 @@ def stream_ball_marginal_tasks(
         in-process with no pool, bit-identically.  A coordinator transport
         uses its live worker count instead.
     chunk_size : int, optional
-        Tasks per submitted chunk (default: see :func:`_chunk_tasks`).
+        Tasks per submitted chunk (default: see :func:`_chunk_target`).
     memo_cap : int, optional
         Per-ball cap on the marginal-memo delta shipped back (``None``
         ships every entry, ``0`` disables memo deltas).
@@ -972,6 +986,13 @@ def run_chain_blocks(
     exact :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
     results are bit-identical to the pickle transport.
 
+    A failing block raises the body's own exception -- the error the
+    in-process block raises, e.g. the ``ValueError`` of a stuck initial
+    configuration -- so :meth:`~repro.runtime.executor.Runtime.run_chains`
+    fails the same way inline and on the pool.  The cluster transport
+    carries only the error text, inside a
+    :class:`~repro.cluster.coordinator.ClusterError`.
+
     Returns
     -------
     list of dict
@@ -984,9 +1005,6 @@ def run_chain_blocks(
     ------
     ValueError
         For an unknown kernel, before anything is submitted.
-    RuntimeError
-        When a block fails, naming its range of seed indices and chaining
-        the error.
     """
     from repro.sampling.kernels import get_kernel
 
@@ -994,9 +1012,7 @@ def run_chain_blocks(
     seeds = list(seeds)
     if not seeds:
         return ([], []) if stats else []
-    blocks = _chunk_tasks(
-        seeds, 1, chunk_size=-(-len(seeds) // _fleet(transport, n_workers))
-    )
+    blocks = _chunk_tasks(seeds, _fleet(transport, n_workers))
     base = {
         "kernel": kernel_name,
         "count": count,
@@ -1008,15 +1024,15 @@ def run_chain_blocks(
     counts: List[int] = []
     with _session(transport, n_workers, instance, len(blocks)) as session:
         codes = session.share_codes(len(seeds))
-        work = []  # each block is named by its range of seed indices
+        work = []
         offset = 0
         for block in blocks:
             args = dict(base, seeds=block)
             if codes is not None:
                 args["out"] = (codes.descriptors[0], offset)
-            work.append((range(offset, offset + len(block)), args))
+            work.append((block, args))
             offset += len(block)
-        for result in _scatter(session, "chain_block", work, "chain block", ordered=True):
+        for result in _scatter(session, "chain_block", work, ordered=True):
             configurations, block_counts = result if stats else (result, ())
             results.extend(configurations or ())
             counts.extend(block_counts)
@@ -1045,11 +1061,14 @@ def _invoke_fork_task_indexed(pair):
 def process_map(function: Callable, items: Iterable, n_workers: int = 2) -> List:
     """``[function(item) for item in items]`` over forked workers, in item order.
 
-    Collects :func:`process_map_unordered` by index.
+    Ships the items in ``Pool.map``'s batches of about ``len(items) /
+    (4 * n_workers)`` per round trip and collects the results by index;
+    otherwise as :func:`process_map_unordered`.
     """
     items = list(items)
     results: List = [None] * len(items)
-    for index, result in process_map_unordered(function, items, n_workers=n_workers):
+    chunksize = max(1, -(-len(items) // (4 * max(1, n_workers))))
+    for index, result in _fork_map(function, items, n_workers, chunksize):
         results[index] = result
     return results
 
@@ -1083,7 +1102,12 @@ def process_map_unordered(
     (int, object)
         ``(index, function(items[index]))`` in completion order.
     """
-    items = list(items)
+    yield from _fork_map(function, list(items), n_workers, 1)
+
+
+def _fork_map(function: Callable, items: List, n_workers: int, chunksize: int):
+    """The fork pool behind both maps: ``(index, result)`` pairs in
+    completion order, ``chunksize`` items per pipe round trip."""
     if not items:
         return
     try:
@@ -1100,7 +1124,9 @@ def process_map_unordered(
         # The pool forks here, snapshotting the function global; clearing it
         # in the finally block cannot affect the already-forked workers.
         with context.Pool(processes=max(1, n_workers)) as pool:
-            yield from pool.imap_unordered(_invoke_fork_task_indexed, enumerate(items))
+            yield from pool.imap_unordered(
+                _invoke_fork_task_indexed, enumerate(items), chunksize=chunksize
+            )
     finally:
         # Reset to None rather than a saved "previous" value: interleaved
         # generators would otherwise reinstall each other's functions on

@@ -294,33 +294,79 @@ class TestBlanketTables:
         hub = coloring_model(star_graph(8), num_colors=6).compiled_engine()
         assert hub.batched_tables.rows is None and hub.batched_tables.may_stick
 
-    def test_stuck_colouring_raises_the_step_by_step_error(self):
-        from repro.runtime import Runtime
-
+    @staticmethod
+    def _stuck_colouring():
         instance = SamplingInstance(coloring_model(torus_graph(4, 4), num_colors=3))
         rng = np.random.default_rng(5)
         # An improper start in which some node sees all three colours.
         initial = {node: int(rng.integers(3)) for node in instance.free_nodes}
+        return instance, initial
+
+    @staticmethod
+    def _stuck_message(node):
+        return (
+            f"node {node!r} has no feasible value given its neighbourhood; "
+            "the single-site dynamics is not ergodic here"
+        )
+
+    def test_stuck_colouring_raises_the_step_by_step_error(self):
+        from repro.runtime import Runtime
+
+        instance, initial = self._stuck_colouring()
         # The nodes named before the wave schedule and the cumulative rows:
         # the scan kernels stop at the same step whatever the layout; the
         # batched Glauber names the first stuck step over all chains, the
-        # serial loop the first stuck chain's.
+        # serial loop the first stuck chain's, and the process pool (two
+        # blocks of two chains) the first block's.
         expected = {
             ("jvv", "serial"): (0, 2),
             ("jvv", "batched"): (0, 2),
+            ("jvv", "process"): (0, 2),
             ("sequential", "serial"): (0, 2),
             ("sequential", "batched"): (0, 2),
+            ("sequential", "process"): (0, 2),
             ("glauber", "serial"): (2, 1),
             ("glauber", "batched"): (1, 0),
+            ("glauber", "process"): (3, 0),
         }
         for (kernel, backend), node in expected.items():
-            runtime = Runtime(backend, n_chains=4)
-            with pytest.raises(ValueError) as raised:
+            if backend == "process":
+                # inline_threshold=0: the blocks go through the pool.
+                runtime = Runtime(backend, n_chains=4, n_workers=2, inline_threshold=0)
+            else:
+                runtime = Runtime(backend, n_chains=4)
+            with runtime, pytest.raises(ValueError) as raised:
                 runtime.run_chains(kernel, instance, 40, seed=2, initial=initial)
-            assert str(raised.value) == (
-                f"node {node!r} has no feasible value given its neighbourhood; "
-                "the single-site dynamics is not ergodic here"
-            ), (kernel, backend)
+            assert str(raised.value) == self._stuck_message(node), (kernel, backend)
+
+    @pytest.mark.slow
+    def test_stuck_colouring_reports_the_worker_error_on_the_cluster(self):
+        import threading
+
+        from repro.cluster import ClusterError
+        from repro.cluster.worker import ClusterWorker
+        from repro.runtime import Runtime
+
+        instance, initial = self._stuck_colouring()
+        workers = [ClusterWorker() for _ in range(2)]
+        for worker in workers:
+            threading.Thread(target=worker.serve_forever, daemon=True).start()
+        runtime = Runtime(
+            "cluster", n_chains=4, addresses=[worker.address for worker in workers]
+        )
+        try:
+            # The wire carries only the worker's error text: the same
+            # message as the process pool's, inside a ClusterError.
+            for kernel, node in (("jvv", (0, 2)), ("sequential", (0, 2)), ("glauber", (3, 0))):
+                with pytest.raises(ClusterError) as raised:
+                    runtime.run_chains(kernel, instance, 40, seed=2, initial=initial)
+                assert str(raised.value).startswith(
+                    "worker task failed: " + self._stuck_message(node)
+                ), kernel
+        finally:
+            runtime.shutdown()
+            for worker in workers:
+                worker.close()
 
     def test_either_cap_keeps_the_whole_instance_on_the_gather(self, monkeypatch):
         from repro.runtime import chains

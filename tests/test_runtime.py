@@ -27,14 +27,13 @@ from repro.runtime import (
     ChainBatch,
     InstanceSpec,
     Runtime,
-    batched_kernel_sample,
     chain_seed_sequences,
     resolve_runtime,
     stream_ball_marginal_tasks,
     stream_compiled_balls,
     stream_padded_ball_marginals,
 )
-from repro.runtime.shards import TASK_REGISTRY, _chunk_tasks
+from repro.runtime.shards import TASK_REGISTRY, _chunk_target, _chunk_tasks
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 from repro.sampling.kernels import RNG_CHUNK
 
@@ -54,6 +53,9 @@ def _instances():
 INSTANCES = _instances()
 INSTANCE_IDS = [label for label, _ in INSTANCES]
 
+#: The batched backend: one code-matrix block per call, in-process.
+BATCHED = Runtime("batched")
+
 
 @pytest.mark.parametrize(("label", "instance"), INSTANCES, ids=INSTANCE_IDS)
 class TestBatchedChainDeterminism:
@@ -62,20 +64,20 @@ class TestBatchedChainDeterminism:
     def test_glauber_bit_identical(self, label, instance):
         seeds = chain_seed_sequences(7, 5)
         serial = [glauber_sample(instance, 137, seed=seed) for seed in seeds]
-        batched = batched_kernel_sample("glauber", instance, 137, seeds=seeds)
+        batched = BATCHED.run_chains("glauber", instance, 137, seeds=seeds)
         assert batched == serial
 
     def test_luby_glauber_bit_identical(self, label, instance):
         seeds = chain_seed_sequences(11, 5)
         serial = [luby_glauber_sample(instance, 23, seed=seed) for seed in seeds]
-        batched = batched_kernel_sample("luby-glauber", instance, 23, seeds=seeds)
+        batched = BATCHED.run_chains("luby-glauber", instance, 23, seeds=seeds)
         assert batched == serial
 
     def test_integer_seeds_match_serial(self, label, instance):
         # E12 seeds its serial chains with plain integers; explicit seeds
         # reproduce that exactly.
         serial = [luby_glauber_sample(instance, 12, seed=seed) for seed in range(4)]
-        batched = batched_kernel_sample("luby-glauber", instance, 12, seeds=range(4))
+        batched = BATCHED.run_chains("luby-glauber", instance, 12, seeds=range(4))
         assert batched == serial
 
 
@@ -85,21 +87,25 @@ class TestBatchedChainEdges:
         seeds = chain_seed_sequences(0, 3)
         steps = RNG_CHUNK + 37
         serial = [glauber_sample(instance, steps, seed=seed) for seed in seeds]
-        assert batched_kernel_sample("glauber", instance, steps, seeds=seeds) == serial
+        assert BATCHED.run_chains("glauber", instance, steps, seeds=seeds) == serial
 
     def test_spawned_seed_convention(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        from_root = batched_kernel_sample("glauber", instance, 50, n_chains=4, seed=9)
-        explicit = batched_kernel_sample(
-            "glauber", instance, 50, seeds=chain_seed_sequences(9, 4)
-        )
+
+        def advanced(**seeding):
+            batch = ChainBatch(instance, **seeding)
+            batch.advance("glauber", 50)
+            return batch.configurations()
+
+        from_root = advanced(n_chains=4, seed=9)
+        explicit = advanced(seeds=chain_seed_sequences(9, 4))
         assert from_root == explicit
 
     def test_zero_steps_returns_initial(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         initial = glauber_sample(instance, 0, seed=0)
-        batch = batched_kernel_sample(
-            "glauber", instance, 0, n_chains=3, seed=1, initial=initial
+        batch = Runtime("batched", n_chains=3).run_chains(
+            "glauber", instance, 0, seed=1, initial=initial
         )
         assert batch == [initial] * 3
 
@@ -278,7 +284,7 @@ class TestStreamingMerge:
         tasks = [(center, radius) for center in instance.free_nodes]
         return [
             TASK_REGISTRY["ball_marginals"]({"tasks": chunk, "memo_cap": 64}, spec)
-            for chunk in _chunk_tasks(tasks, n_workers=2, chunk_size=2)
+            for chunk in _chunk_tasks(tasks, 8, chunk_size=2)
         ]
 
     def test_out_of_order_adoption_matches_serial(self):
@@ -374,12 +380,25 @@ class TestStreamingMerge:
 
     def test_chunking_defaults(self):
         tasks = list(range(17))
-        chunks = _chunk_tasks(tasks, n_workers=2)
+        chunks = _chunk_tasks(tasks, _chunk_target("pickle", 2))
         assert [task for chunk in chunks for task in chunk] == tasks
         assert max(len(chunk) for chunk in chunks) <= 3
         assert _chunk_tasks([], 2) == []
         with pytest.raises(ValueError):
             _chunk_tasks(tasks, 2, chunk_size=0)
+
+    def test_chunk_targets_per_transport(self):
+        class Fleet:
+            def __init__(self, live_worker_count):
+                self.live_worker_count = live_worker_count
+
+        # The fork pool keeps four chunks per worker at every width; the
+        # coordinator caps the count at min(4w, max(2w, 8)) -- the two
+        # agree up to two workers.
+        for workers in (1, 2, 4, 8):
+            assert _chunk_target("pickle", workers) == 4 * workers
+            assert _chunk_target("shm", workers) == 4 * workers
+        assert [_chunk_target(Fleet(w), 99) for w in (1, 2, 4, 8)] == [4, 8, 8, 16]
 
 
 class TestRuntimeStreamingFacade:
@@ -494,6 +513,24 @@ class TestProcessPool:
         runtime = Runtime("process", n_workers=2)
         offset = 10  # closure state must be inherited by forked workers
         assert runtime.map(lambda x: x + offset, range(5)) == [10, 11, 12, 13, 14]
+
+    def test_process_map_batches_like_pool_map(self, monkeypatch):
+        import multiprocessing.pool
+
+        sizes = []
+        imap = multiprocessing.pool.Pool.imap_unordered
+
+        def recording(pool, function, iterable, chunksize=1):
+            sizes.append(chunksize)
+            return imap(pool, function, iterable, chunksize)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", recording)
+        runtime = Runtime("process", n_workers=2)
+        # Runtime.map ships Pool.map's ceil(len / 4w) items per round trip;
+        # the streaming map_unordered ships one item at a time.
+        assert runtime.map(lambda x: -x, range(50)) == [-x for x in range(50)]
+        assert sorted(runtime.map_unordered(abs, range(5))) == [(i, i) for i in range(5)]
+        assert sizes == [7, 1]
 
     def test_stream_yields_incrementally_and_matches_serial(self):
         distribution = coloring_model(cycle_graph(10), 3)
