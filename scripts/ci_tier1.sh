@@ -10,7 +10,9 @@
 # the first must advance in fewer dependency waves than steps), a cluster smoke (a coordinator driving
 # two real localhost worker subprocesses over the TCP transport: ball
 # marginals bit-identical to the serial loop, glauber chains and
-# jvv_chain_stats bit-identical to the batched backend), a chaos smoke (one of the two
+# jvv_chain_stats bit-identical to the batched backend; a pickled
+# "call" task is refused as an unknown kind and the worker still answers
+# a ping), a chaos smoke (one of the two
 # workers is armed with a deterministic FaultPlan and hard-crashes
 # mid-stream; the requeued merge must still be bit-identical), a traced
 # cluster smoke (the same run with obs=True must stay bit-identical,
@@ -100,6 +102,7 @@ PY
 
 echo "== tier-1: cluster smoke =="
 python - <<'PY'
+from repro.cluster.coordinator import ClusterError
 from repro.cluster.local import spawn_workers
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph
@@ -120,10 +123,24 @@ with spawn_workers(2) as pool:
         clustered = runtime.ball_marginals(instance, instance.free_nodes, 1)
         clustered_glauber = runtime.run_chains("glauber", instance, 40, seed=5)
         clustered_jvv = jvv_chain_stats(instance, 40, seed=5, runtime=runtime)
+        # Workers run registered task bodies only: a pickled callable is
+        # refused, and the connection keeps serving.
+        coordinator = runtime.cluster_client()
+        refused = coordinator.submit_task("call", (pow, (2, 8), {}))
+        try:
+            refused.result(timeout=30)
+        except ClusterError as error:
+            assert "unknown task kind" in str(error), f"wrong refusal: {error}"
+        else:
+            raise AssertionError("a worker ran a pickled 'call' task")
+        assert coordinator.submit_task("ping", "alive").result(timeout=30) == "alive"
 assert clustered == serial, "cluster marginals diverge from the serial loop"
 assert clustered_glauber == glauber, "cluster glauber chains diverge from batched"
 assert clustered_jvv == jvv, "cluster jvv_chain_stats diverge from batched"
-print("cluster smoke OK: 2 workers, bit-identical marginals, chains and jvv stats")
+print(
+    "cluster smoke OK: 2 workers, bit-identical marginals, chains and jvv stats; "
+    "'call' refused as an unknown task kind"
+)
 PY
 
 echo "== tier-1: chaos smoke =="

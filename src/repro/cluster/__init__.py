@@ -43,9 +43,10 @@ when every worker is gone.  See ``docs/ARCHITECTURE.md``.
 The ergonomic entry point is the :class:`~repro.runtime.executor.Runtime`
 facade: ``Runtime(backend="cluster", addresses=[...])`` (or plain
 ``runtime="cluster"``, which spawns localhost workers on first use)
-conforms to the same ``submit`` / ``map_unordered`` /
-``stream_ball_marginals`` / ``shutdown`` contract as the serial, batched
-and process backends.
+conforms to the same ``run_chains`` / ``stream_ball_marginals`` /
+``shutdown`` contract as the serial, batched and process backends.
+Workers run only ``ping`` and the registered task bodies; no pickled
+callable crosses the wire.
 """
 
 from repro.cluster.chaos import CHAOS_ENV, FaultPlan

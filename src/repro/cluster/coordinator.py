@@ -60,8 +60,8 @@ import time
 import warnings
 import weakref
 from collections import OrderedDict
-from concurrent.futures import CancelledError, Future, InvalidStateError, as_completed
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import CancelledError, Future, InvalidStateError
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cluster import protocol
@@ -996,33 +996,3 @@ class ClusterCoordinator:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    # ------------------------------------------------------------------
-    # generic calls
-    # ------------------------------------------------------------------
-    def submit(self, function, *args, **kwargs) -> Future:
-        """Run ``function(*args, **kwargs)`` on some worker.
-
-        The callable and its arguments cross the wire by pickle, so pass
-        module-level functions (pickle serialises them by reference);
-        closures and lambdas are rejected by pickle itself.
-        """
-        return self.submit_task("call", (function, tuple(args), dict(kwargs)))
-
-    def map_unordered(self, function, items: Iterable) -> Iterator[Tuple[int, object]]:
-        """Map ``function`` over items, yielding ``(index, result)`` pairs
-        in completion order; abandoning the iterator cancels pending calls.
-        """
-        items = list(items)
-        futures = {}
-        try:
-            for index, item in enumerate(items):
-                futures[self.submit(function, item)] = index
-        except BaseException:
-            self._discard(futures)  # a failed submission abandons its batch
-            raise
-        try:
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-        finally:
-            self._discard(futures)

@@ -115,7 +115,7 @@ MAGIC = b"RCW1"
 #: Magic of *authenticated* frames (a 32-byte HMAC tag follows the payload).
 MAGIC_AUTH = b"RCA1"
 #: Bumped on incompatible wire changes; checked during the HELLO handshake.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 #: Bytes of the HMAC-SHA256 tag appended to authenticated frames.
 TAG_BYTES = 32
 #: Environment variable both sides read for a default shared auth key.

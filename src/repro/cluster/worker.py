@@ -37,10 +37,6 @@ Task kinds
     :class:`~repro.sampling.kernels.ChainKernel` (``count`` units each),
     run on the instance reconstructed from the spec
     (:meth:`~repro.runtime.shards.InstanceSpec.to_instance`).
-``call``
-    ``(function, args, kwargs)`` -> ``function(*args, **kwargs)`` for any
-    picklable (module-level) callable; backs ``Runtime.submit`` and
-    ``Runtime.map_unordered`` on the cluster backend.
 ``ping``
     Echoes its payload; used for smoke tests and latency probes.
 ``cancel``
@@ -149,9 +145,6 @@ def run_task(kind: str, args, specs: Dict[int, InstanceSpec], spec=None):
     """
     if kind == "ping":
         return args
-    if kind == "call":
-        function, call_args, call_kwargs = args
-        return function(*call_args, **call_kwargs)
     body = TASK_REGISTRY.get(kind)
     if body is None:
         raise protocol.ProtocolError(f"unknown task kind {kind!r}")

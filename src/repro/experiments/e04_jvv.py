@@ -57,10 +57,10 @@ def run_exactness(
         accepted = []
         runs = 0
         # Only runtimes whose map actually fans out get waves (accepting a
-        # bounded overshoot per wave).  That is the process backend alone:
-        # serial/batched map is the plain in-process loop, and the cluster
-        # transport cannot carry this closure, so its map falls back
-        # in-process too -- those keep the run-at-a-time target check.
+        # bounded overshoot per wave).  That is the process backend alone,
+        # whose forked workers inherit this closure; every other backend's
+        # map is the plain in-process loop (cluster workers run only
+        # registered task bodies), so those keep the run-at-a-time check.
         wave = max(1, target_accepted // 4) if runtime_obj.is_process else 1
         while len(accepted) < target_accepted and runs < max_runs:
             seeds = range(runs, min(runs + wave, max_runs))

@@ -35,7 +35,6 @@ This package owns *how* work executes, separate from *what* is computed
     ``runtime=`` parameter defaulting to today's serial behaviour.  Chain
     workloads of every kernel run through the single
     :meth:`Runtime.run_chains` path; the streaming primitives are
-    :meth:`Runtime.submit`, :meth:`Runtime.map_unordered`,
     :meth:`Runtime.stream_ball_marginals` and
     :meth:`Runtime.stream_ball_marginal_tasks`.  The cluster backend's
     coordinator/worker machinery itself lives in :mod:`repro.cluster`.
@@ -64,7 +63,6 @@ from repro.runtime.shards import (
     TRANSPORTS,
     InstanceSpec,
     process_map,
-    process_map_unordered,
     register_task,
     run_chain_blocks,
     stream_ball_marginal_tasks,
@@ -103,7 +101,6 @@ __all__ = [
     "pack_arrays",
     "shm_available",
     "process_map",
-    "process_map_unordered",
     "stream_ball_marginal_tasks",
     "stream_compiled_balls",
     "stream_padded_ball_marginals",

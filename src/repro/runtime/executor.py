@@ -13,11 +13,12 @@ Four backends:
 ``process``
     Per-node LOCAL computations (ball compilation, boundary extension, ball
     marginals) shard across OS processes via :mod:`repro.runtime.shards`,
-    and coarse-grained experiment loops fan out through :meth:`Runtime.map`.
-    The sharding is *streaming*: :meth:`Runtime.stream_ball_marginals`,
-    :meth:`Runtime.map_unordered` and :meth:`Runtime.submit` hand results
-    back as futures complete, so parent-side work overlaps with in-flight
-    shards instead of idling at a ``pool.map`` barrier.
+    and coarse-grained experiment loops fan out through :meth:`Runtime.map`
+    (forked workers inherit the mapped closure).  The sharding is
+    *streaming*: :meth:`Runtime.stream_ball_marginals` and
+    :meth:`Runtime.stream_ball_marginal_tasks` hand results back as shards
+    complete, so parent-side work overlaps with in-flight shards instead of
+    idling at a ``pool.map`` barrier.
 ``cluster``
     The same shard workloads (plus batched chain blocks) run on *worker
     processes reached over TCP* (:mod:`repro.cluster`): the picklable
@@ -26,7 +27,9 @@ Four backends:
     workers are requeued transparently.  ``Runtime(backend="cluster",
     addresses=[...])`` targets existing workers (any hosts); plain
     ``runtime="cluster"`` spawns localhost workers on first use.  Results
-    are bit-identical to every other backend.
+    are bit-identical to every other backend.  Workers run only the
+    registered task bodies, never pickled callables, so :meth:`Runtime.map`
+    runs its closures in-process here.
 
 Chain workloads of every registered
 :class:`~repro.sampling.kernels.ChainKernel` (Glauber, LubyGlauber, JVV
@@ -47,11 +50,9 @@ them execute at once.
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from typing import (
     Callable,
     Dict,
@@ -77,7 +78,6 @@ from repro.runtime.shards import (
     TRANSPORTS,
     advance_block,
     process_map,
-    process_map_unordered,
     run_chain_blocks,
     stream_ball_marginal_tasks,
     stream_compiled_balls,
@@ -88,24 +88,6 @@ from repro.sampling.kernels import ChainKernel, resolve_kernel
 Node = Hashable
 Value = Hashable
 
-
-def _picklable(function: Callable) -> bool:
-    """Whether a callable can cross the cluster's socket transport.
-
-    Functions defined in ``__main__`` are excluded even though they pickle
-    locally (by reference): a worker process cannot import the caller's
-    script module, so dispatching them would fail remotely -- they take the
-    in-process fallback instead.
-    """
-    import pickle
-
-    if getattr(function, "__module__", None) in (None, "__main__"):
-        return False
-    try:
-        pickle.dumps(function)
-    except Exception:
-        return False
-    return True
 
 #: In-process, one item at a time (the default everywhere).
 SERIAL_BACKEND = "serial"
@@ -137,7 +119,7 @@ class Runtime:
     ----------
     backend : str
         One of :data:`SERIAL_BACKEND`, :data:`BATCHED_BACKEND`,
-        :data:`PROCESS_BACKEND`.
+        :data:`PROCESS_BACKEND`, :data:`CLUSTER_BACKEND`.
     n_chains : int
         Chain batch width used by the sampling entry points.
     n_workers : int, optional
@@ -189,9 +171,9 @@ class Runtime:
 
     Notes
     -----
-    A ``Runtime`` is cheap to construct and holds no OS resources until the
-    first :meth:`submit` on a process backend lazily creates its futures
-    pool, or the first cluster operation lazily connects the coordinator
+    A ``Runtime`` is cheap to construct.  The process backend holds no OS
+    resources between calls: each call opens, and closes, its own pool.
+    The cluster backend connects its coordinator lazily on first use
     (spawning localhost workers when no addresses were given);
     :meth:`shutdown` (or use as a context manager) releases everything and
     is safe to call repeatedly -- including while streaming iterators are
@@ -207,7 +189,6 @@ class Runtime:
         "degrade",
         "transport",
         "inline_threshold",
-        "_pool",
         "_cluster",
         "_local_pool",
         "_obs_owned",
@@ -272,7 +253,6 @@ class Runtime:
         if n_workers < 1:
             raise ValueError("n_workers must be at least 1")
         self.n_workers = int(n_workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._cluster = None
         self._local_pool = None
         self._shutdown_lock = threading.RLock()
@@ -372,12 +352,10 @@ class Runtime:
 
         The process backend fans out over forked workers (the function and
         its closure are inherited, so unpicklable model objects are fine;
-        items and results must pickle); the cluster backend dispatches over
-        its TCP workers when the function itself pickles (i.e. is
-        module-level) and otherwise degrades to the in-process loop --
-        closures cannot cross the socket transport, so e.g. the experiment
-        drivers' local row functions still run correctly, just without the
-        fan-out.  The other backends run the plain serial loop.
+        items and results must pickle).  Every other backend runs the plain
+        in-process loop -- the cluster included, whose TCP workers run only
+        registered task bodies, so e.g. the experiment drivers' local row
+        functions still run correctly, just without the fan-out.
 
         Parameters
         ----------
@@ -393,57 +371,14 @@ class Runtime:
         """
         if self.is_process:
             return process_map(function, items, n_workers=self.n_workers)
-        pairs = sorted(self.map_unordered(function, items), key=lambda pair: pair[0])
-        return [result for _, result in pairs]
-
-    def map_unordered(
-        self, function: Callable, items: Iterable
-    ) -> Iterator[Tuple[int, object]]:
-        """Map a function over items, yielding results in completion order.
-
-        The streaming counterpart of :meth:`map`: the process backend runs
-        the items on a forked pool and yields each ``(index, result)`` pair
-        the moment its worker finishes, letting the caller overlap its own
-        work with the still-running tail.  The serial and batched backends
-        conform trivially with a lazy in-order loop (completion order *is*
-        item order in-process).
-
-        Parameters
-        ----------
-        function : callable
-            Applied to every item (closures are fine on every backend; the
-            process backend inherits them via fork).
-        items : iterable
-            Independent work items.
-
-        Yields
-        ------
-        (int, object)
-            ``(index, function(items[index]))`` pairs in completion order;
-            ``index`` reassociates out-of-order results.
-        """
-        if self.is_process:
-            yield from process_map_unordered(function, items, n_workers=self.n_workers)
-            return
-        if self.is_cluster and _picklable(function):
-            yield from self.cluster_client().map_unordered(function, items)
-            return
-        # Serial/batched conformance -- and the cluster fallback for
-        # closures, which cannot cross the socket transport.
-        for index, item in enumerate(items):
-            yield index, function(item)
+        return [function(item) for item in items]
 
     def submit(self, function: Callable, *args, **kwargs) -> Future:
-        """Submit one call, returning a ``concurrent.futures.Future``.
+        """Run one call in-process, returning a resolved ``Future``.
 
-        The process backend schedules the call on a lazily created,
-        runtime-owned ``ProcessPoolExecutor`` (release it with
-        :meth:`shutdown` or by using the runtime as a context manager);
-        ``function`` and its arguments must pickle, so pass module-level
-        functions.  The serial and batched backends conform trivially: the
-        call runs immediately and the returned future is already resolved
-        (its exception captured rather than raised), so consumers can treat
-        every backend uniformly.
+        The same on every backend: the call runs immediately and the
+        returned future is already resolved (its exception captured rather
+        than raised), for callers written against the futures interface.
 
         Parameters
         ----------
@@ -455,12 +390,8 @@ class Runtime:
         Returns
         -------
         concurrent.futures.Future
-            Resolves to ``function(*args, **kwargs)``.
+            Resolved to ``function(*args, **kwargs)``.
         """
-        if self.is_process:
-            return self._futures_pool().submit(function, *args, **kwargs)
-        if self.is_cluster:
-            return self.cluster_client().submit(function, *args, **kwargs)
         future: Future = Future()
         try:
             future.set_result(function(*args, **kwargs))
@@ -470,56 +401,22 @@ class Runtime:
         # pressing Ctrl-C must be able to abort regardless of backend.
         return future
 
-    def _futures_pool(self) -> ProcessPoolExecutor:
-        """The runtime-owned futures pool, created on first use."""
-        if self._pool is None:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                context = None
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=context
-            )
-        return self._pool
-
-    def shutdown(self, wait: Optional[bool] = None) -> None:
+    def shutdown(self) -> None:
         """Release every OS resource this runtime owns (idempotent, thread-safe).
 
-        Shuts the lazily created futures pool down (cancelling queued
-        work), closes the cluster coordinator's worker connections
-        (cancelling in-flight tasks -- streams abandoned mid-iteration
-        included), and terminates localhost workers the runtime spawned
-        itself.  Calling it again -- or never having created any resource
-        -- is a no-op, and a later operation transparently re-creates what
-        it needs.  Concurrent callers are safe: each resource is detached
-        under a lock and released exactly once.
-
-        Parameters
-        ----------
-        wait : bool, optional
-            Whether to block until the futures pool's workers have
-            joined.  The default is *context-sensitive*: ``True`` from a
-            plain thread (the historical behaviour), ``False`` when
-            called from a running asyncio event loop -- the serving
-            layer's drain path -- where blocking on worker joins would
-            stall every coroutine on the loop.  With ``wait=False`` the
-            pool still cancels queued futures and its workers exit in the
-            background.
+        Closes the cluster coordinator's worker connections (cancelling
+        in-flight tasks -- streams abandoned mid-iteration included), and
+        terminates localhost workers the runtime spawned itself.  Calling
+        it again -- or never having created any resource -- is a no-op,
+        and a later operation transparently re-creates what it needs.
+        Concurrent callers are safe: each resource is detached under a
+        lock and released exactly once.  Nothing here joins a pool, so the
+        serving layer's drain path may call it from an asyncio event loop.
         """
-        if wait is None:
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                wait = True
-            else:
-                wait = False
         with self._shutdown_lock:
-            pool, self._pool = self._pool, None
             cluster, self._cluster = self._cluster, None
             local_pool, self._local_pool = self._local_pool, None
             obs_owned, self._obs_owned = self._obs_owned, False
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=True)
         if cluster is not None:
             cluster.shutdown()
         if local_pool is not None:
@@ -669,8 +566,52 @@ class Runtime:
             ``return_state=True``, the resumable state rides along.
         """
         resolved = resolve_kernel(kernel)
-        stateful = state is not None or return_state
-        if stateful:
+        seeds, initial, chain_state = self._chain_arguments(
+            resolved, instance, seed, seeds, initial, engine, init, state, return_state
+        )
+        if chain_state is None:
+            chains, mode = len(seeds), {}
+        else:
+            chains = chain_state.n_chains
+            mode = {"resumed": True} if state is not None else {"stateful": True}
+        with obs.span(
+            "runtime.run_chains",
+            backend=self.backend,
+            kernel=resolved.name,
+            chains=chains,
+            count=count,
+            **mode,
+        ):
+            if chain_state is not None:
+                states = chain_state.advance(resolved, instance, count)
+            elif not self.is_serial and self._spec_transportable(engine):
+                states = self._chain_blocks(
+                    resolved, instance, count, seeds, initial, engine
+                )
+            else:
+                # The reference backend stays the reference: per-seed serial
+                # chains -- also for the dict engine, which is not
+                # spec-transportable (the process backend still fans them
+                # out via fork).
+                states = self.map(
+                    lambda chain_seed: resolved.serial_run(
+                        instance, count, seed=chain_seed, initial=initial, engine=engine
+                    ),
+                    seeds,
+                )
+        return (states, chain_state) if return_state else states
+
+    def _chain_arguments(
+        self, kernel, instance, seed, seeds, initial, engine, init, state, return_state
+    ):
+        """Validate and normalise the arguments of :meth:`run_chains`.
+
+        Returns ``(seeds, initial, chain_state)``: the per-chain seeds and
+        shared initial configuration of a fresh run (both ``None`` on a
+        resume), and the resumable state to advance -- ``state`` itself, a
+        fresh one for ``return_state``, otherwise ``None``.
+        """
+        if state is not None or return_state:
             if not (self.is_serial or self.is_batched):
                 raise ValueError(
                     "resumable chain state requires the serial or batched "
@@ -687,16 +628,7 @@ class Runtime:
                     "state= resumes existing chains; seeds/initial/init "
                     "cannot be changed mid-flight"
                 )
-            with obs.span(
-                "runtime.run_chains",
-                backend=self.backend,
-                kernel=resolved.name,
-                chains=state.n_chains,
-                count=count,
-                resumed=True,
-            ):
-                states = state.advance(resolved, instance, count)
-            return (states, state) if return_state else states
+            return None, None, state
         if init is not None:
             if initial is not None:
                 raise ValueError("pass init= or initial=, not both")
@@ -709,44 +641,16 @@ class Runtime:
             seeds = chain_seed_sequences(seed, self.n_chains)
         else:
             seeds = list(seeds)
-        if return_state:
-            fresh = make_chain_state(
-                resolved,
-                instance,
-                seeds,
-                initial=initial,
-                layout="serial" if self.is_serial else "batched",
-                engine=engine,
-            )
-            with obs.span(
-                "runtime.run_chains",
-                backend=self.backend,
-                kernel=resolved.name,
-                chains=len(seeds),
-                count=count,
-                stateful=True,
-            ):
-                states = fresh.advance(resolved, instance, count)
-            return states, fresh
-        with obs.span(
-            "runtime.run_chains",
-            backend=self.backend,
-            kernel=resolved.name,
-            chains=len(seeds),
-            count=count,
-        ):
-            if not self.is_serial and self._spec_transportable(engine):
-                return self._chain_blocks(resolved, instance, count, seeds, initial, engine)
-            # The reference backend stays the reference: per-seed serial
-            # chains -- also for the dict engine, which is not
-            # spec-transportable (the process backend still fans them out
-            # via fork).
-            return self.map(
-                lambda chain_seed: resolved.serial_run(
-                    instance, count, seed=chain_seed, initial=initial, engine=engine
-                ),
-                seeds,
-            )
+        if not return_state:
+            return seeds, initial, None
+        return seeds, initial, make_chain_state(
+            kernel,
+            instance,
+            seeds,
+            initial=initial,
+            layout="serial" if self.is_serial else "batched",
+            engine=engine,
+        )
 
     def run_packed(
         self,

@@ -27,11 +27,11 @@ that work out to workers:
   the ``transport=`` argument: a per-call fork pool (``"pickle"`` or
   ``"shm"``; the spec crosses the pipe once per worker via the pool
   initializer) and a :class:`~repro.cluster.coordinator.ClusterCoordinator`.
-* :func:`process_map` / :func:`process_map_unordered` -- generic fork-based
-  maps used by the :class:`~repro.runtime.executor.Runtime` facade for
-  coarse-grained task parallelism.  The fork start method lets workers
-  inherit the mapped function (and anything it closes over) without
-  pickling; only items and results cross the pipe.
+* :func:`process_map` -- the fork-based map behind
+  :meth:`~repro.runtime.executor.Runtime.map` on the process backend, for
+  coarse-grained task parallelism over closures.  The fork start method
+  lets workers inherit the mapped function (and anything it closes over)
+  without pickling; only items and results cross the pipe.
 
 Worker computations replay the exact serial code paths on equal compiled
 inputs, so distributed results are bit-identical to the serial ones and
@@ -1048,9 +1048,15 @@ def run_chain_blocks(
 
 
 # ----------------------------------------------------------------------
-# generic fork-based map
+# fork-based map over closures
 # ----------------------------------------------------------------------
 _FORK_TASK: Optional[Callable] = None
+
+
+def _install_fork_task(function: Callable) -> None:
+    """Pool-worker initializer: the mapped function, inherited by fork."""
+    global _FORK_TASK
+    _FORK_TASK = function
 
 
 def _invoke_fork_task_indexed(pair):
@@ -1061,76 +1067,29 @@ def _invoke_fork_task_indexed(pair):
 def process_map(function: Callable, items: Iterable, n_workers: int = 2) -> List:
     """``[function(item) for item in items]`` over forked workers, in item order.
 
-    Ships the items in ``Pool.map``'s batches of about ``len(items) /
-    (4 * n_workers)`` per round trip and collects the results by index;
-    otherwise as :func:`process_map_unordered`.
+    The fork start method lets workers inherit ``function`` (closures over
+    unpicklable model objects included) through the pool initializer, so
+    only the items and results cross the pipe -- in ``Pool.map``'s batches
+    of about ``len(items) / (4 * n_workers)`` per round trip.  The parent
+    never holds the function in a module global.  On platforms without
+    fork, or with at most one item, the map runs in-process.
     """
     items = list(items)
-    results: List = [None] * len(items)
-    chunksize = max(1, -(-len(items) // (4 * max(1, n_workers))))
-    for index, result in _fork_map(function, items, n_workers, chunksize):
-        results[index] = result
-    return results
-
-
-def process_map_unordered(
-    function: Callable,
-    items: Iterable,
-    n_workers: int = 2,
-) -> Iterator[Tuple[int, object]]:
-    """Map ``function`` over ``items``, yielding results as they complete.
-
-    Results are yielded as ``(index, result)`` pairs in *completion* order
-    -- ``index`` is the item's position in ``items``, so callers can
-    reassociate out-of-order results.  The fork start method lets workers
-    inherit ``function`` (closures over unpicklable model objects
-    included) from the parent's address space; only the items and results
-    round-trip through pickle.  On platforms without fork, or with a
-    single item, the map degrades to a lazy serial loop yielding in order.
-
-    Parameters
-    ----------
-    function : callable
-        Applied to every item; inherited by forked workers.
-    items : iterable
-        Work items; each item and its result must pickle.
-    n_workers : int
-        Size of the forked pool.
-
-    Yields
-    ------
-    (int, object)
-        ``(index, function(items[index]))`` in completion order.
-    """
-    yield from _fork_map(function, list(items), n_workers, 1)
-
-
-def _fork_map(function: Callable, items: List, n_workers: int, chunksize: int):
-    """The fork pool behind both maps: ``(index, result)`` pairs in
-    completion order, ``chunksize`` items per pipe round trip."""
-    if not items:
-        return
     try:
         context = multiprocessing.get_context("fork")
-    except ValueError:
+    except ValueError:  # pragma: no cover - non-fork platforms
         context = None
-    if context is None or len(items) == 1:
-        for index, item in enumerate(items):
-            yield index, function(item)
-        return
-    global _FORK_TASK
-    _FORK_TASK = function
-    try:
-        # The pool forks here, snapshotting the function global; clearing it
-        # in the finally block cannot affect the already-forked workers.
-        with context.Pool(processes=max(1, n_workers)) as pool:
-            yield from pool.imap_unordered(
-                _invoke_fork_task_indexed, enumerate(items), chunksize=chunksize
-            )
-    finally:
-        # Reset to None rather than a saved "previous" value: interleaved
-        # generators would otherwise reinstall each other's functions on
-        # exit, pinning a stale closure (and its captured model) for the
-        # life of the process.
-        if _FORK_TASK is function:
-            _FORK_TASK = None
+    if context is None or len(items) <= 1:
+        return [function(item) for item in items]
+    chunksize = max(1, -(-len(items) // (4 * max(1, n_workers))))
+    results: List = [None] * len(items)
+    with context.Pool(
+        processes=max(1, n_workers),
+        initializer=_install_fork_task,
+        initargs=(function,),
+    ) as pool:
+        for index, result in pool.imap_unordered(
+            _invoke_fork_task_indexed, enumerate(items), chunksize=chunksize
+        ):
+            results[index] = result
+    return results

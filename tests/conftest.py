@@ -90,6 +90,54 @@ def coloring_instance(coloring_cycle):
 
 
 # ----------------------------------------------------------------------
+# in-thread cluster workers
+# ----------------------------------------------------------------------
+@pytest.fixture
+def inprocess_workers():
+    """Two real worker servers on loopback, served from daemon threads."""
+    import threading
+
+    from repro.cluster.worker import ClusterWorker
+
+    workers = [ClusterWorker() for _ in range(2)]
+    for worker in workers:
+        threading.Thread(target=worker.serve_forever, daemon=True).start()
+    try:
+        yield workers
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+@pytest.fixture
+def submit_test_task(monkeypatch):
+    """``submit_test_task(coordinator, kind, **args)``: a test-only task kind.
+
+    In-thread :class:`~repro.cluster.worker.ClusterWorker` servers share
+    this process's ``TASK_REGISTRY``, so the fixture registers two bodies
+    for the test's duration -- ``"test-sleep"`` (blocks for
+    ``args["seconds"]``, returns ``None``) and ``"test-divide"`` (raises
+    ``ZeroDivisionError``) -- and submits them like any spec-bound kind.
+    Returns the task's future.
+    """
+    import time
+
+    from repro.runtime.shards import TASK_REGISTRY
+
+    monkeypatch.setitem(
+        TASK_REGISTRY, "test-sleep", lambda args, spec: time.sleep(args["seconds"])
+    )
+    monkeypatch.setitem(TASK_REGISTRY, "test-divide", lambda args, spec: divmod(1, 0))
+    instance = SamplingInstance(hardcore_model(cycle_graph(4), fugacity=1.0))
+
+    def submit(coordinator, kind, **args):
+        entry = coordinator._spec_for(instance)
+        return coordinator.submit_task(kind, dict(args, spec_id=entry[0]), spec=entry)
+
+    return submit
+
+
+# ----------------------------------------------------------------------
 # kernel x backend conformance harness
 # ----------------------------------------------------------------------
 #

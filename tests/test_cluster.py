@@ -31,7 +31,7 @@ import pytest
 from repro.cluster import protocol
 from repro.cluster.coordinator import ClusterCoordinator, ClusterError, parse_address
 from repro.cluster.local import spawn_workers
-from repro.cluster.worker import ClusterWorker, run_task
+from repro.cluster.worker import run_task
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_tree
 from repro.inference.ssm_inference import TruncatedBallInference, padded_ball_marginal
@@ -50,21 +50,7 @@ from repro.runtime.shards import InstanceSpec
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-@pytest.fixture
-def inprocess_workers():
-    """Two real worker servers on loopback, served from daemon threads."""
-    workers = [ClusterWorker() for _ in range(2)]
-    threads = [
-        threading.Thread(target=worker.serve_forever, daemon=True)
-        for worker in workers
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        yield workers
-    finally:
-        for worker in workers:
-            worker.close()
+# ``inprocess_workers`` and ``submit_test_task`` live in conftest.py.
 
 
 def _addresses(workers):
@@ -190,6 +176,9 @@ class TestProtocol:
             protocol.check_hello(payload, "coordinator")
         with pytest.raises(protocol.ProtocolError, match="version"):
             protocol.check_hello({"role": "worker", "version": 99}, "worker")
+        # Version 2 still carried the generic ``call`` kind.
+        with pytest.raises(protocol.ProtocolError, match="version"):
+            protocol.check_hello({"role": "worker", "version": 2}, "worker")
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
@@ -231,23 +220,20 @@ class TestWorkerLoop:
                 future.result(timeout=30)
 
     def test_run_task_rejects_unknown_kinds(self):
-        with pytest.raises(protocol.ProtocolError, match="unknown task kind"):
-            run_task("explode", {}, {})
+        for kind in ("explode", "call"):
+            with pytest.raises(protocol.ProtocolError, match="unknown task kind"):
+                run_task(kind, {}, {})
 
 
 # ----------------------------------------------------------------------
 # coordinator scheduling
 # ----------------------------------------------------------------------
 class TestCoordinator:
-    def test_generic_submit_and_map_unordered(self, inprocess_workers):
+    def test_worker_task_exception_carries_traceback(
+        self, inprocess_workers, submit_test_task
+    ):
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            assert coordinator.submit(pow, 2, 8).result(timeout=30) == 256
-            results = sorted(coordinator.map_unordered(abs, [-3, 1, -2]))
-            assert results == [(0, 3), (1, 1), (2, 2)]
-
-    def test_worker_task_exception_carries_traceback(self, inprocess_workers):
-        with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            future = coordinator.submit(divmod, 1, 0)
+            future = submit_test_task(coordinator, "test-divide")
             with pytest.raises(ClusterError, match="ZeroDivisionError"):
                 future.result(timeout=30)
 
@@ -256,7 +242,7 @@ class TestCoordinator:
     ):
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
             with pytest.raises(Exception):
-                coordinator.submit(lambda x: x, 1)
+                coordinator.submit_task("ping", lambda x: x)
             # The connection is untouched: no bytes were sent.
             assert coordinator.live_worker_count == 1
             assert coordinator.submit_task("ping", 7).result(timeout=30) == 7
@@ -317,17 +303,19 @@ class TestCoordinator:
             thread.join(timeout=10)
 
     def test_late_result_for_cancelled_task_is_dropped(self, inprocess_workers):
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
-            iterator = coordinator.map_unordered(abs, [-1, -2, -3, -4])
-            next(iterator)
-            iterator.close()  # cancels what is still pending
+            futures = [coordinator.submit_task("ping", label) for label in range(4)]
+            wait(futures, timeout=30, return_when=FIRST_COMPLETED)
+            coordinator._discard(futures)  # cancels what is still pending
             # The connection keeps working; stale RESULT frames (if any) are
             # dropped because their task ids are no longer in flight.
             assert coordinator.submit_task("ping", "still-alive").result(
                 timeout=30
             ) == "still-alive"
 
-    def test_cancel_reaches_the_worker_queue(self, inprocess_workers):
+    def test_cancel_reaches_the_worker_queue(self, inprocess_workers, submit_test_task):
         import time
 
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
@@ -336,8 +324,11 @@ class TestCoordinator:
             # it.  Discarding them (what an abandoned stream's finally does)
             # cancels the queued sleeps on the worker too, so the follow-up
             # ping must not wait ~5 extra seconds behind work nobody wants.
-            blocker = coordinator.submit(time.sleep, 1.0)
-            sleeps = [coordinator.submit(time.sleep, 1.0) for _ in range(5)]
+            blocker = submit_test_task(coordinator, "test-sleep", seconds=1.0)
+            sleeps = [
+                submit_test_task(coordinator, "test-sleep", seconds=1.0)
+                for _ in range(5)
+            ]
             coordinator._discard(sleeps)
             assert coordinator.submit_task("ping", "after").result(timeout=30) == (
                 "after"
@@ -540,22 +531,23 @@ class TestClusterRuntimeFacade:
 
     def test_facade_conformance(self, inprocess_workers):
         with Runtime("cluster", addresses=_addresses(inprocess_workers)) as runtime:
-            # submit: a real pending future that resolves to the result.
+            # submit: a resolved future, as on the in-process backends.
             assert runtime.submit(pow, 3, 4).result(timeout=30) == 81
             failing = runtime.submit(divmod, 1, 0)
             assert failing.exception(timeout=30) is not None
-            # map: ordered results; map_unordered: indexed results.
+            # map: ordered results.
             assert runtime.map(abs, [-1, 2, -3]) == [1, 2, 3]
-            assert sorted(runtime.map_unordered(abs, [-5, 6])) == [(0, 5), (1, 6)]
 
     def test_map_with_closure_falls_back_in_process(self):
-        # Closures cannot cross the socket transport; the facade must run
-        # them in-process instead of crashing with PicklingError -- without
-        # even connecting (the addresses here are deliberately unreachable).
+        # Workers run only registered task bodies; the facade must run
+        # mapped functions in-process instead of crashing with
+        # PicklingError -- without even connecting (the addresses here are
+        # deliberately unreachable).
         runtime = Runtime("cluster", addresses=["127.0.0.1:1"])
         offset = 10
         assert runtime.map(lambda x: x + offset, range(3)) == [10, 11, 12]
-        assert list(runtime.map_unordered(lambda x: x + offset, [5])) == [(0, 15)]
+        # A module-level function pickles, yet it runs in-process too.
+        assert runtime.map(abs, [-1, 2]) == [1, 2]
 
         # Functions from a script's __main__ pickle locally by reference but
         # cannot be imported by a worker -- they must also fall back.
@@ -630,7 +622,7 @@ class TestClusterRuntimeFacade:
         runtime.shutdown()
         stream.close()
         with Runtime("cluster", addresses=_addresses(inprocess_workers)) as fresh:
-            assert fresh.submit(pow, 2, 2).result(timeout=30) == 4
+            assert fresh.cluster_client().submit_task("ping", 4).result(timeout=30) == 4
 
     def test_repeated_connect_cycles_never_wedge_a_worker(self, inprocess_workers):
         # Regression: coordinator close() without shutdown(SHUT_RDWR) left
@@ -686,8 +678,6 @@ class TestLocalWorkerPool:
             spawn_workers(0)
 
     def test_worker_death_mid_stream_requeues_bit_identically(self):
-        import time
-
         distribution = coloring_model(cycle_graph(10), 3)
         instance = SamplingInstance(distribution, {0: 1})
         serial = {
@@ -697,11 +687,23 @@ class TestLocalWorkerPool:
         distribution.ball_cache().clear()
         with spawn_workers(2) as pool:
             with ClusterCoordinator(pool.addresses) as coordinator:
-                # Pin one worker on a slow task: its runner executes tasks in
-                # order, so the ball chunks queued behind the sleep are
-                # *guaranteed* to still be in flight when we kill it (without
-                # this, fast workers can drain everything before the kill).
-                coordinator.submit(time.sleep, 1.0)
+                # Pin one worker on a slow task (a ~1 s chain block): its
+                # runner executes tasks in order, so the ball chunks queued
+                # behind it are *guaranteed* to still be in flight when we
+                # kill it (without this, fast workers can drain everything
+                # before the kill).
+                spec_id, _ = entry = coordinator._spec_for(instance)
+                coordinator.submit_task(
+                    "chain_block",
+                    {
+                        "spec_id": spec_id,
+                        "kernel": "glauber",
+                        "count": 30_000,
+                        "seeds": [0],
+                        "initial": None,
+                    },
+                    spec=entry,
+                )
                 victim = next(
                     index
                     for index, worker in enumerate(coordinator.workers)

@@ -273,9 +273,11 @@ class TestAuthenticatedProtocol:
             protocol.check_hello(payload, expected_role="worker", auth=True)
 
     def test_hello_version_mismatch_is_attributed(self):
-        payload = dict(protocol.hello_payload("worker"), version=999)
-        with pytest.raises(protocol.ProtocolError, match="version"):
-            protocol.check_hello(payload, expected_role="worker")
+        # Version 2 is the last one whose workers ran the generic ``call`` kind.
+        for version in (2, 999):
+            payload = dict(protocol.hello_payload("worker"), version=version)
+            with pytest.raises(protocol.ProtocolError, match="version"):
+                protocol.check_hello(payload, expected_role="worker")
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +508,7 @@ class TestElasticMembership:
         finally:
             worker.close()
 
-    def test_worker_joining_mid_stream_takes_queued_work(self):
+    def test_worker_joining_mid_stream_takes_queued_work(self, submit_test_task):
         instance = _small_instance()
         serial = _serial_marginals(instance)
         first, second = ClusterWorker(), ClusterWorker()
@@ -520,7 +522,7 @@ class TestElasticMembership:
                 # as_completed): rebalancing must steal queued chunks, so
                 # the first results arrive well before the sleeper
                 # unblocks at 2s.
-                coordinator.submit(time.sleep, 2.0)
+                submit_test_task(coordinator, "test-sleep", seconds=2.0)
                 stream = stream_ball_marginal_tasks(
                     instance,
                     [(node, 2) for node in instance.free_nodes],
@@ -659,7 +661,7 @@ class TestElasticMembership:
                 degraded = runtime.run_chains("glauber", instance, 25, seeds=[0, 1])
         assert degraded == serial
 
-    def test_requeued_tasks_late_result_is_dropped(self):
+    def test_requeued_tasks_late_result_is_dropped(self, submit_test_task):
         # Out-of-order RESULT for an already-requeued task: simulate the
         # requeue by moving the task off the worker's in-flight map, then
         # let the (now stale) RESULT arrive -- it must be dropped without
@@ -668,7 +670,7 @@ class TestElasticMembership:
         _serve(worker)
         try:
             with ClusterCoordinator([worker.address], reconnect=False) as coordinator:
-                coordinator.submit(time.sleep, 0.5)
+                submit_test_task(coordinator, "test-sleep", seconds=0.5)
                 future = coordinator.submit_task("ping", "late")
                 with coordinator._lock:
                     [bound] = [

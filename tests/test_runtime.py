@@ -402,23 +402,7 @@ class TestStreamingMerge:
 
 
 class TestRuntimeStreamingFacade:
-    """submit / map_unordered conform on the serial and batched backends."""
-
-    def test_serial_map_unordered_is_in_order(self):
-        runtime = Runtime()
-        assert list(runtime.map_unordered(lambda x: x * x, [1, 2, 3])) == [
-            (0, 1),
-            (1, 4),
-            (2, 9),
-        ]
-
-    def test_batched_map_unordered_is_lazy(self):
-        runtime = Runtime("batched", n_chains=2)
-        seen = []
-        iterator = runtime.map_unordered(lambda x: seen.append(x) or x, [1, 2, 3])
-        assert seen == []  # nothing runs until consumed
-        assert next(iterator) == (0, 1)
-        assert seen == [1]
+    """submit and the ball stream conform on the serial backend."""
 
     def test_serial_submit_returns_resolved_future(self):
         runtime = Runtime()
@@ -526,11 +510,9 @@ class TestProcessPool:
 
         monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", recording)
         runtime = Runtime("process", n_workers=2)
-        # Runtime.map ships Pool.map's ceil(len / 4w) items per round trip;
-        # the streaming map_unordered ships one item at a time.
+        # Runtime.map ships Pool.map's ceil(len / 4w) items per round trip.
         assert runtime.map(lambda x: -x, range(50)) == [-x for x in range(50)]
-        assert sorted(runtime.map_unordered(abs, range(5))) == [(i, i) for i in range(5)]
-        assert sizes == [7, 1]
+        assert sizes == [7]
 
     def test_stream_yields_incrementally_and_matches_serial(self):
         distribution = coloring_model(cycle_graph(10), 3)
@@ -588,22 +570,14 @@ class TestProcessPool:
         next(stream)
         stream.close()  # must not hang on the pending futures
 
-    def test_map_unordered_process_covers_all_items(self):
-        runtime = Runtime("process", n_workers=2)
-        offset = 3
-        results = sorted(runtime.map_unordered(lambda x: x + offset, range(6)))
-        assert results == [(index, index + offset) for index in range(6)]
-
-    def test_interleaved_map_unordered_does_not_pin_stale_task(self):
+    def test_process_map_does_not_pin_the_function(self):
+        # The mapped closure (and the model it captures) reaches the forked
+        # workers through the pool initializer, never a parent global.
         from repro.runtime import shards
 
         runtime = Runtime("process", n_workers=2)
-        first = runtime.map_unordered(lambda x: x + 1, range(3))
-        next(first)
-        second = runtime.map_unordered(lambda x: x + 2, range(3))
-        next(second)
-        list(first)
-        list(second)
+        assert runtime.map(lambda x: x + 1, range(3)) == [1, 2, 3]
+        assert runtime.map(lambda x: x + 2, range(3)) == [2, 3, 4]
         assert shards._FORK_TASK is None
 
     def test_submit_process_backend(self):
@@ -783,7 +757,13 @@ class TestSharedMemoryTransport:
 class TestAdaptiveDispatchGuard:
     """Small process-backend chain workloads run in-process (satellite)."""
 
-    def test_small_workload_inlines_and_stays_bit_identical(self):
+    def test_small_workload_inlines_and_stays_bit_identical(self, monkeypatch):
+        from repro.runtime import executor
+
+        dispatched = []
+        monkeypatch.setattr(
+            executor, "run_chain_blocks", lambda *args, **kwargs: dispatched.append(args)
+        )
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.2), {0: 1})
         runtime = Runtime("process", n_chains=3, n_workers=2)
         states = runtime.run_chains("glauber", instance, 40, seed=6)
@@ -791,7 +771,7 @@ class TestAdaptiveDispatchGuard:
             "glauber", instance, 40, seed=6
         )
         # The guard never spun the pool up (3 * 40 updates << threshold).
-        assert runtime._pool is None
+        assert dispatched == []
 
     def test_threshold_zero_disables_the_guard(self):
         runtime = Runtime("process", n_workers=2, inline_threshold=0)
@@ -871,35 +851,45 @@ class TestRuntimeShutdownSafety:
     """Shutdown is idempotent, thread-safe, and event-loop safe.
 
     The serving layer's drain path calls ``Runtime.shutdown()`` from an
-    asyncio event-loop thread; blocking the loop on worker joins there
-    would stall every in-flight response.
+    asyncio event-loop thread; blocking the loop there would stall every
+    in-flight response.  The resources at stake are a cluster runtime's
+    coordinator connections and the process backend's shared-memory
+    segments.
     """
 
-    def test_shutdown_from_an_event_loop_is_non_blocking_and_reusable(self):
+    def test_shutdown_from_an_event_loop_is_non_blocking_and_reusable(
+        self, inprocess_workers
+    ):
         import asyncio
-        import math
 
-        runtime = Runtime("process", n_workers=2)
-        assert runtime.submit(math.sqrt, 4.0).result() == 2.0
+        runtime = Runtime("cluster", addresses=[w.address for w in inprocess_workers])
+        assert runtime.cluster_client().submit_task("ping", 2.0).result(timeout=30) == 2.0
 
         async def drain():
-            runtime.shutdown()  # wait defaults to False inside a loop
+            runtime.shutdown()
 
         asyncio.run(drain())
-        assert runtime._pool is None
-        # A later operation transparently recreates the pool.
+        assert runtime._cluster is None
+        # A later operation transparently reconnects.
         with runtime:
-            assert runtime.submit(math.sqrt, 9.0).result() == 3.0
+            assert (
+                runtime.cluster_client().submit_task("ping", 3.0).result(timeout=30)
+                == 3.0
+            )
 
-    def test_shutdown_racing_in_flight_map_unordered_neither_hangs_nor_leaks(self):
+    def test_shutdown_racing_in_flight_shm_stream_neither_hangs_nor_leaks(self):
         import asyncio
         import threading
 
-        from repro.runtime import shards
+        from repro.runtime import shm
 
-        runtime = Runtime("process", n_workers=2)
-        stream = runtime.map_unordered(lambda x: x * x, range(8))
+        instance = SamplingInstance(coloring_model(cycle_graph(12), 3), {0: 1})
+        serial = Runtime().ball_marginals(instance, instance.free_nodes, 2)
+        instance.distribution.ball_cache().clear()
+        runtime = Runtime("process", n_workers=2, transport="shm")
+        stream = runtime.stream_ball_marginals(instance, instance.free_nodes, 2)
         next(stream)  # the stream is live: its fork pool is mid-flight
+        assert shm.live_segment_names() or not shm.shm_available()
 
         async def drain():
             runtime.shutdown()
@@ -909,22 +899,24 @@ class TestRuntimeShutdownSafety:
         worker.join(timeout=30)
         assert not worker.is_alive(), "shutdown hung inside the event loop"
         stream.close()  # the abandoned stream's own pool terminates cleanly
-        assert shards._FORK_TASK is None
+        assert shm.live_segment_names() == []
+        assert shm.leaked_dev_shm_segments() == []
         with runtime:
-            results = sorted(runtime.map_unordered(lambda x: x + 1, range(4)))
-            assert results == [(index, index + 1) for index in range(4)]
+            results = dict(runtime.stream_ball_marginals(instance, instance.free_nodes, 2))
+            assert results == serial
 
-    def test_concurrent_shutdowns_release_each_resource_exactly_once(self):
-        import math
+    def test_concurrent_shutdowns_release_each_resource_exactly_once(
+        self, inprocess_workers
+    ):
         import threading
 
-        runtime = Runtime("process", n_workers=2)
-        assert runtime.submit(math.sqrt, 16.0).result() == 4.0
+        runtime = Runtime("cluster", addresses=[w.address for w in inprocess_workers])
+        assert runtime.cluster_client().submit_task("ping", 4.0).result(timeout=30) == 4.0
         errors = []
 
         def call():
             try:
-                runtime.shutdown(wait=True)
+                runtime.shutdown()
             except Exception as error:  # pragma: no cover - the failure we test for
                 errors.append(error)
 
@@ -934,7 +926,7 @@ class TestRuntimeShutdownSafety:
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
-        assert runtime._pool is None
+        assert runtime._cluster is None
 
     def test_snapshot_sections_register_and_unregister(self):
         runtime = Runtime("batched", n_chains=2)
