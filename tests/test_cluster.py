@@ -237,6 +237,16 @@ class TestCoordinator:
             with pytest.raises(ClusterError, match="ZeroDivisionError"):
                 future.result(timeout=30)
 
+    def test_worker_refuses_a_pickled_call_and_keeps_serving(self, inprocess_workers):
+        # Workers run registered task bodies only: the retired "call" kind
+        # fails as an unknown kind over the wire, and the connection lives.
+        with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
+            refused = coordinator.submit_task("call", (pow, (2, 8), {}))
+            with pytest.raises(ClusterError, match="unknown task kind"):
+                refused.result(timeout=30)
+            assert coordinator.live_worker_count == 1
+            assert coordinator.submit_task("ping", "alive").result(timeout=30) == "alive"
+
     def test_unpicklable_submit_fails_without_killing_the_worker(
         self, inprocess_workers
     ):
@@ -556,6 +566,15 @@ class TestClusterRuntimeFacade:
 
         script_function.__module__ = "__main__"
         assert runtime.map(script_function, [1, 2]) == [2, 4]
+        assert runtime._cluster is None  # no connection was attempted
+
+    def test_submit_resolves_without_connecting(self):
+        # submit is the resolved-future form on the cluster too: the call
+        # runs in-process and the unreachable address is never dialled.
+        runtime = Runtime("cluster", addresses=["127.0.0.1:1"])
+        future = runtime.submit(pow, 2, 10)
+        assert future.done() and future.result() == 1024
+        assert isinstance(runtime.submit(divmod, 1, 0).exception(), ZeroDivisionError)
         assert runtime._cluster is None  # no connection was attempted
 
     def test_experiment_drivers_accept_a_cluster_runtime(self, inprocess_workers):

@@ -413,6 +413,23 @@ class TestRuntimeStreamingFacade:
         future = Runtime().submit(lambda: 1 / 0)
         assert isinstance(future.exception(), ZeroDivisionError)
 
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_in_process_map_is_eager_and_in_item_order(self, backend):
+        runtime = Runtime(backend)
+        seen = []
+        results = runtime.map(lambda x: seen.append(x) or x * x, [3, 1, 2])
+        assert results == [9, 1, 4]
+        assert seen == [3, 1, 2]  # one pass, in item order, before returning
+
+    def test_shutdown_takes_no_wait_argument(self):
+        import inspect
+
+        assert list(inspect.signature(Runtime.shutdown).parameters) == ["self"]
+        runtime = Runtime("process", n_workers=2)
+        with pytest.raises(TypeError):
+            runtime.shutdown(wait=False)
+        runtime.shutdown()
+
     def test_stream_ball_marginals_serial_backend(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 0})
         streamed = dict(Runtime().stream_ball_marginals(instance, instance.free_nodes, 1))
@@ -587,6 +604,17 @@ class TestProcessPool:
             assert runtime.submit(math.sqrt, 16.0).result() == 4.0
             failing = runtime.submit(math.sqrt, -1.0)
             assert failing.exception() is not None
+
+    def test_submit_resolves_in_process_without_spawning(self):
+        import multiprocessing
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        with Runtime("process", n_workers=2) as runtime:
+            future = runtime.submit(os.getpid)
+            assert future.done()  # resolved on return, no pool behind it
+            assert future.result() == os.getpid()
+            after = {child.pid for child in multiprocessing.active_children()}
+            assert after <= before
 
     def test_locality_required_overlapped_matches_serial(self):
         from repro.spatialmixing import locality_required
