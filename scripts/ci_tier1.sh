@@ -7,7 +7,9 @@
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
 # caps, one past them and one whose blanket rows may total zero; jvv on
-# the first must advance in fewer dependency waves than steps), a cluster smoke (a coordinator driving
+# the first must advance in fewer dependency waves than steps; luby-glauber
+# resumed in segments must equal one whole run on the blanket and may_stick
+# instances, serial and batched), a cluster smoke (a coordinator driving
 # two real localhost worker subprocesses over the TCP transport: ball
 # marginals bit-identical to the serial loop, glauber chains and
 # jvv_chain_stats bit-identical to the batched backend; a pickled
@@ -94,9 +96,24 @@ with Runtime("batched", n_chains=4, obs=True) as traced:
 assert [attrs["steps"] for attrs in schedules] == [12], schedules
 assert schedules[0]["per_step"] is None, schedules
 assert schedules[0]["waves"] < 12, f"jvv ran {schedules[0]['waves']} waves for 12 steps"
+# LubyGlauber draws only doubles through the uniforms buffer, whose unread
+# values ride along in the resumable state: segments equal one whole run.
+for runtime in (serial, batched):
+    for mode in ("blanket", "may_stick"):
+        instance = instances[mode]
+        whole = runtime.run_chains("luby-glauber", instance, 30, seed=5)
+        states, state = runtime.run_chains(
+            "luby-glauber", instance, 4, seed=5, return_state=True
+        )
+        for count in (11, 1, 14):
+            states = runtime.run_chains("luby-glauber", instance, count, state=state)
+        assert states == whole, (
+            f"luby-glauber split resume != whole run ({runtime.backend}, {mode})"
+        )
 print(
     f"kernel smoke OK: {len(kernels)} kernels x blanket/gather/may_stick tables, "
-    f"serial == batched per chain; jvv ran 12 steps in {schedules[0]['waves']} waves"
+    f"serial == batched per chain; jvv ran 12 steps in {schedules[0]['waves']} waves; "
+    "luby-glauber split resume == whole run"
 )
 PY
 

@@ -30,6 +30,9 @@ class SamplingInstance:
         self.distribution = distribution
         self.pinning = pinning if isinstance(pinning, Pinning) else Pinning(pinning or {})
         self._free_nodes = None
+        # (compiled engine, start codes) of the greedy feasible start, kept
+        # by repro.sampling.glauber.greedy_start_codes.
+        self._greedy_start = None
         if check_feasible and len(self.pinning) > 0:
             if not distribution.is_feasible(self.pinning):
                 raise ValueError("the pinning tau is infeasible for the distribution")

@@ -13,8 +13,8 @@ E6/E7/E12-style experiments spend their time.
 The *dynamics* advanced by a batch is a :class:`~repro.sampling.kernels.ChainKernel`
 (Glauber, LubyGlauber, JVV rejection, sequential scan, or any registered
 kernel): the batch owns the shared execution state (code matrix, per-chain
-generators and buffered streams, the model's conditional tables, kernel
-scratch space) and :meth:`ChainBatch.advance` hands it to the kernel's
+generators and their uniforms buffer, the model's conditional tables,
+kernel scratch space) and :meth:`ChainBatch.advance` hands it to the kernel's
 ``batched_advance``.
 
 Determinism contract
@@ -26,8 +26,9 @@ draw pattern reproduces the serial samplers exactly:
 * Glauber draws ``integers(0, free_count, size=chunk)`` then
   ``random(chunk)`` per RNG chunk, with the serial chunk sizes;
 * LubyGlauber draws ``random(n_free)`` priorities then
-  ``random(n_selected)`` update points per round.  These are served from a
-  per-chain buffer, which is safe because NumPy generators are
+  ``random(n_selected)`` update points per round.  These are served from
+  one ``(chains, width)`` buffer of every chain's uniforms
+  (:class:`ChainUniforms`), which is safe because NumPy generators are
   *prefix-consistent*: one large ``random(k)`` call yields the same stream
   as any sequence of smaller calls;
 * the scan kernels (JVV, sequential) draw ``random(chunk)`` proposal
@@ -39,9 +40,10 @@ run in the same order as the serial inner loop, so chain ``c`` of a batch is
 **bit-identical** to the serial chain run with ``seed=seeds[c]`` for the same
 number of steps/rounds (matched against a single ``advance`` call; splitting
 one serial run across several calls changes the chunk boundaries and hence
-the stream).  The default seeding convention spawns per-chain
-``SeedSequence`` streams from one root seed (:func:`chain_seed_sequences`),
-the standard way to get statistically independent chains from a single seed.
+the stream -- except for LubyGlauber, whose buffered doubles carry over).
+The default seeding convention spawns per-chain ``SeedSequence`` streams
+from one root seed (:func:`chain_seed_sequences`), the standard way to get
+statistically independent chains from a single seed.
 """
 
 from __future__ import annotations
@@ -54,8 +56,13 @@ import numpy as np
 from repro import obs
 from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
-from repro.sampling.glauber import greedy_feasible_configuration
-from repro.sampling.kernels import ChainKernel, resolve_kernel, stuck_node_error
+from repro.sampling.glauber import greedy_start_codes
+from repro.sampling.kernels import (
+    RNG_CHUNK,
+    ChainKernel,
+    resolve_kernel,
+    stuck_node_error,
+)
 
 Node = Hashable
 Value = Hashable
@@ -91,35 +98,76 @@ def chain_seed_sequences(seed: Seed, n_chains: int) -> List[np.random.SeedSequen
     return list(root.spawn(n_chains))
 
 
-class _Stream:
-    """Buffered uniform draws from one chain's generator.
+class ChainUniforms:
+    """Every chain's uniform draws in one ``(chains, width)`` buffer.
 
-    ``take(k)`` returns the next ``k`` doubles of the stream.  Buffering
-    changes the call pattern but not the values (prefix-consistency of
-    ``Generator.random``), so the buffered chain matches the serial chain's
-    unbuffered draws bit for bit.
+    Row ``c`` holds the unread doubles of chain ``c``'s generator in
+    ``values[c, cursor[c]:end[c]]``.  A take serves every chain with one
+    flat ``take`` on the buffer; only rows about to run out refill, each
+    from its own generator.  A refill draws what the calling kernel says
+    its remaining ``rounds`` will need at this take's size (capped at
+    :data:`~repro.sampling.kernels.RNG_CHUNK` doubles unless one take
+    needs more), so the buffer never over-draws by a fixed block.  Every
+    row is therefore a prefix of its generator's ``random`` stream: by
+    prefix-consistency of ``Generator.random`` (one ``random(k)`` call
+    yields the same doubles as any sequence of smaller calls), the values
+    served equal the serial chain's unbuffered draws bit for bit, however
+    the takes and refills are split.
     """
 
-    __slots__ = ("rng", "_buffer", "_cursor")
+    __slots__ = ("rngs", "values", "cursor", "end")
 
-    _BLOCK = 4096
+    def __init__(self, rngs: Sequence[np.random.Generator]) -> None:
+        self.rngs = rngs
+        self.values = np.empty((len(rngs), 0))
+        self.cursor = np.zeros(len(rngs), dtype=np.int64)
+        self.end = np.zeros(len(rngs), dtype=np.int64)
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._buffer = np.empty(0)
-        self._cursor = 0
+    def take(self, count: int, rounds: int = 1) -> np.ndarray:
+        """The next ``count`` doubles of every row, as ``(chains, count)``."""
+        starts = self._reserve(count, rounds)
+        self.cursor += count
+        return self.values.take(starts[:, None] + np.arange(count))
 
-    def take(self, count: int) -> np.ndarray:
-        end = self._cursor + count
-        if end > len(self._buffer):
-            tail = self._buffer[self._cursor :]
-            fresh = self.rng.random(max(self._BLOCK, count - len(tail)))
-            self._buffer = np.concatenate([tail, fresh])
-            self._cursor = 0
-            end = count
-        out = self._buffer[self._cursor : end]
-        self._cursor = end
-        return out
+    def take_ragged(self, counts: np.ndarray, rounds: int = 1) -> np.ndarray:
+        """The next ``counts[c]`` doubles of each row ``c``, concatenated
+        in row order (one flat array of ``counts.sum()`` values)."""
+        # Entry i of row c sits at the row's cursor plus its rank in the
+        # row, i - (entries of the rows before c).
+        offsets = self._reserve(counts, rounds) - (np.cumsum(counts) - counts)
+        self.cursor += counts
+        total = int(counts.sum())
+        return self.values.take(np.repeat(offsets, counts) + np.arange(total))
+
+    def _reserve(self, need, rounds: int) -> np.ndarray:
+        """Flat positions of each row's next unread double, once every row
+        holds ``need`` of them.
+
+        A row holding fewer keeps them and draws ``rounds * need`` more
+        from its own generator -- at most :data:`RNG_CHUNK`, unless one
+        take needs more.
+        """
+        need = np.broadcast_to(need, self.cursor.shape)
+        unread = self.end - self.cursor
+        short = np.flatnonzero(unread < need)
+        if len(short):
+            need = need[short]
+            fresh = np.maximum(need, np.minimum(rounds * need, RNG_CHUNK))
+            sizes = unread[short] + fresh
+            width = int(sizes.max())
+            if width > self.values.shape[1]:
+                grown = np.empty((len(self.rngs), width))
+                grown[:, : self.values.shape[1]] = self.values
+                self.values = grown
+            cursor, end = self.cursor.tolist(), self.end.tolist()
+            for row, size in zip(short.tolist(), sizes.tolist()):
+                values = self.values[row]
+                tail = end[row] - cursor[row]
+                values[:tail] = values[cursor[row] : end[row]]
+                self.rngs[row].random(out=values[tail:size])
+            self.cursor[short] = 0
+            self.end[short] = sizes
+        return np.arange(len(self.rngs)) * self.values.shape[1] + self.cursor
 
 
 #: Rows one node's blanket table may have (``q ** |blanket|``).  A wider
@@ -416,11 +464,17 @@ class _BatchedTables:
     def _row_index(
         self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
     ) -> np.ndarray:
-        """Blanket-table row of each (row, variable) pair."""
-        record = self.lookup[variables]  # blanket | bstride | row_base
+        """Blanket-table row of each (row, variable) pair.
+
+        The blanket codes come from one flat ``take`` on the code matrix
+        (C order: cell ``(row, column)`` is ``row * width + column``).
+        """
+        record = self.lookup.take(variables, axis=0)  # blanket | bstride | row_base
         span = self.blanket.shape[1]
-        blanket_codes = codes[rows[:, None], record[:, :span]]
-        return record[:, -1] + np.einsum("ij,ij->i", blanket_codes, record[:, span:-1])
+        cells = (rows * codes.shape[1])[:, None] + record[:, :span]
+        return record[:, -1] + np.einsum(
+            "ij,ij->i", codes.take(cells), record[:, span:-1]
+        )
 
     def weights(
         self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
@@ -461,7 +515,9 @@ class _BatchedTables:
         if self.rows is None:
             cumulative = np.cumsum(self._gather(codes, rows, variables), axis=1)
         else:
-            cumulative = self.cumulative[self._row_index(codes, rows, variables)]
+            cumulative = self.cumulative.take(
+                self._row_index(codes, rows, variables), axis=0
+            )
         return self._select(cumulative, points, variables, compiled)
 
     def sample_columns(
@@ -598,18 +654,16 @@ class ChainBatch:
             #: The ``(chains, n)`` state matrix of alphabet codes.
             self.codes = initial_codes.copy()
         else:
-            configuration = (
-                dict(initial)
-                if initial is not None
-                else greedy_feasible_configuration(instance, engine=engine)
-            )
-            start = np.array(
-                [compiled.symbol_index[configuration[node]] for node in compiled.nodes],
-                dtype=np.int64,
-            )
+            if initial is None:
+                start = greedy_start_codes(instance)
+            else:
+                start = np.array(
+                    [compiled.symbol_index[initial[node]] for node in compiled.nodes],
+                    dtype=np.int64,
+                )
             self.codes = np.tile(start, (self.n_chains, 1))
         self.rngs = [np.random.default_rng(chain_seed) for chain_seed in seeds]
-        self._streams: Optional[List[_Stream]] = None
+        self._uniforms: Optional[ChainUniforms] = None
         self._kind: Optional[str] = None
         self._scratch: Dict[str, dict] = {}
         #: Integer ids of the free nodes, in ``instance.free_nodes`` order.
@@ -629,11 +683,11 @@ class ChainBatch:
         """Kernel-private persistent state (scan positions, masks, caches)."""
         return self._scratch.setdefault(kernel_name, {})
 
-    def streams(self) -> List[_Stream]:
-        """Per-chain prefix-consistent buffered streams (created on first use)."""
-        if self._streams is None:
-            self._streams = [_Stream(rng) for rng in self.rngs]
-        return self._streams
+    def uniforms(self) -> ChainUniforms:
+        """Every chain's buffered uniform draws (created on first use)."""
+        if self._uniforms is None:
+            self._uniforms = ChainUniforms(self.rngs)
+        return self._uniforms
 
     def stack_trace(self, trace: List[np.ndarray]) -> np.ndarray:
         """Stack per-unit statistic snapshots into a ``(chains, units)`` array."""
@@ -711,7 +765,8 @@ class ChainBatch:
         state transfers verbatim: the returned batch targets ``instance``,
         reads the twin engine's own conditional tables
         (:attr:`CompiledGibbs.batched_tables`), and *adopts* this
-        batch's code matrix, per-chain generators, buffered streams and
+        batch's code matrix, per-chain generators, uniforms buffer (the
+        drawn but unread doubles of every chain, with their cursors) and
         kernel scratch by reference -- continuing the exact RNG streams, so
         resuming on the twin is bit-identical to having run on it all along.
         The old batch must not be advanced afterwards.
@@ -728,7 +783,7 @@ class ChainBatch:
         if not np.array_equal(twin.free_index, self.free_index):
             raise ValueError("retarget requires an instance with the same free nodes")
         twin.rngs = self.rngs
-        twin._streams = self._streams
+        twin._uniforms = self._uniforms
         twin._scratch = self._scratch
         twin._kind = self._kind
         return twin
@@ -979,16 +1034,20 @@ class ChainState:
 
     Returned by :meth:`repro.runtime.executor.Runtime.run_chains` with
     ``return_state=True`` and accepted back via ``state=``: the final code
-    matrix, the per-chain generators (with their buffered stream positions)
-    and the kernel scratch all persist, so a later segment continues the
-    *same* chains -- the resume path persistent contrastive divergence needs.
+    matrix, the per-chain generators, each batch's uniforms buffer (the
+    drawn but unread doubles of every chain) and the kernel scratch all
+    persist, so a later segment continues the *same* chains -- the resume
+    path persistent contrastive divergence needs.
 
     Determinism contract: for a fixed segmentation, the serial and batched
     backends produce bit-identical chains (a one-chain batched advance
     replays the serial draw pattern exactly).  Splitting a run into
-    *different* segments changes the RNG chunk boundaries, so
-    ``advance(30); advance(30)`` is a valid chain but not bit-equal to a
-    single ``advance(60)`` -- the same caveat the serial samplers document.
+    *different* segments changes the RNG chunk boundaries of the kernels
+    that draw per chunk (Glauber, the scan kernels), so ``advance(30);
+    advance(30)`` is a valid chain but not bit-equal to a single
+    ``advance(60)`` -- the same caveat the serial samplers document.
+    LubyGlauber draws only doubles through the uniforms buffer, whose
+    unread values carry over, so its segments do equal one whole run.
 
     The state may be resumed against a *reweighted* twin of its instance
     (same nodes/alphabet/free set, new factor weights): each segment

@@ -520,7 +520,9 @@ class Runtime:
 
         An explicit ``engine="dict"`` request is not spec-transportable;
         it degrades to the per-seed serial reference loop (fanned out via
-        :meth:`map` where the backend supports closures).
+        :meth:`map` where the backend supports closures), and a non-serial
+        runtime records that with a ``runtime.dispatch.serial_reference``
+        obs instant.
 
         Parameters
         ----------
@@ -555,9 +557,11 @@ class Runtime:
         return_state : bool
             Also return the resumable :class:`~repro.runtime.chains.ChainState`
             -- final per-chain codes plus the live per-chain generators and
-            buffered streams -- so a later ``state=`` call continues the
-            same chains bit-identically (for the given segmentation).
-            Serial and batched backends only.
+            the uniforms buffer of their drawn but unread doubles -- so a
+            later ``state=`` call continues the same chains bit-identically
+            (for the given segmentation; a LubyGlauber run split into
+            segments even equals one whole run).  Serial and batched
+            backends only.
 
         Returns
         -------
@@ -593,6 +597,15 @@ class Runtime:
                 # chains -- also for the dict engine, which is not
                 # spec-transportable (the process backend still fans them
                 # out via fork).
+                if not self.is_serial:
+                    obs.instant(
+                        "runtime.dispatch.serial_reference",
+                        backend=self.backend,
+                        kernel=resolved.name,
+                        chains=len(seeds),
+                        count=count,
+                        engine=engine,
+                    )
                 states = self.map(
                     lambda chain_seed: resolved.serial_run(
                         instance, count, seed=chain_seed, initial=initial, engine=engine

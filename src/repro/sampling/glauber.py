@@ -67,11 +67,32 @@ def greedy_feasible_configuration(
     For locally admissible distributions this always succeeds and the result
     is feasible (it is the sequential-local-oblivious construction of
     Remark 2.3); a ``RuntimeError`` is raised otherwise.
+
+    The compiled engine builds the start once per instance
+    (:func:`greedy_start_codes`) and decodes a fresh dict on every call;
+    ``engine="dict"`` recomputes the reference construction every time.
     """
     if resolve_engine(engine) == "dict":
         return _greedy_feasible_configuration_dict(instance)
-    distribution = instance.distribution
-    compiled = distribution.compiled_engine()
+    compiled = instance.distribution.compiled_engine()
+    return _decode_state(compiled, greedy_start_codes(instance).tolist())
+
+
+def greedy_start_codes(instance: SamplingInstance) -> np.ndarray:
+    """The compiled greedy start as a read-only code vector, memoised.
+
+    The construction is deterministic and draws no randomness, and an
+    instance's distribution and pinning are immutable, so the codes are
+    kept on the instance beside its free nodes.  The memo is tied to the
+    compiled engine it was built from: a distribution reweighted in place
+    (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors`)
+    gets a fresh start.  A stuck construction caches nothing, so it raises
+    the same ``RuntimeError`` on every call.
+    """
+    compiled = instance.distribution.compiled_engine()
+    memo = instance._greedy_start
+    if memo is not None and memo[0] is compiled:
+        return memo[1]
     conditionals = compiled.conditionals
     codes = [-1] * len(compiled.nodes)
     for node, value in instance.pinning.items():
@@ -87,10 +108,10 @@ def greedy_feasible_configuration(
                 "the distribution is not locally admissible"
             )
         codes[variable] = chosen
-    return {
-        node: compiled.alphabet[codes[variable]]
-        for variable, node in enumerate(compiled.nodes)
-    }
+    start = np.array(codes, dtype=np.int64)
+    start.flags.writeable = False
+    instance._greedy_start = (compiled, start)
+    return start
 
 
 def _greedy_feasible_configuration_dict(instance: SamplingInstance) -> Dict[Node, Value]:
@@ -473,6 +494,7 @@ class GlauberKernel(ChainKernel):
         chain_ids = batch.chain_ids
         codes = batch.codes
         factorless = tables.factorless
+        row_starts = chain_ids * codes.shape[1]
         remaining = count
         while remaining > 0:
             chunk = min(remaining, RNG_CHUNK)
@@ -482,10 +504,12 @@ class GlauberKernel(ChainKernel):
             for chain, rng in enumerate(batch.rngs):
                 choices[chain] = rng.integers(0, free_count, size=chunk)
                 points[chain] = rng.random(chunk)
-            variables = free_index[choices]
+            # Step-major, so each step reads two contiguous rows.
+            variables = free_index.take(choices.T)
+            points = np.ascontiguousarray(points.T)
             for step in range(chunk):
-                chosen = variables[:, step]
-                point = points[:, step]
+                chosen = variables[step]
+                point = points[step]
                 new_codes = tables.sample_codes(
                     codes, chain_ids, chosen, point, batch.compiled
                 )
@@ -494,7 +518,7 @@ class GlauberKernel(ChainKernel):
                     # (uniform resample via truncation, not cumulative search).
                     uniform = np.minimum((point * q).astype(np.int64), q - 1)
                     new_codes = np.where(factorless[chosen], uniform, new_codes)
-                codes[chain_ids, chosen] = new_codes
+                codes.put(row_starts + chosen, new_codes)
                 if trace is not None:
                     trace.append(np.asarray(statistic(codes), dtype=float))
         if trace is not None:
@@ -571,8 +595,13 @@ class LubyGlauberKernel(ChainKernel):
     maxima form an independent set, and all selected nodes resample
     simultaneously from the pre-round snapshot.  ``serial_run`` is
     :func:`luby_glauber_sample`; ``batched_advance`` advances every chain's
-    round with one batched priority comparison and one batched gather,
-    serving the per-chain draws from prefix-consistent buffered streams.
+    round with one batched priority comparison and one batched gather.
+    Both of a round's draws come from the batch's uniforms buffer
+    (:class:`~repro.runtime.chains.ChainUniforms`): the priorities are one
+    equal take for every chain, the update points one ragged take of each
+    chain's selection count -- no per-chain Python loop.  All draws are
+    prefix-consistent doubles, so a run split across several calls equals
+    one whole run.
     """
 
     name = "luby-glauber"
@@ -587,11 +616,11 @@ class LubyGlauberKernel(ChainKernel):
         if count < 0:
             raise ValueError("rounds must be non-negative")
         trace: Optional[List[np.ndarray]] = [] if statistic is not None else None
-        streams = batch.streams()
+        uniforms = batch.uniforms()
         neighbour_index = self._neighbour_index(batch)
-        for _ in range(count):
+        for done in range(count):
             if len(batch.free_index):
-                self._round(batch, streams, neighbour_index)
+                self._round(batch, uniforms, neighbour_index, count - done)
             if trace is not None:
                 trace.append(np.asarray(statistic(batch.codes), dtype=float))
         if trace is not None:
@@ -632,23 +661,18 @@ class LubyGlauberKernel(ChainKernel):
         state["neighbour_index"] = neighbour_index
         return neighbour_index
 
-    def _round(self, batch, streams, neighbour_index) -> None:
-        chains = batch.n_chains
+    def _round(self, batch, uniforms, neighbour_index, rounds) -> None:
+        """One round of every chain; ``rounds`` counts it and the rounds
+        left after it in this call (the refill size of the buffer)."""
         free_index = batch.free_index
-        free_count = len(free_index)
-        priorities = np.empty((chains, free_count))
-        for chain, stream in enumerate(streams):
-            priorities[chain] = stream.take(free_count)
+        priorities = uniforms.take(len(free_index), rounds)
         extended = np.concatenate(
-            [priorities, np.full((chains, 1), -np.inf)], axis=1
+            [priorities, np.full((batch.n_chains, 1), -np.inf)], axis=1
         )
         selected = priorities > extended[:, neighbour_index].max(axis=2)
-        counts = selected.sum(axis=1)
-        # Every chain consumes exactly its selection count from its stream,
-        # matching the serial rng.random(len(selected)) draw.
-        points = np.concatenate(
-            [streams[chain].take(int(counts[chain])) for chain in range(chains)]
-        )
+        # Every chain consumes exactly its selection count, matching the
+        # serial rng.random(len(selected)) draw.
+        points = uniforms.take_ragged(selected.sum(axis=1), rounds)
         rows, positions = np.nonzero(selected)
         if len(rows) == 0:
             return

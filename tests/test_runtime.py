@@ -20,7 +20,7 @@ import pytest
 
 from repro.engine.compiled import CompiledGibbs
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, grid_graph, path_graph, random_tree
+from repro.graphs import cycle_graph, grid_graph, path_graph, random_tree, torus_graph
 from repro.inference.ssm_inference import TruncatedBallInference, padded_ball_marginal
 from repro.models import coloring_model, hardcore_model, matching_model, two_spin_model
 from repro.runtime import (
@@ -33,7 +33,9 @@ from repro.runtime import (
     stream_compiled_balls,
     stream_padded_ball_marginals,
 )
+from repro.runtime.chains import ChainUniforms
 from repro.runtime.shards import TASK_REGISTRY, _chunk_target, _chunk_tasks
+from repro.sampling import registered_kernels
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 from repro.sampling.kernels import RNG_CHUNK
 
@@ -149,6 +151,92 @@ class TestBatchedChainEdges:
         )
         assert traces.shape == (6, 15)
         assert np.all(traces >= 0.0) and np.all(traces <= 1.0)
+
+
+def _take_mix(uniforms, rng, consumed, takes):
+    """Seeded equal and ragged takes; appends each row's values to ``consumed``."""
+    chains = len(consumed)
+    for _ in range(takes):
+        rounds = int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            count = int(rng.integers(0, 30))
+            block = uniforms.take(count, rounds)
+            assert block.shape == (chains, count)
+            for row in range(chains):
+                consumed[row].extend(block[row].tolist())
+        else:
+            counts = rng.integers(0, 25, size=chains)
+            counts[rng.random(chains) < 0.3] = 0  # rows that take nothing
+            flat = uniforms.take_ragged(counts, rounds)
+            assert flat.shape == (int(counts.sum()),)
+            for row, part in enumerate(np.split(flat, np.cumsum(counts)[:-1])):
+                consumed[row].extend(part.tolist())
+        assert np.all(uniforms.cursor <= uniforms.end)
+        assert np.all(uniforms.end <= uniforms.values.shape[1])
+
+
+class TestChainUniforms:
+    """The one-buffer uniform stream: every row stays a prefix of its own
+    generator's ``random`` stream, whatever the mix of takes and refills."""
+
+    @staticmethod
+    def _assert_prefixes(consumed, seeds):
+        for row, seed in enumerate(seeds):
+            expected = np.random.default_rng(seed).random(len(consumed[row]))
+            assert np.array_equal(np.array(consumed[row]), expected), f"row {row}"
+
+    @pytest.mark.parametrize("chains", [1, 2, 7])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_mixed_takes_are_prefixes_of_each_generator(self, chains, trial):
+        rng = np.random.default_rng(4200 + 10 * chains + trial)
+        seeds = [int(seed) for seed in rng.integers(0, 2**31, size=chains)]
+        uniforms = ChainUniforms([np.random.default_rng(seed) for seed in seeds])
+        consumed = [[] for _ in range(chains)]
+        _take_mix(uniforms, rng, consumed, 15)
+        # A take wider than the whole buffer grows it.
+        wide = uniforms.values.shape[1] + 9
+        block = uniforms.take(wide)
+        assert uniforms.values.shape[1] >= wide
+        for row in range(chains):
+            consumed[row].extend(block[row].tolist())
+        _take_mix(uniforms, rng, consumed, 5)
+        self._assert_prefixes(consumed, seeds)
+
+    def test_only_short_rows_refill_and_draw_what_rounds_need(self):
+        seeds = [3, 4, 5]
+        uniforms = ChainUniforms([np.random.default_rng(seed) for seed in seeds])
+        uniforms.take(10, rounds=4)
+        assert uniforms.end.tolist() == [40, 40, 40]
+        uniforms.take_ragged(np.array([30, 0, 25]))
+        assert (uniforms.end - uniforms.cursor).tolist() == [0, 30, 5]
+        uniforms.take_ragged(np.array([0, 12, 6]), rounds=2)
+        # Row 2 was short: it keeps its 5 unread doubles and draws 2 * 6
+        # more; the other rows were not touched.
+        assert uniforms.end.tolist() == [40, 40, 17]
+        assert uniforms.cursor.tolist() == [40, 22, 6]
+
+    def test_refills_are_capped_at_one_rng_chunk(self):
+        uniforms = ChainUniforms([np.random.default_rng(seed) for seed in (1, 2)])
+        uniforms.take(10, rounds=10**9)
+        assert uniforms.end.tolist() == [RNG_CHUNK] * 2
+        # Unless one take needs more: it gets exactly what it needs.
+        uniforms.take(2 * RNG_CHUNK, rounds=3)
+        assert uniforms.end.tolist() == [RNG_CHUNK - 10 + 2 * RNG_CHUNK] * 2
+        assert uniforms.values.shape[1] == 3 * RNG_CHUNK - 10
+
+    def test_retargeted_twin_continues_the_same_buffer(self):
+        graph = cycle_graph(8)
+        cold = SamplingInstance(hardcore_model(graph, 1.2), {0: 1})
+        hot = SamplingInstance(hardcore_model(graph, 2.0), {0: 1})
+        seeds = chain_seed_sequences(17, 3)
+        batch = ChainBatch(cold, seeds=seeds)
+        rng = np.random.default_rng(5)
+        consumed = [[] for _ in seeds]
+        _take_mix(batch.uniforms(), rng, consumed, 6)
+        twin = batch.retarget(hot)
+        assert twin.uniforms() is batch.uniforms()
+        _take_mix(twin.uniforms(), rng, consumed, 6)
+        self._assert_prefixes(consumed, seeds)
 
 
 class TestPickling:
@@ -1005,6 +1093,38 @@ class TestKernelRunChains:
             == reference
         )
 
+    @pytest.mark.parametrize("backend", ["batched", "process"])
+    def test_dict_engine_fallback_emits_the_serial_reference_instant(self, backend):
+        from repro import obs
+
+        instance = self._instance()
+        reference = Runtime("serial", n_chains=3).run_chains(
+            "luby-glauber", instance, 6, seed=2, engine="dict"
+        )
+        obs.enable()
+        try:
+            with Runtime(backend, n_chains=3, n_workers=2) as runtime:
+                states = runtime.run_chains(
+                    "luby-glauber", instance, 6, seed=2, engine="dict"
+                )
+                Runtime("serial", n_chains=3).run_chains(
+                    "luby-glauber", instance, 6, seed=2, engine="dict"
+                )
+            instants = [
+                event["attrs"]
+                for event in obs.events()
+                if event.get("name") == "runtime.dispatch.serial_reference"
+            ]
+        finally:
+            obs.disable()
+        assert states == reference
+        # One instant, from the non-serial runtime only.
+        assert len(instants) == 1
+        assert instants[0]["backend"] == backend
+        assert instants[0]["kernel"] == "luby-glauber"
+        assert instants[0]["chains"] == 3
+        assert instants[0]["engine"] == "dict"
+
     def test_chain_batch_advance_claims_one_kernel(self):
         instance = self._instance()
         batch = ChainBatch(instance, n_chains=2, seed=0)
@@ -1039,42 +1159,67 @@ class TestKernelRunChains:
         ]
 
 
+#: Every registered chain kernel, by name.
+KERNEL_NAMES = sorted(registered_kernels())
+
+
 class TestRunChainsState:
-    """Resumable chain state (ISSUE 9 satellite): split runs == one run... per layout."""
+    """Resumable chain state: split runs == one run... per layout, and for
+    LubyGlauber also == one unsplit run."""
 
     def _instance(self):
         return SamplingInstance(hardcore_model(cycle_graph(8), 1.2), {0: 1})
 
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @pytest.mark.parametrize("backend", ["serial", "batched"])
-    def test_return_state_run_matches_plain_run(self, backend):
+    def test_return_state_run_matches_plain_run(self, backend, kernel):
         instance = self._instance()
         runtime = Runtime(backend, n_chains=3)
-        plain = runtime.run_chains("glauber", instance, 25, seed=7)
+        plain = runtime.run_chains(kernel, instance, 25, seed=7)
         states, state = runtime.run_chains(
-            "glauber", instance, 25, seed=7, return_state=True
+            kernel, instance, 25, seed=7, return_state=True
         )
         assert states == plain
         assert state.n_chains == 3
         assert state.units == 25
-        assert state.kernel_name == "glauber"
+        assert state.kernel_name == kernel
 
-    def test_split_resume_identical_across_layouts(self):
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_split_resume_identical_across_layouts(self, kernel):
         instance = self._instance()
         serial = Runtime("serial", n_chains=4)
         batched = Runtime("batched", n_chains=4)
         first_s, state_s = serial.run_chains(
-            "glauber", instance, 20, seed=3, return_state=True
+            kernel, instance, 20, seed=3, return_state=True
         )
         first_b, state_b = batched.run_chains(
-            "glauber", instance, 20, seed=3, return_state=True
+            kernel, instance, 20, seed=3, return_state=True
         )
         assert first_s == first_b
         assert state_s.layout == "serial"
         assert state_b.layout == "batched"
-        second_s = serial.run_chains("glauber", instance, 20, state=state_s)
-        second_b = batched.run_chains("glauber", instance, 20, state=state_b)
+        second_s = serial.run_chains(kernel, instance, 20, state=state_s)
+        second_b = batched.run_chains(kernel, instance, 20, state=state_b)
         assert second_s == second_b
         assert state_s.units == state_b.units == 40
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_luby_segments_equal_one_whole_run(self, backend):
+        # LubyGlauber draws only doubles, through the uniforms buffer whose
+        # unread values ride along in the state: no chunk boundary moves.
+        runtime = Runtime(backend, n_chains=4)
+        for instance in (
+            self._instance(),
+            SamplingInstance(coloring_model(torus_graph(4, 4), 3)),
+        ):
+            whole = runtime.run_chains("luby-glauber", instance, 60, seed=11)
+            states, state = runtime.run_chains(
+                "luby-glauber", instance, 7, seed=11, return_state=True
+            )
+            for count in (20, 1, 32):
+                states = runtime.run_chains("luby-glauber", instance, count, state=state)
+            assert states == whole
+            assert state.units == 60
 
     def test_state_retargets_onto_reweighted_model(self):
         graph = cycle_graph(8)

@@ -15,7 +15,7 @@ from repro.sampling import (
     greedy_feasible_configuration,
     luby_glauber_sample,
 )
-from repro.sampling.glauber import local_conditional
+from repro.sampling.glauber import greedy_start_codes, local_conditional
 
 
 class TestGreedyConfiguration:
@@ -33,6 +33,66 @@ class TestGreedyConfiguration:
         instance = SamplingInstance(distribution)
         with pytest.raises(RuntimeError):
             greedy_feasible_configuration(instance)
+
+
+class TestGreedyStartMemo:
+    """The compiled greedy start is built once per instance and engine."""
+
+    def test_repeated_calls_return_equal_but_distinct_dicts(self):
+        instance = SamplingInstance(coloring_model(cycle_graph(6), num_colors=3), {0: 1})
+        first = greedy_feasible_configuration(instance)
+        second = greedy_feasible_configuration(instance)
+        assert first == second and first is not second
+        first[2] = 2 if first[2] != 2 else 0
+        assert greedy_feasible_configuration(instance) == second
+        codes = greedy_start_codes(instance)
+        assert greedy_start_codes(instance) is codes
+        assert not codes.flags.writeable
+
+    def test_conditioned_instance_gets_its_own_start(self):
+        instance = SamplingInstance(coloring_model(path_graph(5), num_colors=3))
+        assert greedy_feasible_configuration(instance) == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
+        conditioned = instance.conditioned({1: 0})
+        assert greedy_feasible_configuration(conditioned) == {
+            0: 1, 1: 0, 2: 1, 3: 0, 4: 1
+        }
+        assert greedy_feasible_configuration(instance)[1] == 1
+
+    def test_reweighted_distribution_gets_a_fresh_start(self):
+        distribution = hardcore_model(path_graph(4), fugacity=1.0)
+        instance = SamplingInstance(distribution)
+        before = greedy_start_codes(instance)
+        distribution.update_factors(hardcore_model(path_graph(4), fugacity=3.0).factors)
+        after = greedy_start_codes(instance)
+        assert after is not before
+        assert instance._greedy_start[0] is distribution.compiled_engine()
+
+    def test_stuck_construction_raises_on_every_call(self):
+        instance = SamplingInstance(coloring_model(cycle_graph(3), num_colors=2))
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(RuntimeError) as error:
+                greedy_feasible_configuration(instance)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+        assert instance._greedy_start is None
+
+    def test_dict_engine_stays_uncached(self, monkeypatch):
+        import repro.sampling.glauber as glauber
+
+        instance = SamplingInstance(hardcore_model(cycle_graph(5), fugacity=1.3), {0: 1})
+        calls = []
+        reference = glauber._greedy_feasible_configuration_dict
+        monkeypatch.setattr(
+            glauber,
+            "_greedy_feasible_configuration_dict",
+            lambda inner: calls.append(inner) or reference(inner),
+        )
+        first = greedy_feasible_configuration(instance, engine="dict")
+        second = greedy_feasible_configuration(instance, engine="dict")
+        assert len(calls) == 2 and first == second and first is not second
+        assert instance._greedy_start is None
+        assert first == greedy_feasible_configuration(instance)
 
 
 class TestLocalConditional:
