@@ -18,26 +18,28 @@ chains of a hardcore instance, one sample per chain):
   is asserted before any timing.
 * ``process_ball_shards`` / ``process_ball_shards_shm`` -- the E5/E8
   per-node ball computations (Theorem 5.1 marginals at every node) serial
-  vs sharded over a 2-worker process pool, once over the default pickle
-  transport and once with ``transport="shm"`` (the ``InstanceSpec`` dense
-  arrays cross as shared-memory descriptors instead of by value).
-  Recorded for observability; on a single-core container the fork
-  overhead typically makes both *slower*, which is exactly what the JSON
-  should document.  Only the batched chain workloads feed
+  vs sharded over a 2-worker process runtime, once over the default
+  pickle transport and once with ``transport="shm"`` (the
+  ``InstanceSpec`` dense arrays cross as shared-memory descriptors
+  instead of by value).  The runtime's pool is forked once, by the
+  correctness gate, and reused by every timed call, as a long-lived
+  runtime reuses it.  Recorded for observability; on a small host the
+  shard can still be *slower* than serial, which is exactly what the
+  JSON should document.  Only the batched chain workloads feed
   ``min_batched_speedup``.
 * ``process_shard_phase_residual`` -- the same workload split per phase
-  (spawn / compute / tail) for both transports: *why* the 2-worker shard
-  cannot reach 1x vs serial on this box.  One real
-  ``stream_ball_marginal_tasks`` run is traced with :mod:`repro.obs` and
-  cut at the workers' chunk spans: spawn runs from the call to the first
-  chunk starting on a worker (pool creation, the per-worker initializer
-  where the spec crosses the pipe -- by value under pickle, as
-  descriptors under shm -- and the first submissions), compute from
-  there to the last chunk ending (the parent adopts landed chunks
+  (spawn / compute / tail) for both transports: where the 2-worker shard
+  spends its time.  One real ``stream_ball_marginal_tasks`` call on a
+  process runtime whose pool is already forked is traced with
+  :mod:`repro.obs` and cut at the workers' chunk spans: spawn runs from
+  the call to the first chunk starting on a worker (the spec snapshot,
+  packing it -- by value under pickle, as descriptors under shm -- the
+  first submissions and the first worker's decode of the spec), compute
+  from there to the last chunk ending (the parent adopts landed chunks
   meanwhile), tail from there to the end of the stream (the last
-  result's trip back and adoption, pool shutdown, segment unlink).  Each
-  traced run is asserted bit-identical to the serial loop before its
-  timings are recorded.
+  result's trip back and adoption, segment unlink; no pool is forked or
+  joined).  Each traced run is asserted bit-identical to the serial loop
+  before its timings are recorded.
 * ``packed_multi_instance`` -- many small same-alphabet models advanced
   as ONE padded ``(total_chains, n_max)`` code matrix
   (``Runtime.run_packed``) vs looping one batched ``run_chains`` call per
@@ -47,8 +49,9 @@ chains of a hardcore instance, one sample per chain):
   --cross-model`` batch rides.
 * ``streaming_ball_shards`` -- the same E5-style workload on the barrier
   API (``Runtime.ball_marginals``, which returns nothing until every
-  shard lands) vs the streaming API (``stream_padded_ball_marginals``,
-  which yields each shard as its future completes).  The headline number is
+  shard lands) vs the streaming API (``Runtime.stream_ball_marginals``,
+  which yields each shard as its future completes), on one process
+  runtime and its one pool.  The headline number is
   *time to first shard result*: the streaming consumer starts measuring
   while the remaining balls are still compiling, so its first result must
   land strictly before the barrier call returns at all.  Streamed marginals
@@ -56,14 +59,15 @@ chains of a hardcore instance, one sample per chain):
 * ``cluster_ball_shards_2w`` / ``cluster_ball_shards_4w`` -- the same
   workload dispatched over 2 (resp. 4) *localhost cluster workers* (real
   ``repro-cluster-worker`` subprocesses behind the framed-pickle TCP
-  transport of :mod:`repro.cluster`) vs the 2-worker process pool.
+  transport of :mod:`repro.cluster`) vs a 2-worker process runtime.
   Recorded for observability.  Two effects show up: the cluster's
   persistent workers receive the ``InstanceSpec`` once per connection and
-  keep their ball memos warm across calls (the process pool re-ships the
-  spec on every call), which can put the 2-worker cluster *ahead* on
-  repeated queries; while extra workers beyond the core count just add
-  scheduling and framing tax on one host -- the sharing a multi-machine
-  deployment fixes with real hardware.  Cluster marginals are asserted
+  keep their ball memos warm across calls (the process runtime re-ships
+  the spec, and its workers rebuild their balls, on every call), which
+  can put the 2-worker cluster *ahead* on repeated queries; while extra
+  workers beyond the core count just add scheduling and framing tax on
+  one host -- the sharing a multi-machine deployment fixes with real
+  hardware.  Cluster marginals are asserted
   bit-identical to the serial loop before timing; worker spawn/connect
   time is excluded (a deployment pays it once).
 * ``cluster_auth_overhead_2w`` -- the same workload over 2 localhost
@@ -99,12 +103,7 @@ import numpy as np
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_tree
 from repro.models import hardcore_model
-from repro.runtime import (
-    Runtime,
-    chain_seed_sequences,
-    stream_ball_marginal_tasks,
-    stream_padded_ball_marginals,
-)
+from repro.runtime import Runtime, chain_seed_sequences, stream_padded_ball_marginals
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
@@ -408,22 +407,18 @@ def _process_shard_workload(
     distribution = hardcore_model(random_tree(size, seed=2), fugacity=1.0)
     instance = SamplingInstance(distribution, {0: 0})
     nodes = instance.free_nodes
+    runtime = Runtime("process", n_workers=n_workers, transport=transport)
 
-    if transport != "pickle":
-        # Correctness gate before any timing: the shared-memory transport
-        # must never change answers, only how the spec crosses the pipe.
-        serial_reference = {
-            node: padded_ball_marginal(instance, node, radius) for node in nodes
-        }
-        distribution.ball_cache().clear()
-        sharded_result = dict(
-            stream_padded_ball_marginals(
-                instance, nodes, radius, n_workers=n_workers, transport=transport
-            )
-        )
-        assert sharded_result == serial_reference, (
-            f"transport={transport!r} shard diverges from the serial loop"
-        )
+    # Correctness gate before any timing (it also forks the runtime's
+    # pool): the sharded marginals, and the shm transport in particular,
+    # must never change answers.
+    serial_reference = {
+        node: padded_ball_marginal(instance, node, radius) for node in nodes
+    }
+    distribution.ball_cache().clear()
+    assert runtime.ball_marginals(instance, nodes, radius) == serial_reference, (
+        f"transport={transport!r} shard diverges from the serial loop"
+    )
 
     def serial() -> None:
         distribution.ball_cache().clear()
@@ -432,11 +427,7 @@ def _process_shard_workload(
 
     def sharded() -> None:
         distribution.ball_cache().clear()
-        dict(
-            stream_padded_ball_marginals(
-                instance, nodes, radius, n_workers=n_workers, transport=transport
-            )
-        )
+        runtime.ball_marginals(instance, nodes, radius)
 
     shape = {
         "nodes": len(nodes),
@@ -444,25 +435,25 @@ def _process_shard_workload(
         "workers": n_workers,
         "transport": transport,
     }
-    return shape, serial, sharded
+    return shape, serial, sharded, runtime.shutdown
 
 
 def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
     """Per-phase residual of the sharded ball workload, per transport.
 
-    On a single-core container the process shard of the E5 workload cannot
-    reach 1x vs serial; this measures *why* by tracing one real
-    ``stream_ball_marginal_tasks`` run with :mod:`repro.obs` and cutting it
-    at the workers' ``shards.chunk`` spans (wall-clock stamps, comparable
-    across processes on one host): spawn (call start to the first chunk
-    starting on a worker -- pool creation, the per-worker initializer
-    where the :class:`InstanceSpec` crosses the pipe, by value under
-    pickle, as shared-memory descriptors under shm, and the first
-    submissions), compute (first chunk start to last chunk end, with the
-    parent adopting landed chunks meanwhile) and tail (last chunk end to
-    the end of the stream: the last result's trip back and adoption, pool
-    shutdown, segment unlink).  Every traced run is asserted bit-identical
-    to the serial loop before its timings count.
+    Traces one real ``stream_ball_marginal_tasks`` call on a process
+    runtime whose pool is already forked, with :mod:`repro.obs`, and cuts
+    it at the workers' ``shards.chunk`` spans (wall-clock stamps,
+    comparable across processes on one host): spawn (call start to the
+    first chunk starting on a worker -- the spec snapshot, packing the
+    :class:`InstanceSpec` by value under pickle or as shared-memory
+    descriptors under shm, the first submissions and the first worker's
+    decode of the spec), compute (first chunk start to last chunk end,
+    with the parent adopting landed chunks meanwhile) and tail (last chunk
+    end to the end of the stream: the last result's trip back and
+    adoption, segment unlink).  Every traced run is asserted bit-identical
+    to the serial loop before its timings count.  Returns ``(shape,
+    phases, teardown)``.
     """
     from repro import obs
     from repro.inference.ssm_inference import padded_ball_marginal
@@ -475,6 +466,14 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
         node: padded_ball_marginal(instance, node, radius) for node in nodes
     }
 
+    runtimes = {
+        transport: Runtime("process", n_workers=n_workers, transport=transport)
+        for transport in ("pickle", "shm")
+    }
+    for runtime in runtimes.values():
+        distribution.ball_cache().clear()
+        runtime.ball_marginals(instance, nodes, radius)  # forks the pool
+
     def phases(transport: str) -> Dict[str, float]:
         distribution.ball_cache().clear()
         obs.enable()
@@ -482,8 +481,8 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
             start = time.time()
             results = {
                 center: marginal
-                for (center, _), marginal in stream_ball_marginal_tasks(
-                    instance, tasks, n_workers=n_workers, transport=transport
+                for (center, _), marginal in runtimes[transport].stream_ball_marginal_tasks(
+                    instance, tasks
                 )
             }
             end = time.time()
@@ -504,8 +503,12 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
             "total_seconds": end - start,
         }
 
+    def teardown() -> None:
+        for runtime in runtimes.values():
+            runtime.shutdown()
+
     shape = {"nodes": len(nodes), "radius": radius, "workers": n_workers}
-    return shape, phases
+    return shape, phases, teardown
 
 
 def _packed_multi_instance_workload(
@@ -571,13 +574,10 @@ def _streaming_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 
     serial_reference = {
         node: padded_ball_marginal(instance, node, radius) for node in nodes
     }
-    distribution.ball_cache().clear()
-    streamed = dict(
-        stream_padded_ball_marginals(instance, nodes, radius, n_workers=n_workers)
-    )
-    assert streamed == serial_reference, "streamed results diverge from serial"
-
     runtime = Runtime("process", n_workers=n_workers)
+    distribution.ball_cache().clear()
+    streamed = dict(runtime.stream_ball_marginals(instance, nodes, radius))
+    assert streamed == serial_reference, "streamed results diverge from serial"
 
     def barrier() -> None:
         distribution.ball_cache().clear()
@@ -587,15 +587,13 @@ def _streaming_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 
         distribution.ball_cache().clear()
         start = time.perf_counter()
         first = None
-        for _ in stream_padded_ball_marginals(
-            instance, nodes, radius, n_workers=n_workers
-        ):
+        for _ in runtime.stream_ball_marginals(instance, nodes, radius):
             if first is None:
                 first = time.perf_counter() - start
         return first, time.perf_counter() - start
 
     shape = {"nodes": len(nodes), "radius": radius, "workers": n_workers}
-    return shape, barrier, streaming
+    return shape, barrier, streaming, runtime.shutdown
 
 
 def _cluster_shard_workload(
@@ -610,6 +608,7 @@ def _cluster_shard_workload(
     instance = SamplingInstance(distribution, {0: 0})
     nodes = instance.free_nodes
 
+    runtime = Runtime("process", n_workers=process_workers)
     pool = spawn_workers(n_workers)
     try:
         coordinator = ClusterCoordinator(pool.addresses)
@@ -625,6 +624,10 @@ def _cluster_shard_workload(
             )
         )
         assert clustered == serial_reference, "cluster results diverge from serial"
+        distribution.ball_cache().clear()
+        assert runtime.ball_marginals(instance, nodes, radius) == serial_reference, (
+            "process results diverge from serial"
+        )
     except BaseException:
         # The caller only learns about teardown() on success; release the
         # workers (and the coordinator, if it connected) ourselves.
@@ -633,15 +636,12 @@ def _cluster_shard_workload(
         except NameError:
             pass
         pool.terminate()
+        runtime.shutdown()
         raise
 
     def process() -> None:
         distribution.ball_cache().clear()
-        dict(
-            stream_padded_ball_marginals(
-                instance, nodes, radius, n_workers=process_workers
-            )
-        )
+        runtime.ball_marginals(instance, nodes, radius)
 
     def cluster() -> None:
         distribution.ball_cache().clear()
@@ -650,6 +650,7 @@ def _cluster_shard_workload(
     def teardown() -> None:
         coordinator.shutdown()
         pool.terminate()
+        runtime.shutdown()
 
     shape = {
         "nodes": len(nodes),
@@ -801,9 +802,12 @@ def run(
         }
     )
     for transport in ("pickle", "shm"):
-        shape, serial, sharded = _process_shard_workload(transport=transport)
-        serial_seconds = _best_of(serial, repeats)
-        process_seconds = _best_of(sharded, repeats)
+        shape, serial, sharded, teardown = _process_shard_workload(transport=transport)
+        try:
+            serial_seconds = _best_of(serial, repeats)
+            process_seconds = _best_of(sharded, repeats)
+        finally:
+            teardown()
         row = {
             "workload": (
                 "process_ball_shards"
@@ -815,19 +819,21 @@ def run(
             "serial_seconds": serial_seconds,
             "process_seconds": process_seconds,
             "speedup": serial_seconds / process_seconds,
+            "bit_identical_to_serial": True,
         }
-        if transport != "pickle":
-            row["bit_identical_to_serial"] = True
         rows.append(row)
-    shape, phases = _shard_phase_residual()
+    shape, phases, teardown = _shard_phase_residual()
     residual: Dict[str, Dict[str, float]] = {}
-    for transport in ("pickle", "shm"):
-        best = None
-        for _ in range(repeats):
-            sample = phases(transport)
-            if best is None or sample["total_seconds"] < best["total_seconds"]:
-                best = sample
-        residual[transport] = best
+    try:
+        for transport in ("pickle", "shm"):
+            best = None
+            for _ in range(repeats):
+                sample = phases(transport)
+                if best is None or sample["total_seconds"] < best["total_seconds"]:
+                    best = sample
+            residual[transport] = best
+    finally:
+        teardown()
     rows.append(
         {
             "workload": "process_shard_phase_residual",
@@ -836,29 +842,32 @@ def run(
             "phases": residual,
             "bit_identical_to_serial": True,
             "note": (
-                "why the 2-worker shard stays below 1x vs serial on a "
-                "small host: one traced stream_ball_marginal_tasks run cut "
-                "at the workers' chunk spans. spawn runs to the first "
-                "worker chunk (pool creation, the per-worker initializer "
-                "where the InstanceSpec crosses -- by value under pickle, "
-                "as shared-memory descriptors under shm -- and the first "
-                "submissions), compute to the last chunk end (cold workers "
-                "recompile their chunks' balls and ship them back while "
-                "the parent adopts landed chunks), tail to the end of the "
-                "stream (last adoption, pool shutdown, segment unlink) -- "
-                "so compute + spawn together exceed the serial wall "
-                "regardless of transport"
+                "where the 2-worker shard spends its time: one traced "
+                "stream_ball_marginal_tasks call on a process runtime "
+                "whose pool is already forked, cut at the workers' chunk "
+                "spans. spawn runs to the first worker chunk (the spec "
+                "snapshot, packing it -- by value under pickle, as "
+                "shared-memory descriptors under shm -- the first "
+                "submissions and the first worker's decode of the spec), "
+                "compute to the last chunk end (workers compile their "
+                "chunks' balls and ship them back while the parent adopts "
+                "landed chunks), tail to the end of the stream (last "
+                "adoption, segment unlink). No fork and no join is paid "
+                "per call"
             ),
         }
     )
-    shape, barrier, streaming = _streaming_shard_workload()
-    barrier_seconds = _best_of(barrier, repeats)
+    shape, barrier, streaming, teardown = _streaming_shard_workload()
     first_result_seconds = np.inf
     streaming_seconds = np.inf
-    for _ in range(repeats):
-        first, wall = streaming()
-        first_result_seconds = min(first_result_seconds, first)
-        streaming_seconds = min(streaming_seconds, wall)
+    try:
+        barrier_seconds = _best_of(barrier, repeats)
+        for _ in range(repeats):
+            first, wall = streaming()
+            first_result_seconds = min(first_result_seconds, first)
+            streaming_seconds = min(streaming_seconds, wall)
+    finally:
+        teardown()
     rows.append(
         {
             "workload": "streaming_ball_shards",
@@ -935,7 +944,7 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "LubyGlauber and JVV-rejection kernels (batched JVV bit-identity "
             "-- states and per-chain failure counts -- asserted pre-timing), "
             "the 2-worker process shard of the per-node ball computations "
-            "(informational), the barrier vs streaming (futures + "
+            "on one persistent fork pool per process runtime (informational), the barrier vs streaming (futures + "
             "as_completed) shard executor on the E5-style workload "
             "(time-to-first-shard-result), and the same workload over 2/4 "
             "localhost repro.cluster TCP workers (single-host transport tax, "
@@ -961,8 +970,7 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "transport (InstanceSpec dense arrays crossing as segment "
             "descriptors; bit-identity asserted pre-timing), the same "
             "workload's per-phase residual (spawn/compute/tail, both "
-            "transports -- documenting why the shard stays below 1x vs "
-            "serial on a single-core container), and packed multi-"
+            "transports, on an already forked pool), and packed multi-"
             "instance batching: many small same-alphabet models advanced "
             "as one padded (total_chains, n_max) code matrix via "
             "Runtime.run_packed vs looping one batched run_chains call "
@@ -1008,6 +1016,11 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             for row in rows
             if row["backend_pair"] in ("phase-residual",)
             or row["workload"] == "process_ball_shards_shm"
+        ),
+        "process_bit_identical_to_serial": all(
+            row["bit_identical_to_serial"]
+            for row in rows
+            if row["backend_pair"] == "serial-vs-process"
         ),
         "shard_phase_residual_documented": any(
             row["backend_pair"] == "phase-residual" for row in rows
@@ -1120,7 +1133,7 @@ def test_batched_runner_amortises_the_python_loop(once=None) -> None:
             # measured, for both transports.
             for timings in row["phases"].values():
                 assert set(timings) >= {
-                    "spawn_seconds", "map_seconds", "compute_seconds", "merge_seconds",
+                    "spawn_seconds", "compute_seconds", "tail_seconds",
                 }, f"phase residual incomplete: {row}"
 
 

@@ -31,7 +31,10 @@
 # bit-identical between the serial and batched runtimes), an shm smoke
 # (the shared-memory transport of the process backend and the packed
 # multi-instance code matrix must both be bit-identical to the serial
-# loop, and /dev/shm must hold no repro-shm-* segments afterwards) and a
+# loop; two process calls on one Runtime, run in a child interpreter, must
+# share the worker pids of one persistent pool and leave no
+# resource_tracker traceback on stderr; /dev/shm must hold no repro-shm-*
+# segments afterwards) and a
 # docs check (the architecture map and testing guide exist and the
 # README quickstart executes as a doctest).
 #
@@ -405,10 +408,43 @@ for index, (member, seeds) in enumerate(groups):
     solo = serial.run_chains("glauber", member, 25, seeds=seeds)
     assert packed[index] == solo, f"packed group {index} diverges from solo"
 
+# One persistent pool: two calls on one Runtime share the worker pids, and
+# the workers' attachments leave the owner's resource-tracker entries
+# intact (the tracker would print a KeyError traceback on the unlink).
+import ast
+import subprocess
+import sys
+
+child = subprocess.run(
+    [
+        sys.executable, "-c",
+        "from repro.gibbs import SamplingInstance\n"
+        "from repro.graphs import cycle_graph\n"
+        "from repro.models import hardcore_model\n"
+        "from repro.runtime import Runtime\n"
+        "instance = SamplingInstance(hardcore_model(cycle_graph(12), 1.2), {0: 1})\n"
+        "with Runtime('process', n_chains=4, n_workers=2, transport='shm',"
+        " inline_threshold=0) as runtime:\n"
+        "    for seed in (1, 2):\n"
+        "        runtime.run_chains('glauber', instance, 25, seed=seed)\n"
+        "        print(sorted(runtime._pool._executor._processes))\n",
+    ],
+    capture_output=True,
+    text=True,
+    timeout=120,
+)
+assert child.returncode == 0, child.stderr
+first, second = child.stdout.split("\n")[:2]
+assert first == second and len(ast.literal_eval(first)) == 2, f"pool not reused: {child.stdout!r}"
+assert "resource_tracker" not in child.stderr and "Traceback" not in child.stderr, child.stderr
+
 after = leaked_dev_shm_segments()
 assert not after, f"leaked /dev/shm segments: {after}"
 mode = "shm" if shm_available() else "pickle-fallback"
-print(f"shm smoke OK ({mode}): transport + packed bit-identical, /dev/shm clean")
+print(
+    f"shm smoke OK ({mode}): transport + packed bit-identical, two calls on "
+    "one pool, no tracker traceback, /dev/shm clean"
+)
 PY
 
 echo "== tier-1: docs =="

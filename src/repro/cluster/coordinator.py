@@ -249,7 +249,7 @@ class _Worker:
 
     def record_spec(self, spec_id: int) -> None:
         """Mirror the worker-side spec cache after shipping a SPEC frame."""
-        from repro.cluster.worker import SPEC_CACHE_LIMIT
+        from repro.runtime.shards import SPEC_CACHE_LIMIT
 
         self.specs[spec_id] = None
         while len(self.specs) > SPEC_CACHE_LIMIT:
@@ -690,11 +690,11 @@ class ClusterCoordinator:
         """Run a task in-process because no worker is live (``degrade="local"``).
 
         The body comes from the same :data:`~repro.runtime.shards.TASK_REGISTRY`
-        the workers use (via :func:`repro.cluster.worker.run_task`), so the
+        the workers use (via :func:`repro.runtime.shards.run_task`), so the
         result is bit-identical to what a worker would have returned -- the
         cluster degrades to the serial backend, it does not change answers.
         """
-        from repro.cluster.worker import run_task
+        from repro.runtime.shards import run_task
 
         warn = False
         with self._lock:

@@ -14,14 +14,14 @@ splits each connection across two threads:
   traceback) frames.
 
 The task bodies are deliberately *shared* with the process backend: every
-spec-bound kind resolves through the
-:data:`~repro.runtime.shards.TASK_REGISTRY` of :mod:`repro.runtime.shards`,
-so a ``ball_marginals`` task runs exactly the body a process-pool worker
-runs and a ``chain_block`` task runs the same kernel-driven batched block
--- cluster results are bit-identical to both the process backend and the
-serial loop.  The spec crosses the wire at most once per connection and
-its ball memo stays warm across tasks, mirroring the pool initializer of
-PR 3.
+task runs through :func:`~repro.runtime.shards.run_task`, which resolves
+spec-bound kinds in the :data:`~repro.runtime.shards.TASK_REGISTRY` of
+:mod:`repro.runtime.shards` -- the same entry a process-pool worker calls
+for each chunk.  So a ``ball_marginals`` task runs exactly the body a pool
+worker runs and a ``chain_block`` task runs the same kernel-driven batched
+block: cluster results are bit-identical to both the process backend and
+the serial loop.  The spec crosses the wire at most once per connection and
+its ball memo stays warm across tasks, like a pool worker's spec cache.
 
 Task kinds
 ----------
@@ -76,19 +76,15 @@ import socket
 import threading
 import traceback
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.cluster import chaos, protocol
-from repro.runtime.shards import TASK_REGISTRY, InstanceSpec
+from repro.runtime.shards import SPEC_CACHE_LIMIT, InstanceSpec, run_task
 
 _log = obs.get_logger("cluster.worker")
 
-#: Retain at most this many specs per connection (FIFO eviction); a
-#: coordinator normally streams one spec at a time, so this only matters
-#: for long-lived connections multiplexing many instances.  (Queued tasks
-#: are immune to eviction: the reader pins each task's spec at enqueue.)
-SPEC_CACHE_LIMIT = 4
+__all__ = ["SPEC_CACHE_LIMIT", "ClusterWorker", "main", "run_task"]
 
 #: Reset the cancelled-task-id set past this size.  Ids of tasks that had
 #: already executed when their cancel directive arrived accumulate here;
@@ -132,33 +128,6 @@ def _enable_keepalive(
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPCNT, probes)
     except (OSError, AttributeError):  # pragma: no cover - exotic platforms
         pass
-
-
-def run_task(kind: str, args, specs: Dict[int, InstanceSpec], spec=None):
-    """Execute one task body against the connection's spec cache.
-
-    Split out of the server loop so tests (and the coordinator's
-    in-process fallback) can run task payloads without a socket.  ``spec``
-    is the snapshot the reader loop pinned to the task *at enqueue time*;
-    it takes precedence over a cache lookup, so a task that waited in the
-    queue while later ``SPEC`` frames evicted its entry still runs.
-    """
-    if kind == "ping":
-        return args
-    body = TASK_REGISTRY.get(kind)
-    if body is None:
-        raise protocol.ProtocolError(f"unknown task kind {kind!r}")
-    spec_id = args["spec_id"]
-    if spec is None:
-        spec = specs.get(spec_id)
-    if spec is None:
-        raise protocol.ProtocolError(
-            f"task references unknown spec {spec_id!r}; "
-            "the coordinator must send SPEC before TASK"
-        )
-    # One registry, every backend: the same body a process-pool worker (or
-    # the in-process fallback) would execute, against this connection's spec.
-    return body(args, spec=spec)
 
 
 class ClusterWorker:
@@ -322,6 +291,8 @@ class ClusterWorker:
                     self._reject(connection, send_lock, error, key)
                     return
                 if kind == protocol.SPEC:
+                    # FIFO eviction past SPEC_CACHE_LIMIT; queued tasks are
+                    # immune: the reader pins each task's spec at enqueue.
                     spec_id, spec = payload
                     specs[spec_id] = spec
                     while len(specs) > SPEC_CACHE_LIMIT:

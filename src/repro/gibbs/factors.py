@@ -130,13 +130,17 @@ class Factor:
         return False
 
     def scope_diameter(self, graph: nx.Graph) -> int:
-        """Diameter of the scope inside ``graph`` (Definition 2.4)."""
-        if len(self.scope) == 1:
-            return 0
+        """Diameter of the scope inside ``graph`` (Definition 2.4).
+
+        One breadth-first search per scope node but the last, each stopping
+        as soon as it has reached every later scope node, so the cost is the
+        ball around the scope rather than the whole graph.
+        """
         best = 0
-        for i, u in enumerate(self.scope):
-            lengths = nx.single_source_shortest_path_length(graph, u)
-            for v in self.scope[i + 1:]:
+        for i, u in enumerate(self.scope[:-1]):
+            later = self.scope[i + 1:]
+            lengths = _distances_until(graph, u, later)
+            for v in later:
                 if v not in lengths:
                     raise nx.NetworkXNoPath(f"scope nodes {u!r}, {v!r} are disconnected")
                 best = max(best, lengths[v])
@@ -144,3 +148,32 @@ class Factor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Factor(name={self.name!r}, scope={self.scope!r})"
+
+
+def _distances_until(
+    graph: nx.Graph, source: Node, targets: Sequence[Node]
+) -> Dict[Node, int]:
+    """BFS distances from ``source``, stopping once every target is reached.
+
+    Returns the distances of every node seen; a target missing from the
+    result lies in another connected component.
+    """
+    if source not in graph:
+        raise nx.NodeNotFound(f"Source {source} is not in G")
+    lengths = {source: 0}
+    remaining = set(targets)
+    remaining.discard(source)
+    frontier = [source]
+    depth = 0
+    adjacency = graph.adj
+    while remaining and frontier:
+        depth += 1
+        next_frontier = []
+        for node in frontier:
+            for neighbour in adjacency[node]:
+                if neighbour not in lengths:
+                    lengths[neighbour] = depth
+                    remaining.discard(neighbour)
+                    next_frontier.append(neighbour)
+        frontier = next_frontier
+    return lengths

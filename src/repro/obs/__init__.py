@@ -25,8 +25,8 @@ guarded pattern::
     if _o is not None:
         _o.metrics.counter("...").inc()
 
-Trace contexts propagate across process pools (via the ``InstanceSpec``
-pool initializer) and across the cluster wire (an ``_obs`` field inside
+Trace contexts propagate across process pools (shipped with every chunk
+of a traced call) and across the cluster wire (an ``_obs`` field inside
 the pickled, HMAC-covered TASK payload; results return worker events the
 coordinator absorbs), so spans from every process stitch into one
 timeline under one trace id.  Tracing never touches NumPy RNG state:
@@ -64,7 +64,6 @@ __all__ = [
     "absorb_events",
     "drain_events",
     "record_remote",
-    "arm_remote",
     "export_jsonl",
     "export_chrome",
     "get_logger",
@@ -202,7 +201,7 @@ def snapshot() -> Dict[str, object]:
 def wire_context() -> Optional[Dict[str, object]]:
     """The current trace context as a wire dict, or ``None`` (tracing off).
 
-    This is what rides on TASK frames and process-pool initargs.  It is
+    This is what rides on TASK frames and traced process-pool chunks.  It is
     a plain versioned dict so old peers that don't know the field ignore
     it, and it travels inside the pickled payload, so when cluster
     authentication is on it is covered by the frame HMAC.
@@ -222,28 +221,13 @@ def absorb_events(remote_events) -> int:
 
 
 def drain_events() -> List[dict]:
-    """Pop all buffered events (used by pool workers shipping results)."""
+    """Pop all buffered events."""
     handle = _ACTIVE
     if handle is None or handle.tracer is None:
         return []
     out = handle.tracer.events()
     handle.tracer.clear()
     return out
-
-
-def arm_remote(wire_ctx: object, proc: str = "pool-worker") -> Optional[Observability]:
-    """Install a handle continuing ``wire_ctx`` in *this* process.
-
-    Called from process-pool initializers in worker processes.  A
-    malformed/foreign-version context (or ``None``) leaves the process
-    untouched and returns ``None`` — the versioned-wire contract.
-    """
-    global _ACTIVE
-    ctx = TraceContext.from_wire(wire_ctx)
-    if ctx is None:
-        return None
-    _ACTIVE = Observability(tracer=TraceRecorder(parent=ctx, proc=proc))
-    return _ACTIVE
 
 
 def record_remote(

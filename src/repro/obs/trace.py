@@ -94,7 +94,7 @@ class TraceContext:
         )
 
     def to_wire(self) -> Dict[str, object]:
-        """A pickle/JSON-safe dict shipped on TASK frames and pool initargs."""
+        """A pickle/JSON-safe dict shipped on TASK frames and traced pool chunks."""
         return {"v": WIRE_VERSION, "trace": self.trace_id, "span": self.span_id}
 
     @staticmethod

@@ -12,8 +12,10 @@ Four backends:
     to the serial samplers under the spawned-seed convention.
 ``process``
     Per-node LOCAL computations (ball compilation, boundary extension, ball
-    marginals) shard across OS processes via :mod:`repro.runtime.shards`,
-    and coarse-grained experiment loops fan out through :meth:`Runtime.map`
+    marginals) and chain blocks shard across one runtime-owned fork pool
+    (:class:`~repro.runtime.shards.ForkPool`, forked on first use and kept
+    until :meth:`Runtime.shutdown`) via :mod:`repro.runtime.shards`, and
+    coarse-grained experiment loops fan out through :meth:`Runtime.map`
     (forked workers inherit the mapped closure).  The sharding is
     *streaming*: :meth:`Runtime.stream_ball_marginals` and
     :meth:`Runtime.stream_ball_marginal_tasks` hand results back as shards
@@ -76,6 +78,7 @@ from repro.runtime.chains import (
 )
 from repro.runtime.shards import (
     TRANSPORTS,
+    ForkPool,
     advance_block,
     process_map,
     run_chain_blocks,
@@ -102,13 +105,13 @@ _BACKENDS = (SERIAL_BACKEND, BATCHED_BACKEND, PROCESS_BACKEND, CLUSTER_BACKEND)
 
 #: Chain-update budget (``chains * count``) below which the process backend
 #: runs the registered ``chain_block`` task body in-process instead of
-#: spinning up a pool.  Measured on the benchmark box: a fresh fork-pool
-#: spin-up plus teardown costs ~45-60 ms (the dominant phase of the
-#: ``process_ball_shards`` residual in ``BENCH_runtime.json``), while the
-#: batched runner sustains well over 200k single-site updates per second --
-#: so below ~10k updates the pool can never pay for itself.  Results are
-#: bit-identical either way (same task body, same per-chain seed streams);
-#: pass ``inline_threshold=0`` to always dispatch.
+#: dispatching to its pool.  Sized when every call forked its own pool: a
+#: fresh fork-pool spin-up plus teardown cost ~45-60 ms on the benchmark
+#: box, while the batched runner sustains well over 200k single-site
+#: updates per second.  The persistent pool removed that per-call cost;
+#: the threshold is kept as it was.  Results are bit-identical either way
+#: (same task body, same per-chain seed streams); pass
+#: ``inline_threshold=0`` to always dispatch.
 INLINE_CHAIN_UPDATES = 10_000
 
 
@@ -155,8 +158,7 @@ class Runtime:
     inline_threshold : int, optional
         Adaptive dispatch guard: chain workloads whose total update budget
         (``chains * count``) does not exceed this run the registered task
-        body in-process instead of spinning up a pool -- below the
-        measured spin-up cost the pool can never pay for itself.  Default
+        body in-process instead of going to the pool.  Default
         :data:`INLINE_CHAIN_UPDATES`; ``0`` always dispatches.  Results
         are bit-identical either way.
     obs : bool or repro.obs.Observability, optional
@@ -171,10 +173,13 @@ class Runtime:
 
     Notes
     -----
-    A ``Runtime`` is cheap to construct.  The process backend holds no OS
-    resources between calls: each call opens, and closes, its own pool.
-    The cluster backend connects its coordinator lazily on first use
-    (spawning localhost workers when no addresses were given);
+    A ``Runtime`` is cheap to construct: neither construction nor
+    :meth:`submit` forks.  The process backend forks its pool of
+    ``n_workers`` at its first call that needs one and keeps it between
+    calls, so a call pays neither a fork nor a join; a call that finds the
+    pool broken (a worker died) fails and drops it, and the next call forks
+    a fresh one.  The cluster backend connects its coordinator lazily on
+    first use (spawning localhost workers when no addresses were given);
     :meth:`shutdown` (or use as a context manager) releases everything and
     is safe to call repeatedly -- including while streaming iterators are
     still abandoned mid-iteration, whose pending work it cancels.
@@ -191,6 +196,7 @@ class Runtime:
         "inline_threshold",
         "_cluster",
         "_local_pool",
+        "_pool",
         "_obs_owned",
         "_shutdown_lock",
         "_snapshot_sections",
@@ -255,6 +261,12 @@ class Runtime:
         self.n_workers = int(n_workers)
         self._cluster = None
         self._local_pool = None
+        # The process backend's pool object forks nothing until a call needs it.
+        self._pool = (
+            ForkPool(self.n_workers, self.transport)
+            if backend == PROCESS_BACKEND
+            else None
+        )
         self._shutdown_lock = threading.RLock()
         self._snapshot_sections: Dict[str, Callable[[], object]] = {}
         # obs=True enables the process-wide observability handle for the
@@ -302,9 +314,9 @@ class Runtime:
 
     def _transport(self):
         """What the shard front ends submit to (the ``transport=`` argument
-        of :mod:`repro.runtime.shards`): the process backend's fork-pool
-        channel name, or the cluster backend's coordinator."""
-        return self.cluster_client() if self.is_cluster else self.transport
+        of :mod:`repro.runtime.shards`): the process backend's fork pool,
+        or the cluster backend's coordinator."""
+        return self.cluster_client() if self.is_cluster else self._pool
 
     # ------------------------------------------------------------------
     def cluster_client(self):
@@ -404,19 +416,24 @@ class Runtime:
     def shutdown(self) -> None:
         """Release every OS resource this runtime owns (idempotent, thread-safe).
 
-        Closes the cluster coordinator's worker connections (cancelling
-        in-flight tasks -- streams abandoned mid-iteration included), and
-        terminates localhost workers the runtime spawned itself.  Calling
-        it again -- or never having created any resource -- is a no-op,
-        and a later operation transparently re-creates what it needs.
-        Concurrent callers are safe: each resource is detached under a
-        lock and released exactly once.  Nothing here joins a pool, so the
-        serving layer's drain path may call it from an asyncio event loop.
+        Stops the process backend's fork pool (cancelling its pending
+        chunks), closes the cluster coordinator's worker connections
+        (cancelling in-flight tasks -- streams abandoned mid-iteration
+        included), and terminates localhost workers the runtime spawned
+        itself.  Calling it again -- or never having created any resource
+        -- is a no-op, and a later operation transparently re-creates what
+        it needs (the next pool-bound call forks again).  Concurrent
+        callers are safe: each resource is detached under a lock and
+        released exactly once.  Nothing here joins a pool or a process, so
+        the serving layer's drain path may call it from an asyncio event
+        loop.
         """
         with self._shutdown_lock:
             cluster, self._cluster = self._cluster, None
             local_pool, self._local_pool = self._local_pool, None
             obs_owned, self._obs_owned = self._obs_owned, False
+        if self._pool is not None:
+            self._pool.shutdown()
         if cluster is not None:
             cluster.shutdown()
         if local_pool is not None:
@@ -744,10 +761,9 @@ class Runtime:
                     stats=stats,
                     transport=self._transport(),
                 )
-            # Adaptive dispatch guard: this workload is smaller than the
-            # measured pool spin-up cost, so run the same batched block
-            # (same per-chain streams) in-process -- bit-identical, just
-            # without the fork tax.
+            # Adaptive dispatch guard: this workload is under the inline
+            # threshold, so run the same batched block (same per-chain
+            # streams) in-process -- bit-identical.
             obs.instant(
                 "runtime.dispatch.inline",
                 backend=self.backend,

@@ -24,9 +24,12 @@ that work out to workers:
   blocks in seed order).  Streams yield in completion order, so consumers
   overlap parent-side work with in-flight chunks, mirroring the
   barrier-free LOCAL model.  Two transports sit behind them, selected by
-  the ``transport=`` argument: a per-call fork pool (``"pickle"`` or
-  ``"shm"``; the spec crosses the pipe once per worker via the pool
-  initializer) and a :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+  the ``transport=`` argument: a :class:`ForkPool` (the process backend's
+  long-lived pool, or a one-shot pool for ``"pickle"`` / ``"shm"``; every
+  chunk carries its call's spec id and packed spec, decoded at most once
+  per worker into a small spec cache) and a
+  :class:`~repro.cluster.coordinator.ClusterCoordinator`.  Both kinds of
+  worker run :func:`run_task`.
 * :func:`process_map` -- the fork-based map behind
   :meth:`~repro.runtime.executor.Runtime.map` on the process backend, for
   coarse-grained task parallelism over closures.  The fork start method
@@ -41,8 +44,15 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
+import pickle
+import threading
+import time
+from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import (
     Callable,
@@ -376,7 +386,8 @@ class _ShmSpec:
     per dense factor array; :meth:`restore` rebuilds the spec worker-side
     with zero-copy read-only views into the owner's segment.  The owner
     keeps the backing :class:`~repro.runtime.shm.SharedArrayPack` alive for
-    the lifetime of the pool and unlinks it afterwards.
+    the call and unlinks it afterwards; a worker's mapping lasts until the
+    spec leaves its spec cache.
     """
 
     __slots__ = ("state", "descriptors")
@@ -401,15 +412,19 @@ class _ShmSpec:
         )
         return spec
 
+    def segments(self) -> Tuple[str, ...]:
+        """Names of the shared-memory segments :meth:`restore` maps."""
+        return tuple(sorted({descriptor[0] for descriptor in self.descriptors}))
+
 
 def _spec_wire(spec: InstanceSpec, transport: str):
-    """The pool-initializer payload for ``spec`` under ``transport``.
+    """What a pool call ships of ``spec`` under ``transport``.
 
     Returns ``(payload, pack)``: with ``transport="shm"`` (and shared memory
     actually available) the payload is a :class:`_ShmSpec` whose dense
     arrays live in ``pack``; otherwise the spec itself travels by pickle and
     ``pack`` is None.  The caller owns ``pack`` and must release it once the
-    pool is done.
+    call is done.
     """
     if transport == "shm":
         from repro.runtime import shm
@@ -428,11 +443,6 @@ def _spec_wire(spec: InstanceSpec, transport: str):
 # ----------------------------------------------------------------------
 # task bodies (must be importable at module top level)
 # ----------------------------------------------------------------------
-#: The spec installed once per worker process by the pool initializer, so a
-#: worker that serves many chunks deserialises the instance exactly once and
-#: keeps its ball memo warm across chunks.
-_WORKER_SPEC: Optional[InstanceSpec] = None
-
 #: The task registry: every spec-bound task body that a distributed backend
 #: can execute, by kind.  One body per kind, shared by *all* backends: the
 #: process pool, the cluster worker (which looks the body up by the kind
@@ -451,6 +461,45 @@ def register_task(kind: str) -> Callable:
         return body
 
     return decorate
+
+
+#: Specs a worker keeps, oldest evicted first: per cluster connection (a
+#: coordinator normally streams one spec at a time, so this only matters
+#: for long-lived connections multiplexing many instances) and per pool
+#: worker (every pool call ships its spec under a fresh id).
+SPEC_CACHE_LIMIT = 4
+
+
+def run_task(kind: str, args, specs: Dict[int, InstanceSpec], spec=None):
+    """Execute one task body against a worker's spec cache.
+
+    The one worker-side entry of both transports: a cluster worker calls it
+    for every ``TASK`` frame, a pool worker for every chunk, and the
+    coordinator's in-process fallback for tasks it runs itself.  ``spec``
+    is the snapshot the caller already resolved (the cluster reader pins it
+    to a task at enqueue time, so a task that waited in the queue while
+    later ``SPEC`` frames evicted its entry still runs); without it the
+    spec is looked up in ``specs`` by ``args["spec_id"]``.
+    """
+    if kind == "ping":
+        return args
+    body = TASK_REGISTRY.get(kind)
+    if body is None:
+        from repro.cluster.protocol import ProtocolError
+
+        raise ProtocolError(f"unknown task kind {kind!r}")
+    if spec is None:
+        spec_id = args["spec_id"]
+        spec = specs.get(spec_id)
+        if spec is None:
+            from repro.cluster.protocol import ProtocolError
+
+            raise ProtocolError(
+                f"task references unknown spec {spec_id!r}; "
+                "the coordinator must send SPEC before TASK"
+            )
+    return body(args, spec=spec)
+
 
 #: Default cap on the per-ball marginal-memo delta a worker ships back.
 MEMO_DELTA_CAP = 64
@@ -542,8 +591,9 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
     block's final ``(chains, n)`` code matrix is written straight into the
     parent-owned shared segment at ``row_offset`` (no pickling of result
     configurations), and the configurations in the return value shrink to
-    ``None``.  The codes written are exactly ``ChainBatch.codes``, so the
-    parent's decode replays
+    ``None``.  A pool worker closes its mapping of that segment as soon as
+    the block has written to it.  The codes written are exactly
+    ``ChainBatch.codes``, so the parent's decode replays
     :meth:`~repro.runtime.chains.ChainBatch.configurations` bit for bit.
     """
     from repro.sampling.kernels import get_kernel
@@ -565,46 +615,158 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
         descriptor, row_offset = out
         matrix = shm.attach_array(descriptor, writable=True)
         matrix[row_offset : row_offset + batch.n_chains] = batch.codes
+        del matrix
+        shm.detach((descriptor[0],))
         configurations = None
     return configurations if counts is None else (configurations, counts)
 
 
-def _install_worker_spec(spec: InstanceSpec, obs_ctx=None) -> None:
-    """Pool initializer: pin the shared :class:`InstanceSpec` in this worker.
+# ----------------------------------------------------------------------
+# pool workers: a per-process spec cache in front of run_task
+# ----------------------------------------------------------------------
+#: A pool worker's decoded specs by spec id, oldest first.
+_WORKER_SPECS: "OrderedDict[int, InstanceSpec]" = OrderedDict()
 
-    ``spec`` is either the pickled :class:`InstanceSpec` itself or -- under
-    ``transport="shm"`` -- a :class:`_ShmSpec` of descriptors, restored here
-    into a spec whose dense arrays are zero-copy views of the owner's
-    shared-memory segment.
+#: The shared-memory segments each cached spec maps, closed on eviction.
+_WORKER_SEGMENTS: Dict[int, Tuple[str, ...]] = {}
 
-    ``obs_ctx`` is the parent's trace context as a versioned wire dict
-    (``None`` when tracing is off): when present, the worker process arms
-    a recorder continuing the parent's trace, so spans recorded by task
-    bodies stitch into the parent timeline (shipped back by
-    :func:`_traced_chunk`).  Unknown/foreign contexts are ignored.
+
+def _worker_spec(spec_id: int, wire: bytes) -> InstanceSpec:
+    """The cached spec of ``spec_id``, decoding ``wire`` only on a miss.
+
+    ``wire`` is the pickled spec, or under ``transport="shm"`` a pickled
+    :class:`_ShmSpec` whose arrays become zero-copy views of the owner's
+    segment.  A worker's ball memo stays warm across the chunks of one
+    call.  Past :data:`SPEC_CACHE_LIMIT` specs the oldest is dropped and
+    its segment mappings are closed.
     """
-    global _WORKER_SPEC
-    if isinstance(spec, _ShmSpec):
-        spec = spec.restore()
-    _WORKER_SPEC = spec
-    if obs_ctx is not None:
-        obs.arm_remote(obs_ctx, proc="pool-worker")
+    spec = _WORKER_SPECS.get(spec_id)
+    if spec is None:
+        spec = pickle.loads(wire)
+        if isinstance(spec, _ShmSpec):
+            _WORKER_SEGMENTS[spec_id] = spec.segments()
+            spec = spec.restore()
+        _WORKER_SPECS[spec_id] = spec
+        while len(_WORKER_SPECS) > SPEC_CACHE_LIMIT:
+            oldest = next(iter(_WORKER_SPECS))
+            del _WORKER_SPECS[oldest]
+            segments = _WORKER_SEGMENTS.pop(oldest, ())
+            if segments:
+                from repro.runtime import shm
+
+                shm.detach(segments)
+    return spec
 
 
-def _pool_task(kind: str, args: Dict):
-    """Pool-worker entry: the registered body on the worker-global spec."""
-    return TASK_REGISTRY[kind](args, _WORKER_SPEC)
+#: Seconds between a pool worker's checks that its owner is still alive.
+_OWNER_POLL_S = 1.0
 
 
-def _traced_chunk(kind: str, args: Dict, size: int):
-    """Pool-worker entry when the parent traces: ``(result, events)``.
+def _start_pool_worker(owner: int) -> None:
+    """Run once in each pool worker when it is forked.
 
-    The worker's buffered trace events are drained per chunk and ride back
-    with its result; untraced runs submit :func:`_pool_task` instead.
+    Drops the observability handle inherited from the parent, so a worker
+    records only under a trace context shipped with a chunk
+    (:func:`_traced_chunk`).  Also watches the owner: a worker whose owner
+    was killed exits within :data:`_OWNER_POLL_S` instead of idling forever
+    -- which also lets the shared resource tracker unlink the owner's
+    segments.
     """
-    with obs.span("shards.chunk", kind=kind, tasks=size):
-        payload = _pool_task(kind, args)
-    return payload, obs.drain_events()
+    obs.disable()
+
+    def watch() -> None:
+        while os.getppid() == owner:
+            time.sleep(_OWNER_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-pool-owner", daemon=True).start()
+
+
+def _pool_chunk(spec_id: int, wire: bytes, kind: str, args: Dict):
+    """Pool-worker entry of an untraced call: :func:`run_task` on the spec."""
+    return run_task(kind, args, _WORKER_SPECS, _worker_spec(spec_id, wire))
+
+
+def _traced_chunk(spec_id: int, wire: bytes, kind: str, args: Dict, size: int, ctx):
+    """Pool-worker entry of a traced call: ``(result, events)``.
+
+    ``ctx`` is the parent's trace context as a wire dict, shipped with every
+    chunk: the body runs under a ``shards.chunk`` span continuing it, and
+    the events recorded on the way ride back with the result.  The worker
+    is untraced again afterwards.
+    """
+    spec = _worker_spec(spec_id, wire)
+    return obs.record_remote(
+        ctx,
+        lambda: run_task(kind, args, _WORKER_SPECS, spec),
+        name="shards.chunk",
+        proc="pool-worker",
+        kind=kind,
+        tasks=size,
+    )
+
+
+class ForkPool:
+    """A process pool of ``n_workers``, forked on first use and kept until
+    :meth:`shutdown` -- the process backend's transport.
+
+    Workers hold no per-call state: every chunk carries its call's spec id
+    and packed spec (``transport`` says how the spec is packed), and a
+    worker decodes a spec only when its id is missing from the worker's
+    spec cache.  So one pool serves any number of calls on any instances,
+    and a call neither forks nor joins.
+    :class:`~repro.runtime.executor.Runtime` owns one per process runtime;
+    the front ends build a one-shot pool for a plain ``"pickle"`` or
+    ``"shm"`` transport.  Forking emits a ``runtime.pool.spawn`` obs
+    instant (``workers``, ``ms``).
+    """
+
+    def __init__(self, n_workers: int, transport: str = "pickle") -> None:
+        self.n_workers = max(1, int(n_workers))
+        self.transport = transport
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, forking the workers if there is none."""
+        with self._lock:
+            if self._executor is None:
+                if self.transport == "shm":
+                    from repro.runtime import shm
+
+                    # The probe starts the resource tracker, which forked
+                    # workers then share with this process (see shm).
+                    shm.shm_available()
+                started = time.perf_counter()
+                executor = ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    initializer=_start_pool_worker,
+                    initargs=(os.getpid(),),
+                )
+                # A fork pool starts all its workers at the first submission.
+                executor.submit(os.getpid)
+                obs.instant(
+                    "runtime.pool.spawn",
+                    workers=self.n_workers,
+                    ms=(time.perf_counter() - started) * 1e3,
+                )
+                self._executor = executor
+            return self._executor
+
+    def shutdown(self, executor: Optional[ProcessPoolExecutor] = None) -> None:
+        """Stop the workers without joining them (idempotent).
+
+        Pending chunks are cancelled and the next :meth:`executor` forks
+        again.  ``executor`` names a pool found broken: it is dropped only
+        if it is still the live one, never its replacement.
+        """
+        with self._lock:
+            if executor is None:
+                executor = self._executor
+            if executor is self._executor:
+                self._executor = None
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -653,23 +815,49 @@ class _InProcess(_Session):
         pass
 
 
-class _PoolSession(_Session):
-    """The per-call fork pool (see :func:`_session`)."""
+#: Spec ids of pool calls: fresh per call, so a worker's cache never
+#: confuses the specs of two calls.
+_SPEC_IDS = itertools.count(1)
 
-    def __init__(self, pool, spec: InstanceSpec, traced: bool, shared: bool) -> None:
+
+class _PoolSession(_Session):
+    """One call on a :class:`ForkPool` (see :func:`_session`).
+
+    The call's spec is packed (:func:`_spec_wire`) and pickled once, as
+    ``wire``, under a fresh spec id, and every chunk carries both (plus the
+    parent's trace context when the call is traced).  A
+    ``BrokenProcessPool`` -- a worker died -- fails the call and drops the
+    pool, so the next call forks a new one.
+    """
+
+    def __init__(self, pool: ForkPool, spec: InstanceSpec) -> None:
         self.pool = pool
         self.spec = spec
-        self.traced = traced
-        self.shared = shared
+        # Fork before packing: a worker forked while a pack is live keeps
+        # the parent's mapping of that segment for life.
+        self.executor = pool.executor()
+        wire, self.spec_pack = _spec_wire(spec, pool.transport)
+        self.spec_id = next(_SPEC_IDS)
+        self.wire = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
+        self.ctx = obs.wire_context()
 
     def submit(self, kind: str, args: Dict, size: int) -> Future:
-        if self.traced:
-            return self.pool.submit(_traced_chunk, kind, args, size)
-        return self.pool.submit(_pool_task, kind, args)
+        head = (self.spec_id, self.wire, kind, args)
+        try:
+            if self.ctx is None:
+                return self.executor.submit(_pool_chunk, *head)
+            return self.executor.submit(_traced_chunk, *head, size, self.ctx)
+        except BrokenProcessPool:
+            self.pool.shutdown(self.executor)
+            raise
 
     def result(self, future: Future):
-        payload = future.result()
-        if self.traced:
+        try:
+            payload = future.result()
+        except BrokenProcessPool:
+            self.pool.shutdown(self.executor)
+            raise
+        if self.ctx is not None:
             payload, events = payload
             obs.absorb_events(events)
         return payload
@@ -679,7 +867,7 @@ class _PoolSession(_Session):
             future.cancel()
 
     def share_codes(self, rows: int):
-        if self.shared:
+        if self.spec_pack is not None:
             from repro.runtime import shm
 
             self.code_matrix = shm.pack_arrays(
@@ -711,10 +899,17 @@ class _ClusterSession(_Session):
         self.coordinator._discard(futures)
 
 
+def _is_pool(transport) -> bool:
+    """Whether ``transport`` is a fork pool (else a cluster coordinator)."""
+    return isinstance(transport, (str, ForkPool))
+
+
 def _fleet(transport, n_workers: int) -> int:
     """How many workers stand behind ``transport`` (at least one)."""
     if isinstance(transport, str):
         return max(1, n_workers)
+    if isinstance(transport, ForkPool):
+        return transport.n_workers
     return max(1, transport.live_worker_count)
 
 
@@ -722,33 +917,33 @@ def _fleet(transport, n_workers: int) -> int:
 def _session(transport, n_workers: int, instance: SamplingInstance, n_chunks: int):
     """Open ``transport`` for one front-end call of ``n_chunks`` chunks.
 
-    ``transport`` is ``"pickle"`` or ``"shm"`` -- a per-call fork pool
-    whose initializer installs the spec once per worker (as shared-memory
-    descriptors under ``"shm"``, falling back to pickle when shared memory
-    is unavailable), run in-process for one chunk or one worker -- or a
-    cluster coordinator.  Every segment the call created is unlinked when
-    the session closes.
+    ``transport`` is a :class:`ForkPool`; ``"pickle"`` or ``"shm"``, for
+    which a one-shot :class:`ForkPool` of at most ``n_workers`` serves the
+    call and is stopped (never joined) when it ends; or a cluster
+    coordinator.  On a pool the call's spec is packed once -- its dense
+    arrays as shared-memory descriptors under ``"shm"``, falling back to
+    pickle when shared memory is unavailable -- and shipped with every
+    chunk under a fresh spec id (:class:`_PoolSession`).  One chunk or one
+    worker runs in-process instead.  Every segment the call created is
+    unlinked when the session closes.
     """
-    if not isinstance(transport, str):
+    if not _is_pool(transport):
         yield _ClusterSession(transport, instance)
         return
     spec = InstanceSpec.from_instance(instance)
-    if n_chunks <= 1 or n_workers <= 1:
+    if n_chunks <= 1 or _fleet(transport, n_workers) <= 1:
         yield _InProcess(spec)
         return
-    ctx = obs.wire_context()
-    wire_spec, spec_pack = _spec_wire(spec, transport)
+    one_shot = isinstance(transport, str)
+    pool = ForkPool(min(n_workers, n_chunks), transport) if one_shot else transport
     session = None
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, n_chunks),
-            initializer=_install_worker_spec,
-            initargs=(wire_spec, ctx),
-        ) as pool:
-            session = _PoolSession(pool, spec, ctx is not None, spec_pack is not None)
-            yield session
+        session = _PoolSession(pool, spec)
+        yield session
     finally:
-        for pack in (spec_pack, session.code_matrix if session else None):
+        if one_shot:
+            pool.shutdown()
+        for pack in (session.spec_pack, session.code_matrix) if session else ():
             if pack is not None:
                 pack.release()
 
@@ -765,7 +960,7 @@ def _chunk_target(transport, n_workers: int) -> int:
     regression in ``BENCH_runtime.json``).  The two agree for ``w <= 2``.
     """
     workers = _fleet(transport, n_workers)
-    if isinstance(transport, str):
+    if _is_pool(transport):
         return 4 * workers
     return min(4 * workers, max(2 * workers, 8))
 
@@ -851,7 +1046,7 @@ def stream_ball_marginal_tasks(
 
     The barrier-free core of the distributed backends: tasks are chunked,
     each chunk runs the registered ``ball_marginals`` body on a worker (the
-    :class:`InstanceSpec` is shipped once per worker), and each chunk's
+    :class:`InstanceSpec` is decoded once per worker), and each chunk's
     results are yielded -- and merged into the parent's
     :class:`~repro.engine.cache.BallCache` via
     :meth:`~repro.engine.cache.BallCache.adopt` -- the moment the chunk
@@ -868,17 +1063,19 @@ def stream_ball_marginal_tasks(
         ``(center, radius)`` pairs; radii may differ between tasks.
     n_workers : int
         Process-pool width; with one worker (or one chunk) the stream runs
-        in-process with no pool, bit-identically.  A coordinator transport
-        uses its live worker count instead.
+        in-process with no pool, bit-identically.  A :class:`ForkPool` or a
+        coordinator transport uses its own worker count instead.
     chunk_size : int, optional
         Tasks per submitted chunk (default: see :func:`_chunk_target`).
     memo_cap : int, optional
         Per-ball cap on the marginal-memo delta shipped back (``None``
         ships every entry, ``0`` disables memo deltas).
-    transport : str or ClusterCoordinator
-        ``"pickle"`` (default) ships the spec to a fork pool by value;
-        ``"shm"`` ships its dense arrays as shared-memory descriptors
-        (pickle fallback when unavailable); a
+    transport : str, ForkPool or ClusterCoordinator
+        A :class:`ForkPool` runs the chunks on its long-lived workers
+        (a process runtime passes its own); ``"pickle"`` (default) and
+        ``"shm"`` run them on a one-shot fork pool, the spec shipped by
+        value or -- under ``"shm"`` -- its dense arrays as shared-memory
+        descriptors (pickle fallback when unavailable); a
         :class:`~repro.cluster.coordinator.ClusterCoordinator` runs the
         chunks on its TCP workers, requeueing those of dead workers.
 
@@ -980,17 +1177,22 @@ def run_chain_blocks(
     results concatenate back in seed order.  With one block or one pool
     worker the body runs in-process -- same body, same results.
 
-    ``transport`` is as for :func:`stream_ball_marginal_tasks`.  Under
-    ``"shm"`` each block also writes its final code matrix into one
-    parent-owned ``(len(seeds), n)`` shared segment, decoded here with the
-    exact :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
-    results are bit-identical to the pickle transport.
+    ``transport`` is as for :func:`stream_ball_marginal_tasks`; a process
+    runtime passes its :class:`ForkPool`, so the blocks run on the same
+    long-lived workers as its ball streams.  Under ``"shm"`` each block
+    also writes its final code matrix into one parent-owned
+    ``(len(seeds), n)`` shared segment, decoded here with the exact
+    :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
+    results are bit-identical to the pickle transport -- and the worker
+    closes its mapping of it right after the write.
 
     A failing block raises the body's own exception -- the error the
     in-process block raises, e.g. the ``ValueError`` of a stuck initial
     configuration -- so :meth:`~repro.runtime.executor.Runtime.run_chains`
-    fails the same way inline and on the pool.  The cluster transport
-    carries only the error text, inside a
+    fails the same way inline and on the pool.  A worker dying mid-block
+    raises the pool's ``BrokenProcessPool`` (a ``RuntimeError``), and the
+    pool is dropped so the next call forks a new one.  The cluster
+    transport carries only the error text, inside a
     :class:`~repro.cluster.coordinator.ClusterError`.
 
     Returns

@@ -15,11 +15,14 @@ those payloads into :mod:`multiprocessing.shared_memory` segments instead:
   unlinks a segment**.  ``weakref.finalize`` guarantees the unlink even if
   the owner forgets :meth:`SharedArrayPack.release` (e.g. an exception before
   ``Runtime.shutdown()``), and a killed worker leaks nothing because workers
-  only hold attachments, which the kernel drops with the process.
+  only hold attachments, which the kernel drops with the process.  A
+  long-lived worker closes an attachment once it no longer needs it
+  (:func:`detach`).
 
 Pickle remains the automatic fallback: :func:`shm_available` probes the
 platform once (``/dev/shm`` may be absent or full inside minimal containers),
-and every call site treats ``pack_arrays() is None`` as "use pickle".
+and every call site treats ``pack_arrays() is None`` as "use pickle"; that
+fallback emits a ``runtime.shm.fallback`` obs instant.
 
 Wire form of a descriptor (the only thing that crosses the pipe)::
 
@@ -27,13 +30,18 @@ Wire form of a descriptor (the only thing that crosses the pipe)::
 
 Attachments on Python < 3.13 must side-step the resource tracker: attaching
 registers the segment as if this process owned it, so the first worker to
-exit would unlink a segment it never created.  :func:`_attach_segment`
-unregisters the attachment immediately, restoring owner-only lifetime.
+exit would unlink a segment it never created.  A process with a tracker of
+its own therefore unregisters the attachment at once
+(:func:`_unregister_attachment`).  A worker forked from the owner shares the
+owner's tracker, where the registration is the owner's own entry; it leaves
+that entry alone (:func:`_shares_owner_tracker`), so the tracker still
+unlinks the segment if the owner is killed.
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import secrets
 import weakref
@@ -53,6 +61,7 @@ __all__ = [
     "ArrayDescriptor",
     "SharedArrayPack",
     "attach_array",
+    "detach",
     "detach_all",
     "live_segment_names",
     "pack_arrays",
@@ -115,6 +124,26 @@ def _segment_name() -> str:
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _shares_owner_tracker(name: str) -> bool:
+    """Whether this process talks to the resource tracker of ``name``'s owner.
+
+    True in a worker forked from the owner after the owner's tracker
+    started: the child inherits the tracker connection, so attaching
+    re-registers the owner's own entry (the tracker keeps a set of names),
+    and unregistering would delete it.  The owner's pid is part of every
+    segment name.
+    """
+    owner = name[len(SEGMENT_PREFIX):].split("-", 1)[0]
+    if owner != str(os.getppid()):
+        return False
+    try:  # pragma: no cover - defensive: tracker internals are CPython's
+        from multiprocessing import resource_tracker
+
+        return resource_tracker._resource_tracker._fd is not None  # type: ignore[attr-defined]
+    except Exception:
+        return False
 
 
 def _unregister_attachment(segment: object) -> None:
@@ -217,12 +246,13 @@ def pack_arrays(
     segment cannot be created (e.g. ``/dev/shm`` is full) -- callers fall
     back to shipping the arrays by value.
     """
-    if not shm_available():
-        return None
-    try:
-        return SharedArrayPack(arrays, label=label)
-    except (OSError, ValueError):
-        return None
+    if shm_available():
+        try:
+            return SharedArrayPack(arrays, label=label)
+        except (OSError, ValueError):
+            pass
+    obs.instant("runtime.shm.fallback", label=label or "pack")
+    return None
 
 
 def attach_array(descriptor: ArrayDescriptor, writable: bool = False) -> np.ndarray:
@@ -242,12 +272,33 @@ def attach_array(descriptor: ArrayDescriptor, writable: bool = False) -> np.ndar
             # Owner process: reuse the existing mapping, never re-attach.
             segment = pack._segment
         else:
+            # Asked first: attaching starts a tracker when none is running.
+            shared = _shares_owner_tracker(name)
             segment = _shared_memory.SharedMemory(name=name)
-            _unregister_attachment(segment)
+            if not shared:
+                _unregister_attachment(segment)
             _ATTACHED[name] = segment
     view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
     view.flags.writeable = bool(writable)
     return view
+
+
+def detach(names: Sequence[str]) -> None:
+    """Close this process's attachments to the named segments.
+
+    Owner-side packs are never touched.  Every view into a segment must be
+    gone by now; views still held by unreachable reference cycles are
+    collected first.
+    """
+    for name in names:
+        segment = _ATTACHED.pop(name, None)
+        if segment is None:
+            continue
+        try:
+            segment.close()  # type: ignore[attr-defined]
+        except BufferError:
+            gc.collect()
+            segment.close()  # type: ignore[attr-defined]
 
 
 def detach_all() -> None:

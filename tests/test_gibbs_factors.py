@@ -1,8 +1,12 @@
 """Unit tests for constraints/factors."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.gibbs import Factor
+from repro.gibbs.factors import _distances_until
 from repro.graphs import cycle_graph, path_graph
 
 
@@ -65,3 +69,53 @@ class TestHardSoftAndLocality:
     def test_scope_diameter_distant_nodes(self):
         factor = Factor((0, 3), lambda a, b: 1.0)
         assert factor.scope_diameter(path_graph(5)) == 3
+
+
+class TestScopeDiameterSearch:
+    """``scope_diameter`` stops each search early, with unchanged answers."""
+
+    @staticmethod
+    def _reference(graph, scope):
+        return max(
+            (
+                nx.shortest_path_length(graph, u, v)
+                for i, u in enumerate(scope)
+                for v in scope[i + 1:]
+            ),
+            default=0,
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_networkx_distances_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        graph = nx.gnp_random_graph(30, 0.08, seed=seed)
+        component = sorted(max(nx.connected_components(graph), key=len))
+        for size in (1, 2, 3, 4):
+            if len(component) < size:
+                continue
+            scope = tuple(rng.sample(component, size))
+            factor = Factor(scope, lambda *values: 1.0)
+            assert factor.scope_diameter(graph) == self._reference(graph, scope)
+
+    def test_hand_built_scopes_on_a_grid(self):
+        graph = nx.grid_2d_graph(5, 5)
+        cases = {
+            ((2, 2),): 0,
+            ((0, 0), (0, 1)): 1,
+            ((0, 0), (4, 4), (2, 2)): 8,
+            ((1, 1), (1, 3), (3, 1), (3, 3)): 4,
+        }
+        for scope, expected in cases.items():
+            factor = Factor(scope, lambda *values: 1.0)
+            assert factor.scope_diameter(graph) == expected == self._reference(graph, scope)
+
+    def test_disconnected_scope_raises_naming_the_pair(self):
+        graph = nx.disjoint_union(nx.path_graph(4), nx.path_graph(3))  # 0-3 and 4-6
+        factor = Factor((1, 3, 5, 0), lambda *values: 1.0)
+        with pytest.raises(nx.NetworkXNoPath, match="scope nodes 1, 5 are disconnected"):
+            factor.scope_diameter(graph)
+
+    def test_search_stops_once_the_later_scope_nodes_are_found(self):
+        graph = nx.path_graph(1000)
+        assert _distances_until(graph, 0, (2,)) == {0: 0, 1: 1, 2: 2}
+        assert _distances_until(graph, 5, ()) == {5: 0}

@@ -52,6 +52,9 @@ def _instances():
     ]
 
 
+#: The repository root (subprocess tests run with ``PYTHONPATH=src`` here).
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 INSTANCES = _instances()
 INSTANCE_IDS = [label for label, _ in INSTANCES]
 
@@ -868,6 +871,286 @@ class TestSharedMemoryTransport:
         assert shared == pickled
         assert shm.live_segment_names() == []
         assert shm.leaked_dev_shm_segments() == []
+
+    @pytest.mark.slow
+    def test_pool_attachments_leave_the_owner_tracker_entry_alone(self):
+        """A persistent pool's workers attach segments packed after the
+        fork; the owner's unlink must then find its tracker entry intact
+        (no resource-tracker traceback on stderr)."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.gibbs import SamplingInstance\n"
+            "from repro.graphs import cycle_graph\n"
+            "from repro.models import hardcore_model\n"
+            "from repro.runtime import Runtime\n"
+            "instance = SamplingInstance(hardcore_model(cycle_graph(12), 1.2), {0: 1})\n"
+            "with Runtime('process', n_chains=4, n_workers=2, transport='shm',"
+            " inline_threshold=0) as runtime:\n"
+            "    for _ in range(2):\n"
+            "        runtime.ball_marginals(instance, instance.free_nodes, 1)\n"
+            "        runtime.run_chains('glauber', instance, 20, seed=1)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")},
+            cwd=_REPO_ROOT,
+            capture_output=True,
+            timeout=120,
+        )
+        stderr = result.stderr.decode()
+        assert result.returncode == 0, stderr
+        assert "Traceback" not in stderr and "resource_tracker" not in stderr, stderr
+
+    @pytest.mark.slow
+    def test_killed_owner_leaves_dev_shm_clean(self):
+        """SIGKILL the owner while its pool workers map a live segment: the
+        workers exit, and the shared tracker unlinks the segment."""
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from repro.runtime import shm
+
+        if not shm.shm_available():
+            pytest.skip("shared memory unavailable on this platform")
+        script = (
+            "import time\n"
+            "from repro.gibbs import SamplingInstance\n"
+            "from repro.graphs import cycle_graph\n"
+            "from repro.models import hardcore_model\n"
+            "from repro.runtime import Runtime, shm\n"
+            "instance = SamplingInstance(hardcore_model(cycle_graph(24), 1.2), {0: 1})\n"
+            "runtime = Runtime('process', n_workers=2, transport='shm')\n"
+            "runtime.ball_marginals(instance, instance.free_nodes, 1)\n"
+            "stream = runtime.stream_ball_marginals(instance, instance.free_nodes, 2)\n"
+            "next(stream)\n"
+            "print(' '.join(shm.live_segment_names()), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")},
+            cwd=_REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            names = set(owner.stdout.readline().decode().split())
+            assert names and names <= set(shm.leaked_dev_shm_segments())
+        finally:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=30)
+            owner.stdout.close()
+        deadline = time.monotonic() + 30
+        while names & set(shm.leaked_dev_shm_segments()) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not names & set(shm.leaked_dev_shm_segments())
+
+
+def _worker_pids(runtime):
+    """Pids of the process runtime's live pool workers."""
+    return set(runtime._pool._executor._processes)
+
+
+def _mapped_segments(pid):
+    """``repro-shm`` segments mapped by process ``pid``."""
+    from repro.runtime import shm
+
+    with open(f"/proc/{pid}/maps") as maps:
+        return {
+            token for line in maps for token in line.split() if shm.SEGMENT_PREFIX in token
+        }
+
+
+@pytest.mark.slow
+class TestPersistentForkPool:
+    """One fork pool per process Runtime, reused by every call until
+    shutdown; chunks carry their spec to a worker-side cache."""
+
+    @staticmethod
+    def _instance(index):
+        # A fresh distribution per call, so every call ships a fresh spec.
+        return SamplingInstance(hardcore_model(cycle_graph(10), 1.0 + 0.05 * index), {0: 1})
+
+    def test_ball_stream_then_chain_run_reuse_the_worker_pids(self):
+        instance = self._instance(0)
+        serial = Runtime().ball_marginals(instance, instance.free_nodes, 1)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 30, seed=2)
+        instance.distribution.ball_cache().clear()
+        with Runtime("process", n_chains=4, n_workers=2, inline_threshold=0) as runtime:
+            assert runtime._pool._executor is None  # construction forks nothing
+            streamed = runtime.stream_ball_marginals(instance, instance.free_nodes, 1)
+            assert dict(streamed) == serial
+            pids = _worker_pids(runtime)
+            assert len(pids) == 2
+            assert runtime.run_chains("glauber", instance, 30, seed=2) == batched
+            assert _worker_pids(runtime) == pids
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_fresh_specs_stay_bit_identical_and_bounded(self, transport):
+        from repro.runtime import shm
+        from repro.runtime.shards import SPEC_CACHE_LIMIT
+
+        batched = Runtime("batched", n_chains=4)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, transport=transport, inline_threshold=0
+        ) as runtime:
+            for index in range(10):
+                instance = self._instance(index)
+                serial = Runtime().ball_marginals(instance, instance.free_nodes, 1)
+                chains = batched.run_chains("glauber", instance, 25, seed=index)
+                instance.distribution.ball_cache().clear()
+                assert runtime.ball_marginals(instance, instance.free_nodes, 1) == serial
+                assert runtime.run_chains("glauber", instance, 25, seed=index) == chains
+            pids = _worker_pids(runtime)
+            if not os.path.isdir(f"/proc/{next(iter(pids))}"):
+                pytest.skip("no /proc to read worker mappings from")
+            for pid in pids:
+                assert len(_mapped_segments(pid)) <= SPEC_CACHE_LIMIT + 1
+        assert shm.live_segment_names() == []
+
+    def test_killed_worker_fails_the_call_and_the_next_call_forks_again(self):
+        import signal
+
+        instance = SamplingInstance(coloring_model(torus_graph(6, 6), 4), {(0, 0): 1})
+        tasks = [(node, 3) for node in instance.free_nodes] * 3
+        with Runtime("process", n_workers=2) as runtime:
+            stream = runtime.stream_ball_marginal_tasks(instance, tasks, chunk_size=1)
+            next(stream)
+            pids = _worker_pids(runtime)
+            os.kill(next(iter(pids)), signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="ball shard failed on chunk"):
+                list(stream)
+            assert runtime._pool._executor is None  # the broken pool was dropped
+            small = self._instance(1)
+            serial = Runtime().ball_marginals(small, small.free_nodes, 1)
+            small.distribution.ball_cache().clear()
+            assert runtime.ball_marginals(small, small.free_nodes, 1) == serial
+            assert not _worker_pids(runtime) & pids
+
+    def test_concurrent_first_calls_fork_one_pool(self):
+        import sys
+        import threading
+
+        from repro import obs
+
+        instances = [self._instance(10 + index) for index in range(8)]
+        serial = [Runtime().ball_marginals(i, i.free_nodes, 1) for i in instances]
+        for instance in instances:
+            instance.distribution.ball_cache().clear()
+        results = [None] * len(instances)
+        runtime = Runtime("process", n_workers=3, obs=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def call(index):
+                instance = instances[index]
+                results[index] = runtime.ball_marginals(instance, instance.free_nodes, 1)
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(instances))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            spawns = [event for event in obs.events() if event["name"] == "runtime.pool.spawn"]
+        finally:
+            sys.setswitchinterval(interval)
+            runtime.shutdown()
+        assert results == serial
+        assert len(spawns) == 1
+
+    def test_shutdown_inside_an_event_loop_returns_and_the_runtime_forks_again(self):
+        import asyncio
+        import threading
+
+        instance = self._instance(2)
+        serial = Runtime().ball_marginals(instance, instance.free_nodes, 1)
+        instance.distribution.ball_cache().clear()
+        runtime = Runtime("process", n_workers=2)
+        assert runtime.ball_marginals(instance, instance.free_nodes, 1) == serial
+        pids = _worker_pids(runtime)
+
+        async def drain():
+            runtime.shutdown()
+            runtime.shutdown()  # idempotent
+
+        thread = threading.Thread(target=lambda: asyncio.run(drain()), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "shutdown hung inside the event loop"
+        assert runtime._pool._executor is None
+        instance.distribution.ball_cache().clear()
+        with runtime:
+            assert runtime.ball_marginals(instance, instance.free_nodes, 1) == serial
+            assert not _worker_pids(runtime) & pids
+
+    def test_pool_spawn_instant_fires_once_per_fork(self):
+        from repro import obs
+
+        instance = self._instance(3)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
+        ) as runtime:
+            runtime.ball_marginals(instance, instance.free_nodes, 1)
+            runtime.run_chains("glauber", instance, 20, seed=1)
+            runtime._pool.shutdown()
+            runtime.run_chains("glauber", instance, 20, seed=1)
+            spawns = [
+                event["attrs"]
+                for event in obs.events()
+                if event["name"] == "runtime.pool.spawn"
+            ]
+        assert [attrs["workers"] for attrs in spawns] == [2, 2]
+        assert all(attrs["ms"] > 0 for attrs in spawns)
+
+    def test_shm_fallback_instant_fires_when_the_spec_travels_by_pickle(self, monkeypatch):
+        from repro import obs
+        from repro.runtime import shm
+
+        monkeypatch.setattr(shm, "_availability", False)
+        instance = self._instance(4)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 20, seed=1)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0, obs=True
+        ) as runtime:
+            assert runtime.run_chains("glauber", instance, 20, seed=1) == batched
+            fallbacks = [
+                event["attrs"]
+                for event in obs.events()
+                if event["name"] == "runtime.shm.fallback"
+            ]
+        assert fallbacks == [{"label": "instance-spec"}]
+
+    def test_an_untraced_call_after_a_traced_one_records_nothing_in_the_workers(
+        self, monkeypatch
+    ):
+        from repro import obs
+        from repro.runtime import shards
+
+        # Registered before the pool forks, so the workers know the kind.
+        monkeypatch.setitem(
+            shards.TASK_REGISTRY, "test-obs-state", lambda args, spec: obs.active() is None
+        )
+        instance = self._instance(5)
+        runtime = Runtime("process", n_chains=4, n_workers=2, inline_threshold=0)
+        obs.enable()  # on while the pool forks: workers inherit the handle
+        try:
+            runtime.run_chains("glauber", instance, 20, seed=1)
+            traced = {event["proc"] for event in obs.events()}
+        finally:
+            obs.disable()
+        with runtime:
+            runtime.run_chains("glauber", instance, 20, seed=1)
+            with shards._session(runtime._pool, 2, instance, 4) as session:
+                work = [((), {}) for _ in range(4)]
+                inert = list(shards._scatter(session, "test-obs-state", work))
+        assert "pool-worker" in traced
+        assert inert == [True] * 4
 
 
 class TestAdaptiveDispatchGuard:
