@@ -29,9 +29,10 @@
 # divergence fits on a small Ising dataset must recover the generating
 # weights within the documented tolerances, with the CD negative phase
 # bit-identical between the serial and batched runtimes), an shm smoke
-# (the shared-memory transport of the process backend and the packed
-# multi-instance code matrix must both be bit-identical to the serial
-# loop; two process calls on one Runtime, run in a child interpreter, must
+# (the shared-memory transport of the process backend, its streamed ball
+# marginals and the packed multi-instance code matrix must all be
+# bit-identical to the serial loop, and the streamed balls must leave the
+# parent's ball cache as the serial loop does; two process calls on one Runtime, run in a child interpreter, must
 # share the worker pids of one persistent pool and leave no
 # resource_tracker traceback on stderr; /dev/shm must hold no repro-shm-*
 # segments afterwards) and a
@@ -394,6 +395,34 @@ with Runtime(
     shipped = runtime.run_chains("glauber", instance, 25, seed=7)
 assert shipped == reference, "shm transport diverges from the serial loop"
 
+# Theorem 5.1 ball marginals of a pinned colouring streamed through the
+# shm pool: equal to the serial loop, and the parent's ball cache adopts
+# exactly the padded balls and boundary extensions the serial loop caches.
+from repro.inference.ssm_inference import padded_ball_marginal
+from repro.models import coloring_model
+
+
+def colouring():
+    return SamplingInstance(coloring_model(cycle_graph(10), 3), {0: 1, 5: 2})
+
+
+def cached(instance):
+    cache = instance.distribution.ball_cache()
+    balls = {
+        key: (ball.nodes, ball.scopes, [a.tobytes() for a in ball.arrays])
+        for key, ball in cache._compiled.items()
+    }
+    return balls, cache.extras
+
+
+local = colouring()
+serial_marginals = {node: padded_ball_marginal(local, node, 1) for node in local.free_nodes}
+pooled = colouring()
+with Runtime("process", n_workers=2, transport="shm") as runtime:
+    streamed = dict(runtime.stream_ball_marginals(pooled, pooled.free_nodes, 1))
+assert streamed == serial_marginals, "shm ball stream diverges from the serial loop"
+assert cached(pooled) == cached(local), "parent cache differs from the serial loop's"
+
 # Packed multi-instance batching: two models in one padded code matrix,
 # each group bit-identical to its own serial chains.
 groups = [
@@ -442,8 +471,9 @@ after = leaked_dev_shm_segments()
 assert not after, f"leaked /dev/shm segments: {after}"
 mode = "shm" if shm_available() else "pickle-fallback"
 print(
-    f"shm smoke OK ({mode}): transport + packed bit-identical, two calls on "
-    "one pool, no tracker traceback, /dev/shm clean"
+    f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
+    "cache adoption parity, two calls on one pool, no tracker traceback, "
+    "/dev/shm clean"
 )
 PY
 

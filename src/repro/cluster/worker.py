@@ -21,7 +21,8 @@ for each chunk.  So a ``ball_marginals`` task runs exactly the body a pool
 worker runs and a ``chain_block`` task runs the same kernel-driven batched
 block: cluster results are bit-identical to both the process backend and
 the serial loop.  The spec crosses the wire at most once per connection and
-its ball memo stays warm across tasks, like a pool worker's spec cache.
+the ball cache of its reconstruction stays warm across tasks, like a
+pool worker's spec cache.
 
 Task kinds
 ----------

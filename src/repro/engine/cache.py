@@ -19,7 +19,7 @@ create a fresh conditioned instance per query.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.engine.compiled import CompiledGibbs
@@ -215,6 +215,55 @@ class BallCache:
         if handle is not None:
             handle.metrics.counter("engine.ball_cache.adoptions").inc(added)
         return added
+
+    def export(
+        self,
+        balls: Iterable[Tuple[Node, int]],
+        extras: Iterable[tuple] = (),
+        memo_cap: Optional[int] = None,
+    ) -> Tuple[Dict, Dict, Dict]:
+        """The inverse of :meth:`adopt`: what a peer cache adopts of this one.
+
+        The worker side of the process-sharding protocol: a registered task
+        body runs the serial ball-local code on its reconstructed instance,
+        then ships the artefacts of its chunk through this method, and the
+        parent passes them to :meth:`adopt` unchanged.
+
+        Parameters
+        ----------
+        balls : iterable of (node, int)
+            ``(center, radius)`` keys of the compiled balls to ship; keys
+            this cache does not hold are skipped.
+        extras : iterable of tuple
+            Key prefixes of the scratch entries to ship (e.g.
+            ``("boundary-extension", center, radius)``); every entry of
+            :attr:`extras` whose key starts with one of them ships.
+        memo_cap : int, optional
+            Per-ball cap on the exported marginal memo (see
+            :meth:`CompiledGibbs.export_marginal_memo`; ``None`` ships every
+            entry, ``0`` none).
+
+        Returns
+        -------
+        tuple of dict
+            ``(balls, extras, memos)``, the keyword arguments of
+            :meth:`adopt` in order; balls with an empty memo export carry no
+            ``memos`` entry.
+        """
+        shipped = {key: self._compiled[key] for key in balls if key in self._compiled}
+        memos = {
+            key: memo
+            for key, ball in shipped.items()
+            if (memo := ball.export_marginal_memo(cap=memo_cap))
+        }
+        prefixes = set(extras)
+        widths = {len(prefix) for prefix in prefixes}
+        scratch = {
+            key: value
+            for key, value in self.extras.items()
+            if any(key[:width] in prefixes for width in widths)
+        }
+        return shipped, scratch, memos
 
     def stats(self) -> Dict[str, int]:
         """Lifetime cache statistics (available with obs disabled).

@@ -74,6 +74,32 @@ class Factor:
 
         return cls(scope, lookup, name=name)
 
+    @classmethod
+    def from_dense(
+        cls,
+        scope: Sequence[Node],
+        array,
+        alphabet: Sequence[Value],
+        name: str = "dense-factor",
+    ) -> "Factor":
+        """Build a factor around an already-materialised dense table.
+
+        ``array[i, j, ...]`` is the weight of the scope nodes taking the
+        symbols with codes ``i, j, ...`` of ``alphabet``.  The array itself
+        is installed as the factor's dense table for ``alphabet``, so a
+        compilation over that alphabet reuses it instead of re-evaluating
+        every entry.
+        """
+        alphabet = tuple(alphabet)
+        symbol_index = {value: code for code, value in enumerate(alphabet)}
+
+        def lookup(*values: Value) -> float:
+            return float(array[tuple(symbol_index[value] for value in values)])
+
+        factor = cls(scope, lookup, name=name)
+        factor._dense_cache[alphabet] = array
+        return factor
+
     def evaluate(self, assignment: Assignment) -> float:
         """Weight of ``assignment`` restricted to this factor's scope.
 

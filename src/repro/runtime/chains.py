@@ -996,7 +996,9 @@ class PackedBatch:
         :meth:`~repro.sampling.kernels.ChainKernel.packed_advance` -- the
         fused mask-aware step where the kernel defines one and the pack is
         fusable, the groupwise solo loop otherwise.  Either way each
-        group's chains end bit-identical to its solo batch.
+        group's chains end bit-identical to its solo batch.  With obs on,
+        a ``runtime.chains.packed_path`` instant (``path="fused"`` or
+        ``"groupwise"``, ``kernel``, ``groups``) records which one ran.
         """
         resolved: ChainKernel = resolve_kernel(kernel)
         for group in self.groups:
@@ -1005,6 +1007,12 @@ class PackedBatch:
         if handle is None:
             resolved.packed_advance(self, count)
             return self
+        obs.instant(
+            "runtime.chains.packed_path",
+            path="fused" if resolved.fuses(self) else "groupwise",
+            kernel=resolved.name,
+            groups=self.n_groups,
+        )
         with handle.span(
             "chains.packed_advance",
             kernel=resolved.name,

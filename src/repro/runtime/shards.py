@@ -10,11 +10,12 @@ that work out to workers:
   (integer adjacency, dense factor arrays, pinning, locality).  The model
   factories build :class:`~repro.gibbs.factors.Factor` objects around
   closures, which do not pickle; the spec instead carries the
-  already-materialised dense tables of the compiled engine, which is exactly
-  the data the ball computations run on.
+  already-materialised dense tables of the compiled engine, from which a
+  worker rebuilds an equal instance (:meth:`InstanceSpec.to_instance`).
 * :data:`TASK_REGISTRY` -- one ``(args, spec)`` body per task kind
   (``ball_marginals``, ``compile_balls``, ``chain_block``), run unchanged
-  by pool workers, cluster workers and the in-process path.
+  by pool workers, cluster workers and the in-process path.  Each body
+  runs the serial code on the spec's reconstruction.
 * :func:`stream_ball_marginal_tasks` / :func:`stream_padded_ball_marginals`
   / :func:`stream_compiled_balls` / :func:`run_chain_blocks` -- the front
   ends, each written once: chunk the work, submit every chunk as
@@ -82,10 +83,10 @@ class InstanceSpec:
 
     Carries the compiled full instance (node order, alphabet, integer factor
     scopes, dense weight arrays), the integer adjacency structure, the
-    pinning and the factor locality -- everything the per-node ball
-    computations of E5/E8 read, and nothing that closes over Python
-    callables.  Ball compilations are memoised so a worker's results can be
-    shipped back wholesale and adopted by the parent cache.
+    pinning and the factor locality -- everything needed to rebuild the
+    instance worker-side (:meth:`to_instance`), and nothing that closes over
+    Python callables.  Every registered task body runs the serial code path
+    on that reconstruction.
     """
 
     __slots__ = (
@@ -96,9 +97,6 @@ class InstanceSpec:
         "adjacency",
         "pinning",
         "locality",
-        "_node_index",
-        "_ball_memo",
-        "_extras",
         "_instance",
     )
 
@@ -119,31 +117,18 @@ class InstanceSpec:
         self.adjacency = tuple(tuple(neighbours) for neighbours in adjacency)
         self.pinning = dict(pinning)
         self.locality = int(locality)
-        self._node_index: Optional[Dict[Node, int]] = None
-        self._ball_memo: Dict[BallKey, CompiledGibbs] = {}
-        self._extras: Dict = {}
         self._instance: Optional[SamplingInstance] = None
 
     # The reconstructed instance closes over Python callables (table-backed
-    # factors), so it must never travel; derived indexes are rebuilt lazily.
-    _UNPICKLED_SLOTS = ("_node_index", "_instance")
-
+    # factors), so it must never travel; it is rebuilt lazily.
     def __getstate__(self):
         return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in self._UNPICKLED_SLOTS
+            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_instance"
         }
 
     def __setstate__(self, state) -> None:
         for slot in self.__slots__:
             setattr(self, slot, state.get(slot))
-        self._node_index = None
-        self._instance = None
-        if self._ball_memo is None:
-            self._ball_memo = {}
-        if self._extras is None:
-            self._extras = {}
 
     @classmethod
     def from_instance(cls, instance: SamplingInstance) -> "InstanceSpec":
@@ -177,76 +162,18 @@ class InstanceSpec:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def node_index(self) -> Dict[Node, int]:
-        if self._node_index is None:
-            self._node_index = {node: i for i, node in enumerate(self.nodes)}
-        return self._node_index
-
-    def ball_variables(self, center_variable: int, radius: int) -> frozenset:
-        """Variable ids of ``B_radius(center)`` by BFS on the adjacency.
-
-        Parameters
-        ----------
-        center_variable : int
-            Integer id of the ball center.
-        radius : int
-            Ball radius in graph distance.
-
-        Returns
-        -------
-        frozenset of int
-            Ids of every variable within ``radius`` of the center.
-        """
-        seen = {center_variable}
-        frontier = [center_variable]
-        for _ in range(radius):
-            if not frontier:
-                break
-            next_frontier: List[int] = []
-            for variable in frontier:
-                for neighbour in self.adjacency[variable]:
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return frozenset(seen)
-
-    def compile_ball(self, center: Node, radius: int) -> CompiledGibbs:
-        """The compiled restriction to ``B_radius(center)`` (memoised).
-
-        Node order (``repr``-sorted) and factor order (instance factor
-        order) match :meth:`repro.engine.cache.BallCache.compiled_ball`
-        exactly, so worker results merge transparently into the parent
-        cache.
-        """
-        key = (center, radius)
-        compiled = self._ball_memo.get(key)
-        if compiled is None:
-            variables = self.ball_variables(self.node_index[center], radius)
-            labels = sorted((self.nodes[v] for v in variables), key=repr)
-            label_index = {node: i for i, node in enumerate(labels)}
-            scopes: List[Tuple[int, ...]] = []
-            arrays: List[np.ndarray] = []
-            for scope, array in zip(self.scopes, self.arrays):
-                if all(variable in variables for variable in scope):
-                    scopes.append(tuple(label_index[self.nodes[v]] for v in scope))
-                    arrays.append(array)
-            compiled = CompiledGibbs(labels, self.alphabet, scopes, arrays)
-            self._ball_memo[key] = compiled
-        return compiled
-
     def to_instance(self) -> SamplingInstance:
         """Reconstruct a fully functional :class:`SamplingInstance` (memoised).
 
         The inverse of :meth:`from_instance`, up to model metadata: the
-        graph is rebuilt from the integer adjacency, each factor becomes a
-        table-backed lookup into its dense weight array, and the compiled
-        engine is installed *directly from the spec's arrays* -- so every
-        compiled-engine computation on the reconstruction (batched chain
-        matrices included) is bit-identical to the original instance.
-        This is what lets a cluster worker run chain blocks from nothing
-        but the shipped spec.
+        graph is rebuilt from the integer adjacency, each factor is built
+        around its dense weight array (:meth:`Factor.from_dense`), the
+        locality is the spec's, and the compiled engine is installed
+        *directly from the spec's arrays* -- so every computation on the
+        reconstruction (ball compilations, Theorem 5.1 marginals, batched
+        chain matrices) is bit-identical to the original instance.  This is
+        what lets a worker run every task body from nothing but the shipped
+        spec.
         """
         if self._instance is not None:
             return self._instance
@@ -261,18 +188,19 @@ class InstanceSpec:
             for neighbour in neighbours:
                 if neighbour > variable:
                     graph.add_edge(self.nodes[variable], self.nodes[neighbour])
-        symbol_index = {value: code for code, value in enumerate(self.alphabet)}
-        factors = []
-        for scope, array in zip(self.scopes, self.arrays):
-            scope_nodes = tuple(self.nodes[variable] for variable in scope)
-
-            def lookup(*values, _array=array):
-                return float(_array[tuple(symbol_index[value] for value in values)])
-
-            factors.append(Factor(scope_nodes, lookup, name="spec-factor"))
+        factors = [
+            Factor.from_dense(
+                tuple(self.nodes[variable] for variable in scope),
+                array,
+                self.alphabet,
+                name="spec-factor",
+            )
+            for scope, array in zip(self.scopes, self.arrays)
+        ]
         distribution = GibbsDistribution(
             graph, self.alphabet, factors, name="spec-reconstruction"
         )
+        distribution._locality = self.locality
         # Install the compiled engine straight from the shipped arrays: the
         # node order of `from_instance` is the distribution's deterministic
         # order, so this is exactly what `compiled_engine()` would rebuild,
@@ -284,90 +212,16 @@ class InstanceSpec:
         return self._instance
 
     # ------------------------------------------------------------------
+    def compile_ball(self, center: Node, radius: int) -> CompiledGibbs:
+        """The reconstruction's :meth:`BallCache.compiled_ball` (memoised)."""
+        return self.to_instance().distribution.ball_cache().compiled_ball(center, radius)
+
     def padded_ball_marginal(self, center: Node, radius: int) -> Dict[Value, float]:
-        """The Theorem 5.1 marginal at ``center`` for the given radius.
+        """:func:`~repro.inference.ssm_inference.padded_ball_marginal` on the
+        reconstruction."""
+        from repro.inference.ssm_inference import padded_ball_marginal
 
-        Worker-side mirror of
-        :func:`repro.inference.ssm_inference.padded_ball_marginal`: gather
-        ``B_{radius + 2l}``, greedily extend the pinning over the shell
-        between ``radius`` and ``radius + l`` (first feasible alphabet value
-        per ``repr``-sorted shell node, exactly the reference rule), and
-        return the exact conditional marginal of the padded ball.
-        """
-        locality = self.locality
-        center_variable = self.node_index[center]
-        context_ball = self.compile_ball(center, radius + 2 * locality)
-        padded_variables = self.ball_variables(center_variable, radius + locality)
-        inner_variables = self.ball_variables(center_variable, radius)
-        padded_nodes = {self.nodes[v] for v in padded_variables}
-        inner_nodes = {self.nodes[v] for v in inner_variables}
-        shell = [
-            node
-            for node in padded_nodes
-            if node not in inner_nodes and node not in self.pinning
-        ]
-        context_pinning = frozenset(
-            (node, value)
-            for node, value in self.pinning.items()
-            if node in context_ball.node_index
-        )
-        extras_key = ("boundary-extension", center, radius, context_pinning)
-        boundary = self._extras.get(extras_key)
-        if boundary is None:
-            boundary = self._greedy_boundary_extension(context_ball, shell)
-            self._extras[extras_key] = boundary
-        pinning = {
-            node: value for node, value in self.pinning.items() if node in padded_nodes
-        }
-        pinning.update(boundary)
-        if center in pinning:
-            return {
-                value: (1.0 if value == pinning[center] else 0.0)
-                for value in self.alphabet
-            }
-        padded_ball = self.compile_ball(center, radius + locality)
-        restricted = {
-            node: value
-            for node, value in pinning.items()
-            if node in padded_ball.node_index
-        }
-        return padded_ball.marginal(center, restricted)
-
-    def _greedy_boundary_extension(
-        self, context_ball: CompiledGibbs, shell: Iterable[Node]
-    ) -> Dict[Node, Value]:
-        """Greedy locally-feasible extension on the compiled context ball.
-
-        ``weights_partial`` only consults factors whose scope is fully
-        assigned, which is precisely the reference rule (factors inside both
-        the context and the assigned set).
-        """
-        codes = [-1] * len(context_ball.nodes)
-        symbol_index = context_ball.symbol_index
-        for node, value in self.pinning.items():
-            variable = context_ball.node_index.get(node)
-            if variable is not None:
-                code = symbol_index.get(value)
-                if code is not None:
-                    codes[variable] = code
-        conditionals = context_ball.conditionals
-        boundary: Dict[Node, Value] = {}
-        for node in sorted(shell, key=repr):
-            variable = context_ball.node_index[node]
-            if codes[variable] >= 0:
-                continue
-            weights = conditionals.weights_partial(variable, codes)
-            chosen = next(
-                (code for code, weight in enumerate(weights) if weight > 0.0), None
-            )
-            if chosen is None:
-                raise RuntimeError(
-                    "could not extend the pinning onto the boundary shell; "
-                    "the distribution does not appear to be locally admissible"
-                )
-            codes[variable] = chosen
-            boundary[node] = self.alphabet[chosen]
-        return boundary
+        return padded_ball_marginal(self.to_instance(), center, radius)
 
 
 # ----------------------------------------------------------------------
@@ -433,9 +287,6 @@ def _spec_wire(spec: InstanceSpec, transport: str):
         if pack is not None:
             state = spec.__getstate__()
             state.pop("arrays")
-            # Workers rebuild ball memos locally; never ship the parent's.
-            state["_ball_memo"] = {}
-            state["_extras"] = {}
             return _ShmSpec(state, pack.descriptors), pack
     return spec, None
 
@@ -509,30 +360,27 @@ MEMO_DELTA_CAP = 64
 def _ball_marginals_task(args: Dict, spec: InstanceSpec):
     """Registered body: Theorem 5.1 marginals for one chunk of ball tasks.
 
-    Returns ``(marginals, balls, extras, memos)``.  Only the artefacts of
+    Runs the serial :func:`~repro.inference.ssm_inference.padded_ball_marginal`
+    on the spec's reconstruction and returns ``(marginals, balls, extras,
+    memos)``, the last three from the reconstruction's
+    :meth:`~repro.engine.cache.BallCache.export`.  Only the artefacts of
     *this* chunk are shipped: the padded balls the parent's serial replay
-    queries (``compiled_ball(center, radius + locality)``; the context balls
-    the greedy extension used stay worker-local), the chunk's boundary
-    extensions, and an ``args["memo_cap"]``-capped export of each shipped
-    ball's per-pinning marginal memo.  A worker's spec persists across
-    chunks, so nothing already shipped by an earlier chunk is resent.
+    queries (``compiled_ball(center, radius + locality)``), the chunk's
+    boundary extensions, and an ``args["memo_cap"]``-capped export of each
+    shipped ball's per-pinning marginal memo.  A worker's spec persists
+    across chunks, so nothing already shipped by an earlier chunk is resent.
     """
+    from repro.inference.ssm_inference import padded_ball_marginal
+
+    instance = spec.to_instance()
     tasks = args["tasks"]
-    marginals = {key: spec.padded_ball_marginal(*key) for key in tasks}
-    wanted = {(center, radius + spec.locality) for center, radius in tasks}
-    balls = {key: ball for key, ball in spec._ball_memo.items() if key in wanted}
-    memos = {
-        key: memo
-        for key, ball in balls.items()
-        if (memo := ball.export_marginal_memo(cap=args["memo_cap"]))
-    }
-    chunk_keys = {(center, radius) for center, radius in tasks}
-    extras = {
-        key: value
-        for key, value in spec._extras.items()
-        if (key[1], key[2]) in chunk_keys
-    }
-    return marginals, balls, extras, memos
+    marginals = {key: padded_ball_marginal(instance, *key) for key in tasks}
+    exported = instance.distribution.ball_cache().export(
+        balls=[(center, radius + spec.locality) for center, radius in tasks],
+        extras=[("boundary-extension", center, radius) for center, radius in tasks],
+        memo_cap=args["memo_cap"],
+    )
+    return (marginals, *exported)
 
 
 @register_task("compile_balls")
@@ -636,8 +484,8 @@ def _worker_spec(spec_id: int, wire: bytes) -> InstanceSpec:
 
     ``wire`` is the pickled spec, or under ``transport="shm"`` a pickled
     :class:`_ShmSpec` whose arrays become zero-copy views of the owner's
-    segment.  A worker's ball memo stays warm across the chunks of one
-    call.  Past :data:`SPEC_CACHE_LIMIT` specs the oldest is dropped and
+    segment.  The ball cache of the spec's reconstruction stays warm
+    across the chunks of one call.  Past :data:`SPEC_CACHE_LIMIT` specs the oldest is dropped and
     its segment mappings are closed.
     """
     spec = _WORKER_SPECS.get(spec_id)

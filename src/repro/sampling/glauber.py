@@ -525,6 +525,10 @@ class GlauberKernel(ChainKernel):
             return batch.stack_trace(trace)
         return None
 
+    def fuses(self, packed) -> bool:
+        """Fused whenever the pack is fusable (see :meth:`packed_advance`)."""
+        return packed.fusable()
+
     def packed_advance(self, packed, count) -> None:
         """Fused multi-instance step over one padded code matrix.
 
@@ -545,7 +549,7 @@ class GlauberKernel(ChainKernel):
             raise ValueError("steps must be non-negative")
         if count == 0:
             return None
-        if not packed.fusable():
+        if not self.fuses(packed):
             return super().packed_advance(packed, count)
         layout = packed.layout()
         codes = packed.gather_codes()

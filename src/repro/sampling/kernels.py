@@ -152,6 +152,15 @@ class ChainKernel(abc.ABC):
             ``None`` without ``statistic``, else the trace array.
         """
 
+    def fuses(self, packed) -> bool:
+        """Whether :meth:`packed_advance` takes the fused step on ``packed``.
+
+        False by default: only kernels that override :meth:`packed_advance`
+        with a fused step, and only on a pack that is
+        :meth:`~repro.runtime.chains.PackedBatch.fusable`, fuse.
+        """
+        return False
+
     def packed_advance(self, packed, count: int) -> None:
         """Advance every group of a :class:`~repro.runtime.chains.PackedBatch`.
 
@@ -161,7 +170,7 @@ class ChainKernel(abc.ABC):
         this to advance all groups' chains through one padded
         ``(total_chains, n_max)`` code matrix, replicating each chain's
         exact solo draw pattern; the override must fall back to this
-        groupwise loop whenever :meth:`PackedBatch.fusable` is false.
+        groupwise loop whenever :meth:`fuses` is false.
         """
         for group in packed.groups:
             self.batched_advance(group, count)

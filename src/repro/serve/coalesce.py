@@ -61,6 +61,9 @@ from repro.runtime.chains import chain_seed_sequences
 Node = Hashable
 Value = Hashable
 
+#: Boundaries of the ``serve.batch_size`` histogram (requests per batch).
+_BATCH_SIZE_BUCKETS = tuple(2**i for i in range(9))
+
 
 class Backpressure(RuntimeError):
     """The coalescer's outstanding-request cap was hit (HTTP 429)."""
@@ -343,6 +346,9 @@ class RequestCoalescer:
         if handle is not None:
             handle.metrics.counter("serve.batches").inc()
             handle.metrics.counter("serve.coalesced_requests").inc(len(requests))
+            handle.metrics.histogram("serve.batch_size", _BATCH_SIZE_BUCKETS).observe(
+                len(requests)
+            )
         loop = asyncio.get_running_loop()
         # One span per coalesced batch, carrying every request id it
         # serves -- the stitch between per-request traces and the single

@@ -366,6 +366,48 @@ class TestBitIdentity:
         assert built[0]["bytes"] == 2 * tables.rows.nbytes + tables.lookup.nbytes
         validate_events(events)
 
+    def test_packed_path_instant_names_fused_and_groupwise(self):
+        from repro.runtime import PackedBatch
+
+        hardcore = _instance()
+        other = SamplingInstance(hardcore_model(cycle_graph(7), 0.8))
+        coloring = SamplingInstance(coloring_model(cycle_graph(6), 3), {0: 0})
+        packs = [
+            ("glauber", [hardcore, other]),  # one alphabet, free nodes: fused
+            ("glauber", [hardcore, coloring]),  # mixed alphabets: groupwise
+            ("luby-glauber", [hardcore, other]),  # no fused step: groupwise
+        ]
+
+        def advance_all():
+            return [
+                PackedBatch(
+                    [(instance, [g, g + 10]) for g, instance in enumerate(instances)]
+                )
+                .advance(kernel, 6)
+                .configurations()
+                for kernel, instances in packs
+            ]
+
+        plain = advance_all()
+        obs.enable()
+        try:
+            traced = advance_all()
+            events = obs.events()
+        finally:
+            obs.disable()
+        paths = [
+            (event["attrs"]["path"], event["attrs"]["kernel"], event["attrs"]["groups"])
+            for event in events
+            if event["name"] == "runtime.chains.packed_path"
+        ]
+        assert paths == [
+            ("fused", "glauber", 2),
+            ("groupwise", "glauber", 2),
+            ("groupwise", "luby-glauber", 2),
+        ]
+        assert traced == plain
+        validate_events(events)
+
 
 # ----------------------------------------------------------------------
 # cluster stitching

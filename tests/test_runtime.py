@@ -22,7 +22,13 @@ from repro.engine.compiled import CompiledGibbs
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_tree, torus_graph
 from repro.inference.ssm_inference import TruncatedBallInference, padded_ball_marginal
-from repro.models import coloring_model, hardcore_model, matching_model, two_spin_model
+from repro.models import (
+    coloring_model,
+    hardcore_model,
+    ising_model,
+    matching_model,
+    two_spin_model,
+)
 from repro.runtime import (
     ChainBatch,
     InstanceSpec,
@@ -310,6 +316,68 @@ class TestSpecEquivalence:
         assert all(
             np.array_equal(a, b) for a, b in zip(built.arrays, cached.arrays)
         )
+
+
+def _padded_balls(cache):
+    """A ball cache's compiled balls as comparable plain data."""
+    return {
+        key: (tuple(ball.nodes), tuple(ball.scopes), [a.tobytes() for a in ball.arrays])
+        for key, ball in cache._compiled.items()
+    }
+
+
+def _boundary_extensions(cache):
+    return {
+        key: value
+        for key, value in cache.extras.items()
+        if key[0] == "boundary-extension"
+    }
+
+
+class TestAdoptionParity:
+    """A streamed run leaves the parent cache exactly as the serial loop does."""
+
+    MODELS = {
+        "hardcore-tree": lambda: SamplingInstance(
+            hardcore_model(random_tree(13, seed=7), 1.1), {0: 0, 5: 1}
+        ),
+        "coloring-cycle": lambda: SamplingInstance(
+            coloring_model(cycle_graph(9), 3), {0: 1, 4: 2}
+        ),
+        "ising": lambda: SamplingInstance(
+            ising_model(random_tree(10, seed=11), 0.4, 0.2)
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize(
+        "n_workers, transport", [(1, "pickle"), (2, "pickle"), (2, "shm")]
+    )
+    def test_stream_adopts_what_the_serial_loop_caches(
+        self, model, n_workers, transport
+    ):
+        serial_instance = self.MODELS[model]()
+        tasks = [
+            (node, radius)
+            for radius in (0, 1, 2)
+            for node in serial_instance.free_nodes
+        ]
+        serial = {task: padded_ball_marginal(serial_instance, *task) for task in tasks}
+        serial_cache = serial_instance.distribution.ball_cache()
+
+        instance = self.MODELS[model]()
+        streamed = dict(
+            stream_ball_marginal_tasks(
+                instance, tasks, n_workers=n_workers, transport=transport
+            )
+        )
+        cache = instance.distribution.ball_cache()
+        assert streamed == serial
+        assert _padded_balls(cache) == _padded_balls(serial_cache)
+        assert _boundary_extensions(cache) == _boundary_extensions(serial_cache)
+        assert _boundary_extensions(cache)
+        rebuilt = InstanceSpec.from_instance(instance).to_instance()
+        assert rebuilt.distribution.locality() == instance.distribution.locality()
 
 
 class TestRuntimeFacade:

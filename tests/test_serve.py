@@ -766,3 +766,36 @@ class TestOperational:
             assert len(trace_ids) == 1
         finally:
             obs.disable()
+
+    def test_batch_size_histogram_observes_every_batch(self):
+        """One coalescer, a batch of 1 then a batch of 3: the
+        ``serve.batch_size`` histogram sees both, once each."""
+        from repro.serve.coalesce import RequestCoalescer
+
+        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
+        runtime = Runtime("batched")
+        handle = obs.enable()
+
+        async def main():
+            coalescer = RequestCoalescer("hc", runtime, max_batch=3, max_wait=0.05)
+            try:
+                solo = await coalescer.sample("hc", instance, "glauber", 10, seed=1)
+                trio = await asyncio.gather(
+                    *(
+                        coalescer.sample("hc", instance, "glauber", 10, seed=seed)
+                        for seed in (2, 3, 4)
+                    )
+                )
+            finally:
+                await coalescer.drain()
+            return [solo[2]] + [size for _, _, size in trio]
+
+        try:
+            sizes = asyncio.run(main())
+            histogram = handle.metrics.histogram("serve.batch_size").snapshot()
+        finally:
+            obs.disable()
+            runtime.shutdown()
+        assert sizes == [1, 3, 3, 3]
+        assert histogram["count"] == 2
+        assert (histogram["min"], histogram["max"], histogram["total"]) == (1, 3, 4)
