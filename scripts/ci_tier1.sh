@@ -23,7 +23,8 @@
 # serving smoke (a real `repro-serve` subprocess on a free port takes 8
 # concurrent HTTP sample requests, which must coalesce into at most two
 # batches -- observable from the JSON responses alone -- with every
-# response bit-identical to a solo run, then drains cleanly on SIGTERM;
+# response bit-identical to a solo run, answers a JSON-array body and a
+# count of 1e400 with a 400, then drains cleanly on SIGTERM;
 # once for one model, and once with --cross-model for two same-alphabet
 # models sharing a packed batch), a learning smoke (seeded pseudo-likelihood and contrastive
 # divergence fits on a small Ising dataset must recover the generating
@@ -313,6 +314,14 @@ def leg(models, extra_args):
         assert len(batches) <= 2, f"8 concurrent requests ran {len(batches)} batches"
         assert sizes >= n_requests, f"batch sizes do not cover the requests: {sizes}"
 
+        # Malformed bodies fail their own request with a 400, never a 500.
+        for bad in (
+            [sample_payload(names[0])],
+            dict(sample_payload(names[0]), count=1e400),
+        ):
+            status, body = http_request(host, port, "POST", "/v1/sample", bad)
+            assert status == 400, f"malformed sample {bad!r}: HTTP {status}: {body}"
+
         server.send_signal(signal.SIGTERM)
         assert server.wait(timeout=30) == 0, "server did not drain cleanly on SIGTERM"
         return len(batches)
@@ -327,7 +336,7 @@ cross_model = leg({"hc": HC, "hc-path": HC_PATH}, ["--cross-model"])
 print(
     f"serving smoke OK: 8 concurrent requests coalesced into {per_model} "
     f"batch(es) for one model and {cross_model} across two models "
-    "(--cross-model), bit-identical to solo runs, clean drains"
+    "(--cross-model), bit-identical to solo runs, malformed bodies 400, clean drains"
 )
 PY
 

@@ -16,8 +16,10 @@ This package owns *how* work executes, separate from *what* is computed
     blocks -- executed identically by the process pool, the cluster
     workers and the in-process path), and the one parent-side scheduler
     of the process and cluster backends: front ends that chunk the work,
-    submit each chunk to a fork pool or a cluster coordinator (the spec
-    shipped once per worker), and merge every chunk's results --
+    submit each chunk to the live transport they are given -- a
+    :class:`~repro.runtime.shards.ForkPool` or a cluster coordinator,
+    whose workers set the call's width (the spec shipped once per
+    worker) -- and merge every chunk's results --
     compiled balls, boundary extensions, capped marginal-memo deltas --
     into the parent :class:`~repro.engine.cache.BallCache` the moment the
     chunk completes.

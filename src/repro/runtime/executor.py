@@ -757,7 +757,6 @@ class Runtime:
                     count,
                     seeds,
                     initial=initial,
-                    n_workers=self.n_workers,
                     stats=stats,
                     transport=self._transport(),
                 )
@@ -831,7 +830,6 @@ class Runtime:
                 instance,
                 nodes,
                 radius,
-                n_workers=self.n_workers,
                 transport=self._transport(),
             )
             return
@@ -876,7 +874,6 @@ class Runtime:
             yield from stream_ball_marginal_tasks(
                 instance,
                 tasks,
-                n_workers=self.n_workers,
                 chunk_size=chunk_size,
                 transport=self._transport(),
             )
@@ -921,7 +918,6 @@ class Runtime:
                 for _ in stream_compiled_balls(
                     instance,
                     tasks,
-                    n_workers=self.n_workers,
                     transport=self._transport(),
                 )
             )

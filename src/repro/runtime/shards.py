@@ -24,13 +24,13 @@ that work out to workers:
   the parent's :class:`~repro.engine.cache.BallCache` (or concatenate chain
   blocks in seed order).  Streams yield in completion order, so consumers
   overlap parent-side work with in-flight chunks, mirroring the
-  barrier-free LOCAL model.  Two transports sit behind them, selected by
-  the ``transport=`` argument: a :class:`ForkPool` (the process backend's
-  long-lived pool, or a one-shot pool for ``"pickle"`` / ``"shm"``; every
-  chunk carries its call's spec id and packed spec, decoded at most once
-  per worker into a small spec cache) and a
-  :class:`~repro.cluster.coordinator.ClusterCoordinator`.  Both kinds of
-  worker run :func:`run_task`.
+  barrier-free LOCAL model.  Each takes a required, live ``transport``,
+  one of two kinds: a :class:`ForkPool` (the process backend's long-lived
+  pool; every chunk carries its call's spec id and packed spec, decoded
+  at most once per worker into a small spec cache) or a
+  :class:`~repro.cluster.coordinator.ClusterCoordinator`.  The worker
+  count is the transport's own.  Both kinds of worker run
+  :func:`run_task`.
 * :func:`process_map` -- the fork-based map behind
   :meth:`~repro.runtime.executor.Runtime.map` on the process backend, for
   coarse-grained task parallelism over closures.  The fork start method
@@ -211,18 +211,6 @@ class InstanceSpec:
         self._instance = SamplingInstance(distribution, self.pinning)
         return self._instance
 
-    # ------------------------------------------------------------------
-    def compile_ball(self, center: Node, radius: int) -> CompiledGibbs:
-        """The reconstruction's :meth:`BallCache.compiled_ball` (memoised)."""
-        return self.to_instance().distribution.ball_cache().compiled_ball(center, radius)
-
-    def padded_ball_marginal(self, center: Node, radius: int) -> Dict[Value, float]:
-        """:func:`~repro.inference.ssm_inference.padded_ball_marginal` on the
-        reconstruction."""
-        from repro.inference.ssm_inference import padded_ball_marginal
-
-        return padded_ball_marginal(self.to_instance(), center, radius)
-
 
 # ----------------------------------------------------------------------
 # transport: how the spec (and chain-result matrices) cross the pipe
@@ -386,7 +374,8 @@ def _ball_marginals_task(args: Dict, spec: InstanceSpec):
 @register_task("compile_balls")
 def _compile_balls_task(args: Dict, spec: InstanceSpec):
     """Registered body: compile one chunk of ``(center, radius)`` balls."""
-    return {key: spec.compile_ball(*key) for key in args["tasks"]}
+    cache = spec.to_instance().distribution.ball_cache()
+    return {key: cache.compiled_ball(*key) for key in args["tasks"]}
 
 
 def advance_block(
@@ -563,10 +552,11 @@ class ForkPool:
     worker decodes a spec only when its id is missing from the worker's
     spec cache.  So one pool serves any number of calls on any instances,
     and a call neither forks nor joins.
-    :class:`~repro.runtime.executor.Runtime` owns one per process runtime;
-    the front ends build a one-shot pool for a plain ``"pickle"`` or
-    ``"shm"`` transport.  Forking emits a ``runtime.pool.spawn`` obs
-    instant (``workers``, ``ms``).
+    :class:`~repro.runtime.executor.Runtime` owns one per process runtime
+    and passes it to the front ends as their ``transport``; ``n_workers``
+    is then the width of every call on it.  A one-worker pool never
+    forks: the front ends run its calls in-process.  Forking emits a
+    ``runtime.pool.spawn`` obs instant (``workers``, ``ms``).
     """
 
     def __init__(self, n_workers: int, transport: str = "pickle") -> None:
@@ -747,56 +737,44 @@ class _ClusterSession(_Session):
         self.coordinator._discard(futures)
 
 
-def _is_pool(transport) -> bool:
-    """Whether ``transport`` is a fork pool (else a cluster coordinator)."""
-    return isinstance(transport, (str, ForkPool))
-
-
-def _fleet(transport, n_workers: int) -> int:
+def _fleet(transport) -> int:
     """How many workers stand behind ``transport`` (at least one)."""
-    if isinstance(transport, str):
-        return max(1, n_workers)
     if isinstance(transport, ForkPool):
         return transport.n_workers
     return max(1, transport.live_worker_count)
 
 
 @contextmanager
-def _session(transport, n_workers: int, instance: SamplingInstance, n_chunks: int):
+def _session(transport, instance: SamplingInstance, n_chunks: int):
     """Open ``transport`` for one front-end call of ``n_chunks`` chunks.
 
-    ``transport`` is a :class:`ForkPool`; ``"pickle"`` or ``"shm"``, for
-    which a one-shot :class:`ForkPool` of at most ``n_workers`` serves the
-    call and is stopped (never joined) when it ends; or a cluster
-    coordinator.  On a pool the call's spec is packed once -- its dense
-    arrays as shared-memory descriptors under ``"shm"``, falling back to
-    pickle when shared memory is unavailable -- and shipped with every
-    chunk under a fresh spec id (:class:`_PoolSession`).  One chunk or one
-    worker runs in-process instead.  Every segment the call created is
-    unlinked when the session closes.
+    ``transport`` is a :class:`ForkPool` or a cluster coordinator; the
+    session only borrows it and never starts or stops workers beyond the
+    pool's own fork on first use.  On a pool the call's spec is packed
+    once -- its dense arrays as shared-memory descriptors under ``"shm"``,
+    falling back to pickle when shared memory is unavailable -- and
+    shipped with every chunk under a fresh spec id
+    (:class:`_PoolSession`).  One chunk or a one-worker pool runs
+    in-process instead, so that pool never forks.  Every segment the call
+    created is unlinked when the session closes.
     """
-    if not _is_pool(transport):
+    if not isinstance(transport, ForkPool):
         yield _ClusterSession(transport, instance)
         return
     spec = InstanceSpec.from_instance(instance)
-    if n_chunks <= 1 or _fleet(transport, n_workers) <= 1:
+    if n_chunks <= 1 or transport.n_workers <= 1:
         yield _InProcess(spec)
         return
-    one_shot = isinstance(transport, str)
-    pool = ForkPool(min(n_workers, n_chunks), transport) if one_shot else transport
-    session = None
+    session = _PoolSession(transport, spec)
     try:
-        session = _PoolSession(pool, spec)
         yield session
     finally:
-        if one_shot:
-            pool.shutdown()
-        for pack in (session.spec_pack, session.code_matrix) if session else ():
+        for pack in (session.spec_pack, session.code_matrix):
             if pack is not None:
                 pack.release()
 
 
-def _chunk_target(transport, n_workers: int) -> int:
+def _chunk_target(transport) -> int:
     """How many chunks a stream over ``transport`` aims at by default.
 
     The fork pool takes about four chunks per worker (``4w``): small
@@ -807,8 +785,8 @@ def _chunk_target(transport, n_workers: int) -> int:
     once chunks shrink with the fleet (the measured 4-worker cluster
     regression in ``BENCH_runtime.json``).  The two agree for ``w <= 2``.
     """
-    workers = _fleet(transport, n_workers)
-    if _is_pool(transport):
+    workers = _fleet(transport)
+    if isinstance(transport, ForkPool):
         return 4 * workers
     return min(4 * workers, max(2 * workers, 8))
 
@@ -871,10 +849,10 @@ def _scatter(
         session.cancel(handles)
 
 
-def _stream(instance, kind, tasks, n_workers, chunk_size, transport, **args):
+def _stream(instance, kind, tasks, chunk_size, transport, **args):
     """Chunk ``tasks`` and stream the ``kind`` body's results as they land."""
-    chunks = _chunk_tasks(tasks, _chunk_target(transport, n_workers), chunk_size)
-    with _session(transport, n_workers, instance, len(chunks)) as session:
+    chunks = _chunk_tasks(tasks, _chunk_target(transport), chunk_size)
+    with _session(transport, instance, len(chunks)) as session:
         work = [(chunk, dict(args, tasks=chunk)) for chunk in chunks]
         yield from _scatter(session, kind, work, "ball shard")
 
@@ -885,10 +863,9 @@ def _stream(instance, kind, tasks, n_workers, chunk_size, transport, **args):
 def stream_ball_marginal_tasks(
     instance: SamplingInstance,
     tasks: Sequence[BallKey],
-    n_workers: int = 2,
     chunk_size: Optional[int] = None,
-    memo_cap: Optional[int] = MEMO_DELTA_CAP,
-    transport="pickle",
+    *,
+    transport,
 ) -> Iterator[Tuple[BallKey, Dict[Value, float]]]:
     """Stream Theorem 5.1 marginals for heterogeneous ``(center, radius)`` tasks.
 
@@ -909,23 +886,20 @@ def stream_ball_marginal_tasks(
         The instance whose distribution owns the target ball cache.
     tasks : sequence of (node, int)
         ``(center, radius)`` pairs; radii may differ between tasks.
-    n_workers : int
-        Process-pool width; with one worker (or one chunk) the stream runs
-        in-process with no pool, bit-identically.  A :class:`ForkPool` or a
-        coordinator transport uses its own worker count instead.
     chunk_size : int, optional
         Tasks per submitted chunk (default: see :func:`_chunk_target`).
-    memo_cap : int, optional
-        Per-ball cap on the marginal-memo delta shipped back (``None``
-        ships every entry, ``0`` disables memo deltas).
-    transport : str, ForkPool or ClusterCoordinator
-        A :class:`ForkPool` runs the chunks on its long-lived workers
-        (a process runtime passes its own); ``"pickle"`` (default) and
-        ``"shm"`` run them on a one-shot fork pool, the spec shipped by
-        value or -- under ``"shm"`` -- its dense arrays as shared-memory
-        descriptors (pickle fallback when unavailable); a
+    transport : ForkPool or ClusterCoordinator
+        Where the chunks run, and so how many workers there are.  A
+        :class:`ForkPool` runs them on its long-lived workers (a process
+        runtime passes its own), the spec shipped by value or -- for a
+        ``"shm"`` pool -- its dense arrays as shared-memory descriptors
+        (pickle fallback when unavailable).  With one pool worker (or one
+        chunk) the stream runs in-process, bit-identically, and the pool
+        never forks.  A
         :class:`~repro.cluster.coordinator.ClusterCoordinator` runs the
         chunks on its TCP workers, requeueing those of dead workers.
+        Each shipped ball's marginal-memo delta is capped at
+        :data:`MEMO_DELTA_CAP` entries.
 
     Yields
     ------
@@ -944,8 +918,8 @@ def stream_ball_marginal_tasks(
         return
     cache = instance.distribution.ball_cache()
     for marginals, balls, extras, memos in _stream(
-        instance, "ball_marginals", tasks, n_workers, chunk_size, transport,
-        memo_cap=memo_cap,
+        instance, "ball_marginals", tasks, chunk_size, transport,
+        memo_cap=MEMO_DELTA_CAP,
     ):
         cache.adopt(balls=balls, extras=extras, memos=memos)
         yield from marginals.items()
@@ -955,10 +929,9 @@ def stream_padded_ball_marginals(
     instance: SamplingInstance,
     centers: Sequence[Node],
     radius: int,
-    n_workers: int = 2,
     chunk_size: Optional[int] = None,
-    memo_cap: Optional[int] = MEMO_DELTA_CAP,
-    transport="pickle",
+    *,
+    transport,
 ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
     """Stream Theorem 5.1 marginals at many centers of one radius.
 
@@ -968,13 +941,12 @@ def stream_padded_ball_marginals(
     and capped marginal-memo deltas are adopted into the parent cache as the
     shard arrives.  Per-ball results are bit-identical to the serial
     :func:`repro.inference.ssm_inference.padded_ball_marginal` loop.
+    ``transport`` is as for :func:`stream_ball_marginal_tasks`.
     """
     for (center, _), marginal in stream_ball_marginal_tasks(
         instance,
         [(center, radius) for center in centers],
-        n_workers=n_workers,
         chunk_size=chunk_size,
-        memo_cap=memo_cap,
         transport=transport,
     ):
         yield center, marginal
@@ -983,9 +955,9 @@ def stream_padded_ball_marginals(
 def stream_compiled_balls(
     instance: SamplingInstance,
     tasks: Sequence[BallKey],
-    n_workers: int = 2,
     chunk_size: Optional[int] = None,
-    transport="pickle",
+    *,
+    transport,
 ) -> Iterator[Tuple[BallKey, CompiledGibbs]]:
     """Stream ``(center, radius)`` ball compilations from the workers.
 
@@ -1000,7 +972,7 @@ def stream_compiled_balls(
         return
     cache = instance.distribution.ball_cache()
     for compiled in _stream(
-        instance, "compile_balls", tasks, n_workers, chunk_size, transport
+        instance, "compile_balls", tasks, chunk_size, transport
     ):
         cache.adopt(balls=compiled)
         yield from compiled.items()
@@ -1012,22 +984,22 @@ def run_chain_blocks(
     count: int,
     seeds: Sequence,
     initial=None,
-    n_workers: int = 2,
     stats: bool = False,
-    transport="pickle",
+    *,
+    transport,
 ) -> List[Dict[Node, Value]]:
     """Run independent chains as batched blocks on the workers.
 
     The distributed leg of the unified chain path
     (:meth:`repro.runtime.executor.Runtime.run_chains`): the seed list is
-    split into one contiguous block per worker, each block executes the
-    registered ``chain_block`` task body on a worker, and the per-block
-    results concatenate back in seed order.  With one block or one pool
-    worker the body runs in-process -- same body, same results.
+    split into one contiguous block per worker of ``transport``, each block
+    executes the registered ``chain_block`` task body on a worker, and the
+    per-block results concatenate back in seed order.  With one block or
+    one pool worker the body runs in-process -- same body, same results.
 
     ``transport`` is as for :func:`stream_ball_marginal_tasks`; a process
     runtime passes its :class:`ForkPool`, so the blocks run on the same
-    long-lived workers as its ball streams.  Under ``"shm"`` each block
+    long-lived workers as its ball streams.  On a ``"shm"`` pool each block
     also writes its final code matrix into one parent-owned
     ``(len(seeds), n)`` shared segment, decoded here with the exact
     :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
@@ -1062,7 +1034,7 @@ def run_chain_blocks(
     seeds = list(seeds)
     if not seeds:
         return ([], []) if stats else []
-    blocks = _chunk_tasks(seeds, _fleet(transport, n_workers))
+    blocks = _chunk_tasks(seeds, _fleet(transport))
     base = {
         "kernel": kernel_name,
         "count": count,
@@ -1072,7 +1044,7 @@ def run_chain_blocks(
         base["stats"] = True
     results: List[Dict[Node, Value]] = []
     counts: List[int] = []
-    with _session(transport, n_workers, instance, len(blocks)) as session:
+    with _session(transport, instance, len(blocks)) as session:
         codes = session.share_codes(len(seeds))
         work = []
         offset = 0

@@ -72,6 +72,8 @@ class Request:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise HttpError(400, f"request body is not valid JSON: {error}")
+        except RecursionError:
+            raise HttpError(400, "request body is nested too deeply")
 
     @property
     def keep_alive(self) -> bool:

@@ -108,7 +108,7 @@ def _build_graph(payload) -> object:
             return random_tree(int(payload["n"]), seed=int(payload.get("seed", 0)))
     except KeyError as error:
         raise RegistryError(f"graph kind {kind!r} is missing parameter {error}")
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise RegistryError(f"invalid graph parameters: {error}")
     raise RegistryError(
         f"unknown graph kind {kind!r}; expected cycle, path, grid or tree"
@@ -146,7 +146,7 @@ def _build_distribution(family: str, graph, payload):
             return matching_model(graph, edge_weight=float(payload.get("edge_weight", 1.0)))
     except KeyError as error:
         raise RegistryError(f"model family {family!r} is missing parameter {error}")
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise RegistryError(f"invalid model parameters: {error}")
     raise RegistryError(
         f"unknown model family {family!r}; expected hardcore, coloring, "

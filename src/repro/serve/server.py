@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import obs
@@ -316,14 +317,24 @@ class SamplingServer:
         writer.write(json_response(200, {"registered": entry.describe()}, keep_alive))
         await writer.drain()
 
+    @staticmethod
+    def _payload(request: Request) -> Dict:
+        """The request's JSON body, which must be an object (400 if not)."""
+        payload = request.json()
+        if not isinstance(payload, dict):
+            raise HttpError(400, "request body must be a JSON object")
+        return payload
+
     def _deadline(self, payload) -> Optional[float]:
         deadline_ms = payload.get("deadline_ms", None)
         if deadline_ms is None:
             return self.default_deadline
         try:
             deadline = float(deadline_ms) / 1000.0
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise HttpError(400, f"malformed deadline_ms {deadline_ms!r}")
+        if not math.isfinite(deadline):
+            raise HttpError(400, "deadline_ms must be finite")
         if deadline <= 0:
             raise HttpError(400, "deadline_ms must be positive")
         return deadline
@@ -368,7 +379,7 @@ class SamplingServer:
     ) -> None:
         if self._draining:
             raise HttpError(503, "server is draining")
-        payload = request.json()
+        payload = self._payload(request)
         name = payload.get("model")
         if not isinstance(name, str):
             raise HttpError(400, 'sample request needs a string "model"')
@@ -382,7 +393,7 @@ class SamplingServer:
             count = int(payload.get("count", 0))
             seed = int(payload.get("seed", 0))
             n_chains = int(payload.get("n_chains", 1))
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise HttpError(400, f"malformed sample request: {error}")
         if count < 1:
             raise HttpError(400, '"count" must be a positive integer')
@@ -452,14 +463,14 @@ class SamplingServer:
     ) -> None:
         if self._draining:
             raise HttpError(503, "server is draining")
-        payload = request.json()
+        payload = self._payload(request)
         name = payload.get("model")
         if not isinstance(name, str):
             raise HttpError(400, 'marginal request needs a string "model"')
         entry, coalescer = self._model(name)
         try:
             radius = int(payload.get("radius", 0))
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise HttpError(400, f"malformed radius: {error}")
         if radius < 0:
             raise HttpError(400, '"radius" must be a non-negative integer')

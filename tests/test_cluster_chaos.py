@@ -42,6 +42,7 @@ from repro.graphs import cycle_graph
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, run_chain_blocks, stream_ball_marginal_tasks
+from repro.runtime.shards import ForkPool
 
 KEY = "chaos-suite-secret"
 
@@ -748,9 +749,13 @@ class TestStatsWire:
 
     def test_ungated_kernels_report_zero_counts(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 0})
-        states, counts = run_chain_blocks(
-            instance, "glauber", 20, seeds=[0, 1], n_workers=1, stats=True
-        )
+        pool = ForkPool(1)
+        try:
+            states, counts = run_chain_blocks(
+                instance, "glauber", 20, seeds=[0, 1], stats=True, transport=pool
+            )
+        finally:
+            pool.shutdown()
         assert counts == [0, 0]
         assert states == Runtime().run_chains("glauber", instance, 20, seeds=[0, 1])
 

@@ -40,7 +40,7 @@ from repro.runtime import (
     stream_padded_ball_marginals,
 )
 from repro.runtime.chains import ChainUniforms
-from repro.runtime.shards import TASK_REGISTRY, _chunk_target, _chunk_tasks
+from repro.runtime.shards import TASK_REGISTRY, ForkPool, _chunk_target, _chunk_tasks
 from repro.sampling import registered_kernels
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 from repro.sampling.kernels import RNG_CHUNK
@@ -284,8 +284,8 @@ class TestPickling:
         instance = SamplingInstance(hardcore_model(random_tree(14, seed=4), 1.2), {0: 0})
         spec = pickle.loads(pickle.dumps(InstanceSpec.from_instance(instance)))
         node = instance.free_nodes[3]
-        assert spec.padded_ball_marginal(node, 2) == padded_ball_marginal(
-            instance, node, 2
+        assert padded_ball_marginal(spec.to_instance(), node, 2) == (
+            padded_ball_marginal(instance, node, 2)
         )
 
 
@@ -301,16 +301,16 @@ class TestSpecEquivalence:
             spec = InstanceSpec.from_instance(instance)
             for radius in (0, 1, 2):
                 for node in instance.free_nodes:
-                    assert spec.padded_ball_marginal(node, radius) == (
-                        padded_ball_marginal(instance, node, radius)
-                    )
+                    assert padded_ball_marginal(
+                        spec.to_instance(), node, radius
+                    ) == padded_ball_marginal(instance, node, radius)
 
     def test_compile_ball_matches_cache(self):
         distribution = hardcore_model(random_tree(12, seed=6), 1.5)
         instance = SamplingInstance(distribution)
         spec = InstanceSpec.from_instance(instance)
         cached = distribution.ball_cache().compiled_ball(3, 2)
-        built = spec.compile_ball(3, 2)
+        built = spec.to_instance().distribution.ball_cache().compiled_ball(3, 2)
         assert built.nodes == cached.nodes
         assert built.scopes == cached.scopes
         assert all(
@@ -366,11 +366,11 @@ class TestAdoptionParity:
         serial_cache = serial_instance.distribution.ball_cache()
 
         instance = self.MODELS[model]()
-        streamed = dict(
-            stream_ball_marginal_tasks(
-                instance, tasks, n_workers=n_workers, transport=transport
-            )
-        )
+        pool = ForkPool(n_workers, transport)
+        try:
+            streamed = dict(stream_ball_marginal_tasks(instance, tasks, transport=pool))
+        finally:
+            pool.shutdown()
         cache = instance.distribution.ball_cache()
         assert streamed == serial
         assert _padded_balls(cache) == _padded_balls(serial_cache)
@@ -509,11 +509,17 @@ class TestStreamingMerge:
     def test_stream_single_worker_runs_in_process(self):
         distribution = hardcore_model(random_tree(12, seed=3), 1.1)
         instance = SamplingInstance(distribution, {0: 0})
-        streamed = dict(
-            stream_padded_ball_marginals(
-                instance, instance.free_nodes, 2, n_workers=1
+        pool = ForkPool(1)
+        try:
+            streamed = dict(
+                stream_padded_ball_marginals(
+                    instance, instance.free_nodes, 2, transport=pool
+                )
             )
-        )
+            # A one-worker pool runs the stream here and never forks.
+            assert pool._executor is None
+        finally:
+            pool.shutdown()
         serial = {
             node: padded_ball_marginal(instance, node, 2)
             for node in instance.free_nodes
@@ -523,23 +529,31 @@ class TestStreamingMerge:
 
     def test_stream_empty_tasks(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        assert list(stream_ball_marginal_tasks(instance, [], n_workers=2)) == []
-        assert list(stream_compiled_balls(instance, [], n_workers=2)) == []
+        pool = ForkPool(2)
+        try:
+            assert list(stream_ball_marginal_tasks(instance, [], transport=pool)) == []
+            assert list(stream_compiled_balls(instance, [], transport=pool)) == []
+        finally:
+            pool.shutdown()
 
     def test_failed_task_raises_in_process_path(self):
         # The in-process fallback honours the same clean-error contract as
         # the worker-pool path: a RuntimeError naming the chunk.
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        with pytest.raises(RuntimeError, match="ball shard failed"):
-            list(
-                stream_ball_marginal_tasks(
-                    instance, [("no-such-node", 1)], n_workers=1
+        pool = ForkPool(1)
+        try:
+            with pytest.raises(RuntimeError, match="ball shard failed"):
+                list(
+                    stream_ball_marginal_tasks(
+                        instance, [("no-such-node", 1)], transport=pool
+                    )
                 )
-            )
+        finally:
+            pool.shutdown()
 
     def test_chunking_defaults(self):
         tasks = list(range(17))
-        chunks = _chunk_tasks(tasks, _chunk_target("pickle", 2))
+        chunks = _chunk_tasks(tasks, _chunk_target(ForkPool(2)))
         assert [task for chunk in chunks for task in chunk] == tasks
         assert max(len(chunk) for chunk in chunks) <= 3
         assert _chunk_tasks([], 2) == []
@@ -555,9 +569,9 @@ class TestStreamingMerge:
         # coordinator caps the count at min(4w, max(2w, 8)) -- the two
         # agree up to two workers.
         for workers in (1, 2, 4, 8):
-            assert _chunk_target("pickle", workers) == 4 * workers
-            assert _chunk_target("shm", workers) == 4 * workers
-        assert [_chunk_target(Fleet(w), 99) for w in (1, 2, 4, 8)] == [4, 8, 8, 16]
+            assert _chunk_target(ForkPool(workers)) == 4 * workers
+            assert _chunk_target(ForkPool(workers, "shm")) == 4 * workers
+        assert [_chunk_target(Fleet(w)) for w in (1, 2, 4, 8)] == [4, 8, 8, 16]
 
 
 class TestRuntimeStreamingFacade:
@@ -599,11 +613,17 @@ class TestRuntimeStreamingFacade:
 class TestProcessPool:
     """Two-worker process-pool smoke tests (the sharding transport)."""
 
-    def test_stream_padded_ball_marginals_matches_serial(self):
+    @pytest.fixture
+    def pool(self):
+        pool = ForkPool(2)
+        yield pool
+        pool.shutdown()
+
+    def test_stream_padded_ball_marginals_matches_serial(self, pool):
         distribution = coloring_model(cycle_graph(10), 3)
         instance = SamplingInstance(distribution, {0: 1})
         sharded = dict(
-            stream_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2)
+            stream_padded_ball_marginals(instance, instance.free_nodes, 2, transport=pool)
         )
         serial = {
             node: padded_ball_marginal(instance, node, 2)
@@ -613,11 +633,11 @@ class TestProcessPool:
         # Worker compilations were merged back into the parent cache.
         assert len(distribution.ball_cache()._compiled) > 0
 
-    def test_stream_compiled_balls_warms_cache(self):
+    def test_stream_compiled_balls_warms_cache(self, pool):
         distribution = hardcore_model(random_tree(16, seed=1), 1.0)
         instance = SamplingInstance(distribution)
         tasks = [(node, 2) for node in list(distribution.nodes)[:6]]
-        balls = dict(stream_compiled_balls(instance, tasks, n_workers=2))
+        balls = dict(stream_compiled_balls(instance, tasks, transport=pool))
         assert set(balls) == set(tasks)
         cache = distribution.ball_cache()
         for center, radius in tasks:
@@ -658,13 +678,13 @@ class TestProcessPool:
         )
         assert process == serial
 
-    def test_sharding_only_adopts_parent_queried_balls(self):
+    def test_sharding_only_adopts_parent_queried_balls(self, pool):
         # Workers compile context balls (radius + 2*locality) for the greedy
         # extension, but the parent only ever queries radius + locality;
         # only the latter should come back and be adopted.
         distribution = hardcore_model(cycle_graph(10), 1.0)
         instance = SamplingInstance(distribution)
-        dict(stream_padded_ball_marginals(instance, instance.free_nodes, 2, n_workers=2))
+        dict(stream_padded_ball_marginals(instance, instance.free_nodes, 2, transport=pool))
         locality = distribution.locality()
         adopted = set(distribution.ball_cache()._compiled)
         assert adopted == {(node, 2 + locality) for node in instance.free_nodes}
@@ -690,7 +710,7 @@ class TestProcessPool:
         assert runtime.map(lambda x: -x, range(50)) == [-x for x in range(50)]
         assert sizes == [7]
 
-    def test_stream_yields_incrementally_and_matches_serial(self):
+    def test_stream_yields_incrementally_and_matches_serial(self, pool):
         distribution = coloring_model(cycle_graph(10), 3)
         instance = SamplingInstance(distribution, {0: 1})
         serial = {
@@ -700,7 +720,7 @@ class TestProcessPool:
         distribution.ball_cache().clear()
         streamed = {}
         stream = stream_padded_ball_marginals(
-            instance, instance.free_nodes, 2, n_workers=2, chunk_size=2
+            instance, instance.free_nodes, 2, chunk_size=2, transport=pool
         )
         first = next(stream)
         # The first shard arrives before the stream is drained: at this
@@ -710,12 +730,12 @@ class TestProcessPool:
         streamed.update(stream)
         assert streamed == serial
 
-    def test_streamed_memo_deltas_warm_the_parent(self):
+    def test_streamed_memo_deltas_warm_the_parent(self, pool):
         distribution = hardcore_model(random_tree(14, seed=5), 1.2)
         instance = SamplingInstance(distribution, {0: 0})
         dict(
             stream_padded_ball_marginals(
-                instance, instance.free_nodes, 2, n_workers=2
+                instance, instance.free_nodes, 2, transport=pool
             )
         )
         cache = distribution.ball_cache()
@@ -727,21 +747,21 @@ class TestProcessPool:
         ]
         assert warmed and any(len(ball._marginal_memo) > 0 for ball in warmed)
 
-    def test_failed_shard_surfaces_clean_error(self):
+    def test_failed_shard_surfaces_clean_error(self, pool):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
         tasks = [(node, 1) for node in (0, 1)] + [("no-such-node", 1), (2, 1)]
         with pytest.raises(RuntimeError, match="ball shard failed"):
             list(
                 stream_ball_marginal_tasks(
-                    instance, tasks, n_workers=2, chunk_size=1
+                    instance, tasks, chunk_size=1, transport=pool
                 )
             )
 
-    def test_abandoning_the_stream_cancels_cleanly(self):
+    def test_abandoning_the_stream_cancels_cleanly(self, pool):
         distribution = coloring_model(cycle_graph(12), 3)
         instance = SamplingInstance(distribution, {0: 1})
         stream = stream_padded_ball_marginals(
-            instance, instance.free_nodes, 2, n_workers=2, chunk_size=1
+            instance, instance.free_nodes, 2, chunk_size=1, transport=pool
         )
         next(stream)
         stream.close()  # must not hang on the pending futures
@@ -868,8 +888,8 @@ class TestSharedMemoryTransport:
                 np.array_equal(a, b) for a, b in zip(clone.arrays, spec.arrays)
             )
             node = instance.free_nodes[3]
-            assert clone.padded_ball_marginal(node, 2) == spec.padded_ball_marginal(
-                node, 2
+            assert padded_ball_marginal(clone.to_instance(), node, 2) == (
+                padded_ball_marginal(spec.to_instance(), node, 2)
             )
         finally:
             pack.release()
@@ -930,12 +950,15 @@ class TestSharedMemoryTransport:
 
         instance = SamplingInstance(hardcore_model(cycle_graph(9), 1.2), {0: 1})
         seeds = spawn(5, 4)
-        pickled = run_chain_blocks(
-            instance, "glauber", 60, seeds, n_workers=2, transport="pickle"
-        )
-        shared = run_chain_blocks(
-            instance, "glauber", 60, seeds, n_workers=2, transport="shm"
-        )
+        pickle_pool, shm_pool = ForkPool(2), ForkPool(2, "shm")
+        try:
+            pickled = run_chain_blocks(
+                instance, "glauber", 60, seeds, transport=pickle_pool
+            )
+            shared = run_chain_blocks(instance, "glauber", 60, seeds, transport=shm_pool)
+        finally:
+            pickle_pool.shutdown()
+            shm_pool.shutdown()
         assert shared == pickled
         assert shm.live_segment_names() == []
         assert shm.leaked_dev_shm_segments() == []
@@ -1214,7 +1237,7 @@ class TestPersistentForkPool:
             obs.disable()
         with runtime:
             runtime.run_chains("glauber", instance, 20, seed=1)
-            with shards._session(runtime._pool, 2, instance, 4) as session:
+            with shards._session(runtime._pool, instance, 4) as session:
                 work = [((), {}) for _ in range(4)]
                 inert = list(shards._scatter(session, "test-obs-state", work))
         assert "pool-worker" in traced

@@ -509,10 +509,27 @@ class TestRegistryEndpoints:
                 {"model": "hc", "count": 5, "n_chains": 0},
                 {"model": "hc", "count": 5, "deadline_ms": -3},
                 {"count": 5},
+                [{"model": "hc", "count": 5}],
+                "hc",
+                {"model": "hc", "count": 1e400},
+                {"model": "hc", "count": 5, "seed": 1e400},
+                {"model": "hc", "count": 5, "n_chains": 1e400},
+                {"model": "hc", "count": 5, "deadline_ms": "nan"},
+                {"model": "hc", "count": 5, "deadline_ms": "inf"},
             ]
             for payload in cases:
                 status, response = await request_json(
                     host, port, "POST", "/v1/sample", payload
+                )
+                assert status == 400, (payload, response)
+            marginal_cases = [
+                [{"model": "hc", "radius": 1}],
+                "hc",
+                {"model": "hc", "radius": 1e400},
+            ]
+            for payload in marginal_cases:
+                status, response = await request_json(
+                    host, port, "POST", "/v1/marginal", payload
                 )
                 assert status == 400, (payload, response)
 
