@@ -33,7 +33,9 @@
 # (the shared-memory transport of the process backend, its streamed ball
 # marginals and the packed multi-instance code matrix must all be
 # bit-identical to the serial loop, and the streamed balls must leave the
-# parent's ball cache as the serial loop does; two process calls on one Runtime, run in a child interpreter, must
+# parent's ball cache as the serial loop does; two process calls on one
+# instance with an update_factors between them must each equal batched;
+# two process calls on one Runtime, run in a child interpreter, must
 # share the worker pids of one persistent pool and leave no
 # resource_tracker traceback on stderr; /dev/shm must hold no repro-shm-*
 # segments afterwards) and a
@@ -404,6 +406,23 @@ with Runtime(
     shipped = runtime.run_chains("glauber", instance, 25, seed=7)
 assert shipped == reference, "shm transport diverges from the serial loop"
 
+# One spec id per instance and compiled engine: two process calls on one
+# instance with an in-place reweight between them each equal batched (the
+# second call must ship the new weights under a new spec id).
+reweighted = SamplingInstance(hardcore_model(cycle_graph(12), fugacity=1.0))
+batched = Runtime("batched", n_chains=4)
+with Runtime(
+    "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
+) as runtime:
+    for fugacity in (1.0, 40.0):
+        reweighted.distribution.update_factors(
+            hardcore_model(cycle_graph(12), fugacity=fugacity).factors
+        )
+        expected = batched.run_chains("glauber", reweighted, 25, seed=3)
+        assert runtime.run_chains("glauber", reweighted, 25, seed=3) == expected, (
+            f"shm process call after update_factors(fugacity={fugacity}) diverges from batched"
+        )
+
 # Theorem 5.1 ball marginals of a pinned colouring streamed through the
 # shm pool: equal to the serial loop, and the parent's ball cache adopts
 # exactly the padded balls and boundary extensions the serial loop caches.
@@ -481,6 +500,7 @@ assert not after, f"leaked /dev/shm segments: {after}"
 mode = "shm" if shm_available() else "pickle-fallback"
 print(
     f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
+    "calls across update_factors equal batched, "
     "cache adoption parity, two calls on one pool, no tracker traceback, "
     "/dev/shm clean"
 )

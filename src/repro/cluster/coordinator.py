@@ -8,10 +8,11 @@ The coordinator owns one persistent TCP connection per worker (see
   straggling worker naturally receives less work while the others drain
   the queue.
 * **Spec shipping is lazy and once-per-connection**: a task that needs an
-  :class:`~repro.runtime.shards.InstanceSpec` carries a spec id; the
-  coordinator sends the ``SPEC`` frame to a given worker only the first
-  time that worker is handed a task referencing it (TCP ordering
-  guarantees the spec arrives before the task).
+  :class:`~repro.runtime.shards.InstanceSpec` carries the spec id of
+  :func:`~repro.runtime.shards.spec_for`; the coordinator sends the
+  ``SPEC`` frame to a given worker only the first time that worker is
+  handed a task referencing it (TCP ordering guarantees the spec arrives
+  before the task).
 * **Liveness** combines two signals.  A per-worker reader thread blocks
   on the socket, so a killed worker surfaces immediately as EOF; a
   heartbeat thread additionally pings every worker and declares one dead
@@ -39,11 +40,12 @@ finalizer closes its sockets.
 
 The coordinator is a transport, not a scheduler: the front ends of
 :mod:`repro.runtime.shards` (``stream_ball_marginal_tasks``,
-``stream_compiled_balls``, ``run_chain_blocks``) take it as their
-``transport=`` and do the chunking, the merge into the parent's
+``run_chain_blocks``) take it as their ``transport=`` and do the
+chunking, the merge into the parent's
 :class:`~repro.engine.cache.BallCache` and the failure naming exactly as
 for the process pool, submitting each chunk through :meth:`submit_task`
-(spec from :meth:`_spec_for`) and cancelling abandoned ones through
+(spec from :func:`~repro.runtime.shards.spec_for`) and cancelling
+abandoned ones through
 :meth:`_discard`.  Shutting the coordinator down cancels everything and
 closes the sockets, idempotently.
 """
@@ -65,10 +67,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cluster import protocol
-from repro.gibbs.instance import SamplingInstance
+from repro.runtime.shards import cache_spec
 
 _log = obs.get_logger("cluster.coordinator")
-from repro.runtime.shards import InstanceSpec
 
 Address = Tuple[str, int]
 
@@ -208,7 +209,7 @@ class _Worker:
         #: ``{task_id: _Task}`` currently dispatched to this worker.
         self.inflight: Dict[int, "_Task"] = {}
         #: Spec ids this connection holds, mirroring the worker's FIFO cache
-        #: (same insertion order, same ``SPEC_CACHE_LIMIT``): only the
+        #: (same insertion order, same ``cache_spec`` rule): only the
         #: coordinator sends SPEC frames on the connection, so replaying the
         #: worker's deterministic eviction here tells us exactly when a spec
         #: must be re-shipped.
@@ -249,11 +250,7 @@ class _Worker:
 
     def record_spec(self, spec_id: int) -> None:
         """Mirror the worker-side spec cache after shipping a SPEC frame."""
-        from repro.runtime.shards import SPEC_CACHE_LIMIT
-
-        self.specs[spec_id] = None
-        while len(self.specs) > SPEC_CACHE_LIMIT:
-            self.specs.popitem(last=False)
+        cache_spec(self.specs, spec_id, None)
 
     def close(self) -> None:
         # shutdown() before close(): our own reader thread may be blocked in
@@ -352,13 +349,7 @@ class ClusterCoordinator:
         self._lock = threading.RLock()
         self._closed = False
         self._task_ids = itertools.count()
-        self._spec_ids = itertools.count()
         self._rotation = itertools.count()
-        #: ``{instance: (spec_id, InstanceSpec)}`` -- one snapshot per live
-        #: instance, so repeated streams over the same instance (e.g. the
-        #: per-wave E5 radius sweep) reuse one spec id and the workers'
-        #: per-connection spec caches hit instead of re-receiving the spec.
-        self._spec_registry: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         #: Number of task re-dispatches caused by worker death (observability
@@ -730,7 +721,6 @@ class ClusterCoordinator:
             result = run_task(
                 task.kind,
                 task.args,
-                {},
                 spec=task.spec[1] if task.spec is not None else None,
             )
         except Exception as error:
@@ -889,24 +879,6 @@ class ClusterCoordinator:
         task = _Task(next(self._task_ids), kind, args, spec)
         self._dispatch(task)
         return task.future
-
-    def new_spec_id(self) -> int:
-        """A fresh spec id (spec payloads are identified, not hashed)."""
-        return next(self._spec_ids)
-
-    def _spec_for(self, instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
-        """The ``(spec_id, spec)`` pair for an instance (snapshot memoised).
-
-        Instances are immutable (distribution + pinning), so one snapshot
-        per instance is safe; the weak registry keeps the id stable across
-        stream calls without pinning dead instances in memory.
-        """
-        with self._lock:
-            entry = self._spec_registry.get(instance)
-            if entry is None:
-                entry = (self.new_spec_id(), InstanceSpec.from_instance(instance))
-                self._spec_registry[instance] = entry
-            return entry
 
     def _discard(self, futures: Iterable[Future]) -> None:
         """Cancel pending futures, worker-side included.

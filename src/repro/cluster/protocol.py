@@ -60,13 +60,13 @@ Message types
     mismatch is a :class:`ProtocolError`.
 ``SPEC``
     Coordinator -> worker: ``(spec_id, InstanceSpec)``.  Sent at most
-    once per spec per connection (the worker caches it, mirroring the
-    process pool's one-initializer-per-worker shipping); later ``TASK``
-    frames reference the id only.
+    once per spec id per connection (the worker caches it, as a process
+    pool worker caches the specs its chunks carry); later ``TASK`` frames
+    reference the id only.
 ``TASK``
     Coordinator -> worker: ``(task_id, kind, args)``.  Task kinds are the
-    shard bodies of :mod:`repro.runtime.shards` plus generic calls; see
-    :mod:`repro.cluster.worker`.
+    registered bodies of :mod:`repro.runtime.shards` plus ``ping`` and
+    ``cancel``; see :mod:`repro.cluster.worker`.
 ``RESULT``
     Worker -> coordinator: ``(task_id, result, events)``, where
     ``events`` carries the worker's trace events for a task that shipped
@@ -115,7 +115,8 @@ MAGIC = b"RCW1"
 #: Magic of *authenticated* frames (a 32-byte HMAC tag follows the payload).
 MAGIC_AUTH = b"RCA1"
 #: Bumped on incompatible wire changes; checked during the HELLO handshake.
-PROTOCOL_VERSION = 3
+#: Version 4 dropped the compile-only ball task kind.
+PROTOCOL_VERSION = 4
 #: Bytes of the HMAC-SHA256 tag appended to authenticated frames.
 TAG_BYTES = 32
 #: Environment variable both sides read for a default shared auth key.

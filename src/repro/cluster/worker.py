@@ -20,9 +20,12 @@ spec-bound kinds in the :data:`~repro.runtime.shards.TASK_REGISTRY` of
 for each chunk.  So a ``ball_marginals`` task runs exactly the body a pool
 worker runs and a ``chain_block`` task runs the same kernel-driven batched
 block: cluster results are bit-identical to both the process backend and
-the serial loop.  The spec crosses the wire at most once per connection and
-the ball cache of its reconstruction stays warm across tasks, like a
-pool worker's spec cache.
+the serial loop.  A spec crosses the wire at most once per connection
+and spec id -- one id per instance and compiled engine
+(:func:`~repro.runtime.shards.spec_for`), so a distribution reweighted in
+place arrives as a new spec -- and the ball cache of its reconstruction
+stays warm across tasks and calls, exactly as in a pool worker's spec
+cache (both evict by :func:`~repro.runtime.shards.cache_spec`).
 
 Task kinds
 ----------
@@ -30,8 +33,6 @@ Task kinds
 ``ball_marginals``
     ``{"spec_id", "tasks", "memo_cap"}`` -> the shard payload
     ``(marginals, balls, extras, memos)`` of the process backend.
-``compile_balls``
-    ``{"spec_id", "tasks"}`` -> ``{(center, radius): CompiledGibbs}``.
 ``chain_block``
     ``{"spec_id", "kernel", "count", "seeds", "initial"}`` -> final
     configurations of a batched block of chains of any registered
@@ -81,7 +82,7 @@ from typing import Optional, Tuple
 
 from repro import obs
 from repro.cluster import chaos, protocol
-from repro.runtime.shards import SPEC_CACHE_LIMIT, InstanceSpec, run_task
+from repro.runtime.shards import SPEC_CACHE_LIMIT, InstanceSpec, cache_spec, run_task
 
 _log = obs.get_logger("cluster.worker")
 
@@ -278,7 +279,7 @@ class ClusterWorker:
         tasks: "queue.Queue" = queue.Queue()
         runner = threading.Thread(
             target=self._run_tasks,
-            args=(tasks, specs, cancelled, send, faults),
+            args=(tasks, cancelled, send, faults),
             daemon=True,
         )
         runner.start()
@@ -292,12 +293,10 @@ class ClusterWorker:
                     self._reject(connection, send_lock, error, key)
                     return
                 if kind == protocol.SPEC:
-                    # FIFO eviction past SPEC_CACHE_LIMIT; queued tasks are
-                    # immune: the reader pins each task's spec at enqueue.
+                    # FIFO eviction (cache_spec); queued tasks are immune:
+                    # the reader pins each task's spec at enqueue.
                     spec_id, spec = payload
-                    specs[spec_id] = spec
-                    while len(specs) > SPEC_CACHE_LIMIT:
-                        specs.popitem(last=False)
+                    cache_spec(specs, spec_id, spec)
                 elif kind == protocol.TASK:
                     task_id, task_kind, args = payload
                     if task_kind == "cancel":
@@ -370,7 +369,7 @@ class ClusterWorker:
             )
 
     @staticmethod
-    def _run_tasks(tasks, specs, cancelled, send, faults=None) -> None:
+    def _run_tasks(tasks, cancelled, send, faults=None) -> None:
         """Runner thread: execute queued tasks in order, one at a time.
 
         Tasks whose id was cancelled by the coordinator are skipped without
@@ -398,13 +397,13 @@ class ClusterWorker:
                 if wire_ctx is not None:
                     result, events = obs.record_remote(
                         wire_ctx,
-                        lambda: run_task(kind, args, specs, spec=spec),
+                        lambda: run_task(kind, args, spec),
                         name="worker.task",
                         kind=kind,
                         task_id=task_id,
                     )
                 else:
-                    result, events = run_task(kind, args, specs, spec=spec), None
+                    result, events = run_task(kind, args, spec), None
             except Exception as error:
                 obs.log_event(
                     _log, logging.WARNING, "worker.task_failed",

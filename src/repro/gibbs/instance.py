@@ -33,6 +33,9 @@ class SamplingInstance:
         # (compiled engine, start codes) of the greedy feasible start, kept
         # by repro.sampling.glauber.greedy_start_codes.
         self._greedy_start = None
+        # (compiled engine, (spec id, InstanceSpec)), kept by
+        # repro.runtime.shards.spec_for.
+        self._spec = None
         if check_feasible and len(self.pinning) > 0:
             if not distribution.is_feasible(self.pinning):
                 raise ValueError("the pinning tau is infeasible for the distribution")

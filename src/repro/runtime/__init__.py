@@ -68,7 +68,6 @@ from repro.runtime.shards import (
     register_task,
     run_chain_blocks,
     stream_ball_marginal_tasks,
-    stream_compiled_balls,
     stream_padded_ball_marginals,
 )
 from repro.runtime.shm import (
@@ -104,6 +103,5 @@ __all__ = [
     "shm_available",
     "process_map",
     "stream_ball_marginal_tasks",
-    "stream_compiled_balls",
     "stream_padded_ball_marginals",
 ]

@@ -83,7 +83,6 @@ from repro.runtime.shards import (
     process_map,
     run_chain_blocks,
     stream_ball_marginal_tasks,
-    stream_compiled_balls,
     stream_padded_ball_marginals,
 )
 from repro.sampling.kernels import ChainKernel, resolve_kernel
@@ -897,35 +896,6 @@ class Runtime:
         use of partial results should iterate the stream instead.
         """
         return dict(self.stream_ball_marginals(instance, nodes, radius, engine=engine))
-
-    def warm_ball_cache(
-        self, instance: SamplingInstance, tasks: Sequence[Tuple[Node, int]]
-    ) -> int:
-        """Precompile ``(center, radius)`` balls into the distribution cache.
-
-        With the process or cluster backend the compilation streams in from
-        worker shards (duplicates are dropped); other backends compile
-        in-process.
-
-        Returns
-        -------
-        int
-            Number of distinct balls compiled.
-        """
-        if self._distributed and len(tasks) > 1:
-            return sum(
-                1
-                for _ in stream_compiled_balls(
-                    instance,
-                    tasks,
-                    transport=self._transport(),
-                )
-            )
-        unique = list(dict.fromkeys(tasks))
-        cache = instance.distribution.ball_cache()
-        for center, radius in unique:
-            cache.compiled_ball(center, radius)
-        return len(unique)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f", addresses={self.addresses!r}" if self.addresses else ""

@@ -12,12 +12,17 @@ that work out to workers:
   closures, which do not pickle; the spec instead carries the
   already-materialised dense tables of the compiled engine, from which a
   worker rebuilds an equal instance (:meth:`InstanceSpec.to_instance`).
+* :func:`spec_for` -- the one spec identity of both transports: an
+  instance's ``(spec_id, spec)``, memoised on the instance and tied to its
+  compiled engine, so repeated calls reuse one id (workers hit their spec
+  cache) and a distribution reweighted in place gets a new one.
+  :func:`cache_spec` is the one FIFO eviction rule of every spec cache.
 * :data:`TASK_REGISTRY` -- one ``(args, spec)`` body per task kind
-  (``ball_marginals``, ``compile_balls``, ``chain_block``), run unchanged
-  by pool workers, cluster workers and the in-process path.  Each body
-  runs the serial code on the spec's reconstruction.
+  (``ball_marginals``, ``chain_block``), run unchanged by pool workers,
+  cluster workers and the in-process path.  Each body runs the serial code
+  on the spec's reconstruction.
 * :func:`stream_ball_marginal_tasks` / :func:`stream_padded_ball_marginals`
-  / :func:`stream_compiled_balls` / :func:`run_chain_blocks` -- the front
+  / :func:`run_chain_blocks` -- the front
   ends, each written once: chunk the work, submit every chunk as
   ``(kind, payload)`` to a transport, and adopt each landed chunk's
   compiled balls, boundary extensions and capped marginal-memo deltas into
@@ -26,8 +31,8 @@ that work out to workers:
   overlap parent-side work with in-flight chunks, mirroring the
   barrier-free LOCAL model.  Each takes a required, live ``transport``,
   one of two kinds: a :class:`ForkPool` (the process backend's long-lived
-  pool; every chunk carries its call's spec id and packed spec, decoded
-  at most once per worker into a small spec cache) or a
+  pool; every chunk carries the instance's spec id and packed spec,
+  decoded only when the id misses the worker's small spec cache) or a
   :class:`~repro.cluster.coordinator.ClusterCoordinator`.  The worker
   count is the transport's own.  Both kinds of worker run
   :func:`run_task`.
@@ -302,41 +307,57 @@ def register_task(kind: str) -> Callable:
     return decorate
 
 
-#: Specs a worker keeps, oldest evicted first: per cluster connection (a
-#: coordinator normally streams one spec at a time, so this only matters
-#: for long-lived connections multiplexing many instances) and per pool
-#: worker (every pool call ships its spec under a fresh id).
+#: Specs a worker keeps, oldest evicted first: per cluster connection and
+#: per pool worker.  Spec ids are stable per instance (:func:`spec_for`),
+#: so this bounds how many distinct instances -- or reweightings of one --
+#: a worker holds at once.
 SPEC_CACHE_LIMIT = 4
 
 
-def run_task(kind: str, args, specs: Dict[int, InstanceSpec], spec=None):
-    """Execute one task body against a worker's spec cache.
+def cache_spec(cache: "OrderedDict[int, object]", spec_id: int, entry) -> List:
+    """Insert ``entry`` under ``spec_id`` in a FIFO spec cache.
+
+    The one eviction rule of every spec cache: a pool worker's, a cluster
+    connection's and the coordinator's mirror of the latter.  Past
+    :data:`SPEC_CACHE_LIMIT` entries the oldest go first.  The rule is
+    deterministic, so the coordinator replays a connection's evictions
+    exactly and knows when a spec must be shipped again.
+
+    Returns
+    -------
+    list
+        The evicted entries, oldest first.
+    """
+    cache[spec_id] = entry
+    evicted = []
+    while len(cache) > SPEC_CACHE_LIMIT:
+        evicted.append(cache.popitem(last=False)[1])
+    return evicted
+
+
+def run_task(kind: str, args, spec: Optional[InstanceSpec] = None):
+    """Execute one task body on its resolved spec.
 
     The one worker-side entry of both transports: a cluster worker calls it
     for every ``TASK`` frame, a pool worker for every chunk, and the
     coordinator's in-process fallback for tasks it runs itself.  ``spec``
-    is the snapshot the caller already resolved (the cluster reader pins it
-    to a task at enqueue time, so a task that waited in the queue while
-    later ``SPEC`` frames evicted its entry still runs); without it the
-    spec is looked up in ``specs`` by ``args["spec_id"]``.
+    is the snapshot the caller resolved from its spec cache (the cluster
+    reader pins it to a task at enqueue time, so a task that waited in the
+    queue while later ``SPEC`` frames evicted its entry still runs); a
+    spec-bound kind without one names the unknown ``args["spec_id"]``.
     """
     if kind == "ping":
         return args
+    from repro.cluster.protocol import ProtocolError
+
     body = TASK_REGISTRY.get(kind)
     if body is None:
-        from repro.cluster.protocol import ProtocolError
-
         raise ProtocolError(f"unknown task kind {kind!r}")
     if spec is None:
-        spec_id = args["spec_id"]
-        spec = specs.get(spec_id)
-        if spec is None:
-            from repro.cluster.protocol import ProtocolError
-
-            raise ProtocolError(
-                f"task references unknown spec {spec_id!r}; "
-                "the coordinator must send SPEC before TASK"
-            )
+        raise ProtocolError(
+            f"task references unknown spec {args.get('spec_id')!r}; "
+            "the coordinator must send SPEC before TASK"
+        )
     return body(args, spec=spec)
 
 
@@ -369,13 +390,6 @@ def _ball_marginals_task(args: Dict, spec: InstanceSpec):
         memo_cap=args["memo_cap"],
     )
     return (marginals, *exported)
-
-
-@register_task("compile_balls")
-def _compile_balls_task(args: Dict, spec: InstanceSpec):
-    """Registered body: compile one chunk of ``(center, radius)`` balls."""
-    cache = spec.to_instance().distribution.ball_cache()
-    return {key: cache.compiled_ball(*key) for key in args["tasks"]}
 
 
 def advance_block(
@@ -461,11 +475,9 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
 # ----------------------------------------------------------------------
 # pool workers: a per-process spec cache in front of run_task
 # ----------------------------------------------------------------------
-#: A pool worker's decoded specs by spec id, oldest first.
-_WORKER_SPECS: "OrderedDict[int, InstanceSpec]" = OrderedDict()
-
-#: The shared-memory segments each cached spec maps, closed on eviction.
-_WORKER_SEGMENTS: Dict[int, Tuple[str, ...]] = {}
+#: A pool worker's decoded specs by spec id, oldest first, each beside the
+#: shared-memory segments it maps.
+_WORKER_SPECS: "OrderedDict[int, Tuple[InstanceSpec, Tuple[str, ...]]]" = OrderedDict()
 
 
 def _worker_spec(spec_id: int, wire: bytes) -> InstanceSpec:
@@ -473,26 +485,25 @@ def _worker_spec(spec_id: int, wire: bytes) -> InstanceSpec:
 
     ``wire`` is the pickled spec, or under ``transport="shm"`` a pickled
     :class:`_ShmSpec` whose arrays become zero-copy views of the owner's
-    segment.  The ball cache of the spec's reconstruction stays warm
-    across the chunks of one call.  Past :data:`SPEC_CACHE_LIMIT` specs the oldest is dropped and
-    its segment mappings are closed.
+    segment.  A hit reuses the worker's own restored spec -- and the warm
+    ball cache and compiled engine of its reconstruction -- across the
+    chunks of one call and across calls on one instance; its mapping
+    outlives the owner's unlink of that call's pack.  An evicted spec's
+    segment mappings are closed (:func:`cache_spec`).
     """
-    spec = _WORKER_SPECS.get(spec_id)
-    if spec is None:
-        spec = pickle.loads(wire)
+    entry = _WORKER_SPECS.get(spec_id)
+    if entry is None:
+        spec, segments = pickle.loads(wire), ()
         if isinstance(spec, _ShmSpec):
-            _WORKER_SEGMENTS[spec_id] = spec.segments()
+            segments = spec.segments()
             spec = spec.restore()
-        _WORKER_SPECS[spec_id] = spec
-        while len(_WORKER_SPECS) > SPEC_CACHE_LIMIT:
-            oldest = next(iter(_WORKER_SPECS))
-            del _WORKER_SPECS[oldest]
-            segments = _WORKER_SEGMENTS.pop(oldest, ())
-            if segments:
+        entry = (spec, segments)
+        for _, stale in cache_spec(_WORKER_SPECS, spec_id, entry):
+            if stale:
                 from repro.runtime import shm
 
-                shm.detach(segments)
-    return spec
+                shm.detach(stale)
+    return entry[0]
 
 
 #: Seconds between a pool worker's checks that its owner is still alive.
@@ -521,7 +532,7 @@ def _start_pool_worker(owner: int) -> None:
 
 def _pool_chunk(spec_id: int, wire: bytes, kind: str, args: Dict):
     """Pool-worker entry of an untraced call: :func:`run_task` on the spec."""
-    return run_task(kind, args, _WORKER_SPECS, _worker_spec(spec_id, wire))
+    return run_task(kind, args, _worker_spec(spec_id, wire))
 
 
 def _traced_chunk(spec_id: int, wire: bytes, kind: str, args: Dict, size: int, ctx):
@@ -535,7 +546,7 @@ def _traced_chunk(spec_id: int, wire: bytes, kind: str, args: Dict, size: int, c
     spec = _worker_spec(spec_id, wire)
     return obs.record_remote(
         ctx,
-        lambda: run_task(kind, args, _WORKER_SPECS, spec),
+        lambda: run_task(kind, args, spec),
         name="shards.chunk",
         proc="pool-worker",
         kind=kind,
@@ -547,11 +558,12 @@ class ForkPool:
     """A process pool of ``n_workers``, forked on first use and kept until
     :meth:`shutdown` -- the process backend's transport.
 
-    Workers hold no per-call state: every chunk carries its call's spec id
-    and packed spec (``transport`` says how the spec is packed), and a
-    worker decodes a spec only when its id is missing from the worker's
-    spec cache.  So one pool serves any number of calls on any instances,
-    and a call neither forks nor joins.
+    Workers hold no per-call state: every chunk carries its instance's
+    spec id (:func:`spec_for`) and packed spec (``transport`` says how the
+    spec is packed), and a worker decodes a spec only when its id is
+    missing from the worker's spec cache -- so repeated calls on one
+    instance decode it once per worker.  One pool serves any number of
+    calls on any instances, and a call neither forks nor joins.
     :class:`~repro.runtime.executor.Runtime` owns one per process runtime
     and passes it to the front ends as their ``transport``; ``n_workers``
     is then the width of every call on it.  A one-worker pool never
@@ -653,29 +665,53 @@ class _InProcess(_Session):
         pass
 
 
-#: Spec ids of pool calls: fresh per call, so a worker's cache never
-#: confuses the specs of two calls.
+#: The one spec-id counter of the process.  Ids are never reused, so no
+#: worker's spec cache -- a pool worker's or a cluster connection's --
+#: confuses two specs.
 _SPEC_IDS = itertools.count(1)
+
+
+def spec_for(instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
+    """The ``(spec_id, spec)`` of an instance: one identity for both transports.
+
+    Memoised on the instance and tied to the compiled engine the spec was
+    built from -- the rule of
+    :func:`~repro.sampling.glauber.greedy_start_codes`.  Repeated calls on
+    an unchanged instance reuse one id, so pool workers and cluster
+    connections hit their spec cache instead of decoding the spec again.
+    A distribution reweighted in place
+    (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors`)
+    has a new compiled engine, so it gets a new id and a new spec, and no
+    worker ever samples the old weights.  Threads racing on a first call
+    may each build an entry; both are correct, and the last one is kept.
+    """
+    compiled = instance.distribution.compiled_engine()
+    memo = instance._spec
+    if memo is not None and memo[0] is compiled:
+        return memo[1]
+    entry = (next(_SPEC_IDS), InstanceSpec.from_instance(instance))
+    instance._spec = (compiled, entry)
+    return entry
 
 
 class _PoolSession(_Session):
     """One call on a :class:`ForkPool` (see :func:`_session`).
 
-    The call's spec is packed (:func:`_spec_wire`) and pickled once, as
-    ``wire``, under a fresh spec id, and every chunk carries both (plus the
-    parent's trace context when the call is traced).  A
+    The instance's spec is packed (:func:`_spec_wire`) and pickled once per
+    call, as ``wire``, and every chunk carries it with the spec id of
+    :func:`spec_for` (plus the parent's trace context when the call is
+    traced); a worker that already holds the id ignores the wire.  A
     ``BrokenProcessPool`` -- a worker died -- fails the call and drops the
     pool, so the next call forks a new one.
     """
 
-    def __init__(self, pool: ForkPool, spec: InstanceSpec) -> None:
+    def __init__(self, pool: ForkPool, entry: Tuple[int, InstanceSpec]) -> None:
         self.pool = pool
-        self.spec = spec
+        self.spec_id, self.spec = entry
         # Fork before packing: a worker forked while a pack is live keeps
         # the parent's mapping of that segment for life.
         self.executor = pool.executor()
-        wire, self.spec_pack = _spec_wire(spec, pool.transport)
-        self.spec_id = next(_SPEC_IDS)
+        wire, self.spec_pack = _spec_wire(self.spec, pool.transport)
         self.wire = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
         self.ctx = obs.wire_context()
 
@@ -718,15 +754,15 @@ class _PoolSession(_Session):
 class _ClusterSession(_Session):
     """A :class:`~repro.cluster.coordinator.ClusterCoordinator` as transport.
 
-    Tasks carry the instance's memoised spec id; the coordinator ships the
+    Tasks carry the spec id of :func:`spec_for`; the coordinator ships the
     spec to each worker connection once, requeues the tasks of dead
     workers, and cancels abandoned ones worker-side.
     """
 
-    def __init__(self, coordinator, instance: SamplingInstance) -> None:
+    def __init__(self, coordinator, entry: Tuple[int, InstanceSpec]) -> None:
         self.coordinator = coordinator
-        self.entry = coordinator._spec_for(instance)
-        self.spec = self.entry[1]
+        self.entry = entry
+        self.spec = entry[1]
 
     def submit(self, kind: str, args: Dict, size: int) -> Future:
         return self.coordinator.submit_task(
@@ -750,22 +786,23 @@ def _session(transport, instance: SamplingInstance, n_chunks: int):
 
     ``transport`` is a :class:`ForkPool` or a cluster coordinator; the
     session only borrows it and never starts or stops workers beyond the
-    pool's own fork on first use.  On a pool the call's spec is packed
-    once -- its dense arrays as shared-memory descriptors under ``"shm"``,
-    falling back to pickle when shared memory is unavailable -- and
-    shipped with every chunk under a fresh spec id
-    (:class:`_PoolSession`).  One chunk or a one-worker pool runs
-    in-process instead, so that pool never forks.  Every segment the call
-    created is unlinked when the session closes.
+    pool's own fork on first use.  Every branch runs on the instance's
+    :func:`spec_for` entry.  On a pool the spec is packed once per call --
+    its dense arrays as shared-memory descriptors under ``"shm"``, falling
+    back to pickle when shared memory is unavailable -- and shipped with
+    every chunk under the instance's spec id (:class:`_PoolSession`).  One
+    chunk or a one-worker pool runs in-process instead, so that pool never
+    forks.  Every segment the call created is unlinked when the session
+    closes.
     """
+    entry = spec_for(instance)
     if not isinstance(transport, ForkPool):
-        yield _ClusterSession(transport, instance)
+        yield _ClusterSession(transport, entry)
         return
-    spec = InstanceSpec.from_instance(instance)
     if n_chunks <= 1 or transport.n_workers <= 1:
-        yield _InProcess(spec)
+        yield _InProcess(entry[1])
         return
-    session = _PoolSession(transport, spec)
+    session = _PoolSession(transport, entry)
     try:
         yield session
     finally:
@@ -950,32 +987,6 @@ def stream_padded_ball_marginals(
         transport=transport,
     ):
         yield center, marginal
-
-
-def stream_compiled_balls(
-    instance: SamplingInstance,
-    tasks: Sequence[BallKey],
-    chunk_size: Optional[int] = None,
-    *,
-    transport,
-) -> Iterator[Tuple[BallKey, CompiledGibbs]]:
-    """Stream ``(center, radius)`` ball compilations from the workers.
-
-    Duplicate tasks are dropped; each chunk of compiled balls is adopted
-    into the distribution's :class:`~repro.engine.cache.BallCache` and
-    yielded the moment it completes, so the parent can start querying early
-    balls while later ones are still compiling.  ``transport`` is as for
-    :func:`stream_ball_marginal_tasks`.
-    """
-    tasks = list(dict.fromkeys(tasks))
-    if not tasks:
-        return
-    cache = instance.distribution.ball_cache()
-    for compiled in _stream(
-        instance, "compile_balls", tasks, chunk_size, transport
-    ):
-        cache.adopt(balls=compiled)
-        yield from compiled.items()
 
 
 def run_chain_blocks(

@@ -81,12 +81,12 @@ def greedy_feasible_configuration(
 def greedy_start_codes(instance: SamplingInstance) -> np.ndarray:
     """The compiled greedy start as a read-only code vector, memoised.
 
-    The construction is deterministic and draws no randomness, and an
-    instance's distribution and pinning are immutable, so the codes are
-    kept on the instance beside its free nodes.  The memo is tied to the
-    compiled engine it was built from: a distribution reweighted in place
-    (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors`)
-    gets a fresh start.  A stuck construction caches nothing, so it raises
+    The construction is deterministic and draws no randomness, so the
+    codes are kept on the instance, tied to the compiled engine they were
+    built from.  An instance's pinning is fixed, but its distribution may
+    be reweighted in place
+    (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors`),
+    which builds a new compiled engine and so gets a fresh start.  A stuck construction caches nothing, so it raises
     the same ``RuntimeError`` on every call.
     """
     compiled = instance.distribution.compiled_engine()

@@ -25,6 +25,7 @@ JSON they are spelled ``"row,col"`` (pinning keys) and encoded as
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
@@ -124,26 +125,33 @@ def _build_distribution(family: str, graph, payload):
         two_spin_model,
     )
 
+    def real(name: str, default: Optional[float] = None) -> float:
+        # JSON admits NaN and +/-Infinity; a model built on one samples garbage.
+        value = float(payload[name] if default is None else payload.get(name, default))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        return value
+
     try:
         if family == "hardcore":
-            return hardcore_model(graph, fugacity=float(payload.get("fugacity", 1.0)))
+            return hardcore_model(graph, fugacity=real("fugacity", 1.0))
         if family == "coloring":
             return coloring_model(graph, num_colors=int(payload["num_colors"]))
         if family == "two-spin":
             return two_spin_model(
                 graph,
-                beta=float(payload["beta"]),
-                gamma=float(payload["gamma"]),
-                field=float(payload.get("field", 1.0)),
+                beta=real("beta"),
+                gamma=real("gamma"),
+                field=real("field", 1.0),
             )
         if family == "ising":
             return ising_model(
                 graph,
-                interaction=float(payload["interaction"]),
-                external_field=float(payload.get("external_field", 0.0)),
+                interaction=real("interaction"),
+                external_field=real("external_field", 0.0),
             )
         if family == "matching":
-            return matching_model(graph, edge_weight=float(payload.get("edge_weight", 1.0)))
+            return matching_model(graph, edge_weight=real("edge_weight", 1.0))
     except KeyError as error:
         raise RegistryError(f"model family {family!r} is missing parameter {error}")
     except (TypeError, ValueError, OverflowError) as error:

@@ -22,7 +22,9 @@ Endpoints
 ``POST /v1/marginal``
     ``{"model", "radius", "nodes"?, "deadline_ms"?}`` -> a chunked
     ndjson stream of ``{"node", "marginal"}`` lines, one per completed
-    shard of :meth:`Runtime.stream_ball_marginals`.
+    shard of :meth:`Runtime.stream_ball_marginals`.  Once the deadline
+    passes the stream stops, its pending shards are cancelled, and it
+    ends with an ``{"error": ...}`` line.
 ``GET /v1/models`` / ``PUT /v1/models/<name>``
     List / declaratively register models.
 ``GET /v1/healthz``
@@ -39,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import time
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import obs
@@ -485,6 +488,8 @@ class SamplingServer:
             unknown = [node for node in nodes if node not in free]
             if unknown:
                 raise HttpError(400, f"nodes not free in {name!r}: {unknown!r}")
+        deadline = self._deadline(payload)
+        started = time.monotonic()
         request_id = new_request_id()
         handle = obs.active()
         loop = asyncio.get_running_loop()
@@ -492,14 +497,20 @@ class SamplingServer:
         _END = object()
 
         def pump() -> None:
+            stream = coalescer.runtime.stream_ball_marginals(instance, nodes, radius)
             try:
-                for node, marginal in coalescer.runtime.stream_ball_marginals(
-                    instance, nodes, radius
-                ):
+                for node, marginal in stream:
+                    if deadline is not None and time.monotonic() - started > deadline:
+                        raise TimeoutError(
+                            f"deadline of {deadline * 1000.0:g} ms exceeded; "
+                            "pending shards cancelled"
+                        )
                     loop.call_soon_threadsafe(queue.put_nowait, (node, marginal))
                 loop.call_soon_threadsafe(queue.put_nowait, _END)
             except Exception as error:  # surfaced as the stream's last line
                 loop.call_soon_threadsafe(queue.put_nowait, error)
+            finally:
+                stream.close()  # cancels the shards still pending
 
         with obs.span(
             "serve.request",
@@ -508,9 +519,6 @@ class SamplingServer:
             radius=radius,
             request_id=request_id,
         ):
-            import time as _time
-
-            started = _time.monotonic()
             first = True
             # On the thread that runs this model's samples: one thread
             # per instance.
@@ -522,6 +530,8 @@ class SamplingServer:
                     if item is _END:
                         break
                     if isinstance(item, Exception):
+                        if isinstance(item, TimeoutError):
+                            self._count_rejection(504)
                         line = {"error": f"{type(item).__name__}: {item}"}
                         await write_chunk(
                             writer, json.dumps(line).encode("utf-8") + b"\n"
@@ -530,7 +540,7 @@ class SamplingServer:
                     node, marginal = item
                     if first and handle is not None:
                         handle.metrics.histogram("serve.ttfr_seconds").observe(
-                            _time.monotonic() - started
+                            time.monotonic() - started
                         )
                     first = False
                     line = {

@@ -122,7 +122,7 @@ def submit_test_task(monkeypatch):
     """
     import time
 
-    from repro.runtime.shards import TASK_REGISTRY
+    from repro.runtime.shards import TASK_REGISTRY, spec_for
 
     monkeypatch.setitem(
         TASK_REGISTRY, "test-sleep", lambda args, spec: time.sleep(args["seconds"])
@@ -131,7 +131,7 @@ def submit_test_task(monkeypatch):
     instance = SamplingInstance(hardcore_model(cycle_graph(4), fugacity=1.0))
 
     def submit(coordinator, kind, **args):
-        entry = coordinator._spec_for(instance)
+        entry = spec_for(instance)
         return coordinator.submit_task(kind, dict(args, spec_id=entry[0]), spec=entry)
 
     return submit

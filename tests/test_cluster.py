@@ -41,10 +41,9 @@ from repro.runtime import (
     resolve_runtime,
     run_chain_blocks,
     stream_ball_marginal_tasks,
-    stream_compiled_balls,
     stream_padded_ball_marginals,
 )
-from repro.runtime.shards import InstanceSpec
+from repro.runtime.shards import InstanceSpec, spec_for
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +178,11 @@ class TestProtocol:
         # Version 2 still carried the generic ``call`` kind.
         with pytest.raises(protocol.ProtocolError, match="version"):
             protocol.check_hello({"role": "worker", "version": 2}, "worker")
+
+    def test_hello_rejects_a_version_3_peer(self):
+        # Version 3 still carried the compile-only ball task kind.
+        with pytest.raises(protocol.ProtocolError, match="version"):
+            protocol.check_hello({"role": "worker", "version": 3}, "worker")
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
@@ -398,24 +402,11 @@ class TestClusterStreams:
         assert streamed == serial
         assert len(distribution.ball_cache()._compiled) > 0
 
-    def test_stream_compiled_balls_adopts_into_cache(self, inprocess_workers):
-        distribution = hardcore_model(random_tree(14, seed=4), 1.1)
-        instance = SamplingInstance(distribution)
-        tasks = [(node, 2) for node in list(distribution.nodes)[:5]]
-        with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
-            balls = dict(stream_compiled_balls(instance, tasks, transport=coordinator))
-        assert set(balls) == set(tasks)
-        cache = distribution.ball_cache()
-        for key, ball in balls.items():
-            assert cache.compiled_ball(*key) is ball
-
     def test_empty_streams(self, inprocess_workers):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
             marginals = stream_ball_marginal_tasks(instance, [], transport=coordinator)
-            balls = stream_compiled_balls(instance, [], transport=coordinator)
             assert list(marginals) == []
-            assert list(balls) == []
 
     def test_failed_shard_surfaces_clean_error(self, inprocess_workers):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
@@ -484,6 +475,31 @@ class TestClusterStreams:
             # One instance, one spec id, shipped to the connection once.
             assert len(coordinator.workers[0].specs) == 1
         assert set(first) == set(second) == set(instance.free_nodes)
+
+    def test_spec_is_reshipped_after_update_factors(self, inprocess_workers):
+        distribution = hardcore_model(cycle_graph(9), 1.1)
+        instance = SamplingInstance(distribution, {0: 0})
+        with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
+            dict(
+                stream_padded_ball_marginals(
+                    instance, instance.free_nodes, 1, transport=coordinator
+                )
+            )
+            distribution.update_factors(hardcore_model(cycle_graph(9), 4.0).factors)
+            serial = {
+                node: padded_ball_marginal(instance, node, 1)
+                for node in instance.free_nodes
+            }
+            distribution.ball_cache().clear()
+            streamed = dict(
+                stream_padded_ball_marginals(
+                    instance, instance.free_nodes, 1, transport=coordinator
+                )
+            )
+            # The reweight built a new compiled engine: a new spec id, so
+            # the connection received the new weights as a second spec.
+            assert len(coordinator.workers[0].specs) == 2
+        assert streamed == serial
 
     def test_spec_evicted_by_worker_cache_is_reshipped(self, inprocess_workers):
         from repro.cluster.worker import SPEC_CACHE_LIMIT
@@ -619,14 +635,24 @@ class TestClusterRuntimeFacade:
     # The every-kernel run_chains sweep on the cluster backend lives in
     # the conformance harness (tests/test_conformance.py).
 
-    def test_warm_ball_cache(self, inprocess_workers):
-        distribution = hardcore_model(cycle_graph(8), 1.0)
+    def test_run_chains_after_update_factors_equals_batched(self, inprocess_workers):
+        distribution = hardcore_model(cycle_graph(30), 1.0)
         instance = SamplingInstance(distribution)
-        tasks = [(node, 1) for node in list(distribution.nodes)[:4]] + [(0, 1)]
-        with Runtime("cluster", addresses=_addresses(inprocess_workers)) as runtime:
-            assert runtime.warm_ball_cache(instance, tasks) == 4
-        cache = distribution.ball_cache()
-        assert all(key in cache._compiled for key in dict.fromkeys(tasks))
+        batched = Runtime("batched", n_chains=16)
+        with Runtime(
+            "cluster",
+            addresses=_addresses(inprocess_workers),
+            n_chains=16,
+            inline_threshold=0,
+        ) as runtime:
+            before = runtime.run_chains("glauber", instance, 200, seed=3)
+            assert before == batched.run_chains("glauber", instance, 200, seed=3)
+            # Reweight in place: the workers must not keep sampling the
+            # spec of the old weights.
+            distribution.update_factors(hardcore_model(cycle_graph(30), 40.0).factors)
+            after = runtime.run_chains("glauber", instance, 200, seed=3)
+        assert after == batched.run_chains("glauber", instance, 200, seed=3)
+        assert after != before
 
     def test_abandoned_stream_then_shutdown_releases_cleanly(self, inprocess_workers):
         distribution = coloring_model(cycle_graph(10), 3)
@@ -711,7 +737,7 @@ class TestLocalWorkerPool:
                 # behind it are *guaranteed* to still be in flight when we
                 # kill it (without this, fast workers can drain everything
                 # before the kill).
-                spec_id, _ = entry = coordinator._spec_for(instance)
+                spec_id, _ = entry = spec_for(instance)
                 coordinator.submit_task(
                     "chain_block",
                     {

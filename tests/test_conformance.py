@@ -14,8 +14,7 @@ plus a PackedBatch row per kernel: many instances packed into one padded
 code matrix (fused and mixed-alphabet-fallback shapes alike) stay
 bit-identical per group to their solo runs.  The spec-bound task kinds
 get rows on every backend too: ``Runtime.ball_marginals``
-(``ball_marginals`` tasks), ``Runtime.warm_ball_cache`` followed by
-marginals that only hit the cache (``compile_balls``), and
+(``ball_marginals`` tasks) and
 ``jvv_chain_stats`` states and failure counts (``chain_block`` with
 ``stats``), each against the serial backend.
 A new kernel registered via ``register_kernel`` -- or a new backend added
@@ -207,26 +206,6 @@ def test_ball_marginals_conform(conformance_runtime):
             f"ball marginals diverge on the {conformance_runtime.backend!r} "
             f"backend ({label})"
         )
-
-
-def test_warmed_ball_cache_serves_marginals_as_hits(conformance_runtime):
-    """The ``compile_balls`` kind: warm_ball_cache adopts every padded ball,
-    so the serial marginals that follow compile nothing and stay equal."""
-    reference = _serial_ball_marginals()
-    for label, instance in _ball_instances():
-        locality = instance.distribution.locality()
-        tasks = [(node, BALL_RADIUS + locality) for node in instance.free_nodes]
-        assert conformance_runtime.warm_ball_cache(instance, tasks) == len(tasks)
-        cache = instance.distribution.ball_cache()
-        before = cache.stats()
-        observed = {
-            node: padded_ball_marginal(instance, node, BALL_RADIUS)
-            for node in instance.free_nodes
-        }
-        after = cache.stats()
-        assert observed == reference[label]
-        assert after["compiles"] == before["compiles"], label
-        assert after["hits"] - before["hits"] == len(tasks), label
 
 
 def test_jvv_chain_stats_conform(conformance_runtime, conformance_chains):

@@ -36,11 +36,18 @@ from repro.runtime import (
     chain_seed_sequences,
     resolve_runtime,
     stream_ball_marginal_tasks,
-    stream_compiled_balls,
     stream_padded_ball_marginals,
 )
 from repro.runtime.chains import ChainUniforms
-from repro.runtime.shards import TASK_REGISTRY, ForkPool, _chunk_target, _chunk_tasks
+from repro.runtime.shards import (
+    SPEC_CACHE_LIMIT,
+    TASK_REGISTRY,
+    ForkPool,
+    _chunk_target,
+    _chunk_tasks,
+    cache_spec,
+    spec_for,
+)
 from repro.sampling import registered_kernels
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 from repro.sampling.kernels import RNG_CHUNK
@@ -318,6 +325,33 @@ class TestSpecEquivalence:
         )
 
 
+class TestSpecIdentity:
+    """``spec_for``: one spec id per instance and compiled engine."""
+
+    def test_one_id_per_instance_and_a_new_one_after_update_factors(self):
+        distribution = hardcore_model(cycle_graph(8), 1.0)
+        instance = SamplingInstance(distribution, {0: 0})
+        spec_id, spec = spec_for(instance)
+        assert spec_for(instance) == (spec_id, spec)
+        other_id, _ = spec_for(SamplingInstance(distribution, {0: 0}))
+        assert other_id != spec_id  # identity is per instance, never hashed
+        distribution.update_factors(hardcore_model(cycle_graph(8), 5.0).factors)
+        new_id, new_spec = spec_for(instance)
+        assert new_id not in (spec_id, other_id)
+        arrays = distribution.compiled_engine().arrays
+        assert all(np.array_equal(a, b) for a, b in zip(new_spec.arrays, arrays))
+        assert spec_for(instance) == (new_id, new_spec)
+
+    def test_cache_spec_evicts_oldest_first(self):
+        from collections import OrderedDict
+
+        cache = OrderedDict()
+        for spec_id in range(SPEC_CACHE_LIMIT):
+            assert cache_spec(cache, spec_id, f"spec-{spec_id}") == []
+        assert cache_spec(cache, 99, "spec-99") == ["spec-0"]
+        assert list(cache) == list(range(1, SPEC_CACHE_LIMIT)) + [99]
+
+
 def _padded_balls(cache):
     """A ball cache's compiled balls as comparable plain data."""
     return {
@@ -532,7 +566,6 @@ class TestStreamingMerge:
         pool = ForkPool(2)
         try:
             assert list(stream_ball_marginal_tasks(instance, [], transport=pool)) == []
-            assert list(stream_compiled_balls(instance, [], transport=pool)) == []
         finally:
             pool.shutdown()
 
@@ -632,16 +665,6 @@ class TestProcessPool:
         assert sharded == serial
         # Worker compilations were merged back into the parent cache.
         assert len(distribution.ball_cache()._compiled) > 0
-
-    def test_stream_compiled_balls_warms_cache(self, pool):
-        distribution = hardcore_model(random_tree(16, seed=1), 1.0)
-        instance = SamplingInstance(distribution)
-        tasks = [(node, 2) for node in list(distribution.nodes)[:6]]
-        balls = dict(stream_compiled_balls(instance, tasks, transport=pool))
-        assert set(balls) == set(tasks)
-        cache = distribution.ball_cache()
-        for center, radius in tasks:
-            assert cache.compiled_ball(center, radius) is balls[(center, radius)]
 
     def test_truncated_ball_inference_process_runtime(self):
         distribution = hardcore_model(random_tree(15, seed=8), 1.3)
@@ -1103,6 +1126,41 @@ class TestPersistentForkPool:
                 assert len(_mapped_segments(pid)) <= SPEC_CACHE_LIMIT + 1
         assert shm.live_segment_names() == []
 
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_run_chains_after_update_factors_equals_batched(self, transport):
+        distribution = hardcore_model(cycle_graph(30), 1.0)
+        instance = SamplingInstance(distribution)
+        batched = Runtime("batched", n_chains=16)
+        with Runtime(
+            "process", n_chains=16, n_workers=2, transport=transport, inline_threshold=0
+        ) as runtime:
+            before = runtime.run_chains("glauber", instance, 200, seed=3)
+            assert before == batched.run_chains("glauber", instance, 200, seed=3)
+            # Reweight in place: the next call must sample the new weights.
+            distribution.update_factors(hardcore_model(cycle_graph(30), 40.0).factors)
+            after = runtime.run_chains("glauber", instance, 200, seed=3)
+        assert after == batched.run_chains("glauber", instance, 200, seed=3)
+        assert after != before
+
+    def test_repeated_calls_on_one_instance_map_its_spec_once(self):
+        from repro.runtime import shm
+
+        instance = self._instance(0)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
+        ) as runtime:
+            for _ in range(6):
+                assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+            pids = _worker_pids(runtime)
+            if not os.path.isdir(f"/proc/{next(iter(pids))}"):
+                pytest.skip("no /proc to read worker mappings from")
+            # One stable spec id: each worker restored the spec at most
+            # once and hit its spec cache on every later call.
+            for pid in pids:
+                assert len(_mapped_segments(pid)) <= 1
+        assert shm.live_segment_names() == []
+
     def test_killed_worker_fails_the_call_and_the_next_call_forks_again(self):
         import signal
 
@@ -1517,7 +1575,7 @@ class TestKernelRunChains:
     def test_chain_block_task_registered(self):
         from repro.runtime import TASK_REGISTRY
 
-        assert {"ball_marginals", "compile_balls", "chain_block"} <= set(TASK_REGISTRY)
+        assert {"ball_marginals", "chain_block"} <= set(TASK_REGISTRY)
 
     def test_chain_block_body_matches_serial(self):
         from repro.runtime.shards import _chain_block_task

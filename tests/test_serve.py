@@ -526,6 +526,8 @@ class TestRegistryEndpoints:
                 [{"model": "hc", "radius": 1}],
                 "hc",
                 {"model": "hc", "radius": 1e400},
+                {"model": "hc", "radius": 1, "deadline_ms": "nan"},
+                {"model": "hc", "radius": 1, "deadline_ms": -3},
             ]
             for payload in marginal_cases:
                 status, response = await request_json(
@@ -574,6 +576,8 @@ class TestRegistryEndpoints:
         _serve(body)
 
     def test_invalid_registrations_are_400(self):
+        cycle = {"kind": "cycle", "n": 5}
+
         async def body(host, port, server):
             cases = [
                 ("bad..name!!", {"family": "hardcore", "graph": {"kind": "cycle", "n": 5}}),
@@ -582,6 +586,13 @@ class TestRegistryEndpoints:
                 ("ok", {"family": "coloring", "graph": {"kind": "cycle", "n": 5}}),
                 ("ok", {"family": "hardcore"}),
                 ("ok", []),
+                # JSON's non-finite numbers (Python's json emits and accepts
+                # NaN, Infinity and -Infinity).
+                ("ok", {"family": "ising", "graph": cycle, "interaction": math.inf}),
+                ("ok", {"family": "ising", "graph": cycle, "interaction": -math.inf}),
+                ("ok", {"family": "hardcore", "graph": cycle, "fugacity": math.nan}),
+                ("ok", {"family": "matching", "graph": cycle, "edge_weight": math.inf}),
+                ("ok", {"family": "hardcore", "graph": cycle, "fugacity": "Infinity"}),
             ]
             for name, payload in cases:
                 status, response = await request_json(
@@ -672,6 +683,38 @@ class TestMarginalEndpoint:
         _serve(body, cross_model=cross_model)
         assert len(threads["sample"]) == 1
         assert threads["marginal"] == threads["sample"]
+
+    def test_marginal_stream_stops_at_its_deadline(self, monkeypatch):
+        import repro.inference.ssm_inference as ssm_inference
+
+        computed = []
+        original = ssm_inference.padded_ball_marginal
+
+        def counted(instance, center, radius, **kwargs):
+            computed.append(center)
+            return original(instance, center, radius, **kwargs)
+
+        monkeypatch.setattr(ssm_inference, "padded_ball_marginal", counted)
+
+        async def body(host, port, server):
+            # A deadline of one microsecond on a large radius has passed by
+            # the time the first ball lands: the stream stops there and ends
+            # with its error line instead of computing the other balls.
+            status, lines = await request_ndjson(
+                host,
+                port,
+                "/v1/marginal",
+                {"model": "hc", "radius": 6, "deadline_ms": 0.001},
+            )
+            assert status == 200
+            assert len(lines) == 1 and "deadline" in lines[0]["error"], lines
+            assert len(computed) == 1, computed
+            status, lines = await request_ndjson(
+                host, port, "/v1/marginal", {"model": "hc", "radius": 1}
+            )
+            assert status == 200 and len(lines) == 9
+
+        _serve(body)
 
     def test_marginal_validation_errors(self):
         async def body(host, port, server):

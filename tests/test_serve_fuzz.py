@@ -67,6 +67,10 @@ BAD_NUMBERS = [
     -(10**30),
 ]
 
+#: JSON's non-finite numbers (``NaN``, ``Infinity``, ``-Infinity``) and
+#: their string spellings: never a valid model parameter.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), "nan", "inf", "-inf"]
+
 #: Malformed deadlines (never a value the server would coerce to a
 #: positive finite number of milliseconds).
 BAD_DEADLINES = [
@@ -157,6 +161,7 @@ def _marginal_body(rng: np.random.Generator):
     fields = {
         "model": lambda: _pick(rng, ["nope", 3, None, []] + GARBAGE_STRINGS),
         "radius": lambda: _pick(rng, BAD_NUMBERS),
+        "deadline_ms": lambda: _pick(rng, BAD_DEADLINES),
         "nodes": lambda: _pick(
             rng,
             [
@@ -207,7 +212,10 @@ def _model_body(rng: np.random.Generator):
         "fugacity": lambda: _pick(rng, BAD_NUMBERS),
         "num_colors": lambda: _pick(rng, BAD_NUMBERS + [0]),
         "beta": lambda: _pick(rng, BAD_NUMBERS),
+        "gamma": lambda: _pick(rng, NON_FINITE),
         "interaction": lambda: _pick(rng, BAD_NUMBERS),
+        "external_field": lambda: _pick(rng, NON_FINITE),
+        "edge_weight": lambda: _pick(rng, NON_FINITE),
         "pinning": lambda: _pick(
             rng, [[], "0", {"99": 1}, {"0": 7}, {"0": [1]}, {"0": None}]
         ),
