@@ -9,7 +9,11 @@ the experiment suite:
 * ``ssm_inference`` -- :class:`TruncatedBallInference` marginals at every
   node over several rounds (the Theorem 5.1 workload; the ball-compilation
   cache makes repeated rounds nearly free for the compiled engine);
-* ``glauber`` -- single-site conditional throughput of the Glauber chain.
+* ``glauber`` -- single-site conditional throughput of the Glauber chain;
+* ``cold_distributions`` -- Theorem 5.1 marginals over a fugacity sweep on
+  one graph, a fresh distribution per fugacity: the first meets an empty
+  process-wide plan store, the later ones find every elimination order and
+  contraction schedule there (reported separately).
 
 Run directly to (re)record the JSON baseline::
 
@@ -21,12 +25,16 @@ or under pytest (with the other benchmarks) for a quick regression check.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import statistics
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.engine.compiled import _PLAN_STORE
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_tree
 from repro.inference import TruncatedBallInference
@@ -157,6 +165,58 @@ def run(repeats: int = 3) -> List[Dict[str, object]]:
     return rows
 
 
+#: The fugacity sweep of the ``cold_distributions`` row, one fresh
+#: distribution each.
+COLD_FUGACITIES = (0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
+
+
+def cold_distributions(repeats: int = 5) -> Dict[str, object]:
+    """Fresh distributions on one graph: a cold plan store, then a warm one.
+
+    Each fugacity builds a new hardcore distribution on one tree, so its
+    ball cache and marginal memos start empty; what carries over is the
+    process-wide store of elimination orders and contraction schedules,
+    which is keyed by structure alone.  Every repeat empties that store,
+    times the first distribution (cold) and the later ones (warm).  The
+    compiled marginals are checked against ``engine="dict"`` before any
+    timing.
+    """
+    graph = random_tree(40, seed=2)
+
+    def marginals_at(engine: str, fugacity: float) -> Dict:
+        instance = SamplingInstance(hardcore_model(graph, fugacity=fugacity), {0: 0})
+        return TruncatedBallInference(radius=3, engine=engine).marginals(instance, error=0.05)
+
+    for fugacity in COLD_FUGACITIES:
+        compiled = marginals_at("compiled", fugacity)
+        reference = marginals_at("dict", fugacity)
+        assert compiled.keys() == reference.keys()
+        for node, marginal in compiled.items():
+            for value, probability in marginal.items():
+                assert abs(probability - reference[node][value]) < 1e-9, (fugacity, node)
+    cold: List[float] = []
+    warm: List[float] = []
+    for _repeat in range(repeats):
+        _PLAN_STORE.clear()
+        timings = [_time(lambda: marginals_at("compiled", f)) for f in COLD_FUGACITIES]
+        cold.append(timings[0])
+        warm.extend(timings[1:])
+    return {
+        "workload": "cold_distributions",
+        "fugacities": list(COLD_FUGACITIES),
+        "repeats": repeats,
+        "cold_seconds": _spread(cold),
+        "warm_seconds": _spread(warm),
+        "cold_over_warm": statistics.median(cold) / statistics.median(warm),
+    }
+
+
+def _spread(samples: List[float]) -> Dict[str, float]:
+    """Median and quartiles of a list of timings."""
+    low, median, high = statistics.quantiles(samples, n=4)
+    return {"median": median, "q1": low, "q3": high, "samples": len(samples)}
+
+
 def ball_cache_stats() -> Dict[str, int]:
     """The engine's ball-cache counters after the SSM workload, obs off.
 
@@ -183,7 +243,13 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
         "description": "compiled (array/tensor-contraction) vs dict elimination engine",
         "workloads": rows,
         "min_speedup": min(row["speedup"] for row in rows),
+        "cold_distributions": cold_distributions(),
         "ball_cache": ball_cache_stats(),
+        "environment": {
+            "cores": os.cpu_count(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
@@ -215,6 +281,12 @@ if __name__ == "__main__":
             f"compiled {row['compiled_seconds'] * 1e3:8.2f} ms   "
             f"speedup {row['speedup']:6.2f}x"
         )
+    row = result["cold_distributions"]
+    print(
+        f"{row['workload']}: cold {row['cold_seconds']['median'] * 1e3:.2f} ms   "
+        f"warm {row['warm_seconds']['median'] * 1e3:.2f} ms per distribution   "
+        f"cold/warm {row['cold_over_warm']:.2f}x"
+    )
     stats = result["ball_cache"]
     print(
         "    ball cache: "

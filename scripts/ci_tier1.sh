@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full test suite (as pinned in ROADMAP.md) plus an
 # explicit run of the engine-equivalence suite (the contract between the
-# compiled evaluation engine and the reference dict engine), a fast
-# runtime smoke (batched-chain determinism and pickling, skipping the
+# compiled evaluation engine and the reference dict engine), a plan-store
+# smoke (an E5 locality_required sweep at a second fugacity on the same
+# cycle, in the same process, must plan nothing anew -- 0
+# engine.schedule_cache misses -- and both sweeps' radii must equal the
+# engine="dict" sweeps), a fast runtime smoke (batched-chain determinism and pickling, skipping the
 # slow-marked process-pool tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
@@ -54,6 +57,43 @@ python -m pytest -x -q --durations=15
 
 echo "== tier-1: engine equivalence =="
 python -m pytest -x -q tests/test_engine_equivalence.py
+
+echo "== tier-1: plan-store smoke =="
+python - <<'PY'
+from repro import obs
+from repro.gibbs import SamplingInstance
+from repro.graphs import cycle_graph
+from repro.models import hardcore_model
+from repro.spatialmixing.phase_transition import locality_required
+
+# Elimination orders and schedules are keyed by structure, so a fresh
+# distribution on the same cycle (new weights, new BallCache) reuses every
+# plan the first sweep made; the higher fugacity runs first because it
+# needs the larger radius.
+graph = cycle_graph(16)
+fugacities = (2.0, 1.0)
+
+
+def sweep(fugacity, engine=None):
+    instance = SamplingInstance(hardcore_model(graph, fugacity=fugacity), {0: 1})
+    return locality_required(instance, 8, error=0.02, max_radius=8, engine=engine)
+
+
+handle = obs.enable(tracing=False)
+misses = handle.metrics.counter("engine.schedule_cache.misses")
+radii = []
+try:
+    for fugacity in fugacities:
+        before = misses.snapshot()
+        radii.append(sweep(fugacity))
+        planned = misses.snapshot() - before
+finally:
+    obs.disable()
+assert planned == 0, f"the second sweep planned {planned} schedules anew"
+expected = [sweep(fugacity, engine="dict") for fugacity in fugacities]
+assert radii == expected, f"radii {radii} != dict sweep {expected}"
+print(f"plan-store smoke OK: radii {radii} == dict, the second sweep planned 0 schedules")
+PY
 
 echo "== tier-1: runtime smoke =="
 python -m pytest -x -q -m "not slow" tests/test_runtime.py tests/test_analysis_convergence.py tests/test_cluster.py tests/test_cluster_chaos.py

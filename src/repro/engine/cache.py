@@ -62,8 +62,9 @@ class BallCache:
         self.extras: Dict = {}
         # Lifetime stats -- plain always-on ints (a few ns per lookup), so
         # ``stats()`` answers even when repro.obs is disabled.  ``drops``
-        # counts entries discarded by cap resets plus marginal-memo deltas
-        # adopted for balls this cache does not hold.
+        # counts the balls and scratch entries every cap reset discards
+        # plus marginal-memo deltas adopted for balls this cache does not
+        # hold.
         self.hits = 0
         self.misses = 0
         self.compiles = 0
@@ -128,8 +129,7 @@ class BallCache:
             factors = distribution.factors_within(nodes)
             compiled = CompiledGibbs.from_factors(nodes, distribution.alphabet, factors)
         if len(self._compiled) >= _BALL_CACHE_LIMIT:
-            self.drops += len(self._compiled)
-            self.clear()
+            self._reset()
         self._compiled[key] = compiled
         handle = obs.active()
         if handle is not None:
@@ -148,7 +148,7 @@ class BallCache:
         if value is None:
             value = factory()
             if len(self.extras) >= _EXTRAS_LIMIT:
-                self.extras.clear()
+                self._reset_extras()
             self.extras[key] = value
         return value
 
@@ -193,15 +193,13 @@ class BallCache:
         for key, compiled in (balls or {}).items():
             if key not in self._compiled:
                 if len(self._compiled) >= _BALL_CACHE_LIMIT:
-                    self.drops += len(self._compiled)
-                    self.clear()
+                    self._reset()
                 self._compiled[key] = compiled
                 added += 1
         for key, value in (extras or {}).items():
             if key not in self.extras:
                 if len(self.extras) >= _EXTRAS_LIMIT:
-                    self.drops += len(self.extras)
-                    self.extras.clear()
+                    self._reset_extras()
                 self.extras[key] = value
                 added += 1
         for key, entries in (memos or {}).items():
@@ -269,9 +267,9 @@ class BallCache:
         """Lifetime cache statistics (available with obs disabled).
 
         Returns ``hits``/``misses``/``compiles`` of :meth:`compiled_ball`,
-        ``adoptions`` merged by :meth:`adopt`, ``drops`` (cap-reset
-        evictions plus memo deltas for unheld balls), and the current
-        ``size`` of the compiled-ball store.
+        ``adoptions`` merged by :meth:`adopt`, ``drops`` (balls and
+        scratch entries evicted by any cap reset plus memo deltas for
+        unheld balls), and the current ``size`` of the compiled-ball store.
         """
         return {
             "hits": self.hits,
@@ -314,6 +312,16 @@ class BallCache:
         in_ball = compiled.node_index
         restricted = {n: v for n, v in pinning.items() if n in in_ball}
         return compiled.marginal(node, restricted)
+
+    def _reset(self) -> None:
+        """The cap reset of the ball store, counting what it drops."""
+        self.drops += len(self._compiled) + len(self.extras)
+        self.clear()
+
+    def _reset_extras(self) -> None:
+        """The cap reset of the scratch space, counting what it drops."""
+        self.drops += len(self.extras)
+        self.extras.clear()
 
     def clear(self) -> None:
         """Drop all compiled balls (used by tests and memory-pressure hooks)."""

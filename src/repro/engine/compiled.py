@@ -16,8 +16,13 @@ as ball-restricted sub-instances.
 
 Two memoisations make repeated queries cheap:
 
-* elimination orders are cached per pinned *domain* (the min-degree order
-  does not depend on the pinned values);
+* elimination orders and contraction schedules are cached per pinned
+  *domain* (neither depends on the pinned values) in one process-wide plan
+  store keyed by structure -- ``(node count, q, fused scopes)`` -- so every
+  engine of the same shape shares them: the balls of one graph, the
+  ``reweighted`` twins of the learning loop, fresh distributions on the same
+  graph and the ``spec.to_instance()`` rebuilds of process and cluster
+  workers;
 * marginals are cached per ``(node, pinning signature)`` -- the signature is
   the encoded ``(variable, code)`` item set, so e.g. the JVV sampler's
   repeated acceptance-ratio queries hit the cache instead of re-eliminating.
@@ -29,6 +34,8 @@ long-running chains memory-bounded without LRU bookkeeping overhead.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,10 +51,103 @@ from repro.engine.contraction import (
 Node = Hashable
 Value = Hashable
 
-#: Cap on cached elimination orders (distinct pinned domains).
-_ORDER_CACHE_LIMIT = 4096
+#: Cap on everything the process-wide plan store holds, summed over all
+#: structures: one entry per structure, elimination order and schedule.
+_PLAN_CACHE_LIMIT = 8192
 #: Cap on cached marginals (distinct ``(node, pinning)`` queries).
 _MARGINAL_CACHE_LIMIT = 65536
+
+
+class _Plans:
+    """The elimination orders and contraction schedules of one structure.
+
+    ``live`` turns false when the store resets; an engine still holding
+    the dropped plans registers its structure again on its next miss.
+    """
+
+    __slots__ = ("orders", "schedules", "live")
+
+    def __init__(self) -> None:
+        self.orders: Dict[frozenset, Tuple[int, ...]] = {}
+        self.schedules: Dict[tuple, tuple] = {}
+        self.live = True
+
+
+class _PlanStore:
+    """Elimination plans shared by every engine of the same structure.
+
+    :meth:`CompiledGibbs._order_for` and :meth:`CompiledGibbs._schedule_for`
+    read only the fused scopes, the node count, ``q``, the pinned domain and
+    the kept axes, so their results are keyed by the structure
+    ``(len(nodes), q, fused_scopes)`` -- compared by equality, never by
+    identity -- and are bit-identical for every engine of that structure,
+    whatever its weights.  Each engine looks its structure up once, at
+    construction; hits read its plans without locking.  The store holds at
+    most :data:`_PLAN_CACHE_LIMIT` entries (structures plus orders plus
+    schedules) and resets as a whole when full, like the other engine
+    caches.  Insertions take a lock, so concurrent engines (one serving
+    executor thread per model) never see a half-reset store.
+    """
+
+    def __init__(self) -> None:
+        self._plans: Dict[tuple, _Plans] = {}
+        self._lock = threading.Lock()
+        self.size = 0
+
+    def plans_for(self, engine: "CompiledGibbs") -> _Plans:
+        with self._lock:
+            return self._register(engine)
+
+    def remember(self, engine: "CompiledGibbs", table: str, key, value):
+        """Insert one computed order or schedule; return the stored value."""
+        with self._lock:
+            if self.size >= _PLAN_CACHE_LIMIT:
+                self._reset()
+            if not engine._plans.live:
+                engine._plans = self._register(engine)
+            entries = getattr(engine._plans, table)
+            if key not in entries:
+                entries[key] = value
+                self.size += 1
+            return entries[key]
+
+    def _register(self, engine: "CompiledGibbs") -> _Plans:
+        structure = (len(engine.nodes), engine.q, engine.fused_scopes)
+        plans = self._plans.get(structure)
+        if plans is None:
+            if self.size >= _PLAN_CACHE_LIMIT:
+                self._reset()
+            plans = self._plans[structure] = _Plans()
+            self.size += 1
+        return plans
+
+    def clear(self) -> None:
+        """Drop every plan: the next query of any engine runs cold."""
+        with self._lock:
+            self._reset()
+
+    def _reset(self) -> None:
+        for plans in self._plans.values():
+            plans.live = False
+            plans.orders.clear()
+            plans.schedules.clear()
+        self._plans.clear()
+        self.size = 0
+
+    def _after_fork(self) -> None:
+        """Keep the inherited plans in a forked child, under a fresh lock.
+
+        Another parent thread may have held the lock, or been between an
+        insertion and its count, at the fork; the child would otherwise
+        block on its first insertion (process pool workers are forked).
+        """
+        self._lock = threading.Lock()
+        self.size = sum(1 + len(p.orders) + len(p.schedules) for p in self._plans.values())
+
+
+#: The one plan store of this process.
+_PLAN_STORE = _PlanStore()
+os.register_at_fork(after_in_child=_PLAN_STORE._after_fork)
 
 
 class CompiledGibbs:
@@ -86,8 +186,7 @@ class CompiledGibbs:
         "factors_at",
         "fused_scopes",
         "fused_arrays",
-        "_order_cache",
-        "_schedule_cache",
+        "_plans",
         "_marginal_memo",
         "_conditionals",
         "_batched_tables",
@@ -115,8 +214,7 @@ class CompiledGibbs:
             tuple(ids) for ids in factors_at
         )
         self.fused_scopes, self.fused_arrays = _fuse_factors(self.scopes, self.arrays)
-        self._order_cache: Dict[frozenset, Tuple[int, ...]] = {}
-        self._schedule_cache: Dict[tuple, tuple] = {}
+        self._plans = _PLAN_STORE.plans_for(self)
         self._marginal_memo: Dict[tuple, Dict[Value, float]] = {}
         self._conditionals = None
         self._batched_tables = None
@@ -170,9 +268,9 @@ class CompiledGibbs:
         every iteration; the nodes, alphabet and factor scopes never change,
         only the dense weight tables do.  Elimination orders and contraction
         schedules depend solely on the scope structure and the pinned domain,
-        so the twin *shares* those caches by reference (both sides keep
-        warming the same dicts), while the value-dependent state -- fused
-        tables, marginal memo, gathered conditionals, batched blanket
+        so the twin finds them in the process-wide plan store (like every
+        engine of the same structure), while the value-dependent state --
+        fused tables, marginal memo, gathered conditionals, batched blanket
         tables -- is rebuilt fresh.
         """
         if len(arrays) != len(self.scopes):
@@ -185,10 +283,7 @@ class CompiledGibbs:
                     f"factor array shape {np.shape(array)} does not match scope "
                     f"{scope} over a q={self.q} alphabet"
                 )
-        twin = CompiledGibbs(self.nodes, self.alphabet, self.scopes, arrays)
-        twin._order_cache = self._order_cache
-        twin._schedule_cache = self._schedule_cache
-        return twin
+        return CompiledGibbs(self.nodes, self.alphabet, self.scopes, arrays)
 
     # ------------------------------------------------------------------
     # pinning encoding
@@ -218,7 +313,7 @@ class CompiledGibbs:
         return pin_codes, frozenset(pinned)
 
     def _order_for(self, pinned: frozenset) -> Tuple[int, ...]:
-        order = self._order_cache.get(pinned)
+        order = self._plans.orders.get(pinned)
         if order is None:
             if pinned:
                 # Pinning a variable only removes it from scopes, so the
@@ -234,9 +329,7 @@ class CompiledGibbs:
                     covered.update(scope)
                 scopes = list(self.fused_scopes) + [(v,) for v in free if v not in covered]
                 order = min_degree_order(scopes, free)
-            if len(self._order_cache) >= _ORDER_CACHE_LIMIT:
-                self._order_cache.clear()
-            self._order_cache[pinned] = order
+            order = _PLAN_STORE.remember(self, "orders", pinned, order)
         return order
 
     def _restricted_arrays(self, pin_codes: Mapping[int, int]):
@@ -251,13 +344,15 @@ class CompiledGibbs:
         """The cached contraction schedule for a pinned domain and kept axes.
 
         The schedule (see :func:`repro.engine.contraction.build_schedule`)
-        depends only on which variables are pinned, so sweeps that re-query
-        the same domain with different pinned values (SSM measurement, the
-        phase-transition experiment, JVV acceptance ratios) replay pure
-        array operations with no elimination bookkeeping.
+        depends only on the structure and on which variables are pinned, so
+        sweeps that re-query the same domain with different pinned values
+        (SSM measurement, the phase-transition experiment, JVV acceptance
+        ratios) replay pure array operations with no elimination
+        bookkeeping -- and so does every other engine of the same structure,
+        whatever its weights, through the process-wide plan store.
         """
         key = (pinned, keep)
-        schedule = self._schedule_cache.get(key)
+        schedule = self._plans.schedules.get(key)
         handle = obs.active()
         if schedule is None:
             if handle is not None:
@@ -269,9 +364,7 @@ class CompiledGibbs:
             schedule = build_schedule(
                 restricted_axes, free, self.q, keep=keep, order=self._order_for(pinned)
             )
-            if len(self._schedule_cache) >= _ORDER_CACHE_LIMIT:
-                self._schedule_cache.clear()
-            self._schedule_cache[key] = schedule
+            schedule = _PLAN_STORE.remember(self, "schedules", key, schedule)
         elif handle is not None:
             handle.metrics.counter("engine.schedule_cache.hits").inc()
         return schedule
@@ -342,18 +435,27 @@ class CompiledGibbs:
         ValueError
             When the node is not part of the sub-instance or not free.
         """
-        variable = self.node_index.get(node)
-        if variable is None:
-            raise ValueError(f"node {node!r} is not part of the instance")
+        variable = self._variable_of(node)
         encoded = self._encode_pinning(pinning)
         if encoded is None:
             return np.zeros(self.q)
-        pin_codes, pinned = encoded
+        return self._encoded_marginal_weights(variable, *encoded)
+
+    def _variable_of(self, node: Node) -> int:
+        variable = self.node_index.get(node)
+        if variable is None:
+            raise ValueError(f"node {node!r} is not part of the instance")
+        return variable
+
+    def _encoded_marginal_weights(
+        self, variable: int, pin_codes: Mapping[int, int], pinned: frozenset
+    ) -> np.ndarray:
+        """:meth:`marginal_weights` of a variable under an encoded pinning."""
         ops, axes = self._schedule_for(pinned, (variable,))
         array = execute_schedule(ops, self._restricted_arrays(pin_codes), self.q)
         if axes == ():
             # The kept node was pinned away or is outside the free set.
-            raise ValueError(f"node {node!r} is not free in this query")
+            raise ValueError(f"node {self.nodes[variable]!r} is not free in this query")
         # Sum out any stray kept axes (cannot happen with keep=(variable,),
         # but keeps the contract with multi-node callers honest).
         while len(axes) > 1:
@@ -375,12 +477,7 @@ class CompiledGibbs:
         ``partition_function`` -- so the elimination work is paid once per
         pinned domain regardless of the alphabet size.
         """
-        variables: List[int] = []
-        for node in nodes:
-            variable = self.node_index.get(node)
-            if variable is None:
-                raise ValueError(f"node {node!r} is not part of the instance")
-            variables.append(variable)
+        variables = [self._variable_of(node) for node in nodes]
         encoded = self._encode_pinning(pinning)
         if encoded is None:
             free = tuple(
@@ -437,14 +534,11 @@ class CompiledGibbs:
         if encoded is None:
             raise ValueError("infeasible pinning: conditional partition function is zero")
         pin_codes, pinned = encoded
-        key = (
-            self.node_index.get(node),
-            tuple(sorted(pinned)),
-            tuple(sorted(pin_codes.items())),
-        )
+        variable = self._variable_of(node)
+        key = (variable, tuple(sorted(pinned)), tuple(sorted(pin_codes.items())))
         cached = self._marginal_memo.get(key)
         if cached is None:
-            weights = self.marginal_weights(node, pinning)
+            weights = self._encoded_marginal_weights(variable, pin_codes, pinned)
             total = float(weights.sum())
             if total <= 0.0:
                 raise ValueError(

@@ -405,8 +405,9 @@ class GibbsDistribution:
         depend on weight values: the dict factor tables, the ball cache
         (compiled balls and their marginal memos embed the old arrays), and
         the compiled full instance -- rebuilt cheaply via
-        :meth:`~repro.engine.compiled.CompiledGibbs.reweighted`, which keeps
-        the structural elimination-order and schedule caches warm.
+        :meth:`~repro.engine.compiled.CompiledGibbs.reweighted`, whose
+        elimination orders and schedules stay warm in the process-wide plan
+        store shared by every engine of the same structure.
         """
         if len(factors) != len(self.factors):
             raise ValueError(

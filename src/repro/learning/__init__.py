@@ -9,7 +9,8 @@ Two estimators, one facade:
     graph with exact sufficient statistics (``IsingFamily``,
     ``HardcoreFamily``); the engine's weight-update path
     (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors` /
-    :meth:`~repro.engine.compiled.CompiledGibbs.reweighted`) makes
+    :meth:`~repro.engine.compiled.CompiledGibbs.reweighted`, whose
+    elimination plans are shared by structure across every engine) makes
     re-evaluating the family at a new ``theta`` cheap.
 ``suffstats``
     Vectorised statistics extraction from ``(samples, n)`` code matrices in

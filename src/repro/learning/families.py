@@ -87,8 +87,9 @@ class ModelFamily(ABC):
 
         Unlike :meth:`build`, the returned object is the *same* distribution
         every call -- its factor weights move, its compiled engine is rebuilt
-        via :meth:`~repro.engine.compiled.CompiledGibbs.reweighted` (sharing
-        the structural elimination caches), and its ball cache is cleared.
+        via :meth:`~repro.engine.compiled.CompiledGibbs.reweighted` (its
+        elimination orders and schedules come from the process-wide plan
+        store, keyed by structure), and its ball cache is cleared.
         Callers must not hold on to stale marginals across calls.
         """
         theta_key = tuple(float(t) for t in np.asarray(theta, dtype=float))
