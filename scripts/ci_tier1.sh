@@ -35,8 +35,9 @@
 # bit-identical between the serial and batched runtimes), an shm smoke
 # (the shared-memory transport of the process backend, its streamed ball
 # marginals and the packed multi-instance code matrix must all be
-# bit-identical to the serial loop, and the streamed balls must leave the
-# parent's ball cache as the serial loop does; two process calls on one
+# bit-identical to the serial loop, one process run_chains call must make
+# exactly one segment (the instance spec's), and the streamed balls must
+# leave the parent's ball cache as the serial loop does; two process calls on one
 # instance with an update_factors between them must each equal batched;
 # two process calls on one Runtime, run in a child interpreter, must
 # share the worker pids of one persistent pool and leave no
@@ -424,6 +425,7 @@ PY
 
 echo "== tier-1: shm smoke =="
 python - <<'PY'
+from repro import obs
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, path_graph
 from repro.models import hardcore_model
@@ -437,14 +439,23 @@ instance = SamplingInstance(hardcore_model(cycle_graph(12), fugacity=1.2), {0: 1
 serial = Runtime("serial", n_chains=4)
 reference = serial.run_chains("glauber", instance, 25, seed=7)
 
-# The shared-memory transport: a real 2-worker pool, the InstanceSpec and
-# result matrix crossing as segment descriptors (inline_threshold=0 so
-# this small workload exercises the pool, not the in-process guard).
+# The shared-memory transport: a real 2-worker pool, the InstanceSpec
+# crossing as segment descriptors and each chain block's code matrix
+# coming back by pickle (inline_threshold=0 so this small workload
+# exercises the pool, not the in-process guard).  The call makes exactly
+# one segment, the spec's.
 with Runtime(
-    "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
+    "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0, obs=True
 ) as runtime:
     shipped = runtime.run_chains("glauber", instance, 25, seed=7)
+    packs = [
+        event["attrs"]["label"]
+        for event in obs.events()
+        if event["name"] == "runtime.shm.segment"
+    ]
 assert shipped == reference, "shm transport diverges from the serial loop"
+if shm_available():
+    assert packs == ["instance-spec"], f"one shm run_chains call made segments {packs}"
 
 # One spec id per instance and compiled engine: two process calls on one
 # instance with an in-place reweight between them each equal batched (the
@@ -540,7 +551,7 @@ assert not after, f"leaked /dev/shm segments: {after}"
 mode = "shm" if shm_available() else "pickle-fallback"
 print(
     f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
-    "calls across update_factors equal batched, "
+    "one spec segment per chain call, calls across update_factors equal batched, "
     "cache adoption parity, two calls on one pool, no tracker traceback, "
     "/dev/shm clean"
 )

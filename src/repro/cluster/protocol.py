@@ -115,8 +115,9 @@ MAGIC = b"RCW1"
 #: Magic of *authenticated* frames (a 32-byte HMAC tag follows the payload).
 MAGIC_AUTH = b"RCA1"
 #: Bumped on incompatible wire changes; checked during the HELLO handshake.
-#: Version 4 dropped the compile-only ball task kind.
-PROTOCOL_VERSION = 4
+#: Version 5 returns a chain block's final code matrix, not decoded
+#: configurations.
+PROTOCOL_VERSION = 5
 #: Bytes of the HMAC-SHA256 tag appended to authenticated frames.
 TAG_BYTES = 32
 #: Environment variable both sides read for a default shared auth key.

@@ -34,10 +34,10 @@ Task kinds
     ``{"spec_id", "tasks", "memo_cap"}`` -> the shard payload
     ``(marginals, balls, extras, memos)`` of the process backend.
 ``chain_block``
-    ``{"spec_id", "kernel", "count", "seeds", "initial"}`` -> final
-    configurations of a batched block of chains of any registered
-    :class:`~repro.sampling.kernels.ChainKernel` (``count`` units each),
-    run on the instance reconstructed from the spec
+    ``{"spec_id", "kernel", "count", "seeds", "initial"}`` -> the final
+    ``(chains, n)`` code matrix of a batched block of chains of any
+    registered :class:`~repro.sampling.kernels.ChainKernel` (``count``
+    units each), run on the instance reconstructed from the spec
     (:meth:`~repro.runtime.shards.InstanceSpec.to_instance`).
 ``ping``
     Echoes its payload; used for smoke tests and latency probes.

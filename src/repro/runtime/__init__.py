@@ -24,9 +24,9 @@ This package owns *how* work executes, separate from *what* is computed
     into the parent :class:`~repro.engine.cache.BallCache` the moment the
     chunk completes.
 ``shm``
-    The zero-copy data plane of the process backend: bulk ndarray
-    payloads (the spec's dense factor tables, chain-result code matrices)
-    live in ``multiprocessing.shared_memory`` segments and only tiny
+    The zero-copy data plane of the process backend: the spec's dense
+    factor tables live in read-only ``multiprocessing.shared_memory``
+    segments and only tiny
     ``(name, dtype, shape, offset)`` descriptors cross the pipe, with
     automatic pickle fallback and owner-only, leak-proof segment
     lifetime.  Selected per runtime via ``transport="shm"``.

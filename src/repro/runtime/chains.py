@@ -98,6 +98,23 @@ def chain_seed_sequences(seed: Seed, n_chains: int) -> List[np.random.SeedSequen
     return list(root.spawn(n_chains))
 
 
+def decode_configurations(
+    codes: np.ndarray, nodes: Sequence[Node], alphabet: Sequence[Value]
+) -> List[Dict[Node, Value]]:
+    """Decode a ``(chains, n)`` code matrix row by row to configurations.
+
+    Column ``j`` is ``nodes[j]`` and code ``k`` is ``alphabet[k]`` -- the
+    compiled engine's order, which an
+    :class:`~repro.runtime.shards.InstanceSpec` carries too.  The one decode
+    rule of :meth:`ChainBatch.configurations` and of the chain blocks
+    :func:`~repro.runtime.shards.run_chain_blocks` gathers from workers.
+    """
+    return [
+        {node: alphabet[code] for node, code in zip(nodes, row)}
+        for row in codes.tolist()
+    ]
+
+
 class ChainUniforms:
     """Every chain's uniform draws in one ``(chains, width)`` buffer.
 
@@ -797,12 +814,9 @@ class ChainBatch:
         list of dict
             One ``{node: value}`` configuration per chain, in chain order.
         """
-        alphabet = self.compiled.alphabet
-        nodes = self.compiled.nodes
-        return [
-            {node: alphabet[code] for node, code in zip(nodes, row)}
-            for row in self.codes.tolist()
-        ]
+        return decode_configurations(
+            self.codes, self.compiled.nodes, self.compiled.alphabet
+        )
 
 
 #: Histogram boundaries for pack efficiency (used cells / padded cells).

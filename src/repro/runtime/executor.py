@@ -149,7 +149,7 @@ class Runtime:
     transport : str, optional
         Process backend only: how bulk ndarray payloads reach the workers.
         ``"pickle"`` (default) serialises them per hop; ``"shm"`` moves the
-        ``InstanceSpec`` dense arrays and chain-result code matrices into
+        ``InstanceSpec`` dense arrays into read-only
         :mod:`multiprocessing.shared_memory` segments and ships only tiny
         descriptors (see :mod:`repro.runtime.shm`), falling back to pickle
         automatically where shared memory is unavailable.  Results are

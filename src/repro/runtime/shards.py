@@ -426,26 +426,18 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
     ``args`` carries ``{"kernel", "count", "seeds", "initial"}`` (plus the
     transport-level ``spec_id``); the block runs as a batched code matrix
     on the instance reconstructed from the spec
-    (:meth:`InstanceSpec.to_instance`), so entry ``c`` of the result is
-    bit-identical to the kernel's serial chain run with ``seed=seeds[c]``
-    -- the contract that makes chain blocks freely movable between the
-    process pool, cluster workers and the in-process path.
+    (:meth:`InstanceSpec.to_instance`) and returns that final
+    ``(len(seeds), n)`` int64 matrix, ``ChainBatch.codes``.  Row ``c``
+    decodes (:func:`~repro.runtime.chains.decode_configurations`, with the
+    spec's nodes and alphabet) to the kernel's serial chain run with
+    ``seed=seeds[c]``, bit for bit -- the contract that makes chain blocks
+    freely movable between the process pool, cluster workers and the
+    in-process path.  Every transport carries this one result format.
 
     An optional ``"stats": True`` flag switches the return value to
-    ``(configurations, counts)`` (see :func:`advance_block`).  This is how
-    JVV rejection statistics (the E4 rejection-law rows, E12's jvv-kernel
-    row) ride the block wire format across the process and cluster
-    backends.
-
-    An optional ``"out": (descriptor, row_offset)`` entry -- set by the
-    parent under ``transport="shm"`` -- switches the result channel: the
-    block's final ``(chains, n)`` code matrix is written straight into the
-    parent-owned shared segment at ``row_offset`` (no pickling of result
-    configurations), and the configurations in the return value shrink to
-    ``None``.  A pool worker closes its mapping of that segment as soon as
-    the block has written to it.  The codes written are exactly
-    ``ChainBatch.codes``, so the parent's decode replays
-    :meth:`~repro.runtime.chains.ChainBatch.configurations` bit for bit.
+    ``(codes, counts)`` (see :func:`advance_block`).  This is how JVV
+    rejection statistics (the E4 rejection-law rows, E12's jvv-kernel row)
+    ride the block wire format across the process and cluster backends.
     """
     from repro.sampling.kernels import get_kernel
 
@@ -457,19 +449,7 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
         initial=args.get("initial"),
         stats=args.get("stats", False),
     )
-    out = args.get("out")
-    if out is None:
-        configurations = batch.configurations()
-    else:
-        from repro.runtime import shm
-
-        descriptor, row_offset = out
-        matrix = shm.attach_array(descriptor, writable=True)
-        matrix[row_offset : row_offset + batch.n_chains] = batch.codes
-        del matrix
-        shm.detach((descriptor[0],))
-        configurations = None
-    return configurations if counts is None else (configurations, counts)
+    return batch.codes if counts is None else (batch.codes, counts)
 
 
 # ----------------------------------------------------------------------
@@ -625,17 +605,11 @@ class ForkPool:
 class _Session:
     """One front-end call's handle on a transport (defaults: futures)."""
 
-    code_matrix = None
-
     def landed(self, futures, ordered: bool):
         return iter(futures) if ordered else as_completed(futures)
 
     def result(self, future: Future):
         return future.result()
-
-    def share_codes(self, rows: int):
-        """A parent-owned ``(rows, n)`` shared code matrix, or None."""
-        return None
 
 
 class _InProcess(_Session):
@@ -740,16 +714,6 @@ class _PoolSession(_Session):
         for future in futures:
             future.cancel()
 
-    def share_codes(self, rows: int):
-        if self.spec_pack is not None:
-            from repro.runtime import shm
-
-            self.code_matrix = shm.pack_arrays(
-                [np.zeros((rows, len(self.spec.nodes)), dtype=np.int64)],
-                label="chain-codes",
-            )
-        return self.code_matrix
-
 
 class _ClusterSession(_Session):
     """A :class:`~repro.cluster.coordinator.ClusterCoordinator` as transport.
@@ -806,9 +770,8 @@ def _session(transport, instance: SamplingInstance, n_chunks: int):
     try:
         yield session
     finally:
-        for pack in (session.spec_pack, session.code_matrix):
-            if pack is not None:
-                pack.release()
+        if session.spec_pack is not None:
+            session.spec_pack.release()
 
 
 def _chunk_target(transport) -> int:
@@ -1010,12 +973,11 @@ def run_chain_blocks(
 
     ``transport`` is as for :func:`stream_ball_marginal_tasks`; a process
     runtime passes its :class:`ForkPool`, so the blocks run on the same
-    long-lived workers as its ball streams.  On a ``"shm"`` pool each block
-    also writes its final code matrix into one parent-owned
-    ``(len(seeds), n)`` shared segment, decoded here with the exact
-    :meth:`~repro.runtime.chains.ChainBatch.configurations` rule --
-    results are bit-identical to the pickle transport -- and the worker
-    closes its mapping of it right after the write.
+    long-lived workers as its ball streams.  Every block returns its final
+    code matrix on every transport; the matrices stack in seed order and
+    decode once here, with the
+    :meth:`~repro.runtime.chains.ChainBatch.configurations` rule
+    (:func:`~repro.runtime.chains.decode_configurations`).
 
     A failing block raises the body's own exception -- the error the
     in-process block raises, e.g. the ``ValueError`` of a stuck initial
@@ -1039,6 +1001,7 @@ def run_chain_blocks(
     ValueError
         For an unknown kernel, before anything is submitted.
     """
+    from repro.runtime.chains import decode_configurations
     from repro.sampling.kernels import get_kernel
 
     get_kernel(kernel_name)  # fail fast on unknown kernels, caller-side
@@ -1053,30 +1016,16 @@ def run_chain_blocks(
     }
     if stats:
         base["stats"] = True
-    results: List[Dict[Node, Value]] = []
+    matrices: List[np.ndarray] = []
     counts: List[int] = []
+    work = [(block, dict(base, seeds=block)) for block in blocks]
     with _session(transport, instance, len(blocks)) as session:
-        codes = session.share_codes(len(seeds))
-        work = []
-        offset = 0
-        for block in blocks:
-            args = dict(base, seeds=block)
-            if codes is not None:
-                args["out"] = (codes.descriptors[0], offset)
-            work.append((block, args))
-            offset += len(block)
         for result in _scatter(session, "chain_block", work, ordered=True):
-            configurations, block_counts = result if stats else (result, ())
-            results.extend(configurations or ())
+            codes, block_counts = result if stats else (result, ())
+            matrices.append(codes)
             counts.extend(block_counts)
-        if codes is not None:
-            # Decode with the exact ChainBatch.configurations() rule
-            # (spec.nodes/alphabet are the compiled engine's).
-            nodes, alphabet = session.spec.nodes, session.spec.alphabet
-            results = [
-                {node: alphabet[code] for node, code in zip(nodes, row)}
-                for row in codes.view(0).tolist()
-            ]
+    spec = session.spec
+    results = decode_configurations(np.concatenate(matrices), spec.nodes, spec.alphabet)
     return (results, counts) if stats else results
 
 

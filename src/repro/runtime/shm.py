@@ -1,9 +1,10 @@
 """Shared-memory transport for the process backend (the zero-copy data plane).
 
-The process backend's standing tax is serialization: every task used to ship
-the ``InstanceSpec`` dense factor arrays -- and every chain block its
-``(chains, n)`` code matrix -- through pickle on each hop.  This module moves
-those payloads into :mod:`multiprocessing.shared_memory` segments instead:
+The process backend's standing tax is serialization: every chunk used to
+ship the ``InstanceSpec`` dense factor arrays through pickle.  This module
+moves those read-only arrays into :mod:`multiprocessing.shared_memory`
+segments instead; results, a chain block's code matrix included, travel
+back by pickle:
 
 * the owner packs its ndarrays into **one** segment per call
   (:class:`SharedArrayPack`) and ships only tiny ``(name, dtype, shape,
@@ -255,12 +256,11 @@ def pack_arrays(
     return None
 
 
-def attach_array(descriptor: ArrayDescriptor, writable: bool = False) -> np.ndarray:
-    """Zero-copy view of a packed array in this (usually worker) process.
+def attach_array(descriptor: ArrayDescriptor) -> np.ndarray:
+    """Read-only zero-copy view of a packed array, usually in a worker process.
 
     The segment mapping is cached per process: N tasks against the same spec
-    map it once.  Views default to read-only -- spec arrays are shared input;
-    pass ``writable=True`` only for owner-allocated output matrices.
+    map it once.
     """
     name, dtype, shape, offset = descriptor
     segment = _ATTACHED.get(name)
@@ -279,7 +279,7 @@ def attach_array(descriptor: ArrayDescriptor, writable: bool = False) -> np.ndar
                 _unregister_attachment(segment)
             _ATTACHED[name] = segment
     view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
-    view.flags.writeable = bool(writable)
+    view.flags.writeable = False
     return view
 
 

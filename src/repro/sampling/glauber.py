@@ -86,8 +86,9 @@ def greedy_start_codes(instance: SamplingInstance) -> np.ndarray:
     built from.  An instance's pinning is fixed, but its distribution may
     be reweighted in place
     (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors`),
-    which builds a new compiled engine and so gets a fresh start.  A stuck construction caches nothing, so it raises
-    the same ``RuntimeError`` on every call.
+    which builds a new compiled engine and so gets a fresh start.  A stuck
+    construction caches nothing, so it raises the same ``RuntimeError`` on
+    every call.
     """
     compiled = instance.distribution.compiled_engine()
     memo = instance._greedy_start

@@ -24,7 +24,8 @@ Endpoints
     ndjson stream of ``{"node", "marginal"}`` lines, one per completed
     shard of :meth:`Runtime.stream_ball_marginals`.  Once the deadline
     passes the stream stops, its pending shards are cancelled, and it
-    ends with an ``{"error": ...}`` line.
+    ends with an ``{"error": ...}`` line.  A client that hangs up stops
+    the stream and cancels its pending shards the same way.
 ``GET /v1/models`` / ``PUT /v1/models/<name>``
     List / declaratively register models.
 ``GET /v1/healthz``
@@ -41,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import threading
 import time
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -495,11 +497,16 @@ class SamplingServer:
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
         _END = object()
+        # Set once the handler has stopped reading the queue (the stream
+        # ended, or the client went away).
+        abandoned = threading.Event()
 
         def pump() -> None:
             stream = coalescer.runtime.stream_ball_marginals(instance, nodes, radius)
             try:
                 for node, marginal in stream:
+                    if abandoned.is_set():
+                        return
                     if deadline is not None and time.monotonic() - started > deadline:
                         raise TimeoutError(
                             f"deadline of {deadline * 1000.0:g} ms exceeded; "
@@ -552,5 +559,6 @@ class SamplingServer:
                         writer, json.dumps(line).encode("utf-8") + b"\n"
                     )
             finally:
+                abandoned.set()
                 await future
             await finish_chunked(writer)

@@ -180,9 +180,11 @@ class TestProtocol:
             protocol.check_hello({"role": "worker", "version": 2}, "worker")
 
     def test_hello_rejects_a_version_3_peer(self):
-        # Version 3 still carried the compile-only ball task kind.
-        with pytest.raises(protocol.ProtocolError, match="version"):
-            protocol.check_hello({"role": "worker", "version": 3}, "worker")
+        # Version 3 still carried the compile-only ball task kind; version 4
+        # still returned chain blocks as decoded configurations.
+        for version in (3, 4):
+            with pytest.raises(protocol.ProtocolError, match="version"):
+                protocol.check_hello({"role": "worker", "version": version}, "worker")
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)

@@ -870,11 +870,6 @@ class TestSharedMemoryTransport:
                 assert view.dtype == array.dtype
                 assert np.array_equal(view, array)
                 assert not view.flags.writeable  # shared input is read-only
-            # Owner-allocated output matrices are the one writable case,
-            # and writes land in the owner's own view (one segment).
-            out = shm.attach_array(pack.descriptors[0], writable=True)
-            out[0, 0] = 41
-            assert pack.view(0)[0, 0] == 41
         finally:
             pack.release()
         assert pack.name not in shm.live_segment_names()
@@ -1347,8 +1342,8 @@ class TestAdaptiveDispatchGuard:
 
     def test_jvv_chain_stats_takes_the_run_chains_dispatch(self):
         # jvv_chain_stats rides the process runtime's transport and inline
-        # guard exactly like run_chains: shm code matrices above the
-        # threshold, the in-process block (with its instant) below it.
+        # guard exactly like run_chains: an shm spec above the threshold
+        # (its one segment), the in-process block (with its instant) below it.
         from repro import obs
         from repro.runtime import shm
         from repro.sampling.jvv import jvv_chain_stats
@@ -1388,7 +1383,7 @@ class TestAdaptiveDispatchGuard:
         finally:
             obs.disable()
         if shm.shm_available():
-            assert "chain-codes" in packs and segments == len(packs)
+            assert packs == ["instance-spec"] and segments == len(packs)
         assert instants and instants[-1]["attrs"]["kernel"] == "jvv"
         assert shared == batched
         assert inline == batched
@@ -1578,6 +1573,7 @@ class TestKernelRunChains:
         assert {"ball_marginals", "chain_block"} <= set(TASK_REGISTRY)
 
     def test_chain_block_body_matches_serial(self):
+        from repro.runtime.chains import decode_configurations
         from repro.runtime.shards import _chain_block_task
         from repro.sampling import get_kernel
 
@@ -1586,7 +1582,10 @@ class TestKernelRunChains:
         spec = InstanceSpec.from_instance(instance)
         payload = {"kernel": "jvv", "count": 13, "seeds": seeds, "initial": None}
         kernel = get_kernel("jvv")
-        assert _chain_block_task(payload, spec=spec) == [
+        codes = _chain_block_task(payload, spec=spec)
+        assert codes.dtype == np.int64
+        assert codes.shape == (len(seeds), len(spec.nodes))
+        assert decode_configurations(codes, spec.nodes, spec.alphabet) == [
             kernel.serial_run(instance, 13, seed=seed) for seed in seeds
         ]
 

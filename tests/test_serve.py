@@ -20,6 +20,7 @@ import asyncio
 import json
 import math
 import threading
+import time
 
 import pytest
 
@@ -715,6 +716,50 @@ class TestMarginalEndpoint:
             assert status == 200 and len(lines) == 9
 
         _serve(body)
+
+    def test_marginal_stream_stops_when_its_client_disconnects(self, monkeypatch):
+        import repro.inference.ssm_inference as ssm_inference
+
+        computed = []
+        original = ssm_inference.padded_ball_marginal
+
+        def counted(instance, center, radius, **kwargs):
+            computed.append(center)
+            time.sleep(0.01)  # leaves the event loop time to see the hang-up
+            return original(instance, center, radius, **kwargs)
+
+        monkeypatch.setattr(ssm_inference, "padded_ball_marginal", counted)
+        registry = ModelRegistry()
+        registry.register_instance(
+            "grid", SamplingInstance(hardcore_model(grid_graph(12, 12), 1.0), {})
+        )
+
+        async def body(host, port, server):
+            # The client reads the first marginal line and hangs up: the
+            # handler stops the pump at its next landed ball instead of
+            # computing the other 143 on the model's executor thread.
+            reader, writer = await asyncio.open_connection(host, port)
+            payload = json.dumps({"model": "grid", "radius": 3}).encode("utf-8")
+            writer.write(
+                b"POST /v1/marginal HTTP/1.1\r\n"
+                + f"Content-Length: {len(payload)}\r\n\r\n".encode("latin-1")
+                + payload
+            )
+            await writer.drain()
+            while (await reader.readline()) not in (b"\r\n", b""):
+                pass  # status line and headers
+            await reader.readline()  # the first chunk's size line
+            assert "marginal" in json.loads(await reader.readline())
+            writer.close()
+            # The same model's executor thread runs this request after the
+            # pump has returned.
+            status, response = await request_json(
+                host, port, "POST", "/v1/sample", sample_payload("grid", count=5)
+            )
+            assert status == 200 and len(response["states"]) == 1
+            assert len(computed) < 144, len(computed)
+
+        _serve(body, registry=registry)
 
     def test_marginal_validation_errors(self):
         async def body(host, port, server):
