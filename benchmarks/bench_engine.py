@@ -13,7 +13,17 @@ the experiment suite:
 * ``cold_distributions`` -- Theorem 5.1 marginals over a fugacity sweep on
   one graph, a fresh distribution per fugacity: the first meets an empty
   process-wide plan store, the later ones find every elimination order and
-  contraction schedule there (reported separately).
+  contraction schedule there (reported separately);
+* ``fresh_compile`` -- ``compiled_engine()`` on fresh models (hardcore on
+  a 3-regular graph, a 6-colouring of a torus, Ising), with its two value
+  dependent parts timed apart: the dense factor tables (one per callable)
+  and the fusion products (a layout from the plan store).  Each model's
+  ``arrays`` and ``fused_arrays`` are checked byte for byte against tables
+  built factor by factor and fused under a cold plan store before any
+  timing.
+
+Spreads (median, quartiles, minimum) and the environment stamp come from
+``spread.py``.
 
 Run directly to (re)record the JSON baseline::
 
@@ -25,8 +35,6 @@ or under pytest (with the other benchmarks) for a quick regression check.
 from __future__ import annotations
 
 import json
-import os
-import platform
 import statistics
 import time
 from pathlib import Path
@@ -34,12 +42,13 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.engine.compiled import _PLAN_STORE
+from repro.engine.compiled import _PLAN_STORE, CompiledGibbs, dense_table_from_callable
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, random_tree
+from repro.graphs import cycle_graph, random_regular_graph, random_tree, torus_graph
 from repro.inference import TruncatedBallInference
 from repro.models import coloring_model, hardcore_model, ising_model
 from repro.sampling import glauber_sample
+from spread import environment, spread
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -205,16 +214,92 @@ def cold_distributions(repeats: int = 5) -> Dict[str, object]:
         "workload": "cold_distributions",
         "fugacities": list(COLD_FUGACITIES),
         "repeats": repeats,
-        "cold_seconds": _spread(cold),
-        "warm_seconds": _spread(warm),
+        "cold_seconds": spread(cold),
+        "warm_seconds": spread(warm),
         "cold_over_warm": statistics.median(cold) / statistics.median(warm),
     }
 
 
-def _spread(samples: List[float]) -> Dict[str, float]:
-    """Median and quartiles of a list of timings."""
-    low, median, high = statistics.quantiles(samples, n=4)
-    return {"median": median, "q1": low, "q3": high, "samples": len(samples)}
+#: The fresh models of the ``fresh_compile`` row: a graph built once and
+#: a model builder called per repeat.
+FRESH_MODELS = {
+    "hardcore_3regular_200": (
+        lambda: random_regular_graph(3, 200, seed=1),
+        lambda graph: hardcore_model(graph, fugacity=1.0),
+    ),
+    "coloring6_torus_12x12": (
+        lambda: torus_graph(12, 12),
+        lambda graph: coloring_model(graph, 6),
+    ),
+    "ising_3regular_200": (
+        lambda: random_regular_graph(3, 200, seed=1),
+        lambda graph: ising_model(graph, 0.3, 0.1),
+    ),
+}
+
+
+def _assert_compiles_like_the_reference(distribution) -> None:
+    """``arrays`` and ``fused_arrays`` equal tables built per factor, fused cold."""
+    compiled = distribution.compiled_engine()
+    alphabet = distribution.alphabet
+    arrays = [dense_table_from_callable(factor, alphabet) for factor in distribution.factors]
+    _PLAN_STORE.clear()
+    reference = CompiledGibbs(compiled.nodes, alphabet, compiled.scopes, arrays)
+    for built, expected in (
+        (compiled.arrays, reference.arrays),
+        (compiled.fused_arrays, reference.fused_arrays),
+    ):
+        assert [a.tobytes() for a in built] == [a.tobytes() for a in expected]
+
+
+def fresh_compile(repeats: int = 15) -> Dict[str, object]:
+    """``compiled_engine()`` on fresh models, and its two value-dependent parts.
+
+    Every repeat builds a fresh model, so no factor has a cached table;
+    the plan store is warm after the bit-identity check, as it is for any
+    model after the first of its shape.  ``dense_tables_seconds`` times
+    ``Factor.dense_table`` over every factor of another fresh model and
+    ``fusion_seconds`` the fusion of its arrays by the stored layout; the
+    rest of ``compiled_engine_seconds`` is node and symbol indexing and
+    the scope encoding.
+    """
+    rows: Dict[str, object] = {}
+    for name, (make_graph, build) in FRESH_MODELS.items():
+        graph = make_graph()
+        _assert_compiles_like_the_reference(build(graph))
+        total: List[float] = []
+        tables: List[float] = []
+        fusion: List[float] = []
+        for _repeat in range(repeats):
+            distribution = build(graph)
+            total.append(_time(distribution.compiled_engine))
+            compiled = distribution.compiled_engine()
+            distribution = build(graph)
+            alphabet = distribution.alphabet
+            tables.append(
+                _time(lambda: [factor.dense_table(alphabet) for factor in distribution.factors])
+            )
+            arrays = [factor.dense_table(alphabet) for factor in distribution.factors]
+            fusion.append(
+                _time(
+                    lambda: _PLAN_STORE.layout_for(
+                        len(compiled.nodes), compiled.q, compiled.scopes
+                    ).fuse(arrays)
+                )
+            )
+        rows[name] = {
+            "nodes": graph.number_of_nodes(),
+            "factors": len(distribution.factors),
+            "compiled_engine_seconds": spread(total),
+            "dense_tables_seconds": spread(tables),
+            "fusion_seconds": spread(fusion),
+        }
+    return {
+        "workload": "fresh_compile",
+        "repeats": repeats,
+        "models": rows,
+        "bit_identical_to_per_factor_cold": True,
+    }
 
 
 def ball_cache_stats() -> Dict[str, int]:
@@ -244,12 +329,9 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
         "workloads": rows,
         "min_speedup": min(row["speedup"] for row in rows),
         "cold_distributions": cold_distributions(),
+        "fresh_compile": fresh_compile(),
         "ball_cache": ball_cache_stats(),
-        "environment": {
-            "cores": os.cpu_count(),
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "environment": environment(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
@@ -287,6 +369,14 @@ if __name__ == "__main__":
         f"warm {row['warm_seconds']['median'] * 1e3:.2f} ms per distribution   "
         f"cold/warm {row['cold_over_warm']:.2f}x"
     )
+    for name, row in result["fresh_compile"]["models"].items():
+        print(
+            f"fresh_compile {name}: compiled_engine "
+            f"{row['compiled_engine_seconds']['median'] * 1e3:.2f} ms   "
+            f"dense tables {row['dense_tables_seconds']['median'] * 1e3:.2f} ms   "
+            f"fusion {row['fusion_seconds']['median'] * 1e3:.2f} ms   "
+            f"({row['factors']} factors)"
+        )
     stats = result["ball_cache"]
     print(
         "    ball cache: "

@@ -37,7 +37,9 @@ chains of a hardcore instance, one sample per chain):
   to the pool), per transport.  All calls on the unchanged instance
   carry one spec id, so a worker decodes the spec once and hits its spec
   cache on every later call.  Every call is asserted bit-identical to the
-  batched backend before any timing; the row records seconds per call.
+  batched backend before any timing; the row records the median seconds
+  per call, with its spread over the repeats and an environment stamp
+  (see ``spread.py``).
 * ``process_shard_phase_residual`` -- the same workload split per phase
   (spawn / compute / tail) for both transports: where the 2-worker shard
   spends its time.  One real ``stream_ball_marginal_tasks`` call on a
@@ -50,7 +52,8 @@ chains of a hardcore instance, one sample per chain):
   meanwhile), tail from there to the end of the stream (the last
   result's trip back and adoption, segment unlink; no pool is forked or
   joined).  Each traced run is asserted bit-identical to the serial loop
-  before its timings are recorded.
+  before its timings are recorded; the row keeps each phase's median,
+  its spread over the repeats and an environment stamp.
 * ``packed_multi_instance`` -- many small same-alphabet models advanced
   as ONE padded ``(total_chains, n_max)`` code matrix
   (``Runtime.run_packed``) vs looping one batched ``run_chains`` call per
@@ -117,6 +120,7 @@ from repro.graphs import cycle_graph, random_tree, torus_graph
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, chain_seed_sequences, stream_padded_ball_marginals
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
+from spread import environment, spread, timed
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -783,9 +787,16 @@ def _cluster_auth_workload(n_workers: int = 2, size: int = 40, radius: int = 3):
 
 
 def run(
-    repeats: int = 3, cluster: bool = True, serve: bool = True
+    repeats: int = 3,
+    cluster: bool = True,
+    serve: bool = True,
+    spread_repeats: int = 9,
 ) -> List[Dict[str, object]]:
-    """Time the backends; report the best of ``repeats`` per side."""
+    """Time the backends; report the best of ``repeats`` per side.
+
+    The repeated-chains and phase-residual rows instead run
+    ``spread_repeats`` times and record the median with its spread.
+    """
     rows: List[Dict[str, object]] = []
     for name, factory in (
         ("luby_chains", _luby_chain_workload),
@@ -889,8 +900,8 @@ def run(
             transport=transport
         )
         try:
-            batched_seconds = _best_of(batched_calls, repeats) / shape["calls"]
-            process_seconds = _best_of(process_calls, repeats) / shape["calls"]
+            batched = timed(batched_calls, spread_repeats, per=shape["calls"])
+            process = timed(process_calls, spread_repeats, per=shape["calls"])
         finally:
             teardown()
         rows.append(
@@ -902,22 +913,28 @@ def run(
                 ),
                 "backend_pair": "batched-vs-process",
                 "shape": shape,
-                "batched_seconds_per_call": batched_seconds,
-                "process_seconds_per_call": process_seconds,
-                "speedup": batched_seconds / process_seconds,
+                "batched_seconds_per_call": batched["median"],
+                "process_seconds_per_call": process["median"],
+                "speedup": batched["median"] / process["median"],
+                "spread": {"batched": batched, "process": process},
+                "environment": environment(),
                 "bit_identical_to_batched": True,
             }
         )
     shape, phases, teardown = _shard_phase_residual()
     residual: Dict[str, Dict[str, float]] = {}
+    residual_spread: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
         for transport in ("pickle", "shm"):
-            best = None
-            for _ in range(repeats):
-                sample = phases(transport)
-                if best is None or sample["total_seconds"] < best["total_seconds"]:
-                    best = sample
-            residual[transport] = best
+            samples = [phases(transport) for _ in range(spread_repeats)]
+            residual_spread[transport] = {
+                phase: spread([sample[phase] for sample in samples])
+                for phase in samples[0]
+            }
+            residual[transport] = {
+                phase: figures["median"]
+                for phase, figures in residual_spread[transport].items()
+            }
     finally:
         teardown()
     rows.append(
@@ -926,6 +943,8 @@ def run(
             "backend_pair": "phase-residual",
             "shape": shape,
             "phases": residual,
+            "spread": residual_spread,
+            "environment": environment(),
             "bit_identical_to_serial": True,
             "note": (
                 "where the 2-worker shard spends its time: one traced "
@@ -1203,9 +1222,9 @@ def test_batched_runner_amortises_the_python_loop(once=None) -> None:
     benchmark budget); the recorded JSON documents them.
     """
     if once is None:
-        rows = run(repeats=2, cluster=False)
+        rows = run(repeats=2, cluster=False, spread_repeats=3)
     else:
-        rows = once(run, repeats=2, cluster=False)
+        rows = once(run, repeats=2, cluster=False, spread_repeats=3)
     print()
     _print_rows(rows)
     for row in rows:

@@ -5,7 +5,8 @@
 # smoke (an E5 locality_required sweep at a second fugacity on the same
 # cycle, in the same process, must plan nothing anew -- 0
 # engine.schedule_cache misses -- and both sweeps' radii must equal the
-# engine="dict" sweeps), a fast runtime smoke (batched-chain determinism and pickling, skipping the
+# engine="dict" sweeps; one fresh hardcore model's compiled_engine() must
+# build exactly 2 dense tables, one per factor callable), a fast runtime smoke (batched-chain determinism and pickling, skipping the
 # slow-marked process-pool tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
@@ -82,18 +83,28 @@ def sweep(fugacity, engine=None):
 
 handle = obs.enable(tracing=False)
 misses = handle.metrics.counter("engine.schedule_cache.misses")
+built = handle.metrics.counter("engine.dense_tables.built")
 radii = []
 try:
     for fugacity in fugacities:
         before = misses.snapshot()
         radii.append(sweep(fugacity))
         planned = misses.snapshot() - before
+    # Vertex factors share one callable and edge factors another, so a
+    # fresh model materialises two dense tables, not one per factor.
+    before = built.snapshot()
+    hardcore_model(graph, fugacity=1.5).compiled_engine()
+    tables = built.snapshot() - before
 finally:
     obs.disable()
 assert planned == 0, f"the second sweep planned {planned} schedules anew"
+assert tables == 2, f"a fresh 16-cycle hardcore model built {tables} dense tables, not 2"
 expected = [sweep(fugacity, engine="dict") for fugacity in fugacities]
 assert radii == expected, f"radii {radii} != dict sweep {expected}"
-print(f"plan-store smoke OK: radii {radii} == dict, the second sweep planned 0 schedules")
+print(
+    f"plan-store smoke OK: radii {radii} == dict, the second sweep planned 0 "
+    "schedules, a fresh model built 2 dense tables"
+)
 PY
 
 echo "== tier-1: runtime smoke =="

@@ -14,15 +14,22 @@ from :class:`~repro.gibbs.factors.Factor`-like objects
 (:meth:`CompiledGibbs.from_tables`), so it can compile full instances as well
 as ball-restricted sub-instances.
 
+Compiling does only the work that depends on factor values, once per
+callable: a factor's dense table is shared by every factor built on the
+same function (:meth:`~repro.gibbs.factors.Factor.dense_table`), and
+folding the tables into fewer fused ones follows a layout planned from the
+scopes alone (:func:`_fusion_layout`), so a fresh model of a known shape
+only multiplies arrays.
+
 Two memoisations make repeated queries cheap:
 
-* elimination orders and contraction schedules are cached per pinned
-  *domain* (neither depends on the pinned values) in one process-wide plan
-  store keyed by structure -- ``(node count, q, fused scopes)`` -- so every
-  engine of the same shape shares them: the balls of one graph, the
-  ``reweighted`` twins of the learning loop, fresh distributions on the same
-  graph and the ``spec.to_instance()`` rebuilds of process and cluster
-  workers;
+* fusion layouts, keyed by ``(node count, q, raw scopes)``, and elimination
+  orders and contraction schedules, cached per pinned *domain* (neither
+  depends on the pinned values) and keyed by ``(node count, q, fused
+  scopes)``, live in one process-wide plan store, so every engine of the
+  same shape shares them: the balls of one graph, the ``reweighted`` twins
+  of the learning loop, fresh distributions on the same graph and the
+  ``spec.to_instance()`` rebuilds of process and cluster workers;
 * marginals are cached per ``(node, pinning signature)`` -- the signature is
   the encoded ``(variable, code)`` item set, so e.g. the JVV sampler's
   repeated acceptance-ratio queries hit the cache instead of re-eliminating.
@@ -73,26 +80,82 @@ class _Plans:
         self.live = True
 
 
+class _Layout:
+    """How one raw scope list folds into fused tables (see :func:`_fusion_layout`).
+
+    ``fused_scopes`` are the fused tables' scopes and ``factors_at`` the
+    factor ids touching each variable.  ``recipes`` holds one
+    ``(first, steps)`` pair per fused table: the table starts as a copy of
+    factor ``first``'s array and is multiplied, in order, by each step's
+    factor array -- transposed by ``axes`` onto the host scope or, for a
+    unary, reshaped to ``shape`` to broadcast along its node's axis.
+    Nothing here depends on a weight, so every engine with the same raw
+    scopes fuses by the same layout.
+    """
+
+    __slots__ = ("fused_scopes", "recipes", "factors_at")
+
+    def __init__(self, fused_scopes, recipes, factors_at) -> None:
+        self.fused_scopes: Tuple[Tuple[int, ...], ...] = fused_scopes
+        self.recipes: Tuple[tuple, ...] = recipes
+        self.factors_at: Tuple[Tuple[int, ...], ...] = factors_at
+
+    def fuse(self, arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+        """The fused tables of ``arrays``: the products the recipes name."""
+        fused = []
+        for first, steps in self.recipes:
+            product = arrays[first].copy()
+            for factor_id, axes, shape in steps:
+                array = arrays[factor_id]
+                if axes is None:
+                    product = product * array.reshape(shape)
+                else:
+                    product = product * np.transpose(array, axes)
+            fused.append(product)
+        return tuple(fused)
+
+
 class _PlanStore:
-    """Elimination plans shared by every engine of the same structure.
+    """Fusion layouts and elimination plans shared by every engine of a shape.
 
     :meth:`CompiledGibbs._order_for` and :meth:`CompiledGibbs._schedule_for`
     read only the fused scopes, the node count, ``q``, the pinned domain and
     the kept axes, so their results are keyed by the structure
     ``(len(nodes), q, fused_scopes)`` -- compared by equality, never by
     identity -- and are bit-identical for every engine of that structure,
-    whatever its weights.  Each engine looks its structure up once, at
-    construction; hits read its plans without locking.  The store holds at
-    most :data:`_PLAN_CACHE_LIMIT` entries (structures plus orders plus
-    schedules) and resets as a whole when full, like the other engine
-    caches.  Insertions take a lock, so concurrent engines (one serving
-    executor thread per model) never see a half-reset store.
+    whatever its weights.  The fusion layout (:class:`_Layout`) comes
+    first: it is what turns raw scopes into fused ones, so it is keyed by
+    ``(len(nodes), q, scopes)`` over the raw factor scopes.  Each engine
+    looks its layout and its structure up once, at construction; hits read
+    without locking.  The store holds at most :data:`_PLAN_CACHE_LIMIT`
+    entries (layouts plus structures plus orders plus schedules) and resets
+    as a whole when full, like the other engine caches.  Insertions take a
+    lock, so concurrent engines (one serving executor thread per model)
+    never see a half-reset store.
     """
 
     def __init__(self) -> None:
         self._plans: Dict[tuple, _Plans] = {}
+        self._layouts: Dict[tuple, _Layout] = {}
         self._lock = threading.Lock()
         self.size = 0
+
+    def layout_for(self, n: int, q: int, scopes: Tuple[Tuple[int, ...], ...]) -> _Layout:
+        """The fusion layout of ``n`` nodes over ``q`` symbols with these raw scopes."""
+        key = (n, q, scopes)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = _fusion_layout(n, scopes)
+            with self._lock:
+                if self.size >= _PLAN_CACHE_LIMIT:
+                    self._reset()
+                stored = self._layouts.get(key)
+                if stored is None:
+                    self._layouts[key] = layout
+                    self.size += 1
+                else:
+                    layout = stored
+        return layout
 
     def plans_for(self, engine: "CompiledGibbs") -> _Plans:
         with self._lock:
@@ -122,7 +185,7 @@ class _PlanStore:
         return plans
 
     def clear(self) -> None:
-        """Drop every plan: the next query of any engine runs cold."""
+        """Drop every layout and plan: the next engine of any shape runs cold."""
         with self._lock:
             self._reset()
 
@@ -132,17 +195,20 @@ class _PlanStore:
             plans.orders.clear()
             plans.schedules.clear()
         self._plans.clear()
+        self._layouts.clear()
         self.size = 0
 
     def _after_fork(self) -> None:
-        """Keep the inherited plans in a forked child, under a fresh lock.
+        """Keep the inherited layouts and plans in a forked child, under a fresh lock.
 
         Another parent thread may have held the lock, or been between an
         insertion and its count, at the fork; the child would otherwise
         block on its first insertion (process pool workers are forked).
         """
         self._lock = threading.Lock()
-        self.size = sum(1 + len(p.orders) + len(p.schedules) for p in self._plans.values())
+        self.size = len(self._layouts) + sum(
+            1 + len(p.orders) + len(p.schedules) for p in self._plans.values()
+        )
 
 
 #: The one plan store of this process.
@@ -204,16 +270,12 @@ class CompiledGibbs:
         self.alphabet: Tuple[Value, ...] = tuple(alphabet)
         self.symbol_index: Dict[Value, int] = {value: i for i, value in enumerate(self.alphabet)}
         self.q = len(self.alphabet)
-        self.scopes: Tuple[Tuple[int, ...], ...] = tuple(tuple(scope) for scope in scopes)
+        self.scopes: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, scopes))
         self.arrays: Tuple[np.ndarray, ...] = tuple(arrays)
-        factors_at: List[List[int]] = [[] for _ in self.nodes]
-        for factor_id, scope in enumerate(self.scopes):
-            for variable in scope:
-                factors_at[variable].append(factor_id)
-        self.factors_at: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(ids) for ids in factors_at
-        )
-        self.fused_scopes, self.fused_arrays = _fuse_factors(self.scopes, self.arrays)
+        layout = _PLAN_STORE.layout_for(len(self.nodes), self.q, self.scopes)
+        self.factors_at = layout.factors_at
+        self.fused_scopes = layout.fused_scopes
+        self.fused_arrays = layout.fuse(self.arrays)
         self._plans = _PLAN_STORE.plans_for(self)
         self._marginal_memo: Dict[tuple, Dict[Value, float]] = {}
         self._conditionals = None
@@ -229,11 +291,13 @@ class CompiledGibbs:
         """Compile :class:`~repro.gibbs.factors.Factor`-like objects.
 
         Each factor must expose ``scope`` and ``dense_table(alphabet)``; the
-        dense table is cached on the factor, so compiling many overlapping
-        balls of the same distribution materialises each factor only once.
+        dense table is cached on the factor and shared by the factors of one
+        callable, so compiling a fresh model, or many overlapping balls of
+        one distribution, materialises each callable's table only once.
         """
         node_index = {node: i for i, node in enumerate(nodes)}
-        scopes = [tuple(node_index[node] for node in factor.scope) for factor in factors]
+        encode = node_index.__getitem__
+        scopes = [tuple(map(encode, factor.scope)) for factor in factors]
         arrays = [factor.dense_table(alphabet) for factor in factors]
         return cls(nodes, alphabet, scopes, arrays)
 
@@ -268,9 +332,10 @@ class CompiledGibbs:
         every iteration; the nodes, alphabet and factor scopes never change,
         only the dense weight tables do.  Elimination orders and contraction
         schedules depend solely on the scope structure and the pinned domain,
-        so the twin finds them in the process-wide plan store (like every
-        engine of the same structure), while the value-dependent state --
-        fused tables, marginal memo, gathered conditionals, batched blanket
+        and the fusion layout on the scopes alone, so the twin finds all of
+        them in the process-wide plan store (like every engine of the same
+        structure), while the value-dependent state -- the fused tables'
+        products, marginal memo, gathered conditionals, batched blanket
         tables -- is rebuilt fresh.
         """
         if len(arrays) != len(self.scopes):
@@ -683,10 +748,8 @@ class CompiledGibbs:
         )
 
 
-def _fuse_factors(
-    scopes: Sequence[Tuple[int, ...]], arrays: Sequence[np.ndarray]
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[np.ndarray, ...]]:
-    """Statically fold factors into fewer tables for the elimination path.
+def _fusion_layout(n: int, scopes: Sequence[Tuple[int, ...]]) -> _Layout:
+    """Statically plan how factors fold into fewer tables for elimination.
 
     Factors with identical scope sets are multiplied together, and unary
     factors are absorbed into some multi-node factor containing their node
@@ -694,47 +757,51 @@ def _fuse_factors(
     unchanged -- this just roughly halves the join count per elimination for
     the vertex-plus-edge factorisations every model here uses.  The original
     per-factor arrays stay available for conditionals and weight products.
+    Each fused table multiplies its multi-node factors in factor order,
+    then its unaries in factor order, so :meth:`_Layout.fuse` is
+    bit-identical however often the layout is reused.
     """
     by_scope_set: Dict[frozenset, int] = {}
     fused_scopes: List[Tuple[int, ...]] = []
-    fused_arrays: List[np.ndarray] = []
-    unaries: List[Tuple[int, np.ndarray]] = []
-    for scope, array in zip(scopes, arrays):
+    recipes: List[Tuple[int, List[tuple]]] = []
+    unaries: List[Tuple[int, int]] = []
+    for factor_id, scope in enumerate(scopes):
         if len(scope) == 1:
-            unaries.append((scope[0], array))
+            unaries.append((scope[0], factor_id))
             continue
         key = frozenset(scope)
         slot = by_scope_set.get(key)
         if slot is None:
             by_scope_set[key] = len(fused_scopes)
             fused_scopes.append(scope)
-            fused_arrays.append(array.copy())
+            recipes.append((factor_id, []))
         else:
-            host_scope = fused_scopes[slot]
-            aligned = np.transpose(array, [scope.index(v) for v in host_scope])
-            fused_arrays[slot] = fused_arrays[slot] * aligned
+            axes = tuple(scope.index(v) for v in fused_scopes[slot])
+            recipes[slot][1].append((factor_id, axes, None))
     host_of: Dict[int, int] = {}
     for slot, scope in enumerate(fused_scopes):
         for variable in scope:
             host_of.setdefault(variable, slot)
-    for variable, array in unaries:
+    for variable, factor_id in unaries:
         slot = host_of.get(variable)
         if slot is None:
-            key = frozenset((variable,))
-            slot = by_scope_set.get(key)
-            if slot is None:
-                by_scope_set[key] = len(fused_scopes)
-                fused_scopes.append((variable,))
-                fused_arrays.append(array.copy())
-                host_of[variable] = by_scope_set[key]
-            else:
-                fused_arrays[slot] = fused_arrays[slot] * array
+            host_of[variable] = len(fused_scopes)
+            fused_scopes.append((variable,))
+            recipes.append((factor_id, []))
             continue
         host_scope = fused_scopes[slot]
         shape = [1] * len(host_scope)
-        shape[host_scope.index(variable)] = len(array)
-        fused_arrays[slot] = fused_arrays[slot] * array.reshape(shape)
-    return tuple(fused_scopes), tuple(fused_arrays)
+        shape[host_scope.index(variable)] = -1
+        recipes[slot][1].append((factor_id, None, tuple(shape)))
+    factors_at: List[List[int]] = [[] for _ in range(n)]
+    for factor_id, scope in enumerate(scopes):
+        for variable in scope:
+            factors_at[variable].append(factor_id)
+    return _Layout(
+        tuple(fused_scopes),
+        tuple((first, tuple(steps)) for first, steps in recipes),
+        tuple(tuple(ids) for ids in factors_at),
+    )
 
 
 def dense_table_from_callable(factor, alphabet: Sequence[Value]) -> np.ndarray:

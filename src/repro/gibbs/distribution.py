@@ -101,10 +101,13 @@ class GibbsDistribution:
         self._compiled: Optional[CompiledGibbs] = None
         self._ball_cache: Optional[BallCache] = None
         self._locality: Optional[int] = None
-        self._factors_by_node: Dict[Node, List[Factor]] = {node: [] for node in graph.nodes()}
-        for factor in self.factors:
+        #: Positions in :attr:`factors` of the factors touching each node.
+        #: Positions depend on scopes alone, and :meth:`update_factors` keeps
+        #: every scope in place, so the index outlives reweighting.
+        self._factors_by_node: Dict[Node, List[int]] = {node: [] for node in graph.nodes()}
+        for i, factor in enumerate(self.factors):
             for node in factor.scope:
-                self._factors_by_node[node].append(factor)
+                self._factors_by_node[node].append(i)
 
     # ------------------------------------------------------------------
     # basic structure
@@ -136,12 +139,25 @@ class GibbsDistribution:
 
     def factors_at(self, node: Node) -> List[Factor]:
         """All factors whose scope contains ``node``."""
-        return list(self._factors_by_node.get(node, []))
+        factors = self.factors
+        return [factors[i] for i in self._factors_by_node.get(node, ())]
 
     def factors_within(self, nodes: Iterable[Node]) -> List[Factor]:
-        """All factors whose scope is entirely inside the node set."""
+        """All factors whose scope is entirely inside the node set.
+
+        In distribution order.  Only the factors touching the node set are
+        examined, so the cost follows the set (a ball), not the instance.
+        """
         node_set = nodes if isinstance(nodes, (set, frozenset)) else set(nodes)
-        return [factor for factor in self.factors if factor.scope_set <= node_set]
+        factors = self.factors
+        by_node = self._factors_by_node
+        inside = {
+            i
+            for node in node_set
+            for i in by_node.get(node, ())
+            if factors[i].scope_set <= node_set
+        }
+        return [factors[i] for i in sorted(inside)]
 
     def locality(self) -> int:
         """Maximum scope diameter over all factors (Definition 2.4).
@@ -421,10 +437,6 @@ class GibbsDistribution:
                 )
         self.factors = tuple(factors)
         self._factor_tables = None
-        self._factors_by_node = {node: [] for node in self.graph.nodes()}
-        for factor in self.factors:
-            for node in factor.scope:
-                self._factors_by_node[node].append(factor)
         if self._ball_cache is not None:
             self._ball_cache.clear()
         if self._compiled is not None:

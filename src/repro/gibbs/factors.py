@@ -10,13 +10,22 @@ constant (1 for edge factors, 0 for vertex factors).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
 
 import networkx as nx
 
+from repro import obs
+
 Node = Hashable
 Value = Hashable
 Assignment = Mapping[Node, Value]
+
+#: The dense tables of the whole process, weakly keyed on the factor
+#: function: ``{function: {(alphabet, arity): read-only array}}``.  A
+#: function's entry goes away with the function, so fresh models never
+#: pin the tables of dropped ones.
+_SHARED_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class Factor:
@@ -29,7 +38,10 @@ class Factor:
         for how ``function`` receives its arguments.
     function:
         A callable taking one value per scope node (in scope order) and
-        returning a non-negative weight.
+        returning a non-negative weight.  It must be a pure function of
+        those values: :meth:`evaluate` caches each weight it returns, and
+        factors sharing one callable share one dense table per alphabet
+        and arity (see :meth:`dense_table`).
     name:
         Optional human-readable label used in ``repr`` and error messages.
     """
@@ -121,20 +133,21 @@ class Factor:
         return self.evaluate(dict(zip(self.scope, values)))
 
     def dense_table(self, alphabet: Sequence[Value]):
-        """The factor as a dense NumPy array with one axis per scope node.
+        """The factor as a read-only dense NumPy array, one axis per scope node.
 
         Entry ``[i, j, ...]`` is the weight of assigning the scope nodes the
-        alphabet symbols with codes ``i, j, ...``.  Cached per alphabet, so
-        the compiled evaluation engine materialises each factor at most once
-        no matter how many (ball-restricted) compilations reference it.
+        alphabet symbols with codes ``i, j, ...``.  Factors built on one
+        callable share one table per ``(alphabet, arity)`` across the
+        process, so a fresh model whose vertex and edge factors each reuse
+        one function materialises two tables, not one per factor.  A
+        callable that cannot be weakly referenced gets a table of its own
+        per factor.  Either way the table is cached on the factor, so every
+        (ball-restricted) compilation referencing it reads the same array.
         """
         key = tuple(alphabet)
         cached = self._dense_cache.get(key)
         if cached is None:
-            from repro.engine.compiled import dense_table_from_callable
-
-            cached = dense_table_from_callable(self, key)
-            self._dense_cache[key] = cached
+            cached = self._dense_cache[key] = _shared_dense_table(self, key)
         return cached
 
     def is_satisfied(self, assignment: Assignment) -> bool:
@@ -174,6 +187,35 @@ class Factor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Factor(name={self.name!r}, scope={self.scope!r})"
+
+
+def _shared_dense_table(factor: Factor, alphabet: Tuple[Value, ...]):
+    """The process-wide table of ``factor.function`` on ``alphabet``.
+
+    Builds it from ``factor`` on a miss.  Two threads missing together may
+    both build; ``setdefault`` keeps the first, so every factor still reads
+    one array.
+    """
+    key = (alphabet, len(factor.scope))
+    try:
+        tables = _SHARED_TABLES.get(factor.function)
+        if tables is None:
+            tables = _SHARED_TABLES.setdefault(factor.function, {})
+    except TypeError:
+        tables = None
+    table = None if tables is None else tables.get(key)
+    handle = obs.active()
+    if table is not None:
+        if handle is not None:
+            handle.metrics.counter("engine.dense_tables.shared").inc()
+        return table
+    from repro.engine.compiled import dense_table_from_callable
+
+    table = dense_table_from_callable(factor, alphabet)
+    table.setflags(write=False)
+    if handle is not None:
+        handle.metrics.counter("engine.dense_tables.built").inc()
+    return table if tables is None else tables.setdefault(key, table)
 
 
 def _distances_until(

@@ -210,11 +210,6 @@ class SharedArrayPack:
             handle.metrics.counter("runtime.shm.bytes").inc(self.nbytes)
             obs.instant("runtime.shm.segment", label=label or "pack", bytes=self.nbytes)
 
-    def view(self, index: int) -> np.ndarray:
-        """Owner-side zero-copy view of packed array ``index``."""
-        name, dtype, shape, offset = self.descriptors[index]
-        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._segment.buf, offset=offset)
-
     def release(self) -> None:
         """Close the mapping and unlink the segment (idempotent)."""
         self._finalizer()

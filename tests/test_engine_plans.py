@@ -2,7 +2,8 @@
 
 Elimination orders and contraction schedules depend only on structure --
 ``(len(nodes), q, fused_scopes)``, the pinned domain and the kept axes --
-so :mod:`repro.engine.compiled` keeps one store of them for the whole
+and fusion layouts only on ``(len(nodes), q, scopes)``, so
+:mod:`repro.engine.compiled` keeps one store of them for the whole
 process, shared by every engine of the same shape.  This suite pins down
 what that sharing must never change: results are bit-identical to a cold
 store, weights never leak between distributions, the store stays within
@@ -64,7 +65,9 @@ def _queries(distribution):
 
 
 def _counted(store):
-    return sum(1 + len(p.orders) + len(p.schedules) for p in store._plans.values())
+    return len(store._layouts) + sum(
+        1 + len(p.orders) + len(p.schedules) for p in store._plans.values()
+    )
 
 
 @pytest.fixture

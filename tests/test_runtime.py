@@ -956,7 +956,7 @@ class TestSharedMemoryTransport:
             assert result.returncode == -signal.SIGKILL, result.stderr.decode()
             # The kill dropped the attachment without unlinking: the owner
             # still reads its data, then releases cleanly.
-            assert pack.view(0)[5] == 5
+            assert shm.attach_array(pack.descriptors[0])[5] == 5
         finally:
             pack.release()
         assert shm.leaked_dev_shm_segments() == []
