@@ -260,8 +260,8 @@ def fresh_compile(repeats: int = 15) -> Dict[str, object]:
     model after the first of its shape.  ``dense_tables_seconds`` times
     ``Factor.dense_table`` over every factor of another fresh model and
     ``fusion_seconds`` the fusion of its arrays by the stored layout; the
-    rest of ``compiled_engine_seconds`` is node and symbol indexing and
-    the scope encoding.
+    rest of ``compiled_engine_seconds`` is node and symbol indexing, the
+    scope encoding and the plan-store lookups.
     """
     rows: Dict[str, object] = {}
     for name, (make_graph, build) in FRESH_MODELS.items():
