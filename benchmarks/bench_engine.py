@@ -282,9 +282,9 @@ def fresh_compile(repeats: int = 15) -> Dict[str, object]:
             arrays = [factor.dense_table(alphabet) for factor in distribution.factors]
             fusion.append(
                 _time(
-                    lambda: _PLAN_STORE.layout_for(
-                        len(compiled.nodes), compiled.q, compiled.scopes
-                    ).fuse(arrays)
+                    lambda: _PLAN_STORE.layout_for(len(compiled.nodes), compiled.scopes).fuse(
+                        arrays
+                    )
                 )
             )
         rows[name] = {

@@ -790,13 +790,13 @@ def run(
     repeats: int = 3,
     cluster: bool = True,
     serve: bool = True,
-    spread_repeats: int = 9,
 ) -> List[Dict[str, object]]:
     """Time the backends; report the best of ``repeats`` per side.
 
-    The repeated-chains and phase-residual rows instead run
-    ``spread_repeats`` times and record the median with its spread.
+    The repeated-chains and phase-residual rows instead run ``3 * repeats``
+    times and record the median with its spread.
     """
+    spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
     for name, factory in (
         ("luby_chains", _luby_chain_workload),
@@ -1222,9 +1222,9 @@ def test_batched_runner_amortises_the_python_loop(once=None) -> None:
     benchmark budget); the recorded JSON documents them.
     """
     if once is None:
-        rows = run(repeats=2, cluster=False, spread_repeats=3)
+        rows = run(repeats=2, cluster=False)
     else:
-        rows = once(run, repeats=2, cluster=False, spread_repeats=3)
+        rows = once(run, repeats=2, cluster=False)
     print()
     _print_rows(rows)
     for row in rows:

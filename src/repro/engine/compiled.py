@@ -23,7 +23,7 @@ only multiplies arrays.
 
 Two memoisations make repeated queries cheap:
 
-* fusion layouts, keyed by ``(node count, q, raw scopes)``, and elimination
+* fusion layouts, keyed by ``(node count, raw scopes)``, and elimination
   orders and contraction schedules, cached per pinned *domain* (neither
   depends on the pinned values) and keyed by ``(node count, q, fused
   scopes)``, live in one process-wide plan store, so every engine of the
@@ -124,8 +124,9 @@ class _PlanStore:
     ``(len(nodes), q, fused_scopes)`` -- compared by equality, never by
     identity -- and are bit-identical for every engine of that structure,
     whatever its weights.  The fusion layout (:class:`_Layout`) comes
-    first: it is what turns raw scopes into fused ones, so it is keyed by
-    ``(len(nodes), q, scopes)`` over the raw factor scopes.  Each engine
+    first: it is what turns raw scopes into fused ones, and it reads
+    neither ``q`` nor a weight, so it is keyed by ``(len(nodes), scopes)``
+    over the raw factor scopes.  Each engine
     looks its layout and its structure up once, at construction; hits read
     without locking.  The store holds at most :data:`_PLAN_CACHE_LIMIT`
     entries (layouts plus structures plus orders plus schedules) and resets
@@ -140,9 +141,9 @@ class _PlanStore:
         self._lock = threading.Lock()
         self.size = 0
 
-    def layout_for(self, n: int, q: int, scopes: Tuple[Tuple[int, ...], ...]) -> _Layout:
-        """The fusion layout of ``n`` nodes over ``q`` symbols with these raw scopes."""
-        key = (n, q, scopes)
+    def layout_for(self, n: int, scopes: Tuple[Tuple[int, ...], ...]) -> _Layout:
+        """The fusion layout of ``n`` nodes with these raw scopes."""
+        key = (n, scopes)
         layout = self._layouts.get(key)
         if layout is None:
             layout = _fusion_layout(n, scopes)
@@ -272,7 +273,7 @@ class CompiledGibbs:
         self.q = len(self.alphabet)
         self.scopes: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, scopes))
         self.arrays: Tuple[np.ndarray, ...] = tuple(arrays)
-        layout = _PLAN_STORE.layout_for(len(self.nodes), self.q, self.scopes)
+        layout = _PLAN_STORE.layout_for(len(self.nodes), self.scopes)
         self.factors_at = layout.factors_at
         self.fused_scopes = layout.fused_scopes
         self.fused_arrays = layout.fuse(self.arrays)

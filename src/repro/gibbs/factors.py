@@ -133,7 +133,7 @@ class Factor:
         return self.evaluate(dict(zip(self.scope, values)))
 
     def dense_table(self, alphabet: Sequence[Value]):
-        """The factor as a read-only dense NumPy array, one axis per scope node.
+        """The factor as a dense NumPy array with one axis per scope node.
 
         Entry ``[i, j, ...]`` is the weight of assigning the scope nodes the
         alphabet symbols with codes ``i, j, ...``.  Factors built on one
@@ -141,8 +141,11 @@ class Factor:
         process, so a fresh model whose vertex and edge factors each reuse
         one function materialises two tables, not one per factor.  A
         callable that cannot be weakly referenced gets a table of its own
-        per factor.  Either way the table is cached on the factor, so every
-        (ball-restricted) compilation referencing it reads the same array.
+        per factor.  Tables built from the callable are read-only; an array
+        installed by :meth:`from_dense` is returned unchanged, as its
+        caller left it.  Either way the table is cached on the factor, so
+        every (ball-restricted) compilation referencing it reads the same
+        array.
         """
         key = tuple(alphabet)
         cached = self._dense_cache.get(key)

@@ -293,6 +293,20 @@ class TestFusionLayouts:
         assert len(STORE._layouts) == 1
         assert len({id(engine.fused_scopes) for engine in engines}) == 1
 
+    def test_one_layout_serves_every_alphabet_size(self):
+        # The layout reads no q: unaries broadcast along their node's axis
+        # whatever its length, so 2- and 4-symbol engines share it.
+        scopes = [(0,), (0, 1), (2,), (1, 0), (1, 2), (1,)]
+        generator = np.random.default_rng(5)
+        STORE.clear()
+        for q in (2, 4, 3):
+            arrays = _random_arrays(generator, scopes, q)
+            engine = CompiledGibbs(range(3), range(q), scopes, arrays)
+            fused_scopes, fused = _direct_fusion(scopes, arrays)
+            assert engine.fused_scopes == fused_scopes
+            assert [a.tobytes() for a in engine.fused_arrays] == [a.tobytes() for a in fused]
+        assert len(STORE._layouts) == 1
+
 
 def _full_scan(distribution, nodes):
     return [factor for factor in distribution.factors if factor.scope_set <= set(nodes)]

@@ -2,7 +2,7 @@
 
 Elimination orders and contraction schedules depend only on structure --
 ``(len(nodes), q, fused_scopes)``, the pinned domain and the kept axes --
-and fusion layouts only on ``(len(nodes), q, scopes)``, so
+and fusion layouts only on ``(len(nodes), scopes)``, so
 :mod:`repro.engine.compiled` keeps one store of them for the whole
 process, shared by every engine of the same shape.  This suite pins down
 what that sharing must never change: results are bit-identical to a cold
