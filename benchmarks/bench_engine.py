@@ -20,7 +20,12 @@ the experiment suite:
   and the fusion products (a layout from the plan store).  Each model's
   ``arrays`` and ``fused_arrays`` are checked byte for byte against tables
   built factor by factor and fused under a cold plan store before any
-  timing.
+  timing;
+* ``jvv_exact_local`` -- E6's exact sampler: ``sample_exact_local`` on the
+  16-cycle hardcore instance with the correlation-decay oracle, seeds 0-3,
+  a fresh instance and oracle per sample.  Every seed's ``(configuration,
+  failures, rounds)`` is checked against its golden tuple before any
+  timing, and the row records how many oracle calls the four samples make.
 
 Spreads (median, quartiles, minimum) and the environment stamp come from
 ``spread.py``.
@@ -38,17 +43,17 @@ import json
 import statistics
 import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.engine.compiled import _PLAN_STORE, CompiledGibbs, dense_table_from_callable
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_regular_graph, random_tree, torus_graph
-from repro.inference import TruncatedBallInference
+from repro.inference import TruncatedBallInference, correlation_decay_for
 from repro.models import coloring_model, hardcore_model, ising_model
-from repro.sampling import glauber_sample
-from spread import environment, spread
+from repro.sampling import glauber_sample, sample_exact_local
+from spread import environment, spread, timed
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -302,6 +307,51 @@ def fresh_compile(repeats: int = 15) -> Dict[str, object]:
     }
 
 
+#: ``sample_exact_local`` on the E6 instance, per seed: (occupied nodes,
+#: failed nodes, rounds).  ``tests/test_sampling_jvv.py`` pins the same
+#: tuples.
+JVV_GOLDEN = {
+    0: ((0, 5, 9), (), 9348),
+    1: ((0, 12), (), 18696),
+    2: ((0, 4, 9, 11, 13), (11,), 9348),
+    3: ((0, 6), (), 14022),
+}
+
+
+def _e6_exact_sample(seed: int, oracle_calls: Optional[List[int]] = None):
+    """One E6 exact sample on a fresh instance and oracle, counting oracle calls."""
+    instance = SamplingInstance(hardcore_model(cycle_graph(16), fugacity=0.5), {0: 1})
+    oracle = correlation_decay_for(instance.distribution, decay_rate=0.5)
+    if oracle_calls is not None:
+        marginal = oracle.marginal
+
+        def counted(*args):
+            oracle_calls.append(1)
+            return marginal(*args)
+
+        oracle.marginal = counted
+    return sample_exact_local(instance, oracle, seed=seed)
+
+
+def jvv_exact_local(repeats: int = 9) -> Dict[str, object]:
+    """The four E6 exact samples, after checking each against its golden tuple."""
+    oracle_calls: List[int] = []
+    for seed, (occupied, failed, rounds) in JVV_GOLDEN.items():
+        result = _e6_exact_sample(seed, oracle_calls)
+        assert result.configuration == {node: int(node in occupied) for node in range(16)}
+        assert result.failures == {node: node in failed for node in range(16)}
+        assert result.rounds == rounds, (seed, result.rounds)
+    return {
+        "workload": "jvv_exact_local",
+        "seeds": sorted(JVV_GOLDEN),
+        "oracle_calls": len(oracle_calls),
+        "seconds_per_sample": timed(
+            lambda: [_e6_exact_sample(seed) for seed in JVV_GOLDEN], repeats, per=len(JVV_GOLDEN)
+        ),
+        "bit_identical_to_golden": True,
+    }
+
+
 def ball_cache_stats() -> Dict[str, int]:
     """The engine's ball-cache counters after the SSM workload, obs off.
 
@@ -330,6 +380,7 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
         "min_speedup": min(row["speedup"] for row in rows),
         "cold_distributions": cold_distributions(),
         "fresh_compile": fresh_compile(),
+        "jvv_exact_local": jvv_exact_local(),
         "ball_cache": ball_cache_stats(),
         "environment": environment(),
     }
@@ -377,6 +428,11 @@ if __name__ == "__main__":
             f"fusion {row['fusion_seconds']['median'] * 1e3:.2f} ms   "
             f"({row['factors']} factors)"
         )
+    row = result["jvv_exact_local"]
+    print(
+        f"jvv_exact_local: {row['seconds_per_sample']['median'] * 1e3:.2f} ms per sample   "
+        f"({row['oracle_calls']} oracle calls over seeds {row['seeds']})"
+    )
     stats = result["ball_cache"]
     print(
         "    ball cache: "

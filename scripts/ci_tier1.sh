@@ -6,7 +6,13 @@
 # cycle, in the same process, must plan nothing anew -- 0
 # engine.schedule_cache misses -- and both sweeps' radii must equal the
 # engine="dict" sweeps; one fresh hardcore model's compiled_engine() must
-# build exactly 2 dense tables, one per factor callable), a fast runtime smoke (batched-chain determinism and pickling, skipping the
+# build exactly 2 dense tables, one per factor callable), a JVV oracle-memo
+# smoke (one E6 sample_exact_local run -- 16-cycle hardcore, fugacity 0.5,
+# correlation decay at rate 0.5, seed 0 -- must equal its golden
+# (configuration, failures, rounds) tuple, and a counting wrapper on
+# TwoSpinCorrelationDecayInference.marginal must see at most as many calls
+# as distinct (node, conditioning) queries: each query reaches the oracle
+# at most once per run), a fast runtime smoke (batched-chain determinism and pickling, skipping the
 # slow-marked process-pool tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
@@ -104,6 +110,44 @@ assert radii == expected, f"radii {radii} != dict sweep {expected}"
 print(
     f"plan-store smoke OK: radii {radii} == dict, the second sweep planned 0 "
     "schedules, a fresh model built 2 dense tables"
+)
+PY
+
+echo "== tier-1: JVV oracle-memo smoke =="
+python - <<'PY'
+from repro.gibbs import SamplingInstance
+from repro.graphs import cycle_graph
+from repro.inference import correlation_decay_for
+from repro.inference.correlation_decay import TwoSpinCorrelationDecayInference
+from repro.models import hardcore_model
+from repro.sampling import sample_exact_local
+
+# The golden tuple was recorded before the sampler memoised its oracle.
+occupied, failed, rounds = (0, 5, 9), (), 9348
+instance = SamplingInstance(hardcore_model(cycle_graph(16), fugacity=0.5), {0: 1})
+queries = []
+marginal = TwoSpinCorrelationDecayInference.marginal
+
+
+def counted(self, conditioned, node, error):
+    queries.append((node, frozenset(conditioned.pinning.as_dict().items())))
+    return marginal(self, conditioned, node, error)
+
+
+TwoSpinCorrelationDecayInference.marginal = counted
+try:
+    oracle = correlation_decay_for(instance.distribution, decay_rate=0.5)
+    result = sample_exact_local(instance, oracle, seed=0)
+finally:
+    TwoSpinCorrelationDecayInference.marginal = marginal
+assert result.configuration == {node: int(node in occupied) for node in range(16)}, result.configuration
+assert result.failures == {node: node in failed for node in range(16)}, result.failures
+assert result.rounds == rounds, result.rounds
+distinct = len(set(queries))
+assert len(queries) <= distinct, f"{len(queries)} oracle calls for {distinct} distinct queries"
+print(
+    f"JVV oracle-memo smoke OK: golden tuple, {len(queries)} oracle calls "
+    f"for {distinct} distinct queries"
 )
 PY
 

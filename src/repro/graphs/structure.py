@@ -31,11 +31,34 @@ def distances_from(graph: nx.Graph, source: Node, radius: int | None = None) -> 
     """All shortest-path distances from ``source``.
 
     If ``radius`` is given, the BFS is truncated at that radius, which keeps
-    the cost proportional to the ball size rather than the graph size.
+    the cost proportional to the ball size rather than the graph size.  The
+    BFS walks the graph's adjacency dicts directly (``graph._adj``, the
+    dict-of-dicts networkx's own BFS reads: wrapping every row in the
+    ``graph.adj`` view costs more than the search) and skips networkx's
+    backend dispatch.  The result equals
+    ``nx.single_source_shortest_path_length(graph, source, cutoff=radius)``
+    item for item *and in order* (level by level, neighbours in adjacency
+    order), which matters because :func:`power_graph` inserts its edges in
+    this order and the seeded network decomposition reads that order.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be non-negative")
-    return dict(nx.single_source_shortest_path_length(graph, source, cutoff=radius))
+    if source not in graph:
+        raise nx.NodeNotFound(f"Source {source} is not in G")
+    adjacency = graph._adj
+    lengths = {source: 0}
+    frontier = [source]
+    level = 0
+    while frontier and (radius is None or level < radius):
+        level += 1
+        next_frontier = []
+        for node in frontier:
+            for neighbour in adjacency[node]:
+                if neighbour not in lengths:
+                    lengths[neighbour] = level
+                    next_frontier.append(neighbour)
+        frontier = next_frontier
+    return lengths
 
 
 def ball(graph: nx.Graph, center: Node, radius: int) -> Set[Node]:

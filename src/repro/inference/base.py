@@ -25,7 +25,15 @@ Value = Hashable
 
 
 class InferenceAlgorithm(abc.ABC):
-    """A deterministic LOCAL algorithm for approximate inference."""
+    """A deterministic LOCAL algorithm for approximate inference.
+
+    Determinism (Proposition 3.3) is part of the contract: the same
+    instance, node and error always give the same marginal.  Callers rely
+    on it -- :class:`~repro.sampling.jvv.LocalJVVSampler` asks each
+    ``(node, conditioning)`` once per run and answers repeats from a memo,
+    so an engine whose answers vary between calls would break the sampler's
+    telescoping acceptance ratio.
+    """
 
     @abc.abstractmethod
     def locality(self, instance: SamplingInstance, error: float) -> int:

@@ -94,10 +94,10 @@ def simulate_slocal_as_local(
     """
     locality = effective_locality(algorithm, network)
     graph = network.graph
+    scheduling_graph = power_graph(graph, locality + 1) if locality > 0 else graph
     if decomposition is None:
-        scheduling_graph = power_graph(graph, locality + 1) if locality > 0 else graph
         decomposition = linial_saks_decomposition(scheduling_graph, seed=seed)
-    decomposition.validate(power_graph(graph, locality + 1) if locality > 0 else graph)
+    decomposition.validate(scheduling_graph)
 
     ids = network.ids
     # Chromatic schedule: colors in increasing order; within a color clusters

@@ -147,10 +147,12 @@ def run_slocal_algorithm(
         node: algorithm.initial_state(node, network) for node in network.nodes
     }
     graph: nx.Graph = network.graph
+    # One ball per node for the whole run: every pass reads the same radius,
+    # and StateAccess hands out copies, so the sets are never mutated.
+    allowed = {node: ball(graph, node, radius) for node in order}
     for pass_index in range(algorithm.passes):
         for node in order:
-            allowed = ball(graph, node, radius)
-            access = StateAccess(states, allowed, node)
+            access = StateAccess(states, allowed[node], node)
             rng = network.rng(node, salt=pass_index)
             algorithm.process(pass_index, node, access, rng, network)
     outputs = {node: states[node].get("output") for node in network.nodes}

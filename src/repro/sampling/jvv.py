@@ -185,7 +185,20 @@ def jvv_chain_stats(
 
 
 class LocalJVVSampler(SLocalAlgorithm):
-    """The three-pass local-JVV SLOCAL algorithm."""
+    """The three-pass local-JVV SLOCAL algorithm.
+
+    All three passes reach the inference engine through one memo owned by
+    the sampler, keyed on ``(node, frozenset(free part of the
+    conditioning))``: passes 1 and 2 condition on the values already
+    placed, and pass 3 re-asks, for every visible node, the marginal given
+    its step-order prefix of ``sigma_{i-1}`` and of ``sigma_i`` -- mostly
+    questions an earlier step or pass already asked.  The memo is sound
+    because inference engines are deterministic (Proposition 3.3, see
+    :class:`~repro.inference.base.InferenceAlgorithm`); a non-deterministic
+    engine would make repeated questions disagree with their first answer.
+    The memo lives as long as the sampler; :func:`sample_exact_slocal` and
+    :func:`sample_exact_local` build a fresh sampler per run.
+    """
 
     passes = 3
 
@@ -204,6 +217,8 @@ class LocalJVVSampler(SLocalAlgorithm):
         self.inference_error = inference_error if inference_error is not None else 1.0 / n ** 3
         self.max_rejection_candidates = max_rejection_candidates
         self._step_counter = 0
+        #: The oracle's answers, keyed on ``(node, frozenset(conditioning))``.
+        self._marginals: Dict[tuple, Dict[Value, float]] = {}
 
     # ------------------------------------------------------------------
     def base_radius(self, network: Network) -> int:
@@ -218,21 +233,31 @@ class LocalJVVSampler(SLocalAlgorithm):
         return {}
 
     # ------------------------------------------------------------------
-    def _visible_values(self, access: StateAccess, key: str) -> Dict[Node, Value]:
+    def _free_values(self, access: StateAccess, key: str, node: Node) -> Dict[Node, Value]:
+        """The ``key`` entries of every visible free node other than ``node``."""
+        pinning = self.instance.pinning
         values: Dict[Node, Value] = {}
         for other in access.visible_nodes:
             state = access.read(other)
-            if key in state:
+            if key in state and other != node and other not in pinning:
                 values[other] = state[key]
         return values
 
-    def _conditioned(self, assignment: Dict[Node, Value]) -> SamplingInstance:
-        free_assignment = {
-            node: value
-            for node, value in assignment.items()
-            if node not in self.instance.pinning
-        }
-        return self.instance.conditioned(free_assignment)
+    def _marginal(self, node: Node, free_assignment: Dict[Node, Value]) -> Dict[Value, float]:
+        """The oracle's estimate of ``node``'s marginal given ``free_assignment``.
+
+        ``free_assignment`` pins free nodes only (the instance's pinning is
+        implied).  Each ``(node, conditioning)`` reaches the engine once per
+        sampler; repeats are answered from the memo.
+        """
+        key = (node, frozenset(free_assignment.items()))
+        marginal = self._marginals.get(key)
+        if marginal is None:
+            marginal = self.inference.marginal(
+                self.instance.conditioned(free_assignment), node, self.inference_error
+            )
+            self._marginals[key] = marginal
+        return marginal
 
     # ------------------------------------------------------------------
     def process(
@@ -259,10 +284,7 @@ class LocalJVVSampler(SLocalAlgorithm):
         if node in instance.pinning:
             access.write(node, "ground", instance.pinning[node])
             return
-        assigned = self._visible_values(access, "ground")
-        assigned.pop(node, None)
-        conditioned = self._conditioned(assigned)
-        marginal = self.inference.marginal(conditioned, node, self.inference_error)
+        marginal = self._marginal(node, self._free_values(access, "ground", node))
         positive = {value: p for value, p in marginal.items() if p > 0.0}
         if not positive:
             raise RuntimeError(
@@ -278,10 +300,7 @@ class LocalJVVSampler(SLocalAlgorithm):
         if node in instance.pinning:
             access.write(node, "sample", instance.pinning[node])
             return
-        assigned = self._visible_values(access, "sample")
-        assigned.pop(node, None)
-        conditioned = self._conditioned(assigned)
-        marginal = self.inference.marginal(conditioned, node, self.inference_error)
+        marginal = self._marginal(node, self._free_values(access, "sample", node))
         access.write(node, "sample", sample_from(marginal, rng))
 
     # -- pass 3: local rejection ------------------------------------------
@@ -300,9 +319,9 @@ class LocalJVVSampler(SLocalAlgorithm):
         distribution = self.instance.distribution
         merged = dict(context)
         merged.update(candidate)
-        node_set = set(check_nodes)
-        for factor in distribution.factors_within(node_set):
-            if not set(factor.scope) <= set(merged):
+        assigned = set(merged)
+        for factor in distribution.factors_within(check_nodes):
+            if not factor.scope_set <= assigned:
                 continue
             if factor.evaluate(merged) == 0.0:
                 return False
@@ -417,8 +436,9 @@ class LocalJVVSampler(SLocalAlgorithm):
         # Weight ratio w(sigma_i) / w(sigma_{i-1}) over the factors inside the
         # (t + l)-ball -- all other factors see identical configurations.
         weight_ratio = 1.0
-        for factor in distribution.factors_within(set(check_ball)):
-            if not set(factor.scope) <= set(sigma_next):
+        assigned = set(sigma_next)
+        for factor in distribution.factors_within(check_ball):
+            if not factor.scope_set <= assigned:
                 continue
             new_weight = factor.evaluate(sigma_next)
             old_weight = factor.evaluate(sigma_previous)
@@ -431,35 +451,28 @@ class LocalJVVSampler(SLocalAlgorithm):
         # 2t of v_i contribute a non-trivial factor (equation (11)); we sum
         # over every visible node so that the telescoping identity also holds
         # exactly for non-local oracles such as ExactInference, which the
-        # correctness tests use.
+        # correctness tests use.  Walking the nodes in step order, each
+        # node's conditioning is the free part of the configuration on the
+        # nodes before it, so the two prefixes grow by one node per step.
         mu_ratio = 1.0
-        influence = set(visible)
-        for other in sorted(influence, key=lambda u: steps[u]):
-            if other in instance.pinning:
+        pinning = instance.pinning
+        prefix_previous: Dict[Node, Value] = {}
+        prefix_next: Dict[Node, Value] = {}
+        for other in sorted(visible, key=lambda u: steps[u]):
+            if other in pinning:
                 continue
-            if sigma_previous.get(other) is None or sigma_next.get(other) is None:
-                continue
-            prefix_previous = {
-                u: sigma_previous[u]
-                for u in visible
-                if steps[u] < steps[other] and u in sigma_previous
-            }
-            prefix_next = {
-                u: sigma_next[u]
-                for u in visible
-                if steps[u] < steps[other] and u in sigma_next
-            }
-            old_marginal = self.inference.marginal(
-                self._conditioned(prefix_previous), other, self.inference_error
-            )
-            new_marginal = self.inference.marginal(
-                self._conditioned(prefix_next), other, self.inference_error
-            )
-            numerator = old_marginal.get(sigma_previous[other], 0.0)
-            denominator = new_marginal.get(sigma_next[other], 0.0)
-            if denominator <= 0.0:
-                return 0.0
-            mu_ratio *= numerator / denominator
+            previous_value = sigma_previous.get(other)
+            next_value = sigma_next.get(other)
+            if previous_value is not None and next_value is not None:
+                numerator = self._marginal(other, prefix_previous).get(previous_value, 0.0)
+                denominator = self._marginal(other, prefix_next).get(next_value, 0.0)
+                if denominator <= 0.0:
+                    return 0.0
+                mu_ratio *= numerator / denominator
+            if other in sigma_previous:
+                prefix_previous[other] = previous_value
+            if other in sigma_next:
+                prefix_next[other] = next_value
 
         acceptance = mu_ratio * weight_ratio * math.exp(-3.0 / n ** 2)
         return min(1.0, max(0.0, acceptance))

@@ -18,6 +18,7 @@ from repro.graphs import (
     path_graph,
     power_graph,
     sphere,
+    torus_graph,
 )
 
 
@@ -36,6 +37,35 @@ class TestDistances:
     def test_distances_from_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             distances_from(path_graph(3), 0, radius=-1)
+
+    def test_distances_from_missing_source_raises(self):
+        with pytest.raises(nx.NodeNotFound):
+            distances_from(path_graph(3), 7)
+        with pytest.raises(nx.NodeNotFound):
+            distances_from(path_graph(3), 7, radius=2)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.gnp_random_graph(30, 0.12, seed=3),
+            nx.gnp_random_graph(40, 0.06, seed=11),
+            nx.random_regular_graph(3, 24, seed=5),
+            cycle_graph(9),
+            cycle_graph(16),
+            torus_graph(4, 5),
+            nx.disjoint_union(cycle_graph(5), path_graph(4)),
+        ],
+        ids=["gnp30", "gnp40", "regular24", "cycle9", "cycle16", "torus4x5", "disconnected"],
+    )
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 5, None])
+    def test_distances_from_matches_networkx_in_order(self, graph, radius):
+        """Items *and* insertion order equal networkx's BFS: power_graph
+        inserts edges in this order, and the seeded decomposition reads it."""
+        for source in graph.nodes():
+            expected = nx.single_source_shortest_path_length(graph, source, cutoff=radius)
+            assert list(distances_from(graph, source, radius).items()) == list(
+                expected.items()
+            )
 
     def test_distance_disconnected_raises(self):
         graph = nx.Graph()

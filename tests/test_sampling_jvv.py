@@ -8,9 +8,38 @@ from repro.analysis import empirical_distribution, total_variation
 from repro.analysis.distances import configuration_key
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, path_graph
-from repro.inference import ExactInference, correlation_decay_for
+from repro.inference import ExactInference, InferenceAlgorithm, correlation_decay_for
 from repro.models import coloring_model, hardcore_model
 from repro.sampling import enumerate_target_distribution, sample_exact_local, sample_exact_slocal
+
+#: ``sample_exact_local`` on the E6 instance (hardcore on the 16-cycle at
+#: fugacity 0.5, node 0 pinned occupied, correlation-decay oracle at decay
+#: rate 0.5), per seed: (occupied nodes, failed nodes, rounds).
+E6_GOLDEN = {
+    0: ((0, 5, 9), (), 9348),
+    1: ((0, 12), (), 18696),
+    2: ((0, 4, 9, 11, 13), (11,), 9348),
+    3: ((0, 6), (), 14022),
+}
+
+
+def e6_instance():
+    return SamplingInstance(hardcore_model(cycle_graph(16), fugacity=0.5), {0: 1})
+
+
+class CountingOracle(InferenceAlgorithm):
+    """Delegates to ``engine`` and records every ``(node, conditioning)`` asked."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.queries = []
+
+    def locality(self, instance, error):
+        return self.engine.locality(instance, error)
+
+    def marginal(self, instance, node, error):
+        self.queries.append((node, frozenset(instance.pinning.as_dict().items())))
+        return self.engine.marginal(instance, node, error)
 
 
 class TestJVVMechanics:
@@ -70,6 +99,70 @@ class TestJVVMechanics:
         local = sample_exact_local(instance, engine, seed=2)
         assert local.rounds > slocal.rounds
         assert distribution.weight(local.configuration) > 0
+
+
+class TestJVVOracleMemo:
+    """The sampler asks its deterministic oracle once per (node, conditioning);
+    every output, flag, round count and acceptance is the unmemoised one."""
+
+    @pytest.mark.parametrize("seed", sorted(E6_GOLDEN))
+    def test_e6_exact_local_matches_golden(self, seed):
+        instance = e6_instance()
+        oracle = correlation_decay_for(instance.distribution, decay_rate=0.5)
+        result = sample_exact_local(instance, oracle, seed=seed)
+        occupied, failed, rounds = E6_GOLDEN[seed]
+        assert result.configuration == {node: int(node in occupied) for node in range(16)}
+        assert result.failures == {node: node in failed for node in range(16)}
+        assert result.rounds == rounds
+
+    @pytest.mark.parametrize(
+        "build,engine,expected",
+        [
+            # Exact oracle: every ratio cancels to the slack e^{-3/36}.
+            (
+                lambda: hardcore_model(cycle_graph(6), fugacity=1.2),
+                lambda distribution: ExactInference(),
+                [0.9200444146293233] * 6,
+            ),
+            # Truncated correlation decay: the ratios do not cancel, and
+            # node 0 differs from the others in the last bit.
+            (
+                lambda: hardcore_model(cycle_graph(8), fugacity=0.9),
+                lambda distribution: correlation_decay_for(distribution, max_depth=4),
+                [0.9542066659691882] + [0.9542066659691884] * 5
+                + [0.9429402425766744, 0.9542066659691884],
+            ),
+        ],
+        ids=["exact-6-cycle", "correlation-decay-8-cycle"],
+    )
+    def test_reversed_order_acceptance_matches_golden(self, build, engine, expected):
+        from repro.localmodel import Network, run_slocal_algorithm
+        from repro.sampling.jvv import LocalJVVSampler
+
+        distribution = build()
+        instance = SamplingInstance(distribution)
+        algorithm = LocalJVVSampler(instance, engine(distribution))
+        network = Network(instance.graph, seed=1)
+        result = run_slocal_algorithm(algorithm, network, list(reversed(network.nodes)))
+        assert [result.states[node]["acceptance"] for node in network.nodes] == expected
+
+    def test_each_query_reaches_the_oracle_once_per_run(self):
+        instance = e6_instance()
+        oracle = CountingOracle(correlation_decay_for(instance.distribution, decay_rate=0.5))
+        sample_exact_local(instance, oracle, seed=0)
+        assert len(oracle.queries) == len(set(oracle.queries))
+        # Pass 3 asks about prefixes passes 1 and 2 never conditioned on.
+        assert len(oracle.queries) > 2 * len(instance.free_nodes)
+
+    def test_a_second_sampler_asks_the_oracle_again(self):
+        instance = e6_instance()
+        oracle = CountingOracle(correlation_decay_for(instance.distribution, decay_rate=0.5))
+        first = sample_exact_local(instance, oracle, seed=1)
+        first_queries = list(oracle.queries)
+        assert first_queries
+        second = sample_exact_local(instance, oracle, seed=1)
+        assert oracle.queries[len(first_queries):] == first_queries
+        assert second.configuration == first.configuration
 
 
 @pytest.mark.slow
