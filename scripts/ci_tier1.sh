@@ -12,7 +12,10 @@
 # (configuration, failures, rounds) tuple, and a counting wrapper on
 # TwoSpinCorrelationDecayInference.marginal must see at most as many calls
 # as distinct (node, conditioning) queries: each query reaches the oracle
-# at most once per run), a fast runtime smoke (batched-chain determinism and pickling, skipping the
+# at most once per run; and neither that run nor a
+# TruncatedBallInference(2).marginals pass over a fresh instance may call
+# Factor.evaluate outside a dense-table build: both weigh factors by
+# symbol code), a fast runtime smoke (batched-chain determinism and pickling, skipping the
 # slow-marked process-pool tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
@@ -115,9 +118,10 @@ PY
 
 echo "== tier-1: JVV oracle-memo smoke =="
 python - <<'PY'
-from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph
-from repro.inference import correlation_decay_for
+from repro.engine import compiled
+from repro.gibbs import Factor, SamplingInstance
+from repro.graphs import cycle_graph, random_regular_graph
+from repro.inference import TruncatedBallInference, correlation_decay_for
 from repro.inference.correlation_decay import TwoSpinCorrelationDecayInference
 from repro.models import hardcore_model
 from repro.sampling import sample_exact_local
@@ -127,6 +131,11 @@ occupied, failed, rounds = (0, 5, 9), (), 9348
 instance = SamplingInstance(hardcore_model(cycle_graph(16), fugacity=0.5), {0: 1})
 queries = []
 marginal = TwoSpinCorrelationDecayInference.marginal
+evaluate = Factor.evaluate
+build_table = compiled.dense_table_from_callable
+# Factor.evaluate calls outside a dense-table build, which is compile work.
+weighed = []
+building = []
 
 
 def counted(self, conditioned, node, error):
@@ -134,20 +143,50 @@ def counted(self, conditioned, node, error):
     return marginal(self, conditioned, node, error)
 
 
+def counted_evaluate(self, assignment):
+    if not building:
+        weighed.append(self.name)
+    return evaluate(self, assignment)
+
+
+def flagged_build(factor, alphabet):
+    building.append(factor)
+    try:
+        return build_table(factor, alphabet)
+    finally:
+        building.pop()
+
+
 TwoSpinCorrelationDecayInference.marginal = counted
+Factor.evaluate = counted_evaluate
+compiled.dense_table_from_callable = flagged_build
 try:
     oracle = correlation_decay_for(instance.distribution, decay_rate=0.5)
     result = sample_exact_local(instance, oracle, seed=0)
+    jvv_weighed = len(weighed)
+    fresh = SamplingInstance(
+        hardcore_model(random_regular_graph(3, 30, seed=5), fugacity=1.2), {0: 1, 7: 0}
+    )
+    padded = TruncatedBallInference(2).marginals(fresh, 0.01)
 finally:
     TwoSpinCorrelationDecayInference.marginal = marginal
+    Factor.evaluate = evaluate
+    compiled.dense_table_from_callable = build_table
 assert result.configuration == {node: int(node in occupied) for node in range(16)}, result.configuration
 assert result.failures == {node: node in failed for node in range(16)}, result.failures
 assert result.rounds == rounds, result.rounds
 distinct = len(set(queries))
 assert len(queries) <= distinct, f"{len(queries)} oracle calls for {distinct} distinct queries"
+assert jvv_weighed == 0, f"an E6 sample called Factor.evaluate {jvv_weighed} times"
+assert len(padded) == 28, len(padded)
+assert len(weighed) == jvv_weighed, (
+    f"TruncatedBallInference(2).marginals called Factor.evaluate "
+    f"{len(weighed) - jvv_weighed} times"
+)
 print(
     f"JVV oracle-memo smoke OK: golden tuple, {len(queries)} oracle calls "
-    f"for {distinct} distinct queries"
+    f"for {distinct} distinct queries, 0 Factor.evaluate calls outside "
+    "dense-table builds"
 )
 PY
 

@@ -24,8 +24,9 @@ only multiplies arrays.
 Two memoisations make repeated queries cheap:
 
 * fusion layouts, keyed by ``(node count, raw scopes)``, and elimination
-  orders and contraction schedules, cached per pinned *domain* (neither
-  depends on the pinned values) and keyed by ``(node count, q, fused
+  orders, contraction schedules and restriction plans (which fused tables
+  a pinning slices, and along which axes), cached per pinned *domain*
+  (none depends on the pinned values) and keyed by ``(node count, q, fused
   scopes)``, live in one process-wide plan store, so every engine of the
   same shape shares them: the balls of one graph, the ``reweighted`` twins
   of the learning loop, fresh distributions on the same graph and the
@@ -48,12 +49,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.engine.contraction import (
-    build_schedule,
-    execute_schedule,
-    min_degree_order,
-    restrict_potential,
-)
+from repro.engine.contraction import build_schedule, execute_schedule, min_degree_order
 
 Node = Hashable
 Value = Hashable
@@ -66,17 +62,21 @@ _MARGINAL_CACHE_LIMIT = 65536
 
 
 class _Plans:
-    """The elimination orders and contraction schedules of one structure.
+    """The elimination plans of one structure, per pinned domain.
 
-    ``live`` turns false when the store resets; an engine still holding
-    the dropped plans registers its structure again on its next miss.
+    ``orders`` and ``schedules`` are the elimination orders and
+    contraction schedules; ``restrictions`` holds one restriction plan per
+    pinned domain (see :meth:`CompiledGibbs._restriction_for`).  ``live``
+    turns false when the store resets; an engine still holding the dropped
+    plans registers its structure again on its next miss.
     """
 
-    __slots__ = ("orders", "schedules", "live")
+    __slots__ = ("orders", "schedules", "restrictions", "live")
 
     def __init__(self) -> None:
         self.orders: Dict[frozenset, Tuple[int, ...]] = {}
         self.schedules: Dict[tuple, tuple] = {}
+        self.restrictions: Dict[frozenset, tuple] = {}
         self.live = True
 
 
@@ -163,7 +163,7 @@ class _PlanStore:
             return self._register(engine)
 
     def remember(self, engine: "CompiledGibbs", table: str, key, value):
-        """Insert one computed order or schedule; return the stored value."""
+        """Insert one computed order, schedule or restriction; return the stored value."""
         with self._lock:
             if self.size >= _PLAN_CACHE_LIMIT:
                 self._reset()
@@ -195,6 +195,7 @@ class _PlanStore:
             plans.live = False
             plans.orders.clear()
             plans.schedules.clear()
+            plans.restrictions.clear()
         self._plans.clear()
         self._layouts.clear()
         self.size = 0
@@ -208,7 +209,8 @@ class _PlanStore:
         """
         self._lock = threading.Lock()
         self.size = len(self._layouts) + sum(
-            1 + len(p.orders) + len(p.schedules) for p in self._plans.values()
+            1 + len(p.orders) + len(p.schedules) + len(p.restrictions)
+            for p in self._plans.values()
         )
 
 
@@ -398,13 +400,41 @@ class CompiledGibbs:
             order = _PLAN_STORE.remember(self, "orders", pinned, order)
         return order
 
-    def _restricted_arrays(self, pin_codes: Mapping[int, int]):
+    def _restriction_for(self, pinned: frozenset) -> Tuple[Tuple[int, tuple], ...]:
+        """The restriction plan of a pinned domain.
+
+        One ``(slot, axes)`` pair per fused table with a pinned axis:
+        ``axes`` holds, position by position, the pinned variable of that
+        axis or ``None`` for a free one.  Like orders and schedules it reads
+        only the fused scopes and the pinned domain, so it lives in the
+        process-wide plan store.
+        """
+        plan = self._plans.restrictions.get(pinned)
+        if plan is None:
+            plan = tuple(
+                (slot, tuple(v if v in pinned else None for v in scope))
+                for slot, scope in enumerate(self.fused_scopes)
+                if not pinned.isdisjoint(scope)
+            )
+            plan = _PLAN_STORE.remember(self, "restrictions", pinned, plan)
+        return plan
+
+    def _restricted_arrays(self, pin_codes: Mapping[int, int], pinned: frozenset):
+        """The fused tables with every pinned axis sliced at its code.
+
+        Only the tables the domain's restriction plan names are sliced; the
+        slices are basic-index views, one index per axis (the pinned code,
+        or ``slice(None)`` for a free axis).
+        """
         if not pin_codes:
             return self.fused_arrays
-        return [
-            restrict_potential(scope, array, pin_codes)[1]
-            for scope, array in zip(self.fused_scopes, self.fused_arrays)
-        ]
+        arrays = list(self.fused_arrays)
+        full = slice(None)
+        for slot, axes in self._restriction_for(pinned):
+            arrays[slot] = arrays[slot][
+                tuple(full if v is None else pin_codes[v] for v in axes)
+            ]
+        return arrays
 
     def _schedule_for(self, pinned: frozenset, keep: Tuple[int, ...]) -> tuple:
         """The cached contraction schedule for a pinned domain and kept axes.
@@ -476,7 +506,7 @@ class CompiledGibbs:
             return 0.0
         pin_codes, pinned = encoded
         ops, _ = self._schedule_for(pinned, ())
-        array = execute_schedule(ops, self._restricted_arrays(pin_codes), self.q)
+        array = execute_schedule(ops, self._restricted_arrays(pin_codes, pinned), self.q)
         return float(array.sum())
 
     def marginal_weights(self, node: Node, pinning: Mapping[Node, Value]) -> np.ndarray:
@@ -518,7 +548,7 @@ class CompiledGibbs:
     ) -> np.ndarray:
         """:meth:`marginal_weights` of a variable under an encoded pinning."""
         ops, axes = self._schedule_for(pinned, (variable,))
-        array = execute_schedule(ops, self._restricted_arrays(pin_codes), self.q)
+        array = execute_schedule(ops, self._restricted_arrays(pin_codes, pinned), self.q)
         if axes == ():
             # The kept node was pinned away or is outside the free set.
             raise ValueError(f"node {self.nodes[variable]!r} is not free in this query")
@@ -557,7 +587,7 @@ class CompiledGibbs:
         pin_codes, pinned = encoded
         keep = tuple(dict.fromkeys(v for v in variables if v not in pinned))
         ops, axes = self._schedule_for(pinned, keep)
-        array = execute_schedule(ops, self._restricted_arrays(pin_codes), self.q)
+        array = execute_schedule(ops, self._restricted_arrays(pin_codes, pinned), self.q)
         if keep:
             # ``axes`` is a permutation of ``keep`` (every other free
             # variable was summed out); realign to the query order.

@@ -17,42 +17,9 @@ values, so callers can cache it per pinned-domain (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-#: A potential: integer variable ids plus a dense array, one axis per id.
-Potential = Tuple[Tuple[int, ...], np.ndarray]
-
-
-def restrict_potential(
-    axes: Tuple[int, ...], array: np.ndarray, pin_codes: Mapping[int, int]
-) -> Potential:
-    """Apply a pinning (variable id -> symbol code) by slicing the array.
-
-    Parameters
-    ----------
-    axes : tuple of int
-        Variable ids labelling the array's axes.
-    array : numpy.ndarray
-        The dense potential, one length-``q`` axis per entry of ``axes``.
-    pin_codes : mapping of int to int
-        Pinned variable ids mapped to their symbol codes.
-
-    Returns
-    -------
-    (tuple of int, numpy.ndarray)
-        The surviving axes and the sliced array; the inputs are returned
-        unchanged when no axis is pinned.
-    """
-    if not any(axis in pin_codes for axis in axes):
-        return axes, array
-    index = tuple(
-        pin_codes[axis] if axis in pin_codes else slice(None) for axis in axes
-    )
-    new_axes = tuple(axis for axis in axes if axis not in pin_codes)
-    return new_axes, array[index]
-
 
 #: Memoised axis-alignment plans keyed by the input axes signature.  The same
 #: handful of signatures recurs across every elimination call on a given

@@ -11,9 +11,10 @@ constant (1 for edge factors, 0 for vertex factors).
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro import obs
 
@@ -26,6 +27,9 @@ Assignment = Mapping[Node, Value]
 #: function's entry goes away with the function, so fresh models never
 #: pin the tables of dropped ones.
 _SHARED_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: The nested-list copies of those tables (see :meth:`Factor.code_table`),
+#: keyed the same way: ``{function: {(alphabet, arity): nested list}}``.
+_SHARED_CODE_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class Factor:
@@ -46,7 +50,9 @@ class Factor:
         Optional human-readable label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("scope", "scope_set", "function", "name", "_table_cache", "_dense_cache")
+    __slots__ = (
+        "scope", "scope_set", "function", "name", "_table_cache", "_dense_cache", "_code_cache"
+    )
 
     def __init__(
         self,
@@ -66,6 +72,8 @@ class Factor:
         self.name = name
         self._table_cache: Dict[Tuple[Value, ...], float] = {}
         self._dense_cache: Dict[Tuple[Value, ...], object] = {}
+        # Made on the first code_table call: most factors never get one.
+        self._code_cache: Optional[Dict[Tuple[Value, ...], list]] = None
 
     @classmethod
     def from_table(
@@ -153,6 +161,27 @@ class Factor:
             cached = self._dense_cache[key] = _shared_dense_table(self, key)
         return cached
 
+    def code_table(self, alphabet: Sequence[Value]) -> list:
+        """The dense table as nested Python lists, indexed by symbol code.
+
+        ``code_table(alphabet)[i][j]...`` is entry ``[i, j, ...]`` of
+        :meth:`dense_table` as a Python float.  That table is built through
+        :meth:`evaluate_values`, so each entry is the float :meth:`evaluate`
+        returns, and products and zero tests over code tables equal those
+        over :meth:`evaluate`.  A nested-list lookup costs a fraction of an
+        :meth:`evaluate` call or an ndarray tuple index, which is why the
+        per-node hot paths (the local-JVV rejection pass, the Theorem 5.1
+        boundary extension) weigh factors this way.  Built on first use;
+        factors sharing a dense table share its code table.
+        """
+        key = tuple(alphabet)
+        if self._code_cache is None:
+            self._code_cache = {}
+        cached = self._code_cache.get(key)
+        if cached is None:
+            cached = self._code_cache[key] = _shared_code_table(self, key)
+        return cached
+
     def is_satisfied(self, assignment: Assignment) -> bool:
         """Whether the assignment has strictly positive weight under this factor."""
         return self.evaluate(assignment) > 0.0
@@ -219,6 +248,80 @@ def _shared_dense_table(factor: Factor, alphabet: Tuple[Value, ...]):
     if handle is not None:
         handle.metrics.counter("engine.dense_tables.built").inc()
     return table if tables is None else tables.setdefault(key, table)
+
+
+def _shared_code_table(factor: Factor, alphabet: Tuple[Value, ...]) -> list:
+    """The nested-list copy of ``factor``'s dense table on ``alphabet``.
+
+    Shared through :data:`_SHARED_CODE_TABLES` when the dense table is the
+    callable's shared one; an array installed by :meth:`Factor.from_dense`,
+    or the table of a callable without weak references, gets its own copy.
+    """
+    dense = factor.dense_table(alphabet)
+    key = (alphabet, len(factor.scope))
+    try:
+        shared = _SHARED_TABLES.get(factor.function)
+    except TypeError:
+        shared = None
+    if shared is None or shared.get(key) is not dense:
+        # ``float`` is what :meth:`Factor.evaluate` returns for any entry type.
+        return np.asarray(dense, dtype=float).tolist()
+    tables = _SHARED_CODE_TABLES.get(factor.function)
+    if tables is None:
+        tables = _SHARED_CODE_TABLES.setdefault(factor.function, {})
+    table = tables.get(key)
+    if table is None:
+        table = tables.setdefault(key, dense.tolist())
+    return table
+
+
+class StrayCodeTable:
+    """A code table for a factor that reads a node pinned outside the alphabet.
+
+    Such a node has no symbol code.  Callers give it any code; this table
+    indexes like :meth:`Factor.code_table`, puts the pinned value at that
+    node's scope positions and the symbol of each code elsewhere, and
+    weighs the full value tuple with :meth:`Factor.evaluate_values`.  The
+    weight, or the exception the callable raises, is the one
+    :meth:`Factor.evaluate` gives on the same assignment.
+    """
+
+    __slots__ = ("factor", "alphabet", "strays", "values")
+
+    def __init__(self, factor: Factor, alphabet, strays: Mapping[Node, Value], values=()):
+        self.factor = factor
+        self.alphabet = alphabet
+        self.strays = strays
+        self.values = values
+
+    def __getitem__(self, code: int):
+        scope = self.factor.scope
+        node = scope[len(self.values)]
+        value = self.strays[node] if node in self.strays else self.alphabet[code]
+        values = self.values + (value,)
+        if len(values) == len(scope):
+            return self.factor.evaluate_values(values)
+        return StrayCodeTable(self.factor, self.alphabet, self.strays, values)
+
+
+def code_tables(
+    factors: Sequence[Factor], alphabet: Tuple[Value, ...], strays: Mapping[Node, Value]
+) -> List[Tuple[object, Tuple[Node, ...]]]:
+    """``(table, scope)`` pairs that weigh ``factors`` by symbol code.
+
+    ``strays`` maps the nodes pinned to values outside ``alphabet`` to those
+    values; a factor reading one gets a :class:`StrayCodeTable`, every other
+    factor its shared :meth:`Factor.code_table`.  A factor's weight under a
+    ``{node: code}`` assignment is then ``table[codes[scope[0]]][...]...``.
+    """
+    pairs = []
+    for factor in factors:
+        if strays and not factor.scope_set.isdisjoint(strays):
+            table = StrayCodeTable(factor, alphabet, strays)
+        else:
+            table = factor.code_table(alphabet)
+        pairs.append((table, factor.scope))
+    return pairs
 
 
 def _distances_until(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
+from repro.gibbs.factors import code_tables
 from repro.gibbs.instance import SamplingInstance
 from repro.inference.base import InferenceAlgorithm
 from repro.inference.locality import locality_for_error
@@ -105,43 +106,58 @@ def _greedy_boundary_extension(
     local feasibility); if none is found a ``RuntimeError`` flags the model
     as not locally admissible.
 
-    The assigned-node set is maintained incrementally (and factor scope sets
-    are precomputed on the factors), so one candidate check costs
-    ``O(|factors_at(node)|)`` set lookups rather than rebuilding both sets
-    per factor per value.
+    The partial configuration is held as ``{node: symbol code}`` and each
+    candidate is weighed through the factors' code tables
+    (:func:`~repro.gibbs.factors.code_tables`), trying codes in alphabet
+    order; no engine is compiled for it.  The assigned-node set grows with
+    the configuration, so one candidate check costs ``O(|factors_at(node)|)``
+    list lookups.
     """
     distribution = instance.distribution
-    context = set(context_nodes)
-    assignment: Dict[Node, Value] = {
-        node: value for node, value in instance.pinning.items() if node in context
-    }
-    assigned = set(assignment)
+    alphabet = distribution.alphabet
+    symbol_index = {value: code for code, value in enumerate(alphabet)}
+    context = (
+        context_nodes if isinstance(context_nodes, (set, frozenset)) else set(context_nodes)
+    )
+    pinned = {node: value for node, value in instance.pinning.items() if node in context}
+    strays = {node: value for node, value in pinned.items() if value not in symbol_index}
+    codes = {node: symbol_index.get(value, 0) for node, value in pinned.items()}
+    assigned = set(codes)
     for node in sorted(shell_nodes, key=repr):
         if node in assigned:
             continue
         assigned.add(node)
         # Only factors fully inside both the context and the assigned set
         # constrain this choice; the relevant list is identical for every
-        # candidate value, so hoist it out of the value loop.
-        relevant = [
-            factor
-            for factor in distribution.factors_at(node)
-            if factor.scope_set <= context and factor.scope_set <= assigned
-        ]
-        chosen = None
-        for value in distribution.alphabet:
-            assignment[node] = value
-            if all(factor.evaluate(assignment) != 0.0 for factor in relevant):
-                chosen = value
+        # candidate code, so hoist it out of the code loop.
+        relevant = code_tables(
+            [
+                factor
+                for factor in distribution.factors_at(node)
+                if factor.scope_set <= context and factor.scope_set <= assigned
+            ],
+            alphabet,
+            strays,
+        )
+        for code in range(len(alphabet)):
+            codes[node] = code
+            for table, scope in relevant:
+                for other in scope:
+                    table = table[codes[other]]
+                if table == 0.0:
+                    break
+            else:
                 break
-            del assignment[node]
-        if chosen is None:
-            assigned.discard(node)
+        else:
             raise RuntimeError(
                 "could not extend the pinning onto the boundary shell; "
                 "the distribution does not appear to be locally admissible"
             )
-    return {node: assignment[node] for node in shell_nodes if node in assignment}
+    return {
+        node: pinned[node] if node in pinned else alphabet[codes[node]]
+        for node in shell_nodes
+        if node in codes
+    }
 
 
 def padded_ball_marginal(

@@ -69,6 +69,29 @@ class StateAccess:
         self._states[node][key] = value
 
 
+class _PassGenerator:
+    """A node's generator for one pass, built on its first draw.
+
+    Stands in for ``network.rng(node, salt)``: the first attribute read
+    builds that generator and forwards to it, so a pass that draws gets the
+    same stream, and a pass that draws nothing (the local-JVV ground
+    state) builds no generator at all.
+    """
+
+    __slots__ = ("_network", "_node", "_salt", "_generator")
+
+    def __init__(self, network: Network, node: Node, salt: int) -> None:
+        self._network = network
+        self._node = node
+        self._salt = salt
+        self._generator = None
+
+    def __getattr__(self, name: str):
+        if self._generator is None:
+            self._generator = self._network.rng(self._node, salt=self._salt)
+        return getattr(self._generator, name)
+
+
 @dataclass
 class SLocalRunResult:
     """Outcome of a sequential SLOCAL run."""
@@ -135,7 +158,9 @@ def run_slocal_algorithm(
     """Run an SLOCAL algorithm sequentially on the given (adversarial) ordering.
 
     The default ordering is by node ID, but every reduction in the paper must
-    work for *any* ordering, and the tests exercise several.
+    work for *any* ordering, and the tests exercise several.  Each
+    ``process`` call receives the node's generator for that pass,
+    ``network.rng(node, salt=pass_index)``, built only if the call draws.
     """
     order = list(network.nodes) if ordering is None else list(ordering)
     if set(order) != set(network.nodes):
@@ -153,7 +178,7 @@ def run_slocal_algorithm(
     for pass_index in range(algorithm.passes):
         for node in order:
             access = StateAccess(states, allowed[node], node)
-            rng = network.rng(node, salt=pass_index)
+            rng = _PassGenerator(network, node, pass_index)
             algorithm.process(pass_index, node, access, rng, network)
     outputs = {node: states[node].get("output") for node in network.nodes}
     failures = {node: bool(states[node].get("failed", False)) for node in network.nodes}

@@ -58,7 +58,8 @@ import numpy as np
 
 from repro.analysis.distances import sample_from
 from repro.gibbs.instance import SamplingInstance
-from repro.graphs.structure import ball
+from repro.gibbs.factors import code_tables
+from repro.graphs.structure import distances_from
 from repro.inference.base import InferenceAlgorithm
 from repro.localmodel.network import Network
 from repro.localmodel.scheduler import ScheduledRunResult, simulate_slocal_as_local
@@ -219,6 +220,15 @@ class LocalJVVSampler(SLocalAlgorithm):
         self._step_counter = 0
         #: The oracle's answers, keyed on ``(node, frozenset(conditioning))``.
         self._marginals: Dict[tuple, Dict[Value, float]] = {}
+        #: Pass 3's symbol codes, and the pins outside the alphabet (no code).
+        self._symbol_index = {
+            value: code for code, value in enumerate(instance.distribution.alphabet)
+        }
+        self._strays = {
+            node: value
+            for node, value in instance.pinning.items()
+            if value not in self._symbol_index
+        }
 
     # ------------------------------------------------------------------
     def base_radius(self, network: Network) -> int:
@@ -304,33 +314,32 @@ class LocalJVVSampler(SLocalAlgorithm):
         access.write(node, "sample", sample_from(marginal, rng))
 
     # -- pass 3: local rejection ------------------------------------------
-    def _ball_feasible(
-        self,
-        candidate: Dict[Node, Value],
-        context: Dict[Node, Value],
-        check_nodes,
-    ) -> bool:
-        """Whether all factors contained in ``check_nodes`` accept the configuration.
+    #
+    # Pass 3 holds sigma_{i-1}, sigma_i, the proposal and every candidate as
+    # ``{node: symbol code}`` and weighs factors through their code tables
+    # (``table[c0][c1]...``, see repro.gibbs.factors.code_tables), which
+    # hold the floats Factor.evaluate returns.  A node pinned outside the
+    # alphabet carries code 0; the factors reading it weigh its pinned value
+    # through their callable.
+    @staticmethod
+    def _ball_feasible(codes: Dict[Node, int], factors) -> bool:
+        """Whether every ``(table, scope)`` factor is positive under ``codes``.
 
-        ``candidate`` overrides ``context`` inside the update ball; factors
-        whose scope is not fully assigned are skipped (they are unchanged
-        outside the ball and were positive for the previous configuration).
+        ``factors`` are the factors contained in the check ball, which
+        ``codes`` assigns in full.
         """
-        distribution = self.instance.distribution
-        merged = dict(context)
-        merged.update(candidate)
-        assigned = set(merged)
-        for factor in distribution.factors_within(check_nodes):
-            if not factor.scope_set <= assigned:
-                continue
-            if factor.evaluate(merged) == 0.0:
+        for table, scope in factors:
+            for other in scope:
+                table = table[codes[other]]
+            if table == 0.0:
                 return False
         return True
 
     def _process_rejection(self, node: Node, access: StateAccess, rng, network: Network) -> None:
         instance = self.instance
         distribution = instance.distribution
-        graph = instance.graph
+        pinning = instance.pinning
+        symbol_index = self._symbol_index
         t = self.base_radius(network)
         ell = distribution.locality()
         my_state = access.read(node)
@@ -338,110 +347,115 @@ class LocalJVVSampler(SLocalAlgorithm):
 
         # Current configuration sigma_{i-1} and proposal Y on the visible ball.
         visible = access.visible_nodes
-        current: Dict[Node, Value] = {}
-        proposal: Dict[Node, Value] = {}
+        current: Dict[Node, int] = {}
+        proposal: Dict[Node, int] = {}
         steps: Dict[Node, int] = {}
         for other in visible:
             state = access.read(other)
-            current[other] = state.get("current", state["ground"])
-            proposal[other] = state["sample"]
+            if other in pinning:
+                current[other] = proposal[other] = symbol_index.get(pinning[other], 0)
+            else:
+                current[other] = symbol_index[state.get("current", state["ground"])]
+                proposal[other] = symbol_index[state["sample"]]
             steps[other] = state["step"]
 
-        update_ball = ball(graph, node, t) & visible
-        check_ball = ball(graph, node, t + ell) & visible
+        # One BFS gives both balls: the update ball B_t and the check ball
+        # B_{t+l}, whose factors are weighed for every candidate.
+        distances = distances_from(instance.graph, node, t + ell)
+        check_ball = {other for other in distances if other in visible}
+        update_ball = {other for other in check_ball if distances[other] <= t}
+        factors = code_tables(
+            distribution.factors_within(check_ball), distribution.alphabet, self._strays
+        )
 
         # Build sigma_i: agree with Y on nodes already processed in this pass
         # (step <= my_step), keep the pinning, and adjust the remaining free
         # nodes of the update ball if needed to restore feasibility.
-        fixed: Dict[Node, Value] = {}
+        fixed: Dict[Node, int] = {}
         adjustable: List[Node] = []
         for other in sorted(update_ball, key=repr):
-            if other in instance.pinning:
-                fixed[other] = instance.pinning[other]
-            elif steps[other] <= my_step:
+            if other in pinning or steps[other] <= my_step:
                 fixed[other] = proposal[other]
             else:
                 adjustable.append(other)
 
-        candidate = dict(fixed)
-        for other in adjustable:
-            candidate[other] = current[other]
-        context = {other: current[other] for other in check_ball if other not in update_ball}
-
-        if not self._ball_feasible(candidate, context, check_ball):
-            candidate = self._search_feasible_update(
-                fixed, adjustable, context, check_ball
-            )
-            if candidate is None:
+        candidate = {other: current[other] for other in check_ball}
+        candidate.update(fixed)
+        if not self._ball_feasible(candidate, factors):
+            found = self._search_feasible_update(candidate, adjustable, factors)
+            if not found:
                 # Claim 4.6 guarantees existence when the inference error is
                 # small enough; with a coarse engine we fail locally instead.
-                access.write(node, "output", proposal[node])
+                access.write(node, "output", my_state["sample"])
                 access.write(node, "failed", True)
                 for other in update_ball:
-                    access.write(other, "current", current[other])
+                    access.write(other, "current", self._value_of(other, current[other]))
                 return
 
-        sigma_previous = dict(current)
+        sigma_previous = current
         sigma_next = dict(current)
-        sigma_next.update(candidate)
+        for other in update_ball:
+            sigma_next[other] = candidate[other]
 
         acceptance = self._acceptance_probability(
-            node, sigma_previous, sigma_next, steps, my_step, check_ball, visible, t
+            sigma_previous, sigma_next, steps, factors, visible
         )
 
         accepted = bool(rng.random() < acceptance)
-        for other, value in sigma_next.items():
-            if other in update_ball:
-                access.write(other, "current", value)
-        access.write(node, "output", proposal[node])
+        for other in update_ball:
+            access.write(other, "current", self._value_of(other, sigma_next[other]))
+        access.write(node, "output", my_state["sample"])
         access.write(node, "failed", not accepted)
         access.write(node, "acceptance", acceptance)
 
+    def _value_of(self, node: Node, code: int) -> Value:
+        """The symbol a pass-3 code stands for (a pinned node keeps its pin)."""
+        pinning = self.instance.pinning
+        if node in pinning:
+            return pinning[node]
+        return self.instance.distribution.alphabet[code]
+
     def _search_feasible_update(
-        self,
-        fixed: Dict[Node, Value],
-        adjustable: Sequence[Node],
-        context: Dict[Node, Value],
-        check_ball,
-    ) -> Optional[Dict[Node, Value]]:
-        """Enumerate assignments of the adjustable nodes until one is feasible."""
-        alphabet = self.instance.distribution.alphabet
+        self, candidate: Dict[Node, int], adjustable: Sequence[Node], factors
+    ) -> bool:
+        """Enumerate codes of the adjustable nodes until the check ball is feasible.
+
+        Tries code tuples over ``range(q)`` in ``itertools.product`` order,
+        which is the alphabet order, writing each into ``candidate``; on
+        success ``candidate`` holds the first feasible assignment.
+        """
         count = 0
-        for values in itertools.product(alphabet, repeat=len(adjustable)):
+        q = len(self.instance.distribution.alphabet)
+        for codes in itertools.product(range(q), repeat=len(adjustable)):
             count += 1
             if count > self.max_rejection_candidates:
-                return None
-            candidate = dict(fixed)
-            candidate.update(zip(adjustable, values))
-            if self._ball_feasible(candidate, context, check_ball):
-                return candidate
-        return None
+                return False
+            candidate.update(zip(adjustable, codes))
+            if self._ball_feasible(candidate, factors):
+                return True
+        return False
 
     def _acceptance_probability(
         self,
-        node: Node,
-        sigma_previous: Dict[Node, Value],
-        sigma_next: Dict[Node, Value],
+        sigma_previous: Dict[Node, int],
+        sigma_next: Dict[Node, int],
         steps: Dict[Node, int],
-        my_step: int,
-        check_ball,
+        factors,
         visible,
-        t: int,
     ) -> float:
         """The quantity ``q_{v_i}`` of equation (9), computed locally."""
         instance = self.instance
-        distribution = instance.distribution
+        alphabet = instance.distribution.alphabet
         n = max(2, instance.size)
 
         # Weight ratio w(sigma_i) / w(sigma_{i-1}) over the factors inside the
         # (t + l)-ball -- all other factors see identical configurations.
         weight_ratio = 1.0
-        assigned = set(sigma_next)
-        for factor in distribution.factors_within(check_ball):
-            if not factor.scope_set <= assigned:
-                continue
-            new_weight = factor.evaluate(sigma_next)
-            old_weight = factor.evaluate(sigma_previous)
+        for table, scope in factors:
+            new_weight = old_weight = table
+            for other in scope:
+                new_weight = new_weight[sigma_next[other]]
+                old_weight = old_weight[sigma_previous[other]]
             if old_weight <= 0.0:
                 return 0.0
             weight_ratio *= new_weight / old_weight
@@ -461,18 +475,16 @@ class LocalJVVSampler(SLocalAlgorithm):
         for other in sorted(visible, key=lambda u: steps[u]):
             if other in pinning:
                 continue
-            previous_value = sigma_previous.get(other)
-            next_value = sigma_next.get(other)
+            previous_value = alphabet[sigma_previous[other]]
+            next_value = alphabet[sigma_next[other]]
             if previous_value is not None and next_value is not None:
                 numerator = self._marginal(other, prefix_previous).get(previous_value, 0.0)
                 denominator = self._marginal(other, prefix_next).get(next_value, 0.0)
                 if denominator <= 0.0:
                     return 0.0
                 mu_ratio *= numerator / denominator
-            if other in sigma_previous:
-                prefix_previous[other] = previous_value
-            if other in sigma_next:
-                prefix_next[other] = next_value
+            prefix_previous[other] = previous_value
+            prefix_next[other] = next_value
 
         acceptance = mu_ratio * weight_ratio * math.exp(-3.0 / n ** 2)
         return min(1.0, max(0.0, acceptance))

@@ -62,6 +62,47 @@ class _Weights:
         return 1.0 + sum(values)
 
 
+def _assert_threads_read_one_table(read):
+    """Six threads call ``read(factor, alphabet)`` on factors of one callable.
+
+    More threads than cores and frequent switches: two threads that both
+    miss may both build, but every factor must end up reading the one
+    table the store kept.
+    """
+
+    def weight(value_u, value_v):
+        return 2.0 if value_u == value_v else 0.5
+
+    graph = torus_graph(6, 6)
+    alphabet = tuple(range(4))
+    groups = [[Factor(edge, weight) for edge in graph.edges()] for _ in range(6)]
+    barrier = threading.Barrier(len(groups))
+    seen: List[set] = []
+    errors = []
+
+    def run(factors):
+        try:
+            barrier.wait()
+            seen.append({id(read(factor, alphabet)) for factor in factors})
+        except BaseException as error:  # pragma: no cover - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(group,)) for group in groups]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(seen) == len(groups)
+    assert len(set().union(*seen)) == 1
+
+
 class TestSharedDenseTables:
     def test_factors_sharing_a_callable_share_one_read_only_table(self):
         distribution = hardcore_model(cycle_graph(8), fugacity=1.7)
@@ -142,40 +183,10 @@ class TestSharedDenseTables:
         assert len(factors_module._SHARED_TABLES) == before
 
     def test_threads_sharing_a_callable_read_one_table(self):
-        # More threads than cores and frequent switches: two threads that
-        # both miss may both build, but every factor must end up reading
-        # the one table the store kept.
-        def weight(value_u, value_v):
-            return 2.0 if value_u == value_v else 0.5
+        _assert_threads_read_one_table(Factor.dense_table)
 
-        graph = torus_graph(6, 6)
-        alphabet = tuple(range(4))
-        groups = [[Factor(edge, weight) for edge in graph.edges()] for _ in range(6)]
-        barrier = threading.Barrier(len(groups))
-        seen: List[set] = []
-        errors = []
-
-        def run(factors):
-            try:
-                barrier.wait()
-                seen.append({id(factor.dense_table(alphabet)) for factor in factors})
-            except BaseException as error:  # pragma: no cover - reported below
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(group,)) for group in groups]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
-        assert len(seen) == len(groups)
-        assert len(set().union(*seen)) == 1
+    def test_threads_sharing_a_callable_read_one_code_table(self):
+        _assert_threads_read_one_table(Factor.code_table)
 
     def test_an_installed_dense_array_wins(self):
         array = np.array([[1.0, 2.0], [3.0, 4.0]])

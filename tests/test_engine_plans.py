@@ -1,7 +1,8 @@
 """The process-wide elimination-plan store and the ball cache's drop count.
 
-Elimination orders and contraction schedules depend only on structure --
-``(len(nodes), q, fused_scopes)``, the pinned domain and the kept axes --
+Elimination orders, contraction schedules and restriction plans depend
+only on structure -- ``(len(nodes), q, fused_scopes)``, the pinned domain
+and the kept axes --
 and fusion layouts only on ``(len(nodes), scopes)``, so
 :mod:`repro.engine.compiled` keeps one store of them for the whole
 process, shared by every engine of the same shape.  This suite pins down
@@ -66,7 +67,8 @@ def _queries(distribution):
 
 def _counted(store):
     return len(store._layouts) + sum(
-        1 + len(p.orders) + len(p.schedules) for p in store._plans.values()
+        1 + len(p.orders) + len(p.schedules) + len(p.restrictions)
+        for p in store._plans.values()
     )
 
 
@@ -238,3 +240,41 @@ class TestForkedStore:
             os.waitpid(pid, 0)
             pytest.fail("the forked child blocked on the inherited plan-store lock")
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestRestrictionPlans:
+    """One restriction plan per pinned domain slices exactly the pinned axes."""
+
+    def test_slices_equal_direct_indexing_and_are_views(self):
+        STORE.clear()
+        compiled = _weighted_colouring(1.7).compiled_engine()
+        pin_codes = {0: 2, 4: 1, 5: 0}
+        pinned = frozenset(pin_codes)
+        restricted = compiled._restricted_arrays(pin_codes, pinned)
+        assert len(restricted) == len(compiled.fused_arrays)
+        touched = 0
+        for scope, array, sliced in zip(compiled.fused_scopes, compiled.fused_arrays, restricted):
+            index = tuple(pin_codes.get(v, slice(None)) for v in scope)
+            if pinned.isdisjoint(scope):
+                assert sliced is array
+                continue
+            touched += 1
+            assert sliced.base is array or sliced.base is array.base
+            assert sliced.tobytes() == array[index].tobytes()
+            assert sliced.shape == array[index].shape
+        assert touched == len(compiled._plans.restrictions[pinned])
+        assert compiled._restricted_arrays({}, frozenset()) is compiled.fused_arrays
+
+    def test_one_plan_per_domain_shared_by_engines_of_a_structure(self):
+        STORE.clear()
+        first = hardcore_model(cycle_graph(8), fugacity=0.6).compiled_engine()
+        second = hardcore_model(cycle_graph(8), fugacity=1.9).compiled_engine()
+        assert first._plans is second._plans
+        for value in (0, 1):
+            first.marginal(3, {0: value, 5: 1 - value})
+            second.marginal(3, {0: value, 5: 1 - value})
+        assert list(first._plans.restrictions) == [frozenset({0, 5})]
+        size = STORE.size
+        STORE.clear()
+        assert not first._plans.restrictions
+        assert size > STORE.size == 0

@@ -1,12 +1,14 @@
 """Unit tests for constraints/factors."""
 
+import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.gibbs import Factor
-from repro.gibbs.factors import _distances_until
+from repro.gibbs.factors import StrayCodeTable, _distances_until, code_tables
 from repro.graphs import cycle_graph, path_graph
 
 
@@ -119,3 +121,64 @@ class TestScopeDiameterSearch:
         graph = nx.path_graph(1000)
         assert _distances_until(graph, 0, (2,)) == {0: 0, 1: 1, 2: 2}
         assert _distances_until(graph, 5, ()) == {5: 0}
+
+
+def _walk(table, codes):
+    for code in codes:
+        table = table[code]
+    return table
+
+
+class TestCodeTables:
+    """``Factor.code_table`` holds, per code tuple, the float ``evaluate`` returns."""
+
+    ALPHABET = ("a", "b", "c")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Factor((0, 1, 2), lambda x, y, z: 0.0 if x == y == z else 0.1 * len(x + y + z)),
+            lambda: Factor.from_table((0, 1), {("a", "b"): 3.0, ("c", "c"): 0.25}, default=0.5),
+            lambda: Factor.from_dense(
+                (0, 1), np.arange(9, dtype=np.float32).reshape(3, 3) / 7, ("a", "b", "c")
+            ),
+            lambda: Factor.from_dense((0, 1), np.arange(9).reshape(3, 3), ("a", "b", "c")),
+        ],
+        ids=["arity-3", "from-table", "from-dense-float32", "from-dense-int"],
+    )
+    def test_entries_equal_evaluate(self, make):
+        factor = make()
+        table = factor.code_table(self.ALPHABET)
+        arity = len(factor.scope)
+        for codes in itertools.product(range(3), repeat=arity):
+            weight = _walk(table, codes)
+            expected = make().evaluate_values(tuple(self.ALPHABET[c] for c in codes))
+            assert type(weight) is float
+            assert weight == expected
+
+    def test_shared_per_callable_and_alphabet(self):
+        def edge(x, y):
+            return float(x != y)
+
+        first, second = Factor((0, 1), edge), Factor((1, 2), edge)
+        assert first.code_table((0, 1)) is second.code_table((0, 1))
+        assert first.code_table((0, 1, 2)) is not first.code_table((0, 1))
+        assert _walk(first.code_table((0, 1, 2)), (2, 1)) == 1.0
+
+    def test_a_from_dense_array_gets_its_own_list(self):
+        array = np.array([[0.0, 1.0], [2.0, 0.5]])
+        factor = Factor.from_dense((0, 1), array, (0, 1))
+        assert factor.code_table((0, 1)) == array.tolist()
+
+    def test_stray_tables_weigh_the_pinned_value_through_the_callable(self):
+        factor = Factor((0, 1), lambda x, y: 2.0 if x == 7 else float(y))
+        pairs = code_tables([factor], (0, 1), {0: 7})
+        table, scope = pairs[0]
+        assert isinstance(table, StrayCodeTable) and scope == (0, 1)
+        # The stray node's own code is ignored; the callable sees 7.
+        assert _walk(table, (0, 1)) == _walk(table, (1, 0)) == 2.0
+        plain = code_tables([factor], (0, 1), {5: 7})[0][0]
+        assert plain is factor.code_table((0, 1))
+        dense = Factor.from_dense((0, 1), np.ones((2, 2)), (0, 1))
+        with pytest.raises(KeyError):
+            _walk(code_tables([dense], (0, 1), {1: 7})[0][0], (0, 0))

@@ -1,12 +1,16 @@
 """Tests for the SSM-based (Theorem 5.1 converse) inference algorithms."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.analysis import total_variation
-from repro.gibbs import SamplingInstance
+from repro.gibbs import Factor, GibbsDistribution, SamplingInstance
 from repro.graphs import cycle_graph, grid_graph, path_graph
+from repro.graphs.generators import random_regular_graph, torus_graph
 from repro.inference import BoundaryPaddedInference, TruncatedBallInference
-from repro.inference.ssm_inference import padded_ball_marginal
+from repro.inference.ssm_inference import _greedy_boundary_extension, padded_ball_marginal
 from repro.models import coloring_model, hardcore_model
 
 
@@ -104,3 +108,156 @@ class TestBoundaryPaddedInference:
     def test_invalid_decay_rate(self):
         with pytest.raises(ValueError):
             BoundaryPaddedInference(decay_rate=1.2)
+
+
+# -- the greedy boundary extension on code tables ---------------------------
+
+
+def _reference_extension(instance, shell_nodes, context_nodes):
+    """The extension weighed through ``Factor.evaluate`` on value dicts."""
+    distribution = instance.distribution
+    context = set(context_nodes)
+    assignment = {node: value for node, value in instance.pinning.items() if node in context}
+    assigned = set(assignment)
+    for node in sorted(shell_nodes, key=repr):
+        if node in assigned:
+            continue
+        assigned.add(node)
+        relevant = [
+            factor
+            for factor in distribution.factors_at(node)
+            if factor.scope_set <= context and factor.scope_set <= assigned
+        ]
+        for value in distribution.alphabet:
+            assignment[node] = value
+            if all(factor.evaluate(assignment) != 0.0 for factor in relevant):
+                break
+            del assignment[node]
+        else:
+            raise RuntimeError("could not extend the pinning onto the boundary shell")
+    return {node: assignment[node] for node in shell_nodes if node in assignment}
+
+
+def _outcome(function, *args):
+    try:
+        return ("value", function(*args))
+    except Exception as error:  # noqa: BLE001 - the exception is the outcome
+        return (type(error), str(error).split(";")[0])
+
+
+def _not_all_equal_model(n):
+    """A 3-symbol model with one arity-3 factor per window of a cycle."""
+    graph = cycle_graph(n)
+
+    def not_all_equal(a, b, c):
+        return 0.0 if a == b == c else 1.0 + 0.25 * a
+
+    def field(a):
+        return 1.5 if a == 2 else 1.0
+
+    factors = [Factor((i,), field) for i in range(n)]
+    factors += [Factor((i, (i + 1) % n, (i + 2) % n), not_all_equal) for i in range(n)]
+    return GibbsDistribution(graph, (0, 1, 2), factors, name="not-all-equal")
+
+
+def _dense_model(n):
+    """A cycle whose edge factors are one ``Factor.from_dense`` table."""
+    table = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    graph = cycle_graph(n)
+    factors = [Factor.from_dense((u, v), table, (0, 1, 2)) for u, v in graph.edges()]
+    return GibbsDistribution(graph, (0, 1, 2), factors, name="dense")
+
+
+def _stray_agreement(n):
+    """Neighbours must agree on occupancy; the callables read 7 as occupied."""
+
+    def occupied(value):
+        return value == 1 or value == 7
+
+    graph = cycle_graph(n)
+    factors = [Factor((v,), lambda a: 1.5 if occupied(a) else 1.0) for v in graph.nodes()]
+    factors += [
+        Factor((u, v), lambda a, b: float(occupied(a) == occupied(b)))
+        for u, v in graph.edges()
+    ]
+    return GibbsDistribution(graph, (0, 1), factors, name="stray-agreement")
+
+
+EXTENSION_MODELS = {
+    "hardcore": lambda: hardcore_model(random_regular_graph(3, 20, seed=2), fugacity=1.3),
+    "3-colouring-torus": lambda: coloring_model(torus_graph(4, 4), 3),
+    "arity-3": lambda: _not_all_equal_model(12),
+    "from-dense": lambda: _dense_model(10),
+}
+
+
+def _extension_cases(distribution, pinning):
+    """``(shell, context)`` of every node at radii 0-2, as padded_ball_marginal forms them."""
+    cache = distribution.ball_cache()
+    ell = distribution.locality()
+    for node in distribution.nodes:
+        for radius in (0, 1, 2):
+            context = cache.ball_nodes(node, radius + 2 * ell)
+            padded = cache.ball_nodes(node, radius + ell)
+            inner = cache.ball_nodes(node, radius)
+            shell = {v for v in padded if v not in inner and v not in pinning}
+            yield shell, context
+
+
+class TestGreedyBoundaryExtension:
+    """The extension weighs by symbol code; every choice and failure is the
+    one ``Factor.evaluate`` gives."""
+
+    @pytest.mark.parametrize("model", sorted(EXTENSION_MODELS))
+    def test_equals_the_evaluate_reference_on_seeded_pinnings(self, model):
+        distribution = EXTENSION_MODELS[model]()
+        rng = random.Random(f"extension:{model}")
+        outcomes = set()
+        for _ in range(6):
+            pinning = {
+                node: rng.choice(distribution.alphabet)
+                for node in rng.sample(distribution.nodes, 3)
+            }
+            instance = SamplingInstance(distribution, pinning)
+            for shell, context in _extension_cases(distribution, pinning):
+                computed = _outcome(_greedy_boundary_extension, instance, shell, context)
+                expected = _outcome(_reference_extension, instance, shell, context)
+                assert computed == expected
+                outcomes.add(computed[0])
+        assert "value" in outcomes
+
+    @pytest.mark.parametrize("build", [_stray_agreement, _dense_model], ids=["callable", "from-dense"])
+    def test_a_pin_outside_the_alphabet_behaves_as_evaluate(self, build):
+        distribution = build(8)
+        instance = SamplingInstance(distribution, {0: 7})
+        outcomes = []
+        for shell, context in _extension_cases(distribution, instance.pinning):
+            computed = _outcome(_greedy_boundary_extension, instance, shell, context)
+            assert computed == _outcome(_reference_extension, instance, shell, context)
+            outcomes.append(computed)
+        if build is _dense_model:
+            # The dense table's callable has no symbol 7: the weighing raises.
+            assert (KeyError, "7") in outcomes
+        else:
+            # 7 reads as occupied, so the shell next to node 0 is occupied
+            # although the empty symbol comes first.
+            assert ("value", {1: 1, 7: 1}) in outcomes
+
+    def test_update_factors_changes_the_zero_pattern(self):
+        distribution = hardcore_model(cycle_graph(10), fugacity=1.0)
+        instance = SamplingInstance(distribution, {0: 1})
+        shell, context = {3, 7}, set(range(10)) - {5}
+        assert _greedy_boundary_extension(instance, shell, context) == {3: 0, 7: 0}
+        before = padded_ball_marginal(instance, 5, 1)
+
+        # Forbid the empty symbol at every node: the extension must occupy.
+        forbid_empty = [
+            Factor(factor.scope, lambda *values: float(all(values)))
+            if len(factor.scope) == 1 else factor
+            for factor in distribution.factors
+        ]
+        distribution.update_factors(forbid_empty)
+        assert _greedy_boundary_extension(instance, shell, context) == {3: 1, 7: 1}
+        assert _reference_extension(instance, shell, context) == {3: 1, 7: 1}
+        after = _outcome(padded_ball_marginal, instance, 5, 1)
+        assert after != ("value", before)

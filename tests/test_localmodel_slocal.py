@@ -101,3 +101,34 @@ class TestRunSLocalAlgorithm:
         result = run_slocal_algorithm(GreedyColoringAlgorithm(), network)
         assert set(result.states) == set(network.nodes)
         assert result.locality == 1
+
+
+class SecondPassDrawer(SLocalAlgorithm):
+    """Draws in its second pass only, and records what it drew."""
+
+    passes = 2
+
+    def locality(self, network):
+        return 0
+
+    def process(self, pass_index, node, access, rng, network):
+        if pass_index == 1:
+            access.write(node, "output", (rng.random(), int(rng.integers(0, 100))))
+
+
+class TestPassGenerators:
+    def test_only_drawing_passes_build_a_generator_with_the_same_stream(self, monkeypatch):
+        network = Network(cycle_graph(6), seed=4)
+        built = []
+        rng = Network.rng
+
+        def counted(self, node, salt=0):
+            built.append((node, salt))
+            return rng(self, node, salt=salt)
+
+        monkeypatch.setattr(Network, "rng", counted)
+        result = run_slocal_algorithm(SecondPassDrawer(), network)
+        assert built == [(node, 1) for node in network.nodes]
+        for node in network.nodes:
+            expected = rng(network, node, salt=1)
+            assert result.outputs[node] == (expected.random(), int(expected.integers(0, 100)))

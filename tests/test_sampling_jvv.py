@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import empirical_distribution, total_variation
 from repro.analysis.distances import configuration_key
-from repro.gibbs import SamplingInstance
+from repro.gibbs import Factor, GibbsDistribution, SamplingInstance
 from repro.graphs import cycle_graph, path_graph
 from repro.inference import ExactInference, InferenceAlgorithm, correlation_decay_for
 from repro.models import coloring_model, hardcore_model
@@ -337,3 +337,85 @@ class TestJVVKernel:
         assert rejecting.configurations() == accepting.configurations()
         assert reject_kernel.failure_counts(rejecting).tolist() == [steps] * 3
         assert accept_kernel.failure_counts(accepting).tolist() == [0] * 3
+
+
+def _stray_hardcore(n):
+    """Hardcore on a cycle whose callables read the symbol 7 as occupied."""
+
+    def occupied(value):
+        return value == 1 or value == 7
+
+    graph = cycle_graph(n)
+    factors = [Factor((v,), lambda a: 1.5 if occupied(a) else 1.0) for v in graph.nodes()]
+    factors += [
+        Factor((u, v), lambda a, b: 0.0 if occupied(a) and occupied(b) else 1.0)
+        for u, v in graph.edges()
+    ]
+    return GibbsDistribution(graph, (0, 1), factors, name="stray-hardcore")
+
+
+class InAlphabetExact(InferenceAlgorithm):
+    """Exact marginals given the pins inside the alphabet (it ignores the rest)."""
+
+    def locality(self, instance, error):
+        return 2
+
+    def marginal(self, instance, node, error):
+        distribution = instance.distribution
+        pinning = {n: v for n, v in instance.pinning.items() if v in distribution.alphabet}
+        return distribution.marginal(node, pinning)
+
+
+#: ``run_slocal_algorithm`` of the local-JVV sampler on ``_stray_hardcore(8)``
+#: with node 0 pinned to 7, per network seed: (outputs, failed nodes, the
+#: acceptance state of each node, ``None`` where the update search failed).
+_A = 0.9542066659691884
+STRAY_GOLDEN = {
+    0: ([7, 0, 0, 0, 1, 0, 0, 0], [], [_A] * 8),
+    4: ([7, 1, 0, 1, 0, 1, 0, 1], [1, 2, 3, 7], [_A, None, None, None, _A, _A, _A, None]),
+    5: ([7, 0, 0, 0, 1, 0, 0, 1], [7], [_A] * 7 + [None]),
+}
+
+
+class TestJVVCodeTables:
+    """Pass 3 weighs factors by symbol code with the floats Factor.evaluate gives."""
+
+    @pytest.mark.parametrize("seed", sorted(STRAY_GOLDEN))
+    def test_a_pin_outside_the_alphabet_is_weighed_by_its_callable(self, seed):
+        from repro.localmodel import Network, run_slocal_algorithm
+        from repro.sampling.jvv import LocalJVVSampler
+
+        instance = SamplingInstance(_stray_hardcore(8), {0: 7})
+        network = Network(instance.graph, seed=seed)
+        result = run_slocal_algorithm(LocalJVVSampler(instance, InAlphabetExact()), network)
+        outputs, failed, acceptance = STRAY_GOLDEN[seed]
+        assert [result.outputs[node] for node in range(8)] == outputs
+        assert [node for node in range(8) if result.failures[node]] == failed
+        assert [result.states[node].get("acceptance") for node in range(8)] == acceptance
+
+    def test_update_factors_changes_the_zero_pattern(self):
+        distribution = hardcore_model(cycle_graph(6), fugacity=1.2)
+        instance = SamplingInstance(distribution)
+        before = sample_exact_slocal(instance, ExactInference(), seed=3)
+        assert distribution.weight(before.configuration) > 0
+
+        # Every edge must now hold an occupied end instead of at most one.
+        cover = [
+            Factor(factor.scope, lambda a, b: 0.0 if a == 0 and b == 0 else 1.0)
+            if len(factor.scope) == 2 else factor
+            for factor in distribution.factors
+        ]
+        distribution.update_factors(cover)
+        slack = math.exp(-3.0 / 6 ** 2)
+        for seed in range(4):
+            result = sample_exact_slocal(instance, ExactInference(), seed=seed)
+            assert distribution.weight(result.configuration) > 0
+            assert result.success
+        from repro.localmodel import Network, run_slocal_algorithm
+        from repro.sampling.jvv import LocalJVVSampler
+
+        run = run_slocal_algorithm(
+            LocalJVVSampler(instance, ExactInference()), Network(instance.graph, seed=1)
+        )
+        for node in range(6):
+            assert run.states[node]["acceptance"] == pytest.approx(slack, rel=1e-9)
