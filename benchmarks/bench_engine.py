@@ -9,7 +9,6 @@ the experiment suite:
 * ``ssm_inference`` -- :class:`TruncatedBallInference` marginals at every
   node over several rounds (the Theorem 5.1 workload; the ball-compilation
   cache makes repeated rounds nearly free for the compiled engine);
-* ``glauber`` -- single-site conditional throughput of the Glauber chain;
 * ``cold_distributions`` -- Theorem 5.1 marginals over a fugacity sweep on
   one graph, a fresh distribution per fugacity: the first meets an empty
   process-wide plan store, the later ones find every elimination order and
@@ -30,6 +29,9 @@ the experiment suite:
 Spreads (median, quartiles, minimum) and the environment stamp come from
 ``spread.py``.
 
+The chains run on the compiled engine only, so no chain row is timed
+here; ``BENCH_runtime.json`` and perfbench time them.
+
 Run directly to (re)record the JSON baseline::
 
     PYTHONPATH=src python benchmarks/bench_engine.py  # writes BENCH_engine.json
@@ -39,6 +41,7 @@ or under pytest (with the other benchmarks) for a quick regression check.
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import time
@@ -52,7 +55,7 @@ from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_regular_graph, random_tree, torus_graph
 from repro.inference import TruncatedBallInference, correlation_decay_for
 from repro.models import coloring_model, hardcore_model, ising_model
-from repro.sampling import glauber_sample, sample_exact_local
+from repro.sampling import sample_exact_local
 from spread import environment, spread, timed
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -108,17 +111,6 @@ def _ssm_inference_workload(engine: str) -> Callable[[int], object]:
     return run
 
 
-def _glauber_workload(engine: str) -> Callable[[int], object]:
-    """Single-site conditional throughput (5000 chain steps)."""
-    distribution = coloring_model(cycle_graph(30), num_colors=4)
-    instance = SamplingInstance(distribution)
-
-    def run(iteration: int = 0) -> None:
-        glauber_sample(instance, steps=5000, seed=11 + iteration, engine=engine)
-
-    return run
-
-
 def _phase_transition_workload(engine: str) -> Callable[[int], object]:
     """Root marginals under many boundary pinnings (the E8 sweep pattern).
 
@@ -147,7 +139,6 @@ def _phase_transition_workload(engine: str) -> Callable[[int], object]:
 WORKLOADS = {
     "elimination": _elimination_workload,
     "ssm_inference": _ssm_inference_workload,
-    "glauber": _glauber_workload,
     "phase_transition": _phase_transition_workload,
 }
 
@@ -407,6 +398,9 @@ def test_compiled_engine_is_faster(once=None) -> None:
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
     result = record_baseline()
     for row in result["workloads"]:
         print(

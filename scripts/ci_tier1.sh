@@ -22,7 +22,11 @@
 # caps, one past them and one whose blanket rows may total zero; jvv on
 # the first must advance in fewer dependency waves than steps; luby-glauber
 # resumed in segments must equal one whole run on the blanket and may_stick
-# instances, serial and batched), a cluster smoke (a coordinator driving
+# instances, serial and batched), a codes-only chain smoke (no chain entry
+# point -- glauber_sample, luby_glauber_sample, sequential_scan_sample,
+# jvv_rejection_sample, Runtime.run_chains, Runtime.run_packed, ChainBatch --
+# takes an engine= parameter, and no Python source under src/repro names
+# serial_reference: the dict-engine chain fallback must not return), a cluster smoke (a coordinator driving
 # two real localhost worker subprocesses over the TCP transport: ball
 # marginals bit-identical to the serial loop, glauber chains and
 # jvv_chain_stats bit-identical to the batched backend; a pickled
@@ -258,6 +262,40 @@ print(
     "luby-glauber split resume == whole run"
 )
 PY
+
+echo "== tier-1: codes-only chain smoke =="
+python - <<'PY'
+import inspect
+
+from repro.runtime import Runtime
+from repro.runtime.chains import ChainBatch
+from repro.sampling import glauber_sample, luby_glauber_sample
+from repro.sampling.jvv import jvv_rejection_sample
+from repro.sampling.sequential import sequential_scan_sample
+
+# Chains run on the compiled engine's integer codes only; the dict engine
+# is an evaluation reference, and no chain entry point selects it.
+entry_points = [
+    glauber_sample,
+    luby_glauber_sample,
+    sequential_scan_sample,
+    jvv_rejection_sample,
+    Runtime.run_chains,
+    Runtime.run_packed,
+    ChainBatch,
+]
+with_engine = [
+    entry.__qualname__
+    for entry in entry_points
+    if "engine" in inspect.signature(entry).parameters
+]
+assert not with_engine, f"chain entry points take engine=: {with_engine}"
+print(f"codes-only chain smoke OK: {len(entry_points)} chain entry points take no engine=")
+PY
+if grep -rn --include='*.py' serial_reference src/repro; then
+    echo "src/repro names serial_reference: the dict-engine chain fallback is back" >&2
+    exit 1
+fi
 
 echo "== tier-1: cluster smoke =="
 python - <<'PY'

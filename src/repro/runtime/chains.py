@@ -54,7 +54,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
 from repro.sampling.glauber import greedy_start_codes
 from repro.sampling.kernels import (
@@ -623,9 +622,6 @@ class ChainBatch:
         Optional ``(chains, n)`` integer code matrix giving each chain its
         *own* starting state (the resume path of :class:`ChainState`);
         mutually exclusive with ``initial``.
-    engine:
-        Must resolve to the compiled engine; the batched runner *is* a
-        compiled-engine execution strategy.
     """
 
     def __init__(
@@ -635,14 +631,8 @@ class ChainBatch:
         seed: Seed = 0,
         seeds: Optional[Sequence] = None,
         initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
         initial_codes: Optional[np.ndarray] = None,
     ) -> None:
-        if resolve_engine(engine) != "compiled":
-            raise ValueError(
-                "the batched chain runner requires the compiled engine; "
-                'pass engine=None or engine="compiled"'
-            )
         if seeds is None:
             if n_chains is None:
                 raise ValueError("pass n_chains (with a root seed) or explicit seeds")
@@ -916,11 +906,9 @@ class PackedBatch:
         One entry per group: a ``(instance, seeds)`` pair, an
         ``(instance, seeds, initial)`` triple, or a ready
         :class:`ChainBatch`.
-    engine:
-        Must resolve to the compiled engine (as for :class:`ChainBatch`).
     """
 
-    def __init__(self, requests: Sequence, engine: Optional[str] = None) -> None:
+    def __init__(self, requests: Sequence) -> None:
         groups: List[ChainBatch] = []
         for request in requests:
             if isinstance(request, ChainBatch):
@@ -928,9 +916,7 @@ class PackedBatch:
             else:
                 instance, seeds, *rest = request
                 initial = rest[0] if rest else None
-                groups.append(
-                    ChainBatch(instance, seeds=seeds, initial=initial, engine=engine)
-                )
+                groups.append(ChainBatch(instance, seeds=seeds, initial=initial))
         if not groups:
             raise ValueError("a packed batch needs at least one group")
         self.groups = groups
@@ -1147,7 +1133,6 @@ def make_chain_state(
     initial: Optional[Dict[Node, Value]] = None,
     initial_codes: Optional[np.ndarray] = None,
     layout: str = "batched",
-    engine: Optional[str] = None,
 ) -> ChainState:
     """Build a fresh :class:`ChainState` without advancing any chain.
 
@@ -1155,7 +1140,7 @@ def make_chain_state(
     ----------
     kernel : str or ChainKernel
         The dynamics the state will run (fixed for its lifetime).
-    instance, seeds, initial, engine
+    instance, seeds, initial
         As for :class:`ChainBatch`; one chain per entry of ``seeds``.
     initial_codes : numpy.ndarray, optional
         A ``(chains, n)`` code matrix giving each chain its own start
@@ -1175,7 +1160,6 @@ def make_chain_state(
                 seeds=seeds,
                 initial=initial,
                 initial_codes=initial_codes,
-                engine=engine,
             )
         ]
     elif layout == "serial":
@@ -1187,7 +1171,6 @@ def make_chain_state(
                 initial_codes=(
                     None if initial_codes is None else initial_codes[chain : chain + 1]
                 ),
-                engine=engine,
             )
             for chain, chain_seed in enumerate(seeds)
         ]

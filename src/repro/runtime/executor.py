@@ -69,6 +69,7 @@ from typing import (
 )
 
 from repro import obs
+from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
 from repro.runtime.chains import (
     ChainState,
@@ -509,7 +510,6 @@ class Runtime:
         seed=0,
         seeds: Optional[Sequence] = None,
         initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
         init: Optional[str] = None,
         state: Optional[ChainState] = None,
         return_state: bool = False,
@@ -534,11 +534,8 @@ class Runtime:
           fork pool or the coordinator's TCP workers.  The process backend
           runs workloads under :attr:`inline_threshold` updates in-process.
 
-        An explicit ``engine="dict"`` request is not spec-transportable;
-        it degrades to the per-seed serial reference loop (fanned out via
-        :meth:`map` where the backend supports closures), and a non-serial
-        runtime records that with a ``runtime.dispatch.serial_reference``
-        obs instant.
+        Chains always run on the compiled evaluation engine; the dict
+        engine is an evaluation reference only (see :mod:`repro.engine`).
 
         Parameters
         ----------
@@ -555,8 +552,6 @@ class Runtime:
             seeds (overrides ``seed``).
         initial : dict, optional
             Shared initial configuration.
-        engine : str, optional
-            Evaluation backend (see :mod:`repro.engine`).
         init : str, optional
             Named initial-state strategy.  ``"greedy"`` seeds every chain
             from the deterministic local-search warm start of
@@ -566,7 +561,7 @@ class Runtime:
             Mutually exclusive with ``initial``.
         state : ChainState, optional
             Resume these chains instead of starting fresh (serial and
-            batched backends, compiled engine only).  ``seeds`` /
+            batched backends only).  ``seeds`` /
             ``initial`` / ``init`` must not be combined with a resume;
             ``instance`` may be the original instance or a reweighted twin
             of it (see :meth:`~repro.runtime.chains.ChainBatch.retarget`).
@@ -587,7 +582,7 @@ class Runtime:
         """
         resolved = resolve_kernel(kernel)
         seeds, initial, chain_state = self._chain_arguments(
-            resolved, instance, seed, seeds, initial, engine, init, state, return_state
+            resolved, instance, seed, seeds, initial, init, state, return_state
         )
         if chain_state is None:
             chains, mode = len(seeds), {}
@@ -604,34 +599,17 @@ class Runtime:
         ):
             if chain_state is not None:
                 states = chain_state.advance(resolved, instance, count)
-            elif not self.is_serial and self._spec_transportable(engine):
-                states = self._chain_blocks(
-                    resolved, instance, count, seeds, initial, engine
-                )
+            elif self.is_serial:
+                states = [
+                    resolved.serial_run(instance, count, seed=chain_seed, initial=initial)
+                    for chain_seed in seeds
+                ]
             else:
-                # The reference backend stays the reference: per-seed serial
-                # chains -- also for the dict engine, which is not
-                # spec-transportable (the process backend still fans them
-                # out via fork).
-                if not self.is_serial:
-                    obs.instant(
-                        "runtime.dispatch.serial_reference",
-                        backend=self.backend,
-                        kernel=resolved.name,
-                        chains=len(seeds),
-                        count=count,
-                        engine=engine,
-                    )
-                states = self.map(
-                    lambda chain_seed: resolved.serial_run(
-                        instance, count, seed=chain_seed, initial=initial, engine=engine
-                    ),
-                    seeds,
-                )
+                states = self._chain_blocks(resolved, instance, count, seeds, initial)
         return (states, chain_state) if return_state else states
 
     def _chain_arguments(
-        self, kernel, instance, seed, seeds, initial, engine, init, state, return_state
+        self, kernel, instance, seed, seeds, initial, init, state, return_state
     ):
         """Validate and normalise the arguments of :meth:`run_chains`.
 
@@ -647,10 +625,6 @@ class Runtime:
                     f"backend, not {self.backend!r} (the distributed backends "
                     "do not keep per-chain generators in-process)"
                 )
-            if not self._spec_transportable(engine):
-                raise ValueError(
-                    "resumable chain state requires the compiled engine"
-                )
         if state is not None:
             if seeds is not None or initial is not None or init is not None:
                 raise ValueError(
@@ -665,7 +639,7 @@ class Runtime:
                 raise ValueError(f'unknown init strategy {init!r}; expected "greedy"')
             from repro.sampling.glauber import warm_start_configuration
 
-            initial = warm_start_configuration(instance, engine=engine)
+            initial = warm_start_configuration(instance)
         if seeds is None:
             seeds = chain_seed_sequences(seed, self.n_chains)
         else:
@@ -678,7 +652,6 @@ class Runtime:
             seeds,
             initial=initial,
             layout="serial" if self.is_serial else "batched",
-            engine=engine,
         )
 
     def run_packed(
@@ -686,7 +659,6 @@ class Runtime:
         kernel: Union[str, ChainKernel],
         requests: Sequence,
         count: int,
-        engine: Optional[str] = None,
     ) -> List[List[Dict[Node, Value]]]:
         """Advance many instances' chains as ONE packed code matrix.
 
@@ -714,8 +686,6 @@ class Runtime:
             :class:`~repro.runtime.chains.ChainBatch`.
         count : int
             Units of the dynamics per chain.
-        engine : str, optional
-            Must resolve to the compiled engine.
 
         Returns
         -------
@@ -724,7 +694,7 @@ class Runtime:
             equals ``run_chains(kernel, instance_g, count, seeds=seeds_g)``.
         """
         resolved = resolve_kernel(kernel)
-        packed = PackedBatch(requests, engine=engine)
+        packed = PackedBatch(requests)
         with obs.span(
             "runtime.run_packed",
             backend=self.backend,
@@ -737,7 +707,7 @@ class Runtime:
         return packed.configurations()
 
     def _chain_blocks(
-        self, kernel, instance, count, seeds, initial=None, engine=None, stats=False
+        self, kernel, instance, count, seeds, initial=None, stats=False
     ):
         """The batched and distributed chain leg of :meth:`run_chains` (and of
         :func:`~repro.sampling.jvv.jvv_chain_stats`, with ``stats``).
@@ -771,17 +741,10 @@ class Runtime:
                 threshold=self.inline_threshold,
             )
         batch, counts = advance_block(
-            kernel, instance, count, seeds, initial=initial, stats=stats, engine=engine
+            kernel, instance, count, seeds, initial=initial, stats=stats
         )
         configurations = batch.configurations()
         return (configurations, counts) if stats else configurations
-
-    @staticmethod
-    def _spec_transportable(engine: Optional[str]) -> bool:
-        """Whether a workload may travel as an ``InstanceSpec`` (compiled-only)."""
-        from repro.engine import resolve_engine
-
-        return resolve_engine(engine) == "compiled"
 
     # ------------------------------------------------------------------
     def stream_ball_marginals(
@@ -824,7 +787,11 @@ class Runtime:
             bit-identical across backends.
         """
         nodes = list(nodes)
-        if len(nodes) > 1 and self._distributed and self._spec_transportable(engine):
+        if (
+            len(nodes) > 1
+            and self._distributed
+            and resolve_engine(engine) == "compiled"
+        ):
             yield from stream_padded_ball_marginals(
                 instance,
                 nodes,

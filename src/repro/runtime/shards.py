@@ -399,7 +399,6 @@ def advance_block(
     seeds: Sequence,
     initial=None,
     stats: bool = False,
-    engine: Optional[str] = None,
 ):
     """Advance one batched block of chains; return ``(batch, counts)``.
 
@@ -410,7 +409,7 @@ def advance_block(
     """
     from repro.runtime.chains import ChainBatch
 
-    batch = ChainBatch(instance, seeds=seeds, initial=initial, engine=engine)
+    batch = ChainBatch(instance, seeds=seeds, initial=initial)
     batch.advance(kernel, count)
     if not stats:
         return batch, None

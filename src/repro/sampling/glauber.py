@@ -16,12 +16,12 @@ Both chains have the target distribution ``mu^tau`` as their stationary
 distribution whenever the single-site dynamics is ergodic (which local
 admissibility guarantees for the models used in the experiments).
 
-The inner loop runs on the compiled evaluation engine by default (see
+The chains run on the compiled evaluation engine only (see
 :mod:`repro.engine`): the state lives in an integer code array, and one
 conditional is a single gather into each precomputed per-node factor table
-followed by a product over the alphabet axis -- instead of ``q x
-|factors_at(v)|`` dict-based ``Factor.evaluate`` calls.  Pass
-``engine="dict"`` to run the reference implementation.
+followed by a product over the alphabet axis.  The dict engine stays an
+evaluation reference: :func:`local_conditional` takes ``engine="dict"`` and
+weighs the factors through ``Factor.evaluate``.
 
 Both samplers also accept a ``runtime=`` knob (see :mod:`repro.runtime`):
 a non-serial runtime advances many independent chains through the unified
@@ -43,7 +43,7 @@ from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
-from repro.analysis.distances import normalize, sample_from
+from repro.analysis.distances import normalize
 from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
 from repro.sampling.kernels import (
@@ -57,9 +57,7 @@ Node = Hashable
 Value = Hashable
 
 
-def greedy_feasible_configuration(
-    instance: SamplingInstance, engine: Optional[str] = None
-) -> Dict[Node, Value]:
+def greedy_feasible_configuration(instance: SamplingInstance) -> Dict[Node, Value]:
     """A feasible full configuration extending the pinning, built greedily.
 
     Processes the free nodes in deterministic order and assigns each the
@@ -68,12 +66,9 @@ def greedy_feasible_configuration(
     is feasible (it is the sequential-local-oblivious construction of
     Remark 2.3); a ``RuntimeError`` is raised otherwise.
 
-    The compiled engine builds the start once per instance
-    (:func:`greedy_start_codes`) and decodes a fresh dict on every call;
-    ``engine="dict"`` recomputes the reference construction every time.
+    The start is built once per instance (:func:`greedy_start_codes`) and
+    decoded into a fresh dict on every call.
     """
-    if resolve_engine(engine) == "dict":
-        return _greedy_feasible_configuration_dict(instance)
     compiled = instance.distribution.compiled_engine()
     return _decode_state(compiled, greedy_start_codes(instance).tolist())
 
@@ -115,39 +110,8 @@ def greedy_start_codes(instance: SamplingInstance) -> np.ndarray:
     return start
 
 
-def _greedy_feasible_configuration_dict(instance: SamplingInstance) -> Dict[Node, Value]:
-    """Reference implementation of :func:`greedy_feasible_configuration`."""
-    distribution = instance.distribution
-    assignment: Dict[Node, Value] = instance.pinning.as_dict()
-    for node in distribution.nodes:
-        if node in assignment:
-            continue
-        chosen = None
-        assigned = set(assignment)
-        assigned.add(node)
-        for value in distribution.alphabet:
-            assignment[node] = value
-            feasible = True
-            for factor in distribution.factors_at(node):
-                if not factor.scope_set <= assigned:
-                    continue
-                if factor.evaluate(assignment) == 0.0:
-                    feasible = False
-                    break
-            if feasible:
-                chosen = value
-                break
-            del assignment[node]
-        if chosen is None:
-            raise RuntimeError(
-                f"greedy construction got stuck at node {node!r}; "
-                "the distribution is not locally admissible"
-            )
-    return assignment
-
-
 def warm_start_configuration(
-    instance: SamplingInstance, sweeps: int = 3, engine: Optional[str] = None
+    instance: SamplingInstance, sweeps: int = 3
 ) -> Dict[Node, Value]:
     """A deterministic local-search warm start for chain initialisation.
 
@@ -163,25 +127,9 @@ def warm_start_configuration(
     """
     if sweeps < 0:
         raise ValueError("sweeps must be non-negative")
-    configuration = greedy_feasible_configuration(instance, engine=engine)
+    configuration = greedy_feasible_configuration(instance)
     free_nodes = instance.free_nodes
     if not free_nodes:
-        return configuration
-    if resolve_engine(engine) == "dict":
-        for _ in range(sweeps):
-            changed = False
-            for node in free_nodes:
-                conditional = local_conditional(
-                    instance, configuration, node, engine="dict"
-                )
-                best = max(
-                    instance.distribution.alphabet, key=lambda v: conditional[v]
-                )
-                if configuration[node] != best:
-                    configuration[node] = best
-                    changed = True
-            if not changed:
-                break
         return configuration
     compiled, conditionals, codes = _compiled_state(instance, configuration)
     free_index = [compiled.node_index[node] for node in free_nodes]
@@ -270,7 +218,6 @@ def glauber_sample(
     steps: int,
     seed: int = 0,
     initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
     runtime=None,
 ):
     """Run single-site Glauber dynamics for ``steps`` updates and return the state.
@@ -291,22 +238,16 @@ def glauber_sample(
         resolved = resolve_runtime(runtime)
         if not resolved.is_serial:
             return resolved.run_chains(
-                GLAUBER_KERNEL, instance, steps, seed=seed, initial=initial, engine=engine
+                GLAUBER_KERNEL, instance, steps, seed=seed, initial=initial
             )
     rng = np.random.default_rng(seed)
     configuration = (
         dict(initial)
         if initial is not None
-        else greedy_feasible_configuration(instance, engine=engine)
+        else greedy_feasible_configuration(instance)
     )
     free_nodes = instance.free_nodes
     if not free_nodes:
-        return configuration
-    if resolve_engine(engine) == "dict":
-        for _ in range(steps):
-            node = free_nodes[int(rng.integers(0, len(free_nodes)))]
-            conditional = local_conditional(instance, configuration, node, engine="dict")
-            configuration[node] = sample_from(conditional, rng)
         return configuration
     compiled, conditionals, codes = _compiled_state(instance, configuration)
     free_index = [compiled.node_index[node] for node in free_nodes]
@@ -352,7 +293,6 @@ def luby_glauber_sample(
     rounds: int,
     seed: int = 0,
     initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
     runtime=None,
 ):
     """Run the LubyGlauber parallel chain for ``rounds`` rounds and return the state.
@@ -379,41 +319,17 @@ def luby_glauber_sample(
                 rounds,
                 seed=seed,
                 initial=initial,
-                engine=engine,
             )
     rng = np.random.default_rng(seed)
     configuration = (
         dict(initial)
         if initial is not None
-        else greedy_feasible_configuration(instance, engine=engine)
+        else greedy_feasible_configuration(instance)
     )
     graph = instance.graph
     free_nodes = instance.free_nodes
     free_set = set(free_nodes)
     if not free_nodes:
-        return configuration
-    if resolve_engine(engine) == "dict":
-        for _ in range(rounds):
-            priorities = {node: rng.random() for node in free_nodes}
-            selected = [
-                node
-                for node in free_nodes
-                if all(
-                    priorities[node] > priorities[neighbour]
-                    for neighbour in graph.neighbors(node)
-                    if neighbour in free_set
-                )
-            ]
-            # All selected nodes read the *current* configuration and update
-            # simultaneously; since they form an independent set the
-            # conditional distributions do not interact within the round.
-            updates = {
-                node: sample_from(
-                    local_conditional(instance, configuration, node, engine="dict"), rng
-                )
-                for node in selected
-            }
-            configuration.update(updates)
         return configuration
     compiled, conditionals, codes = _compiled_state(instance, configuration)
     free_index = [compiled.node_index[node] for node in free_nodes]
@@ -474,8 +390,8 @@ class GlauberKernel(ChainKernel):
     name = "glauber"
     unit = "steps"
 
-    def serial_run(self, instance, count, seed=0, initial=None, engine=None):
-        return glauber_sample(instance, count, seed=seed, initial=initial, engine=engine)
+    def serial_run(self, instance, count, seed=0, initial=None):
+        return glauber_sample(instance, count, seed=seed, initial=initial)
 
     def batched_advance(self, batch, count, statistic=None):
         if count < 0:
@@ -612,10 +528,8 @@ class LubyGlauberKernel(ChainKernel):
     name = "luby-glauber"
     unit = "rounds"
 
-    def serial_run(self, instance, count, seed=0, initial=None, engine=None):
-        return luby_glauber_sample(
-            instance, count, seed=seed, initial=initial, engine=engine
-        )
+    def serial_run(self, instance, count, seed=0, initial=None):
+        return luby_glauber_sample(instance, count, seed=seed, initial=initial)
 
     def batched_advance(self, batch, count, statistic=None):
         if count < 0:

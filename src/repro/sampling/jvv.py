@@ -105,7 +105,6 @@ def jvv_rejection_sample(
     steps: int,
     seed=0,
     initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
     return_failures: bool = False,
 ):
     """Run the serial JVV rejection chain for ``steps`` scan updates.
@@ -118,14 +117,14 @@ def jvv_rejection_sample(
 
     Parameters
     ----------
-    instance, steps, seed, initial, engine
+    instance, steps, seed, initial
         As for :func:`repro.sampling.glauber.glauber_sample`.
     return_failures : bool
         When set, return ``(configuration, failure_count)`` instead of the
         configuration alone; a run is a JVV success iff no step rejected.
     """
     configuration, failures = JVV_KERNEL.serial_scan(
-        instance, steps, seed=seed, initial=initial, engine=engine
+        instance, steps, seed=seed, initial=initial
     )
     if return_failures:
         return configuration, failures

@@ -44,7 +44,6 @@ from typing import Dict, Hashable, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
 
 Node = Hashable
@@ -127,7 +126,6 @@ class ChainKernel(abc.ABC):
         count: int,
         seed=0,
         initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
     ) -> Dict[Node, Value]:
         """Advance one chain by ``count`` units; return its final configuration."""
 
@@ -274,11 +272,8 @@ class ScanKernel(ChainKernel):
         count: int,
         seed=0,
         initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
     ) -> Dict[Node, Value]:
-        configuration, _ = self.serial_scan(
-            instance, count, seed=seed, initial=initial, engine=engine
-        )
+        configuration, _ = self.serial_scan(instance, count, seed=seed, initial=initial)
         return configuration
 
     def serial_scan(
@@ -287,7 +282,6 @@ class ScanKernel(ChainKernel):
         count: int,
         seed=0,
         initial: Optional[Dict[Node, Value]] = None,
-        engine: Optional[str] = None,
     ):
         """Run one chain and return ``(configuration, failure_count)``.
 
@@ -298,7 +292,6 @@ class ScanKernel(ChainKernel):
             _compiled_state,
             _decode_state,
             greedy_feasible_configuration,
-            local_conditional,
         )
 
         if count < 0:
@@ -307,39 +300,13 @@ class ScanKernel(ChainKernel):
         configuration = (
             dict(initial)
             if initial is not None
-            else greedy_feasible_configuration(instance, engine=engine)
+            else greedy_feasible_configuration(instance)
         )
         free_nodes = instance.free_nodes
         if not free_nodes or count == 0:
             return configuration, 0
         acceptance = self.acceptance_probability(instance) if self.gated else None
         failures = 0
-        if resolve_engine(engine) == "dict":
-            # Reference backend: same scan order and draw pattern, weights
-            # evaluated through the dict engine.
-            alphabet = instance.distribution.alphabet
-            position = 0
-            remaining = count
-            while remaining > 0:
-                chunk = min(remaining, RNG_CHUNK)
-                remaining -= chunk
-                points = rng.random(chunk)
-                gates = rng.random(chunk) if self.gated else None
-                for step in range(chunk):
-                    node = free_nodes[position]
-                    position += 1
-                    if position == len(free_nodes):
-                        position = 0
-                    conditional = local_conditional(
-                        instance, configuration, node, engine="dict"
-                    )
-                    weights = [conditional[value] for value in alphabet]
-                    configuration[node] = alphabet[
-                        sample_code(weights, points[step])
-                    ]
-                    if self.gated and not gates[step] < acceptance:
-                        failures += 1
-            return configuration, failures
         compiled, conditionals, codes = _compiled_state(instance, configuration)
         tables = conditionals.tables
         free_index = [compiled.node_index[node] for node in free_nodes]

@@ -71,12 +71,9 @@ def sequential_scan_sample(
     steps: int,
     seed=0,
     initial: Optional[Dict[Node, Value]] = None,
-    engine: Optional[str] = None,
 ) -> Dict[Node, Value]:
     """Serial reference of :class:`SequentialKernel` (one chain, ``steps`` updates)."""
-    return SEQUENTIAL_KERNEL.serial_run(
-        instance, steps, seed=seed, initial=initial, engine=engine
-    )
+    return SEQUENTIAL_KERNEL.serial_run(instance, steps, seed=seed, initial=initial)
 
 
 class SequentialSamplingAlgorithm(SLocalAlgorithm):

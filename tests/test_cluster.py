@@ -624,15 +624,6 @@ class TestClusterRuntimeFacade:
             assert clustered.marginals(instance, 0.05) == reference.marginals(
                 instance, 0.05
             )
-            # Chains under engine="dict" likewise stay in-process.
-            serial = Runtime("serial", n_chains=2).run_chains(
-                "glauber", instance, 20, seed=1, engine="dict"
-            )
-            runtime.n_chains = 2
-            assert (
-                runtime.run_chains("glauber", instance, 20, seed=1, engine="dict")
-                == serial
-            )
 
     # The every-kernel run_chains sweep on the cluster backend lives in
     # the conformance harness (tests/test_conformance.py).

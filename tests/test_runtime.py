@@ -127,11 +127,6 @@ class TestBatchedChainEdges:
         )
         assert batch == [initial] * 3
 
-    def test_dict_engine_rejected(self):
-        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        with pytest.raises(ValueError):
-            ChainBatch(instance, n_chains=2, engine="dict")
-
     def test_chain_count_validation(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
         with pytest.raises(ValueError):
@@ -1507,51 +1502,6 @@ class TestKernelRunChains:
         with pytest.raises(ValueError, match="unknown chain kernel"):
             runtime.run_chains("no-such-kernel", instance, 1)
 
-    def test_run_chains_dict_engine_uses_serial_reference(self):
-        instance = self._instance()
-        reference = [
-            glauber_sample(instance, 10, seed=seed, engine="dict")
-            for seed in chain_seed_sequences(2, 3)
-        ]
-        assert (
-            Runtime("serial", n_chains=3).run_chains(
-                "glauber", instance, 10, seed=2, engine="dict"
-            )
-            == reference
-        )
-
-    @pytest.mark.parametrize("backend", ["batched", "process"])
-    def test_dict_engine_fallback_emits_the_serial_reference_instant(self, backend):
-        from repro import obs
-
-        instance = self._instance()
-        reference = Runtime("serial", n_chains=3).run_chains(
-            "luby-glauber", instance, 6, seed=2, engine="dict"
-        )
-        obs.enable()
-        try:
-            with Runtime(backend, n_chains=3, n_workers=2) as runtime:
-                states = runtime.run_chains(
-                    "luby-glauber", instance, 6, seed=2, engine="dict"
-                )
-                Runtime("serial", n_chains=3).run_chains(
-                    "luby-glauber", instance, 6, seed=2, engine="dict"
-                )
-            instants = [
-                event["attrs"]
-                for event in obs.events()
-                if event.get("name") == "runtime.dispatch.serial_reference"
-            ]
-        finally:
-            obs.disable()
-        assert states == reference
-        # One instant, from the non-serial runtime only.
-        assert len(instants) == 1
-        assert instants[0]["backend"] == backend
-        assert instants[0]["kernel"] == "luby-glauber"
-        assert instants[0]["chains"] == 3
-        assert instants[0]["engine"] == "dict"
-
     def test_chain_batch_advance_claims_one_kernel(self):
         instance = self._instance()
         batch = ChainBatch(instance, n_chains=2, seed=0)
@@ -1690,10 +1640,6 @@ class TestRunChainsState:
             Runtime("process", n_chains=2).run_chains(
                 "glauber", instance, 5, return_state=True
             )
-        with pytest.raises(ValueError, match="compiled"):
-            Runtime("serial", n_chains=2).run_chains(
-                "glauber", instance, 5, engine="dict", return_state=True
-            )
 
 
 class TestGreedyInit:
@@ -1722,7 +1668,6 @@ class TestGreedyInit:
         assert warm[0] == 1  # respects the pinning
         compiled = instance.distribution.compiled_engine()
         assert compiled.configuration_weight(warm) > 0
-        assert warm == warm_start_configuration(instance, engine="dict")
 
     def test_greedy_init_rejects_explicit_initial(self):
         instance = self._instance()

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import empirical_distribution, total_variation
 from repro.analysis.distances import configuration_key
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, path_graph, star_graph
+from repro.graphs import cycle_graph, grid_graph, path_graph, star_graph
 from repro.models import coloring_model, hardcore_model
 from repro.sampling import (
     enumerate_target_distribution,
@@ -15,7 +15,11 @@ from repro.sampling import (
     greedy_feasible_configuration,
     luby_glauber_sample,
 )
-from repro.sampling.glauber import greedy_start_codes, local_conditional
+from repro.sampling.glauber import (
+    greedy_start_codes,
+    local_conditional,
+    warm_start_configuration,
+)
 
 
 class TestGreedyConfiguration:
@@ -77,22 +81,53 @@ class TestGreedyStartMemo:
         assert len(messages) == 1
         assert instance._greedy_start is None
 
-    def test_dict_engine_stays_uncached(self, monkeypatch):
-        import repro.sampling.glauber as glauber
 
-        instance = SamplingInstance(hardcore_model(cycle_graph(5), fugacity=1.3), {0: 1})
-        calls = []
-        reference = glauber._greedy_feasible_configuration_dict
-        monkeypatch.setattr(
-            glauber,
-            "_greedy_feasible_configuration_dict",
-            lambda inner: calls.append(inner) or reference(inner),
+GREEDY_INSTANCES = {
+    "hardcore": lambda: SamplingInstance(hardcore_model(cycle_graph(7), fugacity=1.3)),
+    "3-colouring": lambda: SamplingInstance(coloring_model(grid_graph(3, 3), num_colors=3)),
+    "pinned": lambda: SamplingInstance(
+        coloring_model(cycle_graph(6), num_colors=3), {0: 1, 3: 2}
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GREEDY_INSTANCES))
+class TestStartProperties:
+    """The greedy and warm starts, checked against ``Factor.evaluate``."""
+
+    def test_greedy_start_takes_the_first_feasible_value(self, label):
+        instance = GREEDY_INSTANCES[label]()
+        distribution = instance.distribution
+        alphabet = list(distribution.alphabet)
+        start = greedy_feasible_configuration(instance)
+        assert {node: start[node] for node in instance.pinning} == instance.pinning.as_dict()
+        assert distribution.weight(start) > 0.0
+        assigned = set(instance.pinning)
+        for node in distribution.nodes:
+            if node in instance.pinning:
+                continue
+            assigned.add(node)
+            inside = [f for f in distribution.factors if f.scope_set <= assigned]
+
+            def feasible(value):
+                trial = dict(start)
+                trial[node] = value
+                return all(factor.evaluate(trial) > 0.0 for factor in inside)
+
+            chosen = alphabet.index(start[node])
+            assert feasible(alphabet[chosen])
+            assert not any(feasible(value) for value in alphabet[:chosen])
+
+    def test_warm_start_is_greedy_then_a_first_argmax_fixed_point(self, label):
+        instance = GREEDY_INSTANCES[label]()
+        alphabet = instance.distribution.alphabet
+        assert warm_start_configuration(instance, sweeps=0) == (
+            greedy_feasible_configuration(instance)
         )
-        first = greedy_feasible_configuration(instance, engine="dict")
-        second = greedy_feasible_configuration(instance, engine="dict")
-        assert len(calls) == 2 and first == second and first is not second
-        assert instance._greedy_start is None
-        assert first == greedy_feasible_configuration(instance)
+        warm = warm_start_configuration(instance, sweeps=100)
+        for node in instance.free_nodes:
+            conditional = local_conditional(instance, warm, node, engine="dict")
+            assert warm[node] == max(alphabet, key=conditional.__getitem__)
 
 
 class TestLocalConditional:
