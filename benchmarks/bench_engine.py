@@ -26,8 +26,9 @@ the experiment suite:
   failures, rounds)`` is checked against its golden tuple before any
   timing, and the row records how many oracle calls the four samples make.
 
-Spreads (median, quartiles, minimum) and the environment stamp come from
-``spread.py``.
+Spreads (median, quartiles, minimum), the host-speed probe beside every
+timed repeat (its spread and the probe-scaled median) and the environment
+stamp come from ``spread.py``.
 
 The chains run on the compiled engine only, so no chain row is timed
 here; ``BENCH_runtime.json`` and perfbench time them.
@@ -56,7 +57,7 @@ from repro.graphs import cycle_graph, random_regular_graph, random_tree, torus_g
 from repro.inference import TruncatedBallInference, correlation_decay_for
 from repro.models import coloring_model, hardcore_model, ising_model
 from repro.sampling import sample_exact_local
-from spread import environment, spread, timed
+from spread import Samples, environment, timed
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -199,20 +200,19 @@ def cold_distributions(repeats: int = 5) -> Dict[str, object]:
         for node, marginal in compiled.items():
             for value, probability in marginal.items():
                 assert abs(probability - reference[node][value]) < 1e-9, (fugacity, node)
-    cold: List[float] = []
-    warm: List[float] = []
+    cold = Samples()
+    warm = Samples()
     for _repeat in range(repeats):
         _PLAN_STORE.clear()
-        timings = [_time(lambda: marginals_at("compiled", f)) for f in COLD_FUGACITIES]
-        cold.append(timings[0])
-        warm.extend(timings[1:])
+        for index, fugacity in enumerate(COLD_FUGACITIES):
+            (warm if index else cold).time(lambda: marginals_at("compiled", fugacity))
     return {
         "workload": "cold_distributions",
         "fugacities": list(COLD_FUGACITIES),
         "repeats": repeats,
-        "cold_seconds": spread(cold),
-        "warm_seconds": spread(warm),
-        "cold_over_warm": statistics.median(cold) / statistics.median(warm),
+        "cold_seconds": cold.spread(),
+        "warm_seconds": warm.spread(),
+        "cold_over_warm": statistics.median(cold.samples) / statistics.median(warm.samples),
     }
 
 
@@ -263,32 +263,26 @@ def fresh_compile(repeats: int = 15) -> Dict[str, object]:
     for name, (make_graph, build) in FRESH_MODELS.items():
         graph = make_graph()
         _assert_compiles_like_the_reference(build(graph))
-        total: List[float] = []
-        tables: List[float] = []
-        fusion: List[float] = []
+        total = Samples()
+        tables = Samples()
+        fusion = Samples()
         for _repeat in range(repeats):
             distribution = build(graph)
-            total.append(_time(distribution.compiled_engine))
-            compiled = distribution.compiled_engine()
+            compiled = total.time(distribution.compiled_engine)
             distribution = build(graph)
             alphabet = distribution.alphabet
-            tables.append(
-                _time(lambda: [factor.dense_table(alphabet) for factor in distribution.factors])
+            arrays = tables.time(
+                lambda: [factor.dense_table(alphabet) for factor in distribution.factors]
             )
-            arrays = [factor.dense_table(alphabet) for factor in distribution.factors]
-            fusion.append(
-                _time(
-                    lambda: _PLAN_STORE.layout_for(len(compiled.nodes), compiled.scopes).fuse(
-                        arrays
-                    )
-                )
+            fusion.time(
+                lambda: _PLAN_STORE.layout_for(len(compiled.nodes), compiled.scopes).fuse(arrays)
             )
         rows[name] = {
             "nodes": graph.number_of_nodes(),
             "factors": len(distribution.factors),
-            "compiled_engine_seconds": spread(total),
-            "dense_tables_seconds": spread(tables),
-            "fusion_seconds": spread(fusion),
+            "compiled_engine_seconds": total.spread(),
+            "dense_tables_seconds": tables.spread(),
+            "fusion_seconds": fusion.spread(),
         }
     return {
         "workload": "fresh_compile",
@@ -346,8 +340,8 @@ def jvv_exact_local(repeats: int = 9) -> Dict[str, object]:
 def ball_cache_stats() -> Dict[str, int]:
     """The engine's ball-cache counters after the SSM workload, obs off.
 
-    ``BallCache.stats()`` (hits, misses, compiles, adoptions, memo-cap
-    drops) is always-on bookkeeping -- no observability handle needed --
+    ``BallCache.stats()`` (hits, misses, compiles, cap-reset drops,
+    size) is always-on bookkeeping -- no observability handle needed --
     so the baseline can document the cache behaviour behind the
     ``ssm_inference`` speedup: the repeated rounds re-query the same
     balls and should hit far more often than they compile.

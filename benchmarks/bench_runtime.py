@@ -30,6 +30,15 @@ chains of a hardcore instance, one sample per chain):
   reconstruction's ball cache stays warm across calls (only the parent's
   cache is cleared per call).  Only the batched chain workloads feed
   ``min_batched_speedup``.
+* ``process_ball_shards_cold`` -- the cold cost of a ball stream, the
+  perfbench ``sharded`` traffic: Theorem 5.1 marginals at radius 1 on a
+  fresh hardcore distribution per call (a 100-node 3-regular graph), the
+  serial loop vs a 2-worker process runtime with ``transport="shm"``.
+  Each call is a new instance and so a new spec id: the workers decode
+  the spec and compile every ball cold, and ship back the marginals
+  only.  Bit-identity to the serial loop is asserted before timing; the
+  row records each side's median with its spread, the host-speed probe
+  and an environment stamp (see ``spread.py``).
 * ``process_repeated_chains`` / ``process_repeated_chains_shm`` -- the
   repeated-call shape of a long-lived runtime: 10 Glauber ``run_chains``
   calls of 48 chains x 300 steps on one 8x8 torus 6-colouring, batched vs
@@ -48,9 +57,9 @@ chains of a hardcore instance, one sample per chain):
   the call to the first chunk starting on a worker (the spec snapshot,
   packing it -- by value under pickle, as descriptors under shm -- the
   first submissions and the first worker's decode of the spec), compute
-  from there to the last chunk ending (the parent adopts landed chunks
-  meanwhile), tail from there to the end of the stream (the last
-  result's trip back and adoption, segment unlink; no pool is forked or
+  from there to the last chunk ending (the parent collects landed
+  marginals meanwhile), tail from there to the end of the stream (the
+  last result's trip back, segment unlink; no pool is forked or
   joined).  Each traced run is asserted bit-identical to the serial loop
   before its timings are recorded; the row keeps each phase's median,
   its spread over the repeats and an environment stamp.
@@ -120,7 +129,7 @@ from repro.graphs import cycle_graph, random_tree, torus_graph
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, chain_seed_sequences, stream_padded_ball_marginals
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
-from spread import environment, spread, timed
+from spread import Samples, environment, spread, timed
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -454,6 +463,51 @@ def _process_shard_workload(
     return shape, serial, sharded, runtime.shutdown
 
 
+def _cold_shard_workload(
+    size: int = 100, degree: int = 3, radius: int = 1, n_workers: int = 2
+):
+    """Theorem 5.1 marginals of a FRESH distribution per call, serial vs process.
+
+    Every call builds a new hardcore distribution on one fixed
+    ``degree``-regular graph, so nothing is warm: the serial loop compiles
+    every ball, and the 2-worker shm process runtime ships a new spec (a
+    new spec id) that each worker decodes and compiles cold -- the
+    perfbench ``sharded`` stream.  The pool is forked once, by the
+    correctness gate, which asserts the streamed marginals bit-identical
+    to the serial loop on a fresh distribution before any timing.  Returns
+    ``(shape, serial, process, teardown)``.
+    """
+    from repro.graphs import random_regular_graph
+    from repro.inference.ssm_inference import padded_ball_marginal
+
+    graph = random_regular_graph(degree, size, seed=1)
+    runtime = Runtime("process", n_workers=n_workers, transport="shm")
+
+    def fresh() -> SamplingInstance:
+        return SamplingInstance(hardcore_model(graph, fugacity=1.0), {0: 0})
+
+    def serial() -> Dict:
+        instance = fresh()
+        return {
+            node: padded_ball_marginal(instance, node, radius)
+            for node in instance.free_nodes
+        }
+
+    def process() -> Dict:
+        instance = fresh()
+        return runtime.ball_marginals(instance, instance.free_nodes, radius)
+
+    assert process() == serial(), "cold shm ball stream diverges from the serial loop"
+    shape = {
+        "nodes": size,
+        "degree": degree,
+        "radius": radius,
+        "workers": n_workers,
+        "transport": "shm",
+    }
+    return shape, serial, process, runtime.shutdown
+
+
 def _repeated_chain_workload(
     calls: int = 10,
     chains: int = 48,
@@ -515,9 +569,9 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
     :class:`InstanceSpec` by value under pickle or as shared-memory
     descriptors under shm, the first submissions and the first worker's
     decode of the spec), compute (first chunk start to last chunk end,
-    with the parent adopting landed chunks meanwhile) and tail (last chunk
-    end to the end of the stream: the last result's trip back and
-    adoption, segment unlink).  Every traced run is asserted bit-identical
+    with the parent collecting landed marginals meanwhile) and tail (last
+    chunk end to the end of the stream: the last result's trip back,
+    segment unlink).  Every traced run is asserted bit-identical
     to the serial loop before its timings count.  Returns ``(shape,
     phases, teardown)``.
     """
@@ -793,8 +847,9 @@ def run(
 ) -> List[Dict[str, object]]:
     """Time the backends; report the best of ``repeats`` per side.
 
-    The repeated-chains and phase-residual rows instead run ``3 * repeats``
-    times and record the median with its spread.
+    The cold ball-shard, repeated-chains and phase-residual rows instead
+    run ``3 * repeats`` times and record the median with its spread and
+    the host-speed probe beside it.
     """
     spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
@@ -895,6 +950,25 @@ def run(
             "bit_identical_to_serial": True,
         }
         rows.append(row)
+    shape, serial, process, teardown = _cold_shard_workload()
+    try:
+        serial_spread = timed(serial, spread_repeats)
+        process_spread = timed(process, spread_repeats)
+    finally:
+        teardown()
+    rows.append(
+        {
+            "workload": "process_ball_shards_cold",
+            "backend_pair": "serial-vs-process",
+            "shape": shape,
+            "serial_seconds": serial_spread["median"],
+            "process_seconds": process_spread["median"],
+            "speedup": serial_spread["median"] / process_spread["median"],
+            "spread": {"serial": serial_spread, "process": process_spread},
+            "environment": environment(),
+            "bit_identical_to_serial": True,
+        }
+    )
     for transport in ("pickle", "shm"):
         shape, batched_calls, process_calls, teardown = _repeated_chain_workload(
             transport=transport
@@ -926,9 +1000,12 @@ def run(
     residual_spread: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
         for transport in ("pickle", "shm"):
-            samples = [phases(transport) for _ in range(spread_repeats)]
+            probed = Samples()
+            samples = [
+                probed.time(lambda: phases(transport)) for _ in range(spread_repeats)
+            ]
             residual_spread[transport] = {
-                phase: spread([sample[phase] for sample in samples])
+                phase: spread([sample[phase] for sample in samples], probed.probes)
                 for phase in samples[0]
             }
             residual[transport] = {
@@ -955,10 +1032,9 @@ def run(
                 "shared-memory descriptors under shm -- the first "
                 "submissions and the first worker's decode of the spec), "
                 "compute to the last chunk end (workers compile their "
-                "chunks' balls and ship them back while the parent adopts "
-                "landed chunks), tail to the end of the stream (last "
-                "adoption, segment unlink). No fork and no join is paid "
-                "per call"
+                "chunks' balls and ship back the marginals only), tail to "
+                "the end of the stream (the last result's trip back, "
+                "segment unlink). No fork and no join is paid per call"
             ),
         }
     )
@@ -1084,7 +1160,11 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "run_chains calls on one instance, batched vs a 2-worker "
             "process runtime at inline_threshold=0 over both transports "
             "(one spec id per instance, so workers decode the spec once; "
-            "every call asserted bit-identical to batched pre-timing)"
+            "every call asserted bit-identical to batched pre-timing), "
+            "plus the cold ball stream: Theorem 5.1 marginals of a fresh "
+            "distribution per call, serial vs a 2-worker shm process "
+            "runtime whose workers return marginals only (bit-identity "
+            "asserted pre-timing; medians with spread and host-speed probe)"
         ),
         "workloads": rows,
         "min_batched_speedup": min(row["speedup"] for row in batched),

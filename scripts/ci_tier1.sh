@@ -50,13 +50,17 @@
 # (the shared-memory transport of the process backend, its streamed ball
 # marginals and the packed multi-instance code matrix must all be
 # bit-identical to the serial loop, one process run_chains call must make
-# exactly one segment (the instance spec's), and the streamed balls must
-# leave the parent's ball cache as the serial loop does; two process calls on one
+# exactly one segment (the instance spec's), and the ball stream must
+# leave the parent's ball cache cold -- 0 compiles, no extras -- because
+# workers return marginals only; two process calls on one
 # instance with an update_factors between them must each equal batched;
 # two process calls on one Runtime, run in a child interpreter, must
 # share the worker pids of one persistent pool and leave no
 # resource_tracker traceback on stderr; /dev/shm must hold no repro-shm-*
-# segments afterwards) and a
+# segments afterwards), a marginals-only guard (no Python source under
+# src/repro names adopt(, export_marginal_memo, absorb_marginal_memo,
+# MEMO_DELTA_CAP or memo_cap: the parent-cache warming of ball streams
+# must not return) and a
 # docs check (the architecture map and testing guide exist and the
 # README quickstart executes as a doctest).
 #
@@ -607,8 +611,8 @@ with Runtime(
         )
 
 # Theorem 5.1 ball marginals of a pinned colouring streamed through the
-# shm pool: equal to the serial loop, and the parent's ball cache adopts
-# exactly the padded balls and boundary extensions the serial loop caches.
+# shm pool: equal to the serial loop, and the parent's ball cache stays
+# cold (workers return marginals only).
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model
 
@@ -617,22 +621,16 @@ def colouring():
     return SamplingInstance(coloring_model(cycle_graph(10), 3), {0: 1, 5: 2})
 
 
-def cached(instance):
-    cache = instance.distribution.ball_cache()
-    balls = {
-        key: (ball.nodes, ball.scopes, [a.tobytes() for a in ball.arrays])
-        for key, ball in cache._compiled.items()
-    }
-    return balls, cache.extras
-
-
 local = colouring()
 serial_marginals = {node: padded_ball_marginal(local, node, 1) for node in local.free_nodes}
 pooled = colouring()
 with Runtime("process", n_workers=2, transport="shm") as runtime:
     streamed = dict(runtime.stream_ball_marginals(pooled, pooled.free_nodes, 1))
 assert streamed == serial_marginals, "shm ball stream diverges from the serial loop"
-assert cached(pooled) == cached(local), "parent cache differs from the serial loop's"
+parent = pooled.distribution.ball_cache()
+assert parent.stats()["compiles"] == 0 and not parent.extras, (
+    f"parent ball cache warmed by the stream: {parent.stats()}"
+)
 
 # Packed multi-instance batching: two models in one padded code matrix,
 # each group bit-identical to its own serial chains.
@@ -684,10 +682,18 @@ mode = "shm" if shm_available() else "pickle-fallback"
 print(
     f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
     "one spec segment per chain call, calls across update_factors equal batched, "
-    "cache adoption parity, two calls on one pool, no tracker traceback, "
+    "parent ball cache cold, two calls on one pool, no tracker traceback, "
     "/dev/shm clean"
 )
 PY
+
+echo "== tier-1: marginals-only ball streams =="
+if grep -rn --include='*.py' -e 'adopt(' -e export_marginal_memo -e absorb_marginal_memo \
+    -e MEMO_DELTA_CAP -e memo_cap src/repro; then
+    echo "src/repro names parent-cache warming: ball streams must return marginals only" >&2
+    exit 1
+fi
+echo "marginals-only guard OK"
 
 echo "== tier-1: docs =="
 test -f docs/ARCHITECTURE.md || { echo "docs/ARCHITECTURE.md is missing" >&2; exit 1; }

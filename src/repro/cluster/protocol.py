@@ -116,8 +116,9 @@ MAGIC = b"RCW1"
 MAGIC_AUTH = b"RCA1"
 #: Bumped on incompatible wire changes; checked during the HELLO handshake.
 #: Version 5 returns a chain block's final code matrix, not decoded
-#: configurations.
-PROTOCOL_VERSION = 5
+#: configurations; in version 6 a ``ball_marginals`` task returns
+#: ``{(center, radius): marginal}`` only, with no compiled balls or memos.
+PROTOCOL_VERSION = 6
 #: Bytes of the HMAC-SHA256 tag appended to authenticated frames.
 TAG_BYTES = 32
 #: Environment variable both sides read for a default shared auth key.

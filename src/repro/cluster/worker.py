@@ -31,8 +31,9 @@ Task kinds
 ----------
 
 ``ball_marginals``
-    ``{"spec_id", "tasks", "memo_cap"}`` -> the shard payload
-    ``(marginals, balls, extras, memos)`` of the process backend.
+    ``{"spec_id", "tasks"}`` -> ``{(center, radius): marginal}``, the
+    marginals only, exactly as a pool worker returns them; the compiled
+    balls stay warm in this worker's spec cache.
 ``chain_block``
     ``{"spec_id", "kernel", "count", "seeds", "initial"}`` -> the final
     ``(chains, n)`` code matrix of a batched block of chains of any

@@ -19,7 +19,7 @@ create a fresh conditioned instance per query.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Tuple
 
 from repro import obs
 from repro.engine.compiled import CompiledGibbs
@@ -48,7 +48,6 @@ class BallCache:
         "hits",
         "misses",
         "compiles",
-        "adoptions",
         "drops",
     )
 
@@ -62,13 +61,10 @@ class BallCache:
         self.extras: Dict = {}
         # Lifetime stats -- plain always-on ints (a few ns per lookup), so
         # ``stats()`` answers even when repro.obs is disabled.  ``drops``
-        # counts the balls and scratch entries every cap reset discards
-        # plus marginal-memo deltas adopted for balls this cache does not
-        # hold.
+        # counts the balls and scratch entries every cap reset discards.
         self.hits = 0
         self.misses = 0
         self.compiles = 0
-        self.adoptions = 0
         self.drops = 0
 
     # ------------------------------------------------------------------
@@ -152,130 +148,17 @@ class BallCache:
             self.extras[key] = value
         return value
 
-    def adopt(
-        self,
-        balls: Optional[Mapping[Tuple[Node, int], CompiledGibbs]] = None,
-        extras: Optional[Mapping] = None,
-        memos: Optional[Mapping[Tuple[Node, int], Mapping]] = None,
-    ) -> int:
-        """Merge worker-produced results into this cache.
-
-        This is the parent side of the process-sharding protocol
-        (:mod:`repro.runtime.shards`): workers compile balls (and memoise
-        ball-local scratch results such as greedy boundary extensions and
-        per-pinning marginals) for their shard of the key space, and
-        adopting them here turns later serial queries into cache hits.  The
-        streaming executor calls this incrementally, once per arriving
-        shard, so the cache warms while other shards are still in flight.
-        Existing entries win -- worker results are equal by construction, so
-        there is nothing to reconcile.
-
-        Parameters
-        ----------
-        balls : mapping, optional
-            ``{(center, radius): CompiledGibbs}`` worker compilations.
-        extras : mapping, optional
-            Scratch memo entries (e.g. greedy boundary extensions), merged
-            into :attr:`extras` under the shared eviction discipline.
-        memos : mapping, optional
-            ``{(center, radius): exported marginal memo}`` deltas (see
-            :meth:`CompiledGibbs.export_marginal_memo`), installed into the
-            matching compiled ball -- the one adopted from ``balls`` or an
-            already-cached equal one.  Deltas for balls this cache does not
-            hold are dropped.
-
-        Returns
-        -------
-        int
-            Number of entries added (balls + extras + memo entries).
-        """
-        added = 0
-        for key, compiled in (balls or {}).items():
-            if key not in self._compiled:
-                if len(self._compiled) >= _BALL_CACHE_LIMIT:
-                    self._reset()
-                self._compiled[key] = compiled
-                added += 1
-        for key, value in (extras or {}).items():
-            if key not in self.extras:
-                if len(self.extras) >= _EXTRAS_LIMIT:
-                    self._reset_extras()
-                self.extras[key] = value
-                added += 1
-        for key, entries in (memos or {}).items():
-            target = self._compiled.get(key)
-            if target is not None and entries:
-                added += target.absorb_marginal_memo(entries)
-            elif target is None and entries:
-                self.drops += len(entries)
-        self.adoptions += added
-        handle = obs.active()
-        if handle is not None:
-            handle.metrics.counter("engine.ball_cache.adoptions").inc(added)
-        return added
-
-    def export(
-        self,
-        balls: Iterable[Tuple[Node, int]],
-        extras: Iterable[tuple] = (),
-        memo_cap: Optional[int] = None,
-    ) -> Tuple[Dict, Dict, Dict]:
-        """The inverse of :meth:`adopt`: what a peer cache adopts of this one.
-
-        The worker side of the process-sharding protocol: a registered task
-        body runs the serial ball-local code on its reconstructed instance,
-        then ships the artefacts of its chunk through this method, and the
-        parent passes them to :meth:`adopt` unchanged.
-
-        Parameters
-        ----------
-        balls : iterable of (node, int)
-            ``(center, radius)`` keys of the compiled balls to ship; keys
-            this cache does not hold are skipped.
-        extras : iterable of tuple
-            Key prefixes of the scratch entries to ship (e.g.
-            ``("boundary-extension", center, radius)``); every entry of
-            :attr:`extras` whose key starts with one of them ships.
-        memo_cap : int, optional
-            Per-ball cap on the exported marginal memo (see
-            :meth:`CompiledGibbs.export_marginal_memo`; ``None`` ships every
-            entry, ``0`` none).
-
-        Returns
-        -------
-        tuple of dict
-            ``(balls, extras, memos)``, the keyword arguments of
-            :meth:`adopt` in order; balls with an empty memo export carry no
-            ``memos`` entry.
-        """
-        shipped = {key: self._compiled[key] for key in balls if key in self._compiled}
-        memos = {
-            key: memo
-            for key, ball in shipped.items()
-            if (memo := ball.export_marginal_memo(cap=memo_cap))
-        }
-        prefixes = set(extras)
-        widths = {len(prefix) for prefix in prefixes}
-        scratch = {
-            key: value
-            for key, value in self.extras.items()
-            if any(key[:width] in prefixes for width in widths)
-        }
-        return shipped, scratch, memos
-
     def stats(self) -> Dict[str, int]:
         """Lifetime cache statistics (available with obs disabled).
 
         Returns ``hits``/``misses``/``compiles`` of :meth:`compiled_ball`,
-        ``adoptions`` merged by :meth:`adopt`, ``drops`` (balls and
-        scratch entries evicted by any cap reset plus memo deltas for
-        unheld balls), and the current ``size`` of the compiled-ball store.
+        ``drops`` (balls and scratch entries evicted by any cap reset), and
+        the current ``size`` of the compiled-ball store.
         """
         return {
             "hits": self.hits,
             "misses": self.misses,
             "compiles": self.compiles,
-            "adoptions": self.adoptions,
             "drops": self.drops,
             "size": len(self._compiled),
         }

@@ -466,15 +466,14 @@ class CompiledGibbs:
         return schedule
 
     # ------------------------------------------------------------------
-    # pickling (the process runtime ships compiled instances and balls
-    # between workers; see :mod:`repro.runtime.shards`)
+    # pickling
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Ship only the immutable compiled form.
+        """Pickle only the immutable compiled form.
 
         The memo caches, fused tables, gathered conditionals and batched
-        blanket tables are all derived state: dropping them keeps worker
-        payloads small and the receiving side rebuilds them lazily on
+        blanket tables are all derived state: dropping them keeps the
+        payload small and the receiving side rebuilds them lazily on
         first use.
         """
         return (self.nodes, self.alphabet, self.scopes, self.arrays)
@@ -648,77 +647,6 @@ class CompiledGibbs:
                 self._marginal_memo.clear()
             self._marginal_memo[key] = cached
         return dict(cached)
-
-    # ------------------------------------------------------------------
-    # marginal-memo deltas (the streaming process runtime ships the memos
-    # workers populated back to the parent; see :mod:`repro.runtime.shards`)
-    # ------------------------------------------------------------------
-    def export_marginal_memo(
-        self, cap: Optional[int] = None
-    ) -> Dict[tuple, Dict[Value, float]]:
-        """Snapshot the per-pinning marginal memo for shipping to a peer.
-
-        Pickling a :class:`CompiledGibbs` deliberately drops its memo caches
-        (see :meth:`__getstate__`), so a process worker that computed
-        marginals would otherwise hand back compiled balls whose memos the
-        parent recomputes from scratch.  This method extracts the memo as
-        plain data -- entry keys are integer-encoded pinning signatures,
-        which are identical on both sides because the node ordering of a
-        compiled ball is deterministic.
-
-        Parameters
-        ----------
-        cap : int, optional
-            Maximum number of entries to export (insertion order).  ``None``
-            exports the whole memo.
-
-        Returns
-        -------
-        dict
-            ``{memo key: marginal dict}``, at most ``cap`` entries, each
-            marginal a fresh copy safe to mutate or pickle.
-        """
-        items = self._marginal_memo.items()
-        if cap is not None:
-            if cap <= 0:
-                return {}
-            items = itertools.islice(items, cap)
-        return {key: dict(value) for key, value in items}
-
-    def absorb_marginal_memo(
-        self, entries: Mapping[tuple, Mapping[Value, float]]
-    ) -> int:
-        """Install exported memo entries produced by an equal compiled peer.
-
-        The parent side of the memo-delta protocol: entries computed by a
-        worker on a bit-identical compiled ball are installed directly, so
-        the parent's first query of the same ``(node, pinning)`` is a memo
-        hit instead of a fresh elimination.
-
-        Existing entries always win, and absorption never evicts -- when the
-        memo is at :data:`_MARGINAL_CACHE_LIMIT` capacity the remaining
-        entries are dropped rather than clearing locally computed state.
-
-        Parameters
-        ----------
-        entries : mapping
-            The output of :meth:`export_marginal_memo` on an equal instance.
-
-        Returns
-        -------
-        int
-            Number of entries actually installed.
-        """
-        memo = self._marginal_memo
-        added = 0
-        for key, value in entries.items():
-            if key in memo:
-                continue
-            if len(memo) >= _MARGINAL_CACHE_LIMIT:
-                break
-            memo[key] = dict(value)
-            added += 1
-        return added
 
     def configuration_weight(self, configuration: Mapping[Node, Value]) -> float:
         """Product of all factor weights on a full configuration.

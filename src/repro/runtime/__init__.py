@@ -12,17 +12,16 @@ This package owns *how* work executes, separate from *what* is computed
     serial reference runs under per-chain ``SeedSequence`` streams.
 ``shards``
     :class:`InstanceSpec`, the :data:`~repro.runtime.shards.TASK_REGISTRY`
-    of spec-bound task bodies (ball marginals, ball compilation, chain
-    blocks -- executed identically by the process pool, the cluster
-    workers and the in-process path), and the one parent-side scheduler
+    of spec-bound task bodies (ball marginals, chain blocks -- executed
+    identically by the process pool, the cluster workers and the
+    in-process path), and the one parent-side scheduler
     of the process and cluster backends: front ends that chunk the work,
     submit each chunk to the live transport they are given -- a
     :class:`~repro.runtime.shards.ForkPool` or a cluster coordinator,
     whose workers set the call's width (the spec shipped once per
-    worker) -- and merge every chunk's results --
-    compiled balls, boundary extensions, capped marginal-memo deltas --
-    into the parent :class:`~repro.engine.cache.BallCache` the moment the
-    chunk completes.
+    worker) -- and yield every chunk's results the moment the chunk
+    completes.  A ball chunk returns its marginals only; the compiled
+    balls stay warm in the worker that built them.
 ``shm``
     The zero-copy data plane of the process backend: the spec's dense
     factor tables live in read-only ``multiprocessing.shared_memory``
@@ -60,7 +59,6 @@ from repro.runtime.executor import (
     resolve_runtime,
 )
 from repro.runtime.shards import (
-    MEMO_DELTA_CAP,
     TASK_REGISTRY,
     TRANSPORTS,
     InstanceSpec,
@@ -95,7 +93,6 @@ __all__ = [
     "SERIAL_RUNTIME",
     "INLINE_CHAIN_UPDATES",
     "InstanceSpec",
-    "MEMO_DELTA_CAP",
     "TRANSPORTS",
     "SharedArrayPack",
     "attach_array",

@@ -758,10 +758,10 @@ class Runtime:
 
         The process backend shards the per-node ball computations across
         workers and yields each ``(node, marginal)`` pair the moment its
-        shard lands -- worker compilations, boundary extensions and capped
-        marginal-memo deltas are merged into the parent's ball cache
-        incrementally, so the consumer overlaps its own work with the
-        in-flight shards.  The cluster backend does the same over its TCP
+        shard lands, so the consumer overlaps its own work with the
+        in-flight shards.  Workers return marginals only: their compiled
+        balls stay warm in the workers, and the parent's ball cache is
+        left untouched.  The cluster backend does the same over its TCP
         workers (spec shipped once per connection, dead workers' shards
         requeued).  Other backends yield the serial per-node loop lazily,
         in node order.  The shard transport is compiled-only, so an
@@ -816,9 +816,9 @@ class Runtime:
         the overlapped E5 radius sweep
         (:func:`repro.spatialmixing.phase_transition.locality_required`):
         the process backend shards the tasks over its pool, the cluster
-        backend over its TCP workers, and both merge every arriving
-        shard's artefacts into the parent ball cache before yielding in
-        completion order.  Serial and batched backends yield the lazy
+        backend over its TCP workers, and both yield every arriving
+        shard's marginals in completion order; workers return marginals
+        only, so the parent's ball cache stays cold.  Serial and batched backends yield the lazy
         in-order loop.  Values are bit-identical across backends.
 
         Parameters

@@ -24,10 +24,10 @@ that work out to workers:
 * :func:`stream_ball_marginal_tasks` / :func:`stream_padded_ball_marginals`
   / :func:`run_chain_blocks` -- the front
   ends, each written once: chunk the work, submit every chunk as
-  ``(kind, payload)`` to a transport, and adopt each landed chunk's
-  compiled balls, boundary extensions and capped marginal-memo deltas into
-  the parent's :class:`~repro.engine.cache.BallCache` (or concatenate chain
-  blocks in seed order).  Streams yield in completion order, so consumers
+  ``(kind, payload)`` to a transport, and yield each landed chunk's
+  marginals (or concatenate chain blocks in seed order).  A ball chunk
+  returns its marginals only; its compiled balls stay warm in the worker.
+  Streams yield in completion order, so consumers
   overlap parent-side work with in-flight chunks, mirroring the
   barrier-free LOCAL model.  Each takes a required, live ``transport``,
   one of two kinds: a :class:`ForkPool` (the process backend's long-lived
@@ -43,9 +43,8 @@ that work out to workers:
   without pickling; only items and results cross the pipe.
 
 Worker computations replay the exact serial code paths on equal compiled
-inputs, so distributed results are bit-identical to the serial ones and
-merging them into the parent cache is transparent regardless of arrival
-order.
+inputs, so distributed results are bit-identical to the serial ones
+regardless of arrival order.
 """
 
 from __future__ import annotations
@@ -361,35 +360,22 @@ def run_task(kind: str, args, spec: Optional[InstanceSpec] = None):
     return body(args, spec=spec)
 
 
-#: Default cap on the per-ball marginal-memo delta a worker ships back.
-MEMO_DELTA_CAP = 64
-
-
 @register_task("ball_marginals")
 def _ball_marginals_task(args: Dict, spec: InstanceSpec):
     """Registered body: Theorem 5.1 marginals for one chunk of ball tasks.
 
     Runs the serial :func:`~repro.inference.ssm_inference.padded_ball_marginal`
-    on the spec's reconstruction and returns ``(marginals, balls, extras,
-    memos)``, the last three from the reconstruction's
-    :meth:`~repro.engine.cache.BallCache.export`.  Only the artefacts of
-    *this* chunk are shipped: the padded balls the parent's serial replay
-    queries (``compiled_ball(center, radius + locality)``), the chunk's
-    boundary extensions, and an ``args["memo_cap"]``-capped export of each
-    shipped ball's per-pinning marginal memo.  A worker's spec persists
-    across chunks, so nothing already shipped by an earlier chunk is resent.
+    on the spec's reconstruction and returns ``{(center, radius):
+    marginal}`` for the chunk's ``args["tasks"]`` -- the marginals and
+    nothing else, as in the LOCAL model, where each node outputs its own
+    marginal.  The compiled balls, boundary extensions and marginal memos
+    stay in the worker: its spec persists across chunks and calls, so its
+    reconstruction's ball cache stays warm.
     """
     from repro.inference.ssm_inference import padded_ball_marginal
 
     instance = spec.to_instance()
-    tasks = args["tasks"]
-    marginals = {key: padded_ball_marginal(instance, *key) for key in tasks}
-    exported = instance.distribution.ball_cache().export(
-        balls=[(center, radius + spec.locality) for center, radius in tasks],
-        extras=[("boundary-extension", center, radius) for center, radius in tasks],
-        memo_cap=args["memo_cap"],
-    )
-    return (marginals, *exported)
+    return {key: padded_ball_marginal(instance, *key) for key in args["tasks"]}
 
 
 def advance_block(
@@ -848,14 +834,6 @@ def _scatter(
         session.cancel(handles)
 
 
-def _stream(instance, kind, tasks, chunk_size, transport, **args):
-    """Chunk ``tasks`` and stream the ``kind`` body's results as they land."""
-    chunks = _chunk_tasks(tasks, _chunk_target(transport), chunk_size)
-    with _session(transport, instance, len(chunks)) as session:
-        work = [(chunk, dict(args, tasks=chunk)) for chunk in chunks]
-        yield from _scatter(session, kind, work, "ball shard")
-
-
 # ----------------------------------------------------------------------
 # parent-side front ends (one scheduler, either transport)
 # ----------------------------------------------------------------------
@@ -871,18 +849,18 @@ def stream_ball_marginal_tasks(
     The barrier-free core of the distributed backends: tasks are chunked,
     each chunk runs the registered ``ball_marginals`` body on a worker (the
     :class:`InstanceSpec` is decoded once per worker), and each chunk's
-    results are yielded -- and merged into the parent's
-    :class:`~repro.engine.cache.BallCache` via
-    :meth:`~repro.engine.cache.BallCache.adopt` -- the moment the chunk
-    completes, in *completion* order.  The parent can therefore consume
-    radius-``r`` results while radius-``r + 1`` balls are still compiling in
+    marginals are yielded the moment the chunk completes, in *completion*
+    order.  Workers return marginals only: the parent's
+    :class:`~repro.engine.cache.BallCache` is never touched, and each
+    worker keeps its own compiled balls warm.  The parent can therefore
+    consume radius-``r`` results while radius-``r + 1`` balls are still compiling in
     the workers, which is exactly the overlap of the paper's barrier-free
     LOCAL model.
 
     Parameters
     ----------
     instance : SamplingInstance
-        The instance whose distribution owns the target ball cache.
+        The conditioned instance to query (shipped as its spec).
     tasks : sequence of (node, int)
         ``(center, radius)`` pairs; radii may differ between tasks.
     chunk_size : int, optional
@@ -893,12 +871,10 @@ def stream_ball_marginal_tasks(
         runtime passes its own), the spec shipped by value or -- for a
         ``"shm"`` pool -- its dense arrays as shared-memory descriptors
         (pickle fallback when unavailable).  With one pool worker (or one
-        chunk) the stream runs in-process, bit-identically, and the pool
-        never forks.  A
+        chunk) the stream runs in-process on the spec's reconstruction,
+        bit-identically, and the pool never forks.  A
         :class:`~repro.cluster.coordinator.ClusterCoordinator` runs the
         chunks on its TCP workers, requeueing those of dead workers.
-        Each shipped ball's marginal-memo delta is capped at
-        :data:`MEMO_DELTA_CAP` entries.
 
     Yields
     ------
@@ -915,13 +891,11 @@ def stream_ball_marginal_tasks(
     tasks = list(tasks)
     if not tasks:
         return
-    cache = instance.distribution.ball_cache()
-    for marginals, balls, extras, memos in _stream(
-        instance, "ball_marginals", tasks, chunk_size, transport,
-        memo_cap=MEMO_DELTA_CAP,
-    ):
-        cache.adopt(balls=balls, extras=extras, memos=memos)
-        yield from marginals.items()
+    chunks = _chunk_tasks(tasks, _chunk_target(transport), chunk_size)
+    with _session(transport, instance, len(chunks)) as session:
+        work = [(chunk, {"tasks": chunk}) for chunk in chunks]
+        for marginals in _scatter(session, "ball_marginals", work, "ball shard"):
+            yield from marginals.items()
 
 
 def stream_padded_ball_marginals(
@@ -936,9 +910,8 @@ def stream_padded_ball_marginals(
 
     A single-radius convenience wrapper over
     :func:`stream_ball_marginal_tasks` yielding ``(center, marginal)`` pairs
-    in completion order; each shard's compiled balls, boundary extensions
-    and capped marginal-memo deltas are adopted into the parent cache as the
-    shard arrives.  Per-ball results are bit-identical to the serial
+    in completion order, as each shard arrives.  Per-ball results are
+    bit-identical to the serial
     :func:`repro.inference.ssm_inference.padded_ball_marginal` loop.
     ``transport`` is as for :func:`stream_ball_marginal_tasks`.
     """

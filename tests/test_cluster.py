@@ -186,6 +186,13 @@ class TestProtocol:
             with pytest.raises(protocol.ProtocolError, match="version"):
                 protocol.check_hello({"role": "worker", "version": version}, "worker")
 
+    def test_hello_rejects_a_version_5_peer(self):
+        # Version 5 ball tasks still took a memo cap and returned compiled
+        # balls and memo deltas; version 6 returns marginals only.
+        assert protocol.PROTOCOL_VERSION == 6
+        with pytest.raises(protocol.ProtocolError, match="version"):
+            protocol.check_hello({"role": "worker", "version": 5}, "worker")
+
     def test_parse_address(self):
         assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
         assert parse_address(("localhost", 8000)) == ("localhost", 8000)
@@ -220,7 +227,7 @@ class TestWorkerLoop:
     def test_task_before_spec_fails_cleanly(self, inprocess_workers):
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
             future = coordinator.submit_task(
-                "ball_marginals", {"spec_id": 123, "tasks": [], "memo_cap": None}
+                "ball_marginals", {"spec_id": 123, "tasks": []}
             )
             with pytest.raises(ClusterError, match="unknown spec"):
                 future.result(timeout=30)
@@ -386,14 +393,13 @@ class TestCoordinator:
 # spec-bound streaming against in-process workers
 # ----------------------------------------------------------------------
 class TestClusterStreams:
-    def test_ball_marginals_match_serial_and_warm_the_cache(self, inprocess_workers):
+    def test_ball_marginals_match_serial_and_leave_the_parent_cold(
+        self, inprocess_workers
+    ):
+        local = SamplingInstance(coloring_model(cycle_graph(9), 3), {0: 1})
+        serial = {node: padded_ball_marginal(local, node, 2) for node in local.free_nodes}
         distribution = coloring_model(cycle_graph(9), 3)
         instance = SamplingInstance(distribution, {0: 1})
-        serial = {
-            node: padded_ball_marginal(instance, node, 2)
-            for node in instance.free_nodes
-        }
-        distribution.ball_cache().clear()
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
             streamed = dict(
                 stream_padded_ball_marginals(
@@ -402,7 +408,10 @@ class TestClusterStreams:
                 )
             )
         assert streamed == serial
-        assert len(distribution.ball_cache()._compiled) > 0
+        # Workers return marginals only: the parent compiles and keeps nothing.
+        cache = distribution.ball_cache()
+        assert cache.stats()["compiles"] == 0 and cache.stats()["size"] == 0
+        assert not cache.extras
 
     def test_empty_streams(self, inprocess_workers):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))

@@ -406,8 +406,10 @@ class TestChainEquivalence:
         distribution = hardcore_model(path_graph(4), fugacity=1.0)
         instance = SamplingInstance(distribution)
         truth = enumerate_target_distribution(instance)
-        chains = 400
-        # The bound is fixed by the support and sample sizes before any run.
+        chains = 4000
+        # The bound is fixed by the support and sample sizes before any run:
+        # 0.097 for 8 states and 4000 chains, well under the TV a biased
+        # blanket table gives any kernel (see docs/TESTING.md).
         noise = 3.0 * (len(truth) / (4.0 * chains)) ** 0.5 + 0.03
         states = Runtime("batched", n_chains=chains).run_chains(kernel, instance, count)
         empirical = empirical_distribution([configuration_key(s) for s in states])

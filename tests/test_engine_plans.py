@@ -209,9 +209,8 @@ class TestBallCacheDrops:
         assert cache.stats()["drops"] == 3 + 2 + 1
         assert cache.stats()["size"] == 1 and not cache.extras
         cache.cached_extra(("tag", 9), lambda: 9)
-        peer = hardcore_model(cycle_graph(10), fugacity=1.1).ball_cache()
-        balls = {key: peer.compiled_ball(*key) for key in ((3, 1), (4, 1))}
-        cache.adopt(balls=balls)
+        cache.compiled_ball(3, 1)
+        cache.compiled_ball(4, 1)
         assert cache.stats()["drops"] == 6 + 2 + 1
         assert cache.stats()["size"] == 1
 

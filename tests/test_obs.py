@@ -222,7 +222,7 @@ class TestObsOffInert:
         assert stats["misses"] == 3
         assert stats["size"] >= 3
         assert set(stats) == {
-            "hits", "misses", "compiles", "adoptions", "drops", "size",
+            "hits", "misses", "compiles", "drops", "size",
         }
 
 

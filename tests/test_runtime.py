@@ -6,8 +6,8 @@ The contract of :mod:`repro.runtime` is threefold:
   samplers under the per-chain seed convention;
 * compiled instances and balls round-trip through ``pickle`` (the transport
   of the process backend);
-* the process backend produces exactly the serial results while warming the
-  parent's ball cache with worker compilations.
+* the process backend produces exactly the serial results, and its
+  workers return marginals only: the parent's ball cache stays cold.
 """
 
 from __future__ import annotations
@@ -347,24 +347,15 @@ class TestSpecIdentity:
         assert list(cache) == list(range(1, SPEC_CACHE_LIMIT)) + [99]
 
 
-def _padded_balls(cache):
-    """A ball cache's compiled balls as comparable plain data."""
-    return {
-        key: (tuple(ball.nodes), tuple(ball.scopes), [a.tobytes() for a in ball.arrays])
-        for key, ball in cache._compiled.items()
-    }
+def _assert_parent_cold(distribution):
+    """The parent's ball cache after a stream: nothing compiled, nothing kept."""
+    cache = distribution.ball_cache()
+    assert cache.stats()["compiles"] == 0 and cache.stats()["size"] == 0
+    assert not cache.extras
 
 
-def _boundary_extensions(cache):
-    return {
-        key: value
-        for key, value in cache.extras.items()
-        if key[0] == "boundary-extension"
-    }
-
-
-class TestAdoptionParity:
-    """A streamed run leaves the parent cache exactly as the serial loop does."""
+class TestColdParentCache:
+    """A streamed run equals the serial loop and leaves the parent cache cold."""
 
     MODELS = {
         "hardcore-tree": lambda: SamplingInstance(
@@ -382,7 +373,7 @@ class TestAdoptionParity:
     @pytest.mark.parametrize(
         "n_workers, transport", [(1, "pickle"), (2, "pickle"), (2, "shm")]
     )
-    def test_stream_adopts_what_the_serial_loop_caches(
+    def test_stream_matches_serial_and_leaves_the_parent_cold(
         self, model, n_workers, transport
     ):
         serial_instance = self.MODELS[model]()
@@ -392,7 +383,6 @@ class TestAdoptionParity:
             for node in serial_instance.free_nodes
         ]
         serial = {task: padded_ball_marginal(serial_instance, *task) for task in tasks}
-        serial_cache = serial_instance.distribution.ball_cache()
 
         instance = self.MODELS[model]()
         pool = ForkPool(n_workers, transport)
@@ -400,11 +390,8 @@ class TestAdoptionParity:
             streamed = dict(stream_ball_marginal_tasks(instance, tasks, transport=pool))
         finally:
             pool.shutdown()
-        cache = instance.distribution.ball_cache()
         assert streamed == serial
-        assert _padded_balls(cache) == _padded_balls(serial_cache)
-        assert _boundary_extensions(cache) == _boundary_extensions(serial_cache)
-        assert _boundary_extensions(cache)
+        _assert_parent_cold(instance.distribution)
         rebuilt = InstanceSpec.from_instance(instance).to_instance()
         assert rebuilt.distribution.locality() == instance.distribution.locality()
 
@@ -465,75 +452,83 @@ class TestE12Diagnostics:
 
 
 class TestStreamingMerge:
-    """Out-of-order shard payloads merge correctly into the parent cache."""
+    """Out-of-order shard payloads merge into the serial marginals."""
 
-    def _chunk_payloads(self, instance, radius):
-        spec = InstanceSpec.from_instance(instance)
-        tasks = [(center, radius) for center in instance.free_nodes]
-        return [
-            TASK_REGISTRY["ball_marginals"]({"tasks": chunk, "memo_cap": 64}, spec)
-            for chunk in _chunk_tasks(tasks, 8, chunk_size=2)
+    def _chunk_payloads(self, spec, radius):
+        nodes = spec.to_instance().free_nodes
+        tasks = [(center, radius) for center in nodes]
+        chunks = _chunk_tasks(tasks, 8, chunk_size=2)
+        return chunks, [
+            TASK_REGISTRY["ball_marginals"]({"tasks": chunk}, spec) for chunk in chunks
         ]
 
-    def test_out_of_order_adoption_matches_serial(self):
+    def test_out_of_order_chunks_merge_to_serial(self):
         distribution = coloring_model(cycle_graph(9), 3)
         instance = SamplingInstance(distribution, {0: 1})
-        payloads = self._chunk_payloads(instance, 2)
-        cache = distribution.ball_cache()
+        _, payloads = self._chunk_payloads(InstanceSpec.from_instance(instance), 2)
         merged = {}
-        # Adopt shards in reversed completion order -- the merge must be
+        # Merge shards in reversed completion order -- the merge must be
         # order-independent because worker results are equal by construction.
-        for marginals, balls, extras, memos in reversed(payloads):
-            cache.adopt(balls=balls, extras=extras, memos=memos)
+        for marginals in reversed(payloads):
             for (center, _), marginal in marginals.items():
                 merged[center] = marginal
+        _assert_parent_cold(distribution)
         serial = {
             node: padded_ball_marginal(instance, node, 2)
             for node in instance.free_nodes
         }
         assert merged == serial
-        # The serial replay over the warmed cache agrees too (memo hits).
-        assert {
-            node: padded_ball_marginal(instance, node, 2)
-            for node in instance.free_nodes
-        } == serial
 
-    def test_memo_deltas_land_in_adopted_balls(self):
+    def test_chunks_return_marginals_and_keep_balls_in_the_worker(self):
         distribution = hardcore_model(cycle_graph(10), 1.2)
         instance = SamplingInstance(distribution, {0: 0})
-        payloads = self._chunk_payloads(instance, 2)
-        cache = distribution.ball_cache()
-        for marginals, balls, extras, memos in payloads:
-            assert memos, "workers should ship marginal-memo deltas"
-            cache.adopt(balls=balls, extras=extras, memos=memos)
-        locality = distribution.locality()
-        for node in instance.free_nodes:
-            ball = cache._compiled[(node, 2 + locality)]
-            assert len(ball._marginal_memo) >= 1
-
-    def test_memo_delta_cap_is_respected(self):
-        distribution = coloring_model(cycle_graph(8), 3)
-        instance = SamplingInstance(distribution, {0: 1})
         spec = InstanceSpec.from_instance(instance)
-        tasks = [(node, 1) for node in instance.free_nodes]
-        _, _, _, capped = TASK_REGISTRY["ball_marginals"](
-            {"tasks": tasks, "memo_cap": 0}, spec
-        )
-        assert capped == {}
-        compiled = distribution.compiled_engine()
-        for node in list(distribution.nodes)[:4]:
-            compiled.marginal(node, {})
-        assert len(compiled.export_marginal_memo(cap=2)) == 2
-        assert len(compiled.export_marginal_memo(cap=None)) == 4
+        chunks, payloads = self._chunk_payloads(spec, 2)
+        for chunk, marginals in zip(chunks, payloads):
+            # Marginals only: one plain dict per chunk, keyed by its tasks.
+            assert type(marginals) is dict and list(marginals) == chunk
+            assert all(set(m) == set(distribution.alphabet) for m in marginals.values())
+        # The padded balls stay warm in the worker's reconstruction.
+        worker_cache = spec.to_instance().distribution.ball_cache()
+        locality = distribution.locality()
+        padded = {(node, 2 + locality) for node in instance.free_nodes}
+        assert padded <= set(worker_cache._compiled)
+        compiles = worker_cache.stats()["compiles"]
+        self._chunk_payloads(spec, 2)
+        assert worker_cache.stats()["compiles"] == compiles
+        _assert_parent_cold(distribution)
 
-    def test_absorb_marginal_memo_prefers_existing_entries(self):
-        distribution = hardcore_model(path_graph(5), 1.0)
-        compiled = distribution.compiled_engine()
-        original = compiled.marginal(2, {})
-        exported = compiled.export_marginal_memo()
-        poisoned = {key: {value: -1.0 for value in entry} for key, entry in exported.items()}
-        assert compiled.absorb_marginal_memo(poisoned) == 0
-        assert compiled.marginal(2, {}) == original
+    def test_mixed_radius_stream_is_keyed_by_center_and_radius(self):
+        distribution = ising_model(cycle_graph(8), 0.4, 0.1)
+        instance = SamplingInstance(distribution, {3: 1})
+        tasks = [(node, radius) for radius in (1, 2) for node in instance.free_nodes]
+        pool = ForkPool(1)
+        try:
+            streamed = dict(
+                stream_ball_marginal_tasks(instance, tasks, chunk_size=3, transport=pool)
+            )
+        finally:
+            pool.shutdown()
+        _assert_parent_cold(distribution)
+        # One marginal per (center, radius): radii of one center never collide.
+        assert set(streamed) == set(tasks)
+        assert streamed == {key: padded_ball_marginal(instance, *key) for key in tasks}
+
+    def test_no_adoption_surface_remains(self):
+        # Streams return marginals only, so nothing parent-side adopts,
+        # exports or caps ball artefacts any more.
+        import repro.runtime
+        import repro.runtime.shards
+        from repro.engine.cache import BallCache
+
+        for name in ("adopt", "export"):
+            assert not hasattr(BallCache, name)
+        for name in ("export_marginal_memo", "absorb_marginal_memo"):
+            assert not hasattr(CompiledGibbs, name)
+        assert not hasattr(repro.runtime, "MEMO_DELTA_CAP")
+        assert not hasattr(repro.runtime.shards, "MEMO_DELTA_CAP")
+        cache = hardcore_model(cycle_graph(6), 1.0).ball_cache()
+        assert "adoptions" not in cache.stats()
 
     def test_stream_single_worker_runs_in_process(self):
         distribution = hardcore_model(random_tree(12, seed=3), 1.1)
@@ -549,12 +544,12 @@ class TestStreamingMerge:
             assert pool._executor is None
         finally:
             pool.shutdown()
+        _assert_parent_cold(distribution)
         serial = {
             node: padded_ball_marginal(instance, node, 2)
             for node in instance.free_nodes
         }
         assert streamed == serial
-        assert len(distribution.ball_cache()._compiled) > 0
 
     def test_stream_empty_tasks(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
@@ -653,13 +648,13 @@ class TestProcessPool:
         sharded = dict(
             stream_padded_ball_marginals(instance, instance.free_nodes, 2, transport=pool)
         )
+        # The workers kept their compilations; the parent received marginals.
+        _assert_parent_cold(distribution)
         serial = {
             node: padded_ball_marginal(instance, node, 2)
             for node in instance.free_nodes
         }
         assert sharded == serial
-        # Worker compilations were merged back into the parent cache.
-        assert len(distribution.ball_cache()._compiled) > 0
 
     def test_truncated_ball_inference_process_runtime(self):
         distribution = hardcore_model(random_tree(15, seed=8), 1.3)
@@ -696,16 +691,20 @@ class TestProcessPool:
         )
         assert process == serial
 
-    def test_sharding_only_adopts_parent_queried_balls(self, pool):
-        # Workers compile context balls (radius + 2*locality) for the greedy
-        # extension, but the parent only ever queries radius + locality;
-        # only the latter should come back and be adopted.
+    def test_sharding_leaves_the_parent_cache_cold(self, pool):
+        # Workers compile padded and context balls (radius + locality and
+        # radius + 2*locality) and the greedy extensions; none of them comes
+        # back to the parent.
         distribution = hardcore_model(cycle_graph(10), 1.0)
         instance = SamplingInstance(distribution)
-        dict(stream_padded_ball_marginals(instance, instance.free_nodes, 2, transport=pool))
-        locality = distribution.locality()
-        adopted = set(distribution.ball_cache()._compiled)
-        assert adopted == {(node, 2 + locality) for node in instance.free_nodes}
+        streamed = dict(
+            stream_padded_ball_marginals(instance, instance.free_nodes, 2, transport=pool)
+        )
+        _assert_parent_cold(distribution)
+        local = SamplingInstance(hardcore_model(cycle_graph(10), 1.0))
+        assert streamed == {
+            node: padded_ball_marginal(local, node, 2) for node in local.free_nodes
+        }
 
     def test_process_map_matches_serial(self):
         runtime = Runtime("process", n_workers=2)
@@ -729,41 +728,36 @@ class TestProcessPool:
         assert sizes == [7]
 
     def test_stream_yields_incrementally_and_matches_serial(self, pool):
+        local = SamplingInstance(coloring_model(cycle_graph(10), 3), {0: 1})
+        serial = {node: padded_ball_marginal(local, node, 2) for node in local.free_nodes}
         distribution = coloring_model(cycle_graph(10), 3)
         instance = SamplingInstance(distribution, {0: 1})
-        serial = {
-            node: padded_ball_marginal(instance, node, 2)
-            for node in instance.free_nodes
-        }
-        distribution.ball_cache().clear()
         streamed = {}
         stream = stream_padded_ball_marginals(
             instance, instance.free_nodes, 2, chunk_size=2, transport=pool
         )
         first = next(stream)
-        # The first shard arrives before the stream is drained: at this
-        # point only a strict subset of the work has been merged.
-        assert len(distribution.ball_cache()._compiled) < len(serial)
+        # The first shard arrives before the stream is drained, and the
+        # parent has compiled nothing for it.
+        _assert_parent_cold(distribution)
         streamed[first[0]] = first[1]
         streamed.update(stream)
+        assert len(streamed) == len(serial) > 1
         assert streamed == serial
 
-    def test_streamed_memo_deltas_warm_the_parent(self, pool):
+    def test_streamed_marginals_leave_the_parent_cold(self, pool):
         distribution = hardcore_model(random_tree(14, seed=5), 1.2)
         instance = SamplingInstance(distribution, {0: 0})
-        dict(
+        streamed = dict(
             stream_padded_ball_marginals(
                 instance, instance.free_nodes, 2, transport=pool
             )
         )
-        cache = distribution.ball_cache()
-        locality = distribution.locality()
-        warmed = [
-            cache._compiled[(node, 2 + locality)]
-            for node in instance.free_nodes
-            if (node, 2 + locality) in cache._compiled
-        ]
-        assert warmed and any(len(ball._marginal_memo) > 0 for ball in warmed)
+        _assert_parent_cold(distribution)
+        local = SamplingInstance(hardcore_model(random_tree(14, seed=5), 1.2), {0: 0})
+        assert streamed == {
+            node: padded_ball_marginal(local, node, 2) for node in local.free_nodes
+        }
 
     def test_failed_shard_surfaces_clean_error(self, pool):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
