@@ -60,9 +60,11 @@
 # segments afterwards), a marginals-only guard (no Python source under
 # src/repro names adopt(, export_marginal_memo, absorb_marginal_memo,
 # MEMO_DELTA_CAP or memo_cap: the parent-cache warming of ball streams
-# must not return) and a
-# docs check (the architecture map and testing guide exist and the
-# README quickstart executes as a doctest).
+# must not return), the frozen perfbench smoke (python3 -m pytest -q
+# perfbench/check_smoke.py: every benchmark workload runs untraced and
+# traced at --tiny, so a server change that breaks the tracer's hooks
+# fails here too) and a docs check (the architecture map and testing
+# guide exist and the README quickstart executes as a doctest).
 #
 # Usage: scripts/ci_tier1.sh  (from the repository root)
 set -euo pipefail
@@ -694,6 +696,9 @@ if grep -rn --include='*.py' -e 'adopt(' -e export_marginal_memo -e absorb_margi
     exit 1
 fi
 echo "marginals-only guard OK"
+
+echo "== tier-1: perfbench smoke =="
+python3 -m pytest -q perfbench/check_smoke.py
 
 echo "== tier-1: docs =="
 test -f docs/ARCHITECTURE.md || { echo "docs/ARCHITECTURE.md is missing" >&2; exit 1; }

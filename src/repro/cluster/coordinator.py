@@ -395,6 +395,7 @@ class ClusterCoordinator:
         key = self._key
         sock = socket.create_connection(address, timeout=timeout)
         sock.settimeout(timeout)
+        protocol.set_nodelay(sock)
         try:
             protocol.send_message(
                 sock,

@@ -222,6 +222,17 @@ def frame_limit(kind: int) -> int:
     return MAX_FRAME_BYTES
 
 
+def set_nodelay(sock: socket.socket) -> None:
+    """Turn Nagle's algorithm off (``TCP_NODELAY``) on a connected TCP socket.
+
+    :func:`send_message` writes a frame as separate ``sendall`` calls
+    (header, payload, tag) so the payload is never copied; with Nagle on,
+    the payload would wait for the peer's delayed ACK of the header.
+    Coordinator and worker set it on every connection.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def send_message(
     sock: socket.socket, kind: int, payload=None, key: Optional[bytes] = None,
     faults=None,
@@ -231,8 +242,9 @@ def send_message(
     Parameters
     ----------
     sock : socket.socket
-        A connected stream socket.  Callers serialise concurrent senders
-        themselves (one lock per connection).
+        A connected stream socket (TCP ones with :func:`set_nodelay`).
+        Callers serialise concurrent senders themselves (one lock per
+        connection).
     kind : int
         One of the message-type constants of this module.
     payload : object

@@ -241,6 +241,7 @@ class ClusterWorker:
     def _serve_connection(self, connection: socket.socket) -> None:
         """Handshake, then pump frames until the coordinator hangs up."""
         _enable_keepalive(connection)
+        protocol.set_nodelay(connection)
         send_lock = threading.Lock()
         key = self._key
         faults = self._faults

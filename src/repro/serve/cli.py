@@ -46,7 +46,14 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         "--port", type=int, default=0, help="0 picks a free port (see the banner)"
     )
     parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
+    parser.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=0.0,
+        help="coalescing window: a queued batch waits this long for "
+        "co-travellers before it may run; with 0 (the default) a request "
+        "runs at once on an idle model and waits only while a batch runs",
+    )
     parser.add_argument("--max-queue", type=int, default=128)
     parser.add_argument(
         "--deadline-ms",

@@ -1,10 +1,23 @@
 """Cross-request coalescing: many concurrent sample requests, one chain batch.
 
-The production-scale move of the serving layer (the continuous-batching
-shape of modern inference servers): concurrent ``POST /v1/sample``
-requests are held for a bounded window (``max_wait`` seconds, or until
-``max_batch`` requests are queued) and merged into a *single* chain
-execution per ``(kernel, count)`` bucket.
+The production-scale move of the serving layer (the adaptive batching
+of Clipper, Crankshaw et al., NSDI 2017): concurrent ``POST /v1/sample``
+requests are merged into a *single* chain execution per ``(kernel,
+count)`` bucket, under one flush rule:
+
+* a bucket is *ripe* once its window ``max_wait`` has passed since its
+  first admission (at once with the default window of 0);
+* a ripe bucket flushes at once when the coalescer has no batch in
+  flight; otherwise it is held, and every ripe bucket flushes when the
+  batches in flight have finished;
+* a bucket holding ``max_batch`` requests flushes at once.
+
+So a lone request on an idle coalescer runs with no timer, and requests
+that arrive while a batch runs form the next batch.  With obs on, every
+flush counts under its reason: ``serve.flush.idle`` (ripe on an idle
+coalescer at admission), ``.window`` (its window ended on an idle
+coalescer), ``.after_batch`` (held until the batches in flight
+finished), ``.full`` or ``.drain``.
 
 Every request carries its model ``(name, instance)``.  When a bucket
 flushes, its live requests are grouped by ``(model, initial)`` and each
@@ -123,12 +136,15 @@ class _Pending:
 class _Bucket:
     """Requests merged into one batch: same kernel and count."""
 
-    __slots__ = ("key", "requests", "timer")
+    __slots__ = ("key", "requests", "timer", "ripe")
 
     def __init__(self, key: Tuple) -> None:
         self.key = key
         self.requests: List[_Pending] = []
         self.timer: Optional[asyncio.TimerHandle] = None
+        #: Whether the bucket's window has passed: it flushes as soon as
+        #: no batch is in flight.
+        self.ripe = False
 
 
 class RequestCoalescer:
@@ -149,7 +165,9 @@ class RequestCoalescer:
         Requests merged per batch; the ``max_batch``-th admission flushes
         immediately.
     max_wait : float
-        Seconds a partially filled bucket waits for co-travellers.
+        Seconds a partially filled bucket waits for co-travellers before
+        it is ripe.  The default 0 makes every bucket ripe at once: it
+        waits only while a batch is in flight.
     max_queue : int
         Outstanding-request cap across queued and in-flight batches;
         admissions beyond it raise :class:`Backpressure`.
@@ -160,7 +178,7 @@ class RequestCoalescer:
         name: str,
         runtime: Runtime,
         max_batch: int = 8,
-        max_wait: float = 0.002,
+        max_wait: float = 0.0,
         max_queue: int = 128,
     ) -> None:
         if max_batch < 1:
@@ -176,6 +194,9 @@ class RequestCoalescer:
         self.max_queue = int(max_queue)
         self._open: Dict[Tuple, _Bucket] = {}
         self._inflight: set = set()
+        # Batches dispatched and not yet answered; ripe buckets are held
+        # while it is non-zero.
+        self._running = 0
         self._outstanding = 0
         self._closing = False
         # One executor thread per coalescer: batches are serialised, so
@@ -283,12 +304,17 @@ class RequestCoalescer:
         bucket = self._open.get(key)
         if bucket is None:
             bucket = self._open[key] = _Bucket(key)
-            bucket.timer = loop.call_later(
-                self.max_wait, functools.partial(self._flush, key)
-            )
+            if self.max_wait > 0:
+                bucket.timer = loop.call_later(
+                    self.max_wait, functools.partial(self._ripen, bucket)
+                )
+            else:
+                bucket.ripe = True
         bucket.requests.append(pending)
         if len(bucket.requests) >= self.max_batch:
-            self._flush(key)
+            self._flush(key, "full")
+        elif bucket.ripe and not self._running:
+            self._flush(key, "idle")
         try:
             return await pending.future
         except asyncio.CancelledError:
@@ -311,8 +337,21 @@ class RequestCoalescer:
             del self._open[key]
 
     # -- flushing ------------------------------------------------------
-    def _flush(self, key: Tuple) -> None:
-        """Close a bucket and dispatch it as one batch (sync, loop thread)."""
+    def _ripen(self, bucket: _Bucket) -> None:
+        """The bucket's window has passed: flush it now, or once idle."""
+        if self._open.get(bucket.key) is not bucket:
+            return
+        bucket.timer = None
+        bucket.ripe = True
+        if not self._running:
+            self._flush(bucket.key, "window")
+
+    def _flush(self, key: Tuple, reason: str) -> None:
+        """Close a bucket and dispatch it as one batch (sync, loop thread).
+
+        ``reason`` names the ``serve.flush.<reason>`` counter it counts
+        under (with obs on).
+        """
         bucket = self._open.pop(key, None)
         if bucket is None:
             return
@@ -325,11 +364,26 @@ class RequestCoalescer:
         ]
         if not live:
             return
+        handle = obs.active()
+        if handle is not None:
+            handle.metrics.counter(f"serve.flush.{reason}").inc()
+        self._running += 1
         task = asyncio.get_running_loop().create_task(self._run_batch(key, live))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
     async def _run_batch(self, key: Tuple, requests: List[_Pending]) -> None:
+        try:
+            await self._serve_batch(key, requests)
+        finally:
+            self._running -= 1
+            if not self._running:
+                # Every bucket that ripened while batches ran goes now.
+                ripe = [held for held, bucket in self._open.items() if bucket.ripe]
+                for held in ripe:
+                    self._flush(held, "after_batch")
+
+    async def _serve_batch(self, key: Tuple, requests: List[_Pending]) -> None:
         kernel, count = key
         groups: Dict[Tuple, List[_Pending]] = {}
         for request in requests:
@@ -438,7 +492,7 @@ class RequestCoalescer:
         """
         self._closing = True
         for key in list(self._open):
-            self._flush(key)
+            self._flush(key, "drain")
         while self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
         self._executor.shutdown(wait=True)

@@ -141,8 +141,15 @@ def _head(
 
 
 def json_response(status: int, payload, keep_alive: bool = True) -> bytes:
-    """Render a complete JSON response frame (headers + body)."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """Render a complete JSON response frame (headers + body).
+
+    ``payload`` is any JSON-serialisable object, or ``bytes`` already
+    holding the encoded JSON body.
+    """
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     extra = (
         ("Content-Length", str(len(body))),
         ("Connection", "keep-alive" if keep_alive else "close"),

@@ -21,10 +21,16 @@ Families map onto the model constructors of :mod:`repro.models`, graphs
 onto the generators of :mod:`repro.graphs`.  Grid nodes are 2-tuples; in
 JSON they are spelled ``"row,col"`` (pinning keys) and encoded as
 ``[row, col]`` pairs (states).
+
+Each entry also carries its model's JSON fragments
+(:class:`StateEncoding`), built once at registration, from which the
+server joins every ``/v1/sample`` response body.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import re
 import threading
@@ -63,8 +69,36 @@ def encode_state(nodes, state: Dict[Node, Value]) -> List:
     The canonical order is the spec's compiled node order, so two
     bit-identical configurations encode to identical JSON -- which is what
     lets clients assert bit-identity on the serialised responses alone.
+    The server writes the same JSON text from a :class:`StateEncoding`
+    without building these lists.
     """
     return [[jsonable_node(node), state[node]] for node in nodes]
+
+
+#: Compact JSON text, as in every response body.
+compact_json = functools.partial(json.dumps, separators=(",", ":"))
+
+
+class StateEncoding:
+    """A model's JSON fragments, built once per registered entry.
+
+    ``nodes`` is the text of the model's ``"nodes"`` array, ``prefixes[j]``
+    the text ``[<node j>,`` and ``symbols[value]`` the text of one alphabet
+    value followed by ``]``.  Each is :func:`compact_json`'s own text for
+    its part, so joining ``prefixes[j] + symbols[state[order[j]]]`` over
+    ``j`` with commas yields exactly ``compact_json(encode_state(order,
+    state))`` for any configuration over the alphabet.
+    """
+
+    __slots__ = ("order", "nodes", "prefixes", "symbols")
+
+    def __init__(self, nodes, alphabet) -> None:
+        self.order = tuple(nodes)
+        self.nodes = compact_json([jsonable_node(node) for node in self.order])
+        self.prefixes = tuple(
+            "[" + compact_json(jsonable_node(node)) + "," for node in self.order
+        )
+        self.symbols = {value: compact_json(value) + "]" for value in alphabet}
 
 
 def parse_node(key: str) -> Node:
@@ -210,12 +244,14 @@ def build_instance(payload) -> Tuple[SamplingInstance, Dict[str, object]]:
 class ModelEntry:
     """One registered model: name, spec, metadata, lazy reconstruction."""
 
-    __slots__ = ("name", "spec", "meta", "_instance", "_lock")
+    __slots__ = ("name", "spec", "meta", "encoding", "_instance", "_lock")
 
     def __init__(self, name: str, spec: InstanceSpec, meta: Optional[dict] = None) -> None:
         self.name = name
         self.spec = spec
         self.meta = dict(meta or {})
+        #: The response fragments, in canonical (compiled) node order.
+        self.encoding = StateEncoding(spec.nodes, spec.alphabet)
         self._instance: Optional[SamplingInstance] = None
         self._lock = threading.Lock()
 

@@ -42,9 +42,10 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import operator
 import threading
 import time
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.runtime import Runtime
@@ -67,11 +68,40 @@ from repro.serve.http import (
 from repro.serve.registry import (
     ModelRegistry,
     RegistryError,
+    StateEncoding,
     UnknownModelError,
-    encode_state,
+    compact_json,
     jsonable_node,
     parse_node,
 )
+
+
+def encode_state(encoding: StateEncoding, state: Dict) -> str:
+    """One configuration's JSON text, joined from its model's fragments.
+
+    The text of ``registry.encode_state(encoding.order, state)`` (see
+    :class:`~repro.serve.registry.StateEncoding`), with no list built.
+    """
+    cells = map(
+        operator.add,
+        encoding.prefixes,
+        map(encoding.symbols.__getitem__, map(state.__getitem__, encoding.order)),
+    )
+    return "[" + ",".join(cells) + "]"
+
+
+def sample_body(encoding: StateEncoding, head: Dict, states: Sequence[Dict]) -> bytes:
+    """A ``/v1/sample`` body: the (non-empty) ``head`` fields, ``"nodes"``, ``"states"``.
+
+    Byte-identical to the compact ``json.dumps`` of ``{**head, "nodes":
+    [...], "states": [...]}``, but only the small ``head`` goes through
+    ``json.dumps``: the model's node array is a prebuilt fragment and each
+    state is joined by :func:`encode_state`.
+    """
+    states_text = ",".join([encode_state(encoding, state) for state in states])
+    return (
+        f'{compact_json(head)[:-1]},"nodes":{encoding.nodes},"states":[{states_text}]}}'
+    ).encode("utf-8")
 
 
 class SamplingServer:
@@ -112,7 +142,7 @@ class SamplingServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 8,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_queue: int = 128,
         default_deadline_ms: Optional[float] = None,
         runtime_factory=None,
@@ -445,8 +475,7 @@ class SamplingServer:
                 raise HttpError(503, str(error))
             except ValueError as error:
                 raise HttpError(400, str(error))
-        nodes = entry.nodes
-        body = {
+        head = {
             "model": name,
             "kernel": str(kernel),
             "count": count,
@@ -457,9 +486,8 @@ class SamplingServer:
             # JSON responses alone (the CI smoke asserts on them).
             "batch_id": batch_id,
             "batch_size": batch_size,
-            "nodes": [jsonable_node(node) for node in nodes],
-            "states": [encode_state(nodes, chain_state) for chain_state in states],
         }
+        body = sample_body(entry.encoding, head, states)
         writer.write(json_response(200, body, keep_alive))
         await writer.drain()
 

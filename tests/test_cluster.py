@@ -250,6 +250,32 @@ class TestCoordinator:
             with pytest.raises(ClusterError, match="ZeroDivisionError"):
                 future.result(timeout=30)
 
+    def test_both_ends_of_a_connection_disable_nagle(self):
+        # A frame is several sendall calls; with Nagle on, each payload
+        # would wait for the peer's delayed ACK of its header.
+        from repro.cluster.worker import ClusterWorker
+
+        worker = ClusterWorker()
+        accepted = []
+        serve_connection = worker._serve_connection
+
+        def recording(connection):
+            accepted.append(connection)
+            serve_connection(connection)
+
+        worker._serve_connection = recording
+        threading.Thread(target=worker.serve_forever, daemon=True).start()
+        try:
+            with ClusterCoordinator([worker.address]) as coordinator:
+                # The handshake is over, so the worker has tuned its end.
+                assert coordinator.submit_task("ping", 1).result(timeout=30) == 1
+                (ours,) = [entry.sock for entry in coordinator.workers]
+                (theirs,) = accepted
+                for sock in (ours, theirs):
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            worker.close()
+
     def test_worker_refuses_a_pickled_call_and_keeps_serving(self, inprocess_workers):
         # Workers run registered task bodies only: the retired "call" kind
         # fails as an unknown kind over the wire, and the connection lives.

@@ -904,3 +904,335 @@ class TestOperational:
         assert sizes == [1, 3, 3, 3]
         assert histogram["count"] == 2
         assert (histogram["min"], histogram["max"], histogram["total"]) == (1, 3, 4)
+
+
+# ----------------------------------------------------------------------
+# the flush rule, driven step by step
+# ----------------------------------------------------------------------
+class _GatedRuntime:
+    """A batched runtime whose first ``run_chains`` call blocks until released."""
+
+    def __init__(self):
+        self.inner = Runtime("batched")
+        self.started = threading.Event()
+        self.release = threading.Event()
+        #: Chains per ``run_chains`` call, in call order.
+        self.calls = []
+
+    def run_chains(self, kernel, instance, count, **kwargs):
+        self.calls.append(len(kwargs["seeds"]))
+        if len(self.calls) == 1:
+            self.started.set()
+            assert self.release.wait(30), "the gated run was never released"
+        return self.inner.run_chains(kernel, instance, count, **kwargs)
+
+    def shutdown(self):
+        self.release.set()
+        self.inner.shutdown()
+
+
+def _policy_instance():
+    return SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
+
+
+def _solo(instance, seed, n_chains=1):
+    with Runtime("batched") as runtime:
+        return runtime.run_chains(
+            "glauber", instance, 10, seeds=chain_seed_sequences(seed, n_chains)
+        )
+
+
+async def _until_started(gated):
+    started = await asyncio.get_running_loop().run_in_executor(
+        None, gated.started.wait, 30
+    )
+    assert started, "the gated run never started"
+
+
+async def _admitted(coalescer, instance, seeds):
+    """Admit one request per seed as a task; return once all are queued."""
+    tasks = [
+        asyncio.ensure_future(coalescer.sample("hc", instance, "glauber", 10, seed=seed))
+        for seed in seeds
+    ]
+    for _ in range(3):
+        await asyncio.sleep(0)
+    return tasks
+
+
+async def _scripted_flushes(instance):
+    """One flush of every reason: idle, full, after_batch, window, drain."""
+    from repro.serve.coalesce import RequestCoalescer
+
+    gated = _GatedRuntime()
+    busy = RequestCoalescer("hc", gated, max_batch=2)
+    try:
+        (first,) = await _admitted(busy, instance, [0])  # idle
+        await _until_started(gated)
+        pair = await _admitted(busy, instance, [1, 2])  # full
+        held = await _admitted(busy, instance, [3])  # after_batch
+        assert busy.batches == 2
+        gated.release.set()
+        await asyncio.gather(first, *pair, *held)
+    finally:
+        await busy.drain()
+        gated.shutdown()
+    assert gated.calls == [1, 2, 1]
+    with Runtime("batched") as runtime:
+        windowed = RequestCoalescer("hc", runtime, max_wait=0.01)
+        try:
+            await windowed.sample("hc", instance, "glauber", 10, seed=4)  # window
+        finally:
+            await windowed.drain()
+    with Runtime("batched") as runtime:
+        draining = RequestCoalescer("hc", runtime, max_wait=60.0)
+        (queued,) = await _admitted(draining, instance, [5])
+        await draining.drain()  # drain
+        await queued
+
+
+class TestFlushPolicy:
+    def test_the_default_window_is_zero(self):
+        from repro.serve.coalesce import RequestCoalescer
+
+        with Runtime("batched") as runtime:
+            assert RequestCoalescer("hc", runtime).max_wait == 0.0
+        assert SamplingServer().max_wait == 0.0
+
+    def test_a_lone_request_on_an_idle_coalescer_runs_without_a_timer(
+        self, monkeypatch
+    ):
+        from repro.serve.coalesce import RequestCoalescer
+
+        made = []
+        timer_init = asyncio.TimerHandle.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            timer_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.TimerHandle, "__init__", counting_init)
+        instance = _policy_instance()
+        handle = obs.enable(tracing=False)
+
+        async def main():
+            with Runtime("batched") as runtime:
+                coalescer = RequestCoalescer("hc", runtime)
+                try:
+                    return await coalescer.sample("hc", instance, "glauber", 10, seed=5)
+                finally:
+                    await coalescer.drain()
+
+        try:
+            states, _, size = asyncio.run(main())
+            flushes = {
+                name: value
+                for name, value in handle.metrics.snapshot().items()
+                if name.startswith("serve.flush.")
+            }
+        finally:
+            obs.disable()
+        assert made == [], "an idle coalescer armed a timer for a lone request"
+        assert size == 1 and states == _solo(instance, 5)
+        assert flushes == {"serve.flush.idle": 1}
+
+    def test_arrivals_during_a_run_form_one_batch(self):
+        """Three requests admitted while the first batch runs merge into
+        one batch of 3 once it ends, each bit-identical to a solo run."""
+        from repro.serve.coalesce import RequestCoalescer
+
+        instance = _policy_instance()
+        gated = _GatedRuntime()
+
+        async def main():
+            coalescer = RequestCoalescer("hc", gated)
+            try:
+                (first,) = await _admitted(coalescer, instance, [0])
+                await _until_started(gated)
+                trio = await _admitted(coalescer, instance, [1, 2, 3])
+                await asyncio.sleep(0.05)
+                # Held, not dispatched: the first batch is still running.
+                assert coalescer.batches == 1 and coalescer.outstanding == 4
+                gated.release.set()
+                return await first, await asyncio.gather(*trio)
+            finally:
+                await coalescer.drain()
+
+        try:
+            first, trio = asyncio.run(main())
+        finally:
+            gated.shutdown()
+        assert gated.calls == [1, 3]
+        assert first[2] == 1
+        assert [size for _, _, size in trio] == [3, 3, 3]
+        assert len({batch_id for _, batch_id, _ in trio}) == 1
+        for seed, (states, _, _) in zip((1, 2, 3), trio):
+            assert states == _solo(instance, seed)
+
+    def test_a_held_request_past_its_deadline_never_runs(self):
+        from repro.serve.coalesce import RequestCoalescer
+
+        instance = _policy_instance()
+        gated = _GatedRuntime()
+
+        async def main():
+            coalescer = RequestCoalescer("hc", gated)
+            try:
+                (first,) = await _admitted(coalescer, instance, [0])
+                await _until_started(gated)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        coalescer.sample("hc", instance, "glauber", 10, seed=1),
+                        timeout=0.05,
+                    )
+                gated.release.set()
+                await first
+                # The batch has ended; give a stray flush a chance to run.
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                return coalescer.batches, coalescer.outstanding
+            finally:
+                await coalescer.drain()
+
+        try:
+            batches, outstanding = asyncio.run(main())
+        finally:
+            gated.shutdown()
+        assert (batches, outstanding) == (1, 0)
+        assert gated.calls == [1]
+
+    def test_every_flush_counts_under_its_reason(self):
+        instance = _policy_instance()
+        handle = obs.enable(tracing=False)
+        try:
+            asyncio.run(_scripted_flushes(instance))
+            snapshot = handle.metrics.snapshot()
+        finally:
+            obs.disable()
+        flushes = {
+            name: value for name, value in snapshot.items() if name.startswith("serve.flush.")
+        }
+        assert flushes == {
+            "serve.flush.idle": 1,
+            "serve.flush.full": 1,
+            "serve.flush.after_batch": 1,
+            "serve.flush.window": 1,
+            "serve.flush.drain": 1,
+        }
+        assert snapshot["serve.batches"] == sum(flushes.values())
+
+    def test_flushes_create_no_metric_with_obs_off(self, monkeypatch):
+        from repro.obs import metrics
+
+        created = []
+        counter_init = metrics.Counter.__init__
+
+        def recording_init(self, name):
+            created.append(name)
+            counter_init(self, name)
+
+        monkeypatch.setattr(metrics.Counter, "__init__", recording_init)
+        obs.disable()
+        asyncio.run(_scripted_flushes(_policy_instance()))
+        assert created == []
+
+
+# ----------------------------------------------------------------------
+# /v1/sample bodies joined from per-model fragments
+# ----------------------------------------------------------------------
+def _string_node_instance():
+    import networkx as nx
+
+    # Quotes, backslashes and non-ASCII text exercise the JSON escapes.
+    labels = {index: f'v"{index}\\ν' for index in range(8)}
+    return SamplingInstance(hardcore_model(nx.relabel_nodes(cycle_graph(8), labels), 1.0))
+
+
+def _dict_body(entry, head, states):
+    """The response body as it was built before fragments: one dict."""
+    from repro.serve.registry import jsonable_node
+
+    return {
+        **head,
+        "nodes": [jsonable_node(node) for node in entry.nodes],
+        "states": [encode_state(entry.nodes, state) for state in states],
+    }
+
+
+class TestResponseEncoding:
+    HEAD = {
+        "model": "m",
+        "kernel": "glauber",
+        "count": 10,
+        "seed": 3,
+        "n_chains": 1,
+        "request_id": "0123456789abcdef",
+        "batch_id": "fedcba9876543210",
+        "batch_size": 2,
+    }
+
+    @pytest.mark.parametrize("n_chains", [1, 8])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SamplingInstance(hardcore_model(cycle_graph(10), 1.2), {0: 1}),
+            lambda: SamplingInstance(coloring_model(grid_graph(3, 3), num_colors=4)),
+            _string_node_instance,
+        ],
+        ids=["int-nodes", "tuple-nodes", "string-nodes"],
+    )
+    def test_fragment_body_is_byte_identical_to_the_dict_body(self, build, n_chains):
+        from repro.serve.http import json_response
+        from repro.serve.server import sample_body
+
+        entry = ModelRegistry().register_instance("m", build())
+        with Runtime("batched") as runtime:
+            states = runtime.run_chains(
+                "glauber", entry.instance, 10, seeds=chain_seed_sequences(3, n_chains)
+            )
+        head = dict(self.HEAD, n_chains=n_chains)
+        assert json_response(200, sample_body(entry.encoding, head, states)) == (
+            json_response(200, _dict_body(entry, head, states))
+        )
+
+    def test_fragments_follow_a_re_registered_model(self):
+        from repro.serve.http import json_response
+        from repro.serve.server import sample_body
+
+        registry = ModelRegistry()
+        before = registry.register_instance(
+            "m", SamplingInstance(hardcore_model(cycle_graph(5), 1.0))
+        )
+        registry.register_instance("m", _string_node_instance())
+        entry = registry.get("m")
+        assert entry is not before
+        assert json.loads(entry.encoding.nodes) == [
+            f'v"{index}\\ν' for index in range(8)
+        ]
+        with Runtime("batched") as runtime:
+            states = runtime.run_chains("glauber", entry.instance, 10, seed=1)
+        assert json_response(200, sample_body(entry.encoding, self.HEAD, states)) == (
+            json_response(200, _dict_body(entry, self.HEAD, states))
+        )
+
+    def test_a_served_re_registered_model_answers_with_its_new_nodes(self):
+        async def body(host, port, server):
+            responses = []
+            for spec in (
+                {"family": "hardcore", "graph": {"kind": "cycle", "n": 5}},
+                {"family": "coloring", "graph": {"kind": "grid", "rows": 2, "cols": 3},
+                 "num_colors": 4},
+            ):
+                status, _ = await request_json(host, port, "PUT", "/v1/models/m", spec)
+                assert status == 200
+                status, response = await request_json(
+                    host, port, "POST", "/v1/sample", sample_payload("m", "glauber", 10)
+                )
+                assert status == 200
+                responses.append(response)
+            return responses
+
+        first, second = _serve(body)
+        assert first["nodes"] == list(range(5))
+        assert second["nodes"] == [[row, col] for row in range(2) for col in range(3)]
+        assert all(len(state) == 6 for state in second["states"])
