@@ -106,7 +106,15 @@ chains of a hardcore instance, one sample per chain):
   the burst into one batched code-matrix call).  The per-request seed
   contract keeps every coalesced response bit-identical to a solo
   request; identity and the batch count are asserted on real JSON
-  responses before any timing.
+  responses before any timing.  Each side's burst time is recorded as a
+  median with its spread and the host-speed probe (see ``spread.py``).
+* ``chain_seeding`` -- the per-chain generators of one 200-chain call from
+  an int root: numpy's own path (``SeedSequence(root).spawn(200)`` and one
+  ``default_rng`` per child) vs :func:`repro.runtime.chains.chain_generators`
+  over the lazy ``chain_seed_sequences(root, 200)``, which derives every
+  PCG64 state in one vectorised pass.  Every generator's first draws are
+  asserted equal before timing; the row records the median seconds per
+  call with its spread and the host-speed probe.
 
 Run directly to (re)record the JSON baseline::
 
@@ -128,6 +136,7 @@ from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, random_tree, torus_graph
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, chain_seed_sequences, stream_padded_ball_marginals
+from repro.runtime.chains import chain_generators
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
 from spread import Samples, environment, spread, timed
 
@@ -370,6 +379,39 @@ def _serve_coalescing_workload(
         "max_batch": max_batch,
     }
     return shape, solo_serving, coalesced_serving
+
+
+def _chain_seeding_workload(chains: int = 200, calls: int = 20):
+    """One chain call's generators: numpy's spawn-and-seed loop vs one derived pass.
+
+    Both sides build ``chains`` generators from each of ``calls`` int
+    roots.  Every generator's first draws are asserted equal for three
+    roots (one of them three entropy words long) before any timing.
+    """
+
+    def spawned(root):
+        return [
+            np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(root).spawn(chains)
+        ]
+
+    def derived(root):
+        return chain_generators(chain_seed_sequences(root, chains))
+
+    for root in (0, 7, 2**64 + 5):
+        assert [rng.random(4).tolist() for rng in spawned(root)] == [
+            rng.random(4).tolist() for rng in derived(root)
+        ], f"derived generators differ from numpy's for root {root}"
+
+    def spawned_calls() -> None:
+        for root in range(calls):
+            spawned(root)
+
+    def derived_calls() -> None:
+        for root in range(calls):
+            derived(root)
+
+    return {"chains": chains, "calls": calls}, spawned_calls, derived_calls
 
 
 def _cd_negative_phase_workload(
@@ -902,19 +944,43 @@ def run(
     )
     if serve:
         shape, solo_serving, coalesced_serving = _serve_coalescing_workload()
-        solo_seconds = min(solo_serving() for _ in range(repeats))
-        coalesced_seconds = min(coalesced_serving() for _ in range(repeats))
+        # A burst returns its own time (server start and close excluded);
+        # the host-speed probes still bracket every call.
+        serve_spread = {}
+        for side, burst in (("solo", solo_serving), ("coalesced", coalesced_serving)):
+            probed = Samples()
+            bursts = [probed.time(burst) for _ in range(spread_repeats)]
+            serve_spread[side] = spread(bursts, probed.probes)
         rows.append(
             {
                 "workload": "serve_coalescing",
                 "backend_pair": "solo-vs-coalesced",
                 "shape": shape,
-                "solo_seconds": solo_seconds,
-                "coalesced_seconds": coalesced_seconds,
-                "speedup": solo_seconds / coalesced_seconds,
+                "solo_seconds": serve_spread["solo"]["median"],
+                "coalesced_seconds": serve_spread["coalesced"]["median"],
+                "speedup": serve_spread["solo"]["median"]
+                / serve_spread["coalesced"]["median"],
+                "spread": serve_spread,
+                "environment": environment(),
                 "bit_identical_to_solo": True,
             }
         )
+    shape, spawned_calls, derived_calls = _chain_seeding_workload()
+    spawned = timed(spawned_calls, spread_repeats, per=shape["calls"])
+    derived = timed(derived_calls, spread_repeats, per=shape["calls"])
+    rows.append(
+        {
+            "workload": "chain_seeding",
+            "backend_pair": "spawned-vs-derived",
+            "shape": shape,
+            "spawned_seconds_per_call": spawned["median"],
+            "derived_seconds_per_call": derived["median"],
+            "speedup": spawned["median"] / derived["median"],
+            "spread": {"spawned": spawned, "derived": derived},
+            "environment": environment(),
+            "bit_identical_to_numpy": True,
+        }
+    )
     shape, loop, packed_run = _packed_multi_instance_workload()
     loop_seconds = _best_of(loop, repeats)
     packed_seconds = _best_of(packed_run, repeats)
@@ -1164,7 +1230,11 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "plus the cold ball stream: Theorem 5.1 marginals of a fresh "
             "distribution per call, serial vs a 2-worker shm process "
             "runtime whose workers return marginals only (bit-identity "
-            "asserted pre-timing; medians with spread and host-speed probe)"
+            "asserted pre-timing; medians with spread and host-speed probe), "
+            "plus chain seeding: one 200-chain call's generators from an "
+            "int root, numpy's SeedSequence.spawn and default_rng per chain "
+            "vs the vectorised derivation of every PCG64 state (first draws "
+            "asserted equal pre-timing; medians with spread)"
         ),
         "workloads": rows,
         "min_batched_speedup": min(row["speedup"] for row in batched),
@@ -1216,6 +1286,11 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             for row in rows
             if row["backend_pair"] == "batched-vs-process"
         ),
+        "seeding_bit_identical_to_numpy": all(
+            row["bit_identical_to_numpy"]
+            for row in rows
+            if row["backend_pair"] == "spawned-vs-derived"
+        ),
         "shard_phase_residual_documented": any(
             row["backend_pair"] == "phase-residual" for row in rows
         ),
@@ -1237,6 +1312,13 @@ def _print_rows(rows: List[Dict[str, object]]) -> None:
             print(
                 f"{row['workload']:>22}: solo {row['solo_seconds'] * 1e3:8.1f} ms   "
                 f"coalesced {row['coalesced_seconds'] * 1e3:8.1f} ms   "
+                f"speedup {row['speedup']:6.2f}x   {row['shape']}"
+            )
+            continue
+        if row["backend_pair"] == "spawned-vs-derived":
+            print(
+                f"{row['workload']:>22}: spawned {row['spawned_seconds_per_call'] * 1e3:8.2f} ms/call   "
+                f"derived {row['derived_seconds_per_call'] * 1e3:8.2f} ms/call   "
                 f"speedup {row['speedup']:6.2f}x   {row['shape']}"
             )
             continue
@@ -1320,6 +1402,9 @@ def test_batched_runner_amortises_the_python_loop(once=None) -> None:
             # BENCH_runtime.json documents the recorded ratio (>= 3x); this
             # is a conservative floor so CI noise cannot flake.
             assert row["speedup"] > 1.5, f"serving coalescing regressed: {row}"
+        if row["backend_pair"] == "spawned-vs-derived":
+            # BENCH_runtime.json records ~4x; a conservative floor.
+            assert row["speedup"] > 1.5, f"chain seeding regressed: {row}"
         if row["backend_pair"] == "cd-serial-vs-batched":
             # The CD fit also pays objective-side work per iteration, so its
             # floor is more modest than the raw chain workloads'.

@@ -26,7 +26,15 @@
 # point -- glauber_sample, luby_glauber_sample, sequential_scan_sample,
 # jvv_rejection_sample, Runtime.run_chains, Runtime.run_packed, ChainBatch --
 # takes an engine= parameter, and no Python source under src/repro names
-# serial_reference: the dict-engine chain fallback must not return), a cluster smoke (a coordinator driving
+# serial_reference: the dict-engine chain fallback must not return), a
+# seeding smoke (for 5 random int roots, every chain of a 200-chain
+# ChainBatch -- whose PCG64 states are derived in one vectorised pass --
+# draws exactly what numpy's default_rng draws over
+# SeedSequence(root).spawn(200); then a traced perfbench serve run at
+# --tiny, python3 perfbench/run.py --workload serve --seed 1 --tiny
+# --trace 1 --seconds 2, must attribute requests to their seeds: its
+# serve.run_chains_ms, serve.queue_wait_ms and serve.encode_ms are above
+# 0), a cluster smoke (a coordinator driving
 # two real localhost worker subprocesses over the TCP transport: ball
 # marginals bit-identical to the serial loop, glauber chains and
 # jvv_chain_stats bit-identical to the batched backend; a pickled
@@ -302,6 +310,49 @@ if grep -rn --include='*.py' serial_reference src/repro; then
     echo "src/repro names serial_reference: the dict-engine chain fallback is back" >&2
     exit 1
 fi
+
+echo "== tier-1: seeding smoke =="
+python - <<'PY'
+import random
+
+import numpy as np
+
+from repro.gibbs import SamplingInstance
+from repro.graphs import cycle_graph
+from repro.models import hardcore_model
+from repro.runtime import ChainBatch
+
+instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
+picker = random.Random()
+roots = [picker.getrandbits(picker.choice((8, 32, 64, 160))) for _ in range(5)]
+for root in roots:
+    derived = np.stack(
+        [rng.random(4) for rng in ChainBatch(instance, n_chains=200, seed=root).rngs]
+    )
+    spawned = np.stack(
+        [
+            np.random.default_rng(seed).random(4)
+            for seed in np.random.SeedSequence(root).spawn(200)
+        ]
+    )
+    assert np.array_equal(derived, spawned), f"root {root}: draws differ from numpy's"
+print(f"seeding smoke OK: roots {roots}, 200 chains each, draws equal numpy's")
+PY
+# The tracer tags each request's seeds by identity and finds them again in
+# run_chains; a seed object rebuilt on access would zero these figures.
+serve_json="$(python3 perfbench/run.py --workload serve --seed 1 --tiny --trace 1 --seconds 2 | tail -n 1)"
+SERVE_JSON="$serve_json" python - <<'PY'
+import json
+import os
+
+metrics = json.loads(os.environ["SERVE_JSON"])["metrics"]
+figures = {
+    name: metrics[name]["value"]
+    for name in ("serve.run_chains_ms", "serve.queue_wait_ms", "serve.encode_ms")
+}
+assert all(value > 0 for value in figures.values()), figures
+print(f"traced serve smoke OK: {figures}")
+PY
 
 echo "== tier-1: cluster smoke =="
 python - <<'PY'

@@ -43,15 +43,21 @@ one serial run across several calls changes the chunk boundaries and hence
 the stream -- except for LubyGlauber, whose buffered doubles carry over).
 The default seeding convention spawns per-chain ``SeedSequence`` streams
 from one root seed (:func:`chain_seed_sequences`), the standard way to get
-statistically independent chains from a single seed.
+statistically independent chains from a single seed.  A batch derives
+every chain's PCG64 seed words in one vectorised pass of numpy's
+``SeedSequence`` hash (:func:`chain_generators`) instead of building one
+``SeedSequence`` and one ``default_rng`` per chain; the generators equal
+``default_rng(seeds[c])`` bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Sequence, Union
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro import obs
 from repro.gibbs.instance import SamplingInstance
@@ -72,7 +78,137 @@ Seed = Union[int, np.random.SeedSequence]
 _THROUGHPUT_BUCKETS = tuple(10.0**i for i in range(10))
 
 
-def chain_seed_sequences(seed: Seed, n_chains: int) -> List[np.random.SeedSequence]:
+#: numpy's ``SeedSequence`` hash constants and default pool size
+#: (``numpy/random/bit_generator.pyx``), fixed by its stream-compatibility
+#: policy.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _int_words(value) -> List[int]:
+    """numpy's entropy words of a non-negative integer: uint32, least significant first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"a root seed must be non-negative, not {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _multipliers(start: int, factor: int, count: int):
+    """A ``SeedSequence`` hash multiplier before and after each of its next
+    ``count`` steps, as uint32 arrays.  It evolves the same way whatever
+    the data, so every seed shares it."""
+    before, after = [], []
+    for _ in range(count):
+        before.append(start)
+        start = start * factor & _MASK32
+        after.append(start)
+    return np.array(before, dtype=np.uint32), np.array(after, dtype=np.uint32)
+
+
+def _child_pools(prefix: List[int], children: np.ndarray) -> np.ndarray:
+    """The ``SeedSequence`` pools of seeds whose entropy words are ``prefix``
+    then one word of ``children`` each.
+
+    numpy's ``mix_entropy``: the shared ``prefix`` (at least the pool size
+    long) is hashed once in Python ints, and the last word then mixes into
+    every pool word of every child in one ``(children, pool_size)`` step.
+    """
+    multiplier = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal multiplier
+        value ^= multiplier
+        multiplier = multiplier * _MULT_A & _MASK32
+        value = value * multiplier & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in prefix[:_POOL_SIZE]]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in prefix[_POOL_SIZE:]:
+        for target in range(_POOL_SIZE):
+            pool[target] = mix(pool[target], hashmix(word))
+    before, after = _multipliers(multiplier, _MULT_A, _POOL_SIZE)
+    hashed = (children[:, None] ^ before) * after
+    hashed ^= hashed >> 16
+    shared = np.array(pool, dtype=np.uint32)
+    mixed = shared * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+    return mixed ^ (mixed >> 16)
+
+
+#: ``generate_state(4, np.uint64)`` hashes 8 uint32 words, cycling
+#: through the pool.
+_STATE_WORDS = np.arange(8)
+_STATE_XOR, _STATE_MULT = _multipliers(_INIT_B, _MULT_B, 8)
+
+
+def _pool_states(pools: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of every row of a ``(seeds, pool_size)`` pool matrix."""
+    words = (pools[:, _STATE_WORDS % pools.shape[1]] ^ _STATE_XOR) * _STATE_MULT
+    words ^= words >> 16
+    # numpy assembles each uint64 from two little-endian uint32 words.
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class SpawnedSeeds(SequenceABC):
+    """The children ``SeedSequence(root).spawn(count)`` returns, built on demand.
+
+    Holds the root's entropy and the child range only.  Item ``c`` is
+    ``SeedSequence(root, spawn_key=(c,))``, built on first access and kept,
+    so every access returns the same object.  :meth:`generator_states`
+    derives all children's PCG64 seed words from the root in one pass,
+    without building any of them.
+    """
+
+    __slots__ = ("entropy", "_prefix", "_built")
+
+    def __init__(self, entropy, count: int) -> None:
+        words = _int_words(entropy)
+        self.entropy = entropy
+        #: The children's assembled entropy up to their spawn key: the
+        #: root's words, zero-padded to the pool size (numpy pads whenever
+        #: a spawn key follows).
+        self._prefix = words + [0] * (_POOL_SIZE - len(words))
+        self._built: List[Optional[np.random.SeedSequence]] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[c] for c in range(len(self))[index]]
+        child = range(len(self))[index]
+        seed = self._built[child]
+        if seed is None:
+            seed = self._built[child] = np.random.SeedSequence(
+                self.entropy, spawn_key=(child,)
+            )
+        return seed
+
+    def __iter__(self) -> Iterator[np.random.SeedSequence]:
+        return (self[c] for c in range(len(self)))
+
+    def generator_states(self) -> np.ndarray:
+        """The ``(count, 4)`` uint64 PCG64 seed words of every child."""
+        children = np.arange(len(self), dtype=np.uint32)
+        return _pool_states(_child_pools(self._prefix, children))
+
+
+def chain_seed_sequences(seed: Seed, n_chains: int) -> Sequence[np.random.SeedSequence]:
     """Per-chain seed sequences spawned from one root seed.
 
     Chain ``c`` of a batch seeded this way is bit-identical to the serial
@@ -82,19 +218,87 @@ def chain_seed_sequences(seed: Seed, n_chains: int) -> List[np.random.SeedSequen
     Parameters
     ----------
     seed : int or numpy.random.SeedSequence
-        Root seed for the batch.
+        Root seed for the batch.  A ``SeedSequence`` root is spawned from
+        (advancing its ``n_children_spawned``); an int root, or any other
+        ``SeedSequence`` entropy, stands for ``SeedSequence(seed)``.
     n_chains : int
         Number of chains to seed.
 
     Returns
     -------
-    list of numpy.random.SeedSequence
-        ``n_chains`` statistically independent spawned streams.
+    sequence of numpy.random.SeedSequence
+        ``n_chains`` statistically independent spawned streams, equal to
+        ``SeedSequence(seed).spawn(n_chains)``.  For an int root this is a
+        lazy :class:`SpawnedSeeds`: each child is built on first access
+        and is the same object on every later access.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
+    if isinstance(seed, (int, np.integer)):
+        return SpawnedSeeds(seed, n_chains)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return list(root.spawn(n_chains))
+    return root.spawn(n_chains)
+
+
+def as_seed_list(seeds: Sequence) -> Sequence:
+    """Explicit per-chain seeds as a re-iterable sequence: a :class:`SpawnedSeeds`
+    stays lazy, anything else becomes a list."""
+    return seeds if isinstance(seeds, SpawnedSeeds) else list(seeds)
+
+
+class _DerivedSeed(ISeedSequence):
+    """One chain's PCG64 seed words, handed to ``PCG64`` in place of its seed.
+
+    ``PCG64(seed_sequence)`` seeds itself from
+    ``seed_sequence.generate_state(4, np.uint64)``; this returns those
+    words, derived beforehand for the whole batch by
+    :func:`generator_states`.  Picklable, as pickled generators carry it.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a derived chain seed holds exactly PCG64's 4 uint64 words")
+        return self.words
+
+
+def chain_generators(seeds: Sequence) -> List[np.random.Generator]:
+    """One generator per chain seed, equal to ``default_rng(seed)`` bit for bit.
+
+    Each PCG64 takes the words :func:`generator_states` derives for all
+    seeds at once, instead of hashing its own ``SeedSequence``.
+    """
+    return [
+        np.random.Generator(np.random.PCG64(_DerivedSeed(words)))
+        for words in generator_states(seeds)
+    ]
+
+
+def generator_states(seeds: Sequence) -> np.ndarray:
+    """The ``(chains, 4)`` uint64 PCG64 seed words of every chain's seed.
+
+    Row ``c`` equals what ``default_rng(seeds[c])`` seeds its PCG64 with:
+    ``generate_state(4, np.uint64)`` of the seed, or of
+    ``SeedSequence(seed)`` for an int or other entropy.  A
+    :class:`SpawnedSeeds` derives every row from its root; other seeds
+    start from their ``pool``.  Either way the state hash runs once over
+    all rows.
+    """
+    if isinstance(seeds, SpawnedSeeds):
+        return seeds.generator_states()
+    pools = [
+        (seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)).pool
+        for seed in seeds
+    ]
+    states = np.empty((len(seeds), 4), dtype=np.uint64)
+    for size in {len(pool) for pool in pools}:
+        chains = [chain for chain, pool in enumerate(pools) if len(pool) == size]
+        states[chains] = _pool_states(np.stack([pools[chain] for chain in chains]))
+    return states
 
 
 def decode_configurations(
@@ -108,10 +312,12 @@ def decode_configurations(
     rule of :meth:`ChainBatch.configurations` and of the chain blocks
     :func:`~repro.runtime.shards.run_chain_blocks` gathers from workers.
     """
-    return [
-        {node: alphabet[code] for node, code in zip(nodes, row)}
-        for row in codes.tolist()
-    ]
+    rows = codes.tolist()
+    if all(type(value) is int and value == code for code, value in enumerate(alphabet)):
+        # The alphabet is range(q): each code is its own value, so a row
+        # zips straight into its dict without a per-cell lookup.
+        return [dict(zip(nodes, row)) for row in rows]
+    return [{node: alphabet[code] for node, code in zip(nodes, row)} for row in rows]
 
 
 class ChainUniforms:
@@ -612,9 +818,13 @@ class ChainBatch:
     seed, seeds:
         Either a root ``seed`` from which per-chain streams are spawned
         (:func:`chain_seed_sequences`), or an explicit ``seeds`` sequence --
-        one entry per chain, each anything ``numpy.random.default_rng``
-        accepts.  Explicit seeds make chain ``c`` bit-identical to the serial
-        sampler called with ``seed=seeds[c]``.
+        one entry per chain, each a ``numpy.random.SeedSequence`` or its
+        entropy (a non-negative int or a sequence of them).  Explicit seeds
+        make chain ``c``
+        bit-identical to the serial sampler called with ``seed=seeds[c]``.
+        Either way chain ``c``'s generator is ``default_rng(seeds[c])`` bit
+        for bit, seeded from words derived for all chains at once
+        (:func:`chain_generators`).
     initial:
         Optional shared initial configuration (default: the deterministic
         greedy feasible configuration, exactly like the serial samplers).
@@ -638,7 +848,7 @@ class ChainBatch:
                 raise ValueError("pass n_chains (with a root seed) or explicit seeds")
             seeds = chain_seed_sequences(seed, n_chains)
         else:
-            seeds = list(seeds)
+            seeds = as_seed_list(seeds)
             if n_chains is not None and n_chains != len(seeds):
                 raise ValueError("n_chains disagrees with the number of explicit seeds")
         if not seeds:
@@ -669,7 +879,7 @@ class ChainBatch:
                     dtype=np.int64,
                 )
             self.codes = np.tile(start, (self.n_chains, 1))
-        self.rngs = [np.random.default_rng(chain_seed) for chain_seed in seeds]
+        self.rngs = chain_generators(seeds)
         self._uniforms: Optional[ChainUniforms] = None
         self._kind: Optional[str] = None
         self._scratch: Dict[str, dict] = {}
@@ -1152,7 +1362,7 @@ def make_chain_state(
         same segmentation, kept for conformance testing).
     """
     resolved: ChainKernel = resolve_kernel(kernel)
-    seeds = list(seeds)
+    seeds = as_seed_list(seeds)
     if layout == "batched":
         batches = [
             ChainBatch(

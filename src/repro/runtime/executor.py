@@ -74,6 +74,7 @@ from repro.gibbs.instance import SamplingInstance
 from repro.runtime.chains import (
     ChainState,
     PackedBatch,
+    as_seed_list,
     chain_seed_sequences,
     make_chain_state,
 )
@@ -643,7 +644,7 @@ class Runtime:
         if seeds is None:
             seeds = chain_seed_sequences(seed, self.n_chains)
         else:
-            seeds = list(seeds)
+            seeds = as_seed_list(seeds)
         if not return_state:
             return seeds, initial, None
         return seeds, initial, make_chain_state(

@@ -161,7 +161,7 @@ def jvv_chain_stats(
         order.
     """
     from repro.runtime import resolve_runtime
-    from repro.runtime.chains import chain_seed_sequences
+    from repro.runtime.chains import as_seed_list, chain_seed_sequences
 
     resolved = resolve_runtime(runtime)
     if seeds is None:
@@ -169,7 +169,7 @@ def jvv_chain_stats(
             seed, n_chains if n_chains is not None else resolved.n_chains
         )
     else:
-        seeds = list(seeds)
+        seeds = as_seed_list(seeds)
     if resolved.is_serial:
         pairs = [
             jvv_rejection_sample(

@@ -273,6 +273,24 @@ class TestJVVKernel:
         predicted = 1.0 - math.exp(-3.0 * steps / instance.size ** 2)
         assert abs(failed - predicted) < 0.12
 
+    def test_e04_rejection_kernel_follows_the_failure_law(self):
+        """E4's rejection-kernel rows on the batched runtime: each step
+        rejects independently with probability ``1 - e^{-3/n^2}``, so the
+        failed-chain count of a row is Binomial(chains, 1 - e^{-3 steps/n^2})
+        and its fraction lies within 4 standard deviations of the law."""
+        from repro.experiments.e04_jvv import run_rejection_kernel
+        from repro.runtime import Runtime
+
+        chains = 2000
+        rows = run_rejection_kernel(
+            sizes=(8, 16, 32), chains=chains, scans=2, runtime=Runtime("batched")
+        )
+        for row in rows:
+            law = 1.0 - math.exp(-3.0 * row["steps"] / row["n"] ** 2)
+            assert row["predicted_rate"] == pytest.approx(law, rel=1e-12)
+            bound = 4.0 * math.sqrt(law * (1.0 - law) / chains)
+            assert abs(row["failure_rate"] - law) <= bound, row
+
     def test_chain_stats_uniform_across_runtimes(self):
         """States AND failure counts are bit-identical whichever runtime
         computes them (batched masks vs the serial reference)."""
