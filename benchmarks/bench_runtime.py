@@ -21,15 +21,16 @@ chains of a hardcore instance, one sample per chain):
   vs sharded over a 2-worker process runtime, once over the default
   pickle transport and once with ``transport="shm"`` (the
   ``InstanceSpec`` dense arrays cross as shared-memory descriptors
-  instead of by value).  The runtime's pool is forked once, by the
+  instead of by value).  The runtime's workers are forked once, by the
   correctness gate, and reused by every timed call, as a long-lived
-  runtime reuses it.  Recorded for observability; on a small host the
+  runtime reuses them.  Recorded for observability; on a small host the
   shard can still be *slower* than serial, which is exactly what the
   JSON should document.  Every timed call queries the same instance, so
-  it carries the same spec id: each worker decodes the spec once and its
-  reconstruction's ball cache stays warm across calls (only the parent's
-  cache is cleared per call).  Only the batched chain workloads feed
-  ``min_batched_speedup``.
+  it carries the same spec id: each worker receives the spec once and
+  its reconstruction's ball cache stays warm across calls (only the
+  parent's cache is cleared per call).  Each side's median is recorded
+  with its spread and the host-speed probe.  Only the batched chain
+  workloads feed ``min_batched_speedup``.
 * ``process_ball_shards_cold`` -- the cold cost of a ball stream, the
   perfbench ``sharded`` traffic: Theorem 5.1 marginals at radius 1 on a
   fresh hardcore distribution per call (a 100-node 3-regular graph), the
@@ -43,24 +44,24 @@ chains of a hardcore instance, one sample per chain):
   repeated-call shape of a long-lived runtime: 10 Glauber ``run_chains``
   calls of 48 chains x 300 steps on one 8x8 torus 6-colouring, batched vs
   a 2-worker process runtime with ``inline_threshold=0`` (every call goes
-  to the pool), per transport.  All calls on the unchanged instance
-  carry one spec id, so a worker decodes the spec once and hits its spec
-  cache on every later call.  Every call is asserted bit-identical to the
+  to the workers), per transport.  All calls on the unchanged instance
+  carry one spec id, so each worker receives the spec once and hits its
+  spec cache on every later call.  Every call is asserted bit-identical to the
   batched backend before any timing; the row records the median seconds
   per call, with its spread over the repeats and an environment stamp
   (see ``spread.py``).
 * ``process_shard_phase_residual`` -- the same workload split per phase
   (spawn / compute / tail) for both transports: where the 2-worker shard
   spends its time.  One real ``stream_ball_marginal_tasks`` call on a
-  process runtime whose pool is already forked is traced with
-  :mod:`repro.obs` and cut at the workers' chunk spans: spawn runs from
-  the call to the first chunk starting on a worker (the spec snapshot,
+  process runtime whose workers are already forked is traced with
+  :mod:`repro.obs` and cut at the workers' task spans: spawn runs from
+  the call to the first task starting on a worker (the spec snapshot,
   packing it -- by value under pickle, as descriptors under shm -- the
-  first submissions and the first worker's decode of the spec), compute
-  from there to the last chunk ending (the parent collects landed
-  marginals meanwhile), tail from there to the end of the stream (the
-  last result's trip back, segment unlink; no pool is forked or
-  joined).  Each traced run is asserted bit-identical to the serial loop
+  first submissions, the SPEC frames and the first worker's restore of
+  the spec), compute from there to the last task ending (the parent
+  collects landed marginals meanwhile), tail from there to the end of
+  the stream (the last result's trip back, segment unlink; nothing is
+  forked or joined).  Each traced run is asserted bit-identical to the serial loop
   before its timings are recorded; the row keeps each phase's median,
   its spread over the repeats and an environment stamp.
 * ``packed_multi_instance`` -- many small same-alphabet models advanced
@@ -74,7 +75,7 @@ chains of a hardcore instance, one sample per chain):
   API (``Runtime.ball_marginals``, which returns nothing until every
   shard lands) vs the streaming API (``Runtime.stream_ball_marginals``,
   which yields each shard as its future completes), on one process
-  runtime and its one pool.  The headline number is
+  runtime and its one set of forked workers.  The headline number is
   *time to first shard result*: the streaming consumer starts measuring
   while the remaining balls are still compiling, so its first result must
   land strictly before the barrier call returns at all.  Streamed marginals
@@ -83,17 +84,16 @@ chains of a hardcore instance, one sample per chain):
   workload dispatched over 2 (resp. 4) *localhost cluster workers* (real
   ``repro-cluster-worker`` subprocesses behind the framed-pickle TCP
   transport of :mod:`repro.cluster`) vs a 2-worker process runtime.
-  Recorded for observability.  Two effects show up: both transports'
-  persistent workers keep the ``InstanceSpec`` of one instance, and their
-  ball memos, warm across calls (a cluster connection receives the spec
-  once; a pool chunk still carries it, and a worker that holds the id
-  skips decoding it), which favours whichever transport frames less per
-  call on repeated queries; while extra
-  workers beyond the core count just add scheduling and framing tax on
-  one host -- the sharing a multi-machine deployment fixes with real
-  hardware.  Cluster marginals are asserted
-  bit-identical to the serial loop before timing; worker spawn/connect
-  time is excluded (a deployment pays it once).
+  Recorded for observability.  Both sides run the same coordinator and
+  worker loop -- the process runtime's over socket pairs to forked
+  workers, the cluster's over TCP -- and both keep the ``InstanceSpec``
+  of one instance, and their ball memos, warm across calls (each
+  connection receives the spec once); extra workers beyond the core
+  count just add scheduling and framing tax on one host -- the sharing a
+  multi-machine deployment fixes with real hardware.  Cluster marginals
+  are asserted bit-identical to the serial loop before timing; worker
+  spawn/connect time is excluded (a deployment pays it once).  Each
+  side's median is recorded with its spread and the host-speed probe.
 * ``cluster_auth_overhead_2w`` -- the same workload over 2 localhost
   cluster workers with the transport plain vs HMAC-SHA256-authenticated
   (``auth_key=`` on both sides: every frame carries a 32-byte tag,
@@ -477,8 +477,8 @@ def _process_shard_workload(
     runtime = Runtime("process", n_workers=n_workers, transport=transport)
 
     # Correctness gate before any timing (it also forks the runtime's
-    # pool): the sharded marginals, and the shm transport in particular,
-    # must never change answers.
+    # workers): the sharded marginals, and the shm transport in
+    # particular, must never change answers.
     serial_reference = {
         node: padded_ball_marginal(instance, node, radius) for node in nodes
     }
@@ -514,7 +514,7 @@ def _cold_shard_workload(
     ``degree``-regular graph, so nothing is warm: the serial loop compiles
     every ball, and the 2-worker shm process runtime ships a new spec (a
     new spec id) that each worker decodes and compiles cold -- the
-    perfbench ``sharded`` stream.  The pool is forked once, by the
+    perfbench ``sharded`` stream.  The workers are forked once, by the
     correctness gate, which asserts the streamed marginals bit-identical
     to the serial loop on a fresh distribution before any timing.  Returns
     ``(shape, serial, process, teardown)``.
@@ -561,9 +561,10 @@ def _repeated_chain_workload(
     """``calls`` Glauber ``run_chains`` calls on one instance, batched vs process.
 
     The process runtime has ``inline_threshold=0``, so every call goes to
-    its pool; the calls share one spec id (``repro.runtime.shards.spec_for``).
-    Every process call is asserted bit-identical to the batched backend
-    before any timing (this also forks the pool).  Returns ``(shape,
+    its workers; the calls share one spec id
+    (``repro.runtime.shards.spec_for``).  Every process call is asserted
+    bit-identical to the batched backend before any timing (this also
+    forks the workers).  Returns ``(shape,
     batched, process, teardown)``; the two timed functions run all calls.
     """
     instance = SamplingInstance(coloring_model(torus_graph(side, side), 6))
@@ -604,16 +605,16 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
     """Per-phase residual of the sharded ball workload, per transport.
 
     Traces one real ``stream_ball_marginal_tasks`` call on a process
-    runtime whose pool is already forked, with :mod:`repro.obs`, and cuts
-    it at the workers' ``shards.chunk`` spans (wall-clock stamps,
+    runtime whose workers are already forked, with :mod:`repro.obs`, and
+    cuts it at the workers' ``worker.task`` spans (wall-clock stamps,
     comparable across processes on one host): spawn (call start to the
-    first chunk starting on a worker -- the spec snapshot, packing the
+    first task starting on a worker -- the spec snapshot, packing the
     :class:`InstanceSpec` by value under pickle or as shared-memory
-    descriptors under shm, the first submissions and the first worker's
-    decode of the spec), compute (first chunk start to last chunk end,
-    with the parent collecting landed marginals meanwhile) and tail (last
-    chunk end to the end of the stream: the last result's trip back,
-    segment unlink).  Every traced run is asserted bit-identical
+    descriptors under shm, the first submissions and SPEC frames and the
+    first worker's restore of the spec), compute (first task start to
+    last task end, with the parent collecting landed marginals meanwhile)
+    and tail (last task end to the end of the stream: the last result's
+    trip back, segment unlink).  Every traced run is asserted bit-identical
     to the serial loop before its timings count.  Returns ``(shape,
     phases, teardown)``.
     """
@@ -634,7 +635,7 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
     }
     for runtime in runtimes.values():
         distribution.ball_cache().clear()
-        runtime.ball_marginals(instance, nodes, radius)  # forks the pool
+        runtime.ball_marginals(instance, nodes, radius)  # forks the workers
 
     def phases(transport: str) -> Dict[str, float]:
         distribution.ball_cache().clear()
@@ -649,7 +650,7 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
             }
             end = time.time()
             chunks = [
-                event for event in obs.events() if event["name"] == "shards.chunk"
+                event for event in obs.events() if event["name"] == "worker.task"
             ]
         finally:
             obs.disable()
@@ -761,7 +762,7 @@ def _streaming_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 
 def _cluster_shard_workload(
     n_workers: int, size: int = 40, radius: int = 3, process_workers: int = 2
 ):
-    """Process pool vs ``n_workers`` localhost cluster workers, E5 workload."""
+    """Forked process workers vs ``n_workers`` localhost cluster workers, E5 workload."""
     from repro.cluster.coordinator import ClusterCoordinator
     from repro.cluster.local import spawn_workers
     from repro.inference.ssm_inference import padded_ball_marginal
@@ -889,9 +890,9 @@ def run(
 ) -> List[Dict[str, object]]:
     """Time the backends; report the best of ``repeats`` per side.
 
-    The cold ball-shard, repeated-chains and phase-residual rows instead
-    run ``3 * repeats`` times and record the median with its spread and
-    the host-speed probe beside it.
+    The process, cluster and serve rows, the seeding row and the
+    phase-residual row instead run ``3 * repeats`` times and record the
+    median with its spread and the host-speed probe beside it.
     """
     spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
@@ -998,24 +999,27 @@ def run(
     for transport in ("pickle", "shm"):
         shape, serial, sharded, teardown = _process_shard_workload(transport=transport)
         try:
-            serial_seconds = _best_of(serial, repeats)
-            process_seconds = _best_of(sharded, repeats)
+            serial_spread = timed(serial, spread_repeats)
+            process_spread = timed(sharded, spread_repeats)
         finally:
             teardown()
-        row = {
-            "workload": (
-                "process_ball_shards"
-                if transport == "pickle"
-                else "process_ball_shards_shm"
-            ),
-            "backend_pair": "serial-vs-process",
-            "shape": shape,
-            "serial_seconds": serial_seconds,
-            "process_seconds": process_seconds,
-            "speedup": serial_seconds / process_seconds,
-            "bit_identical_to_serial": True,
-        }
-        rows.append(row)
+        rows.append(
+            {
+                "workload": (
+                    "process_ball_shards"
+                    if transport == "pickle"
+                    else "process_ball_shards_shm"
+                ),
+                "backend_pair": "serial-vs-process",
+                "shape": shape,
+                "serial_seconds": serial_spread["median"],
+                "process_seconds": process_spread["median"],
+                "speedup": serial_spread["median"] / process_spread["median"],
+                "spread": {"serial": serial_spread, "process": process_spread},
+                "environment": environment(),
+                "bit_identical_to_serial": True,
+            }
+        )
     shape, serial, process, teardown = _cold_shard_workload()
     try:
         serial_spread = timed(serial, spread_repeats)
@@ -1092,15 +1096,16 @@ def run(
             "note": (
                 "where the 2-worker shard spends its time: one traced "
                 "stream_ball_marginal_tasks call on a process runtime "
-                "whose pool is already forked, cut at the workers' chunk "
-                "spans. spawn runs to the first worker chunk (the spec "
-                "snapshot, packing it -- by value under pickle, as "
+                "whose workers are already forked, cut at the workers' "
+                "task spans. spawn runs to the first worker task (the "
+                "spec snapshot, packing it -- by value under pickle, as "
                 "shared-memory descriptors under shm -- the first "
-                "submissions and the first worker's decode of the spec), "
-                "compute to the last chunk end (workers compile their "
-                "chunks' balls and ship back the marginals only), tail to "
-                "the end of the stream (the last result's trip back, "
-                "segment unlink). No fork and no join is paid per call"
+                "submissions and SPEC frames and the first worker's "
+                "restore of the spec), compute to the last task end "
+                "(workers compile their tasks' balls and ship back the "
+                "marginals only), tail to the end of the stream (the last "
+                "result's trip back, segment unlink). No fork and no join "
+                "is paid per call"
             ),
         }
     )
@@ -1131,24 +1136,26 @@ def run(
         for n_workers in (2, 4):
             shape, process, clustered, teardown = _cluster_shard_workload(n_workers)
             try:
-                process_seconds = _best_of(process, repeats)
-                cluster_seconds = _best_of(clustered, repeats)
+                process_spread = timed(process, spread_repeats)
+                cluster_spread = timed(clustered, spread_repeats)
             finally:
                 teardown()
             row = {
                 "workload": f"cluster_ball_shards_{n_workers}w",
                 "backend_pair": "process-vs-cluster",
                 "shape": shape,
-                "process_seconds": process_seconds,
-                "cluster_seconds": cluster_seconds,
-                "speedup": process_seconds / cluster_seconds,
+                "process_seconds": process_spread["median"],
+                "cluster_seconds": cluster_spread["median"],
+                "speedup": process_spread["median"] / cluster_spread["median"],
+                "spread": {"process": process_spread, "cluster": cluster_spread},
+                "environment": environment(),
                 "bit_identical_to_serial": True,
             }
             if n_workers == 4:
                 # The coordinator's default chunking used to target ~4
                 # chunks per worker regardless of fleet size, so 4 workers
                 # split these 39 tasks into 13 tiny chunks and the framing
-                # tax sank the 4w run to 0.837x of the 2w process pool
+                # tax sank the 4w run to 0.837x of the 2w process backend
                 # (previous recorded baseline).  The chunk count is now
                 # capped (8 chunks here) -- this row records the after.
                 row["chunk_granularity_fix"] = {
@@ -1191,7 +1198,8 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "LubyGlauber and JVV-rejection kernels (batched JVV bit-identity "
             "-- states and per-chain failure counts -- asserted pre-timing), "
             "the 2-worker process shard of the per-node ball computations "
-            "on one persistent fork pool per process runtime (informational), the barrier vs streaming (futures + "
+            "on the process runtime's persistent forked workers "
+            "(informational), the barrier vs streaming (futures + "
             "as_completed) shard executor on the E5-style workload "
             "(time-to-first-shard-result), and the same workload over 2/4 "
             "localhost repro.cluster TCP workers (single-host transport tax, "
@@ -1212,12 +1220,12 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "divergence fit with its run_chains negative phase looped "
             "serially vs advanced as one batched code matrix (fitted "
             "weights asserted bit-identical across the backends before "
-            "any timing), plus the zero-copy data plane of ISSUE 10: the "
+            "any timing), plus the zero-copy data plane: the "
             "2-worker ball shard over the pickle vs shared-memory "
             "transport (InstanceSpec dense arrays crossing as segment "
             "descriptors; bit-identity asserted pre-timing), the same "
             "workload's per-phase residual (spawn/compute/tail, both "
-            "transports, on an already forked pool), and packed multi-"
+            "transports, on already forked workers), and packed multi-"
             "instance batching: many small same-alphabet models advanced "
             "as one padded (total_chains, n_max) code matrix via "
             "Runtime.run_packed vs looping one batched run_chains call "
@@ -1225,7 +1233,7 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "kernel's serial chains pre-timing), plus repeated "
             "run_chains calls on one instance, batched vs a 2-worker "
             "process runtime at inline_threshold=0 over both transports "
-            "(one spec id per instance, so workers decode the spec once; "
+            "(one spec id per instance, so each worker receives the spec once; "
             "every call asserted bit-identical to batched pre-timing), "
             "plus the cold ball stream: Theorem 5.1 marginals of a fresh "
             "distribution per call, serial vs a 2-worker shm process "

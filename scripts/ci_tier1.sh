@@ -16,7 +16,7 @@
 # TruncatedBallInference(2).marginals pass over a fresh instance may call
 # Factor.evaluate outside a dense-table build: both weigh factors by
 # symbol code), a fast runtime smoke (batched-chain determinism and pickling, skipping the
-# slow-marked process-pool tests), a kernel smoke (every registered chain
+# slow-marked forked-worker tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
 # caps, one past them and one whose blanket rows may total zero; jvv on
@@ -38,7 +38,8 @@
 # two real localhost worker subprocesses over the TCP transport: ball
 # marginals bit-identical to the serial loop, glauber chains and
 # jvv_chain_stats bit-identical to the batched backend; a pickled
-# "call" task is refused as an unknown kind and the worker still answers
+# "call" task is refused as an unknown kind -- the worker's own
+# ProtocolError reaches the caller -- and the worker still answers
 # a ping), a chaos smoke (one of the two
 # workers is armed with a deterministic FaultPlan and hard-crashes
 # mid-stream; the requeued merge must still be bit-identical), a traced
@@ -63,12 +64,17 @@
 # workers return marginals only; two process calls on one
 # instance with an update_factors between them must each equal batched;
 # two process calls on one Runtime, run in a child interpreter, must
-# share the worker pids of one persistent pool and leave no
-# resource_tracker traceback on stderr; /dev/shm must hold no repro-shm-*
-# segments afterwards), a marginals-only guard (no Python source under
-# src/repro names adopt(, export_marginal_memo, absorb_marginal_memo,
-# MEMO_DELTA_CAP or memo_cap: the parent-cache warming of ball streams
-# must not return), the frozen perfbench smoke (python3 -m pytest -q
+# share the pids of one persistent set of forked workers, no forked
+# worker may be left once the Runtime is shut down, and the child must
+# leave no resource_tracker traceback on stderr; /dev/shm must hold no
+# repro-shm-* segments afterwards), a marginals-only guard (no Python
+# source under src/repro names adopt(, export_marginal_memo,
+# absorb_marginal_memo, MEMO_DELTA_CAP or memo_cap: the parent-cache
+# warming of ball streams must not return), a one-scheduler guard (no
+# Python source under src/repro names ProcessPoolExecutor,
+# BrokenProcessPool or ForkPool: the process backend runs cluster
+# workers forked on socket pairs, through the cluster coordinator), the
+# frozen perfbench smoke (python3 -m pytest -q
 # perfbench/check_smoke.py: every benchmark workload runs untraced and
 # traced at --tiny, so a server change that breaks the tracer's hooks
 # fails here too) and a docs check (the architecture map and testing
@@ -356,8 +362,8 @@ PY
 
 echo "== tier-1: cluster smoke =="
 python - <<'PY'
-from repro.cluster.coordinator import ClusterError
 from repro.cluster.local import spawn_workers
+from repro.cluster.protocol import ProtocolError
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph
 from repro.inference.ssm_inference import padded_ball_marginal
@@ -383,7 +389,7 @@ with spawn_workers(2) as pool:
         refused = coordinator.submit_task("call", (pow, (2, 8), {}))
         try:
             refused.result(timeout=30)
-        except ClusterError as error:
+        except ProtocolError as error:  # the worker's own error, as raised there
             assert "unknown task kind" in str(error), f"wrong refusal: {error}"
         else:
             raise AssertionError("a worker ran a pickled 'call' task")
@@ -628,11 +634,11 @@ instance = SamplingInstance(hardcore_model(cycle_graph(12), fugacity=1.2), {0: 1
 serial = Runtime("serial", n_chains=4)
 reference = serial.run_chains("glauber", instance, 25, seed=7)
 
-# The shared-memory transport: a real 2-worker pool, the InstanceSpec
+# The shared-memory transport: 2 real forked workers, the InstanceSpec
 # crossing as segment descriptors and each chain block's code matrix
 # coming back by pickle (inline_threshold=0 so this small workload
-# exercises the pool, not the in-process guard).  The call makes exactly
-# one segment, the spec's.
+# exercises the workers, not the in-process guard).  The call makes
+# exactly one segment, the spec's.
 with Runtime(
     "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0, obs=True
 ) as runtime:
@@ -664,7 +670,7 @@ with Runtime(
         )
 
 # Theorem 5.1 ball marginals of a pinned colouring streamed through the
-# shm pool: equal to the serial loop, and the parent's ball cache stays
+# shm workers: equal to the serial loop, and the parent's ball cache stays
 # cold (workers return marginals only).
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model
@@ -699,9 +705,11 @@ for index, (member, seeds) in enumerate(groups):
     solo = serial.run_chains("glauber", member, 25, seeds=seeds)
     assert packed[index] == solo, f"packed group {index} diverges from solo"
 
-# One persistent pool: two calls on one Runtime share the worker pids, and
-# the workers' attachments leave the owner's resource-tracker entries
-# intact (the tracker would print a KeyError traceback on the unlink).
+# One persistent set of forked workers: two calls on one Runtime share
+# the worker pids, shutdown leaves no forked worker behind (each exits on
+# end-of-file and is reaped), and the workers' attachments leave the
+# owner's resource-tracker entries intact (the tracker would print a
+# KeyError traceback on the unlink).
 import ast
 import subprocess
 import sys
@@ -709,6 +717,7 @@ import sys
 child = subprocess.run(
     [
         sys.executable, "-c",
+        "import os, time\n"
         "from repro.gibbs import SamplingInstance\n"
         "from repro.graphs import cycle_graph\n"
         "from repro.models import hardcore_model\n"
@@ -718,15 +727,27 @@ child = subprocess.run(
         " inline_threshold=0) as runtime:\n"
         "    for seed in (1, 2):\n"
         "        runtime.run_chains('glauber', instance, 25, seed=seed)\n"
-        "        print(sorted(runtime._pool._executor._processes))\n",
+        "        print(sorted(runtime._forked.pids))\n"
+        "    pids = runtime._forked.pids\n"
+        "def exists(pid):\n"
+        "    try:\n"
+        "        os.kill(pid, 0)\n"
+        "    except ProcessLookupError:\n"
+        "        return False\n"
+        "    return True\n"
+        "deadline = time.monotonic() + 10\n"
+        "while any(map(exists, pids)) and time.monotonic() < deadline:\n"
+        "    time.sleep(0.05)\n"
+        "print(sorted(filter(exists, pids)))\n",
     ],
     capture_output=True,
     text=True,
     timeout=120,
 )
 assert child.returncode == 0, child.stderr
-first, second = child.stdout.split("\n")[:2]
-assert first == second and len(ast.literal_eval(first)) == 2, f"pool not reused: {child.stdout!r}"
+first, second, left = child.stdout.split("\n")[:3]
+assert first == second and len(ast.literal_eval(first)) == 2, f"workers not reused: {child.stdout!r}"
+assert left == "[]", f"forked workers left after shutdown: {left}"
 assert "resource_tracker" not in child.stderr and "Traceback" not in child.stderr, child.stderr
 
 after = leaked_dev_shm_segments()
@@ -735,7 +756,8 @@ mode = "shm" if shm_available() else "pickle-fallback"
 print(
     f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
     "one spec segment per chain call, calls across update_factors equal batched, "
-    "parent ball cache cold, two calls on one pool, no tracker traceback, "
+    "parent ball cache cold, two calls on one worker set, none left after "
+    "shutdown, no tracker traceback, "
     "/dev/shm clean"
 )
 PY
@@ -747,6 +769,13 @@ if grep -rn --include='*.py' -e 'adopt(' -e export_marginal_memo -e absorb_margi
     exit 1
 fi
 echo "marginals-only guard OK"
+
+echo "== tier-1: one scheduler =="
+if grep -rn --include='*.py' -e ProcessPoolExecutor -e BrokenProcessPool -e ForkPool src/repro; then
+    echo "src/repro names a process pool: the process backend must run forked cluster workers" >&2
+    exit 1
+fi
+echo "one-scheduler guard OK"
 
 echo "== tier-1: perfbench smoke =="
 python3 -m pytest -q perfbench/check_smoke.py

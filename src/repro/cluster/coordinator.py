@@ -11,8 +11,8 @@ The coordinator owns one persistent TCP connection per worker (see
   :class:`~repro.runtime.shards.InstanceSpec` carries the spec id of
   :func:`~repro.runtime.shards.spec_for`; the coordinator sends the
   ``SPEC`` frame to a given worker only the first time that worker is
-  handed a task referencing it (TCP ordering guarantees the spec arrives
-  before the task).
+  handed a task referencing it, and again after a task of that spec ends
+  there without a result (the worker may never have restored it).
 * **Liveness** combines two signals.  A per-worker reader thread blocks
   on the socket, so a killed worker surfaces immediately as EOF; a
   heartbeat thread additionally pings every worker and declares one dead
@@ -41,13 +41,12 @@ finalizer closes its sockets.
 The coordinator is a transport, not a scheduler: the front ends of
 :mod:`repro.runtime.shards` (``stream_ball_marginal_tasks``,
 ``run_chain_blocks``) take it as their ``transport=`` and do the
-chunking, the merge into the parent's
-:class:`~repro.engine.cache.BallCache` and the failure naming exactly as
-for the process pool, submitting each chunk through :meth:`submit_task`
-(spec from :func:`~repro.runtime.shards.spec_for`) and cancelling
-abandoned ones through
-:meth:`_discard`.  Shutting the coordinator down cancels everything and
-closes the sockets, idempotently.
+chunking and the failure naming, submitting each chunk through
+:meth:`submit_task` and cancelling abandoned ones through
+:meth:`_discard`; the process backend's forked workers are driven by a
+coordinator too, over socket pairs.  A failed task raises the body's own
+exception; transport failures raise :class:`ClusterError`.  Shutting the
+coordinator down cancels everything and closes the sockets, idempotently.
 """
 
 from __future__ import annotations
@@ -208,12 +207,12 @@ class _Worker:
         self.send_lock = threading.Lock()
         #: ``{task_id: _Task}`` currently dispatched to this worker.
         self.inflight: Dict[int, "_Task"] = {}
-        #: Spec ids this connection holds, mirroring the worker's FIFO cache
-        #: (same insertion order, same ``cache_spec`` rule): only the
+        #: Spec ids shipped on this connection, mirroring the worker's FIFO
+        #: cache (same insertion order, same ``cache_spec`` rule): only the
         #: coordinator sends SPEC frames on the connection, so replaying the
         #: worker's deterministic eviction here tells us exactly when a spec
-        #: must be re-shipped.
-        self.specs: "OrderedDict[int, None]" = OrderedDict()
+        #: must be re-shipped; ``False`` marks one it may lack.
+        self.specs: "OrderedDict[int, bool]" = OrderedDict()
         self.alive = True
         self.last_seen = time.monotonic()
         self.reader: Optional[threading.Thread] = None
@@ -248,9 +247,27 @@ class _Worker:
             self.send_lock.release()
         return True
 
-    def record_spec(self, spec_id: int) -> None:
-        """Mirror the worker-side spec cache after shipping a SPEC frame."""
-        cache_spec(self.specs, spec_id, None)
+    def send_task(self, task: "_Task", lock) -> None:
+        """Send ``task``, after its SPEC unless the mirror holds it, under
+        one send-lock hold: no other SPEC can land between the two frames,
+        and the worker caches specs in the mirror's order."""
+        with self.send_lock:
+            with lock:
+                needs_spec = task.spec is not None and not self.specs.get(task.spec[0])
+            if needs_spec:
+                protocol.send_message(self.sock, protocol.SPEC, task.spec, key=self.key)
+                with lock:
+                    cache_spec(self.specs, task.spec[0], True)
+            protocol.send_message(
+                self.sock, protocol.TASK, (task.task_id, task.kind, task.args), key=self.key
+            )
+
+    def forget_spec(self, task: "_Task") -> None:
+        """Mark ``task``'s spec unheld (lock held): a task ended here without
+        a result, so the worker may have read its SPEC only after the call
+        unlinked the segment.  The id keeps its FIFO place, as it does there."""
+        if task.spec is not None and task.spec[0] in self.specs:
+            self.specs[task.spec[0]] = False
 
     def close(self) -> None:
         # shutdown() before close(): our own reader thread may be blocked in
@@ -290,7 +307,9 @@ class ClusterCoordinator:
     Parameters
     ----------
     addresses : sequence
-        Worker addresses, each ``(host, port)`` or ``"host:port"``.
+        Worker addresses, each ``(host, port)`` or ``"host:port"``, or a
+        connected socket to a worker loop (named ``pid:<pid>``, never
+        re-dialled), as the process backend's forked workers are.
     connect_timeout : float
         Seconds to wait for each TCP connect + handshake.
     heartbeat_interval : float
@@ -330,7 +349,10 @@ class ClusterCoordinator:
         reconnect: bool = True,
         degrade: str = "raise",
     ) -> None:
-        parsed = [parse_address(address) for address in addresses]
+        parsed = [
+            address if isinstance(address, socket.socket) else parse_address(address)
+            for address in addresses
+        ]
         if not parsed:
             raise ValueError("a cluster needs at least one worker address")
         if degrade not in ("raise", "local"):
@@ -391,11 +413,14 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # connection management
     # ------------------------------------------------------------------
-    def _connect(self, address: Address, timeout: float) -> _Worker:
+    def _connect(self, address, timeout: float) -> _Worker:
         key = self._key
-        sock = socket.create_connection(address, timeout=timeout)
+        if isinstance(address, socket.socket):
+            sock = address
+        else:
+            sock = socket.create_connection(address, timeout=timeout)
+            protocol.set_nodelay(sock)
         sock.settimeout(timeout)
-        protocol.set_nodelay(sock)
         try:
             protocol.send_message(
                 sock,
@@ -419,6 +444,8 @@ class ClusterCoordinator:
         except BaseException:
             sock.close()
             raise
+        if isinstance(address, socket.socket):
+            address = ("pid", int(payload.get("pid", 0)))
         sock.settimeout(None)  # reader threads block indefinitely
         # Sends, however, must not: a hung worker that stops draining its
         # socket would otherwise block `sendall` forever (holding the
@@ -448,17 +475,19 @@ class ClusterCoordinator:
                 self._resolve(task, result=result)
             return True
         if kind == protocol.ERROR:
-            task_id, message = payload
+            task_id, error = payload
             if task_id is None:
                 self._worker_died(
-                    worker, protocol.ProtocolError(f"worker error: {message}")
+                    worker, protocol.ProtocolError(f"worker error: {error}")
                 )
                 return False
             task = self._take_inflight(worker, task_id)
             if task is not None:
-                self._resolve(
-                    task, error=ClusterError(f"worker task failed: {message}")
-                )
+                with self._lock:
+                    worker.forget_spec(task)
+                if not isinstance(error, Exception):
+                    error = ClusterError(f"worker task failed: {error}")
+                self._resolve(task, error=error)
             return True
         if kind == protocol.HEARTBEAT:
             # The worker echoes our monotonic send stamp back verbatim, so
@@ -628,19 +657,12 @@ class ClusterCoordinator:
                     worker = None
                 if worker is not None:
                     task.attempts += 1
-                    needs_spec = (
-                        task.spec is not None and task.spec[0] not in worker.specs
-                    )
                     worker.inflight[task.task_id] = task
             if worker is None:
                 self._run_degraded(task)
                 return
             try:
-                if needs_spec:
-                    worker.send(protocol.SPEC, task.spec)
-                    with self._lock:
-                        worker.record_spec(task.spec[0])
-                worker.send(protocol.TASK, (task.task_id, task.kind, task.args))
+                worker.send_task(task, self._lock)
                 handle = obs.active()
                 if handle is not None:
                     handle.metrics.counter("cluster.tasks_dispatched").inc()
@@ -725,10 +747,7 @@ class ClusterCoordinator:
                 spec=task.spec[1] if task.spec is not None else None,
             )
         except Exception as error:
-            self._resolve(
-                task,
-                error=ClusterError(f"degraded in-process execution failed: {error}"),
-            )
+            self._resolve(task, error=error)
         else:
             self._resolve(task, result=result)
 
@@ -899,6 +918,7 @@ class ClusterCoordinator:
                 for task_id, task in list(worker.inflight.items()):
                     if id(task.future) in pending:
                         worker.inflight.pop(task_id, None)
+                        worker.forget_spec(task)
                         reclaimed.setdefault(worker, []).append(task_id)
         for worker, task_ids in reclaimed.items():
             if not worker.alive:
@@ -930,7 +950,7 @@ class ClusterCoordinator:
                     "alive": worker.alive,
                     "capacity": worker.capacity,
                     "inflight": len(worker.inflight),
-                    "specs_cached": len(worker.specs),
+                    "specs_cached": sum(worker.specs.values()),
                     "last_rtt": worker.last_rtt,
                 }
                 for worker in self.workers

@@ -59,10 +59,9 @@ Message types
     ``"capacity"``, their relative dispatch weight) and a version or auth
     mismatch is a :class:`ProtocolError`.
 ``SPEC``
-    Coordinator -> worker: ``(spec_id, InstanceSpec)``.  Sent at most
-    once per spec id per connection (the worker caches it, as a process
-    pool worker caches the specs its chunks carry); later ``TASK`` frames
-    reference the id only.
+    Coordinator -> worker: ``(spec_id, spec)``, an ``InstanceSpec`` or its
+    shared-memory wire form.  Sent once per spec id per connection, unless
+    the worker may have lost it; later ``TASK`` frames reference the id.
 ``TASK``
     Coordinator -> worker: ``(task_id, kind, args)``.  Task kinds are the
     registered bodies of :mod:`repro.runtime.shards` plus ``ping`` and
@@ -76,12 +75,13 @@ Message types
     the echo (or any other traffic) as liveness; a silent worker past the
     heartbeat timeout is declared dead and its tasks are requeued.
 ``ERROR``
-    Worker -> coordinator: ``(task_id, message)`` for a failed task, or
-    ``(None, message)`` for a connection-level protocol failure.
+    Worker -> coordinator: ``(task_id, error)`` for a failed task (its
+    exception, or its text when it does not pickle), or ``(None,
+    message)`` for a connection-level protocol failure.
 
 The payloads are pickled (protocol :data:`pickle.HIGHEST_PROTOCOL`); the
-transport therefore carries exactly what the process backend's pipes
-carry -- picklable specs, compiled balls, marginal dicts.
+same frames run over TCP between hosts and over the socket pairs of the
+process backend's forked workers.
 
 Fault injection
 ---------------
@@ -117,8 +117,9 @@ MAGIC_AUTH = b"RCA1"
 #: Bumped on incompatible wire changes; checked during the HELLO handshake.
 #: Version 5 returns a chain block's final code matrix, not decoded
 #: configurations; in version 6 a ``ball_marginals`` task returns
-#: ``{(center, radius): marginal}`` only, with no compiled balls or memos.
-PROTOCOL_VERSION = 6
+#: ``{(center, radius): marginal}`` only, with no compiled balls or memos;
+#: in version 7 a failed task's ``ERROR`` carries its exception when it pickles.
+PROTOCOL_VERSION = 7
 #: Bytes of the HMAC-SHA256 tag appended to authenticated frames.
 TAG_BYTES = 32
 #: Environment variable both sides read for a default shared auth key.

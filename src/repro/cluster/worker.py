@@ -10,30 +10,31 @@ splits each connection across two threads:
   frames, and echoes ``HEARTBEAT`` frames immediately (which is what lets
   the coordinator distinguish "busy on a long task" from "dead");
 * the *runner* thread executes queued tasks one at a time, in arrival
-  order, and sends back ``RESULT`` (or ``ERROR`` with the formatted
-  traceback) frames.
+  order, and sends back ``RESULT`` or ``ERROR`` frames.  A failed task's
+  ``ERROR`` carries the body's own exception (the worker traceback in a
+  note) when it pickles, and its text otherwise.
 
-The task bodies are deliberately *shared* with the process backend: every
-task runs through :func:`~repro.runtime.shards.run_task`, which resolves
-spec-bound kinds in the :data:`~repro.runtime.shards.TASK_REGISTRY` of
-:mod:`repro.runtime.shards` -- the same entry a process-pool worker calls
-for each chunk.  So a ``ball_marginals`` task runs exactly the body a pool
-worker runs and a ``chain_block`` task runs the same kernel-driven batched
-block: cluster results are bit-identical to both the process backend and
+The process backend's forked workers run the same connection loop,
+:func:`serve_connection`, on socket pairs
+(:class:`~repro.runtime.shards.ForkedWorkers`).  Every task runs through
+:func:`~repro.runtime.shards.run_task`, which resolves spec-bound kinds in
+the :data:`~repro.runtime.shards.TASK_REGISTRY` of
+:mod:`repro.runtime.shards` -- the same bodies the in-process path calls
+-- so cluster results are bit-identical to both the process backend and
 the serial loop.  A spec crosses the wire at most once per connection
 and spec id -- one id per instance and compiled engine
 (:func:`~repro.runtime.shards.spec_for`), so a distribution reweighted in
 place arrives as a new spec -- and the ball cache of its reconstruction
-stays warm across tasks and calls, exactly as in a pool worker's spec
-cache (both evict by :func:`~repro.runtime.shards.cache_spec`).
+stays warm across tasks and calls, up to the FIFO limit of
+:func:`~repro.runtime.shards.cache_spec`.
 
 Task kinds
 ----------
 
 ``ball_marginals``
     ``{"spec_id", "tasks"}`` -> ``{(center, radius): marginal}``, the
-    marginals only, exactly as a pool worker returns them; the compiled
-    balls stay warm in this worker's spec cache.
+    marginals only; the compiled balls stay warm in this worker's spec
+    cache.
 ``chain_block``
     ``{"spec_id", "kernel", "count", "seeds", "initial"}`` -> the final
     ``(chains, n)`` code matrix of a batched block of chains of any
@@ -72,8 +73,10 @@ dropped/corrupted frames) -- test harness only.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
+import pickle
 import queue
 import socket
 import threading
@@ -83,11 +86,18 @@ from typing import Optional, Tuple
 
 from repro import obs
 from repro.cluster import chaos, protocol
-from repro.runtime.shards import SPEC_CACHE_LIMIT, InstanceSpec, cache_spec, run_task
+from repro.runtime import shm
+from repro.runtime.shards import (
+    SPEC_CACHE_LIMIT,
+    InstanceSpec,
+    cache_spec,
+    restore_spec,
+    run_task,
+)
 
 _log = obs.get_logger("cluster.worker")
 
-__all__ = ["SPEC_CACHE_LIMIT", "ClusterWorker", "main", "run_task"]
+__all__ = ["SPEC_CACHE_LIMIT", "ClusterWorker", "main", "run_task", "serve_connection"]
 
 #: Reset the cancelled-task-id set past this size.  Ids of tasks that had
 #: already executed when their cancel directive arrived accumulate here;
@@ -239,192 +249,227 @@ class ClusterWorker:
 
     # ------------------------------------------------------------------
     def _serve_connection(self, connection: socket.socket) -> None:
-        """Handshake, then pump frames until the coordinator hangs up."""
+        """Tune one accepted TCP connection, then serve it (:func:`serve_connection`)."""
         _enable_keepalive(connection)
         protocol.set_nodelay(connection)
-        send_lock = threading.Lock()
-        key = self._key
-        faults = self._faults
+        serve_connection(connection, self._key, self.capacity, self._faults)
 
-        def send(kind: int, payload) -> None:
-            with send_lock:
-                protocol.send_message(connection, kind, payload, key=key,
-                                      faults=faults)
 
-        try:
-            kind, payload = protocol.recv_message(connection, key=key)
-            if kind != protocol.HELLO:
-                raise protocol.ProtocolError(
-                    f"expected HELLO, got {protocol.MESSAGE_NAMES[kind]}"
-                )
-            protocol.check_hello(
-                payload, expected_role="coordinator", auth=key is not None
+def serve_connection(
+    connection: socket.socket,
+    key: Optional[bytes] = None,
+    capacity: int = 1,
+    faults: Optional[chaos.FaultPlan] = None,
+    proc: str = "cluster-worker",
+) -> None:
+    """Handshake, then pump frames until the coordinator hangs up.
+
+    The worker loop of both distributed backends: a :class:`ClusterWorker`
+    runs it on each TCP connection, a forked worker of the process backend
+    on its socket-pair end.  ``proc`` labels shipped trace events.
+    """
+    send_lock = threading.Lock()
+
+    def send(kind: int, payload) -> None:
+        with send_lock:
+            protocol.send_message(connection, kind, payload, key=key, faults=faults)
+
+    try:
+        kind, payload = protocol.recv_message(connection, key=key)
+        if kind != protocol.HELLO:
+            raise protocol.ProtocolError(
+                f"expected HELLO, got {protocol.MESSAGE_NAMES[kind]}"
             )
-            send(
-                protocol.HELLO,
-                protocol.hello_payload(
-                    "worker", auth=key is not None, capacity=self.capacity
-                ),
-            )
-        except (protocol.ConnectionClosed, OSError):
-            # EOF or a reset (e.g. the coordinator closed with unread data
-            # in flight): the peer is gone, go back to accept.
-            return
-        except protocol.ProtocolError as error:
-            self._reject(connection, send_lock, error, key)
-            return
-
-        specs: "OrderedDict[int, InstanceSpec]" = OrderedDict()
-        #: Task ids cancelled by the coordinator; shared with the runner,
-        #: which skips a queued task whose id landed here first.
-        cancelled: set = set()
-        tasks: "queue.Queue" = queue.Queue()
-        runner = threading.Thread(
-            target=self._run_tasks,
-            args=(tasks, cancelled, send, faults),
-            daemon=True,
+        protocol.check_hello(payload, expected_role="coordinator", auth=key is not None)
+        send(
+            protocol.HELLO,
+            protocol.hello_payload("worker", auth=key is not None, capacity=capacity),
         )
-        runner.start()
-        try:
-            while True:
-                try:
-                    kind, payload = protocol.recv_message(connection, key=key)
-                except (protocol.ConnectionClosed, OSError):
-                    return  # coordinator hung up (cleanly or by reset)
-                except protocol.ProtocolError as error:
-                    self._reject(connection, send_lock, error, key)
-                    return
-                if kind == protocol.SPEC:
-                    # FIFO eviction (cache_spec); queued tasks are immune:
-                    # the reader pins each task's spec at enqueue.
-                    spec_id, spec = payload
-                    cache_spec(specs, spec_id, spec)
-                elif kind == protocol.TASK:
-                    task_id, task_kind, args = payload
-                    if task_kind == "cancel":
-                        # Handled by the reader, never queued: the whole
-                        # point is to leapfrog tasks already in the queue.
-                        if len(cancelled) > CANCEL_BACKLOG_LIMIT:
-                            cancelled.clear()
-                        cancelled.update(args)
-                        continue
-                    # Pin the spec now: a later SPEC frame may evict it from
-                    # the cache before the runner reaches this task.
-                    spec = (
-                        specs.get(args.get("spec_id"))
-                        if isinstance(args, dict)
-                        else None
-                    )
-                    tasks.put((task_id, task_kind, args, spec))
-                elif kind == protocol.HEARTBEAT:
-                    if faults is not None and faults.stall_heartbeat():
-                        continue  # injected stall: swallow the echo
-                    try:
-                        send(protocol.HEARTBEAT, payload)
-                    except OSError:
-                        return
-                else:
-                    self._reject(
-                        connection,
-                        send_lock,
-                        protocol.ProtocolError(
-                            f"unexpected {protocol.MESSAGE_NAMES[kind]} frame"
-                        ),
-                        key,
-                    )
-                    return
-        finally:
-            tasks.put(_STOP)
+    except (protocol.ConnectionClosed, OSError):
+        # EOF or a reset (e.g. the coordinator closed with unread data
+        # in flight): the peer is gone, go back to accept.
+        return
+    except protocol.ProtocolError as error:
+        _reject(connection, send_lock, error, key)
+        return
 
-    @staticmethod
-    def _reject(connection, send_lock, error, key=None) -> None:
-        """Best-effort ERROR reply for a connection-level failure, then close.
-
-        The reply is sent *plaintext* when the failure is that the peer
-        itself spoke plaintext to a keyed worker
-        (:class:`protocol.AuthenticationError` with ``peer_plain``) -- an
-        authenticated rejection would be unreadable to exactly the peer it
-        is meant to inform.  Every other rejection uses the connection's
-        normal framing.
-        """
-        if isinstance(error, protocol.AuthenticationError) and error.peer_plain:
-            key = None
-        obs.log_event(
-            _log, logging.WARNING, "worker.connection_rejected", error=error,
-        )
-        try:
-            with send_lock:
-                protocol.send_message(
-                    connection, protocol.ERROR, (None, _error_text(error)), key=key
-                )
-        except (OSError, protocol.ProtocolError) as send_error:
-            obs.log_event(
-                _log, logging.DEBUG, "worker.reject_reply_failed",
-                error=send_error,
-            )
-        try:
-            connection.shutdown(socket.SHUT_RDWR)
-        except OSError as shutdown_error:
-            obs.log_event(
-                _log, logging.DEBUG, "worker.reject_shutdown_failed",
-                error=shutdown_error,
-            )
-
-    @staticmethod
-    def _run_tasks(tasks, cancelled, send, faults=None) -> None:
-        """Runner thread: execute queued tasks in order, one at a time.
-
-        Tasks whose id was cancelled by the coordinator are skipped without
-        a reply -- the coordinator dropped their bookkeeping when it sent
-        the cancel, so nothing is waiting for a RESULT.
-
-        Every RESULT is ``(task_id, result, events)``.  A task whose args
-        carry a valid ``_obs`` trace context runs under a span continuing
-        the coordinator's trace, and ``events`` holds the recorded events;
-        without the field (or with a foreign-version one) it is ``None``.
-        """
+    #: ``{spec_id: (spec, segments) or None}``, mirrored by the coordinator.
+    specs: "OrderedDict[int, Optional[Tuple[InstanceSpec, Tuple[str, ...]]]]" = (
+        OrderedDict()
+    )
+    #: Task ids cancelled by the coordinator; shared with the runner,
+    #: which skips a queued task whose id landed here first.
+    cancelled: set = set()
+    tasks: "queue.Queue" = queue.Queue()
+    runner = threading.Thread(
+        target=_run_tasks, args=(tasks, cancelled, send, faults, proc), daemon=True
+    )
+    runner.start()
+    try:
         while True:
-            item = tasks.get()
-            if item is _STOP:
-                return
-            task_id, kind, args, spec = item
-            if task_id in cancelled:
-                cancelled.discard(task_id)
-                continue
-            wire_ctx = None
-            if isinstance(args, dict) and "_obs" in args:
-                args = dict(args)
-                wire_ctx = args.pop("_obs")
             try:
-                if wire_ctx is not None:
-                    result, events = obs.record_remote(
-                        wire_ctx,
-                        lambda: run_task(kind, args, spec),
-                        name="worker.task",
-                        kind=kind,
-                        task_id=task_id,
-                    )
-                else:
-                    result, events = run_task(kind, args, spec), None
-            except Exception as error:
-                obs.log_event(
-                    _log, logging.WARNING, "worker.task_failed",
-                    task_id=task_id, kind=kind, error=error,
-                )
-                message = _error_text(error, with_traceback=True)
+                kind, payload = protocol.recv_message(connection, key=key)
+            except (protocol.ConnectionClosed, OSError):
+                return  # coordinator hung up (cleanly or by reset)
+            except protocol.ProtocolError as error:
+                _reject(connection, send_lock, error, key)
+                return
+            if kind == protocol.SPEC:
+                # FIFO eviction (cache_spec); queued tasks are immune: the
+                # reader pins each task's spec at enqueue, and the runner
+                # detaches a dropped spec's segments only after them --
+                # unless a cached spec still maps them (a re-shipped wire).
+                spec_id, wire = payload
+                dropped = cache_spec(specs, spec_id, restore_spec(wire))
+                live = {name for entry in specs.values() if entry for name in entry[1]}
+                names = [name for old in dropped if old for name in old[1] if name not in live]
+                if names:
+                    tasks.put(functools.partial(shm.detach, names))
+            elif kind == protocol.TASK:
+                task_id, task_kind, args = payload
+                if task_kind == "cancel":
+                    # Handled by the reader, never queued: the whole
+                    # point is to leapfrog tasks already in the queue.
+                    if len(cancelled) > CANCEL_BACKLOG_LIMIT:
+                        cancelled.clear()
+                    cancelled.update(args)
+                    continue
+                # Pin the spec now: a later SPEC frame may evict it from
+                # the cache before the runner reaches this task.
+                entry = specs.get(args.get("spec_id")) if isinstance(args, dict) else None
+                tasks.put((task_id, task_kind, args, entry[0] if entry else None))
+            elif kind == protocol.HEARTBEAT:
+                if faults is not None and faults.stall_heartbeat():
+                    continue  # injected stall: swallow the echo
                 try:
-                    send(protocol.ERROR, (task_id, message))
+                    send(protocol.HEARTBEAT, payload)
                 except OSError:
                     return
-                continue
-            try:
-                send(protocol.RESULT, (task_id, result, events))
-            except OSError:
+            else:
+                _reject(
+                    connection,
+                    send_lock,
+                    protocol.ProtocolError(
+                        f"unexpected {protocol.MESSAGE_NAMES[kind]} frame"
+                    ),
+                    key,
+                )
                 return
-            if faults is not None and faults.task_completed():
-                # Injected hard crash -- no cleanup, no FIN beyond what the
-                # kernel sends, exactly like the OOM killer.
-                os._exit(17)
+    finally:
+        tasks.put(_STOP)
+
+
+def _reject(connection, send_lock, error, key=None) -> None:
+    """Best-effort ERROR reply for a connection-level failure, then close.
+
+    The reply is sent *plaintext* when the failure is that the peer
+    itself spoke plaintext to a keyed worker
+    (:class:`protocol.AuthenticationError` with ``peer_plain``) -- an
+    authenticated rejection would be unreadable to exactly the peer it
+    is meant to inform.  Every other rejection uses the connection's
+    normal framing.
+    """
+    if isinstance(error, protocol.AuthenticationError) and error.peer_plain:
+        key = None
+    obs.log_event(
+        _log, logging.WARNING, "worker.connection_rejected", error=error,
+    )
+    try:
+        with send_lock:
+            protocol.send_message(
+                connection, protocol.ERROR, (None, _error_text(error)), key=key
+            )
+    except (OSError, protocol.ProtocolError) as send_error:
+        obs.log_event(
+            _log, logging.DEBUG, "worker.reject_reply_failed",
+            error=send_error,
+        )
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError as shutdown_error:
+        obs.log_event(
+            _log, logging.DEBUG, "worker.reject_shutdown_failed",
+            error=shutdown_error,
+        )
+
+
+def _task_error(error: Exception):
+    """A failed task's ERROR payload: the exception itself, with the worker
+    traceback as a note, if it round-trips through pickle within a control
+    frame; else that traceback text (a ``ClusterError`` at the caller)."""
+    text = _error_text(error, with_traceback=True)
+    try:
+        error.with_traceback(None).add_note(f"worker traceback:\n{text}")
+        wire = pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.loads(wire)
+    except Exception:
+        return text
+    return error if len(wire) <= protocol.MAX_CONTROL_FRAME_BYTES // 2 else text
+
+
+def _run_tasks(tasks, cancelled, send, faults=None, proc="cluster-worker") -> None:
+    """Runner thread: execute queued tasks in order, one at a time.
+
+    Tasks whose id was cancelled by the coordinator are skipped without
+    a reply -- the coordinator dropped their bookkeeping when it sent
+    the cancel, so nothing is waiting for a RESULT.
+
+    Every RESULT is ``(task_id, result, events)``.  A task whose args
+    carry a valid ``_obs`` trace context runs under a span continuing
+    the coordinator's trace, and ``events`` holds the recorded events
+    (labelled ``proc``); without the field (or with a foreign-version
+    one) it is ``None``.
+    """
+    while True:
+        item = tasks.get()
+        if item is _STOP:
+            return
+        if callable(item):
+            item()  # detach dropped specs' segments
+        elif not _run_task(item, cancelled, send, faults, proc):
+            return
+        del item  # a dropped spec must not outlive its last task here
+
+
+def _run_task(item, cancelled, send, faults, proc) -> bool:
+    """Run one queued task and reply; ``False`` once the peer is gone."""
+    task_id, kind, args, spec = item
+    if task_id in cancelled:
+        cancelled.discard(task_id)
+        return True
+    wire_ctx = None
+    if isinstance(args, dict) and "_obs" in args:
+        args = dict(args)
+        wire_ctx = args.pop("_obs")
+    try:
+        if wire_ctx is not None:
+            result, events = obs.record_remote(
+                wire_ctx,
+                lambda: run_task(kind, args, spec),
+                name="worker.task",
+                proc=proc,
+                kind=kind,
+                task_id=task_id,
+            )
+        else:
+            result, events = run_task(kind, args, spec), None
+    except Exception as error:
+        obs.log_event(
+            _log, logging.WARNING, "worker.task_failed",
+            task_id=task_id, kind=kind, error=error,
+        )
+        reply = (protocol.ERROR, (task_id, _task_error(error)))
+    else:
+        reply = (protocol.RESULT, (task_id, result, events))
+    try:
+        send(*reply)
+    except OSError:
+        return False
+    if reply[0] == protocol.RESULT and faults is not None and faults.task_completed():
+        # Injected hard crash -- no cleanup, no FIN beyond what the
+        # kernel sends, exactly like the OOM killer.
+        os._exit(17)
+    return True
 
 
 def main(argv: Optional[list] = None) -> int:

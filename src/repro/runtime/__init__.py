@@ -13,20 +13,20 @@ This package owns *how* work executes, separate from *what* is computed
 ``shards``
     :class:`InstanceSpec`, the :data:`~repro.runtime.shards.TASK_REGISTRY`
     of spec-bound task bodies (ball marginals, chain blocks -- executed
-    identically by the process pool, the cluster workers and the
+    identically by the forked workers, the cluster workers and the
     in-process path), and the one parent-side scheduler
     of the process and cluster backends: front ends that chunk the work,
-    submit each chunk to the live transport they are given -- a
-    :class:`~repro.runtime.shards.ForkPool` or a cluster coordinator,
-    whose workers set the call's width (the spec shipped once per
-    worker) -- and yield every chunk's results the moment the chunk
-    completes.  A ball chunk returns its marginals only; the compiled
-    balls stay warm in the worker that built them.
+    submit each chunk to the live transport they are given -- a cluster
+    coordinator or :class:`~repro.runtime.shards.ForkedWorkers` (cluster
+    workers forked on socket pairs), whose workers set the call's width
+    (the spec shipped once per worker) -- and yield every chunk's results
+    as it completes.  A ball chunk returns its marginals only; the
+    compiled balls stay warm in the worker that built them.
 ``shm``
     The zero-copy data plane of the process backend: the spec's dense
     factor tables live in read-only ``multiprocessing.shared_memory``
     segments and only tiny
-    ``(name, dtype, shape, offset)`` descriptors cross the pipe, with
+    ``(name, dtype, shape, offset)`` descriptors cross the socket, with
     automatic pickle fallback and owner-only, leak-proof segment
     lifetime.  Selected per runtime via ``transport="shm"``.
 ``executor``

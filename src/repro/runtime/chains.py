@@ -52,6 +52,7 @@ every chain's PCG64 seed words in one vectorised pass of numpy's
 
 from __future__ import annotations
 
+import copy
 import time
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Union
@@ -853,12 +854,9 @@ class ChainBatch:
                 raise ValueError("n_chains disagrees with the number of explicit seeds")
         if not seeds:
             raise ValueError("a chain batch needs at least one chain")
-        self.instance = instance
         self.seeds = seeds
         self.n_chains = len(seeds)
-        compiled = instance.distribution.compiled_engine()
-        self.compiled = compiled
-        self.tables: _BatchedTables = compiled.batched_tables
+        compiled = self._bind(instance)
         if initial_codes is not None:
             if initial is not None:
                 raise ValueError("pass initial or initial_codes, not both")
@@ -883,17 +881,25 @@ class ChainBatch:
         self._uniforms: Optional[ChainUniforms] = None
         self._kind: Optional[str] = None
         self._scratch: Dict[str, dict] = {}
+        #: ``arange(n_chains)``, the row selector of whole-batch gathers.
+        self.chain_ids = np.arange(self.n_chains)
+
+    def _bind(self, instance: SamplingInstance):
+        """Target ``instance``: its compiled engine, tables and free nodes."""
+        self.instance = instance
+        compiled = instance.distribution.compiled_engine()
+        self.compiled = compiled
+        self.tables: _BatchedTables = compiled.batched_tables
         #: Integer ids of the free nodes, in ``instance.free_nodes`` order.
         self.free_index = np.array(
             [compiled.node_index[node] for node in instance.free_nodes], dtype=np.int64
         )
-        #: ``arange(n_chains)``, the row selector of whole-batch gathers.
-        self.chain_ids = np.arange(self.n_chains)
         #: Whether any free node has no factor (kernels replicate the serial
         #: uniform-resample fast path for those).
         self.any_factorless = bool(
             len(self.free_index) and np.any(self.tables.factorless[self.free_index])
         )
+        return compiled
 
     # ------------------------------------------------------------------
     def scratch(self, kernel_name: str) -> dict:
@@ -981,12 +987,13 @@ class ChainBatch:
         structure (nodes, alphabet, free set) is fixed, so the live chain
         state transfers verbatim: the returned batch targets ``instance``,
         reads the twin engine's own conditional tables
-        (:attr:`CompiledGibbs.batched_tables`), and *adopts* this
-        batch's code matrix, per-chain generators, uniforms buffer (the
-        drawn but unread doubles of every chain, with their cursors) and
-        kernel scratch by reference -- continuing the exact RNG streams, so
-        resuming on the twin is bit-identical to having run on it all along.
-        The old batch must not be advanced afterwards.
+        (:attr:`CompiledGibbs.batched_tables`), starts from a copy of this
+        batch's code matrix and *adopts* its per-chain generators,
+        uniforms buffer (the drawn but unread doubles of every chain, with
+        their cursors) and kernel scratch by reference -- continuing the
+        exact RNG streams, so resuming on the twin is bit-identical to
+        having run on it all along.  No generator is seeded anew.  The old
+        batch must not be advanced afterwards.
         """
         compiled = instance.distribution.compiled_engine()
         if (
@@ -996,13 +1003,11 @@ class ChainBatch:
             raise ValueError(
                 "retarget requires an instance with identical nodes and alphabet"
             )
-        twin = ChainBatch(instance, seeds=self.seeds, initial_codes=self.codes)
+        twin = copy.copy(self)
+        twin._bind(instance)
         if not np.array_equal(twin.free_index, self.free_index):
             raise ValueError("retarget requires an instance with the same free nodes")
-        twin.rngs = self.rngs
-        twin._uniforms = self._uniforms
-        twin._scratch = self._scratch
-        twin._kind = self._kind
+        twin.codes = self.codes.copy()
         return twin
 
     # ------------------------------------------------------------------

@@ -12,11 +12,12 @@ Four backends:
     to the serial samplers under the spawned-seed convention.
 ``process``
     Per-node LOCAL computations (ball compilation, boundary extension, ball
-    marginals) and chain blocks shard across one runtime-owned fork pool
-    (:class:`~repro.runtime.shards.ForkPool`, forked on first use and kept
-    until :meth:`Runtime.shutdown`) via :mod:`repro.runtime.shards`, and
-    coarse-grained experiment loops fan out through :meth:`Runtime.map`
-    (forked workers inherit the mapped closure).  The sharding is
+    marginals) and chain blocks shard across runtime-owned cluster workers
+    forked on socket pairs (:class:`~repro.runtime.shards.ForkedWorkers`,
+    forked on first use and kept until :meth:`Runtime.shutdown`) via
+    :mod:`repro.runtime.shards`, and coarse-grained experiment loops fan out
+    through :meth:`Runtime.map` (forked workers inherit the mapped
+    closure).  The sharding is
     *streaming*: :meth:`Runtime.stream_ball_marginals` and
     :meth:`Runtime.stream_ball_marginal_tasks` hand results back as shards
     complete, so parent-side work overlaps with in-flight shards instead of
@@ -80,7 +81,7 @@ from repro.runtime.chains import (
 )
 from repro.runtime.shards import (
     TRANSPORTS,
-    ForkPool,
+    ForkedWorkers,
     advance_block,
     process_map,
     run_chain_blocks,
@@ -106,10 +107,10 @@ _BACKENDS = (SERIAL_BACKEND, BATCHED_BACKEND, PROCESS_BACKEND, CLUSTER_BACKEND)
 
 #: Chain-update budget (``chains * count``) below which the process backend
 #: runs the registered ``chain_block`` task body in-process instead of
-#: dispatching to its pool.  Sized when every call forked its own pool: a
+#: dispatching to its workers.  Sized when every call forked its own pool: a
 #: fresh fork-pool spin-up plus teardown cost ~45-60 ms on the benchmark
 #: box, while the batched runner sustains well over 200k single-site
-#: updates per second.  The persistent pool removed that per-call cost;
+#: updates per second.  Persistent workers removed that per-call cost;
 #: the threshold is kept as it was.  Results are bit-identical either way
 #: (same task body, same per-chain seed streams); pass
 #: ``inline_threshold=0`` to always dispatch.
@@ -127,7 +128,7 @@ class Runtime:
     n_chains : int
         Chain batch width used by the sampling entry points.
     n_workers : int, optional
-        Worker-pool width for the process backend (default: the CPU count).
+        Forked workers of the process backend (default: the CPU count).
         For the cluster backend: the number of localhost workers to spawn
         when no ``addresses`` are given (default 2), or the address count.
         Other backends default to 1.
@@ -149,9 +150,9 @@ class Runtime:
         them in-process instead -- same registered task bodies, hence
         bit-identical results -- after a single :class:`RuntimeWarning`.
     transport : str, optional
-        Process backend only: how bulk ndarray payloads reach the workers.
-        ``"pickle"`` (default) serialises them per hop; ``"shm"`` moves the
-        ``InstanceSpec`` dense arrays into read-only
+        Process backend only: how an instance's spec reaches each worker,
+        once.  ``"pickle"`` (default) ships the ``InstanceSpec`` by value;
+        ``"shm"`` moves its dense arrays into read-only
         :mod:`multiprocessing.shared_memory` segments and ships only tiny
         descriptors (see :mod:`repro.runtime.shm`), falling back to pickle
         automatically where shared memory is unavailable.  Results are
@@ -159,7 +160,7 @@ class Runtime:
     inline_threshold : int, optional
         Adaptive dispatch guard: chain workloads whose total update budget
         (``chains * count``) does not exceed this run the registered task
-        body in-process instead of going to the pool.  Default
+        body in-process instead of going to the workers.  Default
         :data:`INLINE_CHAIN_UPDATES`; ``0`` always dispatches.  Results
         are bit-identical either way.
     obs : bool or repro.obs.Observability, optional
@@ -175,11 +176,11 @@ class Runtime:
     Notes
     -----
     A ``Runtime`` is cheap to construct: neither construction nor
-    :meth:`submit` forks.  The process backend forks its pool of
-    ``n_workers`` at its first call that needs one and keeps it between
-    calls, so a call pays neither a fork nor a join; a call that finds the
-    pool broken (a worker died) fails and drops it, and the next call forks
-    a fresh one.  The cluster backend connects its coordinator lazily on
+    :meth:`submit` forks.  The process backend forks its ``n_workers``
+    workers at its first call that needs them and keeps them, so a call
+    pays neither a fork nor a join; a dead worker's tasks are requeued on
+    the others, and after a call that loses every worker the next call
+    forks a fresh set.  The cluster backend connects its coordinator lazily on
     first use (spawning localhost workers when no addresses were given);
     :meth:`shutdown` (or use as a context manager) releases everything and
     is safe to call repeatedly -- including while streaming iterators are
@@ -197,7 +198,7 @@ class Runtime:
         "inline_threshold",
         "_cluster",
         "_local_pool",
-        "_pool",
+        "_forked",
         "_obs_owned",
         "_shutdown_lock",
         "_snapshot_sections",
@@ -262,9 +263,9 @@ class Runtime:
         self.n_workers = int(n_workers)
         self._cluster = None
         self._local_pool = None
-        # The process backend's pool object forks nothing until a call needs it.
-        self._pool = (
-            ForkPool(self.n_workers, self.transport)
+        # The process backend's workers fork only when a call needs them.
+        self._forked = (
+            ForkedWorkers(self.n_workers, self.transport)
             if backend == PROCESS_BACKEND
             else None
         )
@@ -315,9 +316,9 @@ class Runtime:
 
     def _transport(self):
         """What the shard front ends submit to (the ``transport=`` argument
-        of :mod:`repro.runtime.shards`): the process backend's fork pool,
-        or the cluster backend's coordinator."""
-        return self.cluster_client() if self.is_cluster else self._pool
+        of :mod:`repro.runtime.shards`): the process backend's forked
+        workers, or the cluster backend's coordinator."""
+        return self.cluster_client() if self.is_cluster else self._forked
 
     # ------------------------------------------------------------------
     def cluster_client(self):
@@ -417,24 +418,24 @@ class Runtime:
     def shutdown(self) -> None:
         """Release every OS resource this runtime owns (idempotent, thread-safe).
 
-        Stops the process backend's fork pool (cancelling its pending
-        chunks), closes the cluster coordinator's worker connections
-        (cancelling in-flight tasks -- streams abandoned mid-iteration
-        included), and terminates localhost workers the runtime spawned
-        itself.  Calling it again -- or never having created any resource
-        -- is a no-op, and a later operation transparently re-creates what
-        it needs (the next pool-bound call forks again).  Concurrent
-        callers are safe: each resource is detached under a lock and
-        released exactly once.  Nothing here joins a pool or a process, so
-        the serving layer's drain path may call it from an asyncio event
-        loop.
+        Closes the connections of the process backend's forked workers
+        and of the cluster coordinator (cancelling in-flight tasks --
+        streams abandoned mid-iteration included); forked workers exit on
+        end-of-file and are reaped in the background.  Also terminates
+        localhost workers the runtime spawned itself.  Calling it again --
+        or never having created any resource -- is a no-op, and a later
+        operation transparently re-creates what it needs (the next call
+        that needs workers forks again).  Concurrent callers are safe:
+        each resource is detached under a lock and released exactly once.
+        Nothing here joins a process, so the serving layer's drain path
+        may call it from an asyncio event loop.
         """
         with self._shutdown_lock:
             cluster, self._cluster = self._cluster, None
             local_pool, self._local_pool = self._local_pool, None
             obs_owned, self._obs_owned = self._obs_owned, False
-        if self._pool is not None:
-            self._pool.shutdown()
+        if self._forked is not None:
+            self._forked.shutdown()
         if cluster is not None:
             cluster.shutdown()
         if local_pool is not None:
@@ -531,9 +532,10 @@ class Runtime:
         * ``process`` and ``cluster`` split the seeds into contiguous
           blocks, one per worker, and run the registered ``chain_block``
           task body (:data:`~repro.runtime.shards.TASK_REGISTRY`) on each
-          through :func:`~repro.runtime.shards.run_chain_blocks` -- over a
-          fork pool or the coordinator's TCP workers.  The process backend
-          runs workloads under :attr:`inline_threshold` updates in-process.
+          through :func:`~repro.runtime.shards.run_chain_blocks` -- over
+          forked workers or the coordinator's TCP workers.  The process
+          backend runs workloads under :attr:`inline_threshold` updates
+          in-process.
 
         Chains always run on the compiled evaluation engine; the dict
         engine is an evaluation reference only (see :mod:`repro.engine`).
@@ -816,8 +818,8 @@ class Runtime:
         The multi-radius sibling of :meth:`stream_ball_marginals`, used by
         the overlapped E5 radius sweep
         (:func:`repro.spatialmixing.phase_transition.locality_required`):
-        the process backend shards the tasks over its pool, the cluster
-        backend over its TCP workers, and both yield every arriving
+        the process backend shards the tasks over its forked workers, the
+        cluster backend over its TCP workers, and both yield every arriving
         shard's marginals in completion order; workers return marginals
         only, so the parent's ball cache stays cold.  Serial and batched backends yield the lazy
         in-order loop.  Values are bit-identical across backends.

@@ -18,9 +18,9 @@ that work out to workers:
   cache) and a distribution reweighted in place gets a new one.
   :func:`cache_spec` is the one FIFO eviction rule of every spec cache.
 * :data:`TASK_REGISTRY` -- one ``(args, spec)`` body per task kind
-  (``ball_marginals``, ``chain_block``), run unchanged by pool workers,
-  cluster workers and the in-process path.  Each body runs the serial code
-  on the spec's reconstruction.
+  (``ball_marginals``, ``chain_block``), run unchanged by the forked
+  workers of the process backend, cluster workers and the in-process
+  path.  Each body runs the serial code on the spec's reconstruction.
 * :func:`stream_ball_marginal_tasks` / :func:`stream_padded_ball_marginals`
   / :func:`run_chain_blocks` -- the front
   ends, each written once: chunk the work, submit every chunk as
@@ -29,13 +29,14 @@ that work out to workers:
   returns its marginals only; its compiled balls stay warm in the worker.
   Streams yield in completion order, so consumers
   overlap parent-side work with in-flight chunks, mirroring the
-  barrier-free LOCAL model.  Each takes a required, live ``transport``,
-  one of two kinds: a :class:`ForkPool` (the process backend's long-lived
-  pool; every chunk carries the instance's spec id and packed spec,
-  decoded only when the id misses the worker's small spec cache) or a
-  :class:`~repro.cluster.coordinator.ClusterCoordinator`.  The worker
-  count is the transport's own.  Both kinds of worker run
-  :func:`run_task`.
+  barrier-free LOCAL model.  Each takes a required, live ``transport``:
+  a :class:`~repro.cluster.coordinator.ClusterCoordinator`, or the
+  process backend's :class:`ForkedWorkers`, which forks cluster workers
+  on socket pairs and drives them through a coordinator of its own.
+  Either way one scheduler runs the chunks: each worker connection
+  receives an instance's spec once, dead workers' chunks are requeued
+  and abandoned ones cancelled worker-side.  The worker count is the
+  transport's own, and every worker runs :func:`run_task`.
 * :func:`process_map` -- the fork-based map behind
   :meth:`~repro.runtime.executor.Runtime.map` on the process backend, for
   coarse-grained task parallelism over closures.  The fork start method
@@ -52,12 +53,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import pickle
+import socket
 import threading
 import time
+import weakref
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, as_completed
 from contextlib import contextmanager
 from typing import (
     Callable,
@@ -83,7 +84,7 @@ BallKey = Tuple[Node, int]
 
 
 class InstanceSpec:
-    """A picklable snapshot of a sampling instance for process workers.
+    """A picklable snapshot of a sampling instance for distributed workers.
 
     Carries the compiled full instance (node order, alphabet, integer factor
     scopes, dense weight arrays), the integer adjacency structure, the
@@ -233,7 +234,7 @@ class _ShmSpec:
     with zero-copy read-only views into the owner's segment.  The owner
     keeps the backing :class:`~repro.runtime.shm.SharedArrayPack` alive for
     the call and unlinks it afterwards; a worker's mapping lasts until the
-    spec leaves its spec cache.
+    spec leaves its spec cache (:func:`restore_spec`).
     """
 
     __slots__ = ("state", "descriptors")
@@ -258,13 +259,9 @@ class _ShmSpec:
         )
         return spec
 
-    def segments(self) -> Tuple[str, ...]:
-        """Names of the shared-memory segments :meth:`restore` maps."""
-        return tuple(sorted({descriptor[0] for descriptor in self.descriptors}))
-
 
 def _spec_wire(spec: InstanceSpec, transport: str):
-    """What a pool call ships of ``spec`` under ``transport``.
+    """What a call on forked workers ships of ``spec`` under ``transport``.
 
     Returns ``(payload, pack)``: with ``transport="shm"`` (and shared memory
     actually available) the payload is a :class:`_ShmSpec` whose dense
@@ -283,16 +280,28 @@ def _spec_wire(spec: InstanceSpec, transport: str):
     return spec, None
 
 
+def restore_spec(wire) -> Optional[Tuple[InstanceSpec, Tuple[str, ...]]]:
+    """A worker's cache entry for a ``SPEC`` payload: ``(spec, segments)``,
+    the shared segments it maps (to detach once it leaves the cache), or
+    None when its segment is already gone (the call that sent it ended)."""
+    if not isinstance(wire, _ShmSpec):
+        return wire, ()
+    try:
+        return wire.restore(), tuple({descriptor[0] for descriptor in wire.descriptors})
+    except OSError:
+        return None
+
+
 # ----------------------------------------------------------------------
 # task bodies (must be importable at module top level)
 # ----------------------------------------------------------------------
 #: The task registry: every spec-bound task body that a distributed backend
 #: can execute, by kind.  One body per kind, shared by *all* backends: the
-#: process pool, the cluster worker (which looks the body up by the kind
-#: carried in the ``TASK`` frame) and the in-process path all call
-#: ``body(args, spec)`` -- so a result is bit-identical no matter where it
-#: ran.  ``args`` is the picklable task payload and ``spec`` the
-#: connection/pool-level :class:`InstanceSpec`.
+#: cluster worker loop (which looks the body up by the kind carried in the
+#: ``TASK`` frame, over TCP or in a forked worker) and the in-process path
+#: both call ``body(args, spec)`` -- so a result is bit-identical no matter
+#: where it ran.  ``args`` is the picklable task payload and ``spec`` the
+#: connection-level :class:`InstanceSpec`.
 TASK_REGISTRY: Dict[str, Callable] = {}
 
 
@@ -306,29 +315,30 @@ def register_task(kind: str) -> Callable:
     return decorate
 
 
-#: Specs a worker keeps, oldest evicted first: per cluster connection and
-#: per pool worker.  Spec ids are stable per instance (:func:`spec_for`),
-#: so this bounds how many distinct instances -- or reweightings of one --
-#: a worker holds at once.
+#: Specs a worker keeps, oldest evicted first, per connection.  Spec ids
+#: are stable per instance (:func:`spec_for`), so this bounds how many
+#: distinct instances -- or reweightings of one -- a worker holds at once.
 SPEC_CACHE_LIMIT = 4
 
 
 def cache_spec(cache: "OrderedDict[int, object]", spec_id: int, entry) -> List:
     """Insert ``entry`` under ``spec_id`` in a FIFO spec cache.
 
-    The one eviction rule of every spec cache: a pool worker's, a cluster
-    connection's and the coordinator's mirror of the latter.  Past
-    :data:`SPEC_CACHE_LIMIT` entries the oldest go first.  The rule is
-    deterministic, so the coordinator replays a connection's evictions
-    exactly and knows when a spec must be shipped again.
+    The one eviction rule of every spec cache: a worker connection's and
+    the coordinator's mirror of it.  An id inserted again moves to the
+    newest place, its old entry dropped; past :data:`SPEC_CACHE_LIMIT`
+    entries the oldest go.  The rule is deterministic, so the coordinator
+    replays a connection's evictions exactly and knows when a spec must be
+    shipped again.
 
     Returns
     -------
     list
-        The evicted entries, oldest first.
+        The dropped entries: a replaced one first, then the evicted ones,
+        oldest first.
     """
+    evicted = [cache.pop(spec_id)] if spec_id in cache else []
     cache[spec_id] = entry
-    evicted = []
     while len(cache) > SPEC_CACHE_LIMIT:
         evicted.append(cache.popitem(last=False)[1])
     return evicted
@@ -337,8 +347,8 @@ def cache_spec(cache: "OrderedDict[int, object]", spec_id: int, entry) -> List:
 def run_task(kind: str, args, spec: Optional[InstanceSpec] = None):
     """Execute one task body on its resolved spec.
 
-    The one worker-side entry of both transports: a cluster worker calls it
-    for every ``TASK`` frame, a pool worker for every chunk, and the
+    The one worker-side entry: a worker connection (over TCP or in a
+    forked worker) calls it for every ``TASK`` frame, and the
     coordinator's in-process fallback for tasks it runs itself.  ``spec``
     is the snapshot the caller resolved from its spec cache (the cluster
     reader pins it to a task at enqueue time, so a task that waited in the
@@ -416,7 +426,7 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
     decodes (:func:`~repro.runtime.chains.decode_configurations`, with the
     spec's nodes and alphabet) to the kernel's serial chain run with
     ``seed=seeds[c]``, bit for bit -- the contract that makes chain blocks
-    freely movable between the process pool, cluster workers and the
+    freely movable between forked workers, cluster workers and the
     in-process path.  Every transport carries this one result format.
 
     An optional ``"stats": True`` flag switches the return value to
@@ -438,167 +448,145 @@ def _chain_block_task(args: Dict, spec: InstanceSpec):
 
 
 # ----------------------------------------------------------------------
-# pool workers: a per-process spec cache in front of run_task
+# the process backend's workers: cluster workers forked on socket pairs
 # ----------------------------------------------------------------------
-#: A pool worker's decoded specs by spec id, oldest first, each beside the
-#: shared-memory segments it maps.
-_WORKER_SPECS: "OrderedDict[int, Tuple[InstanceSpec, Tuple[str, ...]]]" = OrderedDict()
-
-
-def _worker_spec(spec_id: int, wire: bytes) -> InstanceSpec:
-    """The cached spec of ``spec_id``, decoding ``wire`` only on a miss.
-
-    ``wire`` is the pickled spec, or under ``transport="shm"`` a pickled
-    :class:`_ShmSpec` whose arrays become zero-copy views of the owner's
-    segment.  A hit reuses the worker's own restored spec -- and the warm
-    ball cache and compiled engine of its reconstruction -- across the
-    chunks of one call and across calls on one instance; its mapping
-    outlives the owner's unlink of that call's pack.  An evicted spec's
-    segment mappings are closed (:func:`cache_spec`).
-    """
-    entry = _WORKER_SPECS.get(spec_id)
-    if entry is None:
-        spec, segments = pickle.loads(wire), ()
-        if isinstance(spec, _ShmSpec):
-            segments = spec.segments()
-            spec = spec.restore()
-        entry = (spec, segments)
-        for _, stale in cache_spec(_WORKER_SPECS, spec_id, entry):
-            if stale:
-                from repro.runtime import shm
-
-                shm.detach(stale)
-    return entry[0]
-
-
-#: Seconds between a pool worker's checks that its owner is still alive.
+#: Seconds between a forked worker's checks that its owner is still alive.
 _OWNER_POLL_S = 1.0
 
-
-def _start_pool_worker(owner: int) -> None:
-    """Run once in each pool worker when it is forked.
-
-    Drops the observability handle inherited from the parent, so a worker
-    records only under a trace context shipped with a chunk
-    (:func:`_traced_chunk`).  Also watches the owner: a worker whose owner
-    was killed exits within :data:`_OWNER_POLL_S` instead of idling forever
-    -- which also lets the shared resource tracker unlink the owner's
-    segments.
-    """
-    obs.disable()
-
-    def watch() -> None:
-        while os.getppid() == owner:
-            time.sleep(_OWNER_POLL_S)
-        os._exit(0)
-
-    threading.Thread(target=watch, name="repro-pool-owner", daemon=True).start()
+#: Both ends of every forked worker's socket pair in this process.  A newly
+#: forked worker closes all but its own, so each worker's connection ends
+#: -- and the worker exits -- when its owner closes it or dies.
+_PAIR_ENDS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
 
 
-def _pool_chunk(spec_id: int, wire: bytes, kind: str, args: Dict):
-    """Pool-worker entry of an untraced call: :func:`run_task` on the spec."""
-    return run_task(kind, args, _worker_spec(spec_id, wire))
+def _serve_forked(connection: socket.socket, owner: int) -> None:
+    """A forked worker's body, left only through ``os._exit``: close every
+    inherited pair end but its own, drop the inherited obs handle (it
+    records only under a shipped trace context), exit once the ``owner``
+    pid is gone -- which lets the shared resource tracker unlink the
+    owner's segments -- and serve ``connection`` until the owner hangs up."""
+    code = 1
+    try:
+        for end in list(_PAIR_ENDS):
+            if end is not connection:
+                end.close()
+        obs.disable()
+
+        def watch() -> None:
+            while os.getppid() == owner:
+                time.sleep(_OWNER_POLL_S)
+            os._exit(0)
+
+        threading.Thread(target=watch, name="repro-worker-owner", daemon=True).start()
+        from repro.cluster.worker import serve_connection
+
+        serve_connection(connection, proc="pool-worker")
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _traced_chunk(spec_id: int, wire: bytes, kind: str, args: Dict, size: int, ctx):
-    """Pool-worker entry of a traced call: ``(result, events)``.
-
-    ``ctx`` is the parent's trace context as a wire dict, shipped with every
-    chunk: the body runs under a ``shards.chunk`` span continuing it, and
-    the events recorded on the way ride back with the result.  The worker
-    is untraced again afterwards.
-    """
-    spec = _worker_spec(spec_id, wire)
-    return obs.record_remote(
-        ctx,
-        lambda: run_task(kind, args, spec),
-        name="shards.chunk",
-        proc="pool-worker",
-        kind=kind,
-        tasks=size,
-    )
+def _reap(pids: Sequence[int]) -> None:
+    """Wait for forked workers to exit, so none lingers as a zombie."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # already reaped elsewhere
+            pass
 
 
-class ForkPool:
-    """A process pool of ``n_workers``, forked on first use and kept until
-    :meth:`shutdown` -- the process backend's transport.
+class ForkedWorkers:
+    """The process backend's transport: ``n_workers`` forked cluster workers.
 
-    Workers hold no per-call state: every chunk carries its instance's
-    spec id (:func:`spec_for`) and packed spec (``transport`` says how the
-    spec is packed), and a worker decodes a spec only when its id is
-    missing from the worker's spec cache -- so repeated calls on one
-    instance decode it once per worker.  One pool serves any number of
-    calls on any instances, and a call neither forks nor joins.
-    :class:`~repro.runtime.executor.Runtime` owns one per process runtime
-    and passes it to the front ends as their ``transport``; ``n_workers``
-    is then the width of every call on it.  A one-worker pool never
-    forks: the front ends run its calls in-process.  Forking emits a
-    ``runtime.pool.spawn`` obs instant (``workers``, ``ms``).
+    Forked at the first call that needs them, kept until :meth:`shutdown`.
+    Each runs :func:`repro.cluster.worker.serve_connection` on one end of a
+    ``socket.socketpair()``; one
+    :class:`~repro.cluster.coordinator.ClusterCoordinator` drives the other
+    ends (no address, reconnect or key), so a dead worker's tasks are
+    requeued, and a call that finds every worker dead forks a fresh set.
+    ``transport`` says how a call packs its spec (:func:`_spec_wire`).  A
+    one-worker set never forks.  Forking emits a ``runtime.pool.spawn`` obs
+    instant (``workers``, ``ms``); after :meth:`shutdown` the workers exit
+    on end-of-file and a daemon thread reaps them, so nothing joins.
     """
 
     def __init__(self, n_workers: int, transport: str = "pickle") -> None:
         self.n_workers = max(1, int(n_workers))
         self.transport = transport
-        self._executor: Optional[ProcessPoolExecutor] = None
+        #: Pids of the current set's workers (empty until forked).
+        self.pids: Tuple[int, ...] = ()
+        self._coordinator = None
         self._lock = threading.Lock()
 
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, forking the workers if there is none."""
+    @property
+    def live_worker_count(self) -> int:
+        """Live workers of the current set, or the set's width before a fork."""
+        coordinator = self._coordinator
+        live = coordinator.live_worker_count if coordinator is not None else 0
+        return live or self.n_workers
+
+    def coordinator(self):
+        """The live coordinator, forking the workers if none is alive."""
         with self._lock:
-            if self._executor is None:
-                if self.transport == "shm":
-                    from repro.runtime import shm
+            if not (self._coordinator and self._coordinator.live_worker_count):
+                if self._coordinator is not None:
+                    self._coordinator.shutdown()  # every worker died
+                self._coordinator = self._fork()
+            return self._coordinator
 
-                    # The probe starts the resource tracker, which forked
-                    # workers then share with this process (see shm).
-                    shm.shm_available()
-                started = time.perf_counter()
-                executor = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=_start_pool_worker,
-                    initargs=(os.getpid(),),
-                )
-                # A fork pool starts all its workers at the first submission.
-                executor.submit(os.getpid)
-                obs.instant(
-                    "runtime.pool.spawn",
-                    workers=self.n_workers,
-                    ms=(time.perf_counter() - started) * 1e3,
-                )
-                self._executor = executor
-            return self._executor
+    def _fork(self):
+        from repro.cluster.coordinator import ClusterCoordinator
 
-    def shutdown(self, executor: Optional[ProcessPoolExecutor] = None) -> None:
-        """Stop the workers without joining them (idempotent).
+        if self.transport == "shm":
+            from repro.runtime import shm
 
-        Pending chunks are cancelled and the next :meth:`executor` forks
-        again.  ``executor`` names a pool found broken: it is dropped only
-        if it is still the live one, never its replacement.
-        """
+            # The probe starts the resource tracker, which forked workers
+            # then share with this process (see shm).
+            shm.shm_available()
+        started = time.perf_counter()
+        owner = os.getpid()
+        ends: List[socket.socket] = []
+        pids: List[int] = []
+        try:
+            for _ in range(self.n_workers):
+                parent_end, child_end = socket.socketpair()
+                _PAIR_ENDS.update((parent_end, child_end))
+                ends.append(parent_end)
+                pid = os.fork()
+                if pid == 0:
+                    _serve_forked(child_end, owner)
+                child_end.close()
+                pids.append(pid)
+            coordinator = ClusterCoordinator(ends, auth_key="", reconnect=False)
+        except BaseException:
+            for end in ends:
+                end.close()
+            raise
+        finally:
+            threading.Thread(target=_reap, args=(pids,), daemon=True).start()
+        self.pids = tuple(pids)
+        obs.instant(
+            "runtime.pool.spawn",
+            workers=self.n_workers,
+            ms=(time.perf_counter() - started) * 1e3,
+        )
+        return coordinator
+
+    def shutdown(self) -> None:
+        """Close the connections, cancelling pending tasks (idempotent);
+        the next :meth:`coordinator` forks again."""
         with self._lock:
-            if executor is None:
-                executor = self._executor
-            if executor is self._executor:
-                self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            coordinator, self._coordinator = self._coordinator, None
+            self.pids = ()
+        if coordinator is not None:
+            coordinator.shutdown()
 
 
 # ----------------------------------------------------------------------
-# transports: where a chunk's (kind, payload) runs
+# sessions: where a chunk's (kind, payload) runs
 # ----------------------------------------------------------------------
-class _Session:
-    """One front-end call's handle on a transport (defaults: futures)."""
-
-    def landed(self, futures, ordered: bool):
-        return iter(futures) if ordered else as_completed(futures)
-
-    def result(self, future: Future):
-        return future.result()
-
-
-class _InProcess(_Session):
-    """One chunk or one pool worker: run the registered bodies here.
+class _InProcess:
+    """One chunk or one forked worker: run the registered bodies here.
 
     Each chunk runs lazily when the scheduler asks for its result, so a
     consumer that abandons the stream early skips the rest.
@@ -625,8 +613,7 @@ class _InProcess(_Session):
 
 
 #: The one spec-id counter of the process.  Ids are never reused, so no
-#: worker's spec cache -- a pool worker's or a cluster connection's --
-#: confuses two specs.
+#: worker connection's spec cache confuses two specs.
 _SPEC_IDS = itertools.count(1)
 
 
@@ -636,8 +623,8 @@ def spec_for(instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
     Memoised on the instance and tied to the compiled engine the spec was
     built from -- the rule of
     :func:`~repro.sampling.glauber.greedy_start_codes`.  Repeated calls on
-    an unchanged instance reuse one id, so pool workers and cluster
-    connections hit their spec cache instead of decoding the spec again.
+    an unchanged instance reuse one id, so worker connections hit their
+    spec cache instead of decoding the spec again.
     A distribution reweighted in place
     (:meth:`~repro.gibbs.distribution.GibbsDistribution.update_factors`)
     has a new compiled engine, so it gets a new id and a new spec, and no
@@ -653,70 +640,30 @@ def spec_for(instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
     return entry
 
 
-class _PoolSession(_Session):
-    """One call on a :class:`ForkPool` (see :func:`_session`).
+class _ClusterSession:
+    """One call on a coordinator, the one distributed session.
 
-    The instance's spec is packed (:func:`_spec_wire`) and pickled once per
-    call, as ``wire``, and every chunk carries it with the spec id of
-    :func:`spec_for` (plus the parent's trace context when the call is
-    traced); a worker that already holds the id ignores the wire.  A
-    ``BrokenProcessPool`` -- a worker died -- fails the call and drops the
-    pool, so the next call forks a new one.
+    Tasks carry the spec id of ``entry``, ``(spec_id, wire)``; the
+    coordinator ships ``wire`` to each worker connection once, requeues
+    the tasks of dead workers, and cancels abandoned ones worker-side.
+    The front ends decode with ``spec``, the :class:`InstanceSpec` itself.
     """
 
-    def __init__(self, pool: ForkPool, entry: Tuple[int, InstanceSpec]) -> None:
-        self.pool = pool
-        self.spec_id, self.spec = entry
-        # Fork before packing: a worker forked while a pack is live keeps
-        # the parent's mapping of that segment for life.
-        self.executor = pool.executor()
-        wire, self.spec_pack = _spec_wire(self.spec, pool.transport)
-        self.wire = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
-        self.ctx = obs.wire_context()
-
-    def submit(self, kind: str, args: Dict, size: int) -> Future:
-        head = (self.spec_id, self.wire, kind, args)
-        try:
-            if self.ctx is None:
-                return self.executor.submit(_pool_chunk, *head)
-            return self.executor.submit(_traced_chunk, *head, size, self.ctx)
-        except BrokenProcessPool:
-            self.pool.shutdown(self.executor)
-            raise
-
-    def result(self, future: Future):
-        try:
-            payload = future.result()
-        except BrokenProcessPool:
-            self.pool.shutdown(self.executor)
-            raise
-        if self.ctx is not None:
-            payload, events = payload
-            obs.absorb_events(events)
-        return payload
-
-    def cancel(self, futures) -> None:
-        for future in futures:
-            future.cancel()
-
-
-class _ClusterSession(_Session):
-    """A :class:`~repro.cluster.coordinator.ClusterCoordinator` as transport.
-
-    Tasks carry the spec id of :func:`spec_for`; the coordinator ships the
-    spec to each worker connection once, requeues the tasks of dead
-    workers, and cancels abandoned ones worker-side.
-    """
-
-    def __init__(self, coordinator, entry: Tuple[int, InstanceSpec]) -> None:
+    def __init__(self, coordinator, entry: Tuple[int, object], spec: InstanceSpec) -> None:
         self.coordinator = coordinator
         self.entry = entry
-        self.spec = entry[1]
+        self.spec = spec
 
     def submit(self, kind: str, args: Dict, size: int) -> Future:
         return self.coordinator.submit_task(
             kind, dict(args, spec_id=self.entry[0]), spec=self.entry
         )
+
+    def landed(self, futures, ordered: bool):
+        return iter(futures) if ordered else as_completed(futures)
+
+    def result(self, future: Future):
+        return future.result()
 
     def cancel(self, futures) -> None:
         self.coordinator._discard(futures)
@@ -724,55 +671,52 @@ class _ClusterSession(_Session):
 
 def _fleet(transport) -> int:
     """How many workers stand behind ``transport`` (at least one)."""
-    if isinstance(transport, ForkPool):
-        return transport.n_workers
     return max(1, transport.live_worker_count)
 
 
 @contextmanager
 def _session(transport, instance: SamplingInstance, n_chunks: int):
-    """Open ``transport`` for one front-end call of ``n_chunks`` chunks.
+    """Open ``transport``, a coordinator or a :class:`ForkedWorkers`, for
+    one front-end call of ``n_chunks`` chunks on the instance's
+    :func:`spec_for` entry.
 
-    ``transport`` is a :class:`ForkPool` or a cluster coordinator; the
-    session only borrows it and never starts or stops workers beyond the
-    pool's own fork on first use.  Every branch runs on the instance's
-    :func:`spec_for` entry.  On a pool the spec is packed once per call --
-    its dense arrays as shared-memory descriptors under ``"shm"``, falling
-    back to pickle when shared memory is unavailable -- and shipped with
-    every chunk under the instance's spec id (:class:`_PoolSession`).  One
-    chunk or a one-worker pool runs in-process instead, so that pool never
-    forks.  Every segment the call created is unlinked when the session
-    closes.
+    On forked workers one chunk, or a one-worker set, runs in-process
+    (:class:`_InProcess`) and nothing forks.  Otherwise the set forks (if
+    needed), then packs the spec -- its dense arrays as shared-memory
+    descriptors under ``"shm"``, pickle when shared memory is unavailable
+    -- and the call runs on its coordinator like any cluster call; the
+    segment is unlinked when the session closes.
     """
-    entry = spec_for(instance)
-    if not isinstance(transport, ForkPool):
-        yield _ClusterSession(transport, entry)
+    spec_id, spec = spec_for(instance)
+    if not isinstance(transport, ForkedWorkers):
+        yield _ClusterSession(transport, (spec_id, spec), spec)
         return
     if n_chunks <= 1 or transport.n_workers <= 1:
-        yield _InProcess(entry[1])
+        yield _InProcess(spec)
         return
-    session = _PoolSession(transport, entry)
+    # Fork before packing: a worker forked while a pack is live keeps the
+    # parent's mapping of that segment for life.
+    coordinator = transport.coordinator()
+    wire, pack = _spec_wire(spec, transport.transport)
     try:
-        yield session
+        yield _ClusterSession(coordinator, (spec_id, wire), spec)
     finally:
-        if session.spec_pack is not None:
-            session.spec_pack.release()
+        if pack is not None:
+            pack.release()
 
 
 def _chunk_target(transport) -> int:
     """How many chunks a stream over ``transport`` aims at by default.
 
-    The fork pool takes about four chunks per worker (``4w``): small
-    enough that the first result lands early and stragglers stay
-    balanced, large enough to amortise the per-chunk submit/pickle round
-    trip.  A coordinator caps the count at ``min(4w, max(2w, 8))`` for its
-    ``w`` live workers: over TCP the fixed per-chunk round trip dominates
-    once chunks shrink with the fleet (the measured 4-worker cluster
-    regression in ``BENCH_runtime.json``).  The two agree for ``w <= 2``.
+    ``min(4w, max(2w, 8))`` for ``w`` live workers: about four chunks per
+    worker while the fleet is small -- small enough that the first result
+    lands early and stragglers stay balanced, large enough to amortise the
+    per-chunk round trip -- capped once the fixed per-chunk round trip
+    dominates as chunks shrink with the fleet (the measured 4-worker
+    cluster regression in ``BENCH_runtime.json``).  For ``w <= 2`` that is
+    ``4w``.
     """
     workers = _fleet(transport)
-    if isinstance(transport, ForkPool):
-        return 4 * workers
     return min(4 * workers, max(2 * workers, 8))
 
 
@@ -799,8 +743,8 @@ def _scatter(
     ``work`` holds one ``(chunk, args)`` pair per chunk; each becomes one
     ``(kind, args)`` submission to ``session``.  Results are yielded in
     completion order (chunk order when ``ordered``).  A failed chunk --
-    worker exception, broken pool, lost cluster task, or the in-process
-    body raising -- raises instead of hanging: as a ``RuntimeError``
+    the body raising on a worker or in-process, or a task lost with every
+    worker -- raises instead of hanging: as a ``RuntimeError``
     naming the chunk when ``what`` names the work, otherwise as the
     session's own exception.  Pending chunks are cancelled both on failure
     and when the consumer abandons the generator early.  Queue depth and
@@ -865,16 +809,13 @@ def stream_ball_marginal_tasks(
         ``(center, radius)`` pairs; radii may differ between tasks.
     chunk_size : int, optional
         Tasks per submitted chunk (default: see :func:`_chunk_target`).
-    transport : ForkPool or ClusterCoordinator
-        Where the chunks run, and so how many workers there are.  A
-        :class:`ForkPool` runs them on its long-lived workers (a process
-        runtime passes its own), the spec shipped by value or -- for a
-        ``"shm"`` pool -- its dense arrays as shared-memory descriptors
-        (pickle fallback when unavailable).  With one pool worker (or one
-        chunk) the stream runs in-process on the spec's reconstruction,
-        bit-identically, and the pool never forks.  A
-        :class:`~repro.cluster.coordinator.ClusterCoordinator` runs the
-        chunks on its TCP workers, requeueing those of dead workers.
+    transport : ForkedWorkers or ClusterCoordinator
+        Where the chunks run, and so how many workers there are: a
+        coordinator's TCP workers, or the forked workers a process runtime
+        passes (through a coordinator of their own; see :func:`_session`).
+        Each worker receives the spec once and a dead worker's chunks are
+        requeued.  With one forked worker (or one chunk) the stream runs
+        in-process on the spec's reconstruction, and nothing forks.
 
     Yields
     ------
@@ -941,24 +882,21 @@ def run_chain_blocks(
     split into one contiguous block per worker of ``transport``, each block
     executes the registered ``chain_block`` task body on a worker, and the
     per-block results concatenate back in seed order.  With one block or
-    one pool worker the body runs in-process -- same body, same results.
+    one forked worker the body runs in-process -- same body, same results.
 
     ``transport`` is as for :func:`stream_ball_marginal_tasks`; a process
-    runtime passes its :class:`ForkPool`, so the blocks run on the same
-    long-lived workers as its ball streams.  Every block returns its final
-    code matrix on every transport; the matrices stack in seed order and
-    decode once here, with the
+    runtime passes its :class:`ForkedWorkers`, so the blocks run on the
+    same long-lived workers as its ball streams.  Every block returns its
+    final code matrix on every transport; the matrices stack in seed order
+    and decode once here, with the
     :meth:`~repro.runtime.chains.ChainBatch.configurations` rule
     (:func:`~repro.runtime.chains.decode_configurations`).
 
-    A failing block raises the body's own exception -- the error the
-    in-process block raises, e.g. the ``ValueError`` of a stuck initial
-    configuration -- so :meth:`~repro.runtime.executor.Runtime.run_chains`
-    fails the same way inline and on the pool.  A worker dying mid-block
-    raises the pool's ``BrokenProcessPool`` (a ``RuntimeError``), and the
-    pool is dropped so the next call forks a new one.  The cluster
-    transport carries only the error text, inside a
-    :class:`~repro.cluster.coordinator.ClusterError`.
+    A failing block raises the body's own exception on every transport
+    (e.g. the ``ValueError`` of a stuck initial configuration), so
+    :meth:`~repro.runtime.executor.Runtime.run_chains` fails as it does
+    inline.  A dead worker's block is requeued on another; losing every
+    worker raises a :class:`~repro.cluster.coordinator.ClusterError`.
 
     Returns
     -------

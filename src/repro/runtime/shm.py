@@ -8,7 +8,7 @@ back by pickle:
 
 * the owner packs its ndarrays into **one** segment per call
   (:class:`SharedArrayPack`) and ships only tiny ``(name, dtype, shape,
-  offset)`` descriptors over the pipe;
+  offset)`` descriptors in a worker's ``SPEC`` frame;
 * workers reconstruct zero-copy views from the descriptors
   (:func:`attach_array`), caching the segment mapping per process so N tasks
   against the same spec map it once;
@@ -17,8 +17,8 @@ back by pickle:
   the owner forgets :meth:`SharedArrayPack.release` (e.g. an exception before
   ``Runtime.shutdown()``), and a killed worker leaks nothing because workers
   only hold attachments, which the kernel drops with the process.  A
-  long-lived worker closes an attachment once it no longer needs it
-  (:func:`detach`).
+  long-lived worker closes an attachment once its spec leaves the cache
+  (:func:`detach`); a worker's exit drops the rest.
 
 Pickle remains the automatic fallback: :func:`shm_available` probes the
 platform once (``/dev/shm`` may be absent or full inside minimal containers),
@@ -41,7 +41,6 @@ unlinks the segment if the owner is killed.
 
 from __future__ import annotations
 
-import atexit
 import gc
 import os
 import secrets
@@ -63,7 +62,6 @@ __all__ = [
     "SharedArrayPack",
     "attach_array",
     "detach",
-    "detach_all",
     "live_segment_names",
     "pack_arrays",
     "release_all",
@@ -296,16 +294,6 @@ def detach(names: Sequence[str]) -> None:
             segment.close()  # type: ignore[attr-defined]
 
 
-def detach_all() -> None:
-    """Close every cached attachment (worker exit; also used by tests)."""
-    while _ATTACHED:
-        _, segment = _ATTACHED.popitem()
-        try:
-            segment.close()  # type: ignore[attr-defined]
-        except (OSError, ValueError):  # pragma: no cover
-            pass
-
-
 def release_all() -> None:
     """Unlink every live owner-side pack (Runtime.shutdown() safety net)."""
     for name in list(_LIVE_PACKS):
@@ -330,6 +318,3 @@ def leaked_dev_shm_segments() -> List[str]:
     except OSError:
         return []
     return sorted(entry for entry in entries if entry.startswith(SEGMENT_PREFIX))
-
-
-atexit.register(detach_all)

@@ -188,10 +188,12 @@ class TestProtocol:
 
     def test_hello_rejects_a_version_5_peer(self):
         # Version 5 ball tasks still took a memo cap and returned compiled
-        # balls and memo deltas; version 6 returns marginals only.
-        assert protocol.PROTOCOL_VERSION == 6
-        with pytest.raises(protocol.ProtocolError, match="version"):
-            protocol.check_hello({"role": "worker", "version": 5}, "worker")
+        # balls and memo deltas; version 6 ERROR frames carried text only,
+        # and version 7 carries the task body's exception.
+        assert protocol.PROTOCOL_VERSION == 7
+        for version in (5, 6):
+            with pytest.raises(protocol.ProtocolError, match="version"):
+                protocol.check_hello({"role": "worker", "version": version}, "worker")
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
@@ -229,7 +231,7 @@ class TestWorkerLoop:
             future = coordinator.submit_task(
                 "ball_marginals", {"spec_id": 123, "tasks": []}
             )
-            with pytest.raises(ClusterError, match="unknown spec"):
+            with pytest.raises(protocol.ProtocolError, match="unknown spec"):
                 future.result(timeout=30)
 
     def test_run_task_rejects_unknown_kinds(self):
@@ -245,10 +247,132 @@ class TestCoordinator:
     def test_worker_task_exception_carries_traceback(
         self, inprocess_workers, submit_test_task
     ):
+        # The body's own exception crosses the wire, the worker's
+        # traceback riding along as a note.
         with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
             future = submit_test_task(coordinator, "test-divide")
-            with pytest.raises(ClusterError, match="ZeroDivisionError"):
+            with pytest.raises(ZeroDivisionError) as raised:
                 future.result(timeout=30)
+        (note,) = raised.value.__notes__
+        assert note.startswith("worker traceback:") and "ZeroDivisionError" in note
+
+    def test_cancelled_unanswered_tasks_ship_their_spec_again(
+        self, inprocess_workers, submit_test_task
+    ):
+        from repro import obs
+
+        with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
+            (worker,) = coordinator.workers
+            busy = submit_test_task(coordinator, "test-sleep", seconds=0.5)
+            queued = submit_test_task(coordinator, "test-sleep", seconds=0)
+            (spec_id,) = worker.specs
+            assert worker.specs[spec_id] is True
+            # The queued task never answers: the worker may not hold its
+            # spec (an unlinked segment), so the id is marked unheld in place.
+            coordinator._discard([queued])
+            assert list(worker.specs.items()) == [(spec_id, False)]
+            busy.result(timeout=30)
+            obs.enable()
+            try:
+                submit_test_task(coordinator, "test-sleep", seconds=0).result(timeout=30)
+                submit_test_task(coordinator, "test-sleep", seconds=0).result(timeout=30)
+                frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
+            finally:
+                obs.disable()
+            assert frames == 1 and worker.specs[spec_id] is True
+
+    def test_a_spec_whose_segment_is_gone_caches_nothing(self):
+        from repro.cluster.worker import serve_connection
+        from repro.runtime import ChainBatch, shm
+        from repro.runtime.shards import _spec_wire
+
+        if not shm.shm_available():
+            pytest.skip("shared memory unavailable on this platform")
+        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0), {0: 1})
+        spec_id, spec = spec_for(instance)
+        args = {"spec_id": spec_id, "kernel": "glauber", "count": 10, "seeds": [1, 2]}
+        ours, theirs = socket.socketpair()
+        threading.Thread(target=serve_connection, args=(theirs,), daemon=True).start()
+        try:
+            with ClusterCoordinator([ours], auth_key="", reconnect=False) as coordinator:
+                gone, pack = _spec_wire(spec, "shm")
+                pack.release()
+                with pytest.raises(protocol.ProtocolError, match="unknown spec"):
+                    coordinator.submit_task(
+                        "chain_block", args, spec=(spec_id, gone)
+                    ).result(timeout=30)
+                # The failed task marked the id unheld: the next task ships
+                # the spec again, now on a live segment.
+                live, pack = _spec_wire(spec, "shm")
+                try:
+                    codes = coordinator.submit_task(
+                        "chain_block", args, spec=(spec_id, live)
+                    ).result(timeout=30)
+                finally:
+                    pack.release()
+        finally:
+            theirs.close()
+        expected = ChainBatch(instance, seeds=[1, 2]).advance("glauber", 10).codes
+        assert (codes == expected).all()
+
+    def test_a_reshipped_spec_keeps_the_segment_it_still_maps(self, monkeypatch):
+        from repro.cluster.worker import serve_connection
+        from repro.runtime import ChainBatch, shm
+        from repro.runtime.shards import _ShmSpec
+
+        if not shm.shm_available():
+            pytest.skip("shared memory unavailable on this platform")
+        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0), {0: 1})
+        spec_id, spec = spec_for(instance)
+        pack = shm.pack_arrays(spec.arrays, label="test")
+        # Attach by name, as a forked worker does, not through the owner's
+        # pack; this one process is also the owner, so its tracker entry stays.
+        shm._LIVE_PACKS.pop(pack.name)
+        monkeypatch.setattr(shm, "_unregister_attachment", lambda segment: None)
+        state = spec.__getstate__()
+        state.pop("arrays")
+        entry = (spec_id, _ShmSpec(state, pack.descriptors))
+        args = {"spec_id": spec_id, "kernel": "glauber", "count": 10, "seeds": [1, 2]}
+        expected = ChainBatch(instance, seeds=[1, 2]).advance("glauber", 10).codes
+        ours, theirs = socket.socketpair()
+        threading.Thread(target=serve_connection, args=(theirs,), daemon=True).start()
+        try:
+            with ClusterCoordinator([ours], auth_key="", reconnect=False) as coordinator:
+                first = coordinator.submit_task("chain_block", args, spec=entry)
+                assert (first.result(timeout=30) == expected).all()
+                # Unheld in the mirror: the same wire is shipped again and
+                # replaces the worker's entry, which maps the same segment.
+                coordinator.workers[0].specs[spec_id] = False
+                again = coordinator.submit_task("chain_block", args, spec=entry)
+                assert (again.result(timeout=30) == expected).all()
+                assert pack.name in shm._ATTACHED
+        finally:
+            theirs.close()
+            shm.detach([pack.name])
+            pack.release()
+
+    def test_an_exception_that_does_not_pickle_arrives_as_text(
+        self, inprocess_workers, monkeypatch
+    ):
+        from repro.runtime import shards
+
+        class Unpicklable(Exception):
+            def __init__(self, first, second):
+                super().__init__(f"{first}/{second}")
+
+        def body(args, spec):
+            raise Unpicklable("left", "right")
+
+        monkeypatch.setitem(shards.TASK_REGISTRY, "test-unpicklable", body)
+        entry = spec_for(SamplingInstance(hardcore_model(cycle_graph(4), 1.0)))
+        with ClusterCoordinator(_addresses(inprocess_workers)) as coordinator:
+            future = coordinator.submit_task(
+                "test-unpicklable", {"spec_id": entry[0]}, spec=entry
+            )
+            with pytest.raises(ClusterError, match="worker task failed: left/right"):
+                future.result(timeout=30)
+            # The worker and its connection survive the failed task.
+            assert coordinator.submit_task("ping", 3).result(timeout=30) == 3
 
     def test_both_ends_of_a_connection_disable_nagle(self):
         # A frame is several sendall calls; with Nagle on, each payload
@@ -281,7 +405,7 @@ class TestCoordinator:
         # fails as an unknown kind over the wire, and the connection lives.
         with ClusterCoordinator([inprocess_workers[0].address]) as coordinator:
             refused = coordinator.submit_task("call", (pow, (2, 8), {}))
-            with pytest.raises(ClusterError, match="unknown task kind"):
+            with pytest.raises(protocol.ProtocolError, match="unknown task kind"):
                 refused.result(timeout=30)
             assert coordinator.live_worker_count == 1
             assert coordinator.submit_task("ping", "alive").result(timeout=30) == "alive"

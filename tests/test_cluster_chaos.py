@@ -42,7 +42,7 @@ from repro.graphs import cycle_graph
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, run_chain_blocks, stream_ball_marginal_tasks
-from repro.runtime.shards import ForkPool
+from repro.runtime.shards import ForkedWorkers
 
 KEY = "chaos-suite-secret"
 
@@ -749,7 +749,7 @@ class TestStatsWire:
 
     def test_ungated_kernels_report_zero_counts(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 0})
-        pool = ForkPool(1)
+        pool = ForkedWorkers(1)
         try:
             states, counts = run_chain_blocks(
                 instance, "glauber", 20, seeds=[0, 1], stats=True, transport=pool

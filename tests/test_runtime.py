@@ -42,7 +42,7 @@ from repro.runtime.chains import ChainUniforms
 from repro.runtime.shards import (
     SPEC_CACHE_LIMIT,
     TASK_REGISTRY,
-    ForkPool,
+    ForkedWorkers,
     _chunk_target,
     _chunk_tasks,
     cache_spec,
@@ -249,6 +249,25 @@ class TestChainUniforms:
         _take_mix(twin.uniforms(), rng, consumed, 6)
         self._assert_prefixes(consumed, seeds)
 
+    def test_retarget_seeds_no_generator(self, monkeypatch):
+        from repro.runtime import chains
+
+        graph = cycle_graph(8)
+        cold = SamplingInstance(hardcore_model(graph, 1.2), {0: 1})
+        hot = SamplingInstance(hardcore_model(graph, 2.0), {0: 1})
+        batch = ChainBatch(cold, seeds=chain_seed_sequences(17, 3))
+        batch.advance("glauber", 10)
+        calls = []
+        original = chains.chain_generators
+        monkeypatch.setattr(
+            chains, "chain_generators", lambda seeds: calls.append(seeds) or original(seeds)
+        )
+        twin = batch.retarget(hot)
+        assert calls == []
+        # The twin adopts the generators and starts from a copy of the codes.
+        assert twin.rngs is batch.rngs and twin.compiled is not batch.compiled
+        assert np.array_equal(twin.codes, batch.codes) and twin.codes is not batch.codes
+
 
 class TestPickling:
     """CompiledGibbs (and the spec built on it) round-trip through pickle."""
@@ -346,6 +365,18 @@ class TestSpecIdentity:
         assert cache_spec(cache, 99, "spec-99") == ["spec-0"]
         assert list(cache) == list(range(1, SPEC_CACHE_LIMIT)) + [99]
 
+    def test_cache_spec_moves_a_reinserted_id_to_the_newest_place(self):
+        from collections import OrderedDict
+
+        cache = OrderedDict()
+        for spec_id in range(SPEC_CACHE_LIMIT):
+            cache_spec(cache, spec_id, f"spec-{spec_id}")
+        # A spec shipped again replaces its entry, which is returned to be
+        # released, and becomes the newest: worker and mirror agree.
+        assert cache_spec(cache, 0, "again") == ["spec-0"]
+        assert list(cache) == list(range(1, SPEC_CACHE_LIMIT)) + [0]
+        assert cache_spec(cache, 99, "spec-99") == ["spec-1"]
+
 
 def _assert_parent_cold(distribution):
     """The parent's ball cache after a stream: nothing compiled, nothing kept."""
@@ -385,7 +416,7 @@ class TestColdParentCache:
         serial = {task: padded_ball_marginal(serial_instance, *task) for task in tasks}
 
         instance = self.MODELS[model]()
-        pool = ForkPool(n_workers, transport)
+        pool = ForkedWorkers(n_workers, transport)
         try:
             streamed = dict(stream_ball_marginal_tasks(instance, tasks, transport=pool))
         finally:
@@ -502,7 +533,7 @@ class TestStreamingMerge:
         distribution = ising_model(cycle_graph(8), 0.4, 0.1)
         instance = SamplingInstance(distribution, {3: 1})
         tasks = [(node, radius) for radius in (1, 2) for node in instance.free_nodes]
-        pool = ForkPool(1)
+        pool = ForkedWorkers(1)
         try:
             streamed = dict(
                 stream_ball_marginal_tasks(instance, tasks, chunk_size=3, transport=pool)
@@ -533,15 +564,15 @@ class TestStreamingMerge:
     def test_stream_single_worker_runs_in_process(self):
         distribution = hardcore_model(random_tree(12, seed=3), 1.1)
         instance = SamplingInstance(distribution, {0: 0})
-        pool = ForkPool(1)
+        pool = ForkedWorkers(1)
         try:
             streamed = dict(
                 stream_padded_ball_marginals(
                     instance, instance.free_nodes, 2, transport=pool
                 )
             )
-            # A one-worker pool runs the stream here and never forks.
-            assert pool._executor is None
+            # A one-worker set runs the stream here and never forks.
+            assert pool.pids == ()
         finally:
             pool.shutdown()
         _assert_parent_cold(distribution)
@@ -553,7 +584,7 @@ class TestStreamingMerge:
 
     def test_stream_empty_tasks(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        pool = ForkPool(2)
+        pool = ForkedWorkers(2)
         try:
             assert list(stream_ball_marginal_tasks(instance, [], transport=pool)) == []
         finally:
@@ -563,7 +594,7 @@ class TestStreamingMerge:
         # The in-process fallback honours the same clean-error contract as
         # the worker-pool path: a RuntimeError naming the chunk.
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
-        pool = ForkPool(1)
+        pool = ForkedWorkers(1)
         try:
             with pytest.raises(RuntimeError, match="ball shard failed"):
                 list(
@@ -576,7 +607,7 @@ class TestStreamingMerge:
 
     def test_chunking_defaults(self):
         tasks = list(range(17))
-        chunks = _chunk_tasks(tasks, _chunk_target(ForkPool(2)))
+        chunks = _chunk_tasks(tasks, _chunk_target(ForkedWorkers(2)))
         assert [task for chunk in chunks for task in chunk] == tasks
         assert max(len(chunk) for chunk in chunks) <= 3
         assert _chunk_tasks([], 2) == []
@@ -588,13 +619,11 @@ class TestStreamingMerge:
             def __init__(self, live_worker_count):
                 self.live_worker_count = live_worker_count
 
-        # The fork pool keeps four chunks per worker at every width; the
-        # coordinator caps the count at min(4w, max(2w, 8)) -- the two
-        # agree up to two workers.
-        for workers in (1, 2, 4, 8):
-            assert _chunk_target(ForkPool(workers)) == 4 * workers
-            assert _chunk_target(ForkPool(workers, "shm")) == 4 * workers
-        assert [_chunk_target(Fleet(w)) for w in (1, 2, 4, 8)] == [4, 8, 8, 16]
+        # One rule for every transport: min(4w, max(2w, 8)) chunks, which
+        # is the old pool's 4w up to two workers.  Forked workers count by
+        # their width before they fork.
+        for fleet in (ForkedWorkers, lambda w: ForkedWorkers(w, "shm"), Fleet):
+            assert [_chunk_target(fleet(w)) for w in (1, 2, 4, 8)] == [4, 8, 8, 16]
 
 
 class TestRuntimeStreamingFacade:
@@ -638,7 +667,7 @@ class TestProcessPool:
 
     @pytest.fixture
     def pool(self):
-        pool = ForkPool(2)
+        pool = ForkedWorkers(2)
         yield pool
         pool.shutdown()
 
@@ -957,7 +986,7 @@ class TestSharedMemoryTransport:
 
         instance = SamplingInstance(hardcore_model(cycle_graph(9), 1.2), {0: 1})
         seeds = spawn(5, 4)
-        pickle_pool, shm_pool = ForkPool(2), ForkPool(2, "shm")
+        pickle_pool, shm_pool = ForkedWorkers(2), ForkedWorkers(2, "shm")
         try:
             pickled = run_chain_blocks(
                 instance, "glauber", 60, seeds, transport=pickle_pool
@@ -1049,8 +1078,8 @@ class TestSharedMemoryTransport:
 
 
 def _worker_pids(runtime):
-    """Pids of the process runtime's live pool workers."""
-    return set(runtime._pool._executor._processes)
+    """Pids of the process runtime's current forked workers."""
+    return set(runtime._forked.pids)
 
 
 def _mapped_segments(pid):
@@ -1065,8 +1094,8 @@ def _mapped_segments(pid):
 
 @pytest.mark.slow
 class TestPersistentForkPool:
-    """One fork pool per process Runtime, reused by every call until
-    shutdown; chunks carry their spec to a worker-side cache."""
+    """One set of forked workers per process Runtime, reused by every call
+    until shutdown; each worker connection receives a spec once."""
 
     @staticmethod
     def _instance(index):
@@ -1079,7 +1108,7 @@ class TestPersistentForkPool:
         batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 30, seed=2)
         instance.distribution.ball_cache().clear()
         with Runtime("process", n_chains=4, n_workers=2, inline_threshold=0) as runtime:
-            assert runtime._pool._executor is None  # construction forks nothing
+            assert runtime._forked.pids == ()  # construction forks nothing
             streamed = runtime.stream_ball_marginals(instance, instance.free_nodes, 1)
             assert dict(streamed) == serial
             pids = _worker_pids(runtime)
@@ -1126,6 +1155,66 @@ class TestPersistentForkPool:
         assert after == batched.run_chains("glauber", instance, 200, seed=3)
         assert after != before
 
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_repeated_calls_send_one_spec_frame_per_worker(self, transport):
+        from repro import obs
+
+        instance = self._instance(6)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, transport=transport, inline_threshold=0,
+            obs=True,
+        ) as runtime:
+            for _ in range(6):
+                assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+            frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
+        assert frames == 2
+
+    def test_shutdown_ends_and_reaps_every_worker(self):
+        import time
+
+        instance = self._instance(7)
+        runtime = Runtime("process", n_workers=2)
+        runtime.ball_marginals(instance, instance.free_nodes, 1)
+        pids = _worker_pids(runtime)
+        runtime.shutdown()
+        assert runtime._forked.pids == ()
+
+        def exists(pid):
+            try:
+                os.kill(pid, 0)  # a zombie still exists
+            except ProcessLookupError:
+                return False
+            return True
+
+        deadline = time.monotonic() + 10
+        while any(map(exists, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(exists, pids))
+
+    def test_workers_hold_no_parent_end_of_any_socket_pair(self):
+        instance = self._instance(8)
+        with Runtime("process", n_workers=2) as first, Runtime(
+            "process", n_workers=2
+        ) as second:
+            for runtime in (first, second):
+                runtime.ball_marginals(instance, instance.free_nodes, 1)
+            ends = {
+                f"socket:[{os.fstat(worker.sock.fileno()).st_ino}]"
+                for runtime in (first, second)
+                for worker in runtime._forked.coordinator().workers
+            }
+            pids = _worker_pids(first) | _worker_pids(second)
+            if not os.path.isdir(f"/proc/{min(pids)}/fd"):
+                pytest.skip("no /proc to read worker descriptors from")
+            for pid in pids:
+                held = {
+                    os.readlink(f"/proc/{pid}/fd/{fd}") for fd in os.listdir(f"/proc/{pid}/fd")
+                }
+                # Each worker closed every parent end it inherited: its own,
+                # its sibling's and the other runtime's.
+                assert not held & ends, pid
+
     def test_repeated_calls_on_one_instance_map_its_spec_once(self):
         from repro.runtime import shm
 
@@ -1145,23 +1234,49 @@ class TestPersistentForkPool:
                 assert len(_mapped_segments(pid)) <= 1
         assert shm.live_segment_names() == []
 
-    def test_killed_worker_fails_the_call_and_the_next_call_forks_again(self):
-        import signal
-
+    @staticmethod
+    def _killing_stream():
+        """A slow radius-3 ball stream, its serial marginals and its tasks."""
         instance = SamplingInstance(coloring_model(torus_graph(6, 6), 4), {(0, 0): 1})
         tasks = [(node, 3) for node in instance.free_nodes] * 3
+        serial = {task: padded_ball_marginal(instance, *task) for task in tasks[:35]}
+        instance.distribution.ball_cache().clear()
+        return instance, tasks, serial
+
+    def test_killed_worker_is_requeued_and_the_stream_equals_serial(self):
+        import signal
+
+        instance, tasks, serial = self._killing_stream()
+        with Runtime("process", n_workers=2) as runtime:
+            stream = runtime.stream_ball_marginal_tasks(instance, tasks, chunk_size=1)
+            landed = [next(stream)]
+            pids = _worker_pids(runtime)
+            os.kill(min(pids), signal.SIGKILL)
+            landed.extend(stream)
+            coordinator = runtime._forked.coordinator()
+            assert coordinator.requeued > 0
+            assert coordinator.live_worker_count == 1
+            assert _worker_pids(runtime) == pids  # one survivor: no fork
+        assert len(landed) == len(tasks)
+        assert all(serial[key] == marginal for key, marginal in landed)
+
+    def test_every_worker_killed_fails_the_call_and_the_next_call_forks_again(self):
+        import signal
+
+        instance, tasks, _ = self._killing_stream()
         with Runtime("process", n_workers=2) as runtime:
             stream = runtime.stream_ball_marginal_tasks(instance, tasks, chunk_size=1)
             next(stream)
             pids = _worker_pids(runtime)
-            os.kill(next(iter(pids)), signal.SIGKILL)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
             with pytest.raises(RuntimeError, match="ball shard failed on chunk"):
                 list(stream)
-            assert runtime._pool._executor is None  # the broken pool was dropped
             small = self._instance(1)
             serial = Runtime().ball_marginals(small, small.free_nodes, 1)
             small.distribution.ball_cache().clear()
             assert runtime.ball_marginals(small, small.free_nodes, 1) == serial
+            assert len(_worker_pids(runtime)) == 2
             assert not _worker_pids(runtime) & pids
 
     def test_concurrent_first_calls_fork_one_pool(self):
@@ -1216,7 +1331,7 @@ class TestPersistentForkPool:
         thread.start()
         thread.join(timeout=30)
         assert not thread.is_alive(), "shutdown hung inside the event loop"
-        assert runtime._pool._executor is None
+        assert runtime._forked.pids == ()
         instance.distribution.ball_cache().clear()
         with runtime:
             assert runtime.ball_marginals(instance, instance.free_nodes, 1) == serial
@@ -1231,7 +1346,7 @@ class TestPersistentForkPool:
         ) as runtime:
             runtime.ball_marginals(instance, instance.free_nodes, 1)
             runtime.run_chains("glauber", instance, 20, seed=1)
-            runtime._pool.shutdown()
+            runtime._forked.shutdown()
             runtime.run_chains("glauber", instance, 20, seed=1)
             spawns = [
                 event["attrs"]
@@ -1279,7 +1394,7 @@ class TestPersistentForkPool:
             obs.disable()
         with runtime:
             runtime.run_chains("glauber", instance, 20, seed=1)
-            with shards._session(runtime._pool, instance, 4) as session:
+            with shards._session(runtime._forked, instance, 4) as session:
                 work = [((), {}) for _ in range(4)]
                 inert = list(shards._scatter(session, "test-obs-state", work))
         assert "pool-worker" in traced
