@@ -58,8 +58,9 @@
 # bit-identical between the serial and batched runtimes), an shm smoke
 # (the shared-memory transport of the process backend, its streamed ball
 # marginals and the packed multi-instance code matrix must all be
-# bit-identical to the serial loop, one process run_chains call must make
-# exactly one segment (the instance spec's), and the ball stream must
+# bit-identical to the serial loop, the first process run_chains call on
+# an instance must make exactly one segment (the instance spec's), and the
+# ball stream must
 # leave the parent's ball cache cold -- 0 compiles, no extras -- because
 # workers return marginals only; two process calls on one
 # instance with an update_factors between them must each equal batched;
@@ -73,7 +74,11 @@
 # warming of ball streams must not return), a one-scheduler guard (no
 # Python source under src/repro names ProcessPoolExecutor,
 # BrokenProcessPool or ForkPool: the process backend runs cluster
-# workers forked on socket pairs, through the cluster coordinator), the
+# workers forked on socket pairs, through the cluster coordinator; and
+# none names get_context, .Pool(, process_map or _FORK_TASK: src/repro
+# creates no multiprocessing pool, so the fork-per-call closure map
+# behind the deleted Runtime.map must not return -- the module name
+# itself stays allowed, since shm imports multiprocessing.shared_memory), the
 # frozen perfbench smoke (python3 -m pytest -q
 # perfbench/check_smoke.py: every benchmark workload runs untraced and
 # traced at --tiny, so a server change that breaks the tracer's hooks
@@ -755,7 +760,7 @@ assert not after, f"leaked /dev/shm segments: {after}"
 mode = "shm" if shm_available() else "pickle-fallback"
 print(
     f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
-    "one spec segment per chain call, calls across update_factors equal batched, "
+    "one spec segment on the first chain call, calls across update_factors equal batched, "
     "parent ball cache cold, two calls on one worker set, none left after "
     "shutdown, no tracker traceback, "
     "/dev/shm clean"
@@ -773,6 +778,10 @@ echo "marginals-only guard OK"
 echo "== tier-1: one scheduler =="
 if grep -rn --include='*.py' -e ProcessPoolExecutor -e BrokenProcessPool -e ForkPool src/repro; then
     echo "src/repro names a process pool: the process backend must run forked cluster workers" >&2
+    exit 1
+fi
+if grep -rn --include='*.py' -e get_context -e '\.Pool(' -e process_map -e _FORK_TASK src/repro; then
+    echo "src/repro creates a multiprocessing pool: independent LOCAL work runs as plain loops" >&2
     exit 1
 fi
 echo "one-scheduler guard OK"

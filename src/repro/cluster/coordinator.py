@@ -941,6 +941,13 @@ class ClusterCoordinator:
         with self._lock:
             return sum(1 for worker in self.workers if worker.alive)
 
+    def spec_held(self, spec_id: int) -> bool:
+        """Whether some worker is live and every live worker's mirror holds
+        ``spec_id``, so a task of that spec sends no ``SPEC`` frame now."""
+        with self._lock:
+            live = [worker for worker in self.workers if worker.alive]
+            return bool(live) and all(worker.specs.get(spec_id) for worker in live)
+
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time cluster state for :meth:`repro.runtime.Runtime.snapshot`."""
         with self._lock:

@@ -16,10 +16,9 @@ Three measurements:
   as one ``(chains, n)`` code matrix with per-chain acceptance masks --
   bit-identical failure counts to the serial loop.
 
-Every entry point takes a ``runtime=`` knob (see :mod:`repro.runtime`):
-the SLOCAL measurements fan their independent runs out through
-``runtime.map`` and the kernel measurement goes through the unified
-``run_chains`` path.
+The SLOCAL measurements run their independent sampler runs one at a time
+in-process; only the kernel measurement takes a ``runtime=`` knob (see
+:mod:`repro.runtime`), which reaches the unified ``run_chains`` path.
 """
 
 from __future__ import annotations
@@ -37,17 +36,13 @@ from repro.sampling import enumerate_target_distribution, sample_exact_slocal
 
 
 def run_exactness(
-    sizes=(5, 6), target_accepted: int = 220, max_runs: int = 1200, runtime=None
+    sizes=(5, 6), target_accepted: int = 220, max_runs: int = 1200
 ) -> List[Dict]:
     """Exactness rows: empirical-vs-target TV, per instance size.
 
-    Independent sampler runs fan out in waves through ``runtime.map`` (the
-    serial default is the historical loop); the accepted-sample stream is
-    identical across runtimes because runs are seeded by index.
+    Sampler runs are seeded by their index and run one at a time until
+    ``target_accepted`` samples are accepted or ``max_runs`` runs are spent.
     """
-    from repro.runtime import resolve_runtime
-
-    runtime_obj = resolve_runtime(runtime)
     rows: List[Dict] = []
     engine = ExactInference()
     for n in sizes:
@@ -56,23 +51,11 @@ def run_exactness(
         truth = enumerate_target_distribution(instance)
         accepted = []
         runs = 0
-        # Only runtimes whose map actually fans out get waves (accepting a
-        # bounded overshoot per wave).  That is the process backend alone,
-        # whose forked workers inherit this closure; every other backend's
-        # map is the plain in-process loop (cluster workers run only
-        # registered task bodies), so those keep the run-at-a-time check.
-        wave = max(1, target_accepted // 4) if runtime_obj.is_process else 1
         while len(accepted) < target_accepted and runs < max_runs:
-            seeds = range(runs, min(runs + wave, max_runs))
-            results = runtime_obj.map(
-                lambda seed: sample_exact_slocal(instance, engine, seed=seed), seeds
-            )
-            for result in results:
-                runs += 1
-                if result.success:
-                    accepted.append(configuration_key(result.configuration))
-                if len(accepted) >= target_accepted:
-                    break
+            result = sample_exact_slocal(instance, engine, seed=runs)
+            runs += 1
+            if result.success:
+                accepted.append(configuration_key(result.configuration))
         empirical = empirical_distribution(accepted)
         noise = math.sqrt(len(truth) / (4.0 * max(1, len(accepted))))
         rows.append(
@@ -89,22 +72,19 @@ def run_exactness(
 
 
 def run_failure_scaling(
-    sizes=(4, 6, 8, 10, 12), runs_per_size: int = 50, runtime=None
+    sizes=(4, 6, 8, 10, 12), runs_per_size: int = 50
 ) -> List[Dict]:
     """Failure-probability rows: failure rate and the O(1/n) prediction."""
-    from repro.runtime import resolve_runtime
-
-    runtime_obj = resolve_runtime(runtime)
     rows: List[Dict] = []
     engine = ExactInference()
     for n in sizes:
         distribution = hardcore_model(cycle_graph(n), fugacity=1.0)
         instance = SamplingInstance(distribution)
-        successes = runtime_obj.map(
-            lambda seed: sample_exact_slocal(instance, engine, seed=seed).success,
-            range(runs_per_size),
+        failures = sum(
+            1
+            for seed in range(runs_per_size)
+            if not sample_exact_slocal(instance, engine, seed=seed).success
         )
-        failures = sum(1 for success in successes if not success)
         rows.append(
             {
                 "n": n,

@@ -25,17 +25,10 @@ def run(
     sizes=(8, 16, 32, 64),
     fugacity_fraction: float = 0.5,
     error: float = 0.05,
-    runtime=None,
 ) -> List[Dict]:
-    """Run E6 and return one row per instance size.
-
-    The per-size measurements are independent, so a process runtime (see
-    :mod:`repro.runtime`) fans them out across forked workers; the default
-    serial runtime runs today's loop.
-    """
-    from repro.runtime import resolve_runtime
-
-    def row_for(n: int) -> Dict:
+    """Run E6 and return one row per instance size."""
+    rows: List[Dict] = []
+    for n in sizes:
         graph = cycle_graph(n)
         max_degree = 2
         threshold = hardcore_uniqueness_threshold(max_degree)
@@ -47,17 +40,18 @@ def run(
         inference_rounds = engine.locality(instance, error)
         approx = sample_approximate_local(instance, engine, error, seed=n)
         exact = sample_exact_local(instance, engine, seed=n)
-        return {
-            "n": n,
-            "fugacity": fugacity,
-            "inference_rounds": inference_rounds,
-            "sampling_rounds": approx.rounds,
-            "exact_rounds": exact.rounds,
-            "log3_n": math.log(n) ** 3,
-            "sample_feasible": distribution.weight(approx.configuration) > 0,
-        }
-
-    return resolve_runtime(runtime).map(row_for, list(sizes))
+        rows.append(
+            {
+                "n": n,
+                "fugacity": fugacity,
+                "inference_rounds": inference_rounds,
+                "sampling_rounds": approx.rounds,
+                "exact_rounds": exact.rounds,
+                "log3_n": math.log(n) ** 3,
+                "sample_feasible": distribution.weight(approx.configuration) > 0,
+            }
+        )
+    return rows
 
 
 def fitted_exponent(rows: List[Dict], column: str = "exact_rounds") -> float:

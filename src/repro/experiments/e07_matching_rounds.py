@@ -24,17 +24,10 @@ def run(
     degrees=(2, 4, 8, 16),
     nodes_per_graph: int = 18,
     error: float = 0.05,
-    runtime=None,
 ) -> List[Dict]:
-    """Run E7 and return one row per maximum degree.
-
-    The per-degree measurements are independent, so a process runtime (see
-    :mod:`repro.runtime`) fans them out across forked workers; the default
-    serial runtime runs today's loop.
-    """
-    from repro.runtime import resolve_runtime
-
-    def row_for(degree: int) -> Dict:
+    """Run E7 and return one row per maximum degree."""
+    rows: List[Dict] = []
+    for degree in degrees:
         n = nodes_per_graph
         if (degree * n) % 2 == 1:
             n += 1
@@ -45,17 +38,18 @@ def run(
 
         rate = matching_ssm_decay_rate(degree)
         locality = engine.locality(instance, error)
-        return {
-            "max_degree": degree,
-            "edges": distribution.size,
-            "decay_rate": rate,
-            "mixing_scale": 1.0 / (1.0 - rate),
-            "sqrt_degree": math.sqrt(degree),
-            "inference_rounds": locality,
-            "error": error,
-        }
-
-    return resolve_runtime(runtime).map(row_for, list(degrees))
+        rows.append(
+            {
+                "max_degree": degree,
+                "edges": distribution.size,
+                "decay_rate": rate,
+                "mixing_scale": 1.0 / (1.0 - rate),
+                "sqrt_degree": math.sqrt(degree),
+                "inference_rounds": locality,
+                "error": error,
+            }
+        )
+    return rows
 
 
 def fitted_degree_exponent(rows: List[Dict], column: str = "inference_rounds") -> float:

@@ -34,7 +34,6 @@ def run(
     fugacity_ratios=(0.2, 0.5, 2.0, 5.0),
     depth: int = 4,
     error: float = 0.05,
-    runtime=None,
 ) -> List[Dict]:
     """Run E8 and return one row per fugacity ratio ``lambda / lambda_c``.
 
@@ -51,14 +50,7 @@ def run(
       move the root's marginal by more than ``2 * error``, no ``r``-round
       algorithm can be ``error``-accurate on all of them -- this is exactly
       the long-range-correlation argument behind the Omega(diam) lower bound.
-
-    The per-distance influence measurements are independent LOCAL
-    computations, so a process runtime (see :mod:`repro.runtime`) fans them
-    out across forked workers; the default serial runtime runs today's loop.
     """
-    from repro.runtime import resolve_runtime
-
-    runtime_obj = resolve_runtime(runtime)
     graph = complete_binary_tree(depth)
     max_degree = 3
     threshold = hardcore_uniqueness_threshold(max_degree)
@@ -68,18 +60,12 @@ def run(
         fugacity = ratio * threshold
         distribution = hardcore_model(graph, fugacity=fugacity)
         instance = SamplingInstance(distribution)
-        distances = list(range(1, depth + 1))
-        influences = dict(
-            zip(
-                distances,
-                runtime_obj.map(
-                    lambda distance: long_range_correlation(
-                        instance, root, distance=distance, max_configs=24
-                    ),
-                    distances,
-                ),
+        influences = {
+            distance: long_range_correlation(
+                instance, root, distance=distance, max_configs=24
             )
-        )
+            for distance in range(1, depth + 1)
+        }
         radius_lower_bound = depth
         for radius in range(0, depth + 1):
             if all(influences[d] <= 2.0 * error for d in influences if d > radius):

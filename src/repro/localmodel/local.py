@@ -79,35 +79,21 @@ def run_local_algorithm(
     algorithm: LocalNodeAlgorithm,
     network: Network,
     nodes: Optional[list] = None,
-    runtime=None,
 ) -> LocalRunResult:
     """Run a LOCAL algorithm at every node (or a subset) of the network.
 
     Each node's computation receives only its own radius-``t`` view, so the
     simulation cannot leak non-local information.  The round count charged is
     exactly the declared radius.
-
-    ``runtime`` selects the execution backend (see :mod:`repro.runtime`).
-    Per-node computations are independent by definition of the LOCAL model,
-    so a process runtime fans them out across forked workers (the algorithm
-    and network are inherited, so only each node's output crosses the pipe
-    and must pickle); the default serial runtime is today's in-process loop.
     """
-    from repro.runtime import resolve_runtime
-
     radius = algorithm.radius(network)
     if radius < 0:
         raise ValueError("algorithm declared a negative radius")
     targets = list(network.nodes) if nodes is None else list(nodes)
-
-    def compute_at(node):
-        output, failed = algorithm.compute(network.view(node, radius))
-        return output, bool(failed)
-
-    results = resolve_runtime(runtime).map(compute_at, targets)
     outputs: Dict[Node, object] = {}
     failures: Dict[Node, bool] = {}
-    for node, (output, failed) in zip(targets, results):
+    for node in targets:
+        output, failed = algorithm.compute(network.view(node, radius))
         outputs[node] = output
-        failures[node] = failed
+        failures[node] = bool(failed)
     return LocalRunResult(outputs=outputs, failures=failures, rounds=radius)

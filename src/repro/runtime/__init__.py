@@ -32,7 +32,8 @@ This package owns *how* work executes, separate from *what* is computed
 ``executor``
     The :class:`Runtime` facade (``serial`` / ``batched`` / ``process`` /
     ``cluster`` backends) threaded through the samplers, the SSM inference
-    engines, the LOCAL driver and the experiment entry points as a
+    engines and the experiment entry points that run chains or ball
+    streams (E4's rejection kernel, E5, E12; E13 per row) as a
     ``runtime=`` parameter defaulting to today's serial behaviour.  Chain
     workloads of every kernel run through the single
     :meth:`Runtime.run_chains` path; the streaming primitives are
@@ -62,7 +63,6 @@ from repro.runtime.shards import (
     TASK_REGISTRY,
     TRANSPORTS,
     InstanceSpec,
-    process_map,
     register_task,
     run_chain_blocks,
     stream_ball_marginal_tasks,
@@ -98,7 +98,6 @@ __all__ = [
     "attach_array",
     "pack_arrays",
     "shm_available",
-    "process_map",
     "stream_ball_marginal_tasks",
     "stream_padded_ball_marginals",
 ]

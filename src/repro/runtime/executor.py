@@ -15,10 +15,8 @@ Four backends:
     marginals) and chain blocks shard across runtime-owned cluster workers
     forked on socket pairs (:class:`~repro.runtime.shards.ForkedWorkers`,
     forked on first use and kept until :meth:`Runtime.shutdown`) via
-    :mod:`repro.runtime.shards`, and coarse-grained experiment loops fan out
-    through :meth:`Runtime.map` (forked workers inherit the mapped
-    closure).  The sharding is
-    *streaming*: :meth:`Runtime.stream_ball_marginals` and
+    :mod:`repro.runtime.shards`.  The sharding is *streaming*:
+    :meth:`Runtime.stream_ball_marginals` and
     :meth:`Runtime.stream_ball_marginal_tasks` hand results back as shards
     complete, so parent-side work overlaps with in-flight shards instead of
     idling at a ``pool.map`` barrier.
@@ -31,8 +29,7 @@ Four backends:
     addresses=[...])`` targets existing workers (any hosts); plain
     ``runtime="cluster"`` spawns localhost workers on first use.  Results
     are bit-identical to every other backend.  Workers run only the
-    registered task bodies, never pickled callables, so :meth:`Runtime.map`
-    runs its closures in-process here.
+    registered task bodies, never pickled callables.
 
 Chain workloads of every registered
 :class:`~repro.sampling.kernels.ChainKernel` (Glauber, LubyGlauber, JVV
@@ -43,12 +40,12 @@ dispatch the registered ``chain_block`` task body of
 backend plumbing.
 
 The facade is threaded through ``sampling/glauber.py``,
-``inference/ssm_inference.py``, the LOCAL driver in ``localmodel/local.py``
-and the E4/E5/E6/E7/E8/E12 experiment entry points as a ``runtime=`` parameter
-that defaults to serial, mirroring how ``engine=`` selects the evaluation
-backend (see :mod:`repro.engine`).  The two knobs compose: ``engine``
-decides how a single quantity is evaluated, ``runtime`` decides how many of
-them execute at once.
+``inference/ssm_inference.py`` and the experiment entry points that run
+chains or ball streams (E4's rejection kernel, E5, E12; E13 per row) as a
+``runtime=`` parameter that defaults to serial, mirroring how ``engine=``
+selects the evaluation backend (see :mod:`repro.engine`).  The two knobs
+compose: ``engine`` decides how a single quantity is evaluated, ``runtime``
+decides how many of them execute at once.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -83,7 +79,6 @@ from repro.runtime.shards import (
     TRANSPORTS,
     ForkedWorkers,
     advance_block,
-    process_map,
     run_chain_blocks,
     stream_ball_marginal_tasks,
     stream_padded_ball_marginals,
@@ -302,7 +297,7 @@ class Runtime:
 
     @property
     def is_process(self) -> bool:
-        """Whether independent work fans out across OS processes."""
+        """Whether work shards across forked worker processes."""
         return self.backend == PROCESS_BACKEND
 
     @property
@@ -361,32 +356,6 @@ class Runtime:
         return self._cluster
 
     # ------------------------------------------------------------------
-    def map(self, function: Callable, items: Iterable) -> List:
-        """Map a function over independent items under this runtime.
-
-        The process backend fans out over forked workers (the function and
-        its closure are inherited, so unpicklable model objects are fine;
-        items and results must pickle).  Every other backend runs the plain
-        in-process loop -- the cluster included, whose TCP workers run only
-        registered task bodies, so e.g. the experiment drivers' local row
-        functions still run correctly, just without the fan-out.
-
-        Parameters
-        ----------
-        function : callable
-            Applied to every item.
-        items : iterable
-            Independent work items.
-
-        Returns
-        -------
-        list
-            ``[function(item) for item in items]``, in item order.
-        """
-        if self.is_process:
-            return process_map(function, items, n_workers=self.n_workers)
-        return [function(item) for item in items]
-
     def submit(self, function: Callable, *args, **kwargs) -> Future:
         """Run one call in-process, returning a resolved ``Future``.
 
@@ -472,8 +441,10 @@ class Runtime:
         ``n_chains``, ``n_workers``); when the process-wide observability
         handle is enabled (``obs=True`` or :func:`repro.obs.enable`), the
         metrics registry and trace-buffer summary ride along under
-        ``"obs"``, and a live cluster coordinator contributes worker
-        liveness/queue counters under ``"cluster"``.  Subsystems sharing
+        ``"obs"``, and a live coordinator -- the cluster backend's, or the
+        process backend's once it has forked its workers -- contributes
+        worker liveness/queue counters under ``"cluster"``.  Reading it
+        never forks or connects.  Subsystems sharing
         the runtime add their own blocks via
         :meth:`register_snapshot_section` (the serving layer publishes
         ``"serve"``).  Purely a read -- never touches RNG state or
@@ -490,6 +461,10 @@ class Runtime:
             out["obs"] = handle.snapshot()
         if self._cluster is not None:
             out["cluster"] = self._cluster.snapshot()
+        elif self._forked is not None:
+            forked = self._forked.snapshot()
+            if forked is not None:
+                out["cluster"] = forked
         for name, provider in list(self._snapshot_sections.items()):
             try:
                 out[name] = provider()

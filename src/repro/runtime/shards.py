@@ -37,11 +37,6 @@ that work out to workers:
   receives an instance's spec once, dead workers' chunks are requeued
   and abandoned ones cancelled worker-side.  The worker count is the
   transport's own, and every worker runs :func:`run_task`.
-* :func:`process_map` -- the fork-based map behind
-  :meth:`~repro.runtime.executor.Runtime.map` on the process backend, for
-  coarse-grained task parallelism over closures.  The fork start method
-  lets workers inherit the mapped function (and anything it closes over)
-  without pickling; only items and results cross the pipe.
 
 Worker computations replay the exact serial code paths on equal compiled
 inputs, so distributed results are bit-identical to the serial ones
@@ -51,7 +46,6 @@ regardless of arrival order.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import socket
 import threading
@@ -64,7 +58,6 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -534,6 +527,12 @@ class ForkedWorkers:
                 self._coordinator = self._fork()
             return self._coordinator
 
+    def snapshot(self) -> Optional[Dict[str, object]]:
+        """The coordinator's :meth:`snapshot` of the current set, or None
+        before the first fork and after :meth:`shutdown`.  Never forks."""
+        coordinator = self._coordinator
+        return coordinator.snapshot() if coordinator is not None else None
+
     def _fork(self):
         from repro.cluster.coordinator import ClusterCoordinator
 
@@ -682,10 +681,13 @@ def _session(transport, instance: SamplingInstance, n_chunks: int):
 
     On forked workers one chunk, or a one-worker set, runs in-process
     (:class:`_InProcess`) and nothing forks.  Otherwise the set forks (if
-    needed), then packs the spec -- its dense arrays as shared-memory
-    descriptors under ``"shm"``, pickle when shared memory is unavailable
-    -- and the call runs on its coordinator like any cluster call; the
-    segment is unlinked when the session closes.
+    needed) and the call runs on its coordinator like any cluster call.
+    Unless every live worker already holds the spec id, the call first
+    packs the spec -- its dense arrays as shared-memory descriptors under
+    ``"shm"``, pickle when shared memory is unavailable -- and unlinks the
+    segment when the session closes.  When every worker holds it, the
+    plain spec rides along unpacked: a worker accepts either wire form,
+    so one that loses the spec before its task lands gets it by pickle.
     """
     spec_id, spec = spec_for(instance)
     if not isinstance(transport, ForkedWorkers):
@@ -697,7 +699,10 @@ def _session(transport, instance: SamplingInstance, n_chunks: int):
     # Fork before packing: a worker forked while a pack is live keeps the
     # parent's mapping of that segment for life.
     coordinator = transport.coordinator()
-    wire, pack = _spec_wire(spec, transport.transport)
+    if coordinator.spec_held(spec_id):
+        wire, pack = spec, None
+    else:
+        wire, pack = _spec_wire(spec, transport.transport)
     try:
         yield _ClusterSession(coordinator, (spec_id, wire), spec)
     finally:
@@ -937,51 +942,3 @@ def run_chain_blocks(
     spec = session.spec
     results = decode_configurations(np.concatenate(matrices), spec.nodes, spec.alphabet)
     return (results, counts) if stats else results
-
-
-# ----------------------------------------------------------------------
-# fork-based map over closures
-# ----------------------------------------------------------------------
-_FORK_TASK: Optional[Callable] = None
-
-
-def _install_fork_task(function: Callable) -> None:
-    """Pool-worker initializer: the mapped function, inherited by fork."""
-    global _FORK_TASK
-    _FORK_TASK = function
-
-
-def _invoke_fork_task_indexed(pair):
-    index, item = pair
-    return index, _FORK_TASK(item)
-
-
-def process_map(function: Callable, items: Iterable, n_workers: int = 2) -> List:
-    """``[function(item) for item in items]`` over forked workers, in item order.
-
-    The fork start method lets workers inherit ``function`` (closures over
-    unpicklable model objects included) through the pool initializer, so
-    only the items and results cross the pipe -- in ``Pool.map``'s batches
-    of about ``len(items) / (4 * n_workers)`` per round trip.  The parent
-    never holds the function in a module global.  On platforms without
-    fork, or with at most one item, the map runs in-process.
-    """
-    items = list(items)
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        context = None
-    if context is None or len(items) <= 1:
-        return [function(item) for item in items]
-    chunksize = max(1, -(-len(items) // (4 * max(1, n_workers))))
-    results: List = [None] * len(items)
-    with context.Pool(
-        processes=max(1, n_workers),
-        initializer=_install_fork_task,
-        initargs=(function,),
-    ) as pool:
-        for index, result in pool.imap_unordered(
-            _invoke_fork_task_indexed, enumerate(items), chunksize=chunksize
-        ):
-            results[index] = result
-    return results

@@ -722,28 +722,6 @@ class TestClusterRuntimeFacade:
             assert runtime.submit(pow, 3, 4).result(timeout=30) == 81
             failing = runtime.submit(divmod, 1, 0)
             assert failing.exception(timeout=30) is not None
-            # map: ordered results.
-            assert runtime.map(abs, [-1, 2, -3]) == [1, 2, 3]
-
-    def test_map_with_closure_falls_back_in_process(self):
-        # Workers run only registered task bodies; the facade must run
-        # mapped functions in-process instead of crashing with
-        # PicklingError -- without even connecting (the addresses here are
-        # deliberately unreachable).
-        runtime = Runtime("cluster", addresses=["127.0.0.1:1"])
-        offset = 10
-        assert runtime.map(lambda x: x + offset, range(3)) == [10, 11, 12]
-        # A module-level function pickles, yet it runs in-process too.
-        assert runtime.map(abs, [-1, 2]) == [1, 2]
-
-        # Functions from a script's __main__ pickle locally by reference but
-        # cannot be imported by a worker -- they must also fall back.
-        def script_function(x):
-            return x * 2
-
-        script_function.__module__ = "__main__"
-        assert runtime.map(script_function, [1, 2]) == [2, 4]
-        assert runtime._cluster is None  # no connection was attempted
 
     def test_submit_resolves_without_connecting(self):
         # submit is the resolved-future form on the cluster too: the call
@@ -753,16 +731,6 @@ class TestClusterRuntimeFacade:
         assert future.done() and future.result() == 1024
         assert isinstance(runtime.submit(divmod, 1, 0).exception(), ZeroDivisionError)
         assert runtime._cluster is None  # no connection was attempted
-
-    def test_experiment_drivers_accept_a_cluster_runtime(self, inprocess_workers):
-        # E6-style drivers hand local row closures to runtime.map; the
-        # documented contract is that they work unchanged on every backend.
-        from repro.experiments import e06_hardcore_rounds
-
-        serial = e06_hardcore_rounds.run(sizes=(8,))
-        with Runtime("cluster", addresses=_addresses(inprocess_workers)) as runtime:
-            clustered = e06_hardcore_rounds.run(sizes=(8,), runtime=runtime)
-        assert clustered == serial
 
     def test_stream_ball_marginals_matches_serial(self, inprocess_workers):
         distribution = hardcore_model(random_tree(13, seed=2), 1.2)

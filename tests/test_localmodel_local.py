@@ -40,6 +40,17 @@ class RandomBitAlgorithm(LocalNodeAlgorithm):
         return int(view.rng().integers(0, 2)), False
 
 
+class BallBitAlgorithm(LocalNodeAlgorithm):
+    """Outputs (ball size, private bit); fails where the bit is 1 and 3 | ID."""
+
+    def radius(self, network):
+        return 1
+
+    def compute(self, view):
+        bit = int(view.rng().integers(0, 2))
+        return (len(view.nodes), bit), bit == 1 and view.ids[view.center] % 3 == 0
+
+
 class TestRunLocalAlgorithm:
     def test_ball_sizes_on_cycle(self):
         network = Network(cycle_graph(7))
@@ -72,6 +83,18 @@ class TestRunLocalAlgorithm:
         third = run_local_algorithm(RandomBitAlgorithm(), Network(cycle_graph(6), seed=6))
         assert first.outputs == second.outputs
         assert first.outputs != third.outputs
+
+    def test_golden_result(self):
+        # Recorded from the in-process per-node loop; must match exactly.
+        result = run_local_algorithm(BallBitAlgorithm(), Network(cycle_graph(7), seed=3))
+        assert result.outputs == {
+            0: (3, 1), 1: (3, 1), 2: (3, 0), 3: (3, 1), 4: (3, 0), 5: (3, 0), 6: (3, 1)
+        }
+        assert result.failures == {
+            0: True, 1: False, 2: False, 3: True, 4: False, 5: False, 6: True
+        }
+        assert all(type(failed) is bool for failed in result.failures.values())
+        assert result.rounds == 1
 
     def test_negative_radius_rejected(self):
         class Broken(LocalNodeAlgorithm):

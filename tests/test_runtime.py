@@ -465,8 +465,32 @@ class TestRuntimeFacade:
         parallel = luby_glauber_sample(instance, 10, seed=3, runtime="batched")
         assert isinstance(parallel, list) and len(parallel) == 1
 
-    def test_map_serial(self):
-        assert Runtime().map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
+    def test_no_closure_fan_out(self):
+        # Independent LOCAL rows and runs are plain loops: no facade map, no
+        # fork-per-call pool, and no runtime= knob on drivers that only fed it.
+        import inspect
+
+        from repro.experiments import (
+            e04_jvv,
+            e06_hardcore_rounds,
+            e07_matching_rounds,
+            e08_phase_transition,
+        )
+        from repro.localmodel import run_local_algorithm
+        from repro.runtime import shards
+
+        assert not hasattr(Runtime, "map")
+        assert not hasattr(shards, "process_map")
+        for driver in (
+            e04_jvv.run_exactness,
+            e04_jvv.run_failure_scaling,
+            e06_hardcore_rounds.run,
+            e07_matching_rounds.run,
+            e08_phase_transition.run,
+            run_local_algorithm,
+        ):
+            assert "runtime" not in inspect.signature(driver).parameters, driver
+        assert "runtime" in inspect.signature(e04_jvv.run_rejection_kernel).parameters
 
 
 class TestE12Diagnostics:
@@ -638,14 +662,6 @@ class TestRuntimeStreamingFacade:
         future = Runtime().submit(lambda: 1 / 0)
         assert isinstance(future.exception(), ZeroDivisionError)
 
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
-    def test_in_process_map_is_eager_and_in_item_order(self, backend):
-        runtime = Runtime(backend)
-        seen = []
-        results = runtime.map(lambda x: seen.append(x) or x * x, [3, 1, 2])
-        assert results == [9, 1, 4]
-        assert seen == [3, 1, 2]  # one pass, in item order, before returning
-
     def test_shutdown_takes_no_wait_argument(self):
         import inspect
 
@@ -735,27 +751,6 @@ class TestProcessPool:
             node: padded_ball_marginal(local, node, 2) for node in local.free_nodes
         }
 
-    def test_process_map_matches_serial(self):
-        runtime = Runtime("process", n_workers=2)
-        offset = 10  # closure state must be inherited by forked workers
-        assert runtime.map(lambda x: x + offset, range(5)) == [10, 11, 12, 13, 14]
-
-    def test_process_map_batches_like_pool_map(self, monkeypatch):
-        import multiprocessing.pool
-
-        sizes = []
-        imap = multiprocessing.pool.Pool.imap_unordered
-
-        def recording(pool, function, iterable, chunksize=1):
-            sizes.append(chunksize)
-            return imap(pool, function, iterable, chunksize)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", recording)
-        runtime = Runtime("process", n_workers=2)
-        # Runtime.map ships Pool.map's ceil(len / 4w) items per round trip.
-        assert runtime.map(lambda x: -x, range(50)) == [-x for x in range(50)]
-        assert sizes == [7]
-
     def test_stream_yields_incrementally_and_matches_serial(self, pool):
         local = SamplingInstance(coloring_model(cycle_graph(10), 3), {0: 1})
         serial = {node: padded_ball_marginal(local, node, 2) for node in local.free_nodes}
@@ -806,16 +801,6 @@ class TestProcessPool:
         )
         next(stream)
         stream.close()  # must not hang on the pending futures
-
-    def test_process_map_does_not_pin_the_function(self):
-        # The mapped closure (and the model it captures) reaches the forked
-        # workers through the pool initializer, never a parent global.
-        from repro.runtime import shards
-
-        runtime = Runtime("process", n_workers=2)
-        assert runtime.map(lambda x: x + 1, range(3)) == [1, 2, 3]
-        assert runtime.map(lambda x: x + 2, range(3)) == [2, 3, 4]
-        assert shards._FORK_TASK is None
 
     def test_submit_process_backend(self):
         import math
@@ -1052,7 +1037,9 @@ class TestSharedMemoryTransport:
             "instance = SamplingInstance(hardcore_model(cycle_graph(24), 1.2), {0: 1})\n"
             "runtime = Runtime('process', n_workers=2, transport='shm')\n"
             "runtime.ball_marginals(instance, instance.free_nodes, 1)\n"
-            "stream = runtime.stream_ball_marginals(instance, instance.free_nodes, 2)\n"
+            # A spec the workers do not hold yet, so the stream packs it.
+            "fresh = SamplingInstance(hardcore_model(cycle_graph(24), 1.3), {0: 1})\n"
+            "stream = runtime.stream_ball_marginals(fresh, fresh.free_nodes, 2)\n"
             "next(stream)\n"
             "print(' '.join(shm.live_segment_names()), flush=True)\n"
             "time.sleep(120)\n"
@@ -1158,6 +1145,7 @@ class TestPersistentForkPool:
     @pytest.mark.parametrize("transport", ["pickle", "shm"])
     def test_repeated_calls_send_one_spec_frame_per_worker(self, transport):
         from repro import obs
+        from repro.runtime import shm
 
         instance = self._instance(6)
         batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
@@ -1168,7 +1156,17 @@ class TestPersistentForkPool:
             for _ in range(6):
                 assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
             frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
+            packs = [
+                event["attrs"]["label"]
+                for event in obs.events()
+                if event["name"] == "runtime.shm.segment"
+            ]
         assert frames == 2
+        # Once both workers hold the spec id, later calls pack nothing.
+        if transport == "shm" and shm.shm_available():
+            assert packs == ["instance-spec"]
+        else:
+            assert packs == []
 
     def test_shutdown_ends_and_reaps_every_worker(self):
         import time
@@ -1233,6 +1231,19 @@ class TestPersistentForkPool:
             for pid in pids:
                 assert len(_mapped_segments(pid)) <= 1
         assert shm.live_segment_names() == []
+
+    def test_snapshot_publishes_the_workers_once_forked(self):
+        instance = self._instance(4)
+        with Runtime("process", n_workers=2) as runtime:
+            snapshot = runtime.snapshot()
+            # Reading the snapshot forks nothing.
+            assert "cluster" not in snapshot and runtime._forked.pids == ()
+            dict(runtime.stream_ball_marginals(instance, instance.free_nodes, 1))
+            cluster = runtime.snapshot()["cluster"]
+            assert cluster["live_workers"] == 2
+            assert cluster["requeued"] == 0
+            assert [worker["specs_cached"] for worker in cluster["workers"]] == [1, 1]
+        assert "cluster" not in runtime.snapshot()
 
     @staticmethod
     def _killing_stream():
