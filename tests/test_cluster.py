@@ -732,6 +732,23 @@ class TestClusterRuntimeFacade:
         assert isinstance(runtime.submit(divmod, 1, 0).exception(), ZeroDivisionError)
         assert runtime._cluster is None  # no connection was attempted
 
+    def test_experiment_drivers_accept_a_cluster_runtime(self, inprocess_workers):
+        # The drivers that keep a runtime= knob (E4's rejection kernel, E5's
+        # locality sweep) must return the serial rows unchanged on the
+        # cluster backend.
+        from repro.experiments import e04_jvv, e05_ssm_inference
+
+        kernel = e04_jvv.run_rejection_kernel(sizes=(8,), chains=6)
+        sweep = e05_ssm_inference.run(fugacities=(0.5,), cycle_size=8, radii=(1, 2))
+        with Runtime("cluster", addresses=_addresses(inprocess_workers)) as runtime:
+            assert e04_jvv.run_rejection_kernel(sizes=(8,), chains=6, runtime=runtime) == kernel
+            assert (
+                e05_ssm_inference.run(
+                    fugacities=(0.5,), cycle_size=8, radii=(1, 2), runtime=runtime
+                )
+                == sweep
+            )
+
     def test_stream_ball_marginals_matches_serial(self, inprocess_workers):
         distribution = hardcore_model(random_tree(13, seed=2), 1.2)
         instance = SamplingInstance(distribution, {0: 0})

@@ -166,6 +166,17 @@ class TestExperimentSmoke:
         assert all(0.0 <= row["failure_rate"] <= 1.0 for row in scaling)
         _assert_rows_exact(scaling, E04_FAILURE_ROWS)
 
+    def test_e04_failure_rows_run_seeds_zero_upward(self):
+        # Run k of a size is sample_exact_slocal with seed=k.  Every prefix
+        # of the recorded per-seed failures must match, which pins the
+        # seeding where one 10-run count would not.
+        failed = {4: [0, 0, 0, 0, 1, 1, 1, 0, 0, 1], 6: [0, 0, 0, 0, 0, 1, 1, 0, 0, 0]}
+        for runs in range(1, 11):
+            rows = e04_jvv.run_failure_scaling(sizes=(4, 6), runs_per_size=runs)
+            assert [row["failure_rate"] for row in rows] == [
+                sum(failed[n][:runs]) / runs for n in (4, 6)
+            ]
+
     def test_e05(self):
         rows = e05_ssm_inference.run(fugacities=(0.5, 4.0), cycle_size=10, radii=(1, 2, 3))
         assert len(rows) == 2

@@ -492,6 +492,26 @@ class TestRuntimeFacade:
             assert "runtime" not in inspect.signature(driver).parameters, driver
         assert "runtime" in inspect.signature(e04_jvv.run_rejection_kernel).parameters
 
+    def test_package_creates_no_multiprocessing_pool(self):
+        # The process backend runs forked cluster workers; nothing in the
+        # package may bring back a fork-per-call pool or its plumbing.
+        import pathlib
+        import re
+
+        import repro
+
+        banned = re.compile(
+            r"get_context|\.Pool\(|process_map|_FORK_TASK|ProcessPool|ForkPool"
+        )
+        root = pathlib.Path(repro.__file__).parent
+        hits = [
+            f"{path.relative_to(root)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)
+        ]
+        assert hits == []
+
 
 class TestE12Diagnostics:
     def test_batched_e12_matches_serial_and_reports_mixing(self):
@@ -1168,6 +1188,82 @@ class TestPersistentForkPool:
         else:
             assert packs == []
 
+    def test_spec_held_needs_every_live_worker(self):
+        from repro import obs
+        from repro.runtime.shards import spec_for
+
+        instance = self._instance(8)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
+        ) as runtime:
+            assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+            coordinator = runtime._forked.coordinator()
+            spec_id = spec_for(instance)[0]
+            assert coordinator.spec_held(spec_id)
+            assert not coordinator.spec_held(spec_for(self._instance(9))[0])
+            # A mirror that lost the id (as after a worker-side eviction)
+            # makes the spec unheld; the next call re-ships it to that
+            # worker only.
+            coordinator.workers[1].specs[spec_id] = False
+            assert not coordinator.spec_held(spec_id)
+            assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+            assert coordinator.spec_held(spec_id)
+            frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
+        assert frames == 3
+        # No live worker holds anything.
+        assert not coordinator.spec_held(spec_id)
+
+    def test_update_factors_packs_the_new_spec_once(self):
+        from repro import obs
+        from repro.runtime import shm
+
+        distribution = hardcore_model(cycle_graph(12), 1.0)
+        instance = SamplingInstance(distribution, {0: 1})
+        batched = Runtime("batched", n_chains=4)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0,
+            obs=True,
+        ) as runtime:
+            for _ in range(2):
+                before = runtime.run_chains("glauber", instance, 25, seed=1)
+            assert before == batched.run_chains("glauber", instance, 25, seed=1)
+            distribution.update_factors(hardcore_model(cycle_graph(12), 6.0).factors)
+            for _ in range(2):
+                after = runtime.run_chains("glauber", instance, 25, seed=1)
+            assert after == batched.run_chains("glauber", instance, 25, seed=1)
+            packs = [
+                event["attrs"]["label"]
+                for event in obs.events()
+                if event["name"] == "runtime.shm.segment"
+            ]
+        # The reweight is a new spec id: packed once more, then held.
+        expected = 2 if shm.shm_available() else 0
+        assert packs == ["instance-spec"] * expected
+
+    def test_held_spec_ships_unpacked_to_a_worker_that_lacks_it(self, monkeypatch):
+        # A worker can lose the spec between the held check and its task
+        # landing; it then gets the plain spec by pickle, not a dangling
+        # shared-memory descriptor.  Forcing the check to say "held" on a
+        # fresh spec makes every worker such a worker.
+        from repro import obs
+        from repro.cluster.coordinator import ClusterCoordinator
+
+        instance = self._instance(10)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=4)
+        monkeypatch.setattr(ClusterCoordinator, "spec_held", lambda self, spec_id: True)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0,
+            obs=True,
+        ) as runtime:
+            assert runtime.run_chains("glauber", instance, 25, seed=4) == batched
+            frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
+            packs = [
+                event for event in obs.events() if event["name"] == "runtime.shm.segment"
+            ]
+        assert frames == 2
+        assert packs == []
+
     def test_shutdown_ends_and_reaps_every_worker(self):
         import time
 
@@ -1244,6 +1340,24 @@ class TestPersistentForkPool:
             assert cluster["requeued"] == 0
             assert [worker["specs_cached"] for worker in cluster["workers"]] == [1, 1]
         assert "cluster" not in runtime.snapshot()
+
+    def test_worker_set_snapshot_follows_its_coordinator(self):
+        from repro.runtime.shards import ForkedWorkers
+
+        workers = ForkedWorkers(2)
+        try:
+            assert workers.snapshot() is None and workers.pids == ()
+            first = workers.coordinator()
+            assert workers.snapshot()["live_workers"] == 2
+            pids = workers.pids
+            workers.shutdown()
+            assert workers.snapshot() is None and workers.pids == ()
+            # The next call forks a fresh set, which the snapshot then reads.
+            assert workers.coordinator() is not first
+            assert workers.snapshot()["live_workers"] == 2
+            assert len(workers.pids) == 2 and workers.pids != pids
+        finally:
+            workers.shutdown()
 
     @staticmethod
     def _killing_stream():
