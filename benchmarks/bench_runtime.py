@@ -16,6 +16,11 @@ chains of a hardcore instance, one sample per chain):
   batched backend advances all chains as one code matrix with per-chain
   acceptance masks.  Bit-identity (states *and* per-chain failure counts)
   is asserted before any timing.
+
+  The three chain rows, like ``obs_overhead_batched`` (the Glauber row's
+  batched workload with observability off vs on), record each side's
+  median with its spread, the host-speed probe and an environment stamp
+  (see ``spread.py``).
 * ``process_ball_shards`` / ``process_ball_shards_shm`` -- the E5/E8
   per-node ball computations (Theorem 5.1 marginals at every node) serial
   vs sharded over a 2-worker process runtime, once over the default
@@ -890,9 +895,11 @@ def run(
 ) -> List[Dict[str, object]]:
     """Time the backends; report the best of ``repeats`` per side.
 
-    The process, cluster and serve rows, the seeding row and the
-    phase-residual row instead run ``3 * repeats`` times and record the
-    median with its spread and the host-speed probe beside it.
+    The chain rows (``luby_chains``, ``glauber_chains``, ``jvv_chains``),
+    ``obs_overhead_batched``, the process, cluster and serve rows, the
+    seeding row and the phase-residual row instead run ``3 * repeats``
+    times and record the median with its spread and the host-speed probe
+    beside it.
     """
     spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
@@ -902,16 +909,18 @@ def run(
         ("jvv_chains", _jvv_chain_workload),
     ):
         shape, serial, batched = factory()
-        serial_seconds = _best_of(serial, repeats)
-        batched_seconds = _best_of(batched, repeats)
+        serial_spread = timed(serial, spread_repeats)
+        batched_spread = timed(batched, spread_repeats)
         rows.append(
             {
                 "workload": name,
                 "backend_pair": "serial-vs-batched",
                 "shape": shape,
-                "serial_seconds": serial_seconds,
-                "batched_seconds": batched_seconds,
-                "speedup": serial_seconds / batched_seconds,
+                "serial_seconds": serial_spread["median"],
+                "batched_seconds": batched_spread["median"],
+                "speedup": serial_spread["median"] / batched_spread["median"],
+                "spread": {"serial": serial_spread, "batched": batched_spread},
+                "environment": environment(),
                 "bit_identical_to_serial": True,
             }
         )
@@ -930,16 +939,18 @@ def run(
         }
     )
     shape, obs_off, obs_on = _obs_overhead_workload()
-    off_seconds = _best_of(obs_off, repeats)
-    on_seconds = _best_of(obs_on, repeats)
+    off = timed(obs_off, spread_repeats)
+    on = timed(obs_on, spread_repeats)
     rows.append(
         {
             "workload": "obs_overhead_batched",
             "backend_pair": "obs-off-vs-on",
             "shape": shape,
-            "off_seconds": off_seconds,
-            "on_seconds": on_seconds,
-            "overhead": on_seconds / off_seconds,
+            "off_seconds": off["median"],
+            "on_seconds": on["median"],
+            "overhead": on["median"] / off["median"],
+            "spread": {"off": off, "on": on},
+            "environment": environment(),
             "bit_identical_to_serial": True,
         }
     )

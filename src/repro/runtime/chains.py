@@ -424,18 +424,23 @@ class _BatchedTables:
       of its Markov blanket (the union of its entries' neighbours, in
       first-appearance order), so it is one table of ``q ** |blanket|``
       rows.  Node ``v``'s weights are
-      ``rows[row_base[v] + sum_i codes[blanket[v, i]] * bstride[v, i]]``
+      ``rows[row_base[v] + sum_i codes[blanket[i, v]] * bstride[i, v]]``
       -- one strided index sum and one row gather per step (the three
-      per-node arrays are column views of one ``lookup`` record).  Every row is
-      computed by :meth:`_gather` on the enumerated blanket assignment, so
-      it is bit-identical by construction.  Nodes with the same structural
-      key (interned entry slabs and the blanket positions of their
-      neighbours) share one table.  The table is held twice: as ``rows``
-      (for :meth:`weights`) and as ``cumulative``, the running sums along
+      per-node arrays are row views of one field-major ``lookup`` record,
+      shape ``(2 * span + 1, n)``).  Every row is computed by
+      :meth:`_gather` on the enumerated blanket assignment, so it is
+      bit-identical by construction.  Nodes with the same structural key
+      (interned entry slabs and the blanket positions of their neighbours)
+      share one table.  The table is held twice: as ``rows`` (row-major,
+      for :meth:`weights`) and as ``cumulative``, the running sums along
       each row that :meth:`sample_codes` selects from, so a step never
       re-runs the ``cumsum`` (a sequential sum, so the precomputed rows are
-      bit-identical to summing the gathered ones).  ``may_stick`` records
-      whether any row totals zero -- only then can a step hit the
+      bit-identical to summing the gathered ones).  ``cumulative`` is held
+      q-major, shape ``(q, rows)``: a step gathers its pairs along the last
+      axis and runs its short reductions (over ``q`` and over the blanket)
+      along the leading one, so numpy adds whole rows of pairs at a time
+      instead of running one short inner loop per pair.  ``may_stick``
+      records whether any row totals zero -- only then can a step hit the
       stuck-node error, so only then is the totals check run.
 
     The blanket form is used when every node fits :data:`BLANKET_MAX_ROWS`
@@ -564,8 +569,8 @@ class _BatchedTables:
                 )
             )
         starts = np.cumsum([0] + counts[:-1]).astype(np.int64)
-        blanket = np.zeros((n, span), dtype=np.int64)
-        bstride = np.zeros((n, span), dtype=np.int64)
+        blanket = np.zeros((span, n), dtype=np.int64)
+        bstride = np.zeros((span, n), dtype=np.int64)
         cells = [
             (variable, i, node, q ** (len(nodes) - 1 - i))
             for variable, nodes in enumerate(blankets)
@@ -573,8 +578,8 @@ class _BatchedTables:
         ]
         if cells:
             variable, i, node, stride = np.array(cells, dtype=np.int64).T
-            blanket[variable, i] = node
-            bstride[variable, i] = stride
+            blanket[i, variable] = node
+            bstride[i, variable] = stride
         self._set_blanket(np.concatenate(tables), blanket, bstride, starts[node_table])
 
     def _clear_blanket(self) -> None:
@@ -584,17 +589,18 @@ class _BatchedTables:
         self.may_stick = True
 
     def _set_blanket(self, rows, blanket, bstride, row_base) -> None:
-        """Install the blanket form.  ``blanket``, ``bstride`` and
-        ``row_base`` are column views of one ``lookup`` array, so a step
-        fetches a node's whole record with a single gather."""
-        span = blanket.shape[1]
+        """Install the blanket form from ``(span, n)`` blanket and stride
+        arrays.  ``blanket``, ``bstride`` and ``row_base`` become row views
+        of one field-major ``lookup`` array, so a step fetches its nodes'
+        whole records with a single gather along the last axis."""
+        span = len(blanket)
         self.rows = rows
-        self.cumulative = np.cumsum(rows, axis=1)
-        self.may_stick = not bool(np.all(self.cumulative[:, -1] > 0.0))
-        self.lookup = np.concatenate([blanket, bstride, row_base[:, None]], axis=1)
-        self.blanket = self.lookup[:, :span]
-        self.bstride = self.lookup[:, span : 2 * span]
-        self.row_base = self.lookup[:, -1]
+        self.cumulative = np.ascontiguousarray(np.cumsum(rows, axis=1).T)
+        self.may_stick = not bool(np.all(self.cumulative[-1] > 0.0))
+        self.lookup = np.concatenate([blanket, bstride, row_base[None, :]])
+        self.blanket = self.lookup[:span]
+        self.bstride = self.lookup[span : 2 * span]
+        self.row_base = self.lookup[-1]
 
     @classmethod
     def merged(cls, parts: Sequence["_BatchedTables"]) -> "_BatchedTables":
@@ -641,15 +647,15 @@ class _BatchedTables:
         merged.factorless = np.concatenate([part.factorless for part in parts])
         merged._clear_blanket()
         if all(part.rows is not None for part in parts):
-            span = max(part.blanket.shape[1] for part in parts)
+            span = max(len(part.blanket) for part in parts)
             row_starts = np.cumsum([0] + [len(part.rows) for part in parts[:-1]])
-            blanket = np.zeros((len(merged.factorless), span), dtype=np.int64)
+            blanket = np.zeros((span, len(merged.factorless)), dtype=np.int64)
             bstride = np.zeros_like(blanket)
             start = 0
             for part in parts:
-                n, part_span = part.blanket.shape
-                blanket[start : start + n, :part_span] = part.blanket
-                bstride[start : start + n, :part_span] = part.bstride
+                part_span, n = part.blanket.shape
+                blanket[:part_span, start : start + n] = part.blanket
+                bstride[:part_span, start : start + n] = part.bstride
                 start += n
             merged._set_blanket(
                 np.concatenate([part.rows for part in parts]),
@@ -689,15 +695,15 @@ class _BatchedTables:
     ) -> np.ndarray:
         """Blanket-table row of each (row, variable) pair.
 
-        The blanket codes come from one flat ``take`` on the code matrix
-        (C order: cell ``(row, column)`` is ``row * width + column``).
+        The records come from one gather along ``lookup``'s last axis and
+        the blanket codes from one flat ``take`` on the code matrix (C
+        order: cell ``(row, column)`` is ``row * width + column``); the
+        strided sum then runs over the leading (blanket) axis.
         """
-        record = self.lookup.take(variables, axis=0)  # blanket | bstride | row_base
-        span = self.blanket.shape[1]
-        cells = (rows * codes.shape[1])[:, None] + record[:, :span]
-        return record[:, -1] + np.einsum(
-            "ij,ij->i", codes.take(cells), record[:, span:-1]
-        )
+        record = self.lookup.take(variables, axis=1)  # blanket | bstride | row_base
+        span = len(self.blanket)
+        cells = record[:span] + rows * codes.shape[1]
+        return record[-1] + np.add.reduce(codes.take(cells) * record[span:-1], axis=0)
 
     def weights(
         self, codes: np.ndarray, rows: np.ndarray, variables: np.ndarray
@@ -724,22 +730,22 @@ class _BatchedTables:
 
         THE bit-identity-critical inner loop, shared by every kernel's
         batched step (Glauber, LubyGlauber rounds, the scan kernels):
-        take the cumulative conditional weights (the precomputed
-        ``cumulative`` rows, or a ``cumsum`` of the gathered weights past a
-        blanket cap -- both in serial order), and pick the first code whose
-        cumulative weight covers ``points[i] * total`` -- the strict ``<``
-        comparison and the ``q - 1`` clamp reproduce the serial
-        :func:`sample_code` exactly.  A non-positive total raises the
-        shared stuck-node error (padded factorless rows total exactly
-        ``q``, so they can never trip it; callers that need the serial
-        factorless *fast path* -- uniform resample via truncation -- handle
-        it before or after this call).
+        take the cumulative conditional weights, q-major (columns of the
+        precomputed ``cumulative``, or the transposed ``cumsum`` of the
+        gathered weights past a blanket cap -- both in serial order), and
+        pick the first code whose cumulative weight covers ``points[i] *
+        total`` -- the strict ``<`` comparison and the ``q - 1`` clamp
+        reproduce the serial :func:`sample_code` exactly.  A non-positive
+        total raises the shared stuck-node error (padded factorless rows
+        total exactly ``q``, so they can never trip it; callers that need
+        the serial factorless *fast path* -- uniform resample via
+        truncation -- handle it before or after this call).
         """
         if self.rows is None:
-            cumulative = np.cumsum(self._gather(codes, rows, variables), axis=1)
+            cumulative = np.cumsum(self._gather(codes, rows, variables), axis=1).T
         else:
             cumulative = self.cumulative.take(
-                self._row_index(codes, rows, variables), axis=0
+                self._row_index(codes, rows, variables), axis=1
             )
         return self._select(cumulative, points, variables, compiled)
 
@@ -756,9 +762,11 @@ class _BatchedTables:
         :meth:`sample_codes` of node ``variables[j]`` in every row of
         ``codes`` at ``points[:, j]``.  All reads see ``codes`` as given,
         so the nodes of one call must not read each other.  The blanket
-        form does one record gather for the ``k`` nodes and one column
-        gather of their blanket codes; past a blanket cap the pairs are
-        flattened step-major through :meth:`sample_codes`.
+        form does one record gather for the ``k`` nodes and one flat take
+        of their blanket codes, laid out ``(span, k, chains)`` so that the
+        pairs stay on the last axes; past a blanket cap the pairs are
+        flattened step-major through :meth:`sample_codes`.  Either way the
+        pick runs step-major, so a stuck wave names its earliest step.
         """
         chains, k = points.shape
         if self.rows is None:
@@ -767,22 +775,25 @@ class _BatchedTables:
                 codes, rows, np.repeat(variables, chains), points.T.ravel(), compiled
             )
             return flat.reshape(k, chains).T
-        record = self.lookup[variables]  # blanket | bstride | row_base
-        span = self.blanket.shape[1]
-        blanket_codes = codes[:, record[:, :span]]  # (chains, k, span)
-        index = record[:, -1] + np.einsum("ckj,kj->ck", blanket_codes, record[:, span:-1])
-        return self._select(self.cumulative[index], points, variables, compiled)
+        record = self.lookup.take(variables, axis=1)  # blanket | bstride | row_base
+        span = len(self.blanket)
+        width = codes.shape[1]
+        cells = record[:span, :, None] + np.arange(0, chains * width, width)
+        index = record[-1][:, None] + np.add.reduce(
+            codes.take(cells) * record[span:-1, :, None], axis=0
+        )  # (k, chains)
+        cumulative = self.cumulative.take(index, axis=1)
+        return self._select(cumulative, points.T, variables, compiled).T
 
     def _select(self, cumulative, points, variables, compiled) -> np.ndarray:
-        """The heat-bath pick on cumulative rows (last axis ``q``)."""
-        totals = cumulative[..., -1]
+        """The heat-bath pick on q-major cumulative weights (leading axis
+        ``q``, then the pairs, step-major)."""
+        totals = cumulative[-1]
         if self.may_stick and not np.all(totals > 0.0):
-            # The earliest step (column) holding a stuck pair names the node.
-            stuck = ~(totals > 0.0).reshape(-1, len(variables))
-            raise stuck_node_error(compiled, variables[np.flatnonzero(stuck.any(axis=0))[0]])
-        return np.minimum(
-            np.sum(cumulative < (points * totals)[..., None], axis=-1), self.q - 1
-        )
+            # The earliest step holding a stuck pair names the node.
+            stuck = ~(totals > 0.0).reshape(len(variables), -1)
+            raise stuck_node_error(compiled, variables[np.flatnonzero(stuck.any(axis=1))[0]])
+        return np.minimum(np.add.reduce(cumulative < points * totals, axis=0), self.q - 1)
 
     def scan_scopes(self) -> List[List[int]]:
         """Per node, the node itself followed by its blanket (cached).
@@ -794,7 +805,7 @@ class _BatchedTables:
         form only.
         """
         if self._scopes is None:
-            nodes = np.where(self.bstride != 0, self.blanket, -1).tolist()
+            nodes = np.where(self.bstride != 0, self.blanket, -1).T.tolist()
             self._scopes = [
                 [variable] + [node for node in row if node >= 0]
                 for variable, row in enumerate(nodes)

@@ -397,20 +397,60 @@ class GlauberKernel(ChainKernel):
         if count < 0:
             raise ValueError("steps must be non-negative")
         free_index = batch.free_index
-        free_count = len(free_index)
         trace: Optional[List[np.ndarray]] = [] if statistic is not None else None
-        if free_count == 0 or count == 0:
+        if len(free_index) == 0 or count == 0:
             if trace is not None:
                 for _ in range(count):
                     trace.append(np.asarray(statistic(batch.codes), dtype=float))
                 return batch.stack_trace(trace)
             return None
         chains = batch.n_chains
-        tables = batch.tables
+        self._steps(
+            batch.tables,
+            batch.codes,
+            batch.rngs,
+            [len(free_index)] * chains,
+            free_index,
+            0,
+            0,
+            batch.compiled,
+            batch.any_factorless,
+            count,
+            statistic,
+            trace,
+        )
+        if trace is not None:
+            return batch.stack_trace(trace)
+        return None
+
+    @staticmethod
+    def _steps(
+        tables,
+        codes,
+        rngs,
+        free_counts,
+        free_lookup,
+        lookup_starts,
+        node_offsets,
+        compiled,
+        any_factorless,
+        count,
+        statistic=None,
+        trace=None,
+    ) -> None:
+        """The chunked draw-and-step loop of one code matrix, in place.
+
+        Chain ``c`` draws ``integers(0, free_counts[c], chunk)`` then
+        ``random(chunk)`` per chunk, the serial pattern.  Its ``j``-th free
+        node sits in column ``free_lookup[lookup_starts[c] + j]`` of its
+        row, and in table row ``node_offsets[c]`` plus that column (0 for
+        one model, the group's node offset in a pack).  Both the choice
+        lookup and the write are flat ``take``/``put`` calls.
+        """
+        chains = len(rngs)
         q = tables.q
-        chain_ids = batch.chain_ids
-        codes = batch.codes
         factorless = tables.factorless
+        chain_ids = np.arange(chains)
         row_starts = chain_ids * codes.shape[1]
         remaining = count
         while remaining > 0:
@@ -418,29 +458,25 @@ class GlauberKernel(ChainKernel):
             remaining -= chunk
             choices = np.empty((chains, chunk), dtype=np.int64)
             points = np.empty((chains, chunk))
-            for chain, rng in enumerate(batch.rngs):
-                choices[chain] = rng.integers(0, free_count, size=chunk)
+            for chain, (rng, free) in enumerate(zip(rngs, free_counts)):
+                choices[chain] = rng.integers(0, free, size=chunk)
                 points[chain] = rng.random(chunk)
-            # Step-major, so each step reads two contiguous rows.
-            variables = free_index.take(choices.T)
+            # Step-major, so each step reads contiguous rows.
+            columns = free_lookup.take(choices.T + lookup_starts)
+            variables = columns + node_offsets
             points = np.ascontiguousarray(points.T)
             for step in range(chunk):
                 chosen = variables[step]
                 point = points[step]
-                new_codes = tables.sample_codes(
-                    codes, chain_ids, chosen, point, batch.compiled
-                )
-                if batch.any_factorless:
+                new_codes = tables.sample_codes(codes, chain_ids, chosen, point, compiled)
+                if any_factorless:
                     # Replicate the serial fast path for factorless nodes
                     # (uniform resample via truncation, not cumulative search).
                     uniform = np.minimum((point * q).astype(np.int64), q - 1)
                     new_codes = np.where(factorless[chosen], uniform, new_codes)
-                codes.put(row_starts + chosen, new_codes)
+                codes.put(row_starts + columns[step], new_codes)
                 if trace is not None:
                     trace.append(np.asarray(statistic(codes), dtype=float))
-        if trace is not None:
-            return batch.stack_trace(trace)
-        return None
 
     def fuses(self, packed) -> bool:
         """Fused whenever the pack is fusable (see :meth:`packed_advance`)."""
@@ -450,16 +486,17 @@ class GlauberKernel(ChainKernel):
         """Fused multi-instance step over one padded code matrix.
 
         Advances every group of a :class:`~repro.runtime.chains.PackedBatch`
-        -- possibly *different models* -- with one ``sample_codes`` gather
-        per step across all ``total_chains`` rows, instead of one per
-        group.  Bit-identity with solo groups holds because each chain
-        replays its exact solo draw pattern (``integers(0, group_free,
-        chunk)`` then ``random(chunk)`` per chunk, per chain) and the
-        merged tables hold each group's own blanket rows (or, past a
-        blanket cap, the padded gather, whose padding multiplies by 1.0
-        after the real factor entries); the *write* column is the chain's
-        group-local variable, while the *table* row is its global id
-        (group node offset + local).  Falls back to the groupwise loop when the pack is not
+        -- possibly *different models* -- through the same chunk loop as
+        :meth:`batched_advance`, with one ``sample_codes`` gather per step
+        across all ``total_chains`` rows instead of one per group.
+        Bit-identity with solo groups holds because each chain replays its
+        exact solo draw pattern (``integers(0, group_free, chunk)`` then
+        ``random(chunk)`` per chunk, per chain) and the merged tables hold
+        each group's own blanket rows (or, past a blanket cap, the padded
+        gather, whose padding multiplies by 1.0 after the real factor
+        entries); the *write* column is the chain's group-local variable,
+        while the *table* row is its global id (group node offset +
+        local).  Falls back to the groupwise loop when the pack is not
         fusable (mixed alphabet sizes or a group with no free nodes).
         """
         if count < 0:
@@ -470,41 +507,24 @@ class GlauberKernel(ChainKernel):
             return super().packed_advance(packed, count)
         layout = packed.layout()
         codes = packed.gather_codes()
-        tables = layout.tables
-        q = tables.q
-        factorless = tables.factorless
-        total = layout.total_chains
-        chain_ids = np.arange(total)
-        node_offsets = layout.chain_node_offset
-        free_counts = layout.free_counts
         free_lookup = layout.free_lookup
-        any_factorless = layout.any_factorless
+
         # stuck_node_error only reads .nodes; give it the packed label map.
         class _packed_compiled:  # noqa: N801 - local shim
             nodes = layout.nodes
-        remaining = count
-        while remaining > 0:
-            chunk = min(remaining, RNG_CHUNK)
-            remaining -= chunk
-            choices = np.empty((total, chunk), dtype=np.int64)
-            points = np.empty((total, chunk))
-            for chain, rng in enumerate(layout.rngs):
-                choices[chain] = rng.integers(0, free_counts[chain], size=chunk)
-                points[chain] = rng.random(chunk)
-            local = free_lookup[chain_ids[:, None], choices]
-            for step in range(chunk):
-                cols = local[:, step]
-                variables = node_offsets + cols
-                point = points[:, step]
-                new_codes = tables.sample_codes(
-                    codes, chain_ids, variables, point, _packed_compiled
-                )
-                if any_factorless:
-                    # The serial fast path for factorless nodes (uniform
-                    # resample via truncation), per packed row.
-                    uniform = np.minimum((point * q).astype(np.int64), q - 1)
-                    new_codes = np.where(factorless[variables], uniform, new_codes)
-                codes[chain_ids, cols] = new_codes
+
+        self._steps(
+            layout.tables,
+            codes,
+            layout.rngs,
+            layout.free_counts.tolist(),
+            free_lookup.ravel(),
+            np.arange(layout.total_chains) * free_lookup.shape[1],
+            layout.chain_node_offset,
+            _packed_compiled,
+            layout.any_factorless,
+            count,
+        )
         packed.scatter_codes(codes)
         return None
 
@@ -548,9 +568,11 @@ class LubyGlauberKernel(ChainKernel):
 
     def _neighbour_index(self, batch) -> np.ndarray:
         """Positions (into the priority array) of each free node's free
-        neighbours, padded with a sentinel column that reads a ``-inf``
-        priority -- so isolated nodes are always selected, matching the
-        serial all-of-empty convention.  Cached per batch."""
+        neighbours, one column per free node (shape ``(width, free)``, so
+        the round's neighbour max runs over the leading axis), padded with
+        a sentinel that reads a ``-inf`` priority -- so isolated nodes are
+        always selected, matching the serial all-of-empty convention.
+        Cached per batch."""
         state = batch.scratch(self.name)
         cached = state.get("neighbour_index")
         if cached is not None:
@@ -574,9 +596,9 @@ class LubyGlauberKernel(ChainKernel):
         ]
         width = max((len(positions) for positions in neighbour_positions), default=0) or 1
         sentinel = len(free_nodes)
-        neighbour_index = np.full((len(free_nodes), width), sentinel, dtype=np.int64)
+        neighbour_index = np.full((width, len(free_nodes)), sentinel, dtype=np.int64)
         for position, neighbours in enumerate(neighbour_positions):
-            neighbour_index[position, : len(neighbours)] = neighbours
+            neighbour_index[: len(neighbours), position] = neighbours
         state["neighbour_index"] = neighbour_index
         return neighbour_index
 
@@ -588,7 +610,7 @@ class LubyGlauberKernel(ChainKernel):
         extended = np.concatenate(
             [priorities, np.full((batch.n_chains, 1), -np.inf)], axis=1
         )
-        selected = priorities > extended[:, neighbour_index].max(axis=2)
+        selected = priorities > np.maximum.reduce(extended[:, neighbour_index], axis=1)
         # Every chain consumes exactly its selection count, matching the
         # serial rng.random(len(selected)) draw.
         points = uniforms.take_ragged(selected.sum(axis=1), rounds)

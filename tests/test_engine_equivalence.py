@@ -209,13 +209,10 @@ class TestPinnedSubInstances:
 class TestBlanketTables:
     """The batched kernels' blanket-indexed tables vs the per-step gather."""
 
-    @pytest.mark.parametrize("q", [2, 3, 6])
-    def test_blanket_weights_equal_the_gather_bit_for_bit(self, q):
-        from repro.runtime.chains import _BatchedTables
-
-        rng = np.random.default_rng(4100 + q)
-        parts = []
-        for _ in range(8):
+    @staticmethod
+    def _random_instances(q, rng, count=8):
+        """Seeded random models over ``q`` codes: ``(compiled, scopes, arrays)``."""
+        for _ in range(count):
             n = int(rng.integers(4, 7))
             # Two weight tables per arity (zeros are hard constraints), drawn
             # with replacement, so equal factors exercise the table dedupe.
@@ -233,7 +230,16 @@ class TestBlanketTables:
                 scope = rng.choice(n - 1, size=arity, replace=False)
                 scopes.append(tuple(int(node) for node in scope))
                 arrays.append(palette[arity][int(rng.integers(2))])
-            compiled = CompiledGibbs(range(n), range(q), scopes, arrays)
+            yield CompiledGibbs(range(n), range(q), scopes, arrays), scopes, arrays
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_blanket_weights_equal_the_gather_bit_for_bit(self, q):
+        from repro.runtime.chains import _BatchedTables
+
+        rng = np.random.default_rng(4100 + q)
+        parts = []
+        for compiled, scopes, arrays in self._random_instances(q, rng):
+            n = len(compiled.nodes)
             tables = compiled.batched_tables
             assert tables.rows is not None and tables.factorless[n - 1]
             codes = rng.integers(0, q, size=(32, n))
@@ -250,10 +256,10 @@ class TestBlanketTables:
                 for r, v in zip(rows, variables)
             ]
             assert blanket.tobytes() == np.array(serial).tobytes()
-            # The cumulative rows the samplers select from are the running
-            # sums of exactly these weight rows.
-            cumulative = tables.cumulative[tables._row_index(codes, rows, variables)]
-            assert cumulative.tobytes() == np.cumsum(blanket, axis=1).tobytes()
+            # The cumulative columns the samplers select from (q-major) are
+            # the running sums of exactly these weight rows.
+            cumulative = tables.cumulative[:, tables._row_index(codes, rows, variables)]
+            assert cumulative.tobytes() == np.cumsum(blanket, axis=1).T.tobytes()
             assert tables.may_stick == bool(np.any(tables.rows.sum(axis=1) <= 0.0))
             parts.append(tables)
             # All three read CompiledConditionals' entry layout, so check it
@@ -270,11 +276,109 @@ class TestBlanketTables:
                 direct.append(weights)
             np.testing.assert_array_equal(np.array(serial), np.array(direct))
         merged = _BatchedTables.merged(parts)
-        assert merged.cumulative.tobytes() == np.cumsum(merged.rows, axis=1).tobytes()
+        assert merged.cumulative.tobytes() == np.cumsum(merged.rows, axis=1).T.tobytes()
         assert merged.cumulative.tobytes() == np.concatenate(
-            [part.cumulative for part in parts]
+            [part.cumulative for part in parts], axis=1
         ).tobytes()
         assert merged.may_stick == any(part.may_stick for part in parts)
+
+    @staticmethod
+    def _edge_points(rng, size):
+        """Uniform points with 0.0 and the clamp edge ``nextafter(1, 0)`` mixed in."""
+        points = rng.random(size)
+        points.flat[::3] = 0.0
+        points.flat[1::3] = np.nextafter(1.0, 0.0)
+        return points
+
+    @staticmethod
+    def _serial_weights(compiled, variable, chain):
+        """The serial conditional weights of one pair and their total."""
+        weights = compiled.conditionals.weights_by_codes(int(variable), chain)
+        return weights, sum(weights)
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_q_major_sample_codes_equal_the_serial_pick(self, q):
+        """Both table forms pick the serial :func:`sample_code` code, from
+        one pair (the serve shape) up to a LubyGlauber round of 10 000,
+        at the uniform point's edges, and name the earliest stuck pair."""
+        import copy
+
+        from repro.sampling.kernels import sample_code, stuck_node_error
+
+        rng = np.random.default_rng(5200 + q)
+        for compiled, _, _ in self._random_instances(q, rng, count=4):
+            n = len(compiled.nodes)
+            blanket = compiled.batched_tables
+            gather = copy.copy(blanket)
+            gather._clear_blanket()
+            codes = rng.integers(0, q, size=(64, n))
+            serial = {
+                (row, variable): self._serial_weights(compiled, variable, chain)
+                for row, chain in enumerate(codes.tolist())
+                for variable in range(n)
+            }
+            feasible = np.array([pair for pair, (_, total) in serial.items() if total > 0.0])
+            stuck = [pair for pair, (_, total) in serial.items() if total <= 0.0]
+            for pairs in (1, 200, 10_000):
+                rows, variables = feasible[rng.integers(0, len(feasible), size=pairs)].T
+                points = self._edge_points(rng, pairs)
+                expected = []
+                for row, variable, point in zip(rows.tolist(), variables.tolist(), points.tolist()):
+                    weights, total = serial[row, variable]
+                    expected.append(sample_code(weights, point * total))
+                for tables in (blanket, gather):
+                    picked = tables.sample_codes(codes, rows, variables, points, compiled)
+                    assert picked.tolist() == expected
+            if len(stuck) >= 2:
+                # Two stuck pairs among feasible ones: the first names the node.
+                rows, variables = np.concatenate(
+                    [feasible[:50], stuck[:1], feasible[50:100], stuck[1:2]]
+                ).T
+                message = str(stuck_node_error(compiled, stuck[0][1]))
+                for tables in (blanket, gather):
+                    with pytest.raises(ValueError) as raised:
+                        tables.sample_codes(
+                            codes, rows, variables, rng.random(len(rows)), compiled
+                        )
+                    assert str(raised.value) == message
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_q_major_sample_columns_equal_the_serial_pick_on_a_wave(self, q):
+        import copy
+
+        from repro.sampling.kernels import sample_code, scan_waves
+
+        rng = np.random.default_rng(5300 + q)
+        checked = 0
+        for compiled, _, _ in self._random_instances(q, rng):
+            n = len(compiled.nodes)
+            blanket = compiled.batched_tables
+            gather = copy.copy(blanket)
+            gather._clear_blanket()
+            # The widest wave of one scan over every node, in every chain
+            # whose wave nodes are all feasible.
+            wave = max(scan_waves(blanket.scan_scopes(), list(range(n))), key=len)
+            codes = rng.integers(0, q, size=(200, n))
+            serial = [
+                [self._serial_weights(compiled, v, chain) for v in wave.tolist()]
+                for chain in codes.tolist()
+            ]
+            keep = [all(total > 0.0 for _, total in row) for row in serial]
+            if not any(keep):
+                continue
+            codes = codes[keep]
+            serial = [row for row, kept in zip(serial, keep) if kept]
+            points = self._edge_points(rng, (len(codes), len(wave)))
+            expected = [
+                [sample_code(w, p * t) for (w, t), p in zip(row, chain_points)]
+                for row, chain_points in zip(serial, points.tolist())
+            ]
+            for tables in (blanket, gather):
+                picked = tables.sample_columns(codes, wave, points, compiled)
+                assert picked.shape == (len(codes), len(wave))
+                assert picked.tolist() == expected
+            checked += 1
+        assert checked
 
     def test_torus_colouring_tables_stay_small(self):
         distribution = coloring_model(torus_graph(12, 12), num_colors=6)

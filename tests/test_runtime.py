@@ -107,6 +107,26 @@ class TestBatchedChainEdges:
         serial = [glauber_sample(instance, steps, seed=seed) for seed in seeds]
         assert BATCHED.run_chains("glauber", instance, steps, seeds=seeds) == serial
 
+    def test_fused_pack_crosses_the_rng_chunk_like_serial(self):
+        # Pinned nodes leave gaps in each group's free columns, and the two
+        # groups differ in size and free count: the shared chunk loop must
+        # replay every chain's serial draws through its own free lookup.
+        from repro.runtime import PackedBatch
+        from repro.sampling.glauber import GLAUBER_KERNEL
+
+        instances = [
+            SamplingInstance(hardcore_model(path_graph(5), 1.0), {2: 0}),
+            SamplingInstance(hardcore_model(cycle_graph(6), 1.3), {1: 1}),
+        ]
+        seeds = [chain_seed_sequences(root, 3) for root in (4, 5)]
+        requests = list(zip(instances, seeds))
+        assert GLAUBER_KERNEL.fuses(PackedBatch(requests))
+        steps = RNG_CHUNK + 37
+        packed = BATCHED.run_packed("glauber", requests, steps)
+        for group, (instance, group_seeds) in enumerate(requests):
+            serial = [glauber_sample(instance, steps, seed=seed) for seed in group_seeds]
+            assert packed[group] == serial, f"group {group}"
+
     def test_spawned_seed_convention(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0))
 
