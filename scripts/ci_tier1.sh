@@ -19,7 +19,9 @@
 # slow-marked forked-worker tests), a kernel smoke (every registered chain
 # kernel runs bit-identically on the serial and batched backends through
 # the unified run_chains path, on one instance within the blanket-table
-# caps, one past them and one whose blanket rows may total zero; jvv on
+# caps, one past them and one whose blanket rows may total zero, at 4
+# chains and at 1 chain -- serve's smallest shape, where the pair axis of
+# the q-major blanket tables has length 1; jvv on
 # the first must advance in fewer dependency waves than steps; luby-glauber
 # resumed in segments must equal one whole run on the blanket and may_stick
 # instances, serial and batched), a codes-only chain smoke (no chain entry
@@ -248,14 +250,18 @@ kernels = registered_kernels()
 expected = {"glauber", "luby-glauber", "jvv", "sequential"}
 missing = expected - set(kernels)
 assert not missing, f"kernels missing from the registry: {missing}"
+for chains in (4, 1):
+    serial = Runtime("serial", n_chains=chains)
+    batched = Runtime("batched", n_chains=chains)
+    for name in sorted(kernels):
+        for mode, instance in instances.items():
+            reference = serial.run_chains(name, instance, 12, seed=3)
+            assert batched.run_chains(name, instance, 12, seed=3) == reference, (
+                f"kernel {name} diverges between the serial and batched backends "
+                f"({mode}, {chains} chains)"
+            )
 serial = Runtime("serial", n_chains=4)
 batched = Runtime("batched", n_chains=4)
-for name in sorted(kernels):
-    for mode, instance in instances.items():
-        reference = serial.run_chains(name, instance, 12, seed=3)
-        assert batched.run_chains(name, instance, 12, seed=3) == reference, (
-            f"kernel {name} diverges between the serial and batched backends ({mode})"
-        )
 # A silent fall back to one step per wave must fail here.
 with Runtime("batched", n_chains=4, obs=True) as traced:
     assert traced.run_chains("jvv", instances["blanket"], 12, seed=3) == serial.run_chains(
@@ -283,7 +289,7 @@ for runtime in (serial, batched):
         )
 print(
     f"kernel smoke OK: {len(kernels)} kernels x blanket/gather/may_stick tables, "
-    f"serial == batched per chain; jvv ran 12 steps in {schedules[0]['waves']} waves; "
+    f"serial == batched per chain at 4 and 1 chains; jvv ran 12 steps in {schedules[0]['waves']} waves; "
     "luby-glauber split resume == whole run"
 )
 PY
