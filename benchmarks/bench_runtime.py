@@ -18,9 +18,9 @@ chains of a hardcore instance, one sample per chain):
   is asserted before any timing.
 
   The three chain rows, like ``obs_overhead_batched`` (the Glauber row's
-  batched workload with observability off vs on), record each side's
-  median with its spread, the host-speed probe and an environment stamp
-  (see ``spread.py``).
+  batched workload with observability off vs on), time their two sides in
+  alternation and record each side's median with its spread, the
+  host-speed probe and an environment stamp (see ``spread.py``).
 * ``process_ball_shards`` / ``process_ball_shards_shm`` -- the E5/E8
   per-node ball computations (Theorem 5.1 marginals at every node) serial
   vs sharded over a 2-worker process runtime, once over the default
@@ -75,7 +75,8 @@ chains of a hardcore instance, one sample per chain):
   model (the pre-packing serving path).  Every packed group is asserted
   bit-identical to the kernel's serial chains before any timing; the
   recorded speedup is the cross-model batching win a ``repro-serve
-  --cross-model`` batch rides.
+  --cross-model`` batch rides.  Each side's median is recorded with its
+  spread and the host-speed probe.
 * ``streaming_ball_shards`` -- the same E5-style workload on the barrier
   API (``Runtime.ball_marginals``, which returns nothing until every
   shard lands) vs the streaming API (``Runtime.stream_ball_marginals``,
@@ -143,7 +144,7 @@ from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, chain_seed_sequences, stream_padded_ball_marginals
 from repro.runtime.chains import chain_generators
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
-from spread import Samples, environment, spread, timed
+from spread import Samples, environment, spread, timed, timed_pair
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -896,10 +897,11 @@ def run(
     """Time the backends; report the best of ``repeats`` per side.
 
     The chain rows (``luby_chains``, ``glauber_chains``, ``jvv_chains``),
-    ``obs_overhead_batched``, the process, cluster and serve rows, the
-    seeding row and the phase-residual row instead run ``3 * repeats``
-    times and record the median with its spread and the host-speed probe
-    beside it.
+    ``obs_overhead_batched``, ``packed_multi_instance``, the process,
+    cluster and serve rows, the seeding row and the phase-residual row
+    instead run ``3 * repeats`` times and record the median with its
+    spread and the host-speed probe beside it; the chain, obs and packed
+    rows alternate their two sides repeat by repeat.
     """
     spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
@@ -909,8 +911,7 @@ def run(
         ("jvv_chains", _jvv_chain_workload),
     ):
         shape, serial, batched = factory()
-        serial_spread = timed(serial, spread_repeats)
-        batched_spread = timed(batched, spread_repeats)
+        serial_spread, batched_spread = timed_pair(serial, batched, spread_repeats)
         rows.append(
             {
                 "workload": name,
@@ -939,8 +940,7 @@ def run(
         }
     )
     shape, obs_off, obs_on = _obs_overhead_workload()
-    off = timed(obs_off, spread_repeats)
-    on = timed(obs_on, spread_repeats)
+    off, on = timed_pair(obs_off, obs_on, spread_repeats)
     rows.append(
         {
             "workload": "obs_overhead_batched",
@@ -994,16 +994,17 @@ def run(
         }
     )
     shape, loop, packed_run = _packed_multi_instance_workload()
-    loop_seconds = _best_of(loop, repeats)
-    packed_seconds = _best_of(packed_run, repeats)
+    loop_spread, packed_spread = timed_pair(loop, packed_run, spread_repeats)
     rows.append(
         {
             "workload": "packed_multi_instance",
             "backend_pair": "loop-vs-packed",
             "shape": shape,
-            "loop_seconds": loop_seconds,
-            "packed_seconds": packed_seconds,
-            "speedup": loop_seconds / packed_seconds,
+            "loop_seconds": loop_spread["median"],
+            "packed_seconds": packed_spread["median"],
+            "speedup": loop_spread["median"] / packed_spread["median"],
+            "spread": {"loop": loop_spread, "packed": packed_spread},
+            "environment": environment(),
             "bit_identical_to_serial": True,
         }
     )

@@ -25,7 +25,7 @@ import os
 import platform
 import statistics
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,3 +114,19 @@ def timed(function: Callable[[], object], repeats: int, per: int = 1) -> Dict[st
     for _ in range(repeats):
         samples.time(function, per)
     return samples.spread()
+
+
+def timed_pair(
+    first: Callable[[], object], second: Callable[[], object], repeats: int
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """The :func:`spread` of each of two functions, timed in alternation.
+
+    Repeat ``i`` times ``first`` then ``second``, so a slow stretch of the
+    host falls on both sides of a row alike rather than on whichever side
+    ran through it.
+    """
+    samples = (Samples(), Samples())
+    for _ in range(repeats):
+        for side, function in zip(samples, (first, second)):
+            side.time(function)
+    return samples[0].spread(), samples[1].spread()

@@ -892,8 +892,6 @@ class ChainBatch:
         self._uniforms: Optional[ChainUniforms] = None
         self._kind: Optional[str] = None
         self._scratch: Dict[str, dict] = {}
-        #: ``arange(n_chains)``, the row selector of whole-batch gathers.
-        self.chain_ids = np.arange(self.n_chains)
 
     def _bind(self, instance: SamplingInstance):
         """Target ``instance``: its compiled engine, tables and free nodes."""
