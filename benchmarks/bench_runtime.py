@@ -75,8 +75,9 @@ chains of a hardcore instance, one sample per chain):
   model (the pre-packing serving path).  Every packed group is asserted
   bit-identical to the kernel's serial chains before any timing; the
   recorded speedup is the cross-model batching win a ``repro-serve
-  --cross-model`` batch rides.  Each side's median is recorded with its
-  spread and the host-speed probe.
+  --cross-model`` batch rides.  The two sides are timed in alternation
+  and each side's median is recorded with its spread and the host-speed
+  probe.
 * ``streaming_ball_shards`` -- the same E5-style workload on the barrier
   API (``Runtime.ball_marginals``, which returns nothing until every
   shard lands) vs the streaming API (``Runtime.stream_ball_marginals``,

@@ -355,8 +355,9 @@ class TestBlanketTables:
             blanket = compiled.batched_tables
             gather = copy.copy(blanket)
             gather._clear_blanket()
-            # The widest wave of one scan over every node, in every chain
-            # whose wave nodes are all feasible.
+            # The widest wave of one scan over nodes 0..n-1 (so its step
+            # indices are node ids), in every chain whose wave nodes are
+            # all feasible.
             wave = max(scan_waves(blanket.scan_scopes(), list(range(n))), key=len)
             codes = rng.integers(0, q, size=(200, n))
             serial = [
