@@ -123,6 +123,12 @@ chains of a hardcore instance, one sample per chain):
   asserted equal before timing; the row records the median seconds per
   call with its spread and the host-speed probe.
 
+Every row above that records a spread for two timed sides, except
+``serve_coalescing`` (whose bursts each start and close a server), times
+the sides in alternation, repeat by repeat (``spread.timed_pair``), so a
+slow stretch of the host falls on both alike; bit-identity is asserted
+before the first repeat.
+
 Run directly to (re)record the JSON baseline::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py  # writes BENCH_runtime.json
@@ -145,7 +151,7 @@ from repro.models import coloring_model, hardcore_model
 from repro.runtime import Runtime, chain_seed_sequences, stream_padded_ball_marginals
 from repro.runtime.chains import chain_generators
 from repro.sampling.glauber import glauber_sample, luby_glauber_sample
-from spread import Samples, environment, spread, timed, timed_pair
+from spread import Samples, environment, spread, timed_pair
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -901,8 +907,9 @@ def run(
     ``obs_overhead_batched``, ``packed_multi_instance``, the process,
     cluster and serve rows, the seeding row and the phase-residual row
     instead run ``3 * repeats`` times and record the median with its
-    spread and the host-speed probe beside it; the chain, obs and packed
-    rows alternate their two sides repeat by repeat.
+    spread and the host-speed probe beside it.  Every such row with two
+    timed sides but ``serve_coalescing`` alternates them repeat by repeat
+    (:func:`spread.timed_pair`).
     """
     spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
@@ -979,8 +986,9 @@ def run(
             }
         )
     shape, spawned_calls, derived_calls = _chain_seeding_workload()
-    spawned = timed(spawned_calls, spread_repeats, per=shape["calls"])
-    derived = timed(derived_calls, spread_repeats, per=shape["calls"])
+    spawned, derived = timed_pair(
+        spawned_calls, derived_calls, spread_repeats, per=shape["calls"]
+    )
     rows.append(
         {
             "workload": "chain_seeding",
@@ -1012,8 +1020,7 @@ def run(
     for transport in ("pickle", "shm"):
         shape, serial, sharded, teardown = _process_shard_workload(transport=transport)
         try:
-            serial_spread = timed(serial, spread_repeats)
-            process_spread = timed(sharded, spread_repeats)
+            serial_spread, process_spread = timed_pair(serial, sharded, spread_repeats)
         finally:
             teardown()
         rows.append(
@@ -1035,8 +1042,7 @@ def run(
         )
     shape, serial, process, teardown = _cold_shard_workload()
     try:
-        serial_spread = timed(serial, spread_repeats)
-        process_spread = timed(process, spread_repeats)
+        serial_spread, process_spread = timed_pair(serial, process, spread_repeats)
     finally:
         teardown()
     rows.append(
@@ -1057,8 +1063,9 @@ def run(
             transport=transport
         )
         try:
-            batched = timed(batched_calls, spread_repeats, per=shape["calls"])
-            process = timed(process_calls, spread_repeats, per=shape["calls"])
+            batched, process = timed_pair(
+                batched_calls, process_calls, spread_repeats, per=shape["calls"]
+            )
         finally:
             teardown()
         rows.append(
@@ -1149,8 +1156,9 @@ def run(
         for n_workers in (2, 4):
             shape, process, clustered, teardown = _cluster_shard_workload(n_workers)
             try:
-                process_spread = timed(process, spread_repeats)
-                cluster_spread = timed(clustered, spread_repeats)
+                process_spread, cluster_spread = timed_pair(
+                    process, clustered, spread_repeats
+                )
             finally:
                 teardown()
             row = {

@@ -117,16 +117,19 @@ def timed(function: Callable[[], object], repeats: int, per: int = 1) -> Dict[st
 
 
 def timed_pair(
-    first: Callable[[], object], second: Callable[[], object], repeats: int
+    first: Callable[[], object],
+    second: Callable[[], object],
+    repeats: int,
+    per: int = 1,
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """The :func:`spread` of each of two functions, timed in alternation.
 
-    Repeat ``i`` times ``first`` then ``second``, so a slow stretch of the
-    host falls on both sides of a row alike rather than on whichever side
-    ran through it.
+    Repeat ``i`` times ``first`` then ``second`` (each over ``per`` units),
+    so a slow stretch of the host falls on both sides of a row alike
+    rather than on whichever side ran through it.
     """
     samples = (Samples(), Samples())
     for _ in range(repeats):
         for side, function in zip(samples, (first, second)):
-            side.time(function)
+            side.time(function, per)
     return samples[0].spread(), samples[1].spread()

@@ -52,7 +52,8 @@
 # concurrent HTTP sample requests, which must coalesce into at most two
 # batches -- observable from the JSON responses alone -- with every
 # response bit-identical to a solo run, answers a JSON-array body and a
-# count of 1e400 with a 400, then drains cleanly on SIGTERM;
+# count of 1e400 with a 400, then drains cleanly on SIGTERM while a
+# kept-alive connection sits idle after one GET /v1/healthz;
 # once for one model, and once with --cross-model for two same-alphabet
 # models sharing a packed batch), a learning smoke (seeded pseudo-likelihood and contrastive
 # divergence fits on a small Ising dataset must recover the generating
@@ -497,6 +498,7 @@ echo "== tier-1: serving smoke =="
 python - <<'PY'
 import json
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -571,8 +573,18 @@ def leg(models, extra_args):
             status, body = http_request(host, port, "POST", "/v1/sample", bad)
             assert status == 400, f"malformed sample {bad!r}: HTTP {status}: {body}"
 
-        server.send_signal(signal.SIGTERM)
-        assert server.wait(timeout=30) == 0, "server did not drain cleanly on SIGTERM"
+        # A kept-alive connection left idle must not hold up the drain.
+        with socket.create_connection((host, port), timeout=30) as idle:
+            idle.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: smoke\r\n\r\n")
+            head = b""
+            while b"\r\n\r\n" not in head:
+                chunk = idle.recv(4096)
+                assert chunk, "the server closed the kept-alive connection"
+                head += chunk
+            assert head.startswith(b"HTTP/1.1 200"), head
+            assert b"Connection: keep-alive" in head, head
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0, "server did not drain cleanly on SIGTERM"
         return len(batches)
     finally:
         if server.poll() is None:
@@ -585,7 +597,8 @@ cross_model = leg({"hc": HC, "hc-path": HC_PATH}, ["--cross-model"])
 print(
     f"serving smoke OK: 8 concurrent requests coalesced into {per_model} "
     f"batch(es) for one model and {cross_model} across two models "
-    "(--cross-model), bit-identical to solo runs, malformed bodies 400, clean drains"
+    "(--cross-model), bit-identical to solo runs, malformed bodies 400, clean drains "
+    "with a kept-alive connection idle"
 )
 PY
 

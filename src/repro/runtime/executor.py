@@ -306,7 +306,8 @@ class Runtime:
         return self.backend == CLUSTER_BACKEND
 
     @property
-    def _distributed(self) -> bool:
+    def is_distributed(self) -> bool:
+        """Whether work may leave this process (the process or cluster backend)."""
         return self.backend in (PROCESS_BACKEND, CLUSTER_BACKEND)
 
     def _transport(self):
@@ -696,7 +697,7 @@ class Runtime:
         :func:`~repro.runtime.shards.run_chain_blocks`.  Returns what
         ``run_chain_blocks`` returns.
         """
-        if self._distributed:
+        if self.is_distributed:
             if not (self.is_process and len(seeds) * count <= self.inline_threshold):
                 return run_chain_blocks(
                     instance,
@@ -767,7 +768,7 @@ class Runtime:
         nodes = list(nodes)
         if (
             len(nodes) > 1
-            and self._distributed
+            and self.is_distributed
             and resolve_engine(engine) == "compiled"
         ):
             yield from stream_padded_ball_marginals(
@@ -814,7 +815,7 @@ class Runtime:
             ``((center, radius), marginal)`` pairs.
         """
         tasks = list(tasks)
-        if tasks and self._distributed:
+        if tasks and self.is_distributed:
             yield from stream_ball_marginal_tasks(
                 instance,
                 tasks,

@@ -43,12 +43,24 @@ seed and splits the resulting states back by offset: every response is
 bit-identical to the same request served alone.
 
 A coalescer owns its execution: one shared
-:class:`~repro.runtime.Runtime` and one dedicated single-thread executor
-(:attr:`RequestCoalescer.executor`) -- so batches are serialised and
-every instance it serves is only ever touched by one thread, while the
-event loop stays free to accept and queue more requests.  The server runs
-one coalescer per model by default, and one shared coalescer for every
-model with ``SamplingServer(cross_model=True)``.
+:class:`~repro.runtime.Runtime` and one dedicated single-thread executor.
+Every piece of executor work goes through :meth:`RequestCoalescer.offload`,
+which counts it while it runs.  A batch runs *inline* on the event-loop
+thread when nothing is in flight on the executor and its predicted CPU
+time fits within ``sys.getswitchinterval()``; every other batch goes to
+the executor.  The prediction is the ``time.thread_time()`` per ``count``
+unit the last batch of the same ``(kernel, models)`` took on this
+coalescer, times ``count``, so the first batch of each kind goes to the
+executor and measures it.  The rule fits the GIL: the loop thread already
+waits up to one switch interval whenever the executor holds the GIL, so a
+batch inside that interval blocks the loop no longer than the executor
+does, without the hop and the GIL hand-off.  A distributed runtime waits
+on its workers, which no thread's CPU time shows, so its batches always
+go to the executor.  Either way, every instance a coalescer serves is
+touched by one thread at a time.  With obs on, every batch counts once
+under ``serve.dispatch.inline`` or ``serve.dispatch.executor``.  The
+server runs one coalescer per model by default, and one shared coalescer
+for every model with ``SamplingServer(cross_model=True)``.
 
 Backpressure and deadlines live here too: admitting a request beyond
 ``max_queue`` outstanding raises :class:`Backpressure` (HTTP 429), and a
@@ -62,6 +74,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -69,7 +82,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.gibbs import SamplingInstance
 from repro.runtime import Runtime
-from repro.runtime.chains import chain_seed_sequences
+from repro.runtime.chains import as_seed_list, chain_seed_sequences
 
 Node = Hashable
 Value = Hashable
@@ -127,7 +140,9 @@ class _Pending:
             id(instance),
             None if initial is None else frozenset(initial.items()),
         )
-        self.seeds = list(seeds)
+        # Kept as given: a lazy SpawnedSeeds builds no child SeedSequence
+        # on the loop thread.
+        self.seeds = as_seed_list(seeds)
         self.future = future
         self.admitted = time.monotonic()
         self.settled = False
@@ -199,25 +214,40 @@ class RequestCoalescer:
         self._running = 0
         self._outstanding = 0
         self._closing = False
-        # One executor thread per coalescer: batches are serialised, so
-        # the instances it serves (and their ball caches) are only ever
-        # touched by one thread, and the event loop never blocks on a
-        # running batch.
+        # One executor thread per coalescer, and no batch inline while it
+        # has work in flight: the instances it serves (and their ball
+        # caches) are touched by one thread at a time, and the loop blocks
+        # on a batch only as long as the GIL would make it wait anyway.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"serve-{name}"
         )
+        # Calls submitted to the executor (concurrent futures), see
+        # _in_flight.
+        self._offloaded: list = []
+        # (kernel, models) -> CPU seconds per count unit of its last batch.
+        self._unit_cost: Dict[Tuple, float] = {}
+        # A distributed runtime waits on its workers, which no thread's
+        # CPU time shows: its batches always go to the executor.
+        self._may_inline = not getattr(runtime, "is_distributed", False)
         self._batches = 0
         self._served_by_model: Dict[str, int] = {}
 
     # -- accounting ----------------------------------------------------
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        """The single thread that runs this coalescer's batches.
+    def offload(self, call) -> asyncio.Future:
+        """Run ``call()`` on the executor thread; an awaitable of its result.
 
-        Other work on the same instances (the server's marginal streams)
-        runs here too, so no instance is touched by two threads.
+        All executor work goes through here -- the batches that do not run
+        inline and the server's marginal streams -- so no batch runs inline
+        while any of it is unfinished.
         """
-        return self._executor
+        work = self._executor.submit(call)
+        self._in_flight().append(work)
+        return asyncio.wrap_future(work)
+
+    def _in_flight(self) -> list:
+        """The executor's unfinished calls (finished ones are dropped)."""
+        self._offloaded = [work for work in self._offloaded if not work.done()]
+        return self._offloaded
 
     @property
     def outstanding(self) -> int:
@@ -390,12 +420,16 @@ class RequestCoalescer:
             groups.setdefault(request.group, []).append(request)
         members = list(groups.values())
         group_seeds = [
-            [seed for request in member for seed in request.seeds]
+            member[0].seeds
+            if len(member) == 1
+            else [seed for request in member for seed in request.seeds]
             for member in members
         ]
         self._batches += 1
         batch_id = new_request_id()
         models = sorted({request.model for request in requests})
+        kind = (kernel, tuple(models))
+        run = functools.partial(self._execute, self._inline(kind, count), kind, count)
         handle = obs.active()
         if handle is not None:
             handle.metrics.counter("serve.batches").inc()
@@ -403,7 +437,6 @@ class RequestCoalescer:
             handle.metrics.histogram("serve.batch_size", _BATCH_SIZE_BUCKETS).observe(
                 len(requests)
             )
-        loop = asyncio.get_running_loop()
         # One span per coalesced batch, carrying every request id it
         # serves -- the stitch between per-request traces and the single
         # chain execution.
@@ -420,7 +453,7 @@ class RequestCoalescer:
         ):
             if len(members) == 1:
                 outcomes = [
-                    await self._run_group(kernel, count, members[0], group_seeds[0])
+                    await self._run_group(run, kernel, count, members[0], group_seeds[0])
                 ]
             else:
                 if handle is not None:
@@ -435,14 +468,14 @@ class RequestCoalescer:
                     count,
                 )
                 try:
-                    outcomes = await loop.run_in_executor(self._executor, call)
+                    outcomes = await run(call)
                 except Exception:
                     # One group's failure (say, an initial configuration
                     # the kernel cannot move from) must not fail the
                     # others: rerun every group alone, so a request only
                     # ever fails with the requests of its own group.
                     outcomes = [
-                        await self._run_group(kernel, count, member, seeds)
+                        await self._run_group(run, kernel, count, member, seeds)
                         for member, seeds in zip(members, group_seeds)
                     ]
         now = time.monotonic()
@@ -468,7 +501,7 @@ class RequestCoalescer:
                         )
                 self._settle(request)
 
-    async def _run_group(self, kernel, count, member, seeds):
+    async def _run_group(self, run, kernel, count, member, seeds):
         """One group alone -- one ``run_chains`` call; its states or its error."""
         first = member[0]
         call = functools.partial(
@@ -477,11 +510,39 @@ class RequestCoalescer:
         if first.initial is not None:
             call = functools.partial(call, initial=first.initial)
         try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, call
-            )
+            return await run(call)
         except Exception as error:
             return error
+
+    def _inline(self, kind: Tuple, count: int) -> bool:
+        """Whether a batch of ``kind`` runs inline (see the module notes).
+
+        Decided once per batch, and counted under ``serve.dispatch.*``
+        with obs on.
+        """
+        cost = self._unit_cost.get(kind)
+        inline = (
+            self._may_inline
+            and not self._in_flight()
+            and cost is not None
+            and cost * count <= sys.getswitchinterval()
+        )
+        handle = obs.active()
+        if handle is not None:
+            where = "inline" if inline else "executor"
+            handle.metrics.counter(f"serve.dispatch.{where}").inc()
+        return inline
+
+    async def _execute(self, inline: bool, kind: Tuple, count: int, call):
+        """``call()`` on the loop thread or the executor, its CPU time kept per unit."""
+
+        def measured():
+            start = time.thread_time()
+            result = call()
+            self._unit_cost[kind] = (time.thread_time() - start) / count
+            return result
+
+        return measured() if inline else await self.offload(measured)
 
     # -- lifecycle -----------------------------------------------------
     async def drain(self) -> None:

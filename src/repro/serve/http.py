@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 #: Refuse request heads (request line + headers) above this size.
@@ -81,8 +81,10 @@ class Request:
         return self.headers.get("connection", "").lower() != "close"
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request from the stream; ``None`` on a clean EOF.
+async def read_request(reader: asyncio.StreamReader, first: bytes) -> Request:
+    """Parse one request from the stream, whose first byte ``first`` was
+    already read (a server reads it while the connection idles between
+    requests, where the peer may also hang up cleanly).
 
     Raises
     ------
@@ -91,10 +93,8 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         truncated by the peer mid-transfer.
     """
     try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None  # clean EOF between requests
+        head = first + await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError:
         raise HttpError(400, "connection closed mid request head")
     except asyncio.LimitOverrunError:
         raise HttpError(413, f"request head exceeds {MAX_HEADER_BYTES} bytes")

@@ -171,6 +171,8 @@ class SamplingServer:
             self._assign = self._new_coalescer
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
+        #: Writers of the connections idle between requests.
+        self._idle: set = set()
         self._draining = False
 
     # -- lifecycle -----------------------------------------------------
@@ -192,10 +194,14 @@ class SamplingServer:
 
         Requests already admitted (queued in a coalescer or mid-batch)
         complete and their responses are written; new requests during the
-        drain are answered 503.  Runtimes shut down last -- via the
-        event-loop-safe :meth:`Runtime.shutdown` path.
+        drain are answered 503.  A kept-alive connection idle between
+        requests is closed at once; one whose request is being read or
+        handled closes once its response is written.  Runtimes shut down
+        last -- via the event-loop-safe :meth:`Runtime.shutdown` path.
         """
         self._draining = True
+        for writer in list(self._idle):
+            writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -243,9 +249,18 @@ class SamplingServer:
         if task is not None:
             self._connections.add(task)
         try:
-            while True:
+            while not self._draining:
+                # Idle until the next request's first byte arrives: only
+                # here may a drain close the connection.
+                self._idle.add(writer)
                 try:
-                    request = await read_request(reader)
+                    first = await reader.read(1)
+                finally:
+                    self._idle.discard(writer)
+                if not first:
+                    return
+                try:
+                    request = await read_request(reader, first)
                 except HttpError as error:
                     writer.write(
                         json_response(
@@ -255,8 +270,6 @@ class SamplingServer:
                         )
                     )
                     await writer.drain()
-                    return
-                if request is None:
                     return
                 keep_alive = request.keep_alive and not self._draining
                 try:
@@ -555,9 +568,10 @@ class SamplingServer:
             request_id=request_id,
         ):
             first = True
-            # On the thread that runs this model's samples: one thread
-            # per instance.
-            future = loop.run_in_executor(coalescer.executor, pump)
+            # On the executor of the coalescer that runs this model's
+            # samples, which runs no batch inline meanwhile: one thread
+            # at a time per instance.
+            future = coalescer.offload(pump)
             await start_chunked(writer)
             try:
                 while True:

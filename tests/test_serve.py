@@ -1138,6 +1138,240 @@ class TestFlushPolicy:
 
 
 # ----------------------------------------------------------------------
+# inline dispatch: short batches run on the event-loop thread
+# ----------------------------------------------------------------------
+class _ThreadRecordingRuntime:
+    """A batched runtime that records the thread of every chain call."""
+
+    def __init__(self):
+        self.inner = Runtime("batched")
+        self.threads = []
+
+    def run_chains(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        return self.inner.run_chains(*args, **kwargs)
+
+    def run_packed(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        return self.inner.run_packed(*args, **kwargs)
+
+    def shutdown(self):
+        self.inner.shutdown()
+
+
+async def _dispatch_sequence(runtime, instance):
+    """Three lone glauber batches of one model, then one packed batch of two."""
+    from repro.serve.coalesce import RequestCoalescer
+
+    other = SamplingInstance(hardcore_model(path_graph(5), 1.0))
+    coalescer = RequestCoalescer("*", runtime, max_batch=2, max_wait=0.01)
+    try:
+        for seed in range(3):
+            await coalescer.sample("hc", instance, "glauber", 10, seed=seed)
+        # Two models in one window: a full bucket, one packed batch.
+        await asyncio.gather(
+            coalescer.sample("hc", instance, "glauber", 10, seed=3),
+            coalescer.sample("path", other, "glauber", 10, seed=4),
+        )
+    finally:
+        await coalescer.drain()
+
+
+class TestInlineDispatch:
+    def test_after_its_kinds_first_batch_a_short_batch_runs_on_the_loop_thread(self):
+        from repro.serve.coalesce import RequestCoalescer
+
+        instance = _policy_instance()
+        _solo(instance, 0)  # compile the engine and its tables outside the batches
+        recording = _ThreadRecordingRuntime()
+
+        async def main():
+            coalescer = RequestCoalescer("hc", recording)
+            try:
+                await coalescer.sample("hc", instance, "glauber", 200, seed=1)
+                return await coalescer.sample(
+                    "hc", instance, "glauber", 10, seed=2, n_chains=3
+                )
+            finally:
+                await coalescer.drain()
+
+        try:
+            short, _, _ = asyncio.run(main())
+        finally:
+            recording.shutdown()
+        loop_thread = threading.current_thread()
+        first, second = recording.threads
+        assert first is not loop_thread, "the first batch of a kind ran inline"
+        assert second is loop_thread, "a short batch went to the executor"
+        assert short == _solo(instance, 2, n_chains=3)
+
+    def test_a_distributed_runtime_s_batches_never_run_inline(self):
+        """Its calls wait on workers, which the loop thread must not do."""
+        from repro.serve.coalesce import RequestCoalescer
+
+        instance = _policy_instance()
+        recording = _ThreadRecordingRuntime()
+        recording.is_distributed = True
+
+        async def main():
+            coalescer = RequestCoalescer("hc", recording)
+            try:
+                for seed in range(3):
+                    await coalescer.sample("hc", instance, "glauber", 10, seed=seed)
+            finally:
+                await coalescer.drain()
+
+        try:
+            asyncio.run(main())
+        finally:
+            recording.shutdown()
+        assert len(recording.threads) == 3
+        assert threading.current_thread() not in recording.threads
+
+    def test_no_batch_runs_inline_while_a_marginal_stream_holds_the_executor(
+        self, monkeypatch
+    ):
+        registry = _registry()
+        entry = registry.get("hc")
+        expected = _expected_states(entry, "glauber", 5, 3, 1)  # also warms the engine
+        started, release = threading.Event(), threading.Event()
+        threads = []
+        stream, run_chains = Runtime.stream_ball_marginals, Runtime.run_chains
+
+        def gated_stream(self, *args, **kwargs):
+            started.set()
+            assert release.wait(30), "the gated stream was never released"
+            yield from stream(self, *args, **kwargs)
+
+        def recorded_run(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return run_chains(self, *args, **kwargs)
+
+        monkeypatch.setattr(Runtime, "stream_ball_marginals", gated_stream)
+        monkeypatch.setattr(Runtime, "run_chains", recorded_run)
+
+        async def body(host, port, server):
+            def sample(seed):
+                return request_json(
+                    host, port, "POST", "/v1/sample", sample_payload("hc", count=5, seed=seed)
+                )
+
+            try:
+                for seed in (1, 2):
+                    status, _ = await sample(seed)
+                    assert status == 200
+                marginal = asyncio.ensure_future(
+                    request_ndjson(host, port, "/v1/marginal", {"model": "hc", "radius": 1})
+                )
+                assert await asyncio.get_running_loop().run_in_executor(
+                    None, started.wait, 30
+                ), "the marginal stream never started"
+                held = asyncio.ensure_future(sample(3))
+                await asyncio.sleep(0.1)
+                assert not held.done(), "a batch ran while the stream held the executor"
+            finally:
+                release.set()
+            (status, lines), (held_status, response) = await asyncio.gather(marginal, held)
+            assert status == 200 and lines and held_status == 200
+            return response
+
+        response = _serve(body, registry=registry)
+        loop_thread = threading.current_thread()
+        assert threads[0] is not loop_thread and threads[1] is loop_thread
+        assert threads[2] is threads[0], "the held batch did not wait for the executor"
+        assert response["states"] == expected
+
+    def test_each_batch_counts_once_under_one_dispatch_counter(self):
+        instance = _policy_instance()
+        _solo(instance, 0)
+        handle = obs.enable(tracing=False)
+        try:
+            with Runtime("batched") as runtime:
+                asyncio.run(_dispatch_sequence(runtime, instance))
+            asyncio.run(_scripted_flushes(instance))
+            snapshot = handle.metrics.snapshot()
+        finally:
+            obs.disable()
+        dispatched = {
+            name: value for name, value in snapshot.items() if name.startswith("serve.dispatch.")
+        }
+        assert set(dispatched) == {"serve.dispatch.inline", "serve.dispatch.executor"}
+        # 4 batches of the sequence and 5 scripted flushes.
+        assert snapshot["serve.batches"] == sum(dispatched.values()) == 9
+        assert snapshot["serve.packed_batches"] == 1
+
+    def test_dispatch_creates_no_metric_with_obs_off(self, monkeypatch):
+        from repro.obs import metrics
+
+        instance = _policy_instance()
+        _solo(instance, 0)
+        created = []
+        counter_init = metrics.Counter.__init__
+
+        def recording_init(self, name):
+            created.append(name)
+            counter_init(self, name)
+
+        monkeypatch.setattr(metrics.Counter, "__init__", recording_init)
+        obs.disable()
+        recording = _ThreadRecordingRuntime()
+        try:
+            asyncio.run(_dispatch_sequence(recording, instance))
+        finally:
+            recording.shutdown()
+        assert created == []
+        # The sequence did run batches inline.
+        assert threading.current_thread() in recording.threads
+
+
+# ----------------------------------------------------------------------
+# draining with kept-alive connections
+# ----------------------------------------------------------------------
+async def _read_response_head(reader):
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=5)
+    length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+    await asyncio.wait_for(reader.readexactly(length), timeout=5)
+    return head
+
+
+class TestKeepAliveDrain:
+    def test_close_returns_while_a_kept_alive_connection_idles(self):
+        async def body(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                head = await _read_response_head(reader)
+                assert head.startswith(b"HTTP/1.1 200")
+                assert b"Connection: keep-alive" in head
+                await asyncio.wait_for(server.close(), timeout=5)
+                # The server hung up the idle connection.
+                assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            finally:
+                writer.close()
+
+        _serve(body)
+
+    def test_a_request_being_read_when_the_drain_begins_is_answered(self):
+        async def body(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b"GET /v1/healthz HTTP/1.1\r\n")
+                await asyncio.sleep(0.05)  # the server reads the head's start
+                closing = asyncio.ensure_future(server.close())
+                await asyncio.sleep(0.05)
+                assert not closing.done(), "the drain did not wait for the request"
+                writer.write(b"Host: test\r\n\r\n")
+                head = await _read_response_head(reader)
+                assert head.startswith(b"HTTP/1.1 200")
+                assert b"Connection: close" in head
+                await asyncio.wait_for(closing, timeout=5)
+            finally:
+                writer.close()
+
+        _serve(body)
+
+
+# ----------------------------------------------------------------------
 # /v1/sample bodies joined from per-model fragments
 # ----------------------------------------------------------------------
 def _string_node_instance():
