@@ -49,14 +49,18 @@ which counts it while it runs.  A batch runs *inline* on the event-loop
 thread when nothing is in flight on the executor and its predicted CPU
 time fits within ``sys.getswitchinterval()``; every other batch goes to
 the executor.  The prediction is the ``time.thread_time()`` per ``count``
-unit the last batch of the same ``(kernel, models)`` took on this
-coalescer, times ``count``, so the first batch of each kind goes to the
-executor and measures it.  The rule fits the GIL: the loop thread already
-waits up to one switch interval whenever the executor holds the GIL, so a
-batch inside that interval blocks the loop no longer than the executor
-does, without the hop and the GIL hand-off.  A distributed runtime waits
-on its workers, which no thread's CPU time shows, so its batches always
-go to the executor.  Either way, every instance a coalescer serves is
+unit the last call of the same shape -- ``(kernel, models, chains)``, the
+chain total of every request the call carries -- took on this coalescer,
+times ``count``, so the first batch of each shape goes to the executor
+and measures it.  The chain total is part of the shape, not a factor of
+the prediction: at the serving sizes a call's cost grows far slower than
+its chains (one chain or eight barely differ), and a batch of a chain
+total never measured, however large, gets no prediction at all.  The rule
+fits the GIL: the loop thread already waits up to one switch interval
+whenever the executor holds the GIL, so a batch inside that interval
+blocks the loop no longer than the executor does, without the hop and the
+GIL hand-off.  A distributed runtime waits on its workers, which no
+thread's CPU time shows, so its batches always go to the executor.  Either way, every instance a coalescer serves is
 touched by one thread at a time.  With obs on, every batch counts once
 under ``serve.dispatch.inline`` or ``serve.dispatch.executor``.  The
 server runs one coalescer per model by default, and one shared coalescer
@@ -224,7 +228,8 @@ class RequestCoalescer:
         # Calls submitted to the executor (concurrent futures), see
         # _in_flight.
         self._offloaded: list = []
-        # (kernel, models) -> CPU seconds per count unit of its last batch.
+        # (kernel, models, chains) -> CPU seconds per count unit of the
+        # last call of that shape.
         self._unit_cost: Dict[Tuple, float] = {}
         # A distributed runtime waits on its workers, which no thread's
         # CPU time shows: its batches always go to the executor.
@@ -428,8 +433,8 @@ class RequestCoalescer:
         self._batches += 1
         batch_id = new_request_id()
         models = sorted({request.model for request in requests})
-        kind = (kernel, tuple(models))
-        run = functools.partial(self._execute, self._inline(kind, count), kind, count)
+        chains = sum(len(seeds) for seeds in group_seeds)
+        inline = self._inline((kernel, tuple(models), chains), count)
         handle = obs.active()
         if handle is not None:
             handle.metrics.counter("serve.batches").inc()
@@ -449,11 +454,11 @@ class RequestCoalescer:
             requests=",".join(request.request_id for request in requests),
             size=len(requests),
             groups=len(members),
-            chains=sum(len(seeds) for seeds in group_seeds),
+            chains=chains,
         ):
             if len(members) == 1:
                 outcomes = [
-                    await self._run_group(run, kernel, count, members[0], group_seeds[0])
+                    await self._run_group(inline, kernel, count, members[0], group_seeds[0])
                 ]
             else:
                 if handle is not None:
@@ -468,14 +473,18 @@ class RequestCoalescer:
                     count,
                 )
                 try:
-                    outcomes = await run(call)
+                    outcomes = await self._execute(
+                        inline, (kernel, tuple(models), chains), count, call
+                    )
                 except Exception:
                     # One group's failure (say, an initial configuration
                     # the kernel cannot move from) must not fail the
                     # others: rerun every group alone, so a request only
-                    # ever fails with the requests of its own group.
+                    # ever fails with the requests of its own group.  The
+                    # reruns follow the batch's decision: together they
+                    # carry the batch's chains.
                     outcomes = [
-                        await self._run_group(run, kernel, count, member, seeds)
+                        await self._run_group(inline, kernel, count, member, seeds)
                         for member, seeds in zip(members, group_seeds)
                     ]
         now = time.monotonic()
@@ -501,7 +510,7 @@ class RequestCoalescer:
                         )
                 self._settle(request)
 
-    async def _run_group(self, run, kernel, count, member, seeds):
+    async def _run_group(self, inline, kernel, count, member, seeds):
         """One group alone -- one ``run_chains`` call; its states or its error."""
         first = member[0]
         call = functools.partial(
@@ -510,17 +519,19 @@ class RequestCoalescer:
         if first.initial is not None:
             call = functools.partial(call, initial=first.initial)
         try:
-            return await run(call)
+            return await self._execute(
+                inline, (kernel, (first.model,), len(seeds)), count, call
+            )
         except Exception as error:
             return error
 
-    def _inline(self, kind: Tuple, count: int) -> bool:
-        """Whether a batch of ``kind`` runs inline (see the module notes).
+    def _inline(self, shape: Tuple, count: int) -> bool:
+        """Whether a batch of ``shape`` runs inline (see the module notes).
 
         Decided once per batch, and counted under ``serve.dispatch.*``
         with obs on.
         """
-        cost = self._unit_cost.get(kind)
+        cost = self._unit_cost.get(shape)
         inline = (
             self._may_inline
             and not self._in_flight()
@@ -533,13 +544,13 @@ class RequestCoalescer:
             handle.metrics.counter(f"serve.dispatch.{where}").inc()
         return inline
 
-    async def _execute(self, inline: bool, kind: Tuple, count: int, call):
+    async def _execute(self, inline: bool, shape: Tuple, count: int, call):
         """``call()`` on the loop thread or the executor, its CPU time kept per unit."""
 
         def measured():
             start = time.thread_time()
             result = call()
-            self._unit_cost[kind] = (time.thread_time() - start) / count
+            self._unit_cost[shape] = (time.thread_time() - start) / count
             return result
 
         return measured() if inline else await self.offload(measured)

@@ -195,11 +195,16 @@ class SamplingServer:
         Requests already admitted (queued in a coalescer or mid-batch)
         complete and their responses are written; new requests during the
         drain are answered 503.  A kept-alive connection idle between
-        requests is closed at once; one whose request is being read or
+        requests is closed after one loop turn, unless its next request
+        is already buffered by then; one whose request is being read or
         handled closes once its response is written.  Runtimes shut down
         last -- via the event-loop-safe :meth:`Runtime.shutdown` path.
         """
         self._draining = True
+        # One loop turn first: a connection whose next request is already
+        # in its reader's buffer has its read resumed by then, leaves the
+        # idle set and is answered (503 for a sample).
+        await asyncio.sleep(0)
         for writer in list(self._idle):
             writer.close()
         if self._server is not None:

@@ -1188,7 +1188,7 @@ class TestInlineDispatch:
         async def main():
             coalescer = RequestCoalescer("hc", recording)
             try:
-                await coalescer.sample("hc", instance, "glauber", 200, seed=1)
+                await coalescer.sample("hc", instance, "glauber", 200, seed=1, n_chains=3)
                 return await coalescer.sample(
                     "hc", instance, "glauber", 10, seed=2, n_chains=3
                 )
@@ -1204,6 +1204,35 @@ class TestInlineDispatch:
         assert first is not loop_thread, "the first batch of a kind ran inline"
         assert second is loop_thread, "a short batch went to the executor"
         assert short == _solo(instance, 2, n_chains=3)
+
+    def test_a_batch_of_a_chain_total_never_measured_goes_to_the_executor(self):
+        """A one-chain measurement predicts nothing for 512 chains at the same count."""
+        from repro.serve.coalesce import RequestCoalescer
+
+        instance = _policy_instance()
+        _solo(instance, 0)
+        recording = _ThreadRecordingRuntime()
+
+        async def main():
+            coalescer = RequestCoalescer("hc", recording)
+            try:
+                for seed in (1, 2):
+                    await coalescer.sample("hc", instance, "glauber", 10, seed=seed)
+                return await coalescer.sample(
+                    "hc", instance, "glauber", 10, seed=3, n_chains=512
+                )
+            finally:
+                await coalescer.drain()
+
+        try:
+            wide, _, _ = asyncio.run(main())
+        finally:
+            recording.shutdown()
+        loop_thread = threading.current_thread()
+        first, second, third = recording.threads
+        assert first is not loop_thread and second is loop_thread
+        assert third is first, "a 512-chain batch ran inline on a 1-chain estimate"
+        assert wide == _solo(instance, 3, n_chains=512)
 
     def test_a_distributed_runtime_s_batches_never_run_inline(self):
         """Its calls wait on workers, which the loop thread must not do."""
@@ -1334,6 +1363,22 @@ async def _read_response_head(reader):
     return head
 
 
+async def _left_idle(server, timeout=5.0):
+    """Wait until the server's one connection is reading its next request."""
+    deadline = time.monotonic() + timeout
+    while not server._connections or server._idle:
+        assert time.monotonic() < deadline, "the connection never left its idle read"
+        await asyncio.sleep(0.001)
+
+
+async def _idled(server, timeout=5.0):
+    """Wait until the server's one connection idles between requests."""
+    deadline = time.monotonic() + timeout
+    while not server._idle:
+        assert time.monotonic() < deadline, "the connection never went idle"
+        await asyncio.sleep(0.001)
+
+
 class TestKeepAliveDrain:
     def test_close_returns_while_a_kept_alive_connection_idles(self):
         async def body(host, port, server):
@@ -1356,7 +1401,7 @@ class TestKeepAliveDrain:
             reader, writer = await asyncio.open_connection(host, port)
             try:
                 writer.write(b"GET /v1/healthz HTTP/1.1\r\n")
-                await asyncio.sleep(0.05)  # the server reads the head's start
+                await _left_idle(server)  # the server reads the head's start
                 closing = asyncio.ensure_future(server.close())
                 await asyncio.sleep(0.05)
                 assert not closing.done(), "the drain did not wait for the request"
@@ -1365,6 +1410,39 @@ class TestKeepAliveDrain:
                 assert head.startswith(b"HTTP/1.1 200")
                 assert b"Connection: close" in head
                 await asyncio.wait_for(closing, timeout=5)
+            finally:
+                writer.close()
+
+        _serve(body)
+
+    def test_a_request_already_buffered_when_the_drain_begins_is_answered(
+        self, monkeypatch
+    ):
+        """Bytes in the reader's buffer, its read not yet resumed: answered, not cut."""
+        readers = []
+        on_connection = SamplingServer._on_connection
+
+        async def recording(self, reader, writer):
+            readers.append(reader)
+            await on_connection(self, reader, writer)
+
+        monkeypatch.setattr(SamplingServer, "_on_connection", recording)
+
+        async def body(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                await _read_response_head(reader)
+                await _idled(server)
+                # The drain's first step is queued before the read this
+                # feed wakes (as a socket read would): the bytes are
+                # buffered, the read not yet resumed, when the drain begins.
+                closing = asyncio.ensure_future(server.close())
+                readers[0].feed_data(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                await asyncio.wait_for(closing, timeout=5)
+                head = await _read_response_head(reader)
+                assert head.startswith(b"HTTP/1.1 200")
+                assert b"Connection: close" in head
             finally:
                 writer.close()
 
