@@ -21,12 +21,9 @@ chains of a hardcore instance, one sample per chain):
   batched workload with observability off vs on), time their two sides in
   alternation and record each side's median with its spread, the
   host-speed probe and an environment stamp (see ``spread.py``).
-* ``process_ball_shards`` / ``process_ball_shards_shm`` -- the E5/E8
-  per-node ball computations (Theorem 5.1 marginals at every node) serial
-  vs sharded over a 2-worker process runtime, once over the default
-  pickle transport and once with ``transport="shm"`` (the
-  ``InstanceSpec`` dense arrays cross as shared-memory descriptors
-  instead of by value).  The runtime's workers are forked once, by the
+* ``process_ball_shards`` -- the E5/E8 per-node ball computations
+  (Theorem 5.1 marginals at every node) serial vs sharded over a 2-worker
+  process runtime.  The runtime's workers are forked once, by the
   correctness gate, and reused by every timed call, as a long-lived
   runtime reuses them.  Recorded for observability; on a small host the
   shard can still be *slower* than serial, which is exactly what the
@@ -39,34 +36,32 @@ chains of a hardcore instance, one sample per chain):
 * ``process_ball_shards_cold`` -- the cold cost of a ball stream, the
   perfbench ``sharded`` traffic: Theorem 5.1 marginals at radius 1 on a
   fresh hardcore distribution per call (a 100-node 3-regular graph), the
-  serial loop vs a 2-worker process runtime with ``transport="shm"``.
-  Each call is a new instance and so a new spec id: the workers decode
-  the spec and compile every ball cold, and ship back the marginals
-  only.  Bit-identity to the serial loop is asserted before timing; the
+  serial loop vs a 2-worker process runtime.  Each call is a new instance
+  and so a new spec id, pickled to each worker: the workers decode the
+  spec and compile every ball cold, and ship back the marginals only.
+  It is the only row that prices a fresh spec on every call.  Bit-identity to the serial loop is asserted before timing; the
   row records each side's median with its spread, the host-speed probe
   and an environment stamp (see ``spread.py``).
-* ``process_repeated_chains`` / ``process_repeated_chains_shm`` -- the
-  repeated-call shape of a long-lived runtime: 10 Glauber ``run_chains``
-  calls of 48 chains x 300 steps on one 8x8 torus 6-colouring, batched vs
-  a 2-worker process runtime with ``inline_threshold=0`` (every call goes
-  to the workers), per transport.  All calls on the unchanged instance
+* ``process_repeated_chains`` -- the repeated-call shape of a long-lived
+  runtime: 10 Glauber ``run_chains`` calls of 48 chains x 300 steps on
+  one 8x8 torus 6-colouring, batched vs a 2-worker process runtime with
+  ``inline_threshold=0`` (every call goes to the workers).  All calls on
+  the unchanged instance
   carry one spec id, so each worker receives the spec once and hits its
   spec cache on every later call.  Every call is asserted bit-identical to the
   batched backend before any timing; the row records the median seconds
   per call, with its spread over the repeats and an environment stamp
   (see ``spread.py``).
 * ``process_shard_phase_residual`` -- the same workload split per phase
-  (spawn / compute / tail) for both transports: where the 2-worker shard
-  spends its time.  One real ``stream_ball_marginal_tasks`` call on a
-  process runtime whose workers are already forked is traced with
-  :mod:`repro.obs` and cut at the workers' task spans: spawn runs from
-  the call to the first task starting on a worker (the spec snapshot,
-  packing it -- by value under pickle, as descriptors under shm -- the
-  first submissions, the SPEC frames and the first worker's restore of
-  the spec), compute from there to the last task ending (the parent
-  collects landed marginals meanwhile), tail from there to the end of
-  the stream (the last result's trip back, segment unlink; nothing is
-  forked or joined).  Each traced run is asserted bit-identical to the serial loop
+  (spawn / compute / tail): where the 2-worker shard spends its time.
+  One real ``stream_ball_marginal_tasks`` call on a process runtime whose
+  workers are already forked is traced with :mod:`repro.obs` and cut at
+  the workers' task spans: spawn runs from the call to the first task
+  starting on a worker (the spec snapshot, the first submissions, the
+  pickled SPEC frames and the first worker's restore of the spec),
+  compute from there to the last task ending (the parent collects landed
+  marginals meanwhile), tail from there to the end of the stream (the
+  last result's trip back; nothing is forked or joined).  Each traced run is asserted bit-identical to the serial loop
   before its timings are recorded; the row keeps each phase's median,
   its spread over the repeats and an environment stamp.
 * ``packed_multi_instance`` -- many small same-alphabet models advanced
@@ -84,9 +79,10 @@ chains of a hardcore instance, one sample per chain):
   which yields each shard as its future completes), on one process
   runtime and its one set of forked workers.  The headline number is
   *time to first shard result*: the streaming consumer starts measuring
-  while the remaining balls are still compiling, so its first result must
-  land strictly before the barrier call returns at all.  Streamed marginals
-  are asserted bit-identical to the serial loop before timing.
+  while the remaining balls are still compiling, so its median first
+  result must land strictly before the barrier call's median return.
+  Streamed marginals are asserted bit-identical to the serial loop before
+  timing; each figure is recorded as a median with its spread.
 * ``cluster_ball_shards_2w`` / ``cluster_ball_shards_4w`` -- the same
   workload dispatched over 2 (resp. 4) *localhost cluster workers* (real
   ``repro-cluster-worker`` subprocesses behind the framed-pickle TCP
@@ -106,7 +102,8 @@ chains of a hardcore instance, one sample per chain):
   (``auth_key=`` on both sides: every frame carries a 32-byte tag,
   verified before unpickling).  Records what frame authentication costs
   on the wire; both sides are asserted bit-identical to the serial loop
-  before timing -- authentication must never change answers.
+  before timing -- authentication must never change answers.  Each
+  side's median is recorded with its spread and the host-speed probe.
 * ``serve_coalescing`` -- 16 concurrent HTTP sample requests against one
   in-process :mod:`repro.serve` server, ``max_batch=1`` (every request is
   its own ``run_chains`` call) vs ``max_batch=16`` (the coalescer folds
@@ -123,7 +120,7 @@ chains of a hardcore instance, one sample per chain):
   asserted equal before timing; the row records the median seconds per
   call with its spread and the host-speed probe.
 
-Every row above that records a spread for two timed sides, except
+Every row above records a spread.  Every row with two timed sides, except
 ``serve_coalescing`` (whose bursts each start and close a server), times
 the sides in alternation, repeat by repeat (``spread.timed_pair``), so a
 slow stretch of the host falls on both alike; bit-identity is asserted
@@ -157,15 +154,6 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
 #: The batched backend: one in-process code-matrix block per call.
 BATCHED = Runtime("batched")
-
-
-def _best_of(function, repeats: int) -> float:
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _luby_chain_workload(chains: int = 64, rounds: int = 60, size: int = 48):
@@ -479,25 +467,22 @@ def _cd_negative_phase_workload(
     return shape, serial, batched
 
 
-def _process_shard_workload(
-    size: int = 40, radius: int = 3, n_workers: int = 2, transport: str = "pickle"
-):
+def _process_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 2):
     from repro.inference.ssm_inference import padded_ball_marginal
 
     distribution = hardcore_model(random_tree(size, seed=2), fugacity=1.0)
     instance = SamplingInstance(distribution, {0: 0})
     nodes = instance.free_nodes
-    runtime = Runtime("process", n_workers=n_workers, transport=transport)
+    runtime = Runtime("process", n_workers=n_workers)
 
     # Correctness gate before any timing (it also forks the runtime's
-    # workers): the sharded marginals, and the shm transport in
-    # particular, must never change answers.
+    # workers): the sharded marginals must never change answers.
     serial_reference = {
         node: padded_ball_marginal(instance, node, radius) for node in nodes
     }
     distribution.ball_cache().clear()
     assert runtime.ball_marginals(instance, nodes, radius) == serial_reference, (
-        f"transport={transport!r} shard diverges from the serial loop"
+        "process shard diverges from the serial loop"
     )
 
     def serial() -> None:
@@ -509,12 +494,7 @@ def _process_shard_workload(
         distribution.ball_cache().clear()
         runtime.ball_marginals(instance, nodes, radius)
 
-    shape = {
-        "nodes": len(nodes),
-        "radius": radius,
-        "workers": n_workers,
-        "transport": transport,
-    }
+    shape = {"nodes": len(nodes), "radius": radius, "workers": n_workers}
     return shape, serial, sharded, runtime.shutdown
 
 
@@ -525,7 +505,7 @@ def _cold_shard_workload(
 
     Every call builds a new hardcore distribution on one fixed
     ``degree``-regular graph, so nothing is warm: the serial loop compiles
-    every ball, and the 2-worker shm process runtime ships a new spec (a
+    every ball, and the 2-worker process runtime pickles a new spec (a
     new spec id) that each worker decodes and compiles cold -- the
     perfbench ``sharded`` stream.  The workers are forked once, by the
     correctness gate, which asserts the streamed marginals bit-identical
@@ -536,7 +516,7 @@ def _cold_shard_workload(
     from repro.inference.ssm_inference import padded_ball_marginal
 
     graph = random_regular_graph(degree, size, seed=1)
-    runtime = Runtime("process", n_workers=n_workers, transport="shm")
+    runtime = Runtime("process", n_workers=n_workers)
 
     def fresh() -> SamplingInstance:
         return SamplingInstance(hardcore_model(graph, fugacity=1.0), {0: 0})
@@ -552,14 +532,8 @@ def _cold_shard_workload(
         instance = fresh()
         return runtime.ball_marginals(instance, instance.free_nodes, radius)
 
-    assert process() == serial(), "cold shm ball stream diverges from the serial loop"
-    shape = {
-        "nodes": size,
-        "degree": degree,
-        "radius": radius,
-        "workers": n_workers,
-        "transport": "shm",
-    }
+    assert process() == serial(), "cold ball stream diverges from the serial loop"
+    shape = {"nodes": size, "degree": degree, "radius": radius, "workers": n_workers}
     return shape, serial, process, runtime.shutdown
 
 
@@ -569,7 +543,6 @@ def _repeated_chain_workload(
     steps: int = 300,
     side: int = 8,
     n_workers: int = 2,
-    transport: str = "pickle",
 ):
     """``calls`` Glauber ``run_chains`` calls on one instance, batched vs process.
 
@@ -582,17 +555,11 @@ def _repeated_chain_workload(
     """
     instance = SamplingInstance(coloring_model(torus_graph(side, side), 6))
     batched = Runtime("batched", n_chains=chains)
-    runtime = Runtime(
-        "process",
-        n_chains=chains,
-        n_workers=n_workers,
-        transport=transport,
-        inline_threshold=0,
-    )
+    runtime = Runtime("process", n_chains=chains, n_workers=n_workers, inline_threshold=0)
     for seed in range(calls):
         assert runtime.run_chains("glauber", instance, steps, seed=seed) == (
             batched.run_chains("glauber", instance, steps, seed=seed)
-        ), f"transport={transport!r} call {seed} diverges from batched"
+        ), f"process call {seed} diverges from batched"
 
     def batched_calls() -> None:
         for seed in range(calls):
@@ -609,25 +576,22 @@ def _repeated_chain_workload(
         "torus": side,
         "colors": 6,
         "workers": n_workers,
-        "transport": transport,
     }
     return shape, batched_calls, process_calls, runtime.shutdown
 
 
 def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
-    """Per-phase residual of the sharded ball workload, per transport.
+    """Per-phase residual of the sharded ball workload.
 
     Traces one real ``stream_ball_marginal_tasks`` call on a process
     runtime whose workers are already forked, with :mod:`repro.obs`, and
     cuts it at the workers' ``worker.task`` spans (wall-clock stamps,
     comparable across processes on one host): spawn (call start to the
-    first task starting on a worker -- the spec snapshot, packing the
-    :class:`InstanceSpec` by value under pickle or as shared-memory
-    descriptors under shm, the first submissions and SPEC frames and the
-    first worker's restore of the spec), compute (first task start to
-    last task end, with the parent collecting landed marginals meanwhile)
-    and tail (last task end to the end of the stream: the last result's
-    trip back, segment unlink).  Every traced run is asserted bit-identical
+    first task starting on a worker -- the spec snapshot, the first
+    submissions and pickled SPEC frames and the first worker's restore of
+    the spec), compute (first task start to last task end, with the
+    parent collecting landed marginals meanwhile) and tail (last task end
+    to the end of the stream: the last result's trip back).  Every traced run is asserted bit-identical
     to the serial loop before its timings count.  Returns ``(shape,
     phases, teardown)``.
     """
@@ -642,22 +606,18 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
         node: padded_ball_marginal(instance, node, radius) for node in nodes
     }
 
-    runtimes = {
-        transport: Runtime("process", n_workers=n_workers, transport=transport)
-        for transport in ("pickle", "shm")
-    }
-    for runtime in runtimes.values():
-        distribution.ball_cache().clear()
-        runtime.ball_marginals(instance, nodes, radius)  # forks the workers
+    runtime = Runtime("process", n_workers=n_workers)
+    distribution.ball_cache().clear()
+    runtime.ball_marginals(instance, nodes, radius)  # forks the workers
 
-    def phases(transport: str) -> Dict[str, float]:
+    def phases() -> Dict[str, float]:
         distribution.ball_cache().clear()
         obs.enable()
         try:
             start = time.time()
             results = {
                 center: marginal
-                for (center, _), marginal in runtimes[transport].stream_ball_marginal_tasks(
+                for (center, _), marginal in runtime.stream_ball_marginal_tasks(
                     instance, tasks
                 )
             }
@@ -667,9 +627,7 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
             ]
         finally:
             obs.disable()
-        assert results == serial_reference, (
-            f"traced {transport!r} shard diverges from the serial loop"
-        )
+        assert results == serial_reference, "traced shard diverges from the serial loop"
         first = min(event["ts"] for event in chunks)
         last = max(event["ts"] + event["dur"] for event in chunks)
         return {
@@ -679,12 +637,8 @@ def _shard_phase_residual(size: int = 40, radius: int = 3, n_workers: int = 2):
             "total_seconds": end - start,
         }
 
-    def teardown() -> None:
-        for runtime in runtimes.values():
-            runtime.shutdown()
-
     shape = {"nodes": len(nodes), "radius": radius, "workers": n_workers}
-    return shape, phases, teardown
+    return shape, phases, runtime.shutdown
 
 
 def _packed_multi_instance_workload(
@@ -759,17 +713,19 @@ def _streaming_shard_workload(size: int = 40, radius: int = 3, n_workers: int = 
         distribution.ball_cache().clear()
         runtime.ball_marginals(instance, nodes, radius)
 
-    def streaming() -> tuple:
+    first_results: List[float] = []
+
+    def streaming() -> None:
         distribution.ball_cache().clear()
         start = time.perf_counter()
         first = None
         for _ in runtime.stream_ball_marginals(instance, nodes, radius):
             if first is None:
                 first = time.perf_counter() - start
-        return first, time.perf_counter() - start
+        first_results.append(first)
 
     shape = {"nodes": len(nodes), "radius": radius, "workers": n_workers}
-    return shape, barrier, streaming, runtime.shutdown
+    return shape, barrier, streaming, first_results, runtime.shutdown
 
 
 def _cluster_shard_workload(
@@ -901,15 +857,10 @@ def run(
     cluster: bool = True,
     serve: bool = True,
 ) -> List[Dict[str, object]]:
-    """Time the backends; report the best of ``repeats`` per side.
-
-    The chain rows (``luby_chains``, ``glauber_chains``, ``jvv_chains``),
-    ``obs_overhead_batched``, ``packed_multi_instance``, the process,
-    cluster and serve rows, the seeding row and the phase-residual row
-    instead run ``3 * repeats`` times and record the median with its
-    spread and the host-speed probe beside it.  Every such row with two
-    timed sides but ``serve_coalescing`` alternates them repeat by repeat
-    (:func:`spread.timed_pair`).
+    """Time the backends: every row runs ``3 * repeats`` times and records
+    the median with its spread and the host-speed probe beside it.  Every
+    row with two timed sides but ``serve_coalescing`` alternates them
+    repeat by repeat (:func:`spread.timed_pair`).
     """
     spread_repeats = 3 * repeats
     rows: List[Dict[str, object]] = []
@@ -934,16 +885,17 @@ def run(
             }
         )
     shape, cd_serial, cd_batched = _cd_negative_phase_workload()
-    cd_serial_seconds = _best_of(cd_serial, repeats)
-    cd_batched_seconds = _best_of(cd_batched, repeats)
+    serial_spread, batched_spread = timed_pair(cd_serial, cd_batched, spread_repeats)
     rows.append(
         {
             "workload": "cd_negative_phase",
             "backend_pair": "cd-serial-vs-batched",
             "shape": shape,
-            "serial_seconds": cd_serial_seconds,
-            "batched_seconds": cd_batched_seconds,
-            "speedup": cd_serial_seconds / cd_batched_seconds,
+            "serial_seconds": serial_spread["median"],
+            "batched_seconds": batched_spread["median"],
+            "speedup": serial_spread["median"] / batched_spread["median"],
+            "spread": {"serial": serial_spread, "batched": batched_spread},
+            "environment": environment(),
             "bit_identical_across_backends": True,
         }
     )
@@ -1017,19 +969,18 @@ def run(
             "bit_identical_to_serial": True,
         }
     )
-    for transport in ("pickle", "shm"):
-        shape, serial, sharded, teardown = _process_shard_workload(transport=transport)
+    for name, factory in (
+        ("process_ball_shards", _process_shard_workload),
+        ("process_ball_shards_cold", _cold_shard_workload),
+    ):
+        shape, serial, process, teardown = factory()
         try:
-            serial_spread, process_spread = timed_pair(serial, sharded, spread_repeats)
+            serial_spread, process_spread = timed_pair(serial, process, spread_repeats)
         finally:
             teardown()
         rows.append(
             {
-                "workload": (
-                    "process_ball_shards"
-                    if transport == "pickle"
-                    else "process_ball_shards_shm"
-                ),
+                "workload": name,
                 "backend_pair": "serial-vs-process",
                 "shape": shape,
                 "serial_seconds": serial_spread["median"],
@@ -1040,76 +991,42 @@ def run(
                 "bit_identical_to_serial": True,
             }
         )
-    shape, serial, process, teardown = _cold_shard_workload()
+    shape, batched_calls, process_calls, teardown = _repeated_chain_workload()
     try:
-        serial_spread, process_spread = timed_pair(serial, process, spread_repeats)
+        batched, process = timed_pair(
+            batched_calls, process_calls, spread_repeats, per=shape["calls"]
+        )
     finally:
         teardown()
     rows.append(
         {
-            "workload": "process_ball_shards_cold",
-            "backend_pair": "serial-vs-process",
+            "workload": "process_repeated_chains",
+            "backend_pair": "batched-vs-process",
             "shape": shape,
-            "serial_seconds": serial_spread["median"],
-            "process_seconds": process_spread["median"],
-            "speedup": serial_spread["median"] / process_spread["median"],
-            "spread": {"serial": serial_spread, "process": process_spread},
+            "batched_seconds_per_call": batched["median"],
+            "process_seconds_per_call": process["median"],
+            "speedup": batched["median"] / process["median"],
+            "spread": {"batched": batched, "process": process},
             "environment": environment(),
-            "bit_identical_to_serial": True,
+            "bit_identical_to_batched": True,
         }
     )
-    for transport in ("pickle", "shm"):
-        shape, batched_calls, process_calls, teardown = _repeated_chain_workload(
-            transport=transport
-        )
-        try:
-            batched, process = timed_pair(
-                batched_calls, process_calls, spread_repeats, per=shape["calls"]
-            )
-        finally:
-            teardown()
-        rows.append(
-            {
-                "workload": (
-                    "process_repeated_chains"
-                    if transport == "pickle"
-                    else "process_repeated_chains_shm"
-                ),
-                "backend_pair": "batched-vs-process",
-                "shape": shape,
-                "batched_seconds_per_call": batched["median"],
-                "process_seconds_per_call": process["median"],
-                "speedup": batched["median"] / process["median"],
-                "spread": {"batched": batched, "process": process},
-                "environment": environment(),
-                "bit_identical_to_batched": True,
-            }
-        )
     shape, phases, teardown = _shard_phase_residual()
-    residual: Dict[str, Dict[str, float]] = {}
-    residual_spread: Dict[str, Dict[str, Dict[str, float]]] = {}
     try:
-        for transport in ("pickle", "shm"):
-            probed = Samples()
-            samples = [
-                probed.time(lambda: phases(transport)) for _ in range(spread_repeats)
-            ]
-            residual_spread[transport] = {
-                phase: spread([sample[phase] for sample in samples], probed.probes)
-                for phase in samples[0]
-            }
-            residual[transport] = {
-                phase: figures["median"]
-                for phase, figures in residual_spread[transport].items()
-            }
+        probed = Samples()
+        samples = [probed.time(phases) for _ in range(spread_repeats)]
     finally:
         teardown()
+    residual_spread = {
+        phase: spread([sample[phase] for sample in samples], probed.probes)
+        for phase in samples[0]
+    }
     rows.append(
         {
             "workload": "process_shard_phase_residual",
             "backend_pair": "phase-residual",
             "shape": shape,
-            "phases": residual,
+            "phases": {phase: figures["median"] for phase, figures in residual_spread.items()},
             "spread": residual_spread,
             "environment": environment(),
             "bit_identical_to_serial": True,
@@ -1118,37 +1035,36 @@ def run(
                 "stream_ball_marginal_tasks call on a process runtime "
                 "whose workers are already forked, cut at the workers' "
                 "task spans. spawn runs to the first worker task (the "
-                "spec snapshot, packing it -- by value under pickle, as "
-                "shared-memory descriptors under shm -- the first "
-                "submissions and SPEC frames and the first worker's "
-                "restore of the spec), compute to the last task end "
-                "(workers compile their tasks' balls and ship back the "
-                "marginals only), tail to the end of the stream (the last "
-                "result's trip back, segment unlink). No fork and no join "
-                "is paid per call"
+                "spec snapshot, the first submissions and pickled SPEC "
+                "frames and the first worker's restore of the spec), "
+                "compute to the last task end (workers compile their "
+                "tasks' balls and ship back the marginals only), tail to "
+                "the end of the stream (the last result's trip back). No "
+                "fork and no join is paid per call"
             ),
         }
     )
-    shape, barrier, streaming, teardown = _streaming_shard_workload()
-    first_result_seconds = np.inf
-    streaming_seconds = np.inf
+    shape, barrier, streaming, first_results, teardown = _streaming_shard_workload()
     try:
-        barrier_seconds = _best_of(barrier, repeats)
-        for _ in range(repeats):
-            first, wall = streaming()
-            first_result_seconds = min(first_result_seconds, first)
-            streaming_seconds = min(streaming_seconds, wall)
+        barrier_spread, streaming_spread = timed_pair(barrier, streaming, spread_repeats)
     finally:
         teardown()
+    first_spread = spread(first_results)
     rows.append(
         {
             "workload": "streaming_ball_shards",
             "backend_pair": "barrier-vs-streaming",
             "shape": shape,
-            "barrier_wall_seconds": barrier_seconds,
-            "time_to_first_result_seconds": first_result_seconds,
-            "streaming_wall_seconds": streaming_seconds,
-            "first_result_speedup": barrier_seconds / first_result_seconds,
+            "barrier_wall_seconds": barrier_spread["median"],
+            "time_to_first_result_seconds": first_spread["median"],
+            "streaming_wall_seconds": streaming_spread["median"],
+            "first_result_speedup": barrier_spread["median"] / first_spread["median"],
+            "spread": {
+                "barrier": barrier_spread,
+                "first_result": first_spread,
+                "streaming": streaming_spread,
+            },
+            "environment": environment(),
             "bit_identical_to_serial": True,
         }
     )
@@ -1187,8 +1103,7 @@ def run(
             rows.append(row)
         shape, plain_run, hmac_run, teardown = _cluster_auth_workload()
         try:
-            plain_seconds = _best_of(plain_run, repeats)
-            hmac_seconds = _best_of(hmac_run, repeats)
+            plain, hmac = timed_pair(plain_run, hmac_run, spread_repeats)
         finally:
             teardown()
         rows.append(
@@ -1196,9 +1111,11 @@ def run(
                 "workload": "cluster_auth_overhead_2w",
                 "backend_pair": "plain-vs-hmac",
                 "shape": shape,
-                "plain_seconds": plain_seconds,
-                "hmac_seconds": hmac_seconds,
-                "overhead": hmac_seconds / plain_seconds,
+                "plain_seconds": plain["median"],
+                "hmac_seconds": hmac["median"],
+                "overhead": hmac["median"] / plain["median"],
+                "spread": {"plain": plain, "hmac": hmac},
+                "environment": environment(),
                 "bit_identical_to_serial": True,
             }
         )
@@ -1241,23 +1158,20 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             "divergence fit with its run_chains negative phase looped "
             "serially vs advanced as one batched code matrix (fitted "
             "weights asserted bit-identical across the backends before "
-            "any timing), plus the zero-copy data plane: the "
-            "2-worker ball shard over the pickle vs shared-memory "
-            "transport (InstanceSpec dense arrays crossing as segment "
-            "descriptors; bit-identity asserted pre-timing), the same "
-            "workload's per-phase residual (spawn/compute/tail, both "
-            "transports, on already forked workers), and packed multi-"
+            "any timing), plus the 2-worker ball shard's per-phase "
+            "residual (spawn/compute/tail on already forked workers; "
+            "bit-identity asserted pre-timing), and packed multi-"
             "instance batching: many small same-alphabet models advanced "
             "as one padded (total_chains, n_max) code matrix via "
             "Runtime.run_packed vs looping one batched run_chains call "
             "per model (every packed group asserted bit-identical to the "
             "kernel's serial chains pre-timing), plus repeated "
             "run_chains calls on one instance, batched vs a 2-worker "
-            "process runtime at inline_threshold=0 over both transports "
+            "process runtime at inline_threshold=0 "
             "(one spec id per instance, so each worker receives the spec once; "
             "every call asserted bit-identical to batched pre-timing), "
             "plus the cold ball stream: Theorem 5.1 marginals of a fresh "
-            "distribution per call, serial vs a 2-worker shm process "
+            "distribution per call, serial vs a 2-worker process "
             "runtime whose workers return marginals only (bit-identity "
             "asserted pre-timing; medians with spread and host-speed probe), "
             "plus chain seeding: one 200-chain call's generators from an "
@@ -1299,16 +1213,10 @@ def record_baseline(path: Path = BASELINE_PATH, repeats: int = 3) -> Dict[str, o
             for row in rows
             if row["backend_pair"] == "loop-vs-packed"
         ),
-        "shm_bit_identical_to_serial": all(
-            row["bit_identical_to_serial"]
-            for row in rows
-            if row["backend_pair"] in ("phase-residual",)
-            or row["workload"] == "process_ball_shards_shm"
-        ),
         "process_bit_identical_to_serial": all(
             row["bit_identical_to_serial"]
             for row in rows
-            if row["backend_pair"] == "serial-vs-process"
+            if row["backend_pair"] in ("serial-vs-process", "phase-residual")
         ),
         "repeated_chains_bit_identical_to_batched": all(
             row["bit_identical_to_batched"]
@@ -1380,13 +1288,13 @@ def _print_rows(rows: List[Dict[str, object]]) -> None:
             )
             continue
         if row["backend_pair"] == "phase-residual":
-            for transport, timings in row["phases"].items():
-                print(
-                    f"{row['workload']:>22}: [{transport:>6}] "
-                    f"spawn {timings['spawn_seconds'] * 1e3:7.1f} ms   "
-                    f"compute {timings['compute_seconds'] * 1e3:7.1f} ms   "
-                    f"tail {timings['tail_seconds'] * 1e3:6.1f} ms"
-                )
+            timings = row["phases"]
+            print(
+                f"{row['workload']:>22}: "
+                f"spawn {timings['spawn_seconds'] * 1e3:7.1f} ms   "
+                f"compute {timings['compute_seconds'] * 1e3:7.1f} ms   "
+                f"tail {timings['tail_seconds'] * 1e3:6.1f} ms"
+            )
             continue
         if row["backend_pair"] == "barrier-vs-streaming":
             print(
@@ -1444,12 +1352,10 @@ def test_batched_runner_amortises_the_python_loop(once=None) -> None:
             # (BENCH_runtime.json records ~4x).
             assert row["speedup"] > 2.0, f"packed batching regressed: {row}"
         if row["backend_pair"] == "phase-residual":
-            # The residual must actually be decomposed: every phase
-            # measured, for both transports.
-            for timings in row["phases"].values():
-                assert set(timings) >= {
-                    "spawn_seconds", "compute_seconds", "tail_seconds",
-                }, f"phase residual incomplete: {row}"
+            # The residual must actually be decomposed: every phase measured.
+            assert set(row["phases"]) >= {
+                "spawn_seconds", "compute_seconds", "tail_seconds",
+            }, f"phase residual incomplete: {row}"
 
 
 if __name__ == "__main__":

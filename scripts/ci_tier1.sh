@@ -58,12 +58,10 @@
 # models sharing a packed batch), a learning smoke (seeded pseudo-likelihood and contrastive
 # divergence fits on a small Ising dataset must recover the generating
 # weights within the documented tolerances, with the CD negative phase
-# bit-identical between the serial and batched runtimes), an shm smoke
-# (the shared-memory transport of the process backend, its streamed ball
-# marginals and the packed multi-instance code matrix must all be
-# bit-identical to the serial loop, the first process run_chains call on
-# an instance must make exactly one segment (the instance spec's), and the
-# ball stream must
+# bit-identical between the serial and batched runtimes), a process-backend
+# smoke (the process backend's chain blocks, its streamed ball marginals
+# and the packed multi-instance code matrix must all be bit-identical to
+# the serial loop, and the ball stream must
 # leave the parent's ball cache cold -- 0 compiles, no extras -- because
 # workers return marginals only; two process calls on one
 # instance with an update_factors between them must each equal batched;
@@ -78,10 +76,10 @@
 # Python source under src/repro names ProcessPoolExecutor,
 # BrokenProcessPool or ForkPool: the process backend runs cluster
 # workers forked on socket pairs, through the cluster coordinator; and
-# none names get_context, .Pool(, process_map or _FORK_TASK: src/repro
-# creates no multiprocessing pool, so the fork-per-call closure map
-# behind the deleted Runtime.map must not return -- the module name
-# itself stays allowed, since shm imports multiprocessing.shared_memory), the
+# none names get_context, .Pool(, process_map or _FORK_TASK, or imports
+# multiprocessing at all: src/repro creates no multiprocessing pool, so
+# the fork-per-call closure map behind the deleted Runtime.map must not
+# return), the
 # frozen perfbench smoke (python3 -m pytest -q
 # perfbench/check_smoke.py: every benchmark workload runs untraced and
 # traced at --tiny, so a server change that breaks the tracer's hooks
@@ -642,14 +640,13 @@ print(
 )
 PY
 
-echo "== tier-1: shm smoke =="
+echo "== tier-1: process-backend smoke =="
 python - <<'PY'
-from repro import obs
 from repro.gibbs import SamplingInstance
 from repro.graphs import cycle_graph, path_graph
 from repro.models import hardcore_model
 from repro.runtime import Runtime, chain_seed_sequences
-from repro.runtime.shm import leaked_dev_shm_segments, shm_available
+from repro.runtime.shm import leaked_dev_shm_segments
 
 before = leaked_dev_shm_segments()
 assert not before, f"/dev/shm already holds repro segments: {before}"
@@ -658,44 +655,31 @@ instance = SamplingInstance(hardcore_model(cycle_graph(12), fugacity=1.2), {0: 1
 serial = Runtime("serial", n_chains=4)
 reference = serial.run_chains("glauber", instance, 25, seed=7)
 
-# The shared-memory transport: 2 real forked workers, the InstanceSpec
-# crossing as segment descriptors and each chain block's code matrix
-# coming back by pickle (inline_threshold=0 so this small workload
-# exercises the workers, not the in-process guard).  The call makes
-# exactly one segment, the spec's.
-with Runtime(
-    "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0, obs=True
-) as runtime:
+# 2 real forked workers, the InstanceSpec crossing by pickle and each
+# chain block's code matrix coming back by pickle (inline_threshold=0 so
+# this small workload exercises the workers, not the in-process guard).
+with Runtime("process", n_chains=4, n_workers=2, inline_threshold=0) as runtime:
     shipped = runtime.run_chains("glauber", instance, 25, seed=7)
-    packs = [
-        event["attrs"]["label"]
-        for event in obs.events()
-        if event["name"] == "runtime.shm.segment"
-    ]
-assert shipped == reference, "shm transport diverges from the serial loop"
-if shm_available():
-    assert packs == ["instance-spec"], f"one shm run_chains call made segments {packs}"
+assert shipped == reference, "process chain blocks diverge from the serial loop"
 
 # One spec id per instance and compiled engine: two process calls on one
 # instance with an in-place reweight between them each equal batched (the
 # second call must ship the new weights under a new spec id).
 reweighted = SamplingInstance(hardcore_model(cycle_graph(12), fugacity=1.0))
 batched = Runtime("batched", n_chains=4)
-with Runtime(
-    "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
-) as runtime:
+with Runtime("process", n_chains=4, n_workers=2, inline_threshold=0) as runtime:
     for fugacity in (1.0, 40.0):
         reweighted.distribution.update_factors(
             hardcore_model(cycle_graph(12), fugacity=fugacity).factors
         )
         expected = batched.run_chains("glauber", reweighted, 25, seed=3)
         assert runtime.run_chains("glauber", reweighted, 25, seed=3) == expected, (
-            f"shm process call after update_factors(fugacity={fugacity}) diverges from batched"
+            f"process call after update_factors(fugacity={fugacity}) diverges from batched"
         )
 
 # Theorem 5.1 ball marginals of a pinned colouring streamed through the
-# shm workers: equal to the serial loop, and the parent's ball cache stays
-# cold (workers return marginals only).
+# forked workers: equal to the serial loop, and the parent's ball cache
+# stays cold (workers return marginals only).
 from repro.inference.ssm_inference import padded_ball_marginal
 from repro.models import coloring_model
 
@@ -707,9 +691,9 @@ def colouring():
 local = colouring()
 serial_marginals = {node: padded_ball_marginal(local, node, 1) for node in local.free_nodes}
 pooled = colouring()
-with Runtime("process", n_workers=2, transport="shm") as runtime:
+with Runtime("process", n_workers=2) as runtime:
     streamed = dict(runtime.stream_ball_marginals(pooled, pooled.free_nodes, 1))
-assert streamed == serial_marginals, "shm ball stream diverges from the serial loop"
+assert streamed == serial_marginals, "process ball stream diverges from the serial loop"
 parent = pooled.distribution.ball_cache()
 assert parent.stats()["compiles"] == 0 and not parent.extras, (
     f"parent ball cache warmed by the stream: {parent.stats()}"
@@ -731,9 +715,8 @@ for index, (member, seeds) in enumerate(groups):
 
 # One persistent set of forked workers: two calls on one Runtime share
 # the worker pids, shutdown leaves no forked worker behind (each exits on
-# end-of-file and is reaped), and the workers' attachments leave the
-# owner's resource-tracker entries intact (the tracker would print a
-# KeyError traceback on the unlink).
+# end-of-file and is reaped), and the child prints no traceback, from the
+# resource tracker or anything else.
 import ast
 import subprocess
 import sys
@@ -747,8 +730,7 @@ child = subprocess.run(
         "from repro.models import hardcore_model\n"
         "from repro.runtime import Runtime\n"
         "instance = SamplingInstance(hardcore_model(cycle_graph(12), 1.2), {0: 1})\n"
-        "with Runtime('process', n_chains=4, n_workers=2, transport='shm',"
-        " inline_threshold=0) as runtime:\n"
+        "with Runtime('process', n_chains=4, n_workers=2, inline_threshold=0) as runtime:\n"
         "    for seed in (1, 2):\n"
         "        runtime.run_chains('glauber', instance, 25, seed=seed)\n"
         "        print(sorted(runtime._forked.pids))\n"
@@ -776,10 +758,9 @@ assert "resource_tracker" not in child.stderr and "Traceback" not in child.stder
 
 after = leaked_dev_shm_segments()
 assert not after, f"leaked /dev/shm segments: {after}"
-mode = "shm" if shm_available() else "pickle-fallback"
 print(
-    f"shm smoke OK ({mode}): transport, ball stream + packed bit-identical, "
-    "one spec segment on the first chain call, calls across update_factors equal batched, "
+    "process-backend smoke OK: chain blocks, ball stream + packed bit-identical, "
+    "calls across update_factors equal batched, "
     "parent ball cache cold, two calls on one worker set, none left after "
     "shutdown, no tracker traceback, "
     "/dev/shm clean"
@@ -799,7 +780,8 @@ if grep -rn --include='*.py' -e ProcessPoolExecutor -e BrokenProcessPool -e Fork
     echo "src/repro names a process pool: the process backend must run forked cluster workers" >&2
     exit 1
 fi
-if grep -rn --include='*.py' -e get_context -e '\.Pool(' -e process_map -e _FORK_TASK src/repro; then
+if grep -rnE --include='*.py' -e get_context -e '\.Pool\(' -e process_map -e _FORK_TASK \
+    -e '^\s*(import|from)\s+multiprocessing' src/repro; then
     echo "src/repro creates a multiprocessing pool: independent LOCAL work runs as plain loops" >&2
     exit 1
 fi

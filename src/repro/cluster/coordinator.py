@@ -11,8 +11,8 @@ The coordinator owns one persistent TCP connection per worker (see
   :class:`~repro.runtime.shards.InstanceSpec` carries the spec id of
   :func:`~repro.runtime.shards.spec_for`; the coordinator sends the
   ``SPEC`` frame to a given worker only the first time that worker is
-  handed a task referencing it, and again after a task of that spec ends
-  there without a result (the worker may never have restored it).
+  handed a task referencing it, and again once the worker's FIFO spec
+  cache has evicted it.
 * **Liveness** combines two signals.  A per-worker reader thread blocks
   on the socket, so a killed worker surfaces immediately as EOF; a
   heartbeat thread additionally pings every worker and declares one dead
@@ -211,8 +211,8 @@ class _Worker:
         #: cache (same insertion order, same ``cache_spec`` rule): only the
         #: coordinator sends SPEC frames on the connection, so replaying the
         #: worker's deterministic eviction here tells us exactly when a spec
-        #: must be re-shipped; ``False`` marks one it may lack.
-        self.specs: "OrderedDict[int, bool]" = OrderedDict()
+        #: must be re-shipped.
+        self.specs: "OrderedDict[int, None]" = OrderedDict()
         self.alive = True
         self.last_seen = time.monotonic()
         self.reader: Optional[threading.Thread] = None
@@ -253,21 +253,14 @@ class _Worker:
         and the worker caches specs in the mirror's order."""
         with self.send_lock:
             with lock:
-                needs_spec = task.spec is not None and not self.specs.get(task.spec[0])
+                needs_spec = task.spec is not None and task.spec[0] not in self.specs
             if needs_spec:
                 protocol.send_message(self.sock, protocol.SPEC, task.spec, key=self.key)
                 with lock:
-                    cache_spec(self.specs, task.spec[0], True)
+                    cache_spec(self.specs, task.spec[0], None)
             protocol.send_message(
                 self.sock, protocol.TASK, (task.task_id, task.kind, task.args), key=self.key
             )
-
-    def forget_spec(self, task: "_Task") -> None:
-        """Mark ``task``'s spec unheld (lock held): a task ended here without
-        a result, so the worker may have read its SPEC only after the call
-        unlinked the segment.  The id keeps its FIFO place, as it does there."""
-        if task.spec is not None and task.spec[0] in self.specs:
-            self.specs[task.spec[0]] = False
 
     def close(self) -> None:
         # shutdown() before close(): our own reader thread may be blocked in
@@ -483,8 +476,6 @@ class ClusterCoordinator:
                 return False
             task = self._take_inflight(worker, task_id)
             if task is not None:
-                with self._lock:
-                    worker.forget_spec(task)
                 if not isinstance(error, Exception):
                     error = ClusterError(f"worker task failed: {error}")
                 self._resolve(task, error=error)
@@ -918,7 +909,6 @@ class ClusterCoordinator:
                 for task_id, task in list(worker.inflight.items()):
                     if id(task.future) in pending:
                         worker.inflight.pop(task_id, None)
-                        worker.forget_spec(task)
                         reclaimed.setdefault(worker, []).append(task_id)
         for worker, task_ids in reclaimed.items():
             if not worker.alive:
@@ -941,13 +931,6 @@ class ClusterCoordinator:
         with self._lock:
             return sum(1 for worker in self.workers if worker.alive)
 
-    def spec_held(self, spec_id: int) -> bool:
-        """Whether some worker is live and every live worker's mirror holds
-        ``spec_id``, so a task of that spec sends no ``SPEC`` frame now."""
-        with self._lock:
-            live = [worker for worker in self.workers if worker.alive]
-            return bool(live) and all(worker.specs.get(spec_id) for worker in live)
-
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time cluster state for :meth:`repro.runtime.Runtime.snapshot`."""
         with self._lock:
@@ -957,7 +940,7 @@ class ClusterCoordinator:
                     "alive": worker.alive,
                     "capacity": worker.capacity,
                     "inflight": len(worker.inflight),
-                    "specs_cached": sum(worker.specs.values()),
+                    "specs_cached": len(worker.specs),
                     "last_rtt": worker.last_rtt,
                 }
                 for worker in self.workers

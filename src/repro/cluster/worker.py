@@ -73,7 +73,6 @@ dropped/corrupted frames) -- test harness only.
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import os
 import pickle
@@ -86,14 +85,7 @@ from typing import Optional, Tuple
 
 from repro import obs
 from repro.cluster import chaos, protocol
-from repro.runtime import shm
-from repro.runtime.shards import (
-    SPEC_CACHE_LIMIT,
-    InstanceSpec,
-    cache_spec,
-    restore_spec,
-    run_task,
-)
+from repro.runtime.shards import SPEC_CACHE_LIMIT, InstanceSpec, cache_spec, run_task
 
 _log = obs.get_logger("cluster.worker")
 
@@ -293,10 +285,8 @@ def serve_connection(
         _reject(connection, send_lock, error, key)
         return
 
-    #: ``{spec_id: (spec, segments) or None}``, mirrored by the coordinator.
-    specs: "OrderedDict[int, Optional[Tuple[InstanceSpec, Tuple[str, ...]]]]" = (
-        OrderedDict()
-    )
+    #: ``{spec_id: spec}``, mirrored by the coordinator.
+    specs: "OrderedDict[int, InstanceSpec]" = OrderedDict()
     #: Task ids cancelled by the coordinator; shared with the runner,
     #: which skips a queued task whose id landed here first.
     cancelled: set = set()
@@ -316,15 +306,9 @@ def serve_connection(
                 return
             if kind == protocol.SPEC:
                 # FIFO eviction (cache_spec); queued tasks are immune: the
-                # reader pins each task's spec at enqueue, and the runner
-                # detaches a dropped spec's segments only after them --
-                # unless a cached spec still maps them (a re-shipped wire).
-                spec_id, wire = payload
-                dropped = cache_spec(specs, spec_id, restore_spec(wire))
-                live = {name for entry in specs.values() if entry for name in entry[1]}
-                names = [name for old in dropped if old for name in old[1] if name not in live]
-                if names:
-                    tasks.put(functools.partial(shm.detach, names))
+                # reader pins each task's spec at enqueue.
+                spec_id, spec = payload
+                cache_spec(specs, spec_id, spec)
             elif kind == protocol.TASK:
                 task_id, task_kind, args = payload
                 if task_kind == "cancel":
@@ -336,8 +320,8 @@ def serve_connection(
                     continue
                 # Pin the spec now: a later SPEC frame may evict it from
                 # the cache before the runner reaches this task.
-                entry = specs.get(args.get("spec_id")) if isinstance(args, dict) else None
-                tasks.put((task_id, task_kind, args, entry[0] if entry else None))
+                spec = specs.get(args.get("spec_id")) if isinstance(args, dict) else None
+                tasks.put((task_id, task_kind, args, spec))
             elif kind == protocol.HEARTBEAT:
                 if faults is not None and faults.stall_heartbeat():
                     continue  # injected stall: swallow the echo
@@ -422,13 +406,8 @@ def _run_tasks(tasks, cancelled, send, faults=None, proc="cluster-worker") -> No
     """
     while True:
         item = tasks.get()
-        if item is _STOP:
+        if item is _STOP or not _run_task(item, cancelled, send, faults, proc):
             return
-        if callable(item):
-            item()  # detach dropped specs' segments
-        elif not _run_task(item, cancelled, send, faults, proc):
-            return
-        del item  # a dropped spec must not outlive its last task here
 
 
 def _run_task(item, cancelled, send, faults, proc) -> bool:

@@ -19,16 +19,9 @@ This package owns *how* work executes, separate from *what* is computed
     submit each chunk to the live transport they are given -- a cluster
     coordinator or :class:`~repro.runtime.shards.ForkedWorkers` (cluster
     workers forked on socket pairs), whose workers set the call's width
-    (the spec shipped once per worker) -- and yield every chunk's results
+    (the spec pickled once per worker) -- and yield every chunk's results
     as it completes.  A ball chunk returns its marginals only; the
     compiled balls stay warm in the worker that built them.
-``shm``
-    The zero-copy data plane of the process backend: the spec's dense
-    factor tables live in read-only ``multiprocessing.shared_memory``
-    segments and only tiny
-    ``(name, dtype, shape, offset)`` descriptors cross the socket, with
-    automatic pickle fallback and owner-only, leak-proof segment
-    lifetime.  Selected per runtime via ``transport="shm"``.
 ``executor``
     The :class:`Runtime` facade (``serial`` / ``batched`` / ``process`` /
     ``cluster`` backends) threaded through the samplers, the SSM inference
@@ -61,18 +54,11 @@ from repro.runtime.executor import (
 )
 from repro.runtime.shards import (
     TASK_REGISTRY,
-    TRANSPORTS,
     InstanceSpec,
     register_task,
     run_chain_blocks,
     stream_ball_marginal_tasks,
     stream_padded_ball_marginals,
-)
-from repro.runtime.shm import (
-    SharedArrayPack,
-    attach_array,
-    pack_arrays,
-    shm_available,
 )
 
 __all__ = [
@@ -93,11 +79,6 @@ __all__ = [
     "SERIAL_RUNTIME",
     "INLINE_CHAIN_UPDATES",
     "InstanceSpec",
-    "TRANSPORTS",
-    "SharedArrayPack",
-    "attach_array",
-    "pack_arrays",
-    "shm_available",
     "stream_ball_marginal_tasks",
     "stream_padded_ball_marginals",
 ]

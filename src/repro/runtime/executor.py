@@ -76,7 +76,6 @@ from repro.runtime.chains import (
     make_chain_state,
 )
 from repro.runtime.shards import (
-    TRANSPORTS,
     ForkedWorkers,
     advance_block,
     run_chain_blocks,
@@ -145,13 +144,9 @@ class Runtime:
         them in-process instead -- same registered task bodies, hence
         bit-identical results -- after a single :class:`RuntimeWarning`.
     transport : str, optional
-        Process backend only: how an instance's spec reaches each worker,
-        once.  ``"pickle"`` (default) ships the ``InstanceSpec`` by value;
-        ``"shm"`` moves its dense arrays into read-only
-        :mod:`multiprocessing.shared_memory` segments and ships only tiny
-        descriptors (see :mod:`repro.runtime.shm`), falling back to pickle
-        automatically where shared memory is unavailable.  Results are
-        bit-identical either way.
+        Deprecated and inert: validated as before, it selects nothing.
+        Every spec crosses to the process backend's workers by pickle,
+        once per worker.
     inline_threshold : int, optional
         Adaptive dispatch guard: chain workloads whose total update budget
         (``chains * count``) does not exceed this run the registered task
@@ -189,7 +184,6 @@ class Runtime:
         "addresses",
         "auth_key",
         "degrade",
-        "transport",
         "inline_threshold",
         "_cluster",
         "_local_pool",
@@ -225,17 +219,12 @@ class Runtime:
             raise ValueError("degrade only applies to the cluster backend")
         if degrade not in (None, "raise", "local"):
             raise ValueError(f'degrade must be "raise" or "local", got {degrade!r}')
-        if transport is not None and transport not in TRANSPORTS:
+        if transport not in (None, "pickle", "shm"):
             raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
+                f"unknown transport {transport!r}; expected 'pickle' or 'shm'"
             )
         if transport == "shm" and backend != PROCESS_BACKEND:
-            raise ValueError(
-                'transport="shm" applies to the process backend only (the '
-                "cluster backend crosses machine boundaries, the in-process "
-                "backends ship nothing)"
-            )
-        self.transport = transport if transport is not None else "pickle"
+            raise ValueError('transport="shm" applies to the process backend only')
         if inline_threshold is None:
             inline_threshold = INLINE_CHAIN_UPDATES
         if inline_threshold < 0:
@@ -260,7 +249,7 @@ class Runtime:
         self._local_pool = None
         # The process backend's workers fork only when a call needs them.
         self._forked = (
-            ForkedWorkers(self.n_workers, self.transport)
+            ForkedWorkers(self.n_workers)
             if backend == PROCESS_BACKEND
             else None
         )
@@ -410,12 +399,6 @@ class Runtime:
             cluster.shutdown()
         if local_pool is not None:
             local_pool.terminate()
-        # Safety net for the shm transport: per-call packs release in their
-        # own finally blocks, so anything still live here belongs to work
-        # this shutdown just cancelled -- unlink it rather than leak it.
-        from repro.runtime import shm
-
-        shm.release_all()
         if obs_owned:
             obs.disable()
 
@@ -455,7 +438,6 @@ class Runtime:
             "backend": self.backend,
             "n_chains": self.n_chains,
             "n_workers": self.n_workers,
-            "transport": self.transport,
         }
         handle = obs.active()
         if handle is not None:

@@ -53,7 +53,6 @@ import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, as_completed
-from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
@@ -211,81 +210,6 @@ class InstanceSpec:
 
 
 # ----------------------------------------------------------------------
-# transport: how the spec (and chain-result matrices) cross the pipe
-# ----------------------------------------------------------------------
-#: Accepted values of the ``transport=`` knob threaded down from
-#: :class:`~repro.runtime.executor.Runtime`.
-TRANSPORTS = ("pickle", "shm")
-
-
-class _ShmSpec:
-    """Wire form of an :class:`InstanceSpec` with its arrays in shared memory.
-
-    Pickles as the spec's light state (nodes, alphabet, scopes, adjacency,
-    pinning, locality) plus one ``(name, dtype, shape, offset)`` descriptor
-    per dense factor array; :meth:`restore` rebuilds the spec worker-side
-    with zero-copy read-only views into the owner's segment.  The owner
-    keeps the backing :class:`~repro.runtime.shm.SharedArrayPack` alive for
-    the call and unlinks it afterwards; a worker's mapping lasts until the
-    spec leaves its spec cache (:func:`restore_spec`).
-    """
-
-    __slots__ = ("state", "descriptors")
-
-    def __init__(self, state: Dict, descriptors: Tuple) -> None:
-        self.state = state
-        self.descriptors = descriptors
-
-    def __getstate__(self):
-        return (self.state, self.descriptors)
-
-    def __setstate__(self, wire) -> None:
-        self.state, self.descriptors = wire
-
-    def restore(self) -> InstanceSpec:
-        from repro.runtime import shm
-
-        spec = InstanceSpec.__new__(InstanceSpec)
-        spec.__setstate__(self.state)
-        spec.arrays = tuple(
-            shm.attach_array(descriptor) for descriptor in self.descriptors
-        )
-        return spec
-
-
-def _spec_wire(spec: InstanceSpec, transport: str):
-    """What a call on forked workers ships of ``spec`` under ``transport``.
-
-    Returns ``(payload, pack)``: with ``transport="shm"`` (and shared memory
-    actually available) the payload is a :class:`_ShmSpec` whose dense
-    arrays live in ``pack``; otherwise the spec itself travels by pickle and
-    ``pack`` is None.  The caller owns ``pack`` and must release it once the
-    call is done.
-    """
-    if transport == "shm":
-        from repro.runtime import shm
-
-        pack = shm.pack_arrays(spec.arrays, label="instance-spec")
-        if pack is not None:
-            state = spec.__getstate__()
-            state.pop("arrays")
-            return _ShmSpec(state, pack.descriptors), pack
-    return spec, None
-
-
-def restore_spec(wire) -> Optional[Tuple[InstanceSpec, Tuple[str, ...]]]:
-    """A worker's cache entry for a ``SPEC`` payload: ``(spec, segments)``,
-    the shared segments it maps (to detach once it leaves the cache), or
-    None when its segment is already gone (the call that sent it ended)."""
-    if not isinstance(wire, _ShmSpec):
-        return wire, ()
-    try:
-        return wire.restore(), tuple({descriptor[0] for descriptor in wire.descriptors})
-    except OSError:
-        return None
-
-
-# ----------------------------------------------------------------------
 # task bodies (must be importable at module top level)
 # ----------------------------------------------------------------------
 #: The task registry: every spec-bound task body that a distributed backend
@@ -314,7 +238,7 @@ def register_task(kind: str) -> Callable:
 SPEC_CACHE_LIMIT = 4
 
 
-def cache_spec(cache: "OrderedDict[int, object]", spec_id: int, entry) -> List:
+def cache_spec(cache: "OrderedDict[int, object]", spec_id: int, entry) -> None:
     """Insert ``entry`` under ``spec_id`` in a FIFO spec cache.
 
     The one eviction rule of every spec cache: a worker connection's and
@@ -323,18 +247,11 @@ def cache_spec(cache: "OrderedDict[int, object]", spec_id: int, entry) -> List:
     entries the oldest go.  The rule is deterministic, so the coordinator
     replays a connection's evictions exactly and knows when a spec must be
     shipped again.
-
-    Returns
-    -------
-    list
-        The dropped entries: a replaced one first, then the evicted ones,
-        oldest first.
     """
-    evicted = [cache.pop(spec_id)] if spec_id in cache else []
+    cache.pop(spec_id, None)
     cache[spec_id] = entry
     while len(cache) > SPEC_CACHE_LIMIT:
-        evicted.append(cache.popitem(last=False)[1])
-    return evicted
+        cache.popitem(last=False)
 
 
 def run_task(kind: str, args, spec: Optional[InstanceSpec] = None):
@@ -456,8 +373,7 @@ def _serve_forked(connection: socket.socket, owner: int) -> None:
     """A forked worker's body, left only through ``os._exit``: close every
     inherited pair end but its own, drop the inherited obs handle (it
     records only under a shipped trace context), exit once the ``owner``
-    pid is gone -- which lets the shared resource tracker unlink the
-    owner's segments -- and serve ``connection`` until the owner hangs up."""
+    pid is gone, and serve ``connection`` until the owner hangs up."""
     code = 1
     try:
         for end in list(_PAIR_ENDS):
@@ -497,15 +413,13 @@ class ForkedWorkers:
     :class:`~repro.cluster.coordinator.ClusterCoordinator` drives the other
     ends (no address, reconnect or key), so a dead worker's tasks are
     requeued, and a call that finds every worker dead forks a fresh set.
-    ``transport`` says how a call packs its spec (:func:`_spec_wire`).  A
-    one-worker set never forks.  Forking emits a ``runtime.pool.spawn`` obs
+    A one-worker set never forks.  Forking emits a ``runtime.pool.spawn`` obs
     instant (``workers``, ``ms``); after :meth:`shutdown` the workers exit
     on end-of-file and a daemon thread reaps them, so nothing joins.
     """
 
-    def __init__(self, n_workers: int, transport: str = "pickle") -> None:
+    def __init__(self, n_workers: int) -> None:
         self.n_workers = max(1, int(n_workers))
-        self.transport = transport
         #: Pids of the current set's workers (empty until forked).
         self.pids: Tuple[int, ...] = ()
         self._coordinator = None
@@ -536,12 +450,6 @@ class ForkedWorkers:
     def _fork(self):
         from repro.cluster.coordinator import ClusterCoordinator
 
-        if self.transport == "shm":
-            from repro.runtime import shm
-
-            # The probe starts the resource tracker, which forked workers
-            # then share with this process (see shm).
-            shm.shm_available()
         started = time.perf_counter()
         owner = os.getpid()
         ends: List[socket.socket] = []
@@ -642,16 +550,15 @@ def spec_for(instance: SamplingInstance) -> Tuple[int, InstanceSpec]:
 class _ClusterSession:
     """One call on a coordinator, the one distributed session.
 
-    Tasks carry the spec id of ``entry``, ``(spec_id, wire)``; the
-    coordinator ships ``wire`` to each worker connection once, requeues
+    Tasks carry the spec id of ``entry``, ``(spec_id, spec)``; the
+    coordinator ships the spec to each worker connection once, requeues
     the tasks of dead workers, and cancels abandoned ones worker-side.
-    The front ends decode with ``spec``, the :class:`InstanceSpec` itself.
     """
 
-    def __init__(self, coordinator, entry: Tuple[int, object], spec: InstanceSpec) -> None:
+    def __init__(self, coordinator, entry: Tuple[int, InstanceSpec]) -> None:
         self.coordinator = coordinator
         self.entry = entry
-        self.spec = spec
+        self.spec = entry[1]
 
     def submit(self, kind: str, args: Dict, size: int) -> Future:
         return self.coordinator.submit_task(
@@ -673,41 +580,22 @@ def _fleet(transport) -> int:
     return max(1, transport.live_worker_count)
 
 
-@contextmanager
 def _session(transport, instance: SamplingInstance, n_chunks: int):
-    """Open ``transport``, a coordinator or a :class:`ForkedWorkers`, for
-    one front-end call of ``n_chunks`` chunks on the instance's
-    :func:`spec_for` entry.
+    """Where one front-end call of ``n_chunks`` chunks on the instance's
+    :func:`spec_for` entry runs, on ``transport``, a coordinator or a
+    :class:`ForkedWorkers`.
 
     On forked workers one chunk, or a one-worker set, runs in-process
     (:class:`_InProcess`) and nothing forks.  Otherwise the set forks (if
-    needed) and the call runs on its coordinator like any cluster call.
-    Unless every live worker already holds the spec id, the call first
-    packs the spec -- its dense arrays as shared-memory descriptors under
-    ``"shm"``, pickle when shared memory is unavailable -- and unlinks the
-    segment when the session closes.  When every worker holds it, the
-    plain spec rides along unpacked: a worker accepts either wire form,
-    so one that loses the spec before its task lands gets it by pickle.
+    needed) and the call runs on its coordinator like any cluster call,
+    the spec crossing by pickle to each worker that lacks it.
     """
-    spec_id, spec = spec_for(instance)
-    if not isinstance(transport, ForkedWorkers):
-        yield _ClusterSession(transport, (spec_id, spec), spec)
-        return
-    if n_chunks <= 1 or transport.n_workers <= 1:
-        yield _InProcess(spec)
-        return
-    # Fork before packing: a worker forked while a pack is live keeps the
-    # parent's mapping of that segment for life.
-    coordinator = transport.coordinator()
-    if coordinator.spec_held(spec_id):
-        wire, pack = spec, None
-    else:
-        wire, pack = _spec_wire(spec, transport.transport)
-    try:
-        yield _ClusterSession(coordinator, (spec_id, wire), spec)
-    finally:
-        if pack is not None:
-            pack.release()
+    entry = spec_for(instance)
+    if isinstance(transport, ForkedWorkers):
+        if n_chunks <= 1 or transport.n_workers <= 1:
+            return _InProcess(entry[1])
+        transport = transport.coordinator()
+    return _ClusterSession(transport, entry)
 
 
 def _chunk_target(transport) -> int:
@@ -838,10 +726,10 @@ def stream_ball_marginal_tasks(
     if not tasks:
         return
     chunks = _chunk_tasks(tasks, _chunk_target(transport), chunk_size)
-    with _session(transport, instance, len(chunks)) as session:
-        work = [(chunk, {"tasks": chunk}) for chunk in chunks]
-        for marginals in _scatter(session, "ball_marginals", work, "ball shard"):
-            yield from marginals.items()
+    session = _session(transport, instance, len(chunks))
+    work = [(chunk, {"tasks": chunk}) for chunk in chunks]
+    for marginals in _scatter(session, "ball_marginals", work, "ball shard"):
+        yield from marginals.items()
 
 
 def stream_padded_ball_marginals(
@@ -934,11 +822,11 @@ def run_chain_blocks(
     matrices: List[np.ndarray] = []
     counts: List[int] = []
     work = [(block, dict(base, seeds=block)) for block in blocks]
-    with _session(transport, instance, len(blocks)) as session:
-        for result in _scatter(session, "chain_block", work, ordered=True):
-            codes, block_counts = result if stats else (result, ())
-            matrices.append(codes)
-            counts.extend(block_counts)
+    session = _session(transport, instance, len(blocks))
+    for result in _scatter(session, "chain_block", work, ordered=True):
+        codes, block_counts = result if stats else (result, ())
+        matrices.append(codes)
+        counts.extend(block_counts)
     spec = session.spec
     results = decode_configurations(np.concatenate(matrices), spec.nodes, spec.alphabet)
     return (results, counts) if stats else results

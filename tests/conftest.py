@@ -185,7 +185,6 @@ def serial_reference():
         "serial",
         "batched",
         "process",
-        pytest.param("process-shm", marks=pytest.mark.slow),
         pytest.param("cluster", marks=pytest.mark.slow),
     ]
 )
@@ -194,8 +193,7 @@ def conformance_runtime(request):
 
     ``process`` uses a 2-worker pool (``inline_threshold=0`` so the small
     conformance workloads exercise the real pool dispatch, not the
-    adaptive in-process guard); ``process-shm`` is the same pool over the
-    shared-memory transport; ``cluster`` serves two real TCP workers from
+    adaptive in-process guard); ``cluster`` serves two real TCP workers from
     daemon threads (the in-process idiom of ``tests/test_cluster.py``).
     """
     import threading
@@ -220,13 +218,9 @@ def conformance_runtime(request):
             runtime.shutdown()
             for worker in workers:
                 worker.close()
-    elif backend in ("process", "process-shm"):
+    elif backend == "process":
         with Runtime(
-            "process",
-            n_chains=CONFORMANCE_CHAINS,
-            n_workers=2,
-            transport="shm" if backend == "process-shm" else None,
-            inline_threshold=0,
+            "process", n_chains=CONFORMANCE_CHAINS, n_workers=2, inline_threshold=0
         ) as runtime:
             yield runtime
     else:

@@ -256,7 +256,7 @@ class TestCoordinator:
         (note,) = raised.value.__notes__
         assert note.startswith("worker traceback:") and "ZeroDivisionError" in note
 
-    def test_cancelled_unanswered_tasks_ship_their_spec_again(
+    def test_cancelled_unanswered_tasks_keep_their_spec_shipped(
         self, inprocess_workers, submit_test_task
     ):
         from repro import obs
@@ -266,90 +266,18 @@ class TestCoordinator:
             busy = submit_test_task(coordinator, "test-sleep", seconds=0.5)
             queued = submit_test_task(coordinator, "test-sleep", seconds=0)
             (spec_id,) = worker.specs
-            assert worker.specs[spec_id] is True
-            # The queued task never answers: the worker may not hold its
-            # spec (an unlinked segment), so the id is marked unheld in place.
+            # The queued task never answers, but the worker read its SPEC
+            # frame before the TASK: the mirror keeps the id.
             coordinator._discard([queued])
-            assert list(worker.specs.items()) == [(spec_id, False)]
+            assert list(worker.specs) == [spec_id]
             busy.result(timeout=30)
             obs.enable()
             try:
                 submit_test_task(coordinator, "test-sleep", seconds=0).result(timeout=30)
-                submit_test_task(coordinator, "test-sleep", seconds=0).result(timeout=30)
                 frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
             finally:
                 obs.disable()
-            assert frames == 1 and worker.specs[spec_id] is True
-
-    def test_a_spec_whose_segment_is_gone_caches_nothing(self):
-        from repro.cluster.worker import serve_connection
-        from repro.runtime import ChainBatch, shm
-        from repro.runtime.shards import _spec_wire
-
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable on this platform")
-        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0), {0: 1})
-        spec_id, spec = spec_for(instance)
-        args = {"spec_id": spec_id, "kernel": "glauber", "count": 10, "seeds": [1, 2]}
-        ours, theirs = socket.socketpair()
-        threading.Thread(target=serve_connection, args=(theirs,), daemon=True).start()
-        try:
-            with ClusterCoordinator([ours], auth_key="", reconnect=False) as coordinator:
-                gone, pack = _spec_wire(spec, "shm")
-                pack.release()
-                with pytest.raises(protocol.ProtocolError, match="unknown spec"):
-                    coordinator.submit_task(
-                        "chain_block", args, spec=(spec_id, gone)
-                    ).result(timeout=30)
-                # The failed task marked the id unheld: the next task ships
-                # the spec again, now on a live segment.
-                live, pack = _spec_wire(spec, "shm")
-                try:
-                    codes = coordinator.submit_task(
-                        "chain_block", args, spec=(spec_id, live)
-                    ).result(timeout=30)
-                finally:
-                    pack.release()
-        finally:
-            theirs.close()
-        expected = ChainBatch(instance, seeds=[1, 2]).advance("glauber", 10).codes
-        assert (codes == expected).all()
-
-    def test_a_reshipped_spec_keeps_the_segment_it_still_maps(self, monkeypatch):
-        from repro.cluster.worker import serve_connection
-        from repro.runtime import ChainBatch, shm
-        from repro.runtime.shards import _ShmSpec
-
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable on this platform")
-        instance = SamplingInstance(hardcore_model(cycle_graph(6), 1.0), {0: 1})
-        spec_id, spec = spec_for(instance)
-        pack = shm.pack_arrays(spec.arrays, label="test")
-        # Attach by name, as a forked worker does, not through the owner's
-        # pack; this one process is also the owner, so its tracker entry stays.
-        shm._LIVE_PACKS.pop(pack.name)
-        monkeypatch.setattr(shm, "_unregister_attachment", lambda segment: None)
-        state = spec.__getstate__()
-        state.pop("arrays")
-        entry = (spec_id, _ShmSpec(state, pack.descriptors))
-        args = {"spec_id": spec_id, "kernel": "glauber", "count": 10, "seeds": [1, 2]}
-        expected = ChainBatch(instance, seeds=[1, 2]).advance("glauber", 10).codes
-        ours, theirs = socket.socketpair()
-        threading.Thread(target=serve_connection, args=(theirs,), daemon=True).start()
-        try:
-            with ClusterCoordinator([ours], auth_key="", reconnect=False) as coordinator:
-                first = coordinator.submit_task("chain_block", args, spec=entry)
-                assert (first.result(timeout=30) == expected).all()
-                # Unheld in the mirror: the same wire is shipped again and
-                # replaces the worker's entry, which maps the same segment.
-                coordinator.workers[0].specs[spec_id] = False
-                again = coordinator.submit_task("chain_block", args, spec=entry)
-                assert (again.result(timeout=30) == expected).all()
-                assert pack.name in shm._ATTACHED
-        finally:
-            theirs.close()
-            shm.detach([pack.name])
-            pack.release()
+            assert frames == 0 and list(worker.specs) == [spec_id]
 
     def test_an_exception_that_does_not_pickle_arrives_as_text(
         self, inprocess_workers, monkeypatch

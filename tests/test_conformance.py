@@ -6,7 +6,7 @@ Consolidates the bit-identity assertions that used to be scattered across
 checks) into one parametrized matrix:
 
     every registered ChainKernel
-      x  serial / batched / process / process-shm (slow) / cluster (slow)
+      x  serial / batched / process / cluster (slow)
       x  a binary-alphabet instance and a 3-colour instance
 
 with the kernel's own ``serial_run`` per spawned seed as the reference,

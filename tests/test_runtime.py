@@ -381,8 +381,9 @@ class TestSpecIdentity:
 
         cache = OrderedDict()
         for spec_id in range(SPEC_CACHE_LIMIT):
-            assert cache_spec(cache, spec_id, f"spec-{spec_id}") == []
-        assert cache_spec(cache, 99, "spec-99") == ["spec-0"]
+            cache_spec(cache, spec_id, f"spec-{spec_id}")
+        assert list(cache) == list(range(SPEC_CACHE_LIMIT))
+        cache_spec(cache, 99, "spec-99")
         assert list(cache) == list(range(1, SPEC_CACHE_LIMIT)) + [99]
 
     def test_cache_spec_moves_a_reinserted_id_to_the_newest_place(self):
@@ -391,11 +392,13 @@ class TestSpecIdentity:
         cache = OrderedDict()
         for spec_id in range(SPEC_CACHE_LIMIT):
             cache_spec(cache, spec_id, f"spec-{spec_id}")
-        # A spec shipped again replaces its entry, which is returned to be
-        # released, and becomes the newest: worker and mirror agree.
-        assert cache_spec(cache, 0, "again") == ["spec-0"]
+        # A spec shipped again replaces its entry and becomes the newest:
+        # worker and mirror agree.
+        cache_spec(cache, 0, "again")
         assert list(cache) == list(range(1, SPEC_CACHE_LIMIT)) + [0]
-        assert cache_spec(cache, 99, "spec-99") == ["spec-1"]
+        assert cache[0] == "again"
+        cache_spec(cache, 99, "spec-99")
+        assert list(cache) == list(range(2, SPEC_CACHE_LIMIT)) + [0, 99]
 
 
 def _assert_parent_cold(distribution):
@@ -421,12 +424,8 @@ class TestColdParentCache:
     }
 
     @pytest.mark.parametrize("model", sorted(MODELS))
-    @pytest.mark.parametrize(
-        "n_workers, transport", [(1, "pickle"), (2, "pickle"), (2, "shm")]
-    )
-    def test_stream_matches_serial_and_leaves_the_parent_cold(
-        self, model, n_workers, transport
-    ):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_stream_matches_serial_and_leaves_the_parent_cold(self, model, n_workers):
         serial_instance = self.MODELS[model]()
         tasks = [
             (node, radius)
@@ -436,7 +435,7 @@ class TestColdParentCache:
         serial = {task: padded_ball_marginal(serial_instance, *task) for task in tasks}
 
         instance = self.MODELS[model]()
-        pool = ForkedWorkers(n_workers, transport)
+        pool = ForkedWorkers(n_workers)
         try:
             streamed = dict(stream_ball_marginal_tasks(instance, tasks, transport=pool))
         finally:
@@ -514,7 +513,8 @@ class TestRuntimeFacade:
 
     def test_package_creates_no_multiprocessing_pool(self):
         # The process backend runs forked cluster workers; nothing in the
-        # package may bring back a fork-per-call pool or its plumbing.
+        # package may bring back a fork-per-call pool or its plumbing, nor
+        # import multiprocessing at all.
         import pathlib
         import re
 
@@ -522,6 +522,7 @@ class TestRuntimeFacade:
 
         banned = re.compile(
             r"get_context|\.Pool\(|process_map|_FORK_TASK|ProcessPool|ForkPool"
+            r"|^\s*(?:import|from)\s+multiprocessing"
         )
         root = pathlib.Path(repro.__file__).parent
         hits = [
@@ -686,7 +687,7 @@ class TestStreamingMerge:
         # One rule for every transport: min(4w, max(2w, 8)) chunks, which
         # is the old pool's 4w up to two workers.  Forked workers count by
         # their width before they fork.
-        for fleet in (ForkedWorkers, lambda w: ForkedWorkers(w, "shm"), Fleet):
+        for fleet in (ForkedWorkers, Fleet):
             assert [_chunk_target(fleet(w)) for w in (1, 2, 4, 8)] == [4, 8, 8, 16]
 
 
@@ -886,237 +887,9 @@ class TestProcessPool:
         assert streamed == TruncatedBallInference(radius=2).marginals(instance, 0.05)
 
 
-class TestSharedMemoryTransport:
-    """The zero-copy data plane (repro.runtime.shm): round-trip, fallback,
-    and leak-proof lifetime -- after clean shutdown AND after a killed
-    attacher."""
-
-    def test_pack_roundtrip_reconstructs_every_descriptor(self):
-        from repro.runtime import shm
-
-        arrays = [
-            np.arange(12, dtype=np.int64).reshape(3, 4),
-            np.linspace(0.0, 1.0, 7),
-            np.array([], dtype=np.float64),
-        ]
-        pack = shm.pack_arrays(arrays, label="test")
-        if pack is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            assert len(pack.descriptors) == len(arrays)
-            for index, array in enumerate(arrays):
-                name, dtype, shape, offset = pack.descriptors[index]
-                assert name == pack.name
-                assert shape == array.shape
-                assert offset % 64 == 0
-                view = shm.attach_array(pack.descriptors[index])
-                assert view.dtype == array.dtype
-                assert np.array_equal(view, array)
-                assert not view.flags.writeable  # shared input is read-only
-        finally:
-            pack.release()
-        assert pack.name not in shm.live_segment_names()
-        assert shm.leaked_dev_shm_segments() == []
-
-    def test_pickle_fallback_when_shared_memory_unavailable(self, monkeypatch):
-        from repro.runtime import shm
-        from repro.runtime.shards import _ShmSpec, _spec_wire
-
-        monkeypatch.setattr(shm, "_availability", False)
-        assert shm.pack_arrays([np.arange(4)]) is None
-        instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0), {0: 1})
-        spec = InstanceSpec.from_instance(instance)
-        wire, pack = _spec_wire(spec, "shm")
-        # Degraded wire form: the plain picklable spec, no segments.
-        assert wire is spec and pack is None
-        assert not isinstance(wire, _ShmSpec)
-        assert shm.live_segment_names() == []
-
-    def test_shm_spec_wire_restores_identical_spec(self):
-        from repro.runtime import shm
-        from repro.runtime.shards import _ShmSpec, _spec_wire
-
-        instance = SamplingInstance(hardcore_model(random_tree(14, seed=4), 1.2), {0: 0})
-        spec = InstanceSpec.from_instance(instance)
-        wire, pack = _spec_wire(spec, "shm")
-        if pack is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            assert isinstance(wire, _ShmSpec)
-            clone = pickle.loads(pickle.dumps(wire)).restore()
-            assert clone.nodes == spec.nodes
-            assert all(
-                np.array_equal(a, b) for a, b in zip(clone.arrays, spec.arrays)
-            )
-            node = instance.free_nodes[3]
-            assert padded_ball_marginal(clone.to_instance(), node, 2) == (
-                padded_ball_marginal(spec.to_instance(), node, 2)
-            )
-        finally:
-            pack.release()
-        assert shm.leaked_dev_shm_segments() == []
-
-    def test_runtime_shutdown_releases_live_packs(self):
-        from repro.runtime import shm
-
-        pack = shm.pack_arrays([np.arange(6)], label="orphan")
-        if pack is None:
-            pytest.skip("shared memory unavailable on this platform")
-        assert pack.name in shm.live_segment_names()
-        runtime = Runtime("process", n_workers=2, transport="shm")
-        runtime.shutdown()  # the safety net unlinks anything still live
-        assert shm.live_segment_names() == []
-        assert shm.leaked_dev_shm_segments() == []
-
-    @pytest.mark.slow
-    def test_killed_attacher_leaks_nothing(self):
-        """A worker that dies mid-attachment must not unlink (or pin) the
-        owner's segment: only the owner manages lifetime."""
-        import signal
-        import subprocess
-        import sys
-
-        from repro.runtime import shm
-
-        pack = shm.pack_arrays([np.arange(32, dtype=np.int64)], label="kill-test")
-        if pack is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            name, dtype, shape, offset = pack.descriptors[0]
-            script = (
-                "import os, signal\n"
-                "from repro.runtime import shm\n"
-                f"view = shm.attach_array(({name!r}, {dtype!r}, {tuple(shape)!r}, {offset}))\n"
-                "assert view[5] == 5\n"
-                "os.kill(os.getpid(), signal.SIGKILL)\n"
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", script],
-                env={"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")},
-                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                capture_output=True,
-            )
-            assert result.returncode == -signal.SIGKILL, result.stderr.decode()
-            # The kill dropped the attachment without unlinking: the owner
-            # still reads its data, then releases cleanly.
-            assert shm.attach_array(pack.descriptors[0])[5] == 5
-        finally:
-            pack.release()
-        assert shm.leaked_dev_shm_segments() == []
-
-    @pytest.mark.slow
-    def test_chain_blocks_shm_transport_matches_pickle(self):
-        from repro.runtime import run_chain_blocks, shm
-        from repro.runtime.chains import chain_seed_sequences as spawn
-
-        instance = SamplingInstance(hardcore_model(cycle_graph(9), 1.2), {0: 1})
-        seeds = spawn(5, 4)
-        pickle_pool, shm_pool = ForkedWorkers(2), ForkedWorkers(2, "shm")
-        try:
-            pickled = run_chain_blocks(
-                instance, "glauber", 60, seeds, transport=pickle_pool
-            )
-            shared = run_chain_blocks(instance, "glauber", 60, seeds, transport=shm_pool)
-        finally:
-            pickle_pool.shutdown()
-            shm_pool.shutdown()
-        assert shared == pickled
-        assert shm.live_segment_names() == []
-        assert shm.leaked_dev_shm_segments() == []
-
-    @pytest.mark.slow
-    def test_pool_attachments_leave_the_owner_tracker_entry_alone(self):
-        """A persistent pool's workers attach segments packed after the
-        fork; the owner's unlink must then find its tracker entry intact
-        (no resource-tracker traceback on stderr)."""
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.gibbs import SamplingInstance\n"
-            "from repro.graphs import cycle_graph\n"
-            "from repro.models import hardcore_model\n"
-            "from repro.runtime import Runtime\n"
-            "instance = SamplingInstance(hardcore_model(cycle_graph(12), 1.2), {0: 1})\n"
-            "with Runtime('process', n_chains=4, n_workers=2, transport='shm',"
-            " inline_threshold=0) as runtime:\n"
-            "    for _ in range(2):\n"
-            "        runtime.ball_marginals(instance, instance.free_nodes, 1)\n"
-            "        runtime.run_chains('glauber', instance, 20, seed=1)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env={"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")},
-            cwd=_REPO_ROOT,
-            capture_output=True,
-            timeout=120,
-        )
-        stderr = result.stderr.decode()
-        assert result.returncode == 0, stderr
-        assert "Traceback" not in stderr and "resource_tracker" not in stderr, stderr
-
-    @pytest.mark.slow
-    def test_killed_owner_leaves_dev_shm_clean(self):
-        """SIGKILL the owner while its pool workers map a live segment: the
-        workers exit, and the shared tracker unlinks the segment."""
-        import signal
-        import subprocess
-        import sys
-        import time
-
-        from repro.runtime import shm
-
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable on this platform")
-        script = (
-            "import time\n"
-            "from repro.gibbs import SamplingInstance\n"
-            "from repro.graphs import cycle_graph\n"
-            "from repro.models import hardcore_model\n"
-            "from repro.runtime import Runtime, shm\n"
-            "instance = SamplingInstance(hardcore_model(cycle_graph(24), 1.2), {0: 1})\n"
-            "runtime = Runtime('process', n_workers=2, transport='shm')\n"
-            "runtime.ball_marginals(instance, instance.free_nodes, 1)\n"
-            # A spec the workers do not hold yet, so the stream packs it.
-            "fresh = SamplingInstance(hardcore_model(cycle_graph(24), 1.3), {0: 1})\n"
-            "stream = runtime.stream_ball_marginals(fresh, fresh.free_nodes, 2)\n"
-            "next(stream)\n"
-            "print(' '.join(shm.live_segment_names()), flush=True)\n"
-            "time.sleep(120)\n"
-        )
-        owner = subprocess.Popen(
-            [sys.executable, "-c", script],
-            env={"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")},
-            cwd=_REPO_ROOT,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            names = set(owner.stdout.readline().decode().split())
-            assert names and names <= set(shm.leaked_dev_shm_segments())
-        finally:
-            owner.send_signal(signal.SIGKILL)
-            owner.wait(timeout=30)
-            owner.stdout.close()
-        deadline = time.monotonic() + 30
-        while names & set(shm.leaked_dev_shm_segments()) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert not names & set(shm.leaked_dev_shm_segments())
-
-
 def _worker_pids(runtime):
     """Pids of the process runtime's current forked workers."""
     return set(runtime._forked.pids)
-
-
-def _mapped_segments(pid):
-    """``repro-shm`` segments mapped by process ``pid``."""
-    from repro.runtime import shm
-
-    with open(f"/proc/{pid}/maps") as maps:
-        return {
-            token for line in maps for token in line.split() if shm.SEGMENT_PREFIX in token
-        }
 
 
 @pytest.mark.slow
@@ -1143,15 +916,30 @@ class TestPersistentForkPool:
             assert runtime.run_chains("glauber", instance, 30, seed=2) == batched
             assert _worker_pids(runtime) == pids
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_fresh_specs_stay_bit_identical_and_bounded(self, transport):
+    def test_deprecated_shm_transport_is_inert(self):
+        # transport="shm" is still accepted and validated, selects nothing,
+        # and the /dev/shm leak check it pairs with stays empty.
         from repro.runtime import shm
-        from repro.runtime.shards import SPEC_CACHE_LIMIT
 
-        batched = Runtime("batched", n_chains=4)
+        instance = self._instance(5)
+        serial = Runtime().ball_marginals(instance, instance.free_nodes, 1)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 30, seed=6)
+        instance.distribution.ball_cache().clear()
         with Runtime(
-            "process", n_chains=4, n_workers=2, transport=transport, inline_threshold=0
+            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
         ) as runtime:
+            assert runtime.run_chains("glauber", instance, 30, seed=6) == batched
+            assert dict(runtime.stream_ball_marginals(instance, instance.free_nodes, 1)) == serial
+        assert shm.leaked_dev_shm_segments() == []
+        assert shm.live_segment_names() == []
+        with pytest.raises(ValueError, match="unknown transport"):
+            Runtime("process", transport="tcp")
+        with pytest.raises(ValueError, match="process backend only"):
+            Runtime("batched", transport="shm")
+
+    def test_fresh_specs_stay_bit_identical_and_bounded(self):
+        batched = Runtime("batched", n_chains=4)
+        with Runtime("process", n_chains=4, n_workers=2, inline_threshold=0) as runtime:
             for index in range(10):
                 instance = self._instance(index)
                 serial = Runtime().ball_marginals(instance, instance.free_nodes, 1)
@@ -1159,21 +947,14 @@ class TestPersistentForkPool:
                 instance.distribution.ball_cache().clear()
                 assert runtime.ball_marginals(instance, instance.free_nodes, 1) == serial
                 assert runtime.run_chains("glauber", instance, 25, seed=index) == chains
-            pids = _worker_pids(runtime)
-            if not os.path.isdir(f"/proc/{next(iter(pids))}"):
-                pytest.skip("no /proc to read worker mappings from")
-            for pid in pids:
-                assert len(_mapped_segments(pid)) <= SPEC_CACHE_LIMIT + 1
-        assert shm.live_segment_names() == []
+            workers = runtime.snapshot()["cluster"]["workers"]
+        assert [worker["specs_cached"] for worker in workers] == [SPEC_CACHE_LIMIT] * 2
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_run_chains_after_update_factors_equals_batched(self, transport):
+    def test_run_chains_after_update_factors_equals_batched(self):
         distribution = hardcore_model(cycle_graph(30), 1.0)
         instance = SamplingInstance(distribution)
         batched = Runtime("batched", n_chains=16)
-        with Runtime(
-            "process", n_chains=16, n_workers=2, transport=transport, inline_threshold=0
-        ) as runtime:
+        with Runtime("process", n_chains=16, n_workers=2, inline_threshold=0) as runtime:
             before = runtime.run_chains("glauber", instance, 200, seed=3)
             assert before == batched.run_chains("glauber", instance, 200, seed=3)
             # Reweight in place: the next call must sample the new weights.
@@ -1182,68 +963,27 @@ class TestPersistentForkPool:
         assert after == batched.run_chains("glauber", instance, 200, seed=3)
         assert after != before
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_repeated_calls_send_one_spec_frame_per_worker(self, transport):
+    def test_repeated_calls_send_one_spec_frame_per_worker(self):
         from repro import obs
-        from repro.runtime import shm
 
         instance = self._instance(6)
         batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
         with Runtime(
-            "process", n_chains=4, n_workers=2, transport=transport, inline_threshold=0,
-            obs=True,
+            "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
         ) as runtime:
             for _ in range(6):
                 assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
             frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
-            packs = [
-                event["attrs"]["label"]
-                for event in obs.events()
-                if event["name"] == "runtime.shm.segment"
-            ]
         assert frames == 2
-        # Once both workers hold the spec id, later calls pack nothing.
-        if transport == "shm" and shm.shm_available():
-            assert packs == ["instance-spec"]
-        else:
-            assert packs == []
 
-    def test_spec_held_needs_every_live_worker(self):
+    def test_update_factors_ships_the_new_spec_once(self):
         from repro import obs
-        from repro.runtime.shards import spec_for
-
-        instance = self._instance(8)
-        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
-        with Runtime(
-            "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
-        ) as runtime:
-            assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
-            coordinator = runtime._forked.coordinator()
-            spec_id = spec_for(instance)[0]
-            assert coordinator.spec_held(spec_id)
-            assert not coordinator.spec_held(spec_for(self._instance(9))[0])
-            # A mirror that lost the id (as after a worker-side eviction)
-            # makes the spec unheld; the next call re-ships it to that
-            # worker only.
-            coordinator.workers[1].specs[spec_id] = False
-            assert not coordinator.spec_held(spec_id)
-            assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
-            assert coordinator.spec_held(spec_id)
-            frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
-        assert frames == 3
-        # No live worker holds anything.
-        assert not coordinator.spec_held(spec_id)
-
-    def test_update_factors_packs_the_new_spec_once(self):
-        from repro import obs
-        from repro.runtime import shm
 
         distribution = hardcore_model(cycle_graph(12), 1.0)
         instance = SamplingInstance(distribution, {0: 1})
         batched = Runtime("batched", n_chains=4)
         with Runtime(
-            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0,
-            obs=True,
+            "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
         ) as runtime:
             for _ in range(2):
                 before = runtime.run_chains("glauber", instance, 25, seed=1)
@@ -1252,37 +992,10 @@ class TestPersistentForkPool:
             for _ in range(2):
                 after = runtime.run_chains("glauber", instance, 25, seed=1)
             assert after == batched.run_chains("glauber", instance, 25, seed=1)
-            packs = [
-                event["attrs"]["label"]
-                for event in obs.events()
-                if event["name"] == "runtime.shm.segment"
-            ]
-        # The reweight is a new spec id: packed once more, then held.
-        expected = 2 if shm.shm_available() else 0
-        assert packs == ["instance-spec"] * expected
-
-    def test_held_spec_ships_unpacked_to_a_worker_that_lacks_it(self, monkeypatch):
-        # A worker can lose the spec between the held check and its task
-        # landing; it then gets the plain spec by pickle, not a dangling
-        # shared-memory descriptor.  Forcing the check to say "held" on a
-        # fresh spec makes every worker such a worker.
-        from repro import obs
-        from repro.cluster.coordinator import ClusterCoordinator
-
-        instance = self._instance(10)
-        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=4)
-        monkeypatch.setattr(ClusterCoordinator, "spec_held", lambda self, spec_id: True)
-        with Runtime(
-            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0,
-            obs=True,
-        ) as runtime:
-            assert runtime.run_chains("glauber", instance, 25, seed=4) == batched
             frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
-            packs = [
-                event for event in obs.events() if event["name"] == "runtime.shm.segment"
-            ]
-        assert frames == 2
-        assert packs == []
+        # The reweight is a new spec id: shipped once more to each worker,
+        # then held.
+        assert frames == 4
 
     def test_shutdown_ends_and_reaps_every_worker(self):
         import time
@@ -1328,25 +1041,6 @@ class TestPersistentForkPool:
                 # Each worker closed every parent end it inherited: its own,
                 # its sibling's and the other runtime's.
                 assert not held & ends, pid
-
-    def test_repeated_calls_on_one_instance_map_its_spec_once(self):
-        from repro.runtime import shm
-
-        instance = self._instance(0)
-        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
-        with Runtime(
-            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0
-        ) as runtime:
-            for _ in range(6):
-                assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
-            pids = _worker_pids(runtime)
-            if not os.path.isdir(f"/proc/{next(iter(pids))}"):
-                pytest.skip("no /proc to read worker mappings from")
-            # One stable spec id: each worker restored the spec at most
-            # once and hit its spec cache on every later call.
-            for pid in pids:
-                assert len(_mapped_segments(pid)) <= 1
-        assert shm.live_segment_names() == []
 
     def test_snapshot_publishes_the_workers_once_forked(self):
         instance = self._instance(4)
@@ -1501,24 +1195,6 @@ class TestPersistentForkPool:
         assert [attrs["workers"] for attrs in spawns] == [2, 2]
         assert all(attrs["ms"] > 0 for attrs in spawns)
 
-    def test_shm_fallback_instant_fires_when_the_spec_travels_by_pickle(self, monkeypatch):
-        from repro import obs
-        from repro.runtime import shm
-
-        monkeypatch.setattr(shm, "_availability", False)
-        instance = self._instance(4)
-        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 20, seed=1)
-        with Runtime(
-            "process", n_chains=4, n_workers=2, transport="shm", inline_threshold=0, obs=True
-        ) as runtime:
-            assert runtime.run_chains("glauber", instance, 20, seed=1) == batched
-            fallbacks = [
-                event["attrs"]
-                for event in obs.events()
-                if event["name"] == "runtime.shm.fallback"
-            ]
-        assert fallbacks == [{"label": "instance-spec"}]
-
     def test_an_untraced_call_after_a_traced_one_records_nothing_in_the_workers(
         self, monkeypatch
     ):
@@ -1539,9 +1215,9 @@ class TestPersistentForkPool:
             obs.disable()
         with runtime:
             runtime.run_chains("glauber", instance, 20, seed=1)
-            with shards._session(runtime._forked, instance, 4) as session:
-                work = [((), {}) for _ in range(4)]
-                inert = list(shards._scatter(session, "test-obs-state", work))
+            session = shards._session(runtime._forked, instance, 4)
+            work = [((), {}) for _ in range(4)]
+            inert = list(shards._scatter(session, "test-obs-state", work))
         assert "pool-worker" in traced
         assert inert == [True] * 4
 
@@ -1590,11 +1266,11 @@ class TestAdaptiveDispatchGuard:
             obs.disable()
 
     def test_jvv_chain_stats_takes_the_run_chains_dispatch(self):
-        # jvv_chain_stats rides the process runtime's transport and inline
-        # guard exactly like run_chains: an shm spec above the threshold
-        # (its one segment), the in-process block (with its instant) below it.
+        # jvv_chain_stats rides the process runtime's workers and inline
+        # guard exactly like run_chains: the workers above the threshold
+        # (one SPEC frame each), the in-process block (with its instant)
+        # below it.
         from repro import obs
-        from repro.runtime import shm
         from repro.sampling.jvv import jvv_chain_stats
 
         instance = SamplingInstance(hardcore_model(cycle_graph(9), 1.2), {0: 1})
@@ -1607,20 +1283,9 @@ class TestAdaptiveDispatchGuard:
                 instance,
                 30,
                 seed=2,
-                runtime=Runtime(
-                    "process",
-                    n_chains=4,
-                    n_workers=2,
-                    transport="shm",
-                    inline_threshold=0,
-                ),
+                runtime=Runtime("process", n_chains=4, n_workers=2, inline_threshold=0),
             )
-            packs = [
-                event["attrs"]["label"]
-                for event in obs.events()
-                if event.get("name") == "runtime.shm.segment"
-            ]
-            segments = obs.snapshot()["metrics"]["runtime.shm.segments"]
+            frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
             inline = jvv_chain_stats(
                 instance, 30, seed=2, runtime=Runtime("process", n_chains=4, n_workers=2)
             )
@@ -1631,12 +1296,10 @@ class TestAdaptiveDispatchGuard:
             ]
         finally:
             obs.disable()
-        if shm.shm_available():
-            assert packs == ["instance-spec"] and segments == len(packs)
+        assert frames == 2
         assert instants and instants[-1]["attrs"]["kernel"] == "jvv"
         assert shared == batched
         assert inline == batched
-        assert shm.live_segment_names() == []
 
 
 class TestRuntimeShutdownSafety:
@@ -1645,8 +1308,7 @@ class TestRuntimeShutdownSafety:
     The serving layer's drain path calls ``Runtime.shutdown()`` from an
     asyncio event-loop thread; blocking the loop there would stall every
     in-flight response.  The resources at stake are a cluster runtime's
-    coordinator connections and the process backend's shared-memory
-    segments.
+    coordinator connections and the process backend's forked workers.
     """
 
     def test_shutdown_from_an_event_loop_is_non_blocking_and_reusable(
@@ -1669,19 +1331,16 @@ class TestRuntimeShutdownSafety:
                 == 3.0
             )
 
-    def test_shutdown_racing_in_flight_shm_stream_neither_hangs_nor_leaks(self):
+    def test_shutdown_racing_an_in_flight_stream_does_not_hang(self):
         import asyncio
         import threading
-
-        from repro.runtime import shm
 
         instance = SamplingInstance(coloring_model(cycle_graph(12), 3), {0: 1})
         serial = Runtime().ball_marginals(instance, instance.free_nodes, 2)
         instance.distribution.ball_cache().clear()
-        runtime = Runtime("process", n_workers=2, transport="shm")
+        runtime = Runtime("process", n_workers=2)
         stream = runtime.stream_ball_marginals(instance, instance.free_nodes, 2)
-        next(stream)  # the stream is live: its fork pool is mid-flight
-        assert shm.live_segment_names() or not shm.shm_available()
+        next(stream)  # the stream is live: its workers are mid-flight
 
         async def drain():
             runtime.shutdown()
@@ -1690,9 +1349,7 @@ class TestRuntimeShutdownSafety:
         worker.start()
         worker.join(timeout=30)
         assert not worker.is_alive(), "shutdown hung inside the event loop"
-        stream.close()  # the abandoned stream's own pool terminates cleanly
-        assert shm.live_segment_names() == []
-        assert shm.leaked_dev_shm_segments() == []
+        stream.close()  # the abandoned stream's pending chunks are dropped
         with runtime:
             results = dict(runtime.stream_ball_marginals(instance, instance.free_nodes, 2))
             assert results == serial
