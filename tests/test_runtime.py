@@ -20,7 +20,14 @@ import pytest
 
 from repro.engine.compiled import CompiledGibbs
 from repro.gibbs import SamplingInstance
-from repro.graphs import cycle_graph, grid_graph, path_graph, random_tree, torus_graph
+from repro.graphs import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_tree,
+    star_graph,
+    torus_graph,
+)
 from repro.inference.ssm_inference import TruncatedBallInference, padded_ball_marginal
 from repro.models import (
     coloring_model,
@@ -401,6 +408,65 @@ class TestSpecIdentity:
         assert list(cache) == list(range(2, SPEC_CACHE_LIMIT)) + [0, 99]
 
 
+
+def _reweighted_instance():
+    distribution = hardcore_model(cycle_graph(9), 1.0)
+    instance = SamplingInstance(distribution, {0: 1})
+    spec_for(instance)  # the pre-reweight spec, superseded below
+    distribution.update_factors(hardcore_model(cycle_graph(9), 3.5).factors)
+    return instance
+
+
+#: Instances whose spec crosses to a worker by pickle: the four families
+#: above, a hub blanket over ``BLANKET_MAX_ROWS`` (no blanket tables), a
+#: fully pinned instance and a distribution reweighted in place.
+WIRE_INSTANCES = dict(_instances()) | {
+    "coloring-star": SamplingInstance(coloring_model(star_graph(8), 3)),
+    "fully-pinned": SamplingInstance(
+        hardcore_model(path_graph(4), 1.0), {0: 0, 1: 1, 2: 0, 3: 1}
+    ),
+    "reweighted": _reweighted_instance(),
+}
+
+
+@pytest.mark.parametrize("label", sorted(WIRE_INSTANCES))
+class TestSpecPickleWire:
+    """Pickle is the one spec wire: a worker's spec is the unpickled copy
+    of :func:`spec_for`'s, and it replays the parent's results exactly."""
+
+    @staticmethod
+    def _shipped(label):
+        instance = WIRE_INSTANCES[label]
+        _, spec = spec_for(instance)
+        return instance, spec, pickle.loads(pickle.dumps(spec))
+
+    def test_unpickled_spec_keeps_every_array_and_field(self, label):
+        instance, spec, clone = self._shipped(label)
+        for slot in ("nodes", "alphabet", "scopes", "adjacency", "pinning", "locality"):
+            assert getattr(clone, slot) == getattr(spec, slot), slot
+        assert len(clone.arrays) == len(spec.arrays)
+        for shipped, original in zip(clone.arrays, spec.arrays):
+            assert shipped.dtype == original.dtype
+            assert shipped.shape == original.shape
+            assert shipped.tobytes() == original.tobytes()
+        arrays = instance.distribution.compiled_engine().arrays
+        assert all(np.array_equal(a, b) for a, b in zip(clone.arrays, arrays))
+
+    def test_unpickled_spec_replays_marginals_and_chain_blocks(self, label):
+        from repro.runtime.shards import _chain_block_task
+
+        instance, spec, clone = self._shipped(label)
+        rebuilt = clone.to_instance()
+        for node in instance.free_nodes:
+            assert padded_ball_marginal(rebuilt, node, 1) == (
+                padded_ball_marginal(instance, node, 1)
+            )
+        seeds = chain_seed_sequences(3, 3)
+        payload = {"kernel": "glauber", "count": 20, "seeds": seeds, "initial": None}
+        codes = _chain_block_task(payload, spec=clone)
+        assert codes.tobytes() == _chain_block_task(payload, spec=spec).tobytes()
+
+
 def _assert_parent_cold(distribution):
     """The parent's ball cache after a stream: nothing compiled, nothing kept."""
     cache = distribution.ball_cache()
@@ -532,6 +598,92 @@ class TestRuntimeFacade:
             if banned.search(line)
         ]
         assert hits == []
+
+
+
+class TestDeprecatedTransportShim:
+    """``transport=`` is validated as before and selects nothing; what is
+    left of :mod:`repro.runtime.shm` is a scan of ``/dev/shm``."""
+
+    @pytest.mark.parametrize(
+        ("backend", "transport"),
+        [
+            ("serial", "pickle"),
+            ("batched", "pickle"),
+            ("process", "pickle"),
+            ("process", "shm"),
+        ],
+    )
+    def test_an_accepted_transport_builds_the_default_runtime(self, backend, transport):
+        runtime = Runtime(backend, n_chains=3, n_workers=2, transport=transport)
+        default = Runtime(backend, n_chains=3, n_workers=2)
+        try:
+            assert not hasattr(runtime, "transport")
+            assert runtime.snapshot() == default.snapshot()
+            assert "transport" not in runtime.snapshot()
+        finally:
+            runtime.shutdown()
+            default.shutdown()
+
+    @pytest.mark.parametrize(
+        ("backend", "transport", "message"),
+        [
+            ("process", "tcp", "unknown transport"),
+            ("process", "SHM", "unknown transport"),
+            ("serial", "shm", "process backend only"),
+            ("batched", "shm", "process backend only"),
+            ("cluster", "shm", "process backend only"),
+        ],
+    )
+    def test_a_rejected_transport_raises(self, backend, transport, message):
+        with pytest.raises(ValueError, match=message):
+            Runtime(backend, transport=transport)
+
+    @staticmethod
+    def _scan(monkeypatch, entries):
+        from repro.runtime import shm
+
+        def listdir(path):
+            assert path == "/dev/shm"
+            if entries is None:
+                raise PermissionError(path)
+            return list(entries)
+
+        monkeypatch.setattr(shm.os, "listdir", listdir)
+        return shm
+
+    def test_the_scan_keeps_only_prefixed_entries_sorted(self, monkeypatch):
+        shm = self._scan(
+            monkeypatch,
+            ["repro-shm-9-b", "sem.other", "repro-shm-7-a", "psm_repro-shm-1-x"],
+        )
+        assert shm.leaked_dev_shm_segments() == ["repro-shm-7-a", "repro-shm-9-b"]
+
+    def test_live_names_are_the_scanned_entries_of_this_pid(self, monkeypatch):
+        pid = os.getpid()
+        own = [f"repro-shm-{pid}-a", f"repro-shm-{pid}-b"]
+        shm = self._scan(
+            monkeypatch,
+            own + [f"repro-shm-{pid}0-c", f"repro-shm-{pid + 1}-d", f"other-{pid}-e"],
+        )
+        assert shm.live_segment_names() == own
+        assert set(own) < set(shm.leaked_dev_shm_segments())
+
+    def test_an_unreadable_dev_shm_scans_empty(self, monkeypatch):
+        shm = self._scan(monkeypatch, None)
+        assert shm.leaked_dev_shm_segments() == []
+        assert shm.live_segment_names() == []
+
+    def test_the_module_is_the_scan_and_nothing_else(self):
+        from repro.runtime import shm
+
+        assert shm.__all__ == [
+            "SEGMENT_PREFIX",
+            "leaked_dev_shm_segments",
+            "live_segment_names",
+        ]
+        public = {name for name in vars(shm) if not name.startswith("_")}
+        assert public - {"annotations", "os", "List"} == set(shm.__all__)
 
 
 class TestE12Diagnostics:
@@ -963,18 +1115,76 @@ class TestPersistentForkPool:
         assert after == batched.run_chains("glauber", instance, 200, seed=3)
         assert after != before
 
-    def test_repeated_calls_send_one_spec_frame_per_worker(self):
+    #: Each front end that ships the instance's spec, with its reference.
+    CALLS = {
+        "run_chains": (
+            lambda runtime, instance: runtime.run_chains("glauber", instance, 25, seed=1),
+            lambda instance: Runtime("batched", n_chains=4).run_chains(
+                "glauber", instance, 25, seed=1
+            ),
+        ),
+        "ball_marginals": (
+            lambda runtime, instance: runtime.ball_marginals(
+                instance, instance.free_nodes, 1
+            ),
+            lambda instance: Runtime().ball_marginals(instance, instance.free_nodes, 1),
+        ),
+        "stream_ball_marginals": (
+            lambda runtime, instance: dict(
+                runtime.stream_ball_marginals(instance, instance.free_nodes, 1)
+            ),
+            lambda instance: Runtime().ball_marginals(instance, instance.free_nodes, 1),
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_repeated_calls_send_one_spec_frame_per_worker(self, call):
         from repro import obs
 
+        run, reference = self.CALLS[call]
         instance = self._instance(6)
-        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
+        expected = reference(instance)
+        instance.distribution.ball_cache().clear()
         with Runtime(
             "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
         ) as runtime:
             for _ in range(6):
-                assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+                assert run(runtime, instance) == expected
             frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
         assert frames == 2
+
+    def test_a_mirror_that_lost_the_id_reships_to_that_worker_only(self):
+        from repro import obs
+
+        instance = self._instance(8)
+        batched = Runtime("batched", n_chains=4).run_chains("glauber", instance, 25, seed=1)
+        with Runtime(
+            "process", n_chains=4, n_workers=2, inline_threshold=0, obs=True
+        ) as runtime:
+            assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+            coordinator = runtime._forked.coordinator()
+            spec_id = spec_for(instance)[0]
+            assert all(spec_id in worker.specs for worker in coordinator.workers)
+            # A mirror without the id (as after a worker-side eviction)
+            # re-ships the spec to that worker alone on the next call.
+            del coordinator.workers[1].specs[spec_id]
+            assert runtime.run_chains("glauber", instance, 25, seed=1) == batched
+            assert all(spec_id in worker.specs for worker in coordinator.workers)
+            frames = obs.active().metrics.counter("cluster.frames_sent.SPEC").value
+        assert frames == 3
+
+    def test_ball_marginals_after_update_factors_equal_serial(self):
+        distribution = hardcore_model(cycle_graph(14), 1.0)
+        instance = SamplingInstance(distribution, {0: 1})
+        with Runtime("process", n_workers=2, inline_threshold=0) as runtime:
+            before = runtime.ball_marginals(instance, instance.free_nodes, 2)
+            distribution.update_factors(hardcore_model(cycle_graph(14), 7.0).factors)
+            after = runtime.ball_marginals(instance, instance.free_nodes, 2)
+        assert after != before
+        # The workers marginalise the new weights: the serial loop on a
+        # fresh copy of the reweighted model agrees exactly.
+        fresh = SamplingInstance(hardcore_model(cycle_graph(14), 7.0), {0: 1})
+        assert after == Runtime().ball_marginals(fresh, fresh.free_nodes, 2)
 
     def test_update_factors_ships_the_new_spec_once(self):
         from repro import obs
