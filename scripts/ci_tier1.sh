@@ -273,23 +273,32 @@ assert [attrs["steps"] for attrs in schedules] == [12], schedules
 assert schedules[0]["per_step"] is None, schedules
 assert schedules[0]["waves"] < 12, f"jvv ran {schedules[0]['waves']} waves for 12 steps"
 # LubyGlauber draws only doubles through the uniforms buffer, whose unread
-# values ride along in the resumable state: segments equal one whole run.
+# values ride along in the resumable batch: segments equal one whole run,
+# also across an update_factors (same weights, new compiled engine), which
+# the resume crosses through ChainBatch.rebind.
 for runtime in (serial, batched):
     for mode in ("blanket", "may_stick"):
         instance = instances[mode]
+        distribution = instance.distribution
         whole = runtime.run_chains("luby-glauber", instance, 30, seed=5)
         states, state = runtime.run_chains(
             "luby-glauber", instance, 4, seed=5, return_state=True
         )
         for count in (11, 1, 14):
+            if count == 1:
+                distribution.update_factors(list(distribution.factors))
             states = runtime.run_chains("luby-glauber", instance, count, state=state)
+        assert state.compiled is distribution.compiled_engine(), (
+            f"the resumed batch was not rebound ({runtime.backend}, {mode})"
+        )
         assert states == whole, (
             f"luby-glauber split resume != whole run ({runtime.backend}, {mode})"
         )
 print(
     f"kernel smoke OK: {len(kernels)} kernels x blanket/gather/may_stick tables, "
     f"serial == batched per chain at 4 and 1 chains; jvv ran 12 steps in {schedules[0]['waves']} waves; "
-    "luby-glauber split resume == whole run"
+    "luby-glauber split resume across one update_factors (rebind) == whole run, "
+    "serial and batched"
 )
 PY
 

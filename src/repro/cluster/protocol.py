@@ -59,9 +59,10 @@ Message types
     ``"capacity"``, their relative dispatch weight) and a version or auth
     mismatch is a :class:`ProtocolError`.
 ``SPEC``
-    Coordinator -> worker: ``(spec_id, spec)``, an ``InstanceSpec`` or its
-    shared-memory wire form.  Sent once per spec id per connection, unless
-    the worker may have lost it; later ``TASK`` frames reference the id.
+    Coordinator -> worker: ``(spec_id, spec)``, a pickled
+    ``InstanceSpec``.  Sent once per spec id per connection, and again
+    only once the worker's FIFO spec cache has evicted it; later ``TASK``
+    frames reference the id.
 ``TASK``
     Coordinator -> worker: ``(task_id, kind, args)``.  Task kinds are the
     registered bodies of :mod:`repro.runtime.shards` plus ``ping`` and

@@ -54,9 +54,9 @@ def _stream_runtime_marginals(
     cluster runtime they shard across workers -- OS processes or TCP
     workers respectively, both executing the registered ``ball_marginals``
     task body of :data:`repro.runtime.shards.TASK_REGISTRY` -- and stream
-    back in completion order (ball compilations, boundary extensions and
-    capped marginal-memo deltas are merged into the distribution's cache
-    as each shard lands); otherwise the serial per-node loop yields lazily
+    back in completion order (each shard returns its marginals only; the
+    compiled balls stay warm in the workers, and the parent's ball cache
+    is not touched); otherwise the serial per-node loop yields lazily
     in node order.  The shard transport is compiled-only, so an explicit
     ``engine="dict"`` request keeps the serial loop (the reference backend
     must stay the reference).

@@ -18,10 +18,9 @@ per-chain seeds (derived deterministically from ``(seed, iteration)``), the
 fitted weights are **bit-identical across backends** for a fixed seed.
 
 Persistent CD (Tieleman 2008) keeps the negative chains alive across
-gradient steps instead of restarting them: the chains ride a
-:class:`~repro.runtime.chains.ChainState` (``run_chains(..., state=...)``),
-which retargets them onto each step's re-weighted model -- the workload the
-runtime's resumable-state satellite exists for.
+gradient steps instead of restarting them: the chains are one
+:class:`~repro.runtime.chains.ChainBatch` (``run_chains(..., state=...)``),
+rebound onto each step's re-weighted model.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro.gibbs.instance import SamplingInstance
 from repro.learning.suffstats import encode_configurations
-from repro.runtime import ChainState, chain_seed_sequences, make_chain_state, resolve_runtime
+from repro.runtime import ChainBatch, chain_seed_sequences, resolve_runtime
 from repro.sampling.kernels import resolve_kernel
 
 
@@ -60,25 +59,25 @@ def persistent_state(
     kernel="glauber",
     n_negative: int = 8,
     seed: int = 0,
-    layout: str = "batched",
-) -> ChainState:
+) -> ChainBatch:
     """Fresh persistent-CD chains, seeded from the data.
 
     Chain ``c`` starts at data row ``c mod m`` (the standard PCD particle
-    initialisation) with its RNG stream spawned from ``seed``; advance the
-    returned state through ``run_chains(..., state=...)`` each iteration.
+    initialisation) with its RNG stream spawned from ``seed``; the batch is
+    claimed by ``kernel``.  Advance it through ``run_chains(...,
+    state=...)`` each iteration.
     """
     distribution = family.distribution_at(np.asarray(theta, dtype=float))
     instance = SamplingInstance(distribution, {})
     data_codes = np.asarray(data_codes, dtype=np.int64)
     rows = np.arange(n_negative) % len(data_codes)
-    return make_chain_state(
-        resolve_kernel(kernel),
+    batch = ChainBatch(
         instance,
-        chain_seed_sequences(seed, n_negative),
+        seeds=chain_seed_sequences(seed, n_negative),
         initial_codes=data_codes[rows],
-        layout=layout,
     )
+    batch.claim_kind(resolve_kernel(kernel).name)
+    return batch
 
 
 def cd_gradient(
@@ -92,7 +91,7 @@ def cd_gradient(
     seed: int = 0,
     iteration: int = 0,
     l2: float = 0.0,
-    state: Optional[ChainState] = None,
+    state: Optional[ChainBatch] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One CD-k (or persistent-CD) gradient estimate at ``theta``.
 
@@ -118,7 +117,7 @@ def cd_gradient(
         :func:`negative_phase_seeds`).
     l2 : float
         L2 regularisation strength.
-    state : ChainState, optional
+    state : ChainBatch, optional
         Persistent-CD particles to resume (serial/batched runtimes only);
         when given, the chains continue instead of restarting from scratch
         and ``seed`` / ``iteration`` / ``n_negative`` are ignored.

@@ -16,8 +16,8 @@ negative phase rides :meth:`repro.runtime.executor.Runtime.run_chains`
 (:mod:`repro.learning.cd`) -- pass ``runtime="batched"`` / ``"process"`` /
 ``"cluster"`` to parallelise it, with bit-identical fitted weights on every
 backend for the same seed.  ``persistent=True`` keeps the negative chains
-alive across iterations through the runtime's resumable
-:class:`~repro.runtime.chains.ChainState` (serial/batched backends).
+alive across iterations as one resumable
+:class:`~repro.runtime.chains.ChainBatch` (serial/batched backends).
 
 Observability: when the process-wide obs handle is enabled (``obs=True``
 here, ``Runtime(obs=True)``, or :func:`repro.obs.enable`), each fit emits a
@@ -260,7 +260,6 @@ class Trainer:
         runtime = resolve_runtime(self.runtime)
         state = None
         if self.persistent:
-            layout = "serial" if runtime.is_serial else "batched"
             state = persistent_state(
                 self.family,
                 theta0,
@@ -268,7 +267,6 @@ class Trainer:
                 kernel=self.kernel,
                 n_negative=self.n_negative,
                 seed=self.seed,
-                layout=layout,
             )
 
         def grad_fn(theta, iteration):

@@ -37,10 +37,8 @@ This package owns *how* work executes, separate from *what* is computed
 
 from repro.runtime.chains import (
     ChainBatch,
-    ChainState,
     PackedBatch,
     chain_seed_sequences,
-    make_chain_state,
 )
 from repro.runtime.executor import (
     BATCHED_BACKEND,
@@ -63,9 +61,7 @@ from repro.runtime.shards import (
 
 __all__ = [
     "ChainBatch",
-    "ChainState",
     "PackedBatch",
-    "make_chain_state",
     "chain_seed_sequences",
     "TASK_REGISTRY",
     "register_task",

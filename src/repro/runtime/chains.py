@@ -52,7 +52,6 @@ every chain's PCG64 seed words in one vectorised pass of numpy's
 
 from __future__ import annotations
 
-import copy
 import time
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Union
@@ -821,6 +820,14 @@ class ChainBatch:
     :meth:`advance` (one batch runs one kernel for its lifetime -- the
     per-chain RNG streams are not interchangeable between dynamics).
 
+    A batch is also the resumable chain state of
+    :meth:`~repro.runtime.executor.Runtime.run_chains` (``return_state=True``
+    returns it, ``state=`` advances it further): its code matrix,
+    generators, uniforms buffer and kernel scratch persist between
+    advances, so a later segment continues the *same* chains -- the resume
+    path persistent contrastive divergence needs.  Only LubyGlauber's
+    segments equal one whole run (see the module's determinism contract).
+
     Parameters
     ----------
     instance:
@@ -842,8 +849,8 @@ class ChainBatch:
         greedy feasible configuration, exactly like the serial samplers).
     initial_codes:
         Optional ``(chains, n)`` integer code matrix giving each chain its
-        *own* starting state (the resume path of :class:`ChainState`);
-        mutually exclusive with ``initial``.
+        *own* starting state (e.g. data configurations for persistent
+        CD); mutually exclusive with ``initial``.
     """
 
     def __init__(
@@ -890,7 +897,9 @@ class ChainBatch:
             self.codes = np.tile(start, (self.n_chains, 1))
         self.rngs = chain_generators(seeds)
         self._uniforms: Optional[ChainUniforms] = None
-        self._kind: Optional[str] = None
+        #: The kernel this batch runs: claimed by its first
+        #: :meth:`advance` (or :meth:`claim_kind`), ``None`` until then.
+        self.kind: Optional[str] = None
         self._scratch: Dict[str, dict] = {}
 
     def _bind(self, instance: SamplingInstance):
@@ -927,7 +936,7 @@ class ChainBatch:
             return np.empty((self.n_chains, 0))
         return np.stack(trace, axis=1)
 
-    def _claim_kind(self, kind: str) -> None:
+    def claim_kind(self, kind: str) -> None:
         """One batch runs one chain kernel.
 
         Different kernels consume the per-chain streams with different
@@ -935,11 +944,11 @@ class ChainBatch:
         chains that correspond to no serial execution, silently voiding the
         bit-identity contract.  Fail loudly instead.
         """
-        if self._kind is None:
-            self._kind = kind
-        elif self._kind != kind:
+        if self.kind is None:
+            self.kind = kind
+        elif self.kind != kind:
             raise RuntimeError(
-                f"this ChainBatch already ran {self._kind} updates; create a "
+                f"this ChainBatch already ran {self.kind} updates; create a "
                 f"fresh batch for {kind} updates (the per-chain RNG streams "
                 "are not interchangeable between chain kernels)"
             )
@@ -967,7 +976,7 @@ class ChainBatch:
             ``self`` (for chaining) without ``statistic``, else the trace.
         """
         resolved: ChainKernel = resolve_kernel(kernel)
-        self._claim_kind(resolved.name)
+        self.claim_kind(resolved.name)
         handle = obs.active()
         if handle is None:
             trace = resolved.batched_advance(self, count, statistic=statistic)
@@ -988,21 +997,18 @@ class ChainBatch:
         return self
 
     # ------------------------------------------------------------------
-    def retarget(self, instance: SamplingInstance) -> "ChainBatch":
-        """Rebind these chains to a reweighted twin of their instance.
+    def rebind(self, instance: SamplingInstance) -> None:
+        """Point these chains, in place, at a reweighted twin of their instance.
 
         Persistent contrastive divergence keeps one set of chains alive
         while the model's factor *weights* move every gradient step.  The
-        structure (nodes, alphabet, free set) is fixed, so the live chain
-        state transfers verbatim: the returned batch targets ``instance``,
-        reads the twin engine's own conditional tables
-        (:attr:`CompiledGibbs.batched_tables`), starts from a copy of this
-        batch's code matrix and *adopts* its per-chain generators,
-        uniforms buffer (the drawn but unread doubles of every chain, with
-        their cursors) and kernel scratch by reference -- continuing the
-        exact RNG streams, so resuming on the twin is bit-identical to
-        having run on it all along.  No generator is seeded anew.  The old
-        batch must not be advanced afterwards.
+        structure (nodes, alphabet, free set) is fixed, so the live state
+        -- code matrix, per-chain generators, uniforms buffer (the drawn
+        but unread doubles of every chain, with their cursors) and kernel
+        scratch -- stays as it is and only the conditional tables move to
+        the twin engine's own (:attr:`CompiledGibbs.batched_tables`).  No
+        generator is seeded anew, so resuming on the twin is bit-identical
+        to having run on it all along.
         """
         compiled = instance.distribution.compiled_engine()
         if (
@@ -1010,14 +1016,11 @@ class ChainBatch:
             or compiled.alphabet != self.compiled.alphabet
         ):
             raise ValueError(
-                "retarget requires an instance with identical nodes and alphabet"
+                "rebind requires an instance with identical nodes and alphabet"
             )
-        twin = copy.copy(self)
-        twin._bind(instance)
-        if not np.array_equal(twin.free_index, self.free_index):
-            raise ValueError("retarget requires an instance with the same free nodes")
-        twin.codes = self.codes.copy()
-        return twin
+        if instance.free_nodes != self.instance.free_nodes:
+            raise ValueError("rebind requires an instance with the same free nodes")
+        self._bind(instance)
 
     # ------------------------------------------------------------------
     def configurations(self) -> List[Dict[Node, Value]]:
@@ -1226,7 +1229,7 @@ class PackedBatch:
         """
         resolved: ChainKernel = resolve_kernel(kernel)
         for group in self.groups:
-            group._claim_kind(resolved.name)
+            group.claim_kind(resolved.name)
         handle = obs.active()
         if handle is None:
             resolved.packed_advance(self, count)
@@ -1259,145 +1262,3 @@ class PackedBatch:
     def configurations(self) -> List[List[Dict[Node, Value]]]:
         """Per-group lists of decoded chain states, in request order."""
         return [group.configurations() for group in self.groups]
-
-
-class ChainState:
-    """Resumable per-chain execution state across ``run_chains`` calls.
-
-    Returned by :meth:`repro.runtime.executor.Runtime.run_chains` with
-    ``return_state=True`` and accepted back via ``state=``: the final code
-    matrix, the per-chain generators, each batch's uniforms buffer (the
-    drawn but unread doubles of every chain) and the kernel scratch all
-    persist, so a later segment continues the *same* chains -- the resume
-    path persistent contrastive divergence needs.
-
-    Determinism contract: for a fixed segmentation, the serial and batched
-    backends produce bit-identical chains (a one-chain batched advance
-    replays the serial draw pattern exactly).  Splitting a run into
-    *different* segments changes the RNG chunk boundaries of the kernels
-    that draw per chunk (Glauber, the scan kernels), so ``advance(30);
-    advance(30)`` is a valid chain but not bit-equal to a single
-    ``advance(60)`` -- the same caveat the serial samplers document.
-    LubyGlauber draws only doubles through the uniforms buffer, whose
-    unread values carry over, so its segments do equal one whole run.
-
-    The state may be resumed against a *reweighted* twin of its instance
-    (same nodes/alphabet/free set, new factor weights): each segment
-    retargets its batches when the instance's compiled engine has moved
-    (see :meth:`ChainBatch.retarget`).
-    """
-
-    __slots__ = ("kernel_name", "batches", "layout", "units")
-
-    def __init__(
-        self, kernel_name: str, batches: List[ChainBatch], layout: str = "batched"
-    ) -> None:
-        self.kernel_name = kernel_name
-        self.batches = batches
-        #: ``"batched"`` (all chains in one batch) or ``"serial"`` (one
-        #: single-chain batch per chain).
-        self.layout = layout
-        #: Total units (steps/rounds) advanced through this state so far.
-        self.units = 0
-
-    @property
-    def n_chains(self) -> int:
-        return sum(batch.n_chains for batch in self.batches)
-
-    @property
-    def seeds(self) -> List:
-        """Per-chain seeds, in chain order."""
-        return [seed for batch in self.batches for seed in batch.seeds]
-
-    @property
-    def codes(self) -> np.ndarray:
-        """The current ``(chains, n)`` code matrix (a fresh copy)."""
-        return np.concatenate([batch.codes for batch in self.batches], axis=0).copy()
-
-    def advance(self, kernel, instance: SamplingInstance, count: int) -> List[Dict[Node, Value]]:
-        """Advance every chain by ``count`` units against ``instance``.
-
-        ``instance`` may be the original instance or a reweighted twin
-        (batches are retargeted on the fly); the kernel must match the one
-        that created the state.  Returns the per-chain final configurations.
-        """
-        resolved: ChainKernel = resolve_kernel(kernel)
-        if resolved.name != self.kernel_name:
-            raise ValueError(
-                f"this ChainState ran {self.kernel_name!r} chains; "
-                f"cannot resume it with kernel {resolved.name!r}"
-            )
-        compiled = instance.distribution.compiled_engine()
-        for i, batch in enumerate(self.batches):
-            if batch.compiled is not compiled:
-                self.batches[i] = batch.retarget(instance)
-        for batch in self.batches:
-            batch.advance(resolved, count)
-        self.units += count
-        return self.configurations()
-
-    def configurations(self) -> List[Dict[Node, Value]]:
-        """The current state of every chain, in chain order."""
-        states: List[Dict[Node, Value]] = []
-        for batch in self.batches:
-            states.extend(batch.configurations())
-        return states
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ChainState(kernel={self.kernel_name!r}, chains={self.n_chains}, "
-            f"batches={len(self.batches)}, units={self.units})"
-        )
-
-
-def make_chain_state(
-    kernel,
-    instance: SamplingInstance,
-    seeds: Sequence,
-    initial: Optional[Dict[Node, Value]] = None,
-    initial_codes: Optional[np.ndarray] = None,
-    layout: str = "batched",
-) -> ChainState:
-    """Build a fresh :class:`ChainState` without advancing any chain.
-
-    Parameters
-    ----------
-    kernel : str or ChainKernel
-        The dynamics the state will run (fixed for its lifetime).
-    instance, seeds, initial
-        As for :class:`ChainBatch`; one chain per entry of ``seeds``.
-    initial_codes : numpy.ndarray, optional
-        A ``(chains, n)`` code matrix giving each chain its own start
-        (e.g. data configurations for persistent CD).
-    layout : str
-        ``"batched"`` advances all chains as one code matrix;
-        ``"serial"`` keeps one single-chain batch per chain (the serial
-        backend's layout -- bit-identical to batched per chain for the
-        same segmentation, kept for conformance testing).
-    """
-    resolved: ChainKernel = resolve_kernel(kernel)
-    seeds = as_seed_list(seeds)
-    if layout == "batched":
-        batches = [
-            ChainBatch(
-                instance,
-                seeds=seeds,
-                initial=initial,
-                initial_codes=initial_codes,
-            )
-        ]
-    elif layout == "serial":
-        batches = [
-            ChainBatch(
-                instance,
-                seeds=[chain_seed],
-                initial=initial,
-                initial_codes=(
-                    None if initial_codes is None else initial_codes[chain : chain + 1]
-                ),
-            )
-            for chain, chain_seed in enumerate(seeds)
-        ]
-    else:
-        raise ValueError(f"unknown ChainState layout {layout!r}")
-    return ChainState(resolved.name, batches, layout=layout)

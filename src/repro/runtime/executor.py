@@ -39,11 +39,14 @@ dispatch the registered ``chain_block`` task body of
 :data:`repro.runtime.shards.TASK_REGISTRY`, so adding a kernel adds zero
 backend plumbing.
 
-The facade is threaded through ``sampling/glauber.py``,
-``inference/ssm_inference.py`` and the experiment entry points that run
-chains or ball streams (E4's rejection kernel, E5, E12; E13 per row) as a
-``runtime=`` parameter that defaults to serial, mirroring how ``engine=``
-selects the evaluation backend (see :mod:`repro.engine`).  The two knobs
+The facade is threaded through ``inference/ssm_inference.py``, the
+contrastive-divergence trainer (``learning/``) and the experiment entry
+points that run chains or ball streams (E4's rejection kernel, E5, E12;
+E13 per row) as a ``runtime=`` parameter that defaults to serial,
+mirroring how ``engine=`` selects the evaluation backend (see
+:mod:`repro.engine`).  The single-chain samplers of
+:mod:`repro.sampling` take no ``runtime=``: many chains run through
+:meth:`Runtime.run_chains` directly.  The two knobs
 compose: ``engine`` decides how a single quantity is evaluated, ``runtime``
 decides how many of them execute at once.
 """
@@ -69,11 +72,10 @@ from repro import obs
 from repro.engine import resolve_engine
 from repro.gibbs.instance import SamplingInstance
 from repro.runtime.chains import (
-    ChainState,
+    ChainBatch,
     PackedBatch,
     as_seed_list,
     chain_seed_sequences,
-    make_chain_state,
 )
 from repro.runtime.shards import (
     ForkedWorkers,
@@ -471,7 +473,7 @@ class Runtime:
         seeds: Optional[Sequence] = None,
         initial: Optional[Dict[Node, Value]] = None,
         init: Optional[str] = None,
-        state: Optional[ChainState] = None,
+        state: Optional[ChainBatch] = None,
         return_state: bool = False,
     ):
         """Final states of ``n_chains`` independent chains of one kernel.
@@ -520,35 +522,36 @@ class Runtime:
             (the SAMaxWalkSAT chain-bootstrap idiom) -- this changes only
             the starting configuration, never the kernel's draw sequence.
             Mutually exclusive with ``initial``.
-        state : ChainState, optional
+        state : ChainBatch, optional
             Resume these chains instead of starting fresh (serial and
             batched backends only).  ``seeds`` /
             ``initial`` / ``init`` must not be combined with a resume;
             ``instance`` may be the original instance or a reweighted twin
-            of it (see :meth:`~repro.runtime.chains.ChainBatch.retarget`).
+            of it, which the batch is rebound to (see
+            :meth:`~repro.runtime.chains.ChainBatch.rebind`).
         return_state : bool
-            Also return the resumable :class:`~repro.runtime.chains.ChainState`
-            -- final per-chain codes plus the live per-chain generators and
-            the uniforms buffer of their drawn but unread doubles -- so a
-            later ``state=`` call continues the same chains bit-identically
-            (for the given segmentation; a LubyGlauber run split into
-            segments even equals one whole run).  Serial and batched
-            backends only.
+            Also return the :class:`~repro.runtime.chains.ChainBatch` that
+            ran the chains -- final per-chain codes plus the live per-chain
+            generators and the uniforms buffer of their drawn but unread
+            doubles -- so a later ``state=`` call continues the same chains
+            bit-identically (for the given segmentation; a LubyGlauber run
+            split into segments even equals one whole run).  Serial and
+            batched backends only.
 
         Returns
         -------
-        list of dict, or (list of dict, ChainState)
+        list of dict, or (list of dict, ChainBatch)
             Final configurations, one per chain, in seed order; with
-            ``return_state=True``, the resumable state rides along.
+            ``return_state=True``, the resumable batch rides along.
         """
         resolved = resolve_kernel(kernel)
-        seeds, initial, chain_state = self._chain_arguments(
+        seeds, initial, batch = self._chain_arguments(
             resolved, instance, seed, seeds, initial, init, state, return_state
         )
-        if chain_state is None:
+        if batch is None:
             chains, mode = len(seeds), {}
         else:
-            chains = chain_state.n_chains
+            chains = batch.n_chains
             mode = {"resumed": True} if state is not None else {"stateful": True}
         with obs.span(
             "runtime.run_chains",
@@ -558,8 +561,8 @@ class Runtime:
             count=count,
             **mode,
         ):
-            if chain_state is not None:
-                states = chain_state.advance(resolved, instance, count)
+            if batch is not None:
+                states = batch.advance(resolved, count).configurations()
             elif self.is_serial:
                 states = [
                     resolved.serial_run(instance, count, seed=chain_seed, initial=initial)
@@ -567,17 +570,18 @@ class Runtime:
                 ]
             else:
                 states = self._chain_blocks(resolved, instance, count, seeds, initial)
-        return (states, chain_state) if return_state else states
+        return (states, batch) if return_state else states
 
     def _chain_arguments(
         self, kernel, instance, seed, seeds, initial, init, state, return_state
     ):
         """Validate and normalise the arguments of :meth:`run_chains`.
 
-        Returns ``(seeds, initial, chain_state)``: the per-chain seeds and
-        shared initial configuration of a fresh run (both ``None`` on a
-        resume), and the resumable state to advance -- ``state`` itself, a
-        fresh one for ``return_state``, otherwise ``None``.
+        Returns ``(seeds, initial, batch)``: the per-chain seeds and shared
+        initial configuration of a fresh run (both ``None`` on a resume),
+        and the resumable batch to advance -- ``state`` itself (rebound to
+        ``instance`` if its compiled engine has moved), a fresh one for
+        ``return_state``, otherwise ``None``.
         """
         if state is not None or return_state:
             if not (self.is_serial or self.is_batched):
@@ -592,6 +596,13 @@ class Runtime:
                     "state= resumes existing chains; seeds/initial/init "
                     "cannot be changed mid-flight"
                 )
+            if state.kind is not None and state.kind != kernel.name:
+                raise ValueError(
+                    f"this chain batch ran {state.kind!r} chains; "
+                    f"cannot resume it with kernel {kernel.name!r}"
+                )
+            if state.compiled is not instance.distribution.compiled_engine():
+                state.rebind(instance)
             return None, None, state
         if init is not None:
             if initial is not None:
@@ -607,13 +618,7 @@ class Runtime:
             seeds = as_seed_list(seeds)
         if not return_state:
             return seeds, initial, None
-        return seeds, initial, make_chain_state(
-            kernel,
-            instance,
-            seeds,
-            initial=initial,
-            layout="serial" if self.is_serial else "batched",
-        )
+        return seeds, initial, ChainBatch(instance, seeds=seeds, initial=initial)
 
     def run_packed(
         self,

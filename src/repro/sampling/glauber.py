@@ -23,11 +23,6 @@ followed by a product over the alphabet axis.  The dict engine stays an
 evaluation reference: :func:`local_conditional` takes ``engine="dict"`` and
 weighs the factors through ``Factor.evaluate``.
 
-Both samplers also accept a ``runtime=`` knob (see :mod:`repro.runtime`):
-a non-serial runtime advances many independent chains through the unified
-kernel execution path (:meth:`repro.runtime.executor.Runtime.run_chains`),
-bit-identical per chain to the serial functions here.
-
 Both dynamics are exposed as *chain kernels*
 (:class:`GlauberKernel` / :class:`LubyGlauberKernel`, see
 :mod:`repro.sampling.kernels`): the serial loops below are the reference
@@ -218,28 +213,10 @@ def glauber_sample(
     steps: int,
     seed: int = 0,
     initial: Optional[Dict[Node, Value]] = None,
-    runtime=None,
-):
-    """Run single-site Glauber dynamics for ``steps`` updates and return the state.
-
-    ``runtime`` selects the execution backend (see :mod:`repro.runtime`).
-    The default (``None`` / serial) runs one chain and returns its final
-    configuration, exactly as before.  A non-serial runtime runs
-    ``runtime.n_chains`` independent chains -- batched as one code matrix on
-    the batched backend -- and returns the *list* of per-chain final
-    configurations; chain ``c`` is bit-identical to the serial chain seeded
-    with the ``c``-th stream spawned from ``seed``.
-    """
+) -> Dict[Node, Value]:
+    """Run single-site Glauber dynamics for ``steps`` updates and return the state."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if runtime is not None:
-        from repro.runtime import resolve_runtime
-
-        resolved = resolve_runtime(runtime)
-        if not resolved.is_serial:
-            return resolved.run_chains(
-                GLAUBER_KERNEL, instance, steps, seed=seed, initial=initial
-            )
     rng = np.random.default_rng(seed)
     configuration = (
         dict(initial)
@@ -293,33 +270,16 @@ def luby_glauber_sample(
     rounds: int,
     seed: int = 0,
     initial: Optional[Dict[Node, Value]] = None,
-    runtime=None,
-):
+) -> Dict[Node, Value]:
     """Run the LubyGlauber parallel chain for ``rounds`` rounds and return the state.
 
     In each round every free node draws a uniform priority; a node updates
     iff its priority beats all of its free neighbours' (the selected nodes
     form an independent set, so the simultaneous updates commute with the
     sequential chain and stationarity is preserved).
-
-    ``runtime`` selects the execution backend (see :mod:`repro.runtime`);
-    as with :func:`glauber_sample`, a non-serial runtime runs
-    ``runtime.n_chains`` chains and returns the list of per-chain states.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    if runtime is not None:
-        from repro.runtime import resolve_runtime
-
-        resolved = resolve_runtime(runtime)
-        if not resolved.is_serial:
-            return resolved.run_chains(
-                LUBY_GLAUBER_KERNEL,
-                instance,
-                rounds,
-                seed=seed,
-                initial=initial,
-            )
     rng = np.random.default_rng(seed)
     configuration = (
         dict(initial)

@@ -34,10 +34,11 @@ from repro.learning import (
     follow_gradient,
     maximize_ascent,
     negative_phase_seeds,
+    persistent_state,
     pl_value_and_grad,
 )
 from repro.models import hardcore_model, ising_model
-from repro.runtime import Runtime
+from repro.runtime import ChainBatch, Runtime
 
 #: Documented weight-recovery tolerances (see docs/ARCHITECTURE.md): the
 #: exact-gradient PL estimator lands within 0.05 of the generating weights
@@ -261,6 +262,29 @@ class TestContrastiveDivergence:
         )
         assert np.all(np.isfinite(result.theta))
         assert result.iterations == 10
+
+    def test_persistent_cd_identical_on_serial_and_batched(self, ising_dataset):
+        family, codes = ising_dataset
+        options = dict(
+            method="cd", persistent=True, max_iter=10, n_negative=8, seed=1
+        )
+        thetas = [
+            fit(family, codes, runtime=runtime, **options).theta
+            for runtime in ("serial", "batched")
+        ]
+        assert np.array_equal(thetas[0], thetas[1])
+
+    def test_persistent_state_is_a_claimed_batch(self, ising_dataset):
+        family, codes = ising_dataset
+        theta = np.array([0.1, 0.1])
+        state = persistent_state(family, theta, codes, n_negative=5, seed=2)
+        assert isinstance(state, ChainBatch) and state.kind == "glauber"
+        # Chain c starts at data row c mod m.
+        assert np.array_equal(state.codes, codes[np.arange(5) % len(codes)])
+        with pytest.raises(ValueError, match="kernel"):
+            cd_gradient(
+                family, codes, theta, kernel="sequential", runtime="batched", state=state
+            )
 
 
 class TestOptimizers:

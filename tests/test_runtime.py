@@ -262,7 +262,7 @@ class TestChainUniforms:
         assert uniforms.end.tolist() == [RNG_CHUNK - 10 + 2 * RNG_CHUNK] * 2
         assert uniforms.values.shape[1] == 3 * RNG_CHUNK - 10
 
-    def test_retargeted_twin_continues_the_same_buffer(self):
+    def test_rebound_batch_continues_the_same_buffer(self):
         graph = cycle_graph(8)
         cold = SamplingInstance(hardcore_model(graph, 1.2), {0: 1})
         hot = SamplingInstance(hardcore_model(graph, 2.0), {0: 1})
@@ -270,13 +270,14 @@ class TestChainUniforms:
         batch = ChainBatch(cold, seeds=seeds)
         rng = np.random.default_rng(5)
         consumed = [[] for _ in seeds]
+        buffer = batch.uniforms()
+        _take_mix(buffer, rng, consumed, 6)
+        batch.rebind(hot)
+        assert batch.uniforms() is buffer
         _take_mix(batch.uniforms(), rng, consumed, 6)
-        twin = batch.retarget(hot)
-        assert twin.uniforms() is batch.uniforms()
-        _take_mix(twin.uniforms(), rng, consumed, 6)
         self._assert_prefixes(consumed, seeds)
 
-    def test_retarget_seeds_no_generator(self, monkeypatch):
+    def test_rebind_seeds_no_generator(self, monkeypatch):
         from repro.runtime import chains
 
         graph = cycle_graph(8)
@@ -284,16 +285,32 @@ class TestChainUniforms:
         hot = SamplingInstance(hardcore_model(graph, 2.0), {0: 1})
         batch = ChainBatch(cold, seeds=chain_seed_sequences(17, 3))
         batch.advance("glauber", 10)
+        rngs, codes = batch.rngs, batch.codes.copy()
         calls = []
         original = chains.chain_generators
         monkeypatch.setattr(
             chains, "chain_generators", lambda seeds: calls.append(seeds) or original(seeds)
         )
-        twin = batch.retarget(hot)
+        batch.rebind(hot)
         assert calls == []
-        # The twin adopts the generators and starts from a copy of the codes.
-        assert twin.rngs is batch.rngs and twin.compiled is not batch.compiled
-        assert np.array_equal(twin.codes, batch.codes) and twin.codes is not batch.codes
+        # The batch keeps its generators and codes and reads the twin's tables.
+        assert batch.rngs is rngs and np.array_equal(batch.codes, codes)
+        assert batch.compiled is hot.distribution.compiled_engine()
+        assert batch.tables is hot.distribution.compiled_engine().batched_tables
+
+    def test_rebind_rejects_another_structure_and_changes_nothing(self):
+        graph = cycle_graph(8)
+        cold = SamplingInstance(hardcore_model(graph, 1.2), {0: 1})
+        batch = ChainBatch(cold, seeds=chain_seed_sequences(17, 2))
+        for other in (
+            SamplingInstance(hardcore_model(graph, 2.0), {1: 1}),
+            SamplingInstance(hardcore_model(cycle_graph(9), 2.0), {0: 1}),
+            SamplingInstance(coloring_model(graph, 3), {0: 1}),
+        ):
+            with pytest.raises(ValueError, match="rebind requires"):
+                batch.rebind(other)
+            assert batch.instance is cold
+            assert batch.compiled is cold.distribution.compiled_engine()
 
 
 class TestPickling:
@@ -535,20 +552,21 @@ class TestRuntimeFacade:
         )
         assert serial == batched
 
-    def test_sampler_runtime_parameter(self):
+    def test_run_chains_equals_the_samplers_per_chain(self):
+        # Many chains run through run_chains; the single-chain samplers
+        # take no runtime= and are its per-chain reference.
+        import inspect
+
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
-        single = glauber_sample(instance, 40, seed=3)
-        batch = glauber_sample(
-            instance, 40, seed=3, runtime=Runtime("batched", n_chains=2)
-        )
-        assert isinstance(batch, list) and len(batch) == 2
-        assert batch[0] == glauber_sample(
-            instance, 40, seed=chain_seed_sequences(3, 2)[0]
-        )
-        # runtime=None keeps the historical single-configuration contract.
-        assert isinstance(single, dict)
-        parallel = luby_glauber_sample(instance, 10, seed=3, runtime="batched")
-        assert isinstance(parallel, list) and len(parallel) == 1
+        seeds = chain_seed_sequences(3, 2)
+        for kernel, sampler in (
+            ("glauber", glauber_sample),
+            ("luby-glauber", luby_glauber_sample),
+        ):
+            assert "runtime" not in inspect.signature(sampler).parameters
+            chains = Runtime("batched", n_chains=2).run_chains(kernel, instance, 40, seed=3)
+            assert chains == [sampler(instance, 40, seed=seed) for seed in seeds]
+            assert isinstance(sampler(instance, 40, seed=3), dict)
 
     def test_no_closure_fan_out(self):
         # Independent LOCAL rows and runs are plain loops: no facade map, no
@@ -1666,8 +1684,9 @@ KERNEL_NAMES = sorted(registered_kernels())
 
 
 class TestRunChainsState:
-    """Resumable chain state: split runs == one run... per layout, and for
-    LubyGlauber also == one unsplit run."""
+    """Resumable chain state is the ChainBatch that ran the chains: split
+    runs agree across the serial and batched backends, and for LubyGlauber
+    also equal one unsplit run."""
 
     def _instance(self):
         return SamplingInstance(hardcore_model(cycle_graph(8), 1.2), {0: 1})
@@ -1682,12 +1701,13 @@ class TestRunChainsState:
             kernel, instance, 25, seed=7, return_state=True
         )
         assert states == plain
+        assert isinstance(state, ChainBatch)
         assert state.n_chains == 3
-        assert state.units == 25
-        assert state.kernel_name == kernel
+        assert state.kind == kernel
+        assert state.configurations() == plain
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_split_resume_identical_across_layouts(self, kernel):
+    def test_split_resume_identical_across_backends(self, kernel):
         instance = self._instance()
         serial = Runtime("serial", n_chains=4)
         batched = Runtime("batched", n_chains=4)
@@ -1698,32 +1718,37 @@ class TestRunChainsState:
             kernel, instance, 20, seed=3, return_state=True
         )
         assert first_s == first_b
-        assert state_s.layout == "serial"
-        assert state_b.layout == "batched"
         second_s = serial.run_chains(kernel, instance, 20, state=state_s)
         second_b = batched.run_chains(kernel, instance, 20, state=state_b)
         assert second_s == second_b
-        assert state_s.units == state_b.units == 40
+        np.testing.assert_array_equal(state_s.codes, state_b.codes)
 
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_luby_segments_equal_one_whole_run(self, backend):
         # LubyGlauber draws only doubles, through the uniforms buffer whose
-        # unread values ride along in the state: no chunk boundary moves.
+        # unread values ride along in the batch: no chunk boundary moves.
+        # Between two segments the same weights are swapped in again, which
+        # moves the compiled engine: the resume goes through rebind.
         runtime = Runtime(backend, n_chains=4)
         for instance in (
             self._instance(),
             SamplingInstance(coloring_model(torus_graph(4, 4), 3)),
         ):
+            distribution = instance.distribution
             whole = runtime.run_chains("luby-glauber", instance, 60, seed=11)
             states, state = runtime.run_chains(
                 "luby-glauber", instance, 7, seed=11, return_state=True
             )
             for count in (20, 1, 32):
+                if count == 1:
+                    before = state.compiled
+                    distribution.update_factors(list(distribution.factors))
+                    assert distribution.compiled_engine() is not before
                 states = runtime.run_chains("luby-glauber", instance, count, state=state)
+            assert state.compiled is distribution.compiled_engine()
             assert states == whole
-            assert state.units == 60
 
-    def test_state_retargets_onto_reweighted_model(self):
+    def test_state_rebinds_onto_reweighted_model(self):
         graph = cycle_graph(8)
         runtime = Runtime("batched", n_chains=2)
         cold = SamplingInstance(hardcore_model(graph, 1.2), {0: 1})
@@ -1733,10 +1758,10 @@ class TestRunChainsState:
         assert len(resumed) == 2
         for configuration in resumed:
             assert configuration[0] == 1
-        # The retargeted batch reads the twin engine's own cached tables.
-        (batch,) = state.batches
-        assert batch.tables is hot.distribution.compiled_engine().batched_tables
-        assert batch.tables is not cold.distribution.compiled_engine().batched_tables
+        # The rebound batch reads the twin engine's own cached tables.
+        assert state.instance is hot
+        assert state.tables is hot.distribution.compiled_engine().batched_tables
+        assert state.tables is not cold.distribution.compiled_engine().batched_tables
 
     def test_state_rejects_kernel_change_and_seed_overrides(self):
         instance = self._instance()
@@ -1897,7 +1922,7 @@ class TestScanWaveSchedule:
             recorded.clear()
             # Nodes repeat: the scan wraps the free order three times.
             ChainBatch(instance, n_chains=3, seed=4).advance(kernel, 3 * free + 5)
-            # A ChainState split into segments: the position carries over.
+            # A resumed batch split into segments: the position carries over.
             runtime = Runtime("batched", n_chains=3)
             _, state = runtime.run_chains(kernel, instance, 7, seed=5, return_state=True)
             for segment in (11, free + 2, 19):
@@ -1932,9 +1957,9 @@ class TestScanWaveSchedule:
                 runtime.run_chains(kernel, instance, segment, state=state)
             failures = [
                 resolved.failure_counts(member).tolist()
-                for member in (batch, *state.batches)
+                for member in (batch, state)
             ]
-            return batch.codes.copy(), state.codes, failures
+            return batch.codes.copy(), state.codes.copy(), failures
 
         waved = [run(instance) for instance in instances]
         self._one_step_waves(monkeypatch)
