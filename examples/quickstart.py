@@ -73,12 +73,12 @@ def main() -> None:
     from repro.inference.ssm_inference import TruncatedBallInference
     from repro.runtime import Runtime
 
+    engine = TruncatedBallInference(radius=2, engine="compiled")
     with cluster.local.spawn_workers(2) as pool:
         runtime = Runtime(backend="cluster", addresses=pool.addresses)
         with runtime:
-            engine = TruncatedBallInference(radius=2, engine="compiled", runtime=runtime)
-            clustered = engine.marginals(problem.instance, error=0.05)
-    serial = TruncatedBallInference(radius=2).marginals(problem.instance, error=0.05)
+            clustered = engine.marginals(problem.instance, error=0.05, runtime=runtime)
+    serial = engine.marginals(problem.instance, error=0.05)
     print(
         f"\ncluster backend: 2 localhost workers at {pool.addresses}, "
         f"marginals identical to serial: {clustered == serial}"

@@ -79,7 +79,9 @@
 # none names get_context, .Pool(, process_map or _FORK_TASK, or imports
 # multiprocessing at all: src/repro creates no multiprocessing pool, so
 # the fork-per-call closure map behind the deleted Runtime.map must not
-# return), the
+# return), a dispatch guard (no Python source under src/repro outside
+# src/repro/runtime names is_process or is_cluster: which backend shards
+# ball or chain work is decided by the Runtime alone), the
 # frozen perfbench smoke (python3 -m pytest -q
 # perfbench/check_smoke.py: every benchmark workload runs untraced and
 # traced at --tiny, so a server change that breaks the tracer's hooks
@@ -795,6 +797,14 @@ if grep -rnE --include='*.py' -e get_context -e '\.Pool\(' -e process_map -e _FO
     exit 1
 fi
 echo "one-scheduler guard OK"
+
+echo "== tier-1: dispatch in the runtime only =="
+if grep -rn --include='*.py' -e is_process -e is_cluster src/repro \
+    | grep -v '^src/repro/runtime/'; then
+    echo "src/repro tests for a backend outside repro.runtime: let the Runtime decide where work runs" >&2
+    exit 1
+fi
+echo "dispatch guard OK"
 
 echo "== tier-1: perfbench smoke =="
 python3 -m pytest -q perfbench/check_smoke.py

@@ -14,14 +14,14 @@ to the serial and process backends.
     RESULT / HEARTBEAT / ERROR) with malformed-frame rejection.
 ``worker``
     The ``repro-cluster-worker`` server loop: caches the spec once per
-    connection, answers heartbeats while tasks run, executes ball
-    compilation / padded-ball marginals / batched chain blocks / generic
-    calls.
+    connection, answers heartbeats while tasks run, and executes the
+    registered task bodies (padded-ball marginals, batched chain blocks)
+    and ``ping``.
 ``coordinator``
     :class:`ClusterCoordinator`: least-loaded + round-robin dispatch,
-    heartbeat liveness, automatic requeue of tasks from dead workers,
-    and the streaming merge into the parent
-    :class:`~repro.engine.cache.BallCache`.
+    heartbeat liveness and automatic requeue of tasks from dead workers.
+    Ball tasks return marginals only; the parent's
+    :class:`~repro.engine.cache.BallCache` is left untouched.
 ``local``
     :func:`spawn_workers` -- N localhost worker subprocesses for tests,
     benchmarks and the quickstart (leak-proof: a GC/exit finalizer kills

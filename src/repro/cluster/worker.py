@@ -456,9 +456,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-cluster-worker",
         description=(
-            "Serve repro cluster shard work (ball compilation, padded-ball "
-            "marginals, batched chain blocks) to a coordinator over the "
-            "framed-pickle TCP protocol."
+            "Serve repro cluster shard work (padded-ball marginals, batched "
+            "chain blocks) to a coordinator over the framed-pickle TCP "
+            "protocol."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1", help="interface to bind")

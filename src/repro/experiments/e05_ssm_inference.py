@@ -25,14 +25,13 @@ def run(
 ) -> List[Dict]:
     """Run E5 and return one row per fugacity.
 
-    ``runtime`` selects the execution backend (see :mod:`repro.runtime`):
-    a process runtime runs the locality sweep *overlapped* -- the
-    per-radius ball computations are submitted to worker processes up
-    front and the radius-``r`` accuracy measurement starts the moment its
-    shard streams back, while the radius-``r + 1`` balls are still
-    compiling.  Worker results (compiled balls, boundary extensions,
-    marginal memos) merge into the distribution cache as they arrive, and
-    the reported radius is identical to the serial sweep.
+    ``runtime`` selects the execution backend of the locality sweep (see
+    :func:`~repro.spatialmixing.phase_transition.locality_required`): on a
+    process or cluster runtime the radius-``r`` accuracy measurement
+    starts the moment its marginal streams back, while the workers are
+    still computing the larger radii of the wave.  Workers return
+    marginals only, and the reported radius is identical on every
+    backend.
     """
     from repro.runtime import resolve_runtime
 

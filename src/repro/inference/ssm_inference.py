@@ -14,22 +14,26 @@ For a locally admissible local Gibbs distribution with SSM rate
    the factors inside ``B_{t+l}(v)``; SSM bounds its distance to the true
    marginal by ``delta_n(t)``.
 
-Two engines are provided: :class:`BoundaryPaddedInference`, which chooses the
-radius from a decay-rate schedule, and :class:`TruncatedBallInference`, which
-runs the same computation at an explicitly given radius (used to *measure*
-how much locality a target accuracy requires -- the phase-transition
-experiment).
+Two engines share one body, :class:`PaddedBallInference`, and differ only
+in how they choose the radius: :class:`BoundaryPaddedInference` derives it
+from a decay-rate schedule, and :class:`TruncatedBallInference` takes it
+explicitly (used to *measure* how much locality a target accuracy requires
+-- the phase-transition experiment).
 
 Both accept an ``engine=`` keyword selecting the evaluation backend (see
 :mod:`repro.engine`); the default compiled backend memoises ball
 compilations, greedy boundary extensions and per-pinning marginals on the
 distribution's :class:`~repro.engine.cache.BallCache`, so repeated queries
 across nodes and rounds cost dictionary lookups instead of eliminations.
+Where many nodes' balls run -- in this process or on workers -- is the
+business of the ``runtime=`` given to ``marginals`` / ``marginals_stream``
+(see :mod:`repro.runtime`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+import abc
+from typing import Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.gibbs.factors import code_tables
 from repro.gibbs.instance import SamplingInstance
@@ -38,57 +42,6 @@ from repro.inference.locality import locality_for_error
 
 Node = Hashable
 Value = Hashable
-
-
-def _stream_runtime_marginals(
-    engine_obj: InferenceAlgorithm,
-    runtime,
-    radius: int,
-    instance: SamplingInstance,
-    error: float,
-    nodes: Optional[Iterable[Node]],
-) -> Iterator[Tuple[Node, Dict[Value, float]]]:
-    """Shared streaming ``marginals`` body of the two ball-local engines.
-
-    The per-node ball computations are independent, so with a process or
-    cluster runtime they shard across workers -- OS processes or TCP
-    workers respectively, both executing the registered ``ball_marginals``
-    task body of :data:`repro.runtime.shards.TASK_REGISTRY` -- and stream
-    back in completion order (each shard returns its marginals only; the
-    compiled balls stay warm in the workers, and the parent's ball cache
-    is not touched); otherwise the serial per-node loop yields lazily
-    in node order.  The shard transport is compiled-only, so an explicit
-    ``engine="dict"`` request keeps the serial loop (the reference backend
-    must stay the reference).
-    """
-    from repro.engine import resolve_engine
-    from repro.runtime import resolve_runtime
-
-    resolved = resolve_runtime(runtime)
-    targets = instance.free_nodes if nodes is None else list(nodes)
-    if (
-        (resolved.is_process or resolved.is_cluster)
-        and len(targets) > 1
-        and resolve_engine(engine_obj.engine) == "compiled"
-    ):
-        yield from resolved.stream_ball_marginals(instance, targets, radius)
-        return
-    for node in targets:
-        yield node, engine_obj.marginal(instance, node, error)
-
-
-def _runtime_marginals(
-    engine_obj: InferenceAlgorithm,
-    runtime,
-    radius: int,
-    instance: SamplingInstance,
-    error: float,
-    nodes: Optional[Iterable[Node]],
-) -> Dict[Node, Dict[Value, float]]:
-    """Barrier wrapper: drain :func:`_stream_runtime_marginals` into a dict."""
-    return dict(
-        _stream_runtime_marginals(engine_obj, runtime, radius, instance, error, nodes)
-    )
 
 
 def _greedy_boundary_extension(
@@ -215,66 +168,75 @@ def padded_ball_marginal(
     )
 
 
-class TruncatedBallInference(InferenceAlgorithm):
-    """The Theorem 5.1 computation at a fixed, explicitly chosen radius.
 
-    Useful when the radius is the independent variable of an experiment
-    (e.g. measuring the accuracy-versus-locality trade-off on either side of
-    the uniqueness threshold).
+
+class PaddedBallInference(InferenceAlgorithm):
+    """The Theorem 5.1 computation at a radius chosen by the subclass.
+
+    Holds the one engine body the two ball-local engines share; a subclass
+    supplies only :meth:`_radius`.  ``marginals`` and ``marginals_stream``
+    hand the per-node ball computations to a
+    :class:`~repro.runtime.executor.Runtime`, which decides where they run
+    (see :meth:`~repro.runtime.executor.Runtime.stream_ball_marginals`).
     """
 
-    def __init__(
-        self, radius: int, engine: Optional[str] = None, runtime=None
-    ) -> None:
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        self.radius = radius
-        self.engine = engine
-        self.runtime = runtime
+    @abc.abstractmethod
+    def _radius(self, instance: SamplingInstance, error: float) -> int:
+        """Inner ball radius ``t`` of the computation."""
 
     def locality(self, instance: SamplingInstance, error: float) -> int:
-        """Fixed radius plus the constant padding of the factor diameter."""
-        return self.radius + 2 * instance.distribution.locality()
+        """The ball radius plus the constant padding of the factor diameter."""
+        return self._radius(instance, error) + 2 * instance.distribution.locality()
 
     def marginal(
         self, instance: SamplingInstance, node: Node, error: float
     ) -> Dict[Value, float]:
-        """Padded-ball marginal at the configured radius (``error`` is ignored)."""
-        return padded_ball_marginal(instance, node, self.radius, engine=self.engine)
+        """Padded-ball marginal of ``node`` at the engine's radius."""
+        return padded_ball_marginal(
+            instance, node, self._radius(instance, error), engine=self.engine
+        )
 
     def marginals(
         self, instance: SamplingInstance, error: float, nodes=None, runtime=None
     ) -> Dict[Node, Dict[Value, float]]:
-        """Per-node marginals, sharded across workers on a distributed runtime.
-
-        ``runtime`` overrides the engine-level knob per call (``None``
-        keeps the constructor's choice); both resolve through the unified
-        :class:`~repro.runtime.executor.Runtime` facade and its registered
-        task bodies.
-        """
-        return _runtime_marginals(
-            self, runtime if runtime is not None else self.runtime,
-            self.radius, instance, error, nodes,
-        )
+        """Per-node marginals: :meth:`marginals_stream` drained into a dict."""
+        return dict(self.marginals_stream(instance, error, nodes, runtime=runtime))
 
     def marginals_stream(
         self, instance: SamplingInstance, error: float, nodes=None, runtime=None
     ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
-        """Stream per-node marginals as they complete (see module notes).
+        """Stream ``(node, marginal)`` pairs from ``runtime`` (default serial).
 
-        With a process or cluster runtime, ``(node, marginal)`` pairs
-        arrive in shard completion order while later shards are still in
-        flight; otherwise the serial loop yields lazily in node order.
-        Values are identical to :meth:`marginals` on every backend;
-        ``runtime`` overrides the engine-level knob per call.
+        Values equal :meth:`marginal` on every backend; the order is the
+        runtime's (completion order when its workers compute them).
         """
-        return _stream_runtime_marginals(
-            self, runtime if runtime is not None else self.runtime,
-            self.radius, instance, error, nodes,
+        from repro.runtime import resolve_runtime
+
+        targets = instance.free_nodes if nodes is None else list(nodes)
+        return resolve_runtime(runtime).stream_ball_marginals(
+            instance, targets, self._radius(instance, error), engine=self.engine
         )
 
 
-class BoundaryPaddedInference(InferenceAlgorithm):
+class TruncatedBallInference(PaddedBallInference):
+    """The Theorem 5.1 computation at a fixed, explicitly chosen radius.
+
+    Useful when the radius is the independent variable of an experiment
+    (e.g. measuring the accuracy-versus-locality trade-off on either side of
+    the uniqueness threshold); ``error`` does not change the radius.
+    """
+
+    def __init__(self, radius: int, engine: Optional[str] = None) -> None:
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        self.radius = radius
+        self.engine = engine
+
+    def _radius(self, instance: SamplingInstance, error: float) -> int:
+        return self.radius
+
+
+class BoundaryPaddedInference(PaddedBallInference):
     """SSM-scheduled LOCAL inference (the full Theorem 5.1 converse algorithm).
 
     The radius is chosen as ``min{t : C * n * alpha^t <= delta}`` where
@@ -290,7 +252,6 @@ class BoundaryPaddedInference(InferenceAlgorithm):
         constant: float = 1.0,
         max_radius: Optional[int] = None,
         engine: Optional[str] = None,
-        runtime=None,
     ) -> None:
         if decay_rate is not None and not 0.0 <= decay_rate < 1.0:
             raise ValueError("decay_rate must lie in [0, 1)")
@@ -298,7 +259,6 @@ class BoundaryPaddedInference(InferenceAlgorithm):
         self.constant = constant
         self.max_radius = max_radius
         self.engine = engine
-        self.runtime = runtime
 
     def _rate(self, instance: SamplingInstance) -> float:
         if self.decay_rate is not None:
@@ -315,46 +275,3 @@ class BoundaryPaddedInference(InferenceAlgorithm):
         if self.max_radius is not None:
             radius = min(radius, self.max_radius)
         return radius
-
-    def locality(self, instance: SamplingInstance, error: float) -> int:
-        """Radius from the decay schedule plus the constant factor-diameter padding."""
-        return self._radius(instance, error) + 2 * instance.distribution.locality()
-
-    def marginal(
-        self, instance: SamplingInstance, node: Node, error: float
-    ) -> Dict[Value, float]:
-        """Padded-ball marginal at the scheduled radius."""
-        return padded_ball_marginal(
-            instance, node, self._radius(instance, error), engine=self.engine
-        )
-
-    def marginals(
-        self, instance: SamplingInstance, error: float, nodes=None, runtime=None
-    ) -> Dict[Node, Dict[Value, float]]:
-        """Per-node marginals, sharded across workers on a distributed runtime.
-
-        ``runtime`` overrides the engine-level knob per call (``None``
-        keeps the constructor's choice); both resolve through the unified
-        :class:`~repro.runtime.executor.Runtime` facade and its registered
-        task bodies.
-        """
-        return _runtime_marginals(
-            self, runtime if runtime is not None else self.runtime,
-            self._radius(instance, error), instance, error, nodes,
-        )
-
-    def marginals_stream(
-        self, instance: SamplingInstance, error: float, nodes=None, runtime=None
-    ) -> Iterator[Tuple[Node, Dict[Value, float]]]:
-        """Stream per-node marginals at the scheduled radius as they complete.
-
-        With a process or cluster runtime, ``(node, marginal)`` pairs
-        arrive in shard completion order while later shards are still in
-        flight; otherwise the serial loop yields lazily in node order.
-        Values are identical to :meth:`marginals` on every backend;
-        ``runtime`` overrides the engine-level knob per call.
-        """
-        return _stream_runtime_marginals(
-            self, runtime if runtime is not None else self.runtime,
-            self._radius(instance, error), instance, error, nodes,
-        )

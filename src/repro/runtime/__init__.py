@@ -1,4 +1,4 @@
-"""Parallel execution runtime: batched chains and sharded ball compilation.
+"""Parallel execution runtime: batched chains and sharded ball marginals.
 
 This package owns *how* work executes, separate from *what* is computed
 (which stays in :mod:`repro.engine` and the algorithm modules):
@@ -24,10 +24,13 @@ This package owns *how* work executes, separate from *what* is computed
     compiled balls stay warm in the worker that built them.
 ``executor``
     The :class:`Runtime` facade (``serial`` / ``batched`` / ``process`` /
-    ``cluster`` backends) threaded through the samplers, the SSM inference
-    engines and the experiment entry points that run chains or ball
+    ``cluster`` backends) threaded through the SSM inference engines'
+    ``marginals`` / ``marginals_stream`` calls, ``locality_required``, the
+    CD trainer and the experiment entry points that run chains or ball
     streams (E4's rejection kernel, E5, E12; E13 per row) as a
-    ``runtime=`` parameter defaulting to today's serial behaviour.  Chain
+    ``runtime=`` parameter defaulting to today's serial behaviour.  Which
+    backend runs what is decided here alone: callers hand the work to the
+    runtime and never test its backend themselves.  Chain
     workloads of every kernel run through the single
     :meth:`Runtime.run_chains` path; the streaming primitives are
     :meth:`Runtime.stream_ball_marginals` and

@@ -1002,13 +1002,14 @@ class ChainBatch:
 
         Persistent contrastive divergence keeps one set of chains alive
         while the model's factor *weights* move every gradient step.  The
-        structure (nodes, alphabet, free set) is fixed, so the live state
+        structure (nodes, alphabet, pinning) is fixed, so the live state
         -- code matrix, per-chain generators, uniforms buffer (the drawn
         but unread doubles of every chain, with their cursors) and kernel
         scratch -- stays as it is and only the conditional tables move to
         the twin engine's own (:attr:`CompiledGibbs.batched_tables`).  No
         generator is seeded anew, so resuming on the twin is bit-identical
-        to having run on it all along.
+        to having run on it all along.  A twin of another structure raises
+        ``ValueError`` before anything changes.
         """
         compiled = instance.distribution.compiled_engine()
         if (
@@ -1018,8 +1019,8 @@ class ChainBatch:
             raise ValueError(
                 "rebind requires an instance with identical nodes and alphabet"
             )
-        if instance.free_nodes != self.instance.free_nodes:
-            raise ValueError("rebind requires an instance with the same free nodes")
+        if instance.pinning != self.instance.pinning:
+            raise ValueError("rebind requires an instance with the same pinning")
         self._bind(instance)
 
     # ------------------------------------------------------------------

@@ -580,7 +580,8 @@ class Runtime:
         Returns ``(seeds, initial, batch)``: the per-chain seeds and shared
         initial configuration of a fresh run (both ``None`` on a resume),
         and the resumable batch to advance -- ``state`` itself (rebound to
-        ``instance`` if its compiled engine has moved), a fresh one for
+        ``instance`` if that is another instance or its compiled engine has
+        moved), a fresh one for
         ``return_state``, otherwise ``None``.
         """
         if state is not None or return_state:
@@ -601,7 +602,10 @@ class Runtime:
                     f"this chain batch ran {state.kind!r} chains; "
                     f"cannot resume it with kernel {kernel.name!r}"
                 )
-            if state.compiled is not instance.distribution.compiled_engine():
+            if (
+                instance is not state.instance
+                or state.compiled is not instance.distribution.compiled_engine()
+            ):
                 state.rebind(instance)
             return None, None, state
         if init is not None:
@@ -779,7 +783,7 @@ class Runtime:
         """Stream Theorem 5.1 marginals for heterogeneous ``(center, radius)`` tasks.
 
         The multi-radius sibling of :meth:`stream_ball_marginals`, used by
-        the overlapped E5 radius sweep
+        the compiled E5 radius sweep on every backend
         (:func:`repro.spatialmixing.phase_transition.locality_required`):
         the process backend shards the tasks over its forked workers, the
         cluster backend over its TCP workers, and both yield every arriving

@@ -51,15 +51,19 @@ def locality_required(
     instance, node, error, max_radius, engine
         As described above; ``engine`` selects the evaluation backend.
     runtime : None, str or Runtime, optional
-        Execution backend (see :mod:`repro.runtime`).  A process or cluster
-        runtime runs the sweep *overlapped*: the per-radius ball
-        computations are submitted to the workers (OS processes or TCP
-        cluster workers) up front and consumed as they complete, so the
-        radius-``r`` accuracy measurement happens while the radius-``r + 1``
-        balls are still compiling.  On the first radius within tolerance
-        the still-pending tasks are cancelled.  The returned radius is
-        identical to the serial sweep (worker marginals are bit-identical
-        to :func:`padded_ball_marginal`).
+        Execution backend (see :mod:`repro.runtime`).  A compiled sweep
+        walks :meth:`~repro.runtime.executor.Runtime.stream_ball_marginal_tasks`
+        in *waves* of ``2 * n_workers`` radii, measuring radius ``r`` the
+        moment its marginal lands.  The serial and batched runtimes yield
+        those lazily and in order, so the sweep computes exactly the radii
+        ``0..answer``; a process or cluster runtime computes a wave's
+        larger radii on its workers while radius ``r`` is measured, and
+        the first radius within tolerance cancels the rest of the wave.
+        Waving bounds the speculation: an unbounded sweep
+        (``max_radius=None``) would otherwise enqueue one near-whole-graph
+        elimination per radius up to ``instance.size``.  The returned
+        radius is the same on every backend.  ``engine="dict"`` runs the
+        in-process reference loop instead.
     """
     if error <= 0:
         raise ValueError("error must be positive")
@@ -69,45 +73,13 @@ def locality_required(
     from repro.runtime import resolve_runtime
 
     resolved = resolve_runtime(runtime)
-    if (
-        (resolved.is_process or resolved.is_cluster)
-        and limit > 0
-        and resolve_engine(engine) == "compiled"
-    ):
-        return _locality_required_overlapped(
-            instance, node, error, truth, limit, resolved
-        )
-    for radius in range(0, limit + 1):
-        estimate = padded_ball_marginal(instance, node, radius, engine=engine)
-        if total_variation(estimate, truth) <= error:
-            return radius
-    return limit + 1
-
-
-def _locality_required_overlapped(
-    instance: SamplingInstance,
-    node: Node,
-    error: float,
-    truth: Dict[Value, float],
-    limit: int,
-    runtime,
-) -> int:
-    """The streaming radius sweep behind ``locality_required(runtime=...)``.
-
-    Radii are submitted speculatively in *waves* of ``2 * n_workers`` (one
-    task per chunk, so every worker immediately owns a radius) and results
-    arrive in completion order; the in-order walk below measures radius
-    ``r`` the moment its marginal lands, while larger radii of the wave
-    keep compiling in the workers.  Waving bounds the speculation: without
-    it, an unbounded sweep (``max_radius=None``) would enqueue one
-    near-whole-graph elimination per radius up to ``instance.size``, and
-    eliminations a few radii past the answer can dwarf the answer's own
-    cost.  Closing the stream on success cancels the wave's pending tasks.
-
-    The tasks go through :meth:`Runtime.stream_ball_marginal_tasks`, so the
-    same sweep runs on the process pool or on TCP cluster workers.
-    """
-    wave = 2 * max(1, runtime.n_workers)
+    if resolve_engine(engine) != "compiled":
+        for radius in range(0, limit + 1):
+            estimate = padded_ball_marginal(instance, node, radius, engine=engine)
+            if total_variation(estimate, truth) <= error:
+                return radius
+        return limit + 1
+    wave = 2 * max(1, resolved.n_workers)
     estimates: Dict[int, Dict[Value, float]] = {}
     radius = 0
     for start in range(0, limit + 1, wave):
@@ -115,7 +87,7 @@ def _locality_required_overlapped(
             (node, wave_radius)
             for wave_radius in range(start, min(start + wave, limit + 1))
         ]
-        stream = runtime.stream_ball_marginal_tasks(instance, tasks, chunk_size=1)
+        stream = resolved.stream_ball_marginal_tasks(instance, tasks, chunk_size=1)
         try:
             for (_, completed_radius), marginal in stream:
                 estimates[completed_radius] = marginal

@@ -52,6 +52,13 @@ from repro.runtime.shards import InstanceSpec, spec_for
 # ``inprocess_workers`` and ``submit_test_task`` live in conftest.py.
 
 
+def _tasks_sent():
+    """TASK frames the coordinators of this process have sent (obs on)."""
+    from repro import obs
+
+    return obs.active().metrics.counter("cluster.frames_sent.TASK").value
+
+
 def _addresses(workers):
     return [worker.address for worker in workers]
 
@@ -692,10 +699,14 @@ class TestClusterRuntimeFacade:
         instance = SamplingInstance(distribution, {0: 0})
         reference = TruncatedBallInference(radius=1, engine="dict")
         with Runtime("cluster", addresses=_addresses(inprocess_workers)) as runtime:
-            clustered = TruncatedBallInference(radius=1, engine="dict", runtime=runtime)
-            assert clustered.marginals(instance, 0.05) == reference.marginals(
-                instance, 0.05
-            )
+            assert reference.marginals(
+                instance, 0.05, runtime=runtime
+            ) == reference.marginals(instance, 0.05)
+            assert dict(
+                reference.marginals_stream(instance, 0.05, runtime=runtime)
+            ) == reference.marginals(instance, 0.05)
+            # Nothing was dispatched: the coordinator was never even made.
+            assert "cluster" not in runtime.snapshot()
 
     # The every-kernel run_chains sweep on the cluster backend lives in
     # the conformance harness (tests/test_conformance.py).
@@ -755,27 +766,30 @@ class TestClusterRuntimeFacade:
             )
 
     def test_ssm_engine_and_locality_required_match_serial(self, inprocess_workers):
+        from repro.spatialmixing import locality_required
+
         distribution = hardcore_model(random_tree(15, seed=8), 1.3)
         instance = SamplingInstance(distribution, {0: 0})
-        serial_engine = TruncatedBallInference(radius=2)
-        with Runtime("cluster", addresses=_addresses(inprocess_workers)) as runtime:
-            cluster_engine = TruncatedBallInference(radius=2, runtime=runtime)
-            assert cluster_engine.marginals(instance, 0.05) == serial_engine.marginals(
-                instance, 0.05
-            )
-            streamed = dict(cluster_engine.marginals_stream(instance, 0.05))
-            assert streamed == serial_engine.marginals(instance, 0.05)
-
-            from repro.spatialmixing import locality_required
-
-            e5 = SamplingInstance(
-                hardcore_model(cycle_graph(12), fugacity=6.0), {0: 1}
-            )
-            serial_radius = locality_required(e5, 6, error=0.05, max_radius=6)
+        engine = TruncatedBallInference(radius=2)
+        serial = engine.marginals(instance, 0.05)
+        e5 = SamplingInstance(hardcore_model(cycle_graph(12), fugacity=6.0), {0: 1})
+        serial_radius = locality_required(e5, 6, error=0.05, max_radius=6)
+        with Runtime(
+            "cluster", addresses=_addresses(inprocess_workers), obs=True
+        ) as runtime:
+            # Each call must reach the workers, not fall back to the loop.
+            assert engine.marginals(instance, 0.05, runtime=runtime) == serial
+            sent = _tasks_sent()
+            assert sent > 0
+            streamed = dict(engine.marginals_stream(instance, 0.05, runtime=runtime))
+            assert streamed == serial
+            assert _tasks_sent() > sent
+            sent = _tasks_sent()
             cluster_radius = locality_required(
                 e5, 6, error=0.05, max_radius=6, runtime=runtime
             )
             assert cluster_radius == serial_radius
+            assert _tasks_sent() > sent
 
 
 # ----------------------------------------------------------------------

@@ -915,13 +915,13 @@ class TestProcessPool:
     def test_truncated_ball_inference_process_runtime(self):
         distribution = hardcore_model(random_tree(15, seed=8), 1.3)
         instance = SamplingInstance(distribution, {0: 0})
-        serial_engine = TruncatedBallInference(radius=2)
-        process_engine = TruncatedBallInference(
-            radius=2, runtime=Runtime("process", n_workers=2)
-        )
-        assert process_engine.marginals(instance, 0.05) == serial_engine.marginals(
-            instance, 0.05
-        )
+        engine = TruncatedBallInference(radius=2)
+        serial = engine.marginals(instance, 0.05)
+        with Runtime("process", n_workers=2, obs=True) as runtime:
+            assert engine.marginals(instance, 0.05, runtime=runtime) == serial
+            # The balls ran on the forked workers.
+            assert len(_worker_pids(runtime)) == 2
+            assert _tasks_sent() > 0
 
     def test_dict_engine_request_is_honoured_under_process_runtime(self):
         # The shard transport is compiled-only; an explicit engine="dict"
@@ -930,12 +930,13 @@ class TestProcessPool:
         distribution = hardcore_model(cycle_graph(7), 1.1)
         instance = SamplingInstance(distribution, {0: 0})
         reference = TruncatedBallInference(radius=1, engine="dict")
-        process_reference = TruncatedBallInference(
-            radius=1, engine="dict", runtime=Runtime("process", n_workers=2)
-        )
-        assert process_reference.marginals(instance, 0.05) == reference.marginals(
-            instance, 0.05
-        )
+        with Runtime("process", n_workers=2) as runtime:
+            assert reference.marginals(
+                instance, 0.05, runtime=runtime
+            ) == reference.marginals(instance, 0.05)
+            # Nothing was dispatched: no worker was forked.
+            assert _worker_pids(runtime) == set()
+            assert "cluster" not in runtime.snapshot()
 
     def test_process_runtime_chain_sampling_matches_serial(self):
         instance = SamplingInstance(hardcore_model(cycle_graph(8), 1.0))
@@ -1038,23 +1039,30 @@ class TestProcessPool:
         distribution = hardcore_model(cycle_graph(12), fugacity=6.0)
         instance = SamplingInstance(distribution, {0: 1})
         serial = locality_required(instance, 6, error=0.05, max_radius=6)
-        overlapped = locality_required(
-            instance,
-            6,
-            error=0.05,
-            max_radius=6,
-            runtime=Runtime("process", n_workers=2),
-        )
+        with Runtime("process", n_workers=2, obs=True) as runtime:
+            overlapped = locality_required(
+                instance, 6, error=0.05, max_radius=6, runtime=runtime
+            )
+            assert _tasks_sent() > 0
         assert overlapped == serial
 
     def test_marginals_stream_process_runtime(self):
         distribution = hardcore_model(random_tree(15, seed=8), 1.3)
         instance = SamplingInstance(distribution, {0: 0})
-        engine = TruncatedBallInference(
-            radius=2, runtime=Runtime("process", n_workers=2)
-        )
-        streamed = dict(engine.marginals_stream(instance, 0.05))
-        assert streamed == TruncatedBallInference(radius=2).marginals(instance, 0.05)
+        engine = TruncatedBallInference(radius=2)
+        serial = engine.marginals(instance, 0.05)
+        with Runtime("process", n_workers=2, obs=True) as runtime:
+            streamed = dict(engine.marginals_stream(instance, 0.05, runtime=runtime))
+            assert len(_worker_pids(runtime)) == 2
+            assert _tasks_sent() > 0
+        assert streamed == serial
+
+
+def _tasks_sent():
+    """TASK frames the coordinators of this process have sent (obs on)."""
+    from repro import obs
+
+    return obs.active().metrics.counter("cluster.frames_sent.TASK").value
 
 
 def _worker_pids(runtime):
@@ -1762,6 +1770,50 @@ class TestRunChainsState:
         assert state.instance is hot
         assert state.tables is hot.distribution.compiled_engine().batched_tables
         assert state.tables is not cold.distribution.compiled_engine().batched_tables
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_state_rejects_another_pinning_and_changes_nothing(self, backend):
+        # A resume against another pinning -- of the same distribution, or
+        # of a reweighted twin -- must refuse, not advance the old pinning.
+        graph = cycle_graph(8)
+        distribution = hardcore_model(graph, 1.2)
+        first = SamplingInstance(distribution, {0: 1})
+        runtime = Runtime(backend, n_chains=3)
+        _, state = runtime.run_chains("glauber", first, 20, seed=5, return_state=True)
+        _, untouched = runtime.run_chains(
+            "glauber", first, 20, seed=5, return_state=True
+        )
+        for other in (
+            SamplingInstance(distribution, {0: 0, 2: 1}),
+            SamplingInstance(hardcore_model(graph, 2.0), {0: 0}),
+        ):
+            codes, rngs = state.codes.copy(), state.rngs
+            generators = [rng.bit_generator.state for rng in rngs]
+            with pytest.raises(ValueError, match="same pinning"):
+                runtime.run_chains("glauber", other, 50, state=state)
+            np.testing.assert_array_equal(state.codes, codes)
+            assert state.instance is first
+            assert state.compiled is distribution.compiled_engine()
+            assert state.rngs is rngs
+            assert [rng.bit_generator.state for rng in rngs] == generators
+        # The refused batch continues exactly like one never refused.
+        assert runtime.run_chains("glauber", first, 30, state=state) == (
+            runtime.run_chains("glauber", first, 30, state=untouched)
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_state_rebinds_onto_an_equal_instance(self, backend):
+        distribution = hardcore_model(cycle_graph(8), 1.2)
+        first = SamplingInstance(distribution, {0: 1})
+        runtime = Runtime(backend, n_chains=3)
+        _, state = runtime.run_chains("glauber", first, 20, seed=5, return_state=True)
+        _, reference = runtime.run_chains(
+            "glauber", first, 20, seed=5, return_state=True
+        )
+        again = SamplingInstance(distribution, {0: 1})
+        resumed = runtime.run_chains("glauber", again, 30, state=state)
+        assert state.instance is again
+        assert resumed == runtime.run_chains("glauber", first, 30, state=reference)
 
     def test_state_rejects_kernel_change_and_seed_overrides(self):
         instance = self._instance()

@@ -80,6 +80,34 @@ class TestPhaseTransitionMeasures:
         # radius covering that neighbour (the +2l padding sees it at radius 0).
         assert locality_required(instance, 0, error=0.01) <= 1
 
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_in_process_sweep_computes_exactly_the_radii_up_to_its_answer(
+        self, backend, monkeypatch
+    ):
+        # The compiled sweep walks the runtime's task stream in waves; in
+        # process that stream is lazy and in order, so no radius past the
+        # answer is ever computed.
+        from repro.inference import ssm_inference
+        from repro.runtime import Runtime
+
+        radii = []
+        original = ssm_inference.padded_ball_marginal
+
+        def counting(instance, center, radius, engine=None):
+            radii.append(radius)
+            return original(instance, center, radius, engine=engine)
+
+        monkeypatch.setattr(ssm_inference, "padded_ball_marginal", counting)
+        instance = SamplingInstance(hardcore_model(cycle_graph(16), fugacity=1.0))
+        answer = locality_required(
+            instance, 3, error=0.01, max_radius=8, runtime=Runtime(backend)
+        )
+        assert answer == locality_required(
+            instance, 3, error=0.01, max_radius=8, engine="dict"
+        )
+        assert 2 < answer <= 8
+        assert radii == list(range(answer + 1))
+
     def test_locality_required_validation(self):
         distribution = hardcore_model(path_graph(3), fugacity=1.0)
         instance = SamplingInstance(distribution)
